@@ -158,9 +158,10 @@
 //! ([`EngineConfig::tuple_table_memory`]); spill traffic is metered
 //! (`IterationReport::bytes_spilled` / `spill_runs` /
 //! `merge_passes`). On the phase-4 side, each partition's profiles
-//! materialize into one CSR [`knn_sim::ProfileArena`] whose borrowed
-//! [`knn_sim::PreparedRef`] views score bit-identically to the owned
-//! prepared path. The pre-overhaul row pipeline remains available as
+//! materialize into one CSR [`knn_sim::ProfileArena`] (split id and
+//! weight columns), and each run of candidates sharing a source row is
+//! scored by one [`knn_sim::RowKernel`] load — bit-identically to the
+//! pair kernels. The pre-overhaul row pipeline remains available as
 //! [`tuple_table::legacy`] behind
 //! `EngineConfig::legacy_tuple_pipeline` — the paired baseline of the
 //! `tuple_pipeline` bench, persisting byte-identical final buckets.

@@ -20,10 +20,10 @@
 //!    once ([`BucketMeta`] direction bits recording which directed
 //!    candidates exist), so the symmetric kernel runs once per pair
 //!    and its score is offered along every recorded direction.
-//! 1. **Prepared profiles** — partition loads wrap every profile in a
-//!    [`PreparedProfile`], hoisting the per-profile aggregates (L2
-//!    norm, weight sum, extrema, block sketches) out of the per-pair
-//!    kernels. Scores are bit-identical to the unprepared kernels.
+//! 1. **Prepared profiles** — a partition load materializes its
+//!    profiles as one [`ProfileArena`] (split id / weight columns),
+//!    hoisting the per-profile aggregates (L2 norm, weight sum,
+//!    extrema, block sketches) out of the kernels.
 //! 2. **Cross-iteration pair suppression** (`sims_skipped`) — tuples
 //!    that were already evaluated last iteration (old generating path,
 //!    per [`BucketMeta`]) between users whose standing is provably
@@ -38,17 +38,25 @@
 //! Both pruning stages are **exact**: they only ever drop evaluations
 //! whose outcome is already decided, so `G(t+1)` is identical with
 //! pruning on, off, or partially applicable.
+//!
+//! # The row kernel
+//!
+//! Bucket tuples are sorted by `(u, v)`, so the survivors of a bucket
+//! are runs of candidates sharing a source row. `score_chunk` loads
+//! each run's source into a [`RowKernel`] once and scores the whole
+//! run against it by walking only the candidates' id columns — not one
+//! two-pointer merge per pair. Scores are bit-identical to the pair
+//! kernel ([`Measure::score_ref`]), so nothing downstream can tell.
 
 use std::sync::Arc;
 
 use crossbeam::channel;
 use knn_graph::{KnnGraph, Neighbor, UserId};
-use knn_sim::{Measure, PreparedRef, ProfileArena};
+use knn_sim::{Measure, ProfileArena, RowKernel};
 use knn_store::backend::{read_tuples, read_user_lists, write_user_lists};
 use knn_store::tuple_stream::TupleRow;
 use knn_store::{CacheCounters, SlotCache, StorageBackend, StoreError, StreamId};
 
-use crate::fasthash::{map_with_capacity, FxHashMap};
 use crate::partition::Partitioning;
 use crate::topk::TopKAccumulator;
 use crate::traversal::Schedule;
@@ -131,58 +139,55 @@ pub struct Phase4Output {
 
 /// One partition's resident state: its users' profiles in one
 /// CSR [`ProfileArena`] (read-only during the iteration, shared with
-/// scoring workers via `Arc`), a user → arena-row index, and the
-/// top-K accumulators (read-write, persisted on unload).
-///
-/// The arena replaces the old per-user `PreparedProfile` map: one
-/// allocation per column instead of several per user, and scoring
-/// workers index rows directly instead of hashing user ids per pair.
+/// scoring workers via `Arc`) and their top-K accumulators
+/// (read-write, persisted on unload), both in the partition's
+/// ascending-user row order — so a row index resolved once addresses
+/// a user's profile, sketch and accumulator alike, and nothing on the
+/// hot path hashes a user id.
 struct PartitionState {
     arena: Arc<ProfileArena>,
-    index: FxHashMap<u32, u32>,
-    accums: FxHashMap<u32, TopKAccumulator>,
+    accums: Vec<TopKAccumulator>,
     dirty: bool,
 }
 
-/// A canonical tuple queued for scoring: endpoints, their resolved
-/// arena row indices (looked up once on the driving thread, so the
-/// scoring workers do no hashing at all), and the [`meta_bits`]
-/// direction byte (carried through so the offers follow exactly the
-/// directions phase 2 recorded).
+/// A canonical tuple queued for scoring: endpoints, their rows in the
+/// source and destination partition (resolved once on the driving
+/// thread), and the [`meta_bits`] direction byte (carried through so
+/// the offers follow exactly the directions phase 2 recorded).
 type PendingTuple = (u32, u32, u32, u32, u8);
 
-/// A scored canonical tuple: endpoints, direction byte, similarity.
-type ScoredTuple = (u32, u32, u8, f32);
-
 /// A unit of scoring work: an owned tuple chunk plus shared profile
-/// arenas, safe to outlive cache evictions.
+/// arenas, safe to outlive cache evictions. `seq` orders the chunks of
+/// one bucket.
 struct ScoreTask {
+    seq: usize,
     src: Arc<ProfileArena>,
     dst: Arc<ProfileArena>,
     tuples: Vec<PendingTuple>,
     measure: Measure,
 }
 
-fn score_chunk(task: &ScoreTask) -> Vec<ScoredTuple> {
-    // Bucket tuples are sorted by (u, v), so equal sources run
-    // together: hoist the source-view resolution out of the pair loop
-    // (chunk boundaries merely split a run, never reorder it). The
-    // views are slices into the shared arenas — no per-pair hashing,
-    // no allocation.
-    let mut out = Vec::with_capacity(task.tuples.len());
-    let mut current: Option<(u32, PreparedRef<'_>)> = None;
-    for &(u, v, u_idx, v_idx, bits) in &task.tuples {
-        let up = match current {
-            Some((ci, up)) if ci == u_idx => up,
-            _ => {
-                let up = task.src.view(u_idx);
-                current = Some((u_idx, up));
-                up
+/// Scores a chunk through the row kernel (see the module docs), one
+/// similarity per tuple in tuple order. A chunk boundary may split a
+/// run; the next chunk just loads the row again.
+fn score_chunk(
+    src: &ProfileArena,
+    dst: &ProfileArena,
+    tuples: &[PendingTuple],
+    measure: Measure,
+) -> Vec<f32> {
+    let mut kernel = RowKernel::new(measure);
+    let mut resident = None;
+    tuples
+        .iter()
+        .map(|&(_, _, u_row, v_row, _)| {
+            if resident != Some(u_row) {
+                kernel.load(src.view(u_row));
+                resident = Some(u_row);
             }
-        };
-        out.push((u, v, bits, task.measure.score_ref(up, task.dst.view(v_idx))));
-    }
-    out
+            kernel.score(dst.view(v_row))
+        })
+        .collect()
 }
 
 fn load_state(
@@ -192,27 +197,38 @@ fn load_state(
 ) -> Result<PartitionState, EngineError> {
     let profile_rows = read_user_lists(backend, StreamId::Profiles(p))?;
     let total_entries: usize = profile_rows.iter().map(|(_, row)| row.len()).sum();
-    let mut index = map_with_capacity(profile_rows.len());
     // One pass over the (user-sorted) stream materializes the CSR
     // arena; per-user aggregates are computed as rows are appended.
     let mut builder = ProfileArena::builder(profile_rows.len(), total_entries);
-    for (i, (user, row)) in profile_rows.into_iter().enumerate() {
+    for (user, row) in profile_rows {
         builder.push(user, row).map_err(|e| {
             EngineError::Store(StoreError::corrupt(
                 backend.describe(StreamId::Profiles(p)),
                 format!("invalid profile for user {user}: {e}"),
             ))
         })?;
-        index.insert(user, i as u32);
     }
+    let arena = builder.finish();
+    // The accumulator stream is user-sorted too and must name exactly
+    // the arena's users, so its rows line up with the arena's.
     let accum_rows = read_user_lists(backend, StreamId::Accumulators(p))?;
-    let mut accums = map_with_capacity(accum_rows.len());
-    for (user, row) in accum_rows {
-        accums.insert(user, TopKAccumulator::from_row(k, &row));
+    if !accum_rows.iter().map(|(user, _)| user).eq(arena.users()) {
+        return Err(EngineError::Store(StoreError::corrupt(
+            backend.describe(StreamId::Accumulators(p)),
+            format!(
+                "accumulator rows ({}) do not name the users of partition {p}'s \
+                 profile stream ({})",
+                accum_rows.len(),
+                arena.len()
+            ),
+        )));
     }
+    let accums = accum_rows
+        .iter()
+        .map(|(_, row)| TopKAccumulator::from_row(k, row))
+        .collect();
     Ok(PartitionState {
-        arena: Arc::new(builder.finish()),
-        index,
+        arena: Arc::new(arena),
         accums,
         dirty: false,
     })
@@ -228,12 +244,13 @@ fn unload_state(
         // accumulators are unchanged: nothing to persist.
         return Ok(());
     }
-    let mut rows: Vec<(u32, Vec<(u32, f32)>)> = state
-        .accums
+    let rows: Vec<(u32, Vec<(u32, f32)>)> = state
+        .arena
+        .users()
         .iter()
+        .zip(&state.accums)
         .map(|(&user, acc)| (user, acc.to_row()))
         .collect();
-    rows.sort_unstable_by_key(|&(u, _)| u);
     write_user_lists(backend, StreamId::Accumulators(p), &rows)?;
     Ok(())
 }
@@ -276,14 +293,15 @@ pub fn run_phase4(
     // profile maps, so the cache can evict freely while chunks are in
     // flight within a bucket.
     let (task_tx, task_rx) = channel::unbounded::<ScoreTask>();
-    let (result_tx, result_rx) = channel::unbounded::<Vec<ScoredTuple>>();
+    let (result_tx, result_rx) = channel::unbounded::<(usize, Vec<f32>)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let task_rx = task_rx.clone();
             let result_tx = result_tx.clone();
             scope.spawn(move || {
                 while let Ok(task) = task_rx.recv() {
-                    let _ = result_tx.send(score_chunk(&task));
+                    let scores = score_chunk(&task.src, &task.dst, &task.tuples, task.measure);
+                    let _ = result_tx.send((task.seq, scores));
                 }
             });
         }
@@ -311,7 +329,7 @@ pub fn run_phase4(
 /// the workers down).
 struct WorkerPool {
     task_tx: channel::Sender<ScoreTask>,
-    result_rx: channel::Receiver<Vec<ScoredTuple>>,
+    result_rx: channel::Receiver<(usize, Vec<f32>)>,
     workers: usize,
 }
 
@@ -331,6 +349,14 @@ fn drive(
     let mut sims_computed = 0u64;
     let mut sims_skipped = 0u64;
     let mut sims_pruned = 0u64;
+    // user → its row in its partition's streams, which list the
+    // partition's users in ascending order.
+    let mut row_of = vec![0u32; partitioning.num_users()];
+    for p in 0..partitioning.num_partitions() as u32 {
+        for (row, user) in partitioning.users_of(p).iter().enumerate() {
+            row_of[user.index()] = row as u32;
+        }
+    }
 
     for step in schedule.iter() {
         cache.ensure(
@@ -372,6 +398,7 @@ fn drive(
                     (src, dst),
                     tuples,
                     meta,
+                    &row_of,
                     src_state,
                     dst_state,
                     options,
@@ -385,13 +412,14 @@ fn drive(
             }
             let src_profiles = Arc::clone(&cache.get(src).expect("src resident").arena);
             let dst_profiles = Arc::clone(&cache.get(dst).expect("dst resident").arena);
-            let scored = match &pool {
+            let scores = match &pool {
                 Some(pool) if survivors.len() >= options.parallel_threshold => {
                     let chunk = survivors.len().div_ceil(pool.workers);
                     let mut dispatched = 0usize;
-                    for part in survivors.chunks(chunk) {
+                    for (seq, part) in survivors.chunks(chunk).enumerate() {
                         pool.task_tx
                             .send(ScoreTask {
+                                seq,
                                 src: Arc::clone(&src_profiles),
                                 dst: Arc::clone(&dst_profiles),
                                 tuples: part.to_vec(),
@@ -400,21 +428,25 @@ fn drive(
                             .expect("workers alive while the run drives them");
                         dispatched += 1;
                     }
-                    let mut out = Vec::with_capacity(survivors.len());
+                    let mut scores = vec![0.0f32; survivors.len()];
                     for _ in 0..dispatched {
-                        out.extend(pool.result_rx.recv().expect("worker delivered its chunk"));
+                        let (seq, part) =
+                            pool.result_rx.recv().expect("worker delivered its chunk");
+                        scores[seq * chunk..][..part.len()].copy_from_slice(&part);
                     }
-                    out
+                    scores
                 }
-                _ => score_chunk(&ScoreTask {
-                    src: src_profiles,
-                    dst: dst_profiles,
-                    tuples: survivors,
-                    measure: options.measure,
-                }),
+                _ => score_chunk(&src_profiles, &dst_profiles, &survivors, options.measure),
             };
-            sims_computed += scored.len() as u64;
-            apply_scores(&mut cache, src, dst, &scored, options.include_reverse);
+            sims_computed += scores.len() as u64;
+            apply_scores(
+                &mut cache,
+                src,
+                dst,
+                &survivors,
+                &scores,
+                options.include_reverse,
+            );
         }
     }
 
@@ -471,6 +503,7 @@ fn filter_bucket(
     bucket: (u32, u32),
     tuples: Vec<TupleRow>,
     meta: &BucketMeta,
+    row_of: &[u32],
     src: &PartitionState,
     dst: &PartitionState,
     options: &Phase4Options,
@@ -495,6 +528,20 @@ fn filter_bucket(
     let mut bound_attempts = 0u64;
     let mut bound_hits = 0u64;
 
+    // The row of `user` in `state`'s streams, or the typed error for a
+    // tuple naming a user those streams do not hold.
+    let row_in = |state: &PartitionState, user: u32, (u, v): (u32, u32)| {
+        row_of
+            .get(user as usize)
+            .copied()
+            .filter(|&row| state.arena.users().get(row as usize) == Some(&user))
+            .ok_or_else(|| {
+                EngineError::input(format!(
+                    "tuple ({u}, {v}) references a user missing from its partition file"
+                ))
+            })
+    };
+
     // Bucket tuples are sorted by (u, v): walk them in equal-u groups
     // so the per-user lookups (arena row, threshold, seed bit) happen
     // once per group instead of once per tuple.
@@ -502,32 +549,19 @@ fn filter_bucket(
     while start < tuples.len() {
         let u = tuples[start].0;
         let end = start + tuples[start..].partition_point(|t| t.0 == u);
-        let Some(&u_idx) = src.index.get(&u) else {
-            return Err(EngineError::input(format!(
-                "tuple ({u}, {}) references a user missing from its partition file",
-                tuples[start].1
-            )));
-        };
+        let u_idx = row_in(src, u, (u, tuples[start].1))?;
         let up = src.arena.view(u_idx);
         let u_seed_ok = prune.is_some_and(|pr| pr.seed_ok[u as usize]);
         let u_profile_dirty = prune.is_some_and(|pr| pr.profile_dirty[u as usize]);
         let u_threshold = if options.bound_filter {
-            src.accums
-                .get(&u)
-                .expect("accumulator row exists for every partition user")
-                .threshold()
+            src.accums[u_idx as usize].threshold()
         } else {
             None
         };
         #[allow(clippy::needless_range_loop)] // idx also indexes the bucket metadata
         for idx in start..end {
             let v = tuples[idx].1;
-            let Some(&v_idx) = dst.index.get(&v) else {
-                return Err(EngineError::input(format!(
-                    "tuple ({u}, {v}) references a user missing from its partition file"
-                )));
-            };
-            let vp = dst.arena.view(v_idx);
+            let v_idx = row_in(dst, v, (u, v))?;
             let bits = meta_bytes[idx];
             debug_assert_eq!(
                 tuples[idx].2,
@@ -571,21 +605,16 @@ fn filter_bucket(
                     || bound_hits << GATE_MIN_HIT_SHIFT >= bound_attempts;
                 if gate_open {
                     bound_attempts += 1;
-                    let bound = options.measure.upper_bound_ref(up, vp);
+                    let bound = options.measure.upper_bound_ref(up, dst.arena.view(v_idx));
                     let prunable = bound.is_finite()
                         && (!into_u
                             || u_threshold.is_some_and(|thr| {
                                 !Neighbor::new(UserId::new(v), bound).beats(&thr)
                             }))
                         && (!into_v
-                            || dst
-                                .accums
-                                .get(&v)
-                                .expect("accumulator row exists for every partition user")
-                                .threshold()
-                                .is_some_and(|thr| {
-                                    !Neighbor::new(UserId::new(u), bound).beats(&thr)
-                                }));
+                            || dst.accums[v_idx as usize].threshold().is_some_and(|thr| {
+                                !Neighbor::new(UserId::new(u), bound).beats(&thr)
+                            }));
                     if prunable {
                         // Even the score ceiling cannot displace the
                         // current k-th entry anywhere this tuple
@@ -603,63 +632,32 @@ fn filter_bucket(
     Ok((survivors, skipped, pruned))
 }
 
-/// Applies scored canonical tuples to the resident accumulators,
-/// following each tuple's direction bits (both directions when
-/// `include_reverse` widens the offers).
+/// Applies a bucket's scores (one per tuple, in tuple order) to the
+/// resident accumulators, following each tuple's direction bits (both
+/// directions when `include_reverse` widens the offers).
 fn apply_scores(
     cache: &mut SlotCache<PartitionState>,
     src: u32,
     dst: u32,
-    scored: &[ScoredTuple],
+    tuples: &[PendingTuple],
+    scores: &[f32],
     include_reverse: bool,
 ) {
     // Offers into the src-side accumulators (candidate v for user u).
-    // Scored rows arrive in equal-u runs (chunk results may be
-    // concatenated out of order, which only splits runs), so the
-    // accumulator lookup hoists per run.
-    let mut src_dirty = false;
-    {
-        let state = cache.get_mut(src).expect("src resident");
-        let mut i = 0usize;
-        while i < scored.len() {
-            let u = scored[i].0;
-            let mut end = i + 1;
-            while end < scored.len() && scored[end].0 == u {
-                end += 1;
-            }
-            let acc = state
-                .accums
-                .get_mut(&u)
-                .expect("accumulator row exists for every partition user");
-            for &(_, v, bits, sim) in &scored[i..end] {
-                let offer_fwd =
-                    bits & meta_bits::FWD != 0 || (include_reverse && bits & meta_bits::BWD != 0);
-                if offer_fwd {
-                    acc.offer(Neighbor::new(UserId::new(v), sim));
-                    src_dirty = true;
-                }
-            }
-            i = end;
+    let state = cache.get_mut(src).expect("src resident");
+    for (&(_, v, u_row, _, bits), &sim) in tuples.iter().zip(scores) {
+        if bits & meta_bits::FWD != 0 || (include_reverse && bits & meta_bits::BWD != 0) {
+            state.accums[u_row as usize].offer(Neighbor::new(UserId::new(v), sim));
+            state.dirty = true;
         }
-        state.dirty |= src_dirty;
     }
     // Offers into the dst-side accumulators (candidate u for user v).
-    let mut dst_dirty = false;
-    {
-        let state = cache.get_mut(dst).expect("dst resident");
-        for &(u, v, bits, sim) in scored {
-            let offer_bwd =
-                bits & meta_bits::BWD != 0 || (include_reverse && bits & meta_bits::FWD != 0);
-            if offer_bwd {
-                state
-                    .accums
-                    .get_mut(&v)
-                    .expect("accumulator row exists for every partition user")
-                    .offer(Neighbor::new(UserId::new(u), sim));
-                dst_dirty = true;
-            }
+    let state = cache.get_mut(dst).expect("dst resident");
+    for (&(u, _, _, v_row, bits), &sim) in tuples.iter().zip(scores) {
+        if bits & meta_bits::BWD != 0 || (include_reverse && bits & meta_bits::FWD != 0) {
+            state.accums[v_row as usize].offer(Neighbor::new(UserId::new(u), sim));
+            state.dirty = true;
         }
-        state.dirty |= dst_dirty;
     }
 }
 
@@ -938,6 +936,114 @@ mod tests {
         .unwrap();
         assert_eq!(out.graph.num_edges(), 0);
         assert_eq!(out.sims_computed, 0);
+    }
+
+    /// A chunk boundary may fall anywhere in a run of equal sources:
+    /// the next chunk reloads the row, and the scores — one per tuple,
+    /// in tuple order — are the ones the unsplit bucket gets, which are
+    /// the pair kernel's, bit for bit, for every measure.
+    #[test]
+    fn splitting_a_run_across_chunks_changes_nothing() {
+        let rows = 24u32;
+        let mut builder = ProfileArena::builder(rows as usize, 0);
+        for u in 0..rows {
+            let pairs = (0..=u % 7)
+                .map(|i| (u / 2 + 3 * i, 0.5 + (u + i) as f32))
+                .collect();
+            builder.push(u, pairs).unwrap();
+        }
+        let arena = builder.finish();
+        // Runs of 1, 2, 3, … candidates per source, sorted by (u, v).
+        let tuples: Vec<PendingTuple> = (0..rows)
+            .flat_map(|u| (0..=u % 9).map(move |v| (u, v, u, v, meta_bits::FWD)))
+            .collect();
+        for measure in Measure::ALL {
+            let whole = score_chunk(&arena, &arena, &tuples, measure);
+            let by_pair: Vec<f32> = tuples
+                .iter()
+                .map(|&(_, _, u, v, _)| measure.score_ref(arena.view(u), arena.view(v)))
+                .collect();
+            let bits = |scores: &[f32]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&whole),
+                bits(&by_pair),
+                "{measure}: row vs pair kernel"
+            );
+            for chunk in [1, 2, 5, 7, tuples.len() - 1] {
+                let split: Vec<f32> = tuples
+                    .chunks(chunk)
+                    .flat_map(|part| score_chunk(&arena, &arena, part, measure))
+                    .collect();
+                assert_eq!(bits(&split), bits(&whole), "{measure}: chunks of {chunk}");
+            }
+        }
+    }
+
+    /// A tuple naming a user its partition's streams do not hold is a
+    /// typed input error, not a panic or a wrong row.
+    #[test]
+    fn tuple_naming_a_missing_user_is_a_typed_error() {
+        let n = 12;
+        let g = KnnGraph::random_init(n, 3, 5);
+        let profiles = line_profiles(n);
+        let (b, p, p2) = setup_world(&g, &profiles, 2);
+        // Drop partition 0's last user from both of its streams.
+        for stream in [StreamId::Profiles(0), StreamId::Accumulators(0)] {
+            let mut rows = read_user_lists(&b, stream).unwrap();
+            rows.pop();
+            write_user_lists(&b, stream, &rows).unwrap();
+        }
+        let schedule = Heuristic::Sequential.schedule(&p2.pi);
+        let err = run_phase4(
+            &schedule,
+            &p2.pi,
+            &p2.tuple_meta,
+            &p,
+            &b,
+            &options(3, 1),
+            None,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::InputMismatch { .. }),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("missing from its partition file"));
+    }
+
+    /// Accumulator rows that do not line up with the profile rows —
+    /// a user missing, or one too many — are a corrupt stream.
+    #[test]
+    fn accumulator_stream_out_of_step_with_profiles_is_corrupt() {
+        let n = 12;
+        let g = KnnGraph::random_init(n, 3, 5);
+        let profiles = line_profiles(n);
+        for tamper in [
+            (|rows| {
+                rows.remove(0);
+            }) as fn(&mut Vec<(u32, Vec<(u32, f32)>)>),
+            |rows| rows.push((1_000, Vec::new())),
+        ] {
+            let (b, p, p2) = setup_world(&g, &profiles, 2);
+            let mut rows = read_user_lists(&b, StreamId::Accumulators(1)).unwrap();
+            tamper(&mut rows);
+            write_user_lists(&b, StreamId::Accumulators(1), &rows).unwrap();
+            let schedule = Heuristic::Sequential.schedule(&p2.pi);
+            let err = run_phase4(
+                &schedule,
+                &p2.pi,
+                &p2.tuple_meta,
+                &p,
+                &b,
+                &options(3, 1),
+                None,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Store(StoreError::Corrupt { .. })),
+                "got {err:?}"
+            );
+        }
     }
 
     /// Profiles with strongly varied lengths (1–6 items), so the

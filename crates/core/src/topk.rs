@@ -80,28 +80,24 @@ impl TopKAccumulator {
 
     /// Offers a candidate; returns `true` if the entry set changed.
     pub fn offer(&mut self, cand: Neighbor) -> bool {
-        if let Some(pos) = self.entries.iter().position(|n| n.id == cand.id) {
-            if cand.beats(&self.entries[pos]) {
-                self.entries.remove(pos);
-                let at = self.entries.partition_point(|n| n.beats(&cand));
-                self.entries.insert(at, cand);
-                return true;
-            }
+        // A full list whose worst entry the candidate does not beat
+        // cannot change: the candidate beats no entry at all, its own
+        // id's (if present) included. That settles almost every offer
+        // of a warm accumulator before the id scan below.
+        if self.threshold().is_some_and(|worst| !cand.beats(&worst)) {
             return false;
         }
-        if self.entries.len() < self.k {
-            let at = self.entries.partition_point(|n| n.beats(&cand));
-            self.entries.insert(at, cand);
-            return true;
-        }
-        let worst = *self.entries.last().expect("full list is non-empty");
-        if cand.beats(&worst) {
+        if let Some(pos) = self.entries.iter().position(|n| n.id == cand.id) {
+            if !cand.beats(&self.entries[pos]) {
+                return false;
+            }
+            self.entries.remove(pos);
+        } else if self.is_full() {
             self.entries.pop();
-            let at = self.entries.partition_point(|n| n.beats(&cand));
-            self.entries.insert(at, cand);
-            return true;
         }
-        false
+        let at = self.entries.partition_point(|n| n.beats(&cand));
+        self.entries.insert(at, cand);
+        true
     }
 
     /// Merges every entry of `other` into `self` (union semantics —

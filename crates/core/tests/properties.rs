@@ -226,6 +226,51 @@ proptest! {
         prop_assert_eq!(acc.entries(), reference.as_slice());
     }
 
+    /// `offer` tests the k-th entry before it scans for the
+    /// candidate's id. Step by step — entry list and return value —
+    /// it must match the scan-first implementation it replaced, on
+    /// sequences full of repeated ids and tied scores.
+    #[test]
+    fn topk_offer_matches_the_scan_first_implementation(
+        k in 1usize..6,
+        cands in proptest::collection::vec((0u32..8, 0u32..5), 0..120),
+    ) {
+        // The implementation before the early exit, over a bare list.
+        fn offer_scan_first(entries: &mut Vec<Neighbor>, k: usize, cand: Neighbor) -> bool {
+            if let Some(pos) = entries.iter().position(|n| n.id == cand.id) {
+                if cand.beats(&entries[pos]) {
+                    entries.remove(pos);
+                    let at = entries.partition_point(|n| n.beats(&cand));
+                    entries.insert(at, cand);
+                    return true;
+                }
+                return false;
+            }
+            if entries.len() < k {
+                let at = entries.partition_point(|n| n.beats(&cand));
+                entries.insert(at, cand);
+                return true;
+            }
+            let worst = *entries.last().expect("full list is non-empty");
+            if cand.beats(&worst) {
+                entries.pop();
+                let at = entries.partition_point(|n| n.beats(&cand));
+                entries.insert(at, cand);
+                return true;
+            }
+            false
+        }
+        const SIMS: [f32; 5] = [-0.5, -0.0, 0.0, 0.25, 0.75];
+        let mut acc = TopKAccumulator::new(k);
+        let mut reference: Vec<Neighbor> = Vec::new();
+        for &(id, sim) in &cands {
+            let cand = Neighbor::new(UserId::new(id), SIMS[sim as usize]);
+            let changed = acc.offer(cand);
+            prop_assert_eq!(changed, offer_scan_first(&mut reference, k, cand));
+            prop_assert_eq!(acc.entries(), reference.as_slice());
+        }
+    }
+
     /// The spill/dedup boundary property the parallel phase 2 leans
     /// on: for ANY spill threshold — 1 (every tuple spills its own
     /// run), exactly-at-threshold, and far above — and any mix of

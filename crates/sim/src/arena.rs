@@ -6,30 +6,35 @@
 //! fat map entry per lookup. At partition scale that is thousands of
 //! small allocations per load and a pointer chase per scored pair.
 //!
-//! [`ProfileArena`] replaces the per-user objects with four columns
-//! shared by the whole partition:
+//! [`ProfileArena`] replaces the per-user objects with columns shared
+//! by the whole partition:
 //!
 //! * `offsets` — CSR row boundaries (`offsets[i]..offsets[i+1]` is
 //!   user `i`'s entry range);
-//! * `entries` — every user's sorted `(item, weight)` rows,
-//!   concatenated;
-//! * `stats` / `sketches` — the per-user [`ProfileStats`] and
-//!   [`BoundSketch`], in row order.
+//! * `items` / `weights` — every user's sorted item ids and, in the
+//!   same order, their weights, concatenated. The two are separate
+//!   columns because the kernels compare ids on every step and touch a
+//!   weight only where two rows meet: a walk over the id column reads
+//!   half the bytes an `(item, weight)` column would;
+//! * `stats` / `sketches` / `block_masks` — the per-user
+//!   [`ProfileStats`], [`BoundSketch`] and
+//!   [`BoundSketch::block_mask`], in row order.
 //!
-//! [`PreparedRef`] is the borrowing view over one row: two pointers
-//! and two slice lengths, created on demand — no allocation, no
-//! clone. [`Measure::score_ref`] and [`Measure::upper_bound_ref`]
-//! run the *same* kernel functions over the same entry slices as the
-//! owned [`crate::Measure::score_prepared`] path, so the scores are
+//! [`PreparedRef`] is the borrowing view over one row: pointers and
+//! slice lengths, created on demand — no allocation, no clone.
+//! [`Measure::score_ref`] and [`Measure::upper_bound_ref`] run the
+//! *same* generic kernel functions as the owned
+//! [`crate::Measure::score_prepared`] path, so the scores are
 //! bit-identical by construction (property-tested in
-//! `tests/properties.rs`).
+//! `tests/properties.rs`); [`crate::RowKernel`] scores one view
+//! against a whole run of others.
 //!
 //! Rows are appended in ascending user order — exactly the order of
 //! the engine's per-partition profile streams, which is what lets
 //! phase 4 materialize the arena in one pass over a stream read.
 
 use crate::prepared::{upper_bound_parts, BoundSketch, ProfileStats};
-use crate::similarity::score_entries;
+use crate::similarity::{score_entries, Entries};
 use crate::{ItemId, Measure, ProfileError};
 
 /// The per-partition CSR profile arena (see the module docs).
@@ -37,9 +42,11 @@ use crate::{ItemId, Measure, ProfileError};
 pub struct ProfileArena {
     users: Vec<u32>,
     offsets: Vec<u32>,
-    entries: Vec<(ItemId, f32)>,
+    items: Vec<u32>,
+    weights: Vec<f32>,
     stats: Vec<ProfileStats>,
     sketches: Vec<BoundSketch>,
+    block_masks: Vec<u32>,
 }
 
 impl ProfileArena {
@@ -54,9 +61,11 @@ impl ProfileArena {
                     v.push(0);
                     v
                 },
-                entries: Vec::with_capacity(entries),
+                items: Vec::with_capacity(entries),
+                weights: Vec::with_capacity(entries),
                 stats: Vec::with_capacity(users),
                 sketches: Vec::with_capacity(users),
+                block_masks: Vec::with_capacity(users),
             },
         }
     }
@@ -73,7 +82,7 @@ impl ProfileArena {
 
     /// Total profile entries across all rows.
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.items.len()
     }
 
     /// The stored user ids, ascending (row order).
@@ -96,9 +105,13 @@ impl ProfileArena {
         let i = idx as usize;
         let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         PreparedRef {
-            entries: &self.entries[start..end],
+            entries: Entries::Columns {
+                items: &self.items[start..end],
+                weights: &self.weights[start..end],
+            },
             stats: &self.stats[i],
             sketch: &self.sketches[i],
+            block_mask: self.block_masks[i],
         }
     }
 
@@ -126,33 +139,24 @@ impl ProfileArenaBuilder {
     /// [`ProfileError::NonFiniteWeight`] / [`ProfileError::DuplicateItem`]
     /// for invalid rows, [`ProfileError::OutOfOrderUser`] when `user`
     /// is not strictly greater than the previously pushed one.
-    pub fn push(&mut self, user: u32, pairs: Vec<(u32, f32)>) -> Result<(), ProfileError> {
+    pub fn push(&mut self, user: u32, mut pairs: Vec<(u32, f32)>) -> Result<(), ProfileError> {
         if self.arena.users.last().is_some_and(|&last| last >= user) {
             return Err(ProfileError::OutOfOrderUser { user });
         }
-        let start = self.arena.entries.len();
-        for (item, weight) in pairs {
-            if !weight.is_finite() {
-                self.arena.entries.truncate(start);
-                return Err(ProfileError::NonFiniteWeight { item, weight });
-            }
-            self.arena.entries.push((ItemId::new(item), weight));
+        if let Some(&(item, weight)) = pairs.iter().find(|(_, w)| !w.is_finite()) {
+            return Err(ProfileError::NonFiniteWeight { item, weight });
         }
-        let duplicate = {
-            let row = &mut self.arena.entries[start..];
-            row.sort_unstable_by_key(|&(i, _)| i);
-            row.windows(2)
-                .find(|w| w[0].0 == w[1].0)
-                .map(|w| w[0].0.raw())
-        };
-        if let Some(item) = duplicate {
-            self.arena.entries.truncate(start);
-            return Err(ProfileError::DuplicateItem { item });
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(ProfileError::DuplicateItem { item: w[0].0 });
         }
-        let (stats, sketch) = ProfileStats::with_sketch_of_entries(&self.arena.entries[start..]);
+        let (stats, sketch) = ProfileStats::with_sketch_of(pairs.iter().copied());
+        self.arena.items.extend(pairs.iter().map(|&(i, _)| i));
+        self.arena.weights.extend(pairs.iter().map(|&(_, w)| w));
         self.arena.users.push(user);
-        self.arena.offsets.push(self.arena.entries.len() as u32);
+        self.arena.offsets.push(self.arena.items.len() as u32);
         self.arena.stats.push(stats);
+        self.arena.block_masks.push(sketch.block_mask());
         self.arena.sketches.push(sketch);
         Ok(())
     }
@@ -165,12 +169,14 @@ impl ProfileArenaBuilder {
 
 /// A borrowed prepared profile: the operand of [`Measure::score_ref`]
 /// and [`Measure::upper_bound_ref`] — slices into a
-/// [`ProfileArena`]'s columns, no ownership, no allocation.
+/// [`ProfileArena`]'s columns (or into a [`crate::Profile`]), no
+/// ownership, no allocation.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedRef<'a> {
-    entries: &'a [(ItemId, f32)],
+    entries: Entries<'a>,
     stats: &'a ProfileStats,
     sketch: &'a BoundSketch,
+    block_mask: u32,
 }
 
 impl<'a> PreparedRef<'a> {
@@ -186,15 +192,26 @@ impl<'a> PreparedRef<'a> {
         stats: &'a ProfileStats,
         sketch: &'a BoundSketch,
     ) -> Self {
+        Self::from_parts(Entries::Pairs(entries), stats, sketch, sketch.block_mask())
+    }
+
+    /// A view whose `block_mask` the caller computed once and kept.
+    pub(crate) fn from_parts(
+        entries: Entries<'a>,
+        stats: &'a ProfileStats,
+        sketch: &'a BoundSketch,
+        block_mask: u32,
+    ) -> Self {
         PreparedRef {
             entries,
             stats,
             sketch,
+            block_mask,
         }
     }
 
-    /// The sorted entry slice.
-    pub fn entries(&self) -> &'a [(ItemId, f32)] {
+    /// The sorted entries.
+    pub fn entries(&self) -> Entries<'a> {
         self.entries
     }
 
@@ -207,13 +224,19 @@ impl<'a> PreparedRef<'a> {
     pub fn sketch(&self) -> &'a BoundSketch {
         self.sketch
     }
+
+    /// The sketch's [`BoundSketch::block_mask`], computed once.
+    pub(crate) fn block_mask(&self) -> u32 {
+        self.block_mask
+    }
 }
 
 impl Measure {
-    /// Scores two arena views. Bit-identical to
+    /// Scores two views — the single-pair entry point, a two-pointer
+    /// merge of the two rows. Bit-identical to
     /// [`Measure::score_prepared`] (and therefore to
     /// [`crate::Similarity::score`]) on the same profiles: the same
-    /// kernel runs over the same sorted entry slices with the same
+    /// kernel runs over the same sorted entries with the same
     /// precomputed aggregates.
     pub fn score_ref(&self, a: PreparedRef<'_>, b: PreparedRef<'_>) -> f32 {
         let v = score_entries(*self, a.entries, a.stats, b.entries, b.stats);
@@ -224,7 +247,7 @@ impl Measure {
     /// The O(1) score ceiling of two arena views; identical to
     /// [`Measure::upper_bound`] on the same profiles.
     pub fn upper_bound_ref(&self, a: PreparedRef<'_>, b: PreparedRef<'_>) -> f32 {
-        upper_bound_parts(*self, a.stats, a.sketch, b.stats, b.sketch)
+        upper_bound_parts(*self, a, b)
     }
 }
 
@@ -279,7 +302,10 @@ mod tests {
         let v = arena.get(7).unwrap();
         assert_eq!(v.entries().len(), 2);
         assert_eq!(v.stats().len, 2);
-        assert_eq!(v.entries()[0].0.raw(), 1, "entries sorted by item");
+        assert!(
+            matches!(v.entries(), Entries::Columns { items: [1, 3], .. }),
+            "entries sorted by item"
+        );
         assert!(arena.get(3).is_none());
     }
 

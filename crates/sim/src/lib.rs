@@ -9,10 +9,19 @@
 //! * [`Similarity`] / [`Measure`] — the similarity kernels (cosine,
 //!   Jaccard, weighted Jaccard, overlap, common-items, Pearson);
 //! * [`PreparedProfile`] / [`ProfileStats`] — profiles with one-pass
-//!   precomputed aggregates, powering the hot-path
+//!   precomputed aggregates, powering the
 //!   [`Measure::score_prepared`] kernels (bit-identical to
 //!   [`Similarity::score`]) and the O(1) [`Measure::upper_bound`]
 //!   score ceilings used for top-K candidate pruning;
+//! * [`ProfileArena`] / [`PreparedRef`] — a partition's profiles as
+//!   one CSR allocation with item ids and weights in separate columns,
+//!   and the borrowed view of one row; [`Measure::score_ref`] is the
+//!   single-pair entry point over views (a two-pointer merge);
+//! * [`RowKernel`] — the 1×N kernel: a source row loaded once into an
+//!   L1-resident probe, then any number of candidate rows scored
+//!   against it by a walk over their id columns alone, bit-identical
+//!   to [`Measure::score_ref`] for every measure — phase 4's and the
+//!   ad-hoc query scan's hot path;
 //! * [`ProfileStore`] — an in-memory profile table with byte accounting;
 //! * [`ProfileDelta`] — the update objects queued during an iteration
 //!   and applied lazily in phase 5;
@@ -35,6 +44,7 @@ pub mod error;
 pub mod generators;
 pub mod prepared;
 pub mod profile;
+pub mod row;
 pub mod similarity;
 pub mod store;
 pub mod tfidf;
@@ -44,5 +54,6 @@ pub use delta::{DeltaOp, ProfileDelta};
 pub use error::ProfileError;
 pub use prepared::{BoundSketch, PreparedProfile, ProfileStats, BLOCK_SHIFT, SKETCH_BLOCKS};
 pub use profile::{ItemId, Profile};
-pub use similarity::{Measure, Similarity};
+pub use row::RowKernel;
+pub use similarity::{Entries, Measure, Similarity};
 pub use store::ProfileStore;

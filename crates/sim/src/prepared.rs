@@ -19,7 +19,8 @@
 //! measure (property-tested in `tests/properties.rs`), so preparing
 //! profiles never changes a computed graph.
 
-use crate::{Measure, Profile};
+use crate::similarity::Entries;
+use crate::{Measure, PreparedRef, Profile};
 
 /// Number of item-id blocks in the bound sketch. Items map to block
 /// `(id >> BLOCK_SHIFT) % SKETCH_BLOCKS`, so ids are grouped in runs
@@ -74,6 +75,22 @@ pub struct BoundSketch {
     pub block_weight_sums: [f32; SKETCH_BLOCKS],
 }
 
+// One mask bit per block.
+const _: () = assert!(SKETCH_BLOCKS == u32::BITS as usize);
+
+/// The set bits of `mask`, ascending (each below [`SKETCH_BLOCKS`],
+/// which the final `%` tells the compiler).
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let k = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(k % SKETCH_BLOCKS)
+    })
+}
+
 /// The sketch block of an item id.
 fn block_of(item: u32) -> usize {
     ((item >> BLOCK_SHIFT) as usize) % SKETCH_BLOCKS
@@ -96,6 +113,16 @@ impl ProfileStats {
     /// builder runs it over each user's freshly appended CSR rows, so
     /// the borrowed and owned prepared paths carry identical stats.
     pub fn with_sketch_of_entries(entries: &[(crate::ItemId, f32)]) -> (Self, BoundSketch) {
+        Self::with_sketch_of(entries.iter().map(|&(item, w)| (item.raw(), w)))
+    }
+
+    /// The same aggregation over any `(item, weight)` sequence in
+    /// ascending item order (the arena builder feeds it a row's two
+    /// columns).
+    pub(crate) fn with_sketch_of(
+        entries: impl ExactSizeIterator<Item = (u32, f32)>,
+    ) -> (Self, BoundSketch) {
+        let len = entries.len();
         let mut sq_sum = 0.0f64;
         let mut weight_sum = 0.0f64;
         let mut max_abs_weight = 0.0f64;
@@ -103,13 +130,13 @@ impl ProfileStats {
         let mut block_sq = [0.0f64; SKETCH_BLOCKS];
         let mut block_counts = [0u32; SKETCH_BLOCKS];
         let mut block_sums = [0.0f64; SKETCH_BLOCKS];
-        for &(item, w) in entries {
+        for (item, w) in entries {
             let w = w as f64;
             sq_sum += w * w;
             weight_sum += w;
             max_abs_weight = max_abs_weight.max(w.abs());
             min_weight = min_weight.min(w);
-            let k = block_of(item.raw());
+            let k = block_of(item);
             block_sq[k] += w * w;
             block_counts[k] += 1;
             block_sums[k] += w;
@@ -121,7 +148,7 @@ impl ProfileStats {
             block_weight_sums[k] = block_sums[k] as f32;
         }
         let stats = ProfileStats {
-            len: entries.len(),
+            len,
             l2_norm: sq_sum.sqrt(),
             weight_sum,
             max_abs_weight,
@@ -147,10 +174,27 @@ impl ProfileStats {
 }
 
 impl BoundSketch {
-    /// An upper bound on `|A ∩ B|` from the block counts.
-    fn common_items_cap(&self, other: &BoundSketch) -> usize {
+    /// The non-empty blocks: bit `k` is set iff block `k` holds at
+    /// least one entry. A block empty on either side of a pair adds
+    /// exactly `+0.0` (or a zero count) to every cap below, so the
+    /// caps add only the blocks set in both operands' masks — the same
+    /// terms in the same ascending order, without the 32-long
+    /// dependent add chain. Computed once per profile and carried
+    /// beside the sketch ([`crate::PreparedRef`]), apart from it: the
+    /// masks of a partition fit in L1, so which sketch lines a bound
+    /// needs is known before any of them is fetched.
+    pub fn block_mask(&self) -> u32 {
+        self.block_counts
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (k, &count)| mask | (u32::from(count != 0) << k))
+    }
+
+    /// An upper bound on `|A ∩ B|` from the block counts of the
+    /// `common` (non-empty on both sides) blocks.
+    fn common_items_cap(&self, other: &BoundSketch, common: u32) -> usize {
         let mut cap = 0usize;
-        for k in 0..SKETCH_BLOCKS {
+        for k in set_bits(common) {
             cap += self.block_counts[k].min(other.block_counts[k]) as usize;
         }
         cap
@@ -160,19 +204,20 @@ impl BoundSketch {
     /// Cauchy–Schwarz, widened by the storage-rounding slack). Valid
     /// for arbitrary weights: each block's true dot is at most the
     /// product of the block norms.
-    fn dot_cap(&self, other: &BoundSketch) -> f64 {
+    fn dot_cap(&self, other: &BoundSketch, common: u32) -> f64 {
         let mut cap = 0.0f64;
-        for k in 0..SKETCH_BLOCKS {
+        for k in set_bits(common) {
             cap += self.block_norms[k] as f64 * other.block_norms[k] as f64;
         }
         cap * SKETCH_SLACK
     }
 
     /// An upper bound on `Σ min(aᵢ, bᵢ)` for non-negative weights,
-    /// from the block weight sums.
-    fn min_sum_cap(&self, other: &BoundSketch) -> f64 {
+    /// from the block weight sums. (Only then is an empty block's term
+    /// `min(+0.0, sum) = +0.0`; the one caller checks the signs first.)
+    fn min_sum_cap(&self, other: &BoundSketch, common: u32) -> f64 {
         let mut cap = 0.0f64;
-        for k in 0..SKETCH_BLOCKS {
+        for k in set_bits(common) {
             cap += (self.block_weight_sums[k] as f64).min(other.block_weight_sums[k] as f64);
         }
         cap * SKETCH_SLACK
@@ -202,6 +247,7 @@ pub struct PreparedProfile {
     profile: Profile,
     stats: ProfileStats,
     sketch: Box<BoundSketch>,
+    block_mask: u32,
 }
 
 impl PreparedProfile {
@@ -211,8 +257,21 @@ impl PreparedProfile {
         PreparedProfile {
             profile,
             stats,
+            block_mask: sketch.block_mask(),
             sketch: Box::new(sketch),
         }
+    }
+
+    /// The borrowed view of this profile — the operand of
+    /// [`Measure::score_ref`], [`Measure::upper_bound_ref`] and
+    /// [`crate::RowKernel`].
+    pub fn view(&self) -> PreparedRef<'_> {
+        PreparedRef::from_parts(
+            Entries::Pairs(self.profile.entries()),
+            &self.stats,
+            &self.sketch,
+            self.block_mask,
+        )
     }
 
     /// The wrapped profile.
@@ -250,15 +309,7 @@ impl Measure {
     /// precomputed aggregates and the SoA intersection walk but
     /// performs the same arithmetic in the same order.
     pub fn score_prepared(&self, a: &PreparedProfile, b: &PreparedProfile) -> f32 {
-        let v = crate::similarity::score_entries(
-            *self,
-            a.profile().entries(),
-            a.stats(),
-            b.profile().entries(),
-            b.stats(),
-        );
-        debug_assert!(v.is_finite(), "{self} produced non-finite score {v}");
-        v as f32
+        self.score_ref(a.view(), b.view())
     }
 
     /// An O(1) upper bound on [`Measure::score_prepared`] for the same
@@ -271,22 +322,16 @@ impl Measure {
     /// score: when even the ceiling cannot beat the current worst
     /// top-K entry, the full intersection walk is skipped.
     pub fn upper_bound(&self, a: &PreparedProfile, b: &PreparedProfile) -> f32 {
-        upper_bound_parts(*self, a.stats(), a.sketch(), b.stats(), b.sketch())
+        self.upper_bound_ref(a.view(), b.view())
     }
 }
 
-/// The aggregate-only core of [`Measure::upper_bound`]: every bound is
-/// a function of the two operands' [`ProfileStats`] and
-/// [`BoundSketch`] alone, so the owned ([`PreparedProfile`]) and
-/// borrowed ([`crate::PreparedRef`]) prepared paths share one
-/// implementation.
-pub(crate) fn upper_bound_parts(
-    measure: Measure,
-    sa: &ProfileStats,
-    ka: &BoundSketch,
-    sb: &ProfileStats,
-    kb: &BoundSketch,
-) -> f32 {
+/// The core of [`Measure::upper_bound_ref`]: every bound is a function
+/// of the two operands' [`ProfileStats`], [`BoundSketch`] and block
+/// mask alone — the entries are never touched.
+pub(crate) fn upper_bound_parts(measure: Measure, a: PreparedRef<'_>, b: PreparedRef<'_>) -> f32 {
+    let (sa, ka, sb, kb) = (a.stats(), a.sketch(), b.stats(), b.sketch());
+    let common = a.block_mask() & b.block_mask();
     {
         let min_len = sa.len.min(sb.len) as f64;
         let v = match measure {
@@ -300,14 +345,14 @@ pub(crate) fn upper_bound_parts(
                     0.0
                 } else {
                     let scalar_cap = min_len * sa.max_abs_weight * sb.max_abs_weight;
-                    (ka.dot_cap(kb).min(scalar_cap) / denom).min(1.0)
+                    (ka.dot_cap(kb, common).min(scalar_cap) / denom).min(1.0)
                 }
             }
             Measure::Jaccard => {
                 // inter <= Σ_k min-counts <= min(|A|, |B|); Jaccard is
                 // increasing in the intersection size, so
                 // J <= cap / (|A| + |B| - cap).
-                let cap = ka.common_items_cap(kb) as f64;
+                let cap = ka.common_items_cap(kb, common) as f64;
                 let union_floor = (sa.len + sb.len) as f64 - cap;
                 if cap == 0.0 || union_floor <= 0.0 {
                     0.0
@@ -327,7 +372,9 @@ pub(crate) fn upper_bound_parts(
                 if max_sum == 0.0 {
                     0.0
                 } else {
-                    let num_cap = ka.min_sum_cap(kb).min(sa.weight_sum.min(sb.weight_sum));
+                    let num_cap = ka
+                        .min_sum_cap(kb, common)
+                        .min(sa.weight_sum.min(sb.weight_sum));
                     (num_cap / max_sum).min(1.0)
                 }
             }
@@ -336,13 +383,13 @@ pub(crate) fn upper_bound_parts(
                 if min_len == 0.0 {
                     0.0
                 } else {
-                    (ka.common_items_cap(kb) as f64 / min_len).min(1.0)
+                    (ka.common_items_cap(kb, common) as f64 / min_len).min(1.0)
                 }
             }
-            Measure::CommonItems => ka.common_items_cap(kb) as f64,
+            Measure::CommonItems => ka.common_items_cap(kb, common) as f64,
             Measure::Pearson => {
                 // Fewer than two common items scores exactly 0.
-                if min_len < 2.0 || ka.common_items_cap(kb) < 2 {
+                if min_len < 2.0 || ka.common_items_cap(kb, common) < 2 {
                     0.0
                 } else {
                     1.0
@@ -353,7 +400,7 @@ pub(crate) fn upper_bound_parts(
                 if total == 0.0 {
                     0.0
                 } else {
-                    (2.0 * ka.common_items_cap(kb) as f64 / total).min(1.0)
+                    (2.0 * ka.common_items_cap(kb, common) as f64 / total).min(1.0)
                 }
             }
         };
@@ -494,6 +541,74 @@ mod tests {
         assert!((k.block_norms[0] - 3.0).abs() < 1e-6);
         assert!((k.block_norms[1] - (17.0f32).sqrt()).abs() < 1e-5);
         assert!((k.block_weight_sums[1] - 5.0).abs() < 1e-6);
+    }
+
+    /// The caps used to add all 32 block terms, empty blocks included;
+    /// they now add only the blocks non-empty on both sides. Same
+    /// terms, same order, and a skipped term was `+0.0` — so every
+    /// cap, and every bound built on one, must be `to_bits`-equal to
+    /// the full sum. Rows span all the shapes that matter: one block,
+    /// all blocks, disjoint blocks, explicit zeros, negative weights,
+    /// weights that cancel within a block, the empty row.
+    #[test]
+    fn masked_caps_equal_the_full_32_term_sums() {
+        fn full_dot_cap(a: &BoundSketch, b: &BoundSketch) -> f64 {
+            let mut cap = 0.0f64;
+            for k in 0..SKETCH_BLOCKS {
+                cap += a.block_norms[k] as f64 * b.block_norms[k] as f64;
+            }
+            cap * SKETCH_SLACK
+        }
+        fn full_common_items_cap(a: &BoundSketch, b: &BoundSketch) -> usize {
+            (0..SKETCH_BLOCKS)
+                .map(|k| a.block_counts[k].min(b.block_counts[k]) as usize)
+                .sum()
+        }
+        fn full_min_sum_cap(a: &BoundSketch, b: &BoundSketch) -> f64 {
+            let mut cap = 0.0f64;
+            for k in 0..SKETCH_BLOCKS {
+                cap += (a.block_weight_sums[k] as f64).min(b.block_weight_sums[k] as f64);
+            }
+            cap * SKETCH_SLACK
+        }
+        // A deterministic spread of rows: lengths 0..=70, ids striding
+        // over 1, 7 or 64 per step, weights cycling through signs,
+        // zeros and magnitudes.
+        let weights = [0.5f32, -0.0, 3.0, 0.0, -1.25, 1.25, 7.5, 1.0e-3];
+        let rows: Vec<PreparedProfile> = (0..48u32)
+            .map(|r| {
+                let stride = [1, 7, 64][r as usize % 3];
+                let pairs: Vec<(u32, f32)> = (0..(r * 3) % 71)
+                    .map(|i| {
+                        (
+                            r * 11 + i * stride,
+                            weights[(i + r) as usize % weights.len()],
+                        )
+                    })
+                    .collect();
+                prep(&pairs)
+            })
+            .collect();
+        for a in &rows {
+            for b in &rows {
+                let (ka, kb) = (a.sketch(), b.sketch());
+                let common = ka.block_mask() & kb.block_mask();
+                assert_eq!(
+                    ka.dot_cap(kb, common).to_bits(),
+                    full_dot_cap(ka, kb).to_bits()
+                );
+                assert_eq!(
+                    ka.common_items_cap(kb, common),
+                    full_common_items_cap(ka, kb)
+                );
+                if a.stats().is_non_negative() && b.stats().is_non_negative() {
+                    assert_eq!(
+                        ka.min_sum_cap(kb, common).to_bits(),
+                        full_min_sum_cap(ka, kb).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -216,12 +216,12 @@ impl Profile {
     /// Dot product with another profile (sorted merge join; shares its
     /// kernel with the similarity measures).
     pub fn dot(&self, other: &Profile) -> f64 {
-        crate::similarity::dot(&self.entries, &other.entries)
+        crate::similarity::dot(self.entries(), other.entries())
     }
 
     /// Number of items present in both profiles.
     pub fn common_items(&self, other: &Profile) -> usize {
-        crate::similarity::common_items(&self.entries, &other.entries)
+        crate::similarity::common_items(self.entries(), other.entries())
     }
 
     /// Approximate heap footprint in bytes (used for memory budgeting

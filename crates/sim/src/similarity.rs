@@ -1,15 +1,18 @@
 //! Similarity measures over sparse profiles.
 //!
-//! Two evaluation paths share one set of kernels:
+//! Three entry points share one set of kernels:
 //!
 //! * [`Similarity::score`] — the classic two-profile entry point; any
 //!   per-profile aggregate a kernel needs (the L2 norm for cosine) is
 //!   computed on the spot.
-//! * [`crate::Measure::score_prepared`] — the hot-path entry point
-//!   over [`crate::PreparedProfile`] operands whose aggregates were
-//!   computed once up front.
+//! * [`crate::Measure::score_prepared`] / [`crate::Measure::score_ref`]
+//!   — one pair of operands whose aggregates were computed once up
+//!   front ([`crate::PreparedProfile`], [`crate::PreparedRef`]).
+//! * [`crate::RowKernel`] — one resident row against a run of
+//!   candidates: the common items are found by a probe, not a merge,
+//!   and fed to the same closing arithmetic.
 //!
-//! Both paths execute the same floating-point operations in the same
+//! All of them execute the same floating-point operations in the same
 //! order, so their results are bit-identical (property-tested).
 
 use std::fmt;
@@ -17,12 +20,75 @@ use std::fmt;
 use crate::prepared::ProfileStats;
 use crate::{ItemId, Profile};
 
-/// One sorted entry slice — the common operand of every kernel. Both
-/// the owned [`Profile`] and the arena-backed
-/// [`crate::PreparedRef`] views resolve to this shape, which is what
-/// makes the owned and borrowed scoring paths bit-identical by
-/// construction.
-pub(crate) type Entries<'a> = &'a [(ItemId, f32)];
+/// One sorted sparse row — the operand of every kernel, in either
+/// storage layout: the owned [`Profile`]'s `(item, weight)` slice or
+/// a [`crate::ProfileArena`] row's separate id and weight columns.
+/// The kernels are generic over it, so both layouts run the same
+/// arithmetic in the same order and score bit-identically.
+pub(crate) trait Row: Copy {
+    /// Number of entries.
+    fn len(self) -> usize;
+    /// The `i`-th item id (ascending in `i`).
+    fn item(self, i: usize) -> u32;
+    /// The `i`-th weight.
+    fn weight(self, i: usize) -> f32;
+}
+
+impl Row for &[(ItemId, f32)] {
+    fn len(self) -> usize {
+        <[_]>::len(self)
+    }
+    fn item(self, i: usize) -> u32 {
+        self[i].0.raw()
+    }
+    fn weight(self, i: usize) -> f32 {
+        self[i].1
+    }
+}
+
+/// Split columns: `(items, weights)`, equally long.
+impl Row for (&[u32], &[f32]) {
+    fn len(self) -> usize {
+        self.0.len()
+    }
+    fn item(self, i: usize) -> u32 {
+        self.0[i]
+    }
+    fn weight(self, i: usize) -> f32 {
+        self.1[i]
+    }
+}
+
+/// A borrowed sorted entry list in one of the two storage layouts —
+/// what a [`crate::PreparedRef`] views.
+#[derive(Debug, Clone, Copy)]
+pub enum Entries<'a> {
+    /// `(item, weight)` pairs, as a [`Profile`] stores them.
+    Pairs(&'a [(ItemId, f32)]),
+    /// Separate id and weight columns, as a [`crate::ProfileArena`]
+    /// stores them (equally long).
+    Columns {
+        /// Ascending item ids.
+        items: &'a [u32],
+        /// The weights, in item order.
+        weights: &'a [f32],
+    },
+}
+
+impl Entries<'_> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match self {
+            Entries::Pairs(p) => p.len(),
+            Entries::Columns { items, .. } => items.len(),
+        }
+    }
+
+    /// Whether there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// A similarity function between two user profiles.
 ///
@@ -130,16 +196,16 @@ impl Similarity for Measure {
     }
 }
 
-/// The prepared-operand kernel dispatch: scores the entry slices of
-/// `a` against `b` with their precomputed aggregates (called by
+/// The prepared-operand kernel dispatch: scores row `a` against `b`
+/// with their precomputed norms (called by
 /// [`crate::Measure::score_prepared`] and the arena-backed
 /// [`crate::Measure::score_ref`]; same arithmetic as
 /// [`Similarity::score`]).
-pub(crate) fn score_entries(
+pub(crate) fn score_rows<A: Row, B: Row>(
     measure: Measure,
-    a: Entries<'_>,
+    a: A,
     a_stats: &ProfileStats,
-    b: Entries<'_>,
+    b: B,
     b_stats: &ProfileStats,
 ) -> f64 {
     match measure {
@@ -153,17 +219,50 @@ pub(crate) fn score_entries(
     }
 }
 
-/// Dot product of two sorted entry slices (merge join); shared by
+/// [`score_rows`] over [`Entries`] operands of either layout.
+pub(crate) fn score_entries(
+    measure: Measure,
+    a: Entries<'_>,
+    a_stats: &ProfileStats,
+    b: Entries<'_>,
+    b_stats: &ProfileStats,
+) -> f64 {
+    use Entries::{Columns, Pairs};
+    match (a, b) {
+        (Pairs(a), Pairs(b)) => score_rows(measure, a, a_stats, b, b_stats),
+        (Pairs(a), Columns { items, weights }) => {
+            score_rows(measure, a, a_stats, (items, weights), b_stats)
+        }
+        (Columns { items, weights }, Pairs(b)) => {
+            score_rows(measure, (items, weights), a_stats, b, b_stats)
+        }
+        (
+            Columns { items, weights },
+            Columns {
+                items: b_items,
+                weights: b_weights,
+            },
+        ) => score_rows(
+            measure,
+            (items, weights),
+            a_stats,
+            (b_items, b_weights),
+            b_stats,
+        ),
+    }
+}
+
+/// Dot product of two sorted rows (merge join); shared by
 /// [`Profile::dot`] and the cosine kernel.
-pub(crate) fn dot(a: Entries<'_>, b: Entries<'_>) -> f64 {
+pub(crate) fn dot<A: Row, B: Row>(a: A, b: B) -> f64 {
     let mut acc = 0.0f64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
+        match a.item(i).cmp(&b.item(j)) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                acc += a[i].1 as f64 * b[j].1 as f64;
+                acc += a.weight(i) as f64 * b.weight(j) as f64;
                 i += 1;
                 j += 1;
             }
@@ -172,12 +271,12 @@ pub(crate) fn dot(a: Entries<'_>, b: Entries<'_>) -> f64 {
     acc
 }
 
-/// Intersection size of two sorted entry slices; shared by
+/// Intersection size of two sorted rows; shared by
 /// [`Profile::common_items`] and the set kernels.
-pub(crate) fn common_items(a: Entries<'_>, b: Entries<'_>) -> usize {
+pub(crate) fn common_items<A: Row, B: Row>(a: A, b: B) -> usize {
     let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
+        match a.item(i).cmp(&b.item(j)) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
@@ -190,54 +289,133 @@ pub(crate) fn common_items(a: Entries<'_>, b: Entries<'_>) -> usize {
     count
 }
 
-fn cosine(a: Entries<'_>, a_norm: f64, b: Entries<'_>, b_norm: f64) -> f64 {
+/// Calls `hit(wa, wb)` for every item the two sorted rows share, in
+/// ascending item order.
+fn for_each_common<A: Row, B: Row>(a: A, b: B, hit: &mut dyn FnMut(f64, f64)) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a.item(i).cmp(&b.item(j)) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                hit(a.weight(i) as f64, b.weight(j) as f64);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
+// The measures' closing arithmetic, written once: the pair kernels
+// below feed it from a two-pointer merge, the row kernel
+// ([`crate::RowKernel`]) from its probe — the only thing that differs
+// between the two is how the common items are found.
+
+/// Cosine from the two norms and the dot product, walked only when
+/// the denominator is non-zero.
+pub(crate) fn cosine_of(a_norm: f64, b_norm: f64, dot: impl FnOnce() -> f64) -> f64 {
     let denom = a_norm * b_norm;
     if denom == 0.0 {
         return 0.0;
     }
-    (dot(a, b) / denom).clamp(-1.0, 1.0)
+    (dot() / denom).clamp(-1.0, 1.0)
 }
 
-fn jaccard(a: Entries<'_>, b: Entries<'_>) -> f64 {
-    let inter = common_items(a, b);
-    let union = a.len() + b.len() - inter;
+/// Jaccard from the intersection size and the two lengths.
+pub(crate) fn jaccard_of(inter: usize, a_len: usize, b_len: usize) -> f64 {
+    let union = a_len + b_len - inter;
     if union == 0 {
         return 0.0;
     }
     inter as f64 / union as f64
 }
 
-fn weighted_jaccard(ae: Entries<'_>, be: Entries<'_>) -> f64 {
+/// Dice from the intersection size and the two lengths.
+pub(crate) fn dice_of(inter: usize, a_len: usize, b_len: usize) -> f64 {
+    let total = a_len + b_len;
+    if total == 0 {
+        return 0.0;
+    }
+    2.0 * inter as f64 / total as f64
+}
+
+/// Overlap from the intersection size and the two lengths.
+pub(crate) fn overlap_of(inter: usize, a_len: usize, b_len: usize) -> f64 {
+    let smaller = a_len.min(b_len);
+    if smaller == 0 {
+        return 0.0;
+    }
+    inter as f64 / smaller as f64
+}
+
+/// Pearson over the co-rated weight pairs that `co_rated` feeds, in
+/// ascending item order, to the callback it is handed. Two walks —
+/// the means, then the centred sums — so nothing is collected and
+/// nothing is allocated per pair.
+pub(crate) fn pearson_of(co_rated: impl Fn(&mut dyn FnMut(f64, f64))) -> f64 {
+    let (mut n, mut sx, mut sy) = (0usize, 0.0f64, 0.0f64);
+    co_rated(&mut |x, y| {
+        n += 1;
+        sx += x;
+        sy += y;
+    });
+    if n < 2 {
+        return 0.0;
+    }
+    let (mx, my) = (sx / n as f64, sy / n as f64);
+    let (mut num, mut dx, mut dy) = (0.0f64, 0.0f64, 0.0f64);
+    co_rated(&mut |x, y| {
+        let (a, b) = (x - mx, y - my);
+        num += a * b;
+        dx += a * a;
+        dy += b * b;
+    });
+    if dx == 0.0 || dy == 0.0 {
+        return 0.0;
+    }
+    (num / (dx.sqrt() * dy.sqrt())).clamp(-1.0, 1.0)
+}
+
+fn cosine<A: Row, B: Row>(a: A, a_norm: f64, b: B, b_norm: f64) -> f64 {
+    cosine_of(a_norm, b_norm, || dot(a, b))
+}
+
+fn jaccard<A: Row, B: Row>(a: A, b: B) -> f64 {
+    jaccard_of(common_items(a, b), a.len(), b.len())
+}
+
+/// Weighted Jaccard sums `max(aᵢ, bᵢ)` over the *union* of the two
+/// item sets in ascending item order, so it needs the full merge: an
+/// intersection-only walk (the row kernel's probe) would add the same
+/// terms in a different order and round differently.
+pub(crate) fn weighted_jaccard<A: Row, B: Row>(a: A, b: B) -> f64 {
     let (mut min_sum, mut max_sum) = (0.0f64, 0.0f64);
     let (mut i, mut j) = (0usize, 0usize);
-    while i < ae.len() || j < be.len() {
-        match (ae.get(i), be.get(j)) {
-            (Some(&(ia, wa)), Some(&(ib, wb))) => match ia.cmp(&ib) {
-                std::cmp::Ordering::Less => {
-                    max_sum += wa as f64;
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    max_sum += wb as f64;
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    min_sum += (wa as f64).min(wb as f64);
-                    max_sum += (wa as f64).max(wb as f64);
-                    i += 1;
-                    j += 1;
-                }
-            },
-            (Some(&(_, wa)), None) => {
-                max_sum += wa as f64;
+    while i < a.len() && j < b.len() {
+        let (wa, wb) = (a.weight(i) as f64, b.weight(j) as f64);
+        match a.item(i).cmp(&b.item(j)) {
+            std::cmp::Ordering::Less => {
+                max_sum += wa;
                 i += 1;
             }
-            (None, Some(&(_, wb))) => {
-                max_sum += wb as f64;
+            std::cmp::Ordering::Greater => {
+                max_sum += wb;
                 j += 1;
             }
-            (None, None) => unreachable!("loop condition"),
+            std::cmp::Ordering::Equal => {
+                min_sum += wa.min(wb);
+                max_sum += wa.max(wb);
+                i += 1;
+                j += 1;
+            }
         }
+    }
+    // At most one of the rows has a tail left.
+    for i in i..a.len() {
+        max_sum += a.weight(i) as f64;
+    }
+    for j in j..b.len() {
+        max_sum += b.weight(j) as f64;
     }
     if max_sum == 0.0 {
         0.0
@@ -246,56 +424,16 @@ fn weighted_jaccard(ae: Entries<'_>, be: Entries<'_>) -> f64 {
     }
 }
 
-fn dice(a: Entries<'_>, b: Entries<'_>) -> f64 {
-    let total = a.len() + b.len();
-    if total == 0 {
-        return 0.0;
-    }
-    2.0 * common_items(a, b) as f64 / total as f64
+fn dice<A: Row, B: Row>(a: A, b: B) -> f64 {
+    dice_of(common_items(a, b), a.len(), b.len())
 }
 
-fn overlap(a: Entries<'_>, b: Entries<'_>) -> f64 {
-    let smaller = a.len().min(b.len());
-    if smaller == 0 {
-        return 0.0;
-    }
-    common_items(a, b) as f64 / smaller as f64
+fn overlap<A: Row, B: Row>(a: A, b: B) -> f64 {
+    overlap_of(common_items(a, b), a.len(), b.len())
 }
 
-fn pearson(ae: Entries<'_>, be: Entries<'_>) -> f64 {
-    // Collect co-rated weights.
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut xs: Vec<f64> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    while i < ae.len() && j < be.len() {
-        match ae[i].0.cmp(&be[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                xs.push(ae[i].1 as f64);
-                ys.push(be[j].1 as f64);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = xs.iter().sum::<f64>() / n as f64;
-    let my = ys.iter().sum::<f64>() / n as f64;
-    let (mut num, mut dx, mut dy) = (0.0, 0.0, 0.0);
-    for k in 0..n {
-        let (a, b) = (xs[k] - mx, ys[k] - my);
-        num += a * b;
-        dx += a * a;
-        dy += b * b;
-    }
-    if dx == 0.0 || dy == 0.0 {
-        return 0.0;
-    }
-    (num / (dx.sqrt() * dy.sqrt())).clamp(-1.0, 1.0)
+fn pearson<A: Row, B: Row>(a: A, b: B) -> f64 {
+    pearson_of(|hit| for_each_common(a, b, hit))
 }
 
 #[cfg(test)]
@@ -403,6 +541,61 @@ mod tests {
         let a = prof(&[(1, 2.0), (2, 2.0), (3, 2.0)]);
         let b = prof(&[(1, 1.0), (2, 5.0), (3, 9.0)]);
         assert_eq!(Measure::Pearson.score(&a, &b), 0.0);
+    }
+
+    /// Pearson used to collect the co-rated weights into two `Vec`s
+    /// per pair and sum them with `Iterator::sum`; it now walks twice
+    /// and allocates nothing. The results must be `to_bits`-equal,
+    /// signed zeros included (`sum` starts from `-0.0`, the walk from
+    /// `+0.0`: the means can differ in the sign of a zero, the score
+    /// cannot).
+    #[test]
+    fn pearson_equals_the_collecting_implementation() {
+        fn collecting(a: &Profile, b: &Profile) -> f64 {
+            let (mut xs, mut ys): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+            for (item, wa) in a.iter() {
+                if let Some(wb) = b.get(item) {
+                    xs.push(wa as f64);
+                    ys.push(wb as f64);
+                }
+            }
+            let n = xs.len();
+            if n < 2 {
+                return 0.0;
+            }
+            let mx = xs.iter().sum::<f64>() / n as f64;
+            let my = ys.iter().sum::<f64>() / n as f64;
+            let (mut num, mut dx, mut dy) = (0.0, 0.0, 0.0);
+            for k in 0..n {
+                let (a, b) = (xs[k] - mx, ys[k] - my);
+                num += a * b;
+                dx += a * a;
+                dy += b * b;
+            }
+            if dx == 0.0 || dy == 0.0 {
+                return 0.0;
+            }
+            (num / (dx.sqrt() * dy.sqrt())).clamp(-1.0, 1.0)
+        }
+        let weights = [-0.0f32, 0.0, 1.5, -2.0, 0.25, 4.0, -0.0, 1.0e-3];
+        let rows: Vec<Profile> = (0..40u32)
+            .map(|r| {
+                let pairs: Vec<(u32, f32)> = (0..r % 9)
+                    .map(|i| (i * (1 + r % 3), weights[(i * (1 + r / 9) + r) as usize % 8]))
+                    .collect();
+                prof(&pairs)
+            })
+            .chain([prof(&[(1, -0.0), (2, -0.0), (3, -0.0)])])
+            .collect();
+        for a in &rows {
+            for b in &rows {
+                assert_eq!(
+                    pearson(a.entries(), b.entries()).to_bits(),
+                    collecting(a, b).to_bits(),
+                    "{a:?} x {b:?}"
+                );
+            }
+        }
     }
 
     #[test]
