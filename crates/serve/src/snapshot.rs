@@ -1,11 +1,10 @@
 //! Immutable published state and the atomic publication cell.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use knn_graph::{KnnGraph, Neighbor, UserId};
-use knn_sim::{Measure, Profile, ProfileStore, RowKernel};
+use knn_sim::{Measure, Profile, ProfileStore, Similarity};
 
 use crate::ServeError;
 
@@ -139,12 +138,6 @@ impl Snapshot {
 
     /// Scores `query` against every listed candidate and returns the
     /// top-`k`, best-first (deterministic tie-break by id).
-    ///
-    /// One query against N stored profiles is the row kernel's shape:
-    /// the query is loaded once (its norm with it) and each candidate
-    /// is scored by a walk over its own entries alone — bit-identical
-    /// to [`knn_sim::Similarity::score`]`(query, candidate)`. Only the best `k`
-    /// seen so far are kept.
     pub fn rank_candidates(
         &self,
         query: &Profile,
@@ -154,25 +147,18 @@ impl Snapshot {
         if k == 0 {
             return Vec::new();
         }
-        let mut kernel = RowKernel::new(self.measure);
-        kernel.load_profile(query);
-        // Neighbor's Ord is best-first, so the heap's top is the worst
-        // neighbor kept.
-        let mut best: BinaryHeap<Neighbor> = BinaryHeap::new();
-        for user in candidates {
-            let Some(profile) = self.profiles.get_checked(user) else {
-                continue;
-            };
-            let cand = Neighbor::new(user, kernel.score_profile(profile));
-            if best.len() < k {
-                best.push(cand);
-            } else if let Some(mut worst) = best.peek_mut() {
-                if cand < *worst {
-                    *worst = cand;
-                }
-            }
+        let mut scored: Vec<Neighbor> = candidates
+            .into_iter()
+            .filter_map(|u| self.profiles.get_checked(u).map(|p| (u, p)))
+            .map(|(u, p)| Neighbor::new(u, self.measure.score(query, p)))
+            .collect();
+        // Neighbor's Ord is best-first, so the k smallest are the top-k.
+        if scored.len() > k {
+            scored.select_nth_unstable(k - 1);
+            scored.truncate(k);
         }
-        best.into_sorted_vec()
+        scored.sort_unstable();
+        scored
     }
 
     /// Brute-force top-`k` for `query` over the whole profile set (the

@@ -20,9 +20,10 @@
 //! * [`RowKernel`] — the 1×N kernel: a source row loaded once into an
 //!   L1-resident probe, then any number of candidate rows scored
 //!   against it by a walk over their id columns alone, bit-identical
-//!   to [`Measure::score_ref`] for every measure — phase 4's and the
-//!   ad-hoc query scan's hot path;
-//! * [`ProfileStore`] — an in-memory profile table with byte accounting;
+//!   to [`Measure::score_ref`] for every measure — phase 4's hot path;
+//! * [`ProfileStore`] — an in-memory profile table with byte
+//!   accounting, whose clones share unwritten profiles (the serving
+//!   layer clones it once per published update);
 //! * [`ProfileDelta`] — the update objects queued during an iteration
 //!   and applied lazily in phase 5;
 //! * [`generators`] — synthetic workloads with planted similarity
@@ -39,6 +40,7 @@
 //! ```
 
 pub mod arena;
+mod cow;
 pub mod delta;
 pub mod error;
 pub mod generators;

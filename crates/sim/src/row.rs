@@ -1,8 +1,7 @@
 //! The row kernel: one source row against any number of candidates.
 //!
 //! Phase 4's bucket tuples arrive sorted by `(u, v)`, in runs of
-//! hundreds of candidates `v` per source `u`; an ad-hoc query scores
-//! one profile against every stored one. Both are 1×N, and a
+//! hundreds of candidates `v` per source `u`. That is 1×N, and a
 //! two-pointer merge per pair ([`Measure::score_ref`]) walks the
 //! source row afresh every time, with a three-way branch per step that
 //! no predictor learns.
@@ -27,7 +26,7 @@
 use crate::similarity::{
     cosine_of, dice_of, jaccard_of, overlap_of, pearson_of, weighted_jaccard, Entries, Row,
 };
-use crate::{Measure, PreparedRef, Profile};
+use crate::{Measure, PreparedRef};
 
 /// Probe slots per source entry (a power of two). Most candidate ids
 /// miss, and a miss that lands on an empty slot is a branch the
@@ -54,13 +53,18 @@ type Slot = u32;
 /// earlier one.
 ///
 /// ```
-/// use knn_sim::{Measure, Profile, RowKernel, Similarity};
+/// use knn_sim::{Measure, ProfileArena, RowKernel};
 ///
-/// let query = Profile::from_unsorted_pairs(vec![(1, 2.0), (2, 1.0)]).unwrap();
-/// let other = Profile::from_unsorted_pairs(vec![(2, 1.0), (3, 4.0)]).unwrap();
+/// let mut rows = ProfileArena::builder(2, 4);
+/// rows.push(0, vec![(1, 2.0), (2, 1.0)]).unwrap();
+/// rows.push(1, vec![(2, 1.0), (3, 4.0)]).unwrap();
+/// let rows = rows.finish();
 /// let mut kernel = RowKernel::new(Measure::Cosine);
-/// kernel.load_profile(&query);
-/// assert_eq!(kernel.score_profile(&other), Measure::Cosine.score(&query, &other));
+/// kernel.load(rows.view(0));
+/// assert_eq!(
+///     kernel.score(rows.view(1)),
+///     Measure::Cosine.score_ref(rows.view(0), rows.view(1))
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct RowKernel {
@@ -94,12 +98,6 @@ impl RowKernel {
                 self.load_row((items, weights), row.stats().l2_norm)
             }
         }
-    }
-
-    /// Makes `profile` the resident source, computing its norm here —
-    /// once per query instead of once per candidate.
-    pub fn load_profile(&mut self, profile: &Profile) {
-        self.load_row(profile.entries(), profile.l2_norm());
     }
 
     fn load_row<R: Row>(&mut self, row: R, l2_norm: f64) {
@@ -163,12 +161,6 @@ impl RowKernel {
         }
     }
 
-    /// Scores the resident row against a plain profile; bit-identical
-    /// to `measure.score(source, cand)`.
-    pub fn score_profile(&self, cand: &Profile) -> f32 {
-        self.score_row(cand.entries(), || cand.l2_norm())
-    }
-
     /// `cand_norm` is called only by the measures that need it.
     fn score_row<R: Row>(&self, cand: R, cand_norm: impl FnOnce() -> f64) -> f32 {
         let (a_len, b_len) = (self.items.len(), cand.len());
@@ -224,7 +216,7 @@ impl RowKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProfileArena, Similarity};
+    use crate::{Profile, ProfileArena, ProfileStats, Similarity};
 
     fn arena_of(rows: &[Vec<(u32, f32)>]) -> ProfileArena {
         let mut b = ProfileArena::builder(rows.len(), 16);
@@ -235,13 +227,18 @@ mod tests {
     }
 
     /// Every row against every row, both through arena views and
-    /// through plain profiles, for every measure.
+    /// through views of plain profiles, for every measure.
     fn assert_matches_pair_kernel(rows: &[Vec<(u32, f32)>]) {
         let arena = arena_of(rows);
         let profiles: Vec<Profile> = rows
             .iter()
             .map(|r| Profile::from_unsorted_pairs(r.clone()).unwrap())
             .collect();
+        let prepared: Vec<_> = profiles.iter().map(ProfileStats::with_sketch).collect();
+        let pairs_view = |i: usize| {
+            let (stats, sketch) = &prepared[i];
+            PreparedRef::new(profiles[i].entries(), stats, sketch)
+        };
         for m in Measure::ALL {
             let mut kernel = RowKernel::new(m);
             for i in 0..rows.len() {
@@ -254,10 +251,10 @@ mod tests {
                         "{m}: rows {i} x {j} (views)"
                     );
                 }
-                kernel.load_profile(&profiles[i]);
+                kernel.load(pairs_view(i));
                 for j in 0..rows.len() {
                     assert_eq!(
-                        kernel.score_profile(&profiles[j]).to_bits(),
+                        kernel.score(pairs_view(j)).to_bits(),
                         m.score(&profiles[i], &profiles[j]).to_bits(),
                         "{m}: rows {i} x {j} (profiles)"
                     );

@@ -2,6 +2,7 @@
 
 use knn_graph::UserId;
 
+use crate::cow::CowVec;
 use crate::{Profile, ProfileDelta};
 
 /// The in-memory profile set `P(t)`: one [`Profile`] per user
@@ -20,22 +21,28 @@ use crate::{Profile, ProfileDelta};
 /// assert_eq!(store.get(UserId::new(0)).len(), 2);
 /// assert!(store.get(UserId::new(1)).is_empty());
 /// ```
+///
+/// Clones share their profiles in chunks until one is written, so
+/// the serving layer's snapshot per update copies the few profiles
+/// beside the changed one, not every user's.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileStore {
-    profiles: Vec<Profile>,
+    profiles: CowVec<Profile>,
 }
 
 impl ProfileStore {
     /// Creates a store of `num_users` empty profiles.
     pub fn new(num_users: usize) -> Self {
         ProfileStore {
-            profiles: vec![Profile::new(); num_users],
+            profiles: std::iter::repeat_with(Profile::new)
+                .take(num_users)
+                .collect(),
         }
     }
 
     /// Builds a store from an explicit profile vector.
     pub fn from_profiles(profiles: Vec<Profile>) -> Self {
-        ProfileStore { profiles }
+        profiles.into_iter().collect()
     }
 
     /// Number of users.
@@ -58,7 +65,7 @@ impl ProfileStore {
     ///
     /// Panics if `user` is out of range.
     pub fn get_mut(&mut self, user: UserId) -> &mut Profile {
-        &mut self.profiles[user.index()]
+        self.profiles.get_mut(user.index())
     }
 
     /// Replaces the profile of `user`.
@@ -67,7 +74,7 @@ impl ProfileStore {
     ///
     /// Panics if `user` is out of range.
     pub fn set(&mut self, user: UserId, profile: Profile) {
-        self.profiles[user.index()] = profile;
+        *self.profiles.get_mut(user.index()) = profile;
     }
 
     /// The profile of `user`, or `None` when out of range — the
@@ -89,7 +96,7 @@ impl ProfileStore {
     ///
     /// Panics if the delta's user is out of range.
     pub fn apply_delta(&mut self, delta: &ProfileDelta) {
-        delta.op.apply(&mut self.profiles[delta.user.index()]);
+        delta.op.apply(self.profiles.get_mut(delta.user.index()));
     }
 
     /// Applies a batch of deltas in order.
@@ -160,6 +167,22 @@ mod tests {
         ]);
         assert_eq!(s.get(u).get(ItemId::new(1)), None);
         assert_eq!(s.get(u).get(ItemId::new(2)), Some(5.0));
+    }
+
+    #[test]
+    fn a_clone_keeps_its_profiles_when_the_original_is_written() {
+        let mut s: ProfileStore = (0..300u32)
+            .map(|u| Profile::from_items(vec![u]).unwrap())
+            .collect();
+        let published = s.clone();
+        s.apply_delta(&ProfileDelta::set(UserId::new(17), ItemId::new(99), 2.0));
+        s.set(UserId::new(299), Profile::new());
+        assert_eq!(s.get(UserId::new(17)).get(ItemId::new(99)), Some(2.0));
+        assert!(s.get(UserId::new(299)).is_empty());
+        assert_eq!(published.get(UserId::new(17)).get(ItemId::new(99)), None);
+        assert_eq!(published.get(UserId::new(299)).len(), 1);
+        assert_eq!(published.total_entries(), 300);
+        assert_ne!(s, published);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for profiles and similarity kernels.
 
-use knn_sim::{Measure, PreparedProfile, Profile, Similarity};
+use knn_sim::{Measure, PreparedProfile, PreparedRef, Profile, ProfileStats, Similarity};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -255,6 +255,11 @@ proptest! {
             .iter()
             .map(|row| Profile::from_unsorted_pairs(row.clone()).unwrap())
             .collect();
+        let prepared: Vec<_> = profiles.iter().map(ProfileStats::with_sketch).collect();
+        let pairs_view = |i: usize| {
+            let (stats, sketch) = &prepared[i];
+            PreparedRef::new(profiles[i].entries(), stats, sketch)
+        };
         for m in Measure::ALL {
             let mut kernel = knn_sim::RowKernel::new(m);
             for (source, candidates) in &runs {
@@ -268,11 +273,11 @@ proptest! {
                         "{}: row {} x {} (views)", m, source, cand
                     );
                 }
-                kernel.load_profile(&profiles[source]);
+                kernel.load(pairs_view(source));
                 for cand in candidates.iter().take(16) {
                     let cand = cand % rows.len();
                     prop_assert_eq!(
-                        kernel.score_profile(&profiles[cand]).to_bits(),
+                        kernel.score(pairs_view(cand)).to_bits(),
                         m.score(&profiles[source], &profiles[cand]).to_bits(),
                         "{}: row {} x {} (profiles)", m, source, cand
                     );
