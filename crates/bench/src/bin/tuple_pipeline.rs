@@ -1,59 +1,28 @@
-//! **Experiment S6 — the phase-1/2 tuple-pipeline overhaul, paired.**
+//! **Experiment S6 — the phase-1/2 tuple pipeline, out of core.**
 //!
-//! Runs two engines over the identical seeded workload in lockstep:
-//! one on the columnar radix tuple pipeline (the default — SoA
-//! staging, sort-time dedup, varint-delta spill codec, loser-tree
-//! streaming merge) and one forced down the legacy row pipeline
-//! (per-offer hash dedup, comparison sort, fixed-width 8 B/pair spill
-//! runs, load-everything merge). Because the two alternate iteration
-//! by iteration inside one process, machine-level drift hits both
-//! equally — the per-iteration ratios isolate the data-plane effect.
+//! Runs one engine on the columnar tuple pipeline (SoA staging,
+//! sort-time dedup, varint-delta spill codec, loser-tree streaming
+//! merge) with a small spill threshold, so phase 2 stays on the
+//! out-of-core path the paper's memory constraint forces, and reports
+//! per-iteration phase-1/2 wall clock and spill traffic.
 //!
-//! After every iteration the two graphs are asserted **identical**:
-//! the pipelines differ only in representation, never in output.
+//! CI's bounded-memory job runs it with `--tuple-memory` and
+//! `--backend disk` under `/usr/bin/time -v` to pin peak RSS.
 //!
-//! A small spill threshold keeps both pipelines on the out-of-core
-//! path the paper's memory constraint forces — with everything staged
-//! in RAM there would be no spill traffic to compare. The headline
-//! numbers are the phase-2 wall-clock ratio and the spilled-byte
-//! ratio (the varint-delta codec's compression of overflow traffic).
-//!
-//! Emits one JSON document on stdout (committed as
-//! `BENCH_tuple_pipeline.json`) and a table on stderr.
-//!
-//! `--pipeline columnar|legacy` runs a single unpaired engine instead
-//! — the mode CI's bounded-memory job uses together with
-//! `--tuple-memory` and `--backend disk` to pin peak RSS under
-//! `/usr/bin/time -v`.
+//! Emits one JSON document on stdout and a line per iteration on
+//! stderr.
 //!
 //! Usage: `tuple_pipeline [--users N] [--iters N] [--k N]
 //! [--partitions N] [--seed N] [--spill N] [--tuple-memory BYTES]
-//! [--backend mem|disk] [--pipeline paired|columnar|legacy]`
+//! [--backend mem|disk]`
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use knn_bench::{opt_or, TextTable};
+use knn_bench::opt_or;
 use knn_core::{EngineConfig, KnnEngine};
 use knn_datasets::WorkloadConfig;
-use knn_store::{DiskBackend, MemBackend, StorageBackend, WorkingDir};
-
-struct IterRow {
-    col_p1_ms: f64,
-    col_p2_ms: f64,
-    col_spilled: u64,
-    col_runs: u64,
-    col_merges: u64,
-    leg_p1_ms: f64,
-    leg_p2_ms: f64,
-    leg_spilled: u64,
-    tuples_unique: u64,
-}
-
-fn mean(xs: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = xs.collect();
-    v.iter().sum::<f64>() / v.len().max(1) as f64
-}
+use knn_store::{DiskBackend, MemBackend, StorageBackend};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,163 +34,60 @@ fn main() {
     let spill: usize = opt_or(&args, "spill", 8192);
     let tuple_memory: usize = opt_or(&args, "tuple-memory", 0); // 0 = no budget
     let backend_kind: String = opt_or(&args, "backend", "mem".to_string());
-    let pipeline: String = opt_or(&args, "pipeline", "paired".to_string());
 
     eprintln!(
         "S6 tuple pipeline: users={users}, iters={iters}, K={k}, m={m}, seed={seed}, \
-         spill={spill}, tuple_memory={tuple_memory}, backend={backend_kind}, mode={pipeline}"
+         spill={spill}, tuple_memory={tuple_memory}, backend={backend_kind}"
     );
     let workload = WorkloadConfig::recommender().build(users, seed);
-    let mut workdirs: Vec<WorkingDir> = Vec::new();
-    let mut make_backend = || -> Arc<dyn StorageBackend> {
-        if backend_kind == "disk" {
-            let disk = DiskBackend::temp("tuple_pipeline").expect("disk backend");
-            workdirs.push(disk.working_dir().expect("workdir").clone());
-            Arc::new(disk)
-        } else {
-            Arc::new(MemBackend::new())
-        }
+    let mut workdir = None;
+    let backend: Arc<dyn StorageBackend> = if backend_kind == "disk" {
+        let disk = DiskBackend::temp("tuple_pipeline").expect("disk backend");
+        workdir = Some(disk.working_dir().expect("workdir").clone());
+        Arc::new(disk)
+    } else {
+        Arc::new(MemBackend::new())
     };
-    let mut build = |legacy: bool| {
-        let config = EngineConfig::builder(users)
-            .k(k)
-            .num_partitions(m)
-            .measure(workload.measure)
-            .threads(1)
-            .spill_threshold(spill)
-            .tuple_table_memory((!legacy && tuple_memory > 0).then_some(tuple_memory))
-            .legacy_tuple_pipeline(legacy)
-            .seed(seed)
-            .build()
-            .expect("config");
-        KnnEngine::new_on(config, workload.profiles.clone(), make_backend()).expect("engine")
-    };
-
+    let config = EngineConfig::builder(users)
+        .k(k)
+        .num_partitions(m)
+        .measure(workload.measure)
+        .threads(1)
+        .spill_threshold(spill)
+        .tuple_table_memory((tuple_memory > 0).then_some(tuple_memory))
+        .seed(seed)
+        .build()
+        .expect("config");
     let started = Instant::now();
-    let json = match pipeline.as_str() {
-        "paired" => {
-            let mut columnar = build(false);
-            let mut legacy = build(true);
-            let mut rows: Vec<IterRow> = Vec::new();
-            for _ in 0..iters {
-                let rc = columnar.run_iteration().expect("columnar iteration");
-                let rl = legacy.run_iteration().expect("legacy iteration");
-                // The exactness contract: the pipelines never diverge.
-                assert_eq!(
-                    columnar.graph(),
-                    legacy.graph(),
-                    "columnar pipeline diverged from the legacy pipeline"
-                );
-                assert_eq!(rc.tuples.unique, rl.tuples.unique, "dedup disagreement");
-                rows.push(IterRow {
-                    col_p1_ms: rc.phase_durations[0].as_secs_f64() * 1e3,
-                    col_p2_ms: rc.phase_durations[1].as_secs_f64() * 1e3,
-                    col_spilled: rc.bytes_spilled,
-                    col_runs: rc.spill_runs,
-                    col_merges: rc.merge_passes,
-                    leg_p1_ms: rl.phase_durations[0].as_secs_f64() * 1e3,
-                    leg_p2_ms: rl.phase_durations[1].as_secs_f64() * 1e3,
-                    leg_spilled: rl.bytes_spilled,
-                    tuples_unique: rc.tuples.unique,
-                });
-            }
+    let mut engine = KnnEngine::new_on(config, workload.profiles, backend).expect("engine");
 
-            let mut table = TextTable::new(&[
-                "iter",
-                "col p2 ms",
-                "leg p2 ms",
-                "p2 speedup",
-                "col spilled B",
-                "leg spilled B",
-                "spill ratio",
-                "unique tuples",
-            ]);
-            for (i, r) in rows.iter().enumerate() {
-                table.row(&[
-                    i.to_string(),
-                    format!("{:.1}", r.col_p2_ms),
-                    format!("{:.1}", r.leg_p2_ms),
-                    format!("{:.2}x", r.leg_p2_ms / r.col_p2_ms),
-                    r.col_spilled.to_string(),
-                    r.leg_spilled.to_string(),
-                    format!("{:.2}", r.col_spilled as f64 / r.leg_spilled.max(1) as f64),
-                    r.tuples_unique.to_string(),
-                ]);
-            }
-            eprintln!("{}", table.render());
-
-            let p2_speedup =
-                mean(rows.iter().map(|r| r.leg_p2_ms)) / mean(rows.iter().map(|r| r.col_p2_ms));
-            let p1_speedup =
-                mean(rows.iter().map(|r| r.leg_p1_ms)) / mean(rows.iter().map(|r| r.col_p1_ms));
-            let col_spilled: u64 = rows.iter().map(|r| r.col_spilled).sum();
-            let leg_spilled: u64 = rows.iter().map(|r| r.leg_spilled).sum();
-            let spill_reduction = 1.0 - col_spilled as f64 / leg_spilled.max(1) as f64;
-            eprintln!(
-                "mean p2 speedup {p2_speedup:.2}x, p1 speedup {p1_speedup:.2}x, \
-                 spilled bytes reduced {:.1}% ({col_spilled} vs {leg_spilled})",
-                spill_reduction * 100.0
-            );
-
-            let rows_json: Vec<String> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    format!(
-                        r#"{{"iter":{i},"columnar_p1_ms":{:.2},"columnar_p2_ms":{:.2},"legacy_p1_ms":{:.2},"legacy_p2_ms":{:.2},"p2_speedup":{:.3},"columnar_spilled_bytes":{},"legacy_spilled_bytes":{},"spill_runs":{},"merge_passes":{},"tuples_unique":{}}}"#,
-                        r.col_p1_ms,
-                        r.col_p2_ms,
-                        r.leg_p1_ms,
-                        r.leg_p2_ms,
-                        r.leg_p2_ms / r.col_p2_ms,
-                        r.col_spilled,
-                        r.leg_spilled,
-                        r.col_runs,
-                        r.col_merges,
-                        r.tuples_unique
-                    )
-                })
-                .collect();
-            format!(
-                r#"{{"bench":"tuple_pipeline","mode":"paired","backend":"{backend_kind}","users":{users},"k":{k},"partitions":{m},"seed":{seed},"iters":{iters},"spill_threshold":{spill},"graphs_identical":true,"p2_speedup":{p2_speedup:.3},"p1_speedup":{p1_speedup:.3},"spilled_bytes_columnar":{col_spilled},"spilled_bytes_legacy":{leg_spilled},"spilled_reduction":{spill_reduction:.3},"wall_s":{:.2},"results":[{}]}}"#,
-                started.elapsed().as_secs_f64(),
-                rows_json.join(",")
-            )
-        }
-        mode @ ("columnar" | "legacy") => {
-            // Single unpaired engine: the bounded-memory / smoke mode.
-            let mut engine = build(mode == "legacy");
-            let mut rows_json = Vec::new();
-            for i in 0..iters {
-                let r = engine.run_iteration().expect("iteration");
-                eprintln!(
-                    "iter {i}: p1 {:.1} ms, p2 {:.1} ms, spilled {} B in {} runs, {} merges",
-                    r.phase_durations[0].as_secs_f64() * 1e3,
-                    r.phase_durations[1].as_secs_f64() * 1e3,
-                    r.bytes_spilled,
-                    r.spill_runs,
-                    r.merge_passes
-                );
-                rows_json.push(format!(
-                    r#"{{"iter":{i},"p1_ms":{:.2},"p2_ms":{:.2},"spilled_bytes":{},"spill_runs":{},"merge_passes":{},"tuples_unique":{}}}"#,
-                    r.phase_durations[0].as_secs_f64() * 1e3,
-                    r.phase_durations[1].as_secs_f64() * 1e3,
-                    r.bytes_spilled,
-                    r.spill_runs,
-                    r.merge_passes,
-                    r.tuples.unique
-                ));
-            }
-            format!(
-                r#"{{"bench":"tuple_pipeline","mode":"{mode}","backend":"{backend_kind}","users":{users},"k":{k},"partitions":{m},"seed":{seed},"iters":{iters},"spill_threshold":{spill},"tuple_table_memory":{tuple_memory},"wall_s":{:.2},"results":[{}]}}"#,
-                started.elapsed().as_secs_f64(),
-                rows_json.join(",")
-            )
-        }
-        other => panic!("--pipeline takes paired|columnar|legacy, got {other}"),
-    };
-    println!("{json}");
-    for wd in workdirs {
+    let mut rows_json = Vec::new();
+    for i in 0..iters {
+        let r = engine.run_iteration().expect("iteration");
+        eprintln!(
+            "iter {i}: p1 {:.1} ms, p2 {:.1} ms, spilled {} B in {} runs, {} merges",
+            r.phase_durations[0].as_secs_f64() * 1e3,
+            r.phase_durations[1].as_secs_f64() * 1e3,
+            r.bytes_spilled,
+            r.spill_runs,
+            r.merge_passes
+        );
+        rows_json.push(format!(
+            r#"{{"iter":{i},"p1_ms":{:.2},"p2_ms":{:.2},"spilled_bytes":{},"spill_runs":{},"merge_passes":{},"tuples_unique":{}}}"#,
+            r.phase_durations[0].as_secs_f64() * 1e3,
+            r.phase_durations[1].as_secs_f64() * 1e3,
+            r.bytes_spilled,
+            r.spill_runs,
+            r.merge_passes,
+            r.tuples.unique
+        ));
+    }
+    println!(
+        r#"{{"bench":"tuple_pipeline","backend":"{backend_kind}","users":{users},"k":{k},"partitions":{m},"seed":{seed},"iters":{iters},"spill_threshold":{spill},"tuple_table_memory":{tuple_memory},"wall_s":{:.2},"results":[{}]}}"#,
+        started.elapsed().as_secs_f64(),
+        rows_json.join(",")
+    );
+    if let Some(wd) = workdir {
         wd.destroy().expect("cleanup");
     }
 }

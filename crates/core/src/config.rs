@@ -40,7 +40,6 @@ pub struct EngineConfig {
     repartition_each_iteration: bool,
     spill_threshold: usize,
     tuple_table_memory: Option<usize>,
-    legacy_tuple_pipeline: bool,
     parallel_threshold: usize,
     prune_pairs: bool,
     bound_filter: bool,
@@ -81,7 +80,6 @@ impl EngineConfig {
             repartition_each_iteration: true,
             spill_threshold: 1 << 20,
             tuple_table_memory: None,
-            legacy_tuple_pipeline: false,
             parallel_threshold: crate::phase4::DEFAULT_PARALLEL_THRESHOLD,
             prune_pairs: default_prune(),
             bound_filter: default_prune(),
@@ -165,16 +163,6 @@ impl EngineConfig {
     /// every persisted byte — stays identical at every thread count.
     pub fn tuple_table_memory(&self) -> Option<usize> {
         self.tuple_table_memory
-    }
-
-    /// Whether phase 2 routes through the pre-overhaul row-based
-    /// tuple pipeline (hash dedup at offer, comparison sort,
-    /// fixed-width spill runs, load-everything merge). Off by default;
-    /// exists as the paired baseline of the `tuple_pipeline` bench —
-    /// the computed graphs and persisted buckets are identical either
-    /// way.
-    pub fn legacy_tuple_pipeline(&self) -> bool {
-        self.legacy_tuple_pipeline
     }
 
     /// Minimum surviving-tuple count before phase 4 fans a bucket out
@@ -285,7 +273,6 @@ pub struct EngineConfigBuilder {
     repartition_each_iteration: bool,
     spill_threshold: usize,
     tuple_table_memory: Option<usize>,
-    legacy_tuple_pipeline: bool,
     parallel_threshold: usize,
     prune_pairs: bool,
     bound_filter: bool,
@@ -375,13 +362,6 @@ impl EngineConfigBuilder {
     /// at least 1 KiB when set.
     pub fn tuple_table_memory(mut self, bytes: Option<usize>) -> Self {
         self.tuple_table_memory = bytes;
-        self
-    }
-
-    /// Routes phase 2 through the legacy row-based tuple pipeline
-    /// (paired-bench baseline; results identical, performance is not).
-    pub fn legacy_tuple_pipeline(mut self, yes: bool) -> Self {
-        self.legacy_tuple_pipeline = yes;
         self
     }
 
@@ -491,12 +471,6 @@ impl EngineConfigBuilder {
                 "tuple_table_memory must be at least 1 KiB (or None to disable the budget)",
             ));
         }
-        if self.legacy_tuple_pipeline && self.tuple_table_memory.is_some() {
-            return Err(EngineError::config(
-                "tuple_table_memory is a columnar-pipeline feature; the legacy tuple pipeline \
-                 has no staging budget (its dedup maps grow with the unique-tuple count)",
-            ));
-        }
         if self.parallel_threshold == 0 {
             return Err(EngineError::config(
                 "parallel_threshold must be at least 1 (use a huge value to force inline scoring)",
@@ -523,7 +497,6 @@ impl EngineConfigBuilder {
             repartition_each_iteration: self.repartition_each_iteration,
             spill_threshold: self.spill_threshold,
             tuple_table_memory: self.tuple_table_memory,
-            legacy_tuple_pipeline: self.legacy_tuple_pipeline,
             parallel_threshold: self.parallel_threshold,
             prune_pairs: self.prune_pairs,
             bound_filter: self.bound_filter,
@@ -601,13 +574,6 @@ mod tests {
             .is_err());
         assert!(EngineConfig::builder(10)
             .tuple_table_memory(Some(100))
-            .build()
-            .is_err());
-        // The byte budget only exists on the columnar pipeline; the
-        // combination must fail loudly, not silently ignore the budget.
-        assert!(EngineConfig::builder(10)
-            .tuple_table_memory(Some(1 << 20))
-            .legacy_tuple_pipeline(true)
             .build()
             .is_err());
         assert!(EngineConfig::builder(10)
@@ -701,13 +667,7 @@ mod tests {
         assert!(!c.repartition_each_iteration());
         assert_eq!(c.spill_threshold(), 128);
         assert_eq!(c.tuple_table_memory(), Some(1 << 20));
-        assert!(!c.legacy_tuple_pipeline());
         assert_eq!(c.parallel_threshold(), 512);
-        let legacy = EngineConfig::builder(50)
-            .legacy_tuple_pipeline(true)
-            .build()
-            .unwrap();
-        assert!(legacy.legacy_tuple_pipeline());
         assert!(!c.prune_pairs());
         assert!(c.bound_filter());
         assert_eq!(c.seed(), 99);

@@ -1093,7 +1093,6 @@ impl KnnEngine {
             spill_threshold: self.config.spill_threshold(),
             tuple_table_memory: self.config.tuple_table_memory(),
             threads: self.config.threads(),
-            legacy_pipeline: self.config.legacy_tuple_pipeline(),
         };
         let additions = prune_state.map(|st| &st.additions);
         let phase2_out = match self.phase2_provider.as_mut() {

@@ -161,10 +161,7 @@
 //! materialize into one CSR [`knn_sim::ProfileArena`] (split id and
 //! weight columns), and each run of candidates sharing a source row is
 //! scored by one [`knn_sim::RowKernel`] load — bit-identically to the
-//! pair kernels. The pre-overhaul row pipeline remains available as
-//! [`tuple_table::legacy`] behind
-//! `EngineConfig::legacy_tuple_pipeline` — the paired baseline of the
-//! `tuple_pipeline` bench, persisting byte-identical final buckets.
+//! pair kernels.
 //!
 //! The in-memory fast path is one constructor away — identical graphs
 //! for identical seeds, verified by the backend-equivalence suite:

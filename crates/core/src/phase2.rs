@@ -22,7 +22,7 @@ use knn_store::{StorageBackend, StreamId};
 
 use crate::par;
 use crate::partition::Partitioning;
-use crate::tuple_table::{legacy, merge_parts, BucketMeta, TupleSink, TupleTable, TupleTableStats};
+use crate::tuple_table::{merge_parts, BucketMeta, TupleTable, TupleTableStats};
 use crate::{EngineError, PiGraph};
 
 /// Output of phase 2: the PI graph over the written tuple buckets plus
@@ -52,22 +52,16 @@ pub struct Phase2Options {
     pub tuple_table_memory: Option<usize>,
     /// Worker budget for the partition scans and the bucket merge.
     pub threads: usize,
-    /// Route through the pre-overhaul row-based pipeline
-    /// ([`legacy`]) — the paired baseline of the `tuple_pipeline`
-    /// bench. Final buckets, metadata, and dedup stats are identical
-    /// either way; only the data plane differs.
-    pub legacy_pipeline: bool,
 }
 
 impl Phase2Options {
     /// Options with the given spill threshold and worker budget, no
-    /// byte budget, columnar pipeline.
+    /// byte budget.
     pub fn new(spill_threshold: usize, threads: usize) -> Self {
         Phase2Options {
             spill_threshold,
             tuple_table_memory: None,
             threads,
-            legacy_pipeline: false,
         }
     }
 }
@@ -97,24 +91,9 @@ pub fn generate_tuples(
 ) -> Result<Phase2Output, EngineError> {
     backend.clear_tuples()?;
     let m = partitioning.num_partitions();
-    let (pi, stats, tuple_meta) = if options.legacy_pipeline {
-        let parts = par::run_indexed(m, options.threads, |p| {
-            let p = p as u32;
-            let mut table = legacy::LegacyTupleTable::with_namespace(
-                backend,
-                partitioning,
-                options.spill_threshold,
-                p,
-            );
-            scan_partition(p, backend, &mut table, additions)?;
-            Ok(table.into_parts())
-        })?;
-        legacy::merge_legacy_parts(backend, m, parts, options.threads)?
-    } else {
-        let all: Vec<u32> = (0..m as u32).collect();
-        let parts = scan_tables(partitioning, backend, options, additions, &all)?;
-        merge_parts(backend, m, parts, options.threads)?
-    };
+    let all: Vec<u32> = (0..m as u32).collect();
+    let parts = scan_tables(partitioning, backend, options, additions, &all)?;
+    let (pi, stats, tuple_meta) = merge_parts(backend, m, parts, options.threads)?;
     Ok(Phase2Output {
         pi,
         stats,
@@ -122,7 +101,7 @@ pub fn generate_tuples(
     })
 }
 
-/// Scans the given `partitions` (columnar pipeline), returning one
+/// Scans the given `partitions`, returning one
 /// [`TableParts`](crate::tuple_table::TableParts) per partition in the
 /// given order. This is [`generate_tuples`]'s scan half, exposed so a
 /// sharded driver can scan only the partitions a shard owns, extract
@@ -155,12 +134,11 @@ pub fn scan_tables(
 
 /// Scans one partition's edge streams, offering every direct and
 /// two-hop candidate to `table` (tagged with path age when an oracle
-/// is present). Generic over the sink so both pipelines share the
-/// scan.
-pub fn scan_partition<T: TupleSink>(
+/// is present).
+pub fn scan_partition(
     p: u32,
     backend: &dyn StorageBackend,
-    table: &mut T,
+    table: &mut TupleTable<'_>,
     additions: Option<&EdgeAdditions>,
 ) -> Result<(), EngineError> {
     // Rows are (bridge, other), sorted by bridge then other.
@@ -445,41 +423,38 @@ mod tests {
         assert_eq!(outputs[0], outputs[1]);
     }
 
-    /// The pipeline knob is output-invariant: the legacy row pipeline
-    /// and the columnar pipeline persist identical buckets and report
-    /// identical PI graphs, metadata, and dedup stats for real scans,
-    /// oracle included (spill counts legitimately differ).
+    /// The spill threshold is output-invariant for real scans, oracle
+    /// included: identical buckets, PI graph, metadata, and dedup stats
+    /// whether every offer spills or none does (spill counts
+    /// legitimately differ).
     #[test]
-    fn legacy_pipeline_flag_is_output_invariant() {
+    fn spill_threshold_is_output_invariant_under_the_oracle() {
         let n = 50;
         let old_g = KnnGraph::random_init(n, 4, 5);
         let g = KnnGraph::random_init(n, 4, 55);
         let additions = g.additions_since(&old_g);
+        let mut outputs = Vec::new();
         for spill_threshold in [2usize, 1 << 16] {
-            let mut outputs = Vec::new();
-            for legacy in [false, true] {
-                let (b, p) = setup(n, 4);
-                write_partition_edges(&g, &p, &b, 1, None).unwrap();
-                let mut opts = Phase2Options::new(spill_threshold, 2);
-                opts.legacy_pipeline = legacy;
-                let out = generate_tuples(&p, &b, &opts, Some(&additions)).unwrap();
-                let mut streams: Vec<(StreamId, Vec<u8>)> = b
-                    .list()
-                    .unwrap()
-                    .into_iter()
-                    .filter(|s| matches!(s, StreamId::TupleBucket(..)))
-                    .map(|s| (s, b.read(s).unwrap()))
-                    .collect();
-                streams.sort_by_key(|&(s, _)| s);
-                outputs.push((
-                    out.pi,
-                    (out.stats.offered, out.stats.unique, out.stats.duplicates),
-                    out.tuple_meta,
-                    streams,
-                ));
-            }
-            assert_eq!(outputs[0], outputs[1], "spill={spill_threshold}");
+            let (b, p) = setup(n, 4);
+            write_partition_edges(&g, &p, &b, 1, None).unwrap();
+            let opts = Phase2Options::new(spill_threshold, 2);
+            let out = generate_tuples(&p, &b, &opts, Some(&additions)).unwrap();
+            let mut streams: Vec<(StreamId, Vec<u8>)> = b
+                .list()
+                .unwrap()
+                .into_iter()
+                .filter(|s| matches!(s, StreamId::TupleBucket(..)))
+                .map(|s| (s, b.read(s).unwrap()))
+                .collect();
+            streams.sort_by_key(|&(s, _)| s);
+            outputs.push((
+                out.pi,
+                (out.stats.offered, out.stats.unique, out.stats.duplicates),
+                out.tuple_meta,
+                streams,
+            ));
         }
+        assert_eq!(outputs[0], outputs[1]);
     }
 
     #[test]

@@ -61,10 +61,6 @@
 //! **direction** bits inline (a pure function of `G(t)`, so bucket
 //! bytes never depend on the suppression oracle); the iteration-scoped
 //! old-path bits live in the returned [`BucketMeta`] only.
-//!
-//! The pre-refactor row-based pipeline survives as [`legacy`] — the
-//! paired baseline of the `tuple_pipeline` bench and the reference
-//! implementation of the legacy fixed-width run format.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -370,19 +366,6 @@ impl TupleColumns {
     }
 }
 
-/// The offer-side contract of a phase-2 tuple sink, shared by the
-/// columnar [`TupleTable`] and the [`legacy`] row table so the scan
-/// code drives either pipeline.
-pub trait TupleSink {
-    /// Offers the directed tuple `(s, d)` with its path-age flag (see
-    /// [`TupleTable::offer_flagged`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Store`] if a spill write fails.
-    fn offer_flagged(&mut self, s: u32, d: u32, old_path: bool) -> Result<(), EngineError>;
-}
-
 // ---------------------------------------------------------------------
 // The columnar tuple table
 // ---------------------------------------------------------------------
@@ -606,12 +589,6 @@ impl<'a> TupleTable<'a> {
         let backend = self.backend;
         let num_partitions = self.partitioning.num_partitions();
         merge_parts(backend, num_partitions, vec![self.into_parts()], 1)
-    }
-}
-
-impl TupleSink for TupleTable<'_> {
-    fn offer_flagged(&mut self, s: u32, d: u32, old_path: bool) -> Result<(), EngineError> {
-        TupleTable::offer_flagged(self, s, d, old_path)
     }
 }
 
@@ -1140,282 +1117,6 @@ fn merge_bucket(
     Ok((unique, meta_bytes))
 }
 
-// ---------------------------------------------------------------------
-// The legacy row-based pipeline (paired-bench baseline)
-// ---------------------------------------------------------------------
-
-/// The pre-overhaul tuple pipeline, kept as a first-class baseline:
-/// row staging in `Vec<(u32, u32)>`, per-offer hash-map dedup carrying
-/// the meta bits, comparison sorting, fixed-width pair spill runs, and
-/// a load-everything merge. `EngineConfig::legacy_tuple_pipeline`
-/// routes phase 2 here; the `tuple_pipeline` bench alternates the two
-/// pipelines in one process and asserts identical graphs, and the
-/// equivalence tests additionally pin identical final bucket bytes,
-/// [`BucketMeta`], and dedup stats (spill counts and bytes
-/// legitimately differ — that difference *is* the measurement).
-pub mod legacy {
-    use super::*;
-    use crate::fasthash::FxHashMap;
-    use knn_store::backend::{read_pairs, write_pairs};
-
-    /// The row-based, hash-deduplicating tuple table.
-    pub struct LegacyTupleTable<'a> {
-        backend: &'a dyn StorageBackend,
-        partitioning: &'a Partitioning,
-        spill_threshold: usize,
-        namespace: u32,
-        staging: BTreeMap<(u32, u32), Vec<(u32, u32)>>,
-        /// Per-bucket dedup maps (staged and spilled alike — dedup
-        /// must survive spills); the value is the tuple's meta byte,
-        /// OR-combined across duplicate offers.
-        seen: BTreeMap<(u32, u32), FxHashMap<(u32, u32), u8>>,
-        spilled: BTreeMap<(u32, u32), u32>,
-        counters: TupleTableStats,
-    }
-
-    /// Detached legacy table output for [`merge_legacy_parts`].
-    pub struct LegacyParts {
-        namespace: u32,
-        staging: BTreeMap<(u32, u32), Vec<(u32, u32)>>,
-        meta: BTreeMap<(u32, u32), FxHashMap<(u32, u32), u8>>,
-        spilled: BTreeMap<(u32, u32), u32>,
-        counters: TupleTableStats,
-    }
-
-    impl<'a> LegacyTupleTable<'a> {
-        /// Creates a legacy table in run `namespace` (see
-        /// [`TupleTable::with_namespace`]).
-        ///
-        /// # Panics
-        ///
-        /// Panics if `spill_threshold == 0` or the namespace is out of
-        /// range.
-        pub fn with_namespace(
-            backend: &'a dyn StorageBackend,
-            partitioning: &'a Partitioning,
-            spill_threshold: usize,
-            namespace: u32,
-        ) -> Self {
-            assert!(spill_threshold > 0, "spill threshold must be positive");
-            assert!(
-                namespace <= u32::MAX / RUN_STRIDE,
-                "run namespace {namespace} out of range"
-            );
-            LegacyTupleTable {
-                backend,
-                partitioning,
-                spill_threshold,
-                namespace,
-                staging: BTreeMap::new(),
-                seen: BTreeMap::new(),
-                spilled: BTreeMap::new(),
-                counters: TupleTableStats::default(),
-            }
-        }
-
-        /// Offers a directed tuple with its path-age flag (the legacy
-        /// offer path: hash probe + row push).
-        ///
-        /// # Errors
-        ///
-        /// Returns [`EngineError::Store`] if a spill write fails.
-        pub fn offer_flagged(&mut self, s: u32, d: u32, old_path: bool) -> Result<(), EngineError> {
-            if s == d {
-                return Ok(());
-            }
-            self.counters.offered += 1;
-            let (u, v) = (s.min(d), s.max(d));
-            let bits = if s < d {
-                meta_bits::FWD | if old_path { meta_bits::OLD_FWD } else { 0 }
-            } else {
-                meta_bits::BWD | if old_path { meta_bits::OLD_BWD } else { 0 }
-            };
-            let key = (
-                self.partitioning.partition_of(knn_graph::UserId::new(u)),
-                self.partitioning.partition_of(knn_graph::UserId::new(v)),
-            );
-            let seen = self.seen.entry(key).or_default();
-            match seen.entry((u, v)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() |= bits;
-                    self.counters.duplicates += 1;
-                    return Ok(());
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(bits);
-                }
-            }
-            let staged = self.staging.entry(key).or_default();
-            staged.push((u, v));
-            if staged.len() >= self.spill_threshold {
-                self.spill(key)?;
-            }
-            Ok(())
-        }
-
-        fn spill(&mut self, key: (u32, u32)) -> Result<(), EngineError> {
-            let run_idx = *self.spilled.get(&key).unwrap_or(&0);
-            if run_idx >= RUN_STRIDE {
-                return Err(EngineError::input(format!(
-                    "bucket ({}, {}) exceeded {RUN_STRIDE} spill runs; raise spill_threshold",
-                    key.0, key.1
-                )));
-            }
-            let staged = self.staging.get_mut(&key).expect("spill of unknown bucket");
-            staged.sort_unstable();
-            write_pairs(
-                self.backend,
-                StreamId::TupleRun(key.0, key.1, self.namespace * RUN_STRIDE + run_idx),
-                staged,
-            )?;
-            staged.clear();
-            self.spilled.insert(key, run_idx + 1);
-            self.counters.spills += 1;
-            Ok(())
-        }
-
-        /// Detaches the table for [`merge_legacy_parts`].
-        pub fn into_parts(self) -> LegacyParts {
-            LegacyParts {
-                namespace: self.namespace,
-                staging: self.staging,
-                meta: self.seen,
-                spilled: self.spilled,
-                counters: self.counters,
-            }
-        }
-    }
-
-    impl TupleSink for LegacyTupleTable<'_> {
-        fn offer_flagged(&mut self, s: u32, d: u32, old_path: bool) -> Result<(), EngineError> {
-            LegacyTupleTable::offer_flagged(self, s, d, old_path)
-        }
-    }
-
-    struct LegacyBucketWork {
-        key: (u32, u32),
-        staged: Vec<Vec<(u32, u32)>>,
-        runs: Vec<(u32, u32)>,
-        meta_maps: Vec<FxHashMap<(u32, u32), u8>>,
-    }
-
-    /// The legacy merge: per bucket, load every spill run whole,
-    /// concatenate with the staging, comparison-sort, dedup, resolve
-    /// metadata through the dedup maps, and write the final bucket —
-    /// in the **same v2 bucket format** the columnar merge writes, so
-    /// downstream phase 4 and the equivalence tests see identical
-    /// persisted buckets from either pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Store`] on I/O failure.
-    pub fn merge_legacy_parts(
-        backend: &dyn StorageBackend,
-        num_partitions: usize,
-        mut parts: Vec<LegacyParts>,
-        threads: usize,
-    ) -> Result<(PiGraph, TupleTableStats, BucketMeta), EngineError> {
-        parts.sort_by_key(|p| p.namespace);
-        let mut counters = TupleTableStats::default();
-        let mut work: BTreeMap<(u32, u32), LegacyBucketWork> = BTreeMap::new();
-        for part in parts {
-            counters.offered += part.counters.offered;
-            counters.spills += part.counters.spills;
-            let keys: BTreeSet<(u32, u32)> = part
-                .staging
-                .keys()
-                .chain(part.spilled.keys())
-                .copied()
-                .collect();
-            let mut staging = part.staging;
-            let mut meta = part.meta;
-            for key in keys {
-                let entry = work.entry(key).or_insert_with(|| LegacyBucketWork {
-                    key,
-                    staged: Vec::new(),
-                    runs: Vec::new(),
-                    meta_maps: Vec::new(),
-                });
-                if let Some(staged) = staging.remove(&key) {
-                    if !staged.is_empty() {
-                        entry.staged.push(staged);
-                    }
-                }
-                if let Some(&runs) = part.spilled.get(&key) {
-                    entry.runs.push((part.namespace, runs));
-                }
-                if let Some(map) = meta.remove(&key) {
-                    entry.meta_maps.push(map);
-                }
-            }
-        }
-
-        let keys: Vec<(u32, u32)> = work.keys().copied().collect();
-        let buckets: Vec<LegacyBucketWork> = work.into_values().collect();
-        let merged = par::run_indexed_owned(buckets, threads, |_, work| {
-            let mut tuples: Vec<(u32, u32)> = work.staged.into_iter().flatten().collect();
-            let had_runs = work.runs.iter().any(|&(_, runs)| runs > 0);
-            for (namespace, runs) in work.runs {
-                for run in 0..runs {
-                    let stream =
-                        StreamId::TupleRun(work.key.0, work.key.1, namespace * RUN_STRIDE + run);
-                    tuples.extend(read_pairs(backend, stream)?);
-                    backend.delete(stream)?;
-                }
-            }
-            if had_runs {
-                backend.stats().record_merge_pass();
-            }
-            tuples.sort_unstable();
-            tuples.dedup();
-            if tuples.is_empty() {
-                return Ok((0u64, Vec::new()));
-            }
-            let mut meta_maps = work.meta_maps;
-            let mut combined = match meta_maps
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, m)| m.len())
-                .map(|(i, _)| i)
-            {
-                Some(idx) => meta_maps.swap_remove(idx),
-                None => FxHashMap::default(),
-            };
-            for map in meta_maps {
-                for (t, bits) in map {
-                    *combined.entry(t).or_insert(0) |= bits;
-                }
-            }
-            let meta_bytes: Vec<u8> = tuples
-                .iter()
-                .map(|t| combined.get(t).copied().unwrap_or(0))
-                .collect();
-            let mut writer = TupleStreamWriter::new();
-            for (&(u, v), &bits) in tuples.iter().zip(&meta_bytes) {
-                writer.push(u, v, bits & meta_bits::DIRECTION_MASK);
-            }
-            backend.write(
-                StreamId::TupleBucket(work.key.0, work.key.1),
-                &writer.finish(),
-            )?;
-            Ok((tuples.len() as u64, meta_bytes))
-        })?;
-
-        let mut pi = PiGraph::new(num_partitions);
-        let mut meta = BucketMeta::default();
-        for (key, (unique, meta_bytes)) in keys.into_iter().zip(merged) {
-            if unique == 0 {
-                continue;
-            }
-            counters.unique += unique;
-            pi.add_bucket(key.0, key.1, unique);
-            meta.insert(key, meta_bytes);
-        }
-        counters.duplicates = counters.offered - counters.unique;
-        Ok((pi, counters, meta))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1806,58 +1507,77 @@ mod tests {
         );
     }
 
-    /// The legacy pipeline and the columnar pipeline agree on
-    /// everything persisted: final bucket bytes, PI graph, metadata,
-    /// and dedup stats (spill counts differ by design).
+    /// The merge agrees with a plain fold of the offer multiset — a
+    /// `BTreeMap` keyed by canonical pair, meta bits OR-combined — on
+    /// everything it returns and persists, at every spill threshold.
     #[test]
-    fn legacy_and_columnar_merges_agree() {
+    fn merge_matches_a_btreemap_fold_of_the_offers() {
+        let offers: Vec<(u32, u32, bool)> = (0..40u32)
+            .flat_map(|s| {
+                [
+                    (s, (s + 1) % 40, s % 3 == 0),
+                    ((s + 1) % 40, s, false),
+                    (s, (s + 13) % 40, true),
+                ]
+            })
+            .collect();
         for spill_threshold in [1usize, 3, 1 << 16] {
-            let offers: Vec<(u32, u32, bool)> = (0..40u32)
-                .flat_map(|s| {
-                    [
-                        (s, (s + 1) % 40, s % 3 == 0),
-                        ((s + 1) % 40, s, false),
-                        (s, (s + 13) % 40, true),
-                    ]
-                })
-                .collect();
-            let run_columnar = |b: &MemBackend, p: &Partitioning| {
-                let mut t = TupleTable::new(b, p, spill_threshold);
-                for &(s, d, old) in &offers {
-                    t.offer_flagged(s, d, old).unwrap();
-                }
-                t.finalize().unwrap()
-            };
-            let run_legacy = |b: &MemBackend, p: &Partitioning| {
-                let mut t = legacy::LegacyTupleTable::with_namespace(b, p, spill_threshold, 0);
-                for &(s, d, old) in &offers {
-                    t.offer_flagged(s, d, old).unwrap();
-                }
-                legacy::merge_legacy_parts(b, p.num_partitions(), vec![t.into_parts()], 1).unwrap()
-            };
-            let (cb, cp) = setup(40, 3);
-            let (lb, lp) = setup(40, 3);
-            let (pi_c, st_c, meta_c) = run_columnar(&cb, &cp);
-            let (pi_l, st_l, meta_l) = run_legacy(&lb, &lp);
-            assert_eq!(pi_c, pi_l, "spill={spill_threshold}");
-            assert_eq!(meta_c, meta_l, "spill={spill_threshold}");
+            let (b, p) = setup(40, 3);
+            let mut t = TupleTable::new(&b, &p, spill_threshold);
+            for &(s, d, old) in &offers {
+                t.offer_flagged(s, d, old).unwrap();
+            }
+            let (pi, stats, meta) = t.finalize().unwrap();
+
+            // bucket → canonical pair → OR of the offered bits.
+            let mut fold: BTreeMap<(u32, u32), BTreeMap<(u32, u32), u8>> = BTreeMap::new();
+            for &(s, d, old) in &offers {
+                let (u, v) = (s.min(d), s.max(d));
+                let bits = match (s < d, old) {
+                    (true, false) => meta_bits::FWD,
+                    (true, true) => meta_bits::FWD | meta_bits::OLD_FWD,
+                    (false, false) => meta_bits::BWD,
+                    (false, true) => meta_bits::BWD | meta_bits::OLD_BWD,
+                };
+                let part = |x: u32| p.partition_of(knn_graph::UserId::new(x));
+                *fold
+                    .entry((part(u), part(v)))
+                    .or_default()
+                    .entry((u, v))
+                    .or_insert(0) |= bits;
+            }
+            let mut want_pi = PiGraph::new(3);
+            let mut want_meta = BucketMeta::default();
+            let mut want_streams = Vec::new();
+            for (&(i, j), rows) in &fold {
+                want_pi.add_bucket(i, j, rows.len() as u64);
+                want_meta.insert((i, j), rows.values().copied().collect());
+                let decoded: Vec<TupleRow> = rows
+                    .iter()
+                    .map(|(&(u, v), &bits)| (u, v, bits & meta_bits::DIRECTION_MASK))
+                    .collect();
+                want_streams.push((StreamId::TupleBucket(i, j), decoded));
+            }
+            let unique: u64 = fold.values().map(|rows| rows.len() as u64).sum();
+
+            assert_eq!(pi, want_pi, "spill={spill_threshold}");
+            assert_eq!(meta, want_meta, "spill={spill_threshold}");
             assert_eq!(
-                (st_c.offered, st_c.unique, st_c.duplicates),
-                (st_l.offered, st_l.unique, st_l.duplicates),
+                (stats.offered, stats.unique, stats.duplicates),
+                (offers.len() as u64, unique, offers.len() as u64 - unique),
                 "spill={spill_threshold}"
             );
-            // Byte-identical persisted buckets.
-            let bytes = |b: &MemBackend| {
-                let mut streams: Vec<(StreamId, Vec<u8>)> = b
-                    .list()
-                    .unwrap()
-                    .into_iter()
-                    .map(|s| (s, b.read(s).unwrap()))
-                    .collect();
-                streams.sort_by_key(|&(s, _)| s);
-                streams
-            };
-            assert_eq!(bytes(&cb), bytes(&lb), "spill={spill_threshold}");
+            // Every stream left behind is a final bucket (spill runs
+            // are consumed) and decodes to the fold's rows.
+            let mut streams: Vec<(StreamId, Vec<TupleRow>)> = b
+                .list()
+                .unwrap()
+                .into_iter()
+                .map(|s| (s, read_tuples(&b, s).unwrap()))
+                .collect();
+            streams.sort_by_key(|&(s, _)| s);
+            want_streams.sort_by_key(|&(s, _)| s);
+            assert_eq!(streams, want_streams, "spill={spill_threshold}");
         }
     }
 }

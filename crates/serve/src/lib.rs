@@ -55,11 +55,24 @@
 //! [`ServeError::UnpersistedUpdates`]. Queue failures are retried on
 //! every loop pass, preserving per-user submission order.
 //!
-//! The sharded twins — [`spawn_sharded`], [`ShardedKnnService`],
-//! [`ShardedRefineHandle`] — serve a `knn_shard::ShardedEngine` the
-//! same way, with per-shard snapshots and scatter-gather queries that
-//! answer identically to the unsharded service (see the `sharded`
-//! module docs).
+//! # One loop, two front-ends
+//!
+//! [`spawn_sharded`] serves a `knn_shard::ShardedEngine` through the
+//! **same** background machinery — one refinement loop, one repair
+//! worker, one publish path, one [`ServiceStats`] assembly, and one
+//! handle type ([`ShardedRefineHandle`] is [`RefineHandle`] over the
+//! sharded engine). Two things differ, on purpose:
+//!
+//! * **what a publish hands each cell** — [`spawn`] has one cell that
+//!   serves the global graph and profiles themselves; `spawn_sharded`
+//!   has one cell per shard, each serving the projection of the global
+//!   view onto the users that shard owns (rebuilt on exact publishes,
+//!   refreshed at just the touched rows on repaired ones);
+//! * **the read path** — [`KnnService`] answers from a single cell
+//!   load; [`ShardedKnnService`] routes to the owner shard and
+//!   scatter-gathers batches from one coherent generation vector,
+//!   answering identically to the unsharded service (see the `sharded`
+//!   module docs).
 //!
 //! # Operating under load
 //!
@@ -144,7 +157,7 @@ pub use admission::{AdmissionConfig, OverloadPolicy};
 pub use breaker::BreakerConfig;
 pub use error::ServeError;
 pub use ingest::UpdateIngest;
-pub use refine::{spawn, RefineHandle, RefineOptions};
-pub use service::{BatchNeighbors, KnnService, ServiceStats};
+pub use refine::{RefineHandle, RefineOptions};
+pub use service::{spawn, BatchNeighbors, KnnService, ServiceStats};
 pub use sharded::{spawn_sharded, CoherenceBudget, ShardedKnnService, ShardedRefineHandle};
 pub use snapshot::{Snapshot, SnapshotCell};

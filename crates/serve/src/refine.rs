@@ -1,5 +1,6 @@
-//! The background refinement loop, the fast-path repair worker, and
-//! their control handle.
+//! The background half of the service, written once for both
+//! front-ends: the refinement loop, the fast-path repair worker, the
+//! one publish path, and their control handle.
 //!
 //! With [`RefineOptions::repair`] off (the default) there is one
 //! background thread: it drains the ingest queue, feeds the engine's
@@ -16,14 +17,21 @@
 //! into the engine's durable log and reconciles exactly on its next
 //! publish. Both threads publish through one shared [`ViewState`]
 //! lock, so epochs stay strictly ordered.
+//!
+//! [`crate::spawn`] and [`crate::spawn_sharded`] start the same
+//! machinery. Two seams carry what differs: the loop drives either
+//! engine through [`RefineEngine`], and [`Shared::publish`] turns the
+//! global view into what each publication cell serves — the view itself
+//! with one cell, per-shard projections ([`crate::sharded`]) with several.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use knn_core::KnnEngine;
-use knn_graph::KnnGraph;
+use knn_core::{EngineConfig, EngineError, IterationReport, KnnEngine};
+use knn_graph::{KnnGraph, UserId};
+use knn_shard::ShardedEngine;
 use knn_sim::{Measure, ProfileDelta, ProfileStore};
 
 use crate::admission::AdmissionConfig;
@@ -31,9 +39,9 @@ use crate::breaker::{Breaker, BreakerConfig};
 use crate::cache::QueryCache;
 use crate::ingest::UpdateIngest;
 use crate::repair::{queue_all, repair_touched};
-use crate::sharded::CoherenceBudget;
+use crate::sharded::{project_shards, refresh_projections, CoherenceBudget};
 use crate::snapshot::{Snapshot, SnapshotCell};
-use crate::{KnnService, ServeError};
+use crate::ServeError;
 
 /// Deterministic seed of the breaker's backoff jitter (per loop).
 const BREAKER_JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -103,6 +111,61 @@ impl Default for RefineOptions {
     }
 }
 
+/// What the loop needs of an engine; [`KnnEngine`] and
+/// [`ShardedEngine`] both provide it under these very names.
+pub(crate) trait RefineEngine: Send + 'static {
+    fn config(&self) -> &EngineConfig;
+    fn iteration(&self) -> u64;
+    fn graph(&self) -> &KnnGraph;
+    fn export_profiles(&self) -> Result<ProfileStore, EngineError>;
+    fn queue_update(&mut self, delta: &ProfileDelta) -> Result<(), EngineError>;
+    fn run_iteration(&mut self) -> Result<IterationReport, EngineError>;
+}
+
+impl RefineEngine for KnnEngine {
+    fn config(&self) -> &EngineConfig {
+        self.config()
+    }
+    fn iteration(&self) -> u64 {
+        self.iteration()
+    }
+    fn graph(&self) -> &KnnGraph {
+        self.graph()
+    }
+    fn export_profiles(&self) -> Result<ProfileStore, EngineError> {
+        self.export_profiles()
+    }
+    fn queue_update(&mut self, delta: &ProfileDelta) -> Result<(), EngineError> {
+        self.queue_update(delta)
+    }
+    fn run_iteration(&mut self) -> Result<IterationReport, EngineError> {
+        self.run_iteration()
+    }
+}
+
+impl RefineEngine for ShardedEngine {
+    fn config(&self) -> &EngineConfig {
+        self.config()
+    }
+    fn iteration(&self) -> u64 {
+        self.iteration()
+    }
+    fn graph(&self) -> &KnnGraph {
+        self.graph()
+    }
+    fn export_profiles(&self) -> Result<ProfileStore, EngineError> {
+        self.export_profiles()
+    }
+    fn queue_update(&mut self, delta: &ProfileDelta) -> Result<(), EngineError> {
+        self.queue_update(delta)
+    }
+    /// Through the sharded driver, so its `reports()` and exchange
+    /// stats keep filling.
+    fn run_iteration(&mut self) -> Result<IterationReport, EngineError> {
+        self.run_iteration().map(|sharded| sharded.report)
+    }
+}
+
 /// The mutable served view both publishers edit under one lock: the
 /// repair worker patches it per drained batch, the refine thread
 /// replaces it wholesale per iteration. `epoch` is the single source
@@ -112,21 +175,55 @@ pub(crate) struct ViewState {
     pub(crate) epoch: u64,
     pub(crate) iteration: u64,
     pub(crate) changed_fraction: f64,
+    /// The global graph (the repair search runs over it).
     pub(crate) graph: Arc<KnnGraph>,
+    /// The global profile view.
     pub(crate) profiles: Arc<ProfileStore>,
+    /// With several cells, cell `s`'s projection of `graph` and
+    /// `profiles`: full-width, populated only at the users `s` owns.
+    /// Empty with one cell, which serves the global containers
+    /// themselves.
+    pub(crate) projections: Vec<(Arc<KnnGraph>, Arc<ProfileStore>)>,
     /// Deltas already applied to the view (and published as repaired)
     /// but not yet handed to the engine — the repair worker appends,
     /// the refine thread takes.
     pub(crate) pending_engine: Vec<ProfileDelta>,
 }
 
-/// Shared state between the service, the handle, and the loop threads.
+impl ViewState {
+    /// What each cell serves of this view, in cell order.
+    fn snapshots(&self, measure: Measure, repaired: bool) -> Vec<Snapshot> {
+        let global = [(Arc::clone(&self.graph), Arc::clone(&self.profiles))];
+        let cells = if self.projections.is_empty() {
+            &global[..]
+        } else {
+            &self.projections[..]
+        };
+        let (epoch, iteration, changed) = (self.epoch, self.iteration, self.changed_fraction);
+        cells
+            .iter()
+            .map(|(g, p)| Snapshot::new(epoch, iteration, changed, measure, g.clone(), p.clone()))
+            .map(|snapshot| snapshot.with_repaired(repaired))
+            .collect()
+    }
+}
+
+/// Shared state between a service front-end, the handle, and the loop
+/// threads.
 #[derive(Debug)]
 pub(crate) struct Shared {
-    pub(crate) cell: SnapshotCell,
+    /// One publication cell per shard, in shard order; exactly one
+    /// behind [`crate::spawn`].
+    pub(crate) cells: Vec<SnapshotCell>,
+    /// Users per cell, in cell order — the scatter lists.
+    pub(crate) owned: Vec<Vec<UserId>>,
+    /// `user index → cell`. Like `owned`, read only by the sharded
+    /// front-end and by publishes to several cells; [`crate::spawn`]
+    /// leaves both empty.
+    pub(crate) owner_of: Vec<u32>,
     pub(crate) ingest: UpdateIngest,
     pub(crate) stop: AtomicBool,
-    /// Last published epoch + its condvar, for `wait_for_epoch`.
+    /// Last fully published epoch + its condvar, for `wait_for_epoch`.
     pub(crate) published: Mutex<u64>,
     pub(crate) published_cv: Condvar,
     pub(crate) view: Mutex<ViewState>,
@@ -137,6 +234,8 @@ pub(crate) struct Shared {
     pub(crate) queue_failures: AtomicU64,
     /// Generation-keyed read cache shared by every service clone.
     pub(crate) cache: QueryCache,
+    /// Coherence-retry budget of the sharded batch read paths.
+    pub(crate) coherence: CoherenceBudget,
     /// Whether the durable-path circuit breaker is currently open
     /// (mirrored here by the loop for `stats()`).
     pub(crate) breaker_open: AtomicBool,
@@ -144,11 +243,38 @@ pub(crate) struct Shared {
     pub(crate) breaker_open_ms: AtomicU64,
     /// The refine thread's handle, set right after spawn — the repair
     /// worker unparks it when it forwards deltas.
-    pub(crate) refine_thread: OnceLock<std::thread::Thread>,
+    pub(crate) refine_thread: OnceLock<Thread>,
 }
 
 impl Shared {
-    pub(crate) fn notify_epoch(&self, epoch: u64) {
+    /// The one publish path; call with the view lock held. Advances
+    /// the epoch, brings every cell to the view's state, and wakes
+    /// epoch waiters. One cell serves the global containers as they
+    /// are; several serve projections, refreshed at just the `touched`
+    /// rows and users on a repaired publish and rebuilt otherwise.
+    fn publish(
+        &self,
+        view: &mut ViewState,
+        measure: Measure,
+        repaired: bool,
+        touched: Option<(&[UserId], &[ProfileDelta])>,
+    ) {
+        view.epoch += 1;
+        if self.cells.len() > 1 {
+            match touched {
+                Some((rows, deltas)) => refresh_projections(view, &self.owner_of, rows, deltas),
+                None => view.projections = project_shards(&view.graph, &view.profiles, &self.owned),
+            }
+        }
+        // Cell by cell; batch readers ride out the short
+        // mixed-generation window via `gather_coherent`.
+        for (cell, snapshot) in self.cells.iter().zip(view.snapshots(measure, repaired)) {
+            cell.publish(snapshot);
+        }
+        self.notify_epoch(view.epoch);
+    }
+
+    fn notify_epoch(&self, epoch: u64) {
         let mut last = self.published.lock().expect("publish lock poisoned");
         *last = epoch;
         drop(last);
@@ -156,36 +282,35 @@ impl Shared {
     }
 }
 
-/// Starts serving `engine`: publishes the engine's current state as
-/// snapshot epoch 0, then hands the engine to a background thread that
-/// drains queued updates, runs five-phase iterations, and publishes a
-/// fresh snapshot after each one. With [`RefineOptions::repair`] a
-/// second worker additionally publishes repaired epochs as soon as
-/// updates drain (see the module docs).
-///
-/// Returns the cloneable query front-end and the (unique) control
-/// handle that stops the loop and recovers the engine.
-///
-/// # Errors
-///
-/// Returns a storage error if the initial profile export fails.
-pub fn spawn(
-    engine: KnnEngine,
+/// Publishes epoch 0 on one cell per entry of `owned` and starts the
+/// background threads. Returns the shared state, the thread a submit
+/// must wake, and the control handle.
+pub(crate) fn start<E: RefineEngine>(
+    engine: E,
     options: RefineOptions,
-) -> Result<(KnnService, RefineHandle), ServeError> {
+    owned: Vec<Vec<UserId>>,
+    owner_of: Vec<u32>,
+) -> Result<(Arc<Shared>, Thread, RefineHandle<E>), ServeError> {
     let measure = engine.config().measure();
     let graph = Arc::new(engine.graph().clone());
     let profiles = Arc::new(engine.export_profiles()?);
-    let initial = Snapshot::new(
-        0,
-        engine.iteration(),
-        1.0,
-        measure,
-        Arc::clone(&graph),
-        Arc::clone(&profiles),
-    );
+    let view = ViewState {
+        epoch: 0,
+        iteration: engine.iteration(),
+        changed_fraction: 1.0,
+        projections: match owned.len() {
+            1 => Vec::new(),
+            _ => project_shards(&graph, &profiles, &owned),
+        },
+        graph,
+        profiles: Arc::clone(&profiles),
+        pending_engine: Vec::new(),
+    };
+    let cells = view.snapshots(measure, false);
     let shared = Arc::new(Shared {
-        cell: SnapshotCell::new(initial),
+        cells: cells.into_iter().map(SnapshotCell::new).collect(),
+        owned,
+        owner_of,
         ingest: UpdateIngest::with_admission(
             engine.config().num_users(),
             options.admission.clone(),
@@ -194,17 +319,11 @@ pub fn spawn(
         stop: AtomicBool::new(false),
         published: Mutex::new(0),
         published_cv: Condvar::new(),
-        view: Mutex::new(ViewState {
-            epoch: 0,
-            iteration: engine.iteration(),
-            changed_fraction: 1.0,
-            graph,
-            profiles: Arc::clone(&profiles),
-            pending_engine: Vec::new(),
-        }),
+        view: Mutex::new(view),
         repaired_epochs: AtomicU64::new(0),
         queue_failures: AtomicU64::new(0),
         cache: QueryCache::new(options.query_cache),
+        coherence: options.coherence,
         breaker_open: AtomicBool::new(false),
         breaker_open_ms: AtomicU64::new(0),
         refine_thread: OnceLock::new(),
@@ -237,9 +356,11 @@ pub fn spawn(
         .set(thread.thread().clone())
         .expect("refine thread registered once");
 
-    let service = KnnService::new(Arc::clone(&shared), wake);
-    let handle = RefineHandle { shared, thread };
-    Ok((service, handle))
+    let handle = RefineHandle {
+        shared: Arc::clone(&shared),
+        thread,
+    };
+    Ok((shared, wake, handle))
 }
 
 /// The fast-path worker: drain → apply to the view → greedy re-place →
@@ -251,28 +372,15 @@ fn repair_worker(shared: &Shared, measure: Measure, idle_park: Duration) {
             std::thread::park_timeout(idle_park);
             continue;
         }
-        let epoch = {
+        {
             let mut view = shared.view.lock().expect("view lock poisoned");
             let state = &mut *view;
             Arc::make_mut(&mut state.profiles).apply_deltas(&drained);
-            repair_touched(&mut state.graph, &state.profiles, measure, &drained);
+            let rows = repair_touched(&mut state.graph, &state.profiles, measure, &drained);
+            shared.publish(state, measure, true, Some((&rows, &drained)));
             state.pending_engine.extend(drained);
-            state.epoch += 1;
-            shared.cell.publish(
-                Snapshot::new(
-                    state.epoch,
-                    state.iteration,
-                    state.changed_fraction,
-                    measure,
-                    Arc::clone(&state.graph),
-                    Arc::clone(&state.profiles),
-                )
-                .with_repaired(true),
-            );
-            state.epoch
-        };
+        }
         shared.repaired_epochs.fetch_add(1, Ordering::Relaxed);
-        shared.notify_epoch(epoch);
         // The refine thread must queue the forwarded deltas into the
         // engine's durable log and eventually reconcile.
         if let Some(refine) = shared.refine_thread.get() {
@@ -281,13 +389,13 @@ fn repair_worker(shared: &Shared, measure: Measure, idle_park: Duration) {
     }
 }
 
-fn refine_loop(
-    mut engine: KnnEngine,
+fn refine_loop<E: RefineEngine>(
+    mut engine: E,
     initial_profiles: Arc<ProfileStore>,
     shared: Arc<Shared>,
     options: RefineOptions,
     worker: Option<JoinHandle<()>>,
-) -> Result<KnnEngine, ServeError> {
+) -> Result<E, ServeError> {
     let mut parked: Vec<ProfileDelta> = Vec::new();
     let result = refine_loop_inner(
         &mut engine,
@@ -337,8 +445,8 @@ fn refine_loop(
     Ok(engine)
 }
 
-fn refine_loop_inner(
-    engine: &mut KnnEngine,
+fn refine_loop_inner<E: RefineEngine>(
+    engine: &mut E,
     initial_profiles: Arc<ProfileStore>,
     shared: &Shared,
     options: &RefineOptions,
@@ -452,48 +560,31 @@ fn refine_loop_inner(
 
         // Exact publish, through the same view lock the repair worker
         // uses so epochs stay strictly ordered.
-        let epoch = {
-            let mut view = shared.view.lock().expect("view lock poisoned");
-            let state = &mut *view;
-            let mut graph = Arc::new(engine.graph().clone());
-            let mut profiles = Arc::clone(&engine_profiles);
-            let mut repaired = false;
-            if options.repair {
-                // Deltas already visible in the served view (published
-                // as repaired) but not in this iteration — forwarded
-                // mid-run or still parked on queue failures. Re-apply
-                // and re-place them on the fresh exact state so the
-                // served view never loses a published update.
-                let still_pending: Vec<ProfileDelta> = parked
-                    .iter()
-                    .chain(state.pending_engine.iter())
-                    .cloned()
-                    .collect();
-                if !still_pending.is_empty() {
-                    Arc::make_mut(&mut profiles).apply_deltas(&still_pending);
-                    repair_touched(&mut graph, &profiles, measure, &still_pending);
-                    repaired = true;
-                }
+        let mut view = shared.view.lock().expect("view lock poisoned");
+        let state = &mut *view;
+        state.graph = Arc::new(engine.graph().clone());
+        state.profiles = Arc::clone(&engine_profiles);
+        let mut repaired = false;
+        if options.repair {
+            // Deltas already visible in the served view (published as
+            // repaired) but not in this iteration — forwarded mid-run
+            // or still parked on queue failures. Re-apply and re-place
+            // them on the fresh exact state so the served view never
+            // loses a published update.
+            let still_pending: Vec<ProfileDelta> = parked
+                .iter()
+                .chain(state.pending_engine.iter())
+                .cloned()
+                .collect();
+            if !still_pending.is_empty() {
+                Arc::make_mut(&mut state.profiles).apply_deltas(&still_pending);
+                repair_touched(&mut state.graph, &state.profiles, measure, &still_pending);
+                repaired = true;
             }
-            state.graph = graph;
-            state.profiles = profiles;
-            state.iteration = engine.iteration();
-            state.changed_fraction = report.changed_fraction;
-            state.epoch += 1;
-            shared.cell.publish(
-                Snapshot::new(
-                    state.epoch,
-                    state.iteration,
-                    state.changed_fraction,
-                    measure,
-                    Arc::clone(&state.graph),
-                    Arc::clone(&state.profiles),
-                )
-                .with_repaired(repaired),
-            );
-            state.epoch
-        };
-        shared.notify_epoch(epoch);
+        }
+        state.iteration = engine.iteration();
+        state.changed_fraction = report.changed_fraction;
+        shared.publish(state, measure, repaired, None);
     }
     Ok(())
 }
@@ -501,14 +592,15 @@ fn refine_loop_inner(
 /// Control handle of the refinement loop: stop it, recover the
 /// engine, or wait for publications. Dropping the handle without
 /// calling [`stop`](RefineHandle::stop) detaches the loop (it keeps
-/// refining until the process exits).
+/// refining until the process exits). `E` is the engine the loop
+/// drives and [`stop`](RefineHandle::stop) gives back.
 #[derive(Debug)]
-pub struct RefineHandle {
+pub struct RefineHandle<E = KnnEngine> {
     shared: Arc<Shared>,
-    thread: JoinHandle<Result<KnnEngine, ServeError>>,
+    thread: JoinHandle<Result<E, ServeError>>,
 }
 
-impl RefineHandle {
+impl<E> RefineHandle<E> {
     /// Signals the loop to stop after its current iteration, joins
     /// the thread (and the repair worker, if any), and returns the
     /// engine (for persistence, batch work, or a later re-spawn).
@@ -520,7 +612,7 @@ impl RefineHandle {
     /// [`ServeError::UnpersistedUpdates`] carrying every accepted
     /// update that could not be moved into the engine's durable log —
     /// accepted updates are returned, never dropped.
-    pub fn stop(self) -> Result<KnnEngine, ServeError> {
+    pub fn stop(self) -> Result<E, ServeError> {
         self.shared.stop.store(true, Ordering::Release);
         self.thread.thread().unpark();
         self.thread
@@ -533,30 +625,86 @@ impl RefineHandle {
         !self.thread.is_finished()
     }
 
-    /// Blocks until snapshot `epoch` (or newer) is published, or
-    /// `timeout` elapses. Returns whether the epoch was reached.
+    /// Blocks until generation `epoch` (or newer) is published on
+    /// every cell, or `timeout` elapses. Returns whether the epoch was
+    /// reached.
     pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut last = self.shared.published.lock().expect("publish lock poisoned");
-        while *last < epoch {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, wait) = self
-                .shared
-                .published_cv
-                .wait_timeout(last, remaining)
-                .expect("publish lock poisoned");
-            last = guard;
-            if wait.timed_out() && *last < epoch {
-                return false;
-            }
-        }
-        true
+        let last = self.shared.published.lock().expect("publish lock poisoned");
+        let (last, _) = self
+            .shared
+            .published_cv
+            .wait_timeout_while(last, timeout, |last| *last < epoch)
+            .expect("publish lock poisoned");
+        *last >= epoch
     }
 
-    /// The epoch of the latest published snapshot.
+    /// The latest fully published epoch — the value
+    /// [`wait_for_epoch`](RefineHandle::wait_for_epoch) waits on.
     pub fn current_epoch(&self) -> u64 {
-        self.shared.cell.epoch()
+        *self.shared.published.lock().expect("publish lock poisoned")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use knn_sim::generators::{clustered_profiles, ClusteredConfig};
+    use knn_sim::{ItemId, Profile};
+
+    const N: usize = 60;
+
+    /// Drives one cell through an exact publish and a repaired one,
+    /// checking after each that it serves the view's own containers
+    /// and that no projection exists.
+    fn assert_one_cell_serves_the_view<E: RefineEngine>(
+        engine: E,
+        owned: Vec<Vec<UserId>>,
+        owner_of: Vec<u32>,
+    ) {
+        let options = RefineOptions {
+            max_iterations: Some(1),
+            idle_park: Duration::from_millis(1),
+            repair: true,
+            ..RefineOptions::default()
+        };
+        let (shared, wake, handle) = start(engine, options, owned, owner_of).unwrap();
+        let check = |epoch: u64| {
+            assert!(handle.wait_for_epoch(epoch, Duration::from_secs(60)));
+            // Publishes hold the view lock, so the cell cannot move on
+            // while the two are compared.
+            let view = shared.view.lock().unwrap();
+            let served = shared.cells[0].load();
+            assert!(view.projections.is_empty());
+            assert!(Arc::ptr_eq(served.graph(), &view.graph));
+            assert!(Arc::ptr_eq(served.profiles(), &view.profiles));
+        };
+        check(0);
+        check(1); // the one iteration allowed
+        let mut fresh = Profile::new();
+        fresh.set(ItemId::new(9_001), 2.0);
+        let delta = ProfileDelta::replace(UserId::new(5), fresh);
+        shared.ingest.submit(delta).unwrap();
+        wake.unpark();
+        check(2); // its repaired publish
+        handle.stop().unwrap();
+    }
+
+    fn world() -> (EngineConfig, ProfileStore) {
+        let (profiles, _) = clustered_profiles(ClusteredConfig::new(N, 7));
+        let config = EngineConfig::builder(N).k(4).num_partitions(3).seed(7);
+        (config.build().unwrap(), profiles)
+    }
+
+    #[test]
+    fn one_cell_publishes_the_global_containers_themselves() {
+        let (config, profiles) = world();
+        let engine = KnnEngine::in_memory(config, profiles).unwrap();
+        assert_one_cell_serves_the_view(engine, vec![Vec::new()], Vec::new());
+
+        // So does one shard, whose front-end does route.
+        let (config, profiles) = world();
+        let engine = ShardedEngine::in_memory(config, profiles, 1).unwrap();
+        let everyone = (0..N as u32).map(UserId::new).collect();
+        assert_one_cell_serves_the_view(engine, vec![everyone], vec![0; N]);
     }
 }

@@ -4,19 +4,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
+use knn_core::KnnEngine;
 use knn_graph::{Neighbor, UserId};
 use knn_sim::{Profile, ProfileDelta};
 
 use crate::cache::CacheKey;
-use crate::refine::Shared;
+use crate::refine::{start, RefineHandle, Shared};
 use crate::snapshot::Snapshot;
-use crate::ServeError;
+use crate::{RefineOptions, ServeError};
 
 /// Running counters of one service instance (shared by its clones).
 #[derive(Debug, Default)]
-struct Counters {
-    neighbor_queries: AtomicU64,
-    profile_queries: AtomicU64,
+pub(crate) struct Counters {
+    pub(crate) neighbor_queries: AtomicU64,
+    pub(crate) profile_queries: AtomicU64,
 }
 
 /// Rejects query profiles carrying non-finite weights: best-first
@@ -42,7 +43,9 @@ pub struct ServiceStats {
     pub updates_submitted: u64,
     /// Updates already handed to the engine's phase-5 log.
     pub updates_drained: u64,
-    /// Epoch of the currently published snapshot.
+    /// Latest epoch published on every cell (what
+    /// [`RefineHandle::wait_for_epoch`](crate::RefineHandle::wait_for_epoch)
+    /// waits on).
     pub snapshot_epoch: u64,
     /// Fast-path repaired epochs published so far (0 unless
     /// [`RefineOptions::repair`](crate::RefineOptions) is on).
@@ -74,6 +77,30 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Query-cache misses (answers computed, then cached).
     pub cache_misses: u64,
+}
+
+impl Shared {
+    /// The stats of either front-end: its query counters plus the
+    /// state both share with the loop.
+    pub(crate) fn stats(&self, counters: &Counters) -> ServiceStats {
+        ServiceStats {
+            neighbor_queries: counters.neighbor_queries.load(Ordering::Relaxed),
+            profile_queries: counters.profile_queries.load(Ordering::Relaxed),
+            updates_submitted: self.ingest.submitted(),
+            updates_drained: self.ingest.drained(),
+            snapshot_epoch: *self.published.lock().expect("publish lock poisoned"),
+            repaired_epochs: self.repaired_epochs.load(Ordering::Relaxed),
+            queue_failures: self.queue_failures.load(Ordering::Relaxed),
+            rejected: self.ingest.rejected(),
+            shed: self.ingest.shed(),
+            coalesced: self.ingest.coalesced(),
+            peak_pending: self.ingest.peak_pending(),
+            breaker_open: self.breaker_open.load(Ordering::Relaxed),
+            breaker_open_ms: self.breaker_open_ms.load(Ordering::Relaxed),
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+        }
+    }
 }
 
 /// A batch answer and the snapshot generation it was served from.
@@ -118,19 +145,38 @@ pub struct KnnService {
     wake: Thread,
 }
 
-impl KnnService {
-    pub(crate) fn new(shared: Arc<Shared>, wake: Thread) -> Self {
-        KnnService {
-            shared,
-            counters: Arc::new(Counters::default()),
-            wake,
-        }
-    }
+/// Starts serving `engine`: publishes the engine's current state as
+/// snapshot epoch 0, then hands the engine to a background thread that
+/// drains queued updates, runs five-phase iterations, and publishes a
+/// fresh snapshot after each one. With fast-path repair on, a
+/// second worker additionally publishes repaired epochs as soon as
+/// updates drain (see [`crate::RefineOptions::repair`]).
+///
+/// Returns the cloneable query front-end and the (unique) control
+/// handle that stops the loop and recovers the engine.
+///
+/// # Errors
+///
+/// Returns a storage error if the initial profile export fails.
+pub fn spawn(
+    engine: KnnEngine,
+    options: RefineOptions,
+) -> Result<(KnnService, RefineHandle), ServeError> {
+    // One cell, and a front-end that never routes: no ownership tables.
+    let (shared, wake, handle) = start(engine, options, vec![Vec::new()], Vec::new())?;
+    let service = KnnService {
+        shared,
+        counters: Arc::new(Counters::default()),
+        wake,
+    };
+    Ok((service, handle))
+}
 
+impl KnnService {
     /// The currently published snapshot. Hold it to answer any number
     /// of related questions from one consistent state.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.shared.cell.load()
+        self.shared.cells[0].load()
     }
 
     /// The top-K list of `user` in the current snapshot.
@@ -286,22 +332,6 @@ impl KnnService {
 
     /// Current counters.
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            neighbor_queries: self.counters.neighbor_queries.load(Ordering::Relaxed),
-            profile_queries: self.counters.profile_queries.load(Ordering::Relaxed),
-            updates_submitted: self.shared.ingest.submitted(),
-            updates_drained: self.shared.ingest.drained(),
-            snapshot_epoch: self.shared.cell.epoch(),
-            repaired_epochs: self.shared.repaired_epochs.load(Ordering::Relaxed),
-            queue_failures: self.shared.queue_failures.load(Ordering::Relaxed),
-            rejected: self.shared.ingest.rejected(),
-            shed: self.shared.ingest.shed(),
-            coalesced: self.shared.ingest.coalesced(),
-            peak_pending: self.shared.ingest.peak_pending(),
-            breaker_open: self.shared.breaker_open.load(Ordering::Relaxed),
-            breaker_open_ms: self.shared.breaker_open_ms.load(Ordering::Relaxed),
-            cache_hits: self.shared.cache.hits(),
-            cache_misses: self.shared.cache.misses(),
-        }
+        self.shared.stats(&self.counters)
     }
 }

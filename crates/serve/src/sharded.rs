@@ -1,11 +1,12 @@
 //! Scatter-gather serving over a sharded engine.
 //!
-//! One refinement thread drives a [`ShardedEngine`] exactly like the
-//! single-engine loop drives a `KnnEngine`, but publishes **one
-//! snapshot per shard** after every iteration: shard `s`'s snapshot
-//! holds the neighbor lists and profiles of exactly the users the ring
-//! assigns to `s` (a network deployment would publish the same
-//! projection on each peer). Queries then fan out:
+//! The background half is the one loop of [`crate::refine`], driving a
+//! [`ShardedEngine`] exactly like it drives a `KnnEngine`. What is
+//! sharded is what a publish hands to the readers — **one snapshot per
+//! shard**: shard `s`'s snapshot holds the neighbor lists and profiles
+//! of exactly the users the ring assigns to `s` (a network deployment
+//! would publish the same projection on each peer) — and the read
+//! path, which fans out:
 //!
 //! - [`neighbors`](ShardedKnnService::neighbors) routes to the user's
 //!   owner shard — one cell load, inherently coherent;
@@ -18,40 +19,34 @@
 //!   scan to every shard (each ranks only its owned users) and gathers
 //!   the global top-k from the per-shard top-k lists.
 //!
-//! Updates go through the same validated [`UpdateIngest`] queue; the
-//! loop hands drained deltas to the engine, whose router lands each on
-//! its user's owner shard's durable log.
+//! Updates go through the same validated [`UpdateIngest`](crate::UpdateIngest)
+//! queue; the loop hands drained deltas to the engine, whose router
+//! lands each on its user's owner shard's durable log.
 //!
-//! With [`RefineOptions::repair`] on, a `knn-repair-sharded` worker
-//! additionally publishes fast-path repaired generations: it patches a
-//! *global* view of the graph and profiles (greedy placement, see
-//! [`crate::repair`]), refreshes exactly the owner-shard projections
-//! of the rows that changed, and republishes **every** cell at the new
-//! epoch — untouched shards re-share their old containers, so the
-//! generation vector stays coherent at the cost of a few `Arc` clones.
+//! The projections are this module's half of the publish path: an
+//! exact publish rebuilds them all ([`project_shards`]); a repaired
+//! publish refreshes exactly the owner-shard projections of the rows
+//! that changed ([`refresh_projections`]) and republishes **every**
+//! cell at the new epoch — untouched shards re-share their old
+//! containers, so the generation vector stays coherent at the cost of
+//! a few `Arc` clones. A single shard serves the global containers
+//! themselves and builds no projection.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use knn_graph::{KnnGraph, Neighbor, UserId};
 use knn_shard::ShardedEngine;
-use knn_sim::{Measure, Profile, ProfileDelta, ProfileStore};
+use knn_sim::{Profile, ProfileDelta, ProfileStore};
 
-use std::collections::BTreeMap;
-
-use crate::breaker::Breaker;
-use crate::cache::{CacheKey, QueryCache};
-use crate::ingest::UpdateIngest;
-use crate::repair::{queue_all, repair_touched};
-use crate::service::{validate_query, BatchNeighbors};
+use crate::cache::CacheKey;
+use crate::refine::{start, RefineHandle, Shared, ViewState};
+use crate::service::{validate_query, BatchNeighbors, Counters};
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::{RefineOptions, ServeError};
-
-/// Deterministic seed of the sharded loop's breaker jitter (distinct
-/// from the single-engine loop's so co-located services decorrelate).
-const BREAKER_JITTER_SEED: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 /// Retry budget of the sharded batch paths' coherence gather: how hard
 /// [`ShardedKnnService::neighbors_many`] and
@@ -168,115 +163,62 @@ fn gather_coherent(cells: &[SnapshotCell], budget: CoherenceBudget) -> (Vec<Arc<
     (latest, true)
 }
 
-/// The mutable served view both sharded publishers edit under one
-/// lock: the global state plus its per-shard projections, kept in
-/// sync incrementally by the repair worker and rebuilt wholesale by
-/// the refine thread.
-#[derive(Debug)]
-struct ShardedViewState {
-    epoch: u64,
-    iteration: u64,
-    changed_fraction: f64,
-    /// The global graph the repair search runs over.
-    graph: Arc<KnnGraph>,
-    /// The global profile view.
-    profiles: Arc<ProfileStore>,
-    /// Shard `s`'s projection of `graph` (full-width, populated only
-    /// at owned users).
-    shard_graphs: Vec<Arc<KnnGraph>>,
-    /// Shard `s`'s projection of `profiles`.
-    shard_profiles: Vec<Arc<ProfileStore>>,
-    /// Deltas published as repaired but not yet handed to the engine.
-    pending_engine: Vec<ProfileDelta>,
-}
-
-/// Shared state between the sharded service, its handle, and the loop.
-#[derive(Debug)]
-struct ShardedShared {
-    /// One publication cell per shard, in shard order.
-    cells: Vec<SnapshotCell>,
-    /// Users per shard, in shard order — the scatter lists.
-    owned: Vec<Vec<UserId>>,
-    /// `user index → shard`, precomputed from the ring.
-    owner_of: Vec<u32>,
-    ingest: UpdateIngest,
-    stop: AtomicBool,
-    published: Mutex<u64>,
-    published_cv: Condvar,
-    view: Mutex<ShardedViewState>,
-    repaired_epochs: AtomicU64,
-    queue_failures: AtomicU64,
-    /// Generation-keyed read cache shared by every service clone.
-    cache: QueryCache,
-    /// Coherence-retry budget of the batch read paths.
-    coherence: CoherenceBudget,
-    /// Breaker state mirrored for `stats()` (see refine.rs).
-    breaker_open: AtomicBool,
-    breaker_open_ms: AtomicU64,
-    refine_thread: OnceLock<Thread>,
-}
-
-impl ShardedShared {
-    fn notify_epoch(&self, epoch: u64) {
-        let mut last = self.published.lock().expect("publish lock poisoned");
-        *last = epoch;
-        drop(last);
-        self.published_cv.notify_all();
-    }
-
+impl Shared {
     /// Loads one snapshot per shard, on one coherent generation when
     /// the retry budget allows (see [`gather_coherent`]).
     fn coherent_snapshots(&self) -> (Vec<Arc<Snapshot>>, bool) {
         gather_coherent(&self.cells, self.coherence)
-    }
-
-    /// Publishes every shard cell from the view's current projections
-    /// (call with the view lock held).
-    fn publish_view(&self, view: &ShardedViewState, measure: Measure, repaired: bool) {
-        for (shard, cell) in self.cells.iter().enumerate() {
-            cell.publish(
-                Snapshot::new(
-                    view.epoch,
-                    view.iteration,
-                    view.changed_fraction,
-                    measure,
-                    Arc::clone(&view.shard_graphs[shard]),
-                    Arc::clone(&view.shard_profiles[shard]),
-                )
-                .with_repaired(repaired),
-            );
-        }
     }
 }
 
 /// Builds the per-shard projections of one global state: shard `s`'s
 /// containers are full-width (n users) but populated only at the users
 /// shard `s` owns.
-fn project_shards(
+pub(crate) fn project_shards(
     graph: &KnnGraph,
     profiles: &ProfileStore,
     owned: &[Vec<UserId>],
-) -> (Vec<Arc<KnnGraph>>, Vec<Arc<ProfileStore>>) {
+) -> Vec<(Arc<KnnGraph>, Arc<ProfileStore>)> {
     let (n, k) = (graph.num_vertices(), graph.k());
-    let mut graphs = Vec::with_capacity(owned.len());
-    let mut stores = Vec::with_capacity(owned.len());
-    for users in owned {
-        let mut g = KnnGraph::new(n, k);
-        let mut p = ProfileStore::new(n);
-        for &u in users {
-            g.set_neighbors(u, graph.neighbors(u).to_vec())
-                .expect("projecting a valid graph");
-            p.set(u, profiles.get(u).clone());
-        }
-        graphs.push(Arc::new(g));
-        stores.push(Arc::new(p));
+    owned
+        .iter()
+        .map(|users| {
+            let mut g = KnnGraph::new(n, k);
+            let mut p = ProfileStore::new(n);
+            for &u in users {
+                g.set_neighbors(u, graph.neighbors(u).to_vec())
+                    .expect("projecting a valid graph");
+                p.set(u, profiles.get(u).clone());
+            }
+            (Arc::new(g), Arc::new(p))
+        })
+        .collect()
+}
+
+/// Brings the projections up to date with a repaired view by
+/// refreshing exactly what the repair touched: changed `rows` on their
+/// owner's graph, the profiles `deltas` rewrote on their owner's store.
+pub(crate) fn refresh_projections(
+    view: &mut ViewState,
+    owner_of: &[u32],
+    rows: &[UserId],
+    deltas: &[ProfileDelta],
+) {
+    for &v in rows {
+        let (graph, _) = &mut view.projections[owner_of[v.index()] as usize];
+        Arc::make_mut(graph)
+            .set_neighbors(v, view.graph.neighbors(v).to_vec())
+            .expect("projecting a valid repaired row");
     }
-    (graphs, stores)
+    for delta in deltas {
+        let (_, profiles) = &mut view.projections[owner_of[delta.user.index()] as usize];
+        Arc::make_mut(profiles).set(delta.user, view.profiles.get(delta.user).clone());
+    }
 }
 
 /// Starts serving a sharded engine: publishes its current state as
-/// per-shard snapshots at generation 0, then hands the engine to a
-/// background refinement thread (same lifecycle as [`crate::spawn`],
+/// per-shard snapshots at generation 0, then hands the engine to the
+/// background refinement loop (same lifecycle as [`crate::spawn`],
 /// including the optional fast-path repair worker).
 ///
 /// # Errors
@@ -287,317 +229,20 @@ pub fn spawn_sharded(
     options: RefineOptions,
 ) -> Result<(ShardedKnnService, ShardedRefineHandle), ServeError> {
     let n = engine.config().num_users();
-    let measure = engine.config().measure();
-    let num_shards = engine.num_shards();
-    let ring = Arc::clone(engine.ring());
-    let mut owned: Vec<Vec<UserId>> = vec![Vec::new(); num_shards];
+    let mut owned: Vec<Vec<UserId>> = vec![Vec::new(); engine.num_shards()];
     let mut owner_of = Vec::with_capacity(n);
     for u in 0..n as u32 {
-        let owner = ring.owner_of_user(u);
+        let owner = engine.ring().owner_of_user(u);
         owner_of.push(owner);
         owned[owner as usize].push(UserId::new(u));
     }
-
-    let profiles = Arc::new(engine.export_profiles()?);
-    let graph = Arc::new(engine.graph().clone());
-    let (shard_graphs, shard_profiles) = project_shards(&graph, &profiles, &owned);
-    let cells = shard_graphs
-        .iter()
-        .zip(&shard_profiles)
-        .map(|(g, p)| {
-            SnapshotCell::new(Snapshot::new(
-                0,
-                engine.iteration(),
-                1.0,
-                measure,
-                Arc::clone(g),
-                Arc::clone(p),
-            ))
-        })
-        .collect();
-
-    let shared = Arc::new(ShardedShared {
-        cells,
-        owned,
-        owner_of,
-        ingest: UpdateIngest::with_admission(n, options.admission.clone(), options.idle_park),
-        stop: AtomicBool::new(false),
-        published: Mutex::new(0),
-        published_cv: Condvar::new(),
-        view: Mutex::new(ShardedViewState {
-            epoch: 0,
-            iteration: engine.iteration(),
-            changed_fraction: 1.0,
-            graph,
-            profiles: Arc::clone(&profiles),
-            shard_graphs,
-            shard_profiles,
-            pending_engine: Vec::new(),
-        }),
-        repaired_epochs: AtomicU64::new(0),
-        queue_failures: AtomicU64::new(0),
-        cache: QueryCache::new(options.query_cache),
-        coherence: options.coherence,
-        breaker_open: AtomicBool::new(false),
-        breaker_open_ms: AtomicU64::new(0),
-        refine_thread: OnceLock::new(),
-    });
-
-    let worker = if options.repair {
-        let worker_shared = Arc::clone(&shared);
-        let idle_park = options.idle_park;
-        Some(
-            std::thread::Builder::new()
-                .name("knn-repair-sharded".into())
-                .spawn(move || repair_worker(&worker_shared, measure, idle_park))
-                .expect("spawning the sharded repair worker"),
-        )
-    } else {
-        None
-    };
-    let wake = worker.as_ref().map(|w| w.thread().clone());
-
-    let loop_shared = Arc::clone(&shared);
-    let thread = std::thread::Builder::new()
-        .name("knn-refine-sharded".into())
-        .spawn(move || refine_loop(engine, profiles, loop_shared, options, worker))
-        .expect("spawning the sharded refinement thread");
-    let wake = wake.unwrap_or_else(|| thread.thread().clone());
-    shared
-        .refine_thread
-        .set(thread.thread().clone())
-        .expect("refine thread registered once");
-
+    let (shared, wake, handle) = start(engine, options, owned, owner_of)?;
     let service = ShardedKnnService {
-        shared: Arc::clone(&shared),
+        shared,
         counters: Arc::new(Counters::default()),
         wake,
     };
-    let handle = ShardedRefineHandle { shared, thread };
     Ok((service, handle))
-}
-
-/// The sharded fast-path worker: drain → patch the global view →
-/// refresh the owner projections of changed rows → republish every
-/// cell at the new (coherent) epoch → forward to the refine thread.
-fn repair_worker(shared: &ShardedShared, measure: Measure, idle_park: Duration) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let drained = shared.ingest.drain();
-        if drained.is_empty() {
-            std::thread::park_timeout(idle_park);
-            continue;
-        }
-        let epoch = {
-            let mut view = shared.view.lock().expect("view lock poisoned");
-            let state = &mut *view;
-            Arc::make_mut(&mut state.profiles).apply_deltas(&drained);
-            let changed = repair_touched(&mut state.graph, &state.profiles, measure, &drained);
-            // Refresh exactly the touched projections: changed rows on
-            // their owner's graph, changed profiles on their owner's
-            // store.
-            for &v in &changed {
-                let owner = shared.owner_of[v.index()] as usize;
-                Arc::make_mut(&mut state.shard_graphs[owner])
-                    .set_neighbors(v, state.graph.neighbors(v).to_vec())
-                    .expect("projecting a valid repaired row");
-            }
-            for delta in &drained {
-                let owner = shared.owner_of[delta.user.index()] as usize;
-                Arc::make_mut(&mut state.shard_profiles[owner])
-                    .set(delta.user, state.profiles.get(delta.user).clone());
-            }
-            state.pending_engine.extend(drained);
-            state.epoch += 1;
-            shared.publish_view(state, measure, true);
-            state.epoch
-        };
-        shared.repaired_epochs.fetch_add(1, Ordering::Relaxed);
-        shared.notify_epoch(epoch);
-        if let Some(refine) = shared.refine_thread.get() {
-            refine.unpark();
-        }
-    }
-}
-
-fn refine_loop(
-    mut engine: ShardedEngine,
-    initial_profiles: Arc<ProfileStore>,
-    shared: Arc<ShardedShared>,
-    options: RefineOptions,
-    worker: Option<JoinHandle<()>>,
-) -> Result<ShardedEngine, ServeError> {
-    let mut parked: Vec<ProfileDelta> = Vec::new();
-    let result = refine_loop_inner(
-        &mut engine,
-        initial_profiles,
-        &shared,
-        &options,
-        &mut parked,
-    );
-    // Same terminal contract as the single-engine loop (see
-    // refine.rs): join the worker, close the queue, attempt *every*
-    // accepted-but-unqueued delta, and return what still cannot be
-    // persisted instead of dropping it.
-    shared.stop.store(true, Ordering::Release);
-    if let Some(worker) = worker {
-        worker.thread().unpark();
-        let _ = worker.join();
-    }
-    let mut leftovers = {
-        let mut view = shared.view.lock().expect("view lock poisoned");
-        std::mem::take(&mut view.pending_engine)
-    };
-    leftovers.extend(shared.ingest.close_and_drain());
-    let mut errors = Vec::new();
-    queue_all(
-        &mut parked,
-        leftovers,
-        &mut |delta| engine.queue_update(delta).map_err(ServeError::from),
-        &mut errors,
-    );
-    shared
-        .queue_failures
-        .fetch_add(errors.len() as u64, Ordering::Relaxed);
-    if !parked.is_empty() {
-        return Err(ServeError::UnpersistedUpdates {
-            updates: parked,
-            source: errors.pop().map(Box::new),
-        });
-    }
-    result?;
-    Ok(engine)
-}
-
-fn refine_loop_inner(
-    engine: &mut ShardedEngine,
-    initial_profiles: Arc<ProfileStore>,
-    shared: &ShardedShared,
-    options: &RefineOptions,
-    parked: &mut Vec<ProfileDelta>,
-) -> Result<(), ServeError> {
-    let measure = engine.config().measure();
-    let mut iterations_run = 0u64;
-    let mut converged = false;
-    // Engine-exact profile view, maintained incrementally exactly like
-    // the single-engine loop (see refine.rs for the contract).
-    let mut engine_profiles = initial_profiles;
-    let mut unapplied: Vec<ProfileDelta> = Vec::new();
-    let mut breaker = Breaker::new(options.breaker, BREAKER_JITTER_SEED);
-
-    while !shared.stop.load(Ordering::Acquire) {
-        // Breaker-open passes skip drain/queue entirely, exactly like
-        // the single-engine loop (see refine.rs).
-        let queued = if breaker.remaining_open(Instant::now()).is_some() {
-            Vec::new()
-        } else {
-            let fresh = if options.repair {
-                let mut view = shared.view.lock().expect("view lock poisoned");
-                std::mem::take(&mut view.pending_engine)
-            } else {
-                shared.ingest.drain()
-            };
-
-            let attempted = parked.len() + fresh.len();
-            let mut errors = Vec::new();
-            let queued = queue_all(
-                parked,
-                fresh,
-                &mut |delta| engine.queue_update(delta).map_err(ServeError::from),
-                &mut errors,
-            );
-            if !errors.is_empty() {
-                shared
-                    .queue_failures
-                    .fetch_add(errors.len() as u64, Ordering::Relaxed);
-            }
-            breaker.record(Instant::now(), attempted, errors.len());
-            queued
-        };
-        let now = Instant::now();
-        shared
-            .breaker_open
-            .store(breaker.is_open(now), Ordering::Relaxed);
-        shared.breaker_open_ms.store(
-            breaker.open_total(now).as_millis() as u64,
-            Ordering::Relaxed,
-        );
-        if !queued.is_empty() {
-            converged = false;
-        }
-        unapplied.extend(queued);
-
-        let capped = options
-            .max_iterations
-            .is_some_and(|max| iterations_run >= max);
-        if (capped || converged) && unapplied.is_empty() {
-            std::thread::park_timeout(options.idle_park);
-            continue;
-        }
-
-        let sharded_report = engine.run_iteration()?;
-        let report = &sharded_report.report;
-        iterations_run += 1;
-        if let Some(threshold) = options.convergence_threshold {
-            if report.changed_fraction < threshold {
-                converged = true;
-            }
-        }
-
-        if report.updates_applied == unapplied.len() as u64 {
-            if !unapplied.is_empty() {
-                let mut next = (*engine_profiles).clone();
-                next.apply_deltas(&unapplied);
-                unapplied.clear();
-                engine_profiles = Arc::new(next);
-            }
-        } else {
-            unapplied.clear();
-            engine_profiles = Arc::new(engine.export_profiles()?);
-        }
-
-        // Exact publish: rebuild the global view and all projections
-        // from the fresh engine state, re-placing any deltas that are
-        // visible in the served view but missed this iteration.
-        let epoch = {
-            let mut view = shared.view.lock().expect("view lock poisoned");
-            let state = &mut *view;
-            let mut graph = Arc::new(engine.graph().clone());
-            let mut profiles = Arc::clone(&engine_profiles);
-            let mut repaired = false;
-            if options.repair {
-                let still_pending: Vec<ProfileDelta> = parked
-                    .iter()
-                    .chain(state.pending_engine.iter())
-                    .cloned()
-                    .collect();
-                if !still_pending.is_empty() {
-                    Arc::make_mut(&mut profiles).apply_deltas(&still_pending);
-                    repair_touched(&mut graph, &profiles, measure, &still_pending);
-                    repaired = true;
-                }
-            }
-            let (shard_graphs, shard_profiles) = project_shards(&graph, &profiles, &shared.owned);
-            state.graph = graph;
-            state.profiles = profiles;
-            state.shard_graphs = shard_graphs;
-            state.shard_profiles = shard_profiles;
-            state.iteration = engine.iteration();
-            state.changed_fraction = report.changed_fraction;
-            state.epoch += 1;
-            // Publish shard by shard; batch readers ride out the short
-            // mixed-generation window via coherent_snapshots.
-            shared.publish_view(state, measure, repaired);
-            state.epoch
-        };
-        shared.notify_epoch(epoch);
-    }
-    Ok(())
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    neighbor_queries: AtomicU64,
-    profile_queries: AtomicU64,
 }
 
 /// The scatter-gather query front-end over the sharded refinement
@@ -607,7 +252,7 @@ struct Counters {
 /// never what a query returns.
 #[derive(Debug, Clone)]
 pub struct ShardedKnnService {
-    shared: Arc<ShardedShared>,
+    shared: Arc<Shared>,
     counters: Arc<Counters>,
     /// The thread a submit must wake (repair worker or refine loop).
     wake: Thread,
@@ -759,89 +404,19 @@ impl ShardedKnnService {
     /// Current counters (epoch is the latest fully published
     /// generation).
     pub fn stats(&self) -> crate::ServiceStats {
-        crate::ServiceStats {
-            neighbor_queries: self.counters.neighbor_queries.load(Ordering::Relaxed),
-            profile_queries: self.counters.profile_queries.load(Ordering::Relaxed),
-            updates_submitted: self.shared.ingest.submitted(),
-            updates_drained: self.shared.ingest.drained(),
-            snapshot_epoch: *self.shared.published.lock().expect("publish lock poisoned"),
-            repaired_epochs: self.shared.repaired_epochs.load(Ordering::Relaxed),
-            queue_failures: self.shared.queue_failures.load(Ordering::Relaxed),
-            rejected: self.shared.ingest.rejected(),
-            shed: self.shared.ingest.shed(),
-            coalesced: self.shared.ingest.coalesced(),
-            peak_pending: self.shared.ingest.peak_pending(),
-            breaker_open: self.shared.breaker_open.load(Ordering::Relaxed),
-            breaker_open_ms: self.shared.breaker_open_ms.load(Ordering::Relaxed),
-            cache_hits: self.shared.cache.hits(),
-            cache_misses: self.shared.cache.misses(),
-        }
+        self.shared.stats(&self.counters)
     }
 }
 
-/// Control handle of the sharded refinement loop — the sharded twin of
-/// [`crate::RefineHandle`].
-#[derive(Debug)]
-pub struct ShardedRefineHandle {
-    shared: Arc<ShardedShared>,
-    thread: JoinHandle<Result<ShardedEngine, ServeError>>,
-}
-
-impl ShardedRefineHandle {
-    /// Stops the loop after its current iteration and returns the
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an engine error that terminated the loop early,
-    /// [`ServeError::RefineLoopPanicked`] if the thread panicked, or
-    /// [`ServeError::UnpersistedUpdates`] with every accepted update
-    /// that could not reach a durable log.
-    pub fn stop(self) -> Result<ShardedEngine, ServeError> {
-        self.shared.stop.store(true, Ordering::Release);
-        self.thread.thread().unpark();
-        self.thread
-            .join()
-            .map_err(|_| ServeError::RefineLoopPanicked)?
-    }
-
-    /// Whether the loop thread is still alive.
-    pub fn is_running(&self) -> bool {
-        !self.thread.is_finished()
-    }
-
-    /// Blocks until generation `epoch` (or newer) is fully published
-    /// on every shard, or `timeout` elapses.
-    pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut last = self.shared.published.lock().expect("publish lock poisoned");
-        while *last < epoch {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, wait) = self
-                .shared
-                .published_cv
-                .wait_timeout(last, remaining)
-                .expect("publish lock poisoned");
-            last = guard;
-            if wait.timed_out() && *last < epoch {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The latest fully published generation.
-    pub fn current_epoch(&self) -> u64 {
-        *self.shared.published.lock().expect("publish lock poisoned")
-    }
-}
+/// Control handle of the sharded refinement loop: the same handle as
+/// [`crate::RefineHandle`], giving back a [`ShardedEngine`] on stop.
+pub type ShardedRefineHandle = RefineHandle<ShardedEngine>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use knn_sim::{ItemId, Measure};
+    use std::sync::atomic::AtomicBool;
 
     fn snapshot(epoch: u64) -> Snapshot {
         let mut graph = KnnGraph::new(2, 1);
@@ -951,5 +526,62 @@ mod tests {
         let (snaps, degraded) = gather_coherent(&cells, CoherenceBudget::default());
         assert!(!degraded);
         assert!(snaps.iter().all(|s| s.epoch() == 2));
+    }
+
+    /// The two ways a publish brings the projections up to date agree:
+    /// refreshing exactly what a repair touched leaves them equal to a
+    /// full re-projection of the repaired view.
+    #[test]
+    fn touched_refresh_matches_a_full_reprojection() {
+        use knn_core::{EngineConfig, KnnEngine};
+        use knn_sim::generators::{clustered_profiles, ClusteredConfig};
+
+        let n = 60;
+        let (profiles, _) = clustered_profiles(ClusteredConfig::new(n, 7));
+        let config = EngineConfig::builder(n)
+            .k(4)
+            .num_partitions(3)
+            .seed(7)
+            .build()
+            .unwrap();
+        let mut engine = KnnEngine::in_memory(config, profiles).unwrap();
+        engine.run_iteration().unwrap();
+
+        let owner_of: Vec<u32> = (0..n as u32).map(|u| u % 2).collect();
+        let mut owned = vec![Vec::new(); 2];
+        for u in 0..n as u32 {
+            owned[(u % 2) as usize].push(UserId::new(u));
+        }
+        let graph = Arc::new(engine.graph().clone());
+        let profiles = Arc::new(engine.export_profiles().unwrap());
+        let mut view = ViewState {
+            epoch: 0,
+            iteration: 1,
+            changed_fraction: 1.0,
+            projections: project_shards(&graph, &profiles, &owned),
+            graph,
+            profiles,
+            pending_engine: Vec::new(),
+        };
+
+        let mut fresh = Profile::new();
+        fresh.set(ItemId::new(9_001), 2.0);
+        let deltas = vec![
+            ProfileDelta::replace(UserId::new(5), fresh),
+            ProfileDelta::set(UserId::new(12), ItemId::new(9_001), 1.0),
+        ];
+        Arc::make_mut(&mut view.profiles).apply_deltas(&deltas);
+        let rows = crate::repair::repair_touched(
+            &mut view.graph,
+            &view.profiles,
+            Measure::Cosine,
+            &deltas,
+        );
+        assert!(rows.len() > 2, "the repair must reach beyond the two users");
+        refresh_projections(&mut view, &owner_of, &rows, &deltas);
+        assert_eq!(
+            view.projections,
+            project_shards(&view.graph, &view.profiles, &owned)
+        );
     }
 }

@@ -3,229 +3,72 @@
 //! failures and the tests pin the serving layer's contract — every
 //! accepted update is applied, parked in the durable log, or returned
 //! via [`ServeError::UnpersistedUpdates`]; never silently dropped.
+//! The contracts that concern the background loop run against both
+//! front-ends (`spawn`, and `spawn_sharded` over two failing shards).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use knn_core::{EngineConfig, KnnEngine};
+use common::{failing_engine, fresh_profile, spawn_failing, wait_visible, FRONT_ENDS};
 use knn_graph::UserId;
 use knn_serve::{spawn, RefineOptions, ServeError};
-use knn_sim::generators::{clustered_profiles, ClusteredConfig};
-use knn_sim::{ItemId, Profile, ProfileDelta, ProfileStore};
-use knn_store::{IoStats, MemBackend, StorageBackend, StoreError, StreamId};
-
-const N: usize = 120;
-const K: usize = 4;
-const M: usize = 4;
-const SEED: u64 = 2014;
-
-/// Wraps a [`MemBackend`] and fails `append_updates` on demand — the
-/// injection point is exactly the call `KnnEngine::queue_update` uses
-/// to persist a delta into the phase-5 log.
-#[derive(Debug)]
-struct FailingBackend {
-    inner: MemBackend,
-    /// `>0`: fail that many `append_updates` calls, then heal.
-    /// `<0`: fail every call until healed.
-    fail_appends: AtomicI64,
-    appends_failed: AtomicU64,
-}
-
-impl FailingBackend {
-    fn new() -> Self {
-        FailingBackend {
-            inner: MemBackend::new(),
-            fail_appends: AtomicI64::new(0),
-            appends_failed: AtomicU64::new(0),
-        }
-    }
-
-    fn fail_next(&self, count: i64) {
-        self.fail_appends.store(count, Ordering::SeqCst);
-    }
-
-    fn fail_all(&self) {
-        self.fail_appends.store(-1, Ordering::SeqCst);
-    }
-
-    fn heal(&self) {
-        self.fail_appends.store(0, Ordering::SeqCst);
-    }
-
-    fn failures(&self) -> u64 {
-        self.appends_failed.load(Ordering::SeqCst)
-    }
-
-    fn should_fail(&self) -> bool {
-        let mut armed = self.fail_appends.load(Ordering::SeqCst);
-        loop {
-            if armed == 0 {
-                return false;
-            }
-            let next = if armed > 0 { armed - 1 } else { armed };
-            match self.fail_appends.compare_exchange(
-                armed,
-                next,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    self.appends_failed.fetch_add(1, Ordering::SeqCst);
-                    return true;
-                }
-                Err(current) => armed = current,
-            }
-        }
-    }
-}
-
-impl StorageBackend for FailingBackend {
-    fn name(&self) -> &'static str {
-        "failing-mem"
-    }
-
-    fn stats(&self) -> &Arc<IoStats> {
-        self.inner.stats()
-    }
-
-    fn read(&self, stream: StreamId) -> Result<Vec<u8>, StoreError> {
-        self.inner.read(stream)
-    }
-
-    fn read_chunk(&self, stream: StreamId, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        self.inner.read_chunk(stream, offset, len)
-    }
-
-    fn write(&self, stream: StreamId, payload: &[u8]) -> Result<(), StoreError> {
-        self.inner.write(stream, payload)
-    }
-
-    fn delete(&self, stream: StreamId) -> Result<(), StoreError> {
-        self.inner.delete(stream)
-    }
-
-    fn exists(&self, stream: StreamId) -> bool {
-        self.inner.exists(stream)
-    }
-
-    fn list(&self) -> Result<Vec<StreamId>, StoreError> {
-        self.inner.list()
-    }
-
-    fn append_updates(&self, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.should_fail() {
-            return Err(StoreError::io(
-                "updates.log",
-                std::io::Error::other("injected append failure"),
-            ));
-        }
-        self.inner.append_updates(bytes)
-    }
-
-    fn read_updates(&self) -> Result<Vec<u8>, StoreError> {
-        self.inner.read_updates()
-    }
-
-    fn truncate_updates(&self) -> Result<(), StoreError> {
-        self.inner.truncate_updates()
-    }
-
-    fn storage_usage(&self) -> Result<u64, StoreError> {
-        self.inner.storage_usage()
-    }
-}
-
-fn world() -> (EngineConfig, ProfileStore) {
-    let (profiles, _) = clustered_profiles(
-        ClusteredConfig::new(N, SEED)
-            .with_clusters(4)
-            .with_ratings(10, 2),
-    );
-    let config = EngineConfig::builder(N)
-        .k(K)
-        .num_partitions(M)
-        .seed(SEED)
-        .build()
-        .expect("valid config");
-    (config, profiles)
-}
-
-fn fresh_profile(tag: u32) -> Profile {
-    Profile::from_unsorted_pairs(vec![(900 + tag * 2, 1.0), (901 + tag * 2, 2.0)])
-        .expect("finite profile")
-}
-
-fn wait_visible(
-    service: &knn_serve::KnnService,
-    user: UserId,
-    expected: &Profile,
-    timeout: Duration,
-) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if service.snapshot().profiles().get(user) == expected {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    false
-}
+use knn_sim::{ItemId, ProfileDelta};
 
 /// Transient log failure: the failed delta is retried and applied
 /// once the backend heals, and — the mid-drain bugfix — a *different*
 /// user's delta drained in the same batch is not dropped with it.
 #[test]
 fn transient_append_failure_loses_nothing() {
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
-    let (service, refine) = spawn(
-        engine,
-        RefineOptions {
-            convergence_threshold: None,
-            max_iterations: None,
-            idle_park: Duration::from_millis(1),
-            repair: false,
-            ..RefineOptions::default()
-        },
-    )
-    .expect("spawn");
+    for kind in FRONT_ENDS {
+        let (service, refine, backend) = spawn_failing(
+            kind,
+            RefineOptions {
+                convergence_threshold: None,
+                max_iterations: None,
+                idle_park: Duration::from_millis(1),
+                repair: false,
+                ..RefineOptions::default()
+            },
+        );
 
-    // Arm one failure, then submit two users' deltas in one batch.
-    // Whichever drains first eats the failure; the other must proceed.
-    backend.fail_next(1);
-    let p1 = fresh_profile(1);
-    let p2 = fresh_profile(2);
-    service
-        .submit_update(ProfileDelta::replace(UserId::new(1), p1.clone()))
-        .expect("accepted");
-    service
-        .submit_update(ProfileDelta::replace(UserId::new(2), p2.clone()))
-        .expect("accepted");
+        // Arm one failure, then submit two users' deltas in one batch.
+        // Whichever drains first eats the failure; the other must
+        // proceed.
+        backend.fail_next(1);
+        let p1 = fresh_profile(1);
+        let p2 = fresh_profile(2);
+        service
+            .submit_update(ProfileDelta::replace(UserId::new(1), p1.clone()))
+            .expect("accepted");
+        service
+            .submit_update(ProfileDelta::replace(UserId::new(2), p2.clone()))
+            .expect("accepted");
 
-    // Both become visible: the untouched user immediately, the failed
-    // one on a retry pass (the injected failure self-heals after one).
-    assert!(
-        wait_visible(&service, UserId::new(1), &p1, Duration::from_secs(30)),
-        "user 1's delta was dropped"
-    );
-    assert!(
-        wait_visible(&service, UserId::new(2), &p2, Duration::from_secs(30)),
-        "user 2's delta was dropped"
-    );
-    assert!(backend.failures() >= 1, "injection never fired");
-    assert!(
-        service.stats().queue_failures >= 1,
-        "queue failure not counted"
-    );
+        // Both become visible: the untouched user immediately, the
+        // failed one on a retry pass (the injected failure self-heals
+        // after one).
+        assert!(
+            service.wait_visible(UserId::new(1), &p1, Duration::from_secs(30)),
+            "{kind:?}: user 1's delta was dropped"
+        );
+        assert!(
+            service.wait_visible(UserId::new(2), &p2, Duration::from_secs(30)),
+            "{kind:?}: user 2's delta was dropped"
+        );
+        assert!(backend.failures() >= 1, "{kind:?}: injection never fired");
+        assert!(
+            service.stats().queue_failures >= 1,
+            "{kind:?}: queue failure not counted"
+        );
 
-    let engine = refine.stop().expect("clean stop after heal");
-    // Both deltas made it into the engine's own profile state.
-    let exported = engine.export_profiles().expect("export");
-    assert_eq!(exported.get(UserId::new(1)), &p1);
-    assert_eq!(exported.get(UserId::new(2)), &p2);
+        // Both deltas made it into the engine's own profile state.
+        let exported = refine.stop().expect("clean stop after heal");
+        assert_eq!(exported.get(UserId::new(1)), &p1, "{kind:?}");
+        assert_eq!(exported.get(UserId::new(2)), &p2, "{kind:?}");
+    }
 }
 
 /// Permanent log failure through shutdown: `stop` must return every
@@ -233,60 +76,57 @@ fn transient_append_failure_loses_nothing() {
 /// per-user submission order, instead of dropping them.
 #[test]
 fn permanent_append_failure_returns_updates_on_stop() {
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
-    let (service, refine) = spawn(
-        engine,
-        RefineOptions {
-            convergence_threshold: None,
-            max_iterations: Some(0),
-            idle_park: Duration::from_millis(1),
-            repair: false,
-            ..RefineOptions::default()
-        },
-    )
-    .expect("spawn");
+    for kind in FRONT_ENDS {
+        let (service, refine, backend) = spawn_failing(
+            kind,
+            RefineOptions {
+                convergence_threshold: None,
+                max_iterations: Some(0),
+                idle_park: Duration::from_millis(1),
+                repair: false,
+                ..RefineOptions::default()
+            },
+        );
 
-    backend.fail_all();
-    let submitted: Vec<ProfileDelta> = vec![
-        ProfileDelta::replace(UserId::new(3), fresh_profile(3)),
-        ProfileDelta::set(UserId::new(4), ItemId::new(950), 1.5),
-        ProfileDelta::set(UserId::new(3), ItemId::new(951), 2.5),
-    ];
-    for delta in &submitted {
-        service.submit_update(delta.clone()).expect("accepted");
-    }
-
-    let err = refine.stop().expect_err("stop must report unpersisted");
-    match err {
-        ServeError::UnpersistedUpdates { updates, source } => {
-            assert!(source.is_some(), "last queue error not attached");
-            // Exactly the accepted deltas come back, and per-user
-            // submission order is preserved.
-            assert_eq!(updates.len(), submitted.len());
-            for delta in &submitted {
-                assert!(
-                    updates.iter().any(|u| u == delta),
-                    "missing delta for user {}",
-                    delta.user
-                );
-            }
-            let user3: Vec<&ProfileDelta> = updates
-                .iter()
-                .filter(|u| u.user == UserId::new(3))
-                .collect();
-            assert_eq!(user3.len(), 2);
-            assert_eq!(user3[0], &submitted[0], "user 3 order broken");
-            assert_eq!(user3[1], &submitted[2], "user 3 order broken");
+        backend.fail_all();
+        let submitted: Vec<ProfileDelta> = vec![
+            ProfileDelta::replace(UserId::new(3), fresh_profile(3)),
+            ProfileDelta::set(UserId::new(4), ItemId::new(950), 1.5),
+            ProfileDelta::set(UserId::new(3), ItemId::new(951), 2.5),
+        ];
+        for delta in &submitted {
+            service.submit_update(delta.clone()).expect("accepted");
         }
-        other => panic!("expected UnpersistedUpdates, got {other:?}"),
+
+        let err = refine.stop().expect_err("stop must report unpersisted");
+        match err {
+            ServeError::UnpersistedUpdates { updates, source } => {
+                assert!(source.is_some(), "{kind:?}: last queue error not attached");
+                // Exactly the accepted deltas come back, and per-user
+                // submission order is preserved.
+                assert_eq!(updates.len(), submitted.len(), "{kind:?}");
+                for delta in &submitted {
+                    assert!(
+                        updates.iter().any(|u| u == delta),
+                        "{kind:?}: missing delta for user {}",
+                        delta.user
+                    );
+                }
+                let user3: Vec<&ProfileDelta> = updates
+                    .iter()
+                    .filter(|u| u.user == UserId::new(3))
+                    .collect();
+                assert_eq!(user3.len(), 2, "{kind:?}");
+                assert_eq!(user3[0], &submitted[0], "{kind:?}: user 3 order broken");
+                assert_eq!(user3[1], &submitted[2], "{kind:?}: user 3 order broken");
+            }
+            other => panic!("{kind:?}: expected UnpersistedUpdates, got {other:?}"),
+        }
+        // Per-user blocking: user 3's *second* delta is parked without
+        // touching the backend once its first fails, so only the two
+        // head-of-line deltas generate append attempts.
+        assert!(backend.failures() >= 2, "{kind:?}");
     }
-    // Per-user blocking: user 3's *second* delta is parked without
-    // touching the backend once its first fails, so only the two
-    // head-of-line deltas generate append attempts.
-    assert!(backend.failures() >= 2);
 }
 
 /// Same shutdown contract with the repair worker on: repaired
@@ -294,45 +134,47 @@ fn permanent_append_failure_returns_updates_on_stop() {
 /// *served* but never persisted still come back from `stop`.
 #[test]
 fn permanent_failure_with_repair_returns_served_updates() {
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
-    let (service, refine) = spawn(
-        engine,
-        RefineOptions {
-            convergence_threshold: None,
-            max_iterations: Some(0),
-            idle_park: Duration::from_millis(1),
-            repair: true,
-            ..RefineOptions::default()
-        },
-    )
-    .expect("spawn");
+    for kind in FRONT_ENDS {
+        let (service, refine, backend) = spawn_failing(
+            kind,
+            RefineOptions {
+                convergence_threshold: None,
+                max_iterations: Some(0),
+                idle_park: Duration::from_millis(1),
+                repair: true,
+                ..RefineOptions::default()
+            },
+        );
 
-    backend.fail_all();
-    let user = UserId::new(5);
-    let fresh = fresh_profile(5);
-    service
-        .submit_update(ProfileDelta::replace(user, fresh.clone()))
-        .expect("accepted");
+        backend.fail_all();
+        let user = UserId::new(5);
+        let fresh = fresh_profile(5);
+        service
+            .submit_update(ProfileDelta::replace(user, fresh.clone()))
+            .expect("accepted");
 
-    // The repair worker still makes the update *visible* (placement
-    // needs no storage)...
-    assert!(
-        wait_visible(&service, user, &fresh, Duration::from_secs(30)),
-        "repair path should not depend on the update log"
-    );
-    assert!(service.snapshot().repaired());
-
-    // ...but stopping surfaces that it was never persisted.
-    let err = refine.stop().expect_err("stop must report unpersisted");
-    match err {
-        ServeError::UnpersistedUpdates { updates, .. } => {
-            assert_eq!(updates.len(), 1);
-            assert_eq!(updates[0], ProfileDelta::replace(user, fresh));
+        // The repair worker still makes the update *visible*
+        // (placement needs no storage), as a repaired epoch (the
+        // counter moves right after the publish it counts)...
+        assert!(
+            service.wait_visible(user, &fresh, Duration::from_secs(30)),
+            "{kind:?}: repair path should not depend on the update log"
+        );
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while service.stats().repaired_epochs == 0 {
+            assert!(Instant::now() < deadline, "{kind:?}: not a repaired epoch");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        other => panic!("expected UnpersistedUpdates, got {other:?}"),
+
+        // ...but stopping surfaces that it was never persisted.
+        let err = refine.stop().expect_err("stop must report unpersisted");
+        match err {
+            ServeError::UnpersistedUpdates { updates, .. } => {
+                assert_eq!(updates.len(), 1, "{kind:?}");
+                assert_eq!(updates[0], ProfileDelta::replace(user, fresh), "{kind:?}");
+            }
+            other => panic!("{kind:?}: expected UnpersistedUpdates, got {other:?}"),
+        }
     }
 }
 
@@ -341,10 +183,7 @@ fn permanent_failure_with_repair_returns_served_updates() {
 /// terminal drain, and `stop` then succeeds.
 #[test]
 fn healed_before_stop_persists_parked_updates() {
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
+    let (engine, backend) = failing_engine();
     let (service, refine) = spawn(
         engine,
         RefineOptions {
@@ -390,10 +229,7 @@ fn healed_before_stop_persists_parked_updates() {
 /// many users, failures injected mid-stream, nothing lost.
 #[test]
 fn interleaved_failures_under_load_lose_nothing() {
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
+    let (engine, backend) = failing_engine();
     let (service, refine) = spawn(
         engine,
         RefineOptions {
@@ -408,7 +244,7 @@ fn interleaved_failures_under_load_lose_nothing() {
 
     let stop_flapping = Arc::new(AtomicBool::new(false));
     let flapper = {
-        let backend = Arc::<FailingBackend>::clone(&backend);
+        let backend = Arc::clone(&backend);
         let stop_flapping = Arc::clone(&stop_flapping);
         std::thread::spawn(move || {
             while !stop_flapping.load(Ordering::Acquire) {

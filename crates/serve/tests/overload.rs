@@ -6,154 +6,17 @@
 //! nothing panics or spins unbounded, and an update accepted with `Ok`
 //! keeps the full durability guarantee.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{failing_engine, fresh_profile, spawn_failing, world, FRONT_ENDS, K, N, SEED};
 use knn_core::{EngineConfig, KnnEngine};
 use knn_graph::UserId;
 use knn_serve::{spawn, AdmissionConfig, BreakerConfig, OverloadPolicy, RefineOptions, ServeError};
 use knn_sim::generators::{clustered_profiles, ClusteredConfig};
 use knn_sim::{Profile, ProfileDelta, ProfileStore};
-use knn_store::{IoStats, MemBackend, StorageBackend, StoreError, StreamId};
 use proptest::prelude::*;
-
-const N: usize = 120;
-const K: usize = 4;
-const M: usize = 4;
-const SEED: u64 = 2014;
-
-/// Same injection wrapper as `fault_injection.rs`: a [`MemBackend`]
-/// whose `append_updates` — the call `queue_update` persists through —
-/// fails on demand.
-#[derive(Debug)]
-struct FailingBackend {
-    inner: MemBackend,
-    /// `>0`: fail that many `append_updates` calls, then heal.
-    /// `<0`: fail every call until healed.
-    fail_appends: AtomicI64,
-    appends_failed: AtomicU64,
-}
-
-impl FailingBackend {
-    fn new() -> Self {
-        FailingBackend {
-            inner: MemBackend::new(),
-            fail_appends: AtomicI64::new(0),
-            appends_failed: AtomicU64::new(0),
-        }
-    }
-
-    fn fail_all(&self) {
-        self.fail_appends.store(-1, Ordering::SeqCst);
-    }
-
-    fn heal(&self) {
-        self.fail_appends.store(0, Ordering::SeqCst);
-    }
-
-    fn failures(&self) -> u64 {
-        self.appends_failed.load(Ordering::SeqCst)
-    }
-
-    fn should_fail(&self) -> bool {
-        let mut armed = self.fail_appends.load(Ordering::SeqCst);
-        loop {
-            if armed == 0 {
-                return false;
-            }
-            let next = if armed > 0 { armed - 1 } else { armed };
-            match self.fail_appends.compare_exchange(
-                armed,
-                next,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    self.appends_failed.fetch_add(1, Ordering::SeqCst);
-                    return true;
-                }
-                Err(current) => armed = current,
-            }
-        }
-    }
-}
-
-impl StorageBackend for FailingBackend {
-    fn name(&self) -> &'static str {
-        "failing-mem"
-    }
-
-    fn stats(&self) -> &Arc<IoStats> {
-        self.inner.stats()
-    }
-
-    fn read(&self, stream: StreamId) -> Result<Vec<u8>, StoreError> {
-        self.inner.read(stream)
-    }
-
-    fn read_chunk(&self, stream: StreamId, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        self.inner.read_chunk(stream, offset, len)
-    }
-
-    fn write(&self, stream: StreamId, payload: &[u8]) -> Result<(), StoreError> {
-        self.inner.write(stream, payload)
-    }
-
-    fn delete(&self, stream: StreamId) -> Result<(), StoreError> {
-        self.inner.delete(stream)
-    }
-
-    fn exists(&self, stream: StreamId) -> bool {
-        self.inner.exists(stream)
-    }
-
-    fn list(&self) -> Result<Vec<StreamId>, StoreError> {
-        self.inner.list()
-    }
-
-    fn append_updates(&self, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.should_fail() {
-            return Err(StoreError::io(
-                "updates.log",
-                std::io::Error::other("injected append failure"),
-            ));
-        }
-        self.inner.append_updates(bytes)
-    }
-
-    fn read_updates(&self) -> Result<Vec<u8>, StoreError> {
-        self.inner.read_updates()
-    }
-
-    fn truncate_updates(&self) -> Result<(), StoreError> {
-        self.inner.truncate_updates()
-    }
-
-    fn storage_usage(&self) -> Result<u64, StoreError> {
-        self.inner.storage_usage()
-    }
-}
-
-fn world() -> (EngineConfig, ProfileStore) {
-    let (profiles, _) = clustered_profiles(
-        ClusteredConfig::new(N, SEED)
-            .with_clusters(4)
-            .with_ratings(10, 2),
-    );
-    let config = EngineConfig::builder(N)
-        .k(K)
-        .num_partitions(M)
-        .seed(SEED)
-        .build()
-        .expect("valid config");
-    (config, profiles)
-}
-
-fn fresh_profile(tag: u32) -> Profile {
-    Profile::from_unsorted_pairs(vec![(900 + tag * 2, 1.0), (901 + tag * 2, 2.0)])
-        .expect("finite profile")
-}
 
 fn options() -> RefineOptions {
     RefineOptions {
@@ -173,10 +36,7 @@ fn options() -> RefineOptions {
 #[test]
 fn wedged_backend_turns_into_bounded_typed_backpressure() {
     const CAPACITY: usize = 8;
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
+    let (engine, backend) = failing_engine();
     let (service, refine) = spawn(
         engine,
         RefineOptions {
@@ -265,45 +125,40 @@ fn wedged_backend_turns_into_bounded_typed_backpressure() {
 /// attempts through).
 #[test]
 fn breaker_throttles_a_flapping_backend() {
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
-    let (service, refine) = spawn(
-        engine,
-        RefineOptions {
-            admission: AdmissionConfig::bounded(4),
-            breaker: BreakerConfig {
-                base: Duration::from_millis(25),
-                cap: Duration::from_millis(100),
+    for kind in FRONT_ENDS {
+        let (service, refine, backend) = spawn_failing(
+            kind,
+            RefineOptions {
+                admission: AdmissionConfig::bounded(4),
+                breaker: BreakerConfig {
+                    base: Duration::from_millis(25),
+                    cap: Duration::from_millis(100),
+                },
+                ..options()
             },
-            ..options()
-        },
-    )
-    .expect("spawn");
+        );
 
-    backend.fail_all();
-    service
-        .submit_update(ProfileDelta::replace(UserId::new(7), fresh_profile(7)))
-        .expect("accepted");
-    std::thread::sleep(Duration::from_millis(400));
-    let failures = backend.failures();
-    // 400ms at base 25ms/cap 100ms: ~6-8 backoff windows; leave slack
-    // for scheduling but stay far below the unthrottled ~400.
-    assert!(
-        failures <= 40,
-        "breaker must throttle attempts, backend saw {failures}"
-    );
-    assert!(service.stats().breaker_open_ms > 0);
+        backend.fail_all();
+        service
+            .submit_update(ProfileDelta::replace(UserId::new(7), fresh_profile(7)))
+            .expect("accepted");
+        std::thread::sleep(Duration::from_millis(400));
+        let failures = backend.failures();
+        // 400ms at base 25ms/cap 100ms: ~6-8 backoff windows; leave
+        // slack for scheduling but stay far below the unthrottled ~400.
+        assert!(
+            failures <= 40,
+            "{kind:?}: breaker must throttle attempts, backend saw {failures}"
+        );
+        assert!(service.stats().breaker_open_ms > 0, "{kind:?}");
 
-    backend.heal();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let expected = fresh_profile(7);
-    while service.snapshot().profiles().get(UserId::new(7)) != &expected {
-        assert!(Instant::now() < deadline, "update lost after heal");
-        std::thread::sleep(Duration::from_millis(2));
+        backend.heal();
+        assert!(
+            service.wait_visible(UserId::new(7), &fresh_profile(7), Duration::from_secs(30)),
+            "{kind:?}: update lost after heal"
+        );
+        refine.stop().expect("clean stop");
     }
-    refine.stop().expect("clean stop");
 }
 
 /// [`OverloadPolicy::Block`] applies backpressure to the submitting
@@ -341,10 +196,7 @@ fn block_policy_absorbs_a_storm_within_deadline() {
 /// the typed error carries enough to build a well-behaved retry loop.
 #[test]
 fn overloaded_retry_hint_converges_after_heal() {
-    let (config, profiles) = world();
-    let backend = Arc::new(FailingBackend::new());
-    let engine = KnnEngine::new_on(config, profiles, Arc::<FailingBackend>::clone(&backend))
-        .expect("engine on failing backend");
+    let (engine, backend) = failing_engine();
     let (service, refine) = spawn(
         engine,
         RefineOptions {

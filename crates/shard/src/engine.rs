@@ -56,11 +56,6 @@ impl Phase2Provider for ShardedPhase2 {
         options: &Phase2Options,
         additions: Option<&EdgeAdditions>,
     ) -> Result<Phase2Output, EngineError> {
-        if options.legacy_pipeline {
-            return Err(EngineError::input(
-                "the sharded engine supports only the columnar tuple pipeline",
-            ));
-        }
         let m = partitioning.num_partitions();
         let num_shards = self.shards.len();
         let mut owned: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
@@ -169,40 +164,21 @@ impl fmt::Debug for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Creates a sharded engine over the given shard backends with an
-    /// explicit initial graph. One backend per shard; a single backend
-    /// degenerates to the plain engine (and is what the equivalence
-    /// suite compares against).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`KnnEngine::with_initial_graph_on`] rejects, plus an
-    /// input error for zero shards or the legacy tuple pipeline (the
-    /// exchange step is columnar-only).
-    pub fn with_initial_graph_on(
-        config: EngineConfig,
-        graph: KnnGraph,
-        profiles: ProfileStore,
+    /// The shared constructor step: builds the ring and router, opens
+    /// the inner engine over the router via `open`, and wires in the
+    /// scan–exchange–merge phase 2 and the summed I/O meter.
+    fn assemble(
         shards: Vec<Arc<dyn StorageBackend>>,
+        open: impl FnOnce(Arc<dyn StorageBackend>) -> Result<KnnEngine, EngineError>,
     ) -> Result<Self, EngineError> {
         if shards.is_empty() {
             return Err(EngineError::input(
                 "a sharded engine needs at least one shard",
             ));
         }
-        if config.legacy_tuple_pipeline() {
-            return Err(EngineError::input(
-                "the sharded engine supports only the columnar tuple pipeline",
-            ));
-        }
         let ring = Arc::new(HashRing::new(shards.len()));
         let router = Arc::new(ShardRouter::new(shards.clone(), Arc::clone(&ring)));
-        let mut inner = KnnEngine::with_initial_graph_on(
-            config,
-            graph,
-            profiles,
-            Arc::clone(&router) as Arc<dyn StorageBackend>,
-        )?;
+        let mut inner = open(Arc::clone(&router) as Arc<dyn StorageBackend>)?;
 
         let exchange = Arc::new(Mutex::new(ExchangeStats::default()));
         let fabric: Arc<dyn ExchangeFabric> = Arc::new(ChannelFabric::new(shards.len()));
@@ -237,6 +213,26 @@ impl ShardedEngine {
         })
     }
 
+    /// Creates a sharded engine over the given shard backends with an
+    /// explicit initial graph. One backend per shard; a single backend
+    /// degenerates to the plain engine (and is what the equivalence
+    /// suite compares against).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`KnnEngine::with_initial_graph_on`] rejects, plus an
+    /// input error for zero shards.
+    pub fn with_initial_graph_on(
+        config: EngineConfig,
+        graph: KnnGraph,
+        profiles: ProfileStore,
+        shards: Vec<Arc<dyn StorageBackend>>,
+    ) -> Result<Self, EngineError> {
+        Self::assemble(shards, |router| {
+            KnnEngine::with_initial_graph_on(config, graph, profiles, router)
+        })
+    }
+
     /// Reopens a sharded engine from shard backends previously
     /// populated by a sharded constructor **with the same shard
     /// count** (stream placement is a pure function of the ring). With
@@ -249,51 +245,12 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Same as [`KnnEngine::resume_on`], plus an input error for zero
-    /// shards or the legacy tuple pipeline.
+    /// shards.
     pub fn resume_on(
         config: EngineConfig,
         shards: Vec<Arc<dyn StorageBackend>>,
     ) -> Result<Self, EngineError> {
-        if shards.is_empty() {
-            return Err(EngineError::input(
-                "a sharded engine needs at least one shard",
-            ));
-        }
-        if config.legacy_tuple_pipeline() {
-            return Err(EngineError::input(
-                "the sharded engine supports only the columnar tuple pipeline",
-            ));
-        }
-        let ring = Arc::new(HashRing::new(shards.len()));
-        let router = Arc::new(ShardRouter::new(shards.clone(), Arc::clone(&ring)));
-        let mut inner =
-            KnnEngine::resume_on(config, Arc::clone(&router) as Arc<dyn StorageBackend>)?;
-
-        let exchange = Arc::new(Mutex::new(ExchangeStats::default()));
-        let fabric: Arc<dyn ExchangeFabric> = Arc::new(ChannelFabric::new(shards.len()));
-        inner.set_phase2_provider(Some(Box::new(ShardedPhase2 {
-            shards: shards.clone(),
-            ring: Arc::clone(&ring),
-            fabric,
-            exchange: Arc::clone(&exchange),
-        })));
-        let meters: Vec<Arc<knn_store::IoStats>> = shards
-            .iter()
-            .map(|s| Arc::clone(s.stats()))
-            .chain(std::iter::once(Arc::clone(router.stats())))
-            .collect();
-        inner.set_io_meter(Some(Arc::new(move || {
-            meters.iter().map(|m| m.snapshot()).sum()
-        })));
-
-        Ok(ShardedEngine {
-            inner,
-            shards,
-            router,
-            ring,
-            exchange,
-            reports: Vec::new(),
-        })
+        Self::assemble(shards, |router| KnnEngine::resume_on(config, router))
     }
 
     /// Random-initial-graph constructor over explicit shard backends.

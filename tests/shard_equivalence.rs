@@ -264,21 +264,20 @@ fn independent_runs_to_convergence_agree_across_shard_counts() {
 /// The serving half of the acceptance bar: scatter-gather answers from
 /// a 4-shard service are identical to the unsharded service over the
 /// same engine state — neighbors, batches (and their generation tag),
-/// and ad-hoc profile scans.
+/// and ad-hoc profile scans. So are a 1-shard service's, whose single
+/// cell serves the global containers with no projection.
 #[test]
 fn scatter_gather_matches_the_single_shard_service() {
     let n = 72;
     let (k, m, seed) = (4, 6, 23);
     let cfg = config(n, k, m, seed, 2);
     let mut plain = KnnEngine::in_memory(cfg.clone(), workload(n, seed)).expect("plain engine");
-    let mut sharded = ShardedEngine::in_memory(cfg, workload(n, seed), 4).expect("sharded engine");
     for _ in 0..3 {
         plain.run_iteration().expect("iteration");
-        sharded.run_iteration().expect("iteration");
     }
-    assert_eq!(plain.graph(), sharded.graph());
+    let graph = plain.graph().clone();
 
-    // Freeze both services at generation 0 so the comparison is not
+    // Freeze every service at generation 0 so the comparison is not
     // racing background refinement.
     let frozen = RefineOptions {
         convergence_threshold: None,
@@ -288,46 +287,56 @@ fn scatter_gather_matches_the_single_shard_service() {
         ..RefineOptions::default()
     };
     let (service, refine) = spawn(plain, frozen.clone()).expect("spawn");
-    let (sharded_service, sharded_refine) = spawn_sharded(sharded, frozen).expect("spawn_sharded");
-    assert_eq!(sharded_service.num_shards(), 4);
-    assert_eq!(sharded_service.num_users(), service.num_users());
-
     let users: Vec<UserId> = (0..n as u32).map(UserId::new).collect();
-    for &u in &users {
-        assert_eq!(
-            service.neighbors(u).expect("known user"),
-            sharded_service.neighbors(u).expect("known user"),
-            "neighbors({u:?}) diverged"
-        );
-    }
     let batch = service.neighbors_many(&users).expect("batch");
-    let sharded_batch = sharded_service.neighbors_many(&users).expect("batch");
-    assert_eq!(batch, sharded_batch);
     assert_eq!(batch.generation, 0);
-
-    // Ad-hoc scans: per-shard top-k gather equals the full scan.
     let snapshot = service.snapshot();
-    for &u in users.iter().take(8) {
-        let query = snapshot.profiles().get(u);
-        assert_eq!(
-            service.query_profile(query, k + 2).expect("finite query"),
-            sharded_service
-                .query_profile(query, k + 2)
-                .expect("finite query"),
-            "query_profile near {u:?} diverged"
-        );
+
+    for shards in [4, 1] {
+        let mut sharded =
+            ShardedEngine::in_memory(cfg.clone(), workload(n, seed), shards).expect("sharded");
+        for _ in 0..3 {
+            sharded.run_iteration().expect("iteration");
+        }
+        assert_eq!(&graph, sharded.graph(), "shards={shards}");
+        let (sharded_service, sharded_refine) =
+            spawn_sharded(sharded, frozen.clone()).expect("spawn_sharded");
+        assert_eq!(sharded_service.num_shards(), shards);
+        assert_eq!(sharded_service.num_users(), service.num_users());
+
+        for &u in &users {
+            assert_eq!(
+                service.neighbors(u).expect("known user"),
+                sharded_service.neighbors(u).expect("known user"),
+                "shards={shards}: neighbors({u:?}) diverged"
+            );
+        }
+        let sharded_batch = sharded_service.neighbors_many(&users).expect("batch");
+        assert_eq!(batch, sharded_batch, "shards={shards}");
+
+        // Ad-hoc scans: per-shard top-k gather equals the full scan.
+        for &u in users.iter().take(8) {
+            let query = snapshot.profiles().get(u);
+            assert_eq!(
+                service.query_profile(query, k + 2).expect("finite query"),
+                sharded_service
+                    .query_profile(query, k + 2)
+                    .expect("finite query"),
+                "shards={shards}: query_profile near {u:?} diverged"
+            );
+        }
+
+        // All-or-nothing validation names the offending id.
+        let bad = UserId::new(n as u32);
+        let err = sharded_service
+            .neighbors_many(&[UserId::new(0), bad])
+            .expect_err("must reject");
+        assert!(matches!(err, ServeError::UnknownUser { user, .. } if user == bad));
+        assert!(sharded_service.neighbors(bad).is_err());
+
+        sharded_refine.stop().expect("stop");
     }
-
-    // All-or-nothing validation names the offending id.
-    let bad = UserId::new(n as u32);
-    let err = sharded_service
-        .neighbors_many(&[UserId::new(0), bad])
-        .expect_err("must reject");
-    assert!(matches!(err, ServeError::UnknownUser { user, .. } if user == bad));
-    assert!(sharded_service.neighbors(bad).is_err());
-
     refine.stop().expect("stop");
-    sharded_refine.stop().expect("stop");
 }
 
 /// Live updates through the sharded service: a submitted delta is
