@@ -1,8 +1,9 @@
 //! **Experiment S3 — serving under closed-loop overload.**
 //!
-//! Drives mixed read/update load against a [`KnnService`] and a
-//! [`ShardedKnnService`] with *bounded* admission: reader threads
-//! hammer `neighbors` back-to-back while writer threads submit a
+//! Drives mixed read/update load against a [`KnnService`] over a
+//! single engine and one over a sharded engine, with *bounded*
+//! admission: reader threads hammer `neighbors` back-to-back while
+//! writer threads submit a
 //! closed-loop update storm that deliberately outruns the refinement
 //! loop. Reports read-latency percentiles (p50/p99/p999), saturation
 //! throughput, and the overload accounting — rejected/shed/coalesced
@@ -24,44 +25,9 @@ use knn_bench::{opt_or, TextTable};
 use knn_core::{EngineConfig, KnnEngine};
 use knn_datasets::WorkloadConfig;
 use knn_graph::UserId;
-use knn_serve::{
-    spawn, spawn_sharded, AdmissionConfig, KnnService, RefineOptions, ServeError, ServiceStats,
-    ShardedKnnService,
-};
+use knn_serve::{spawn, spawn_sharded, AdmissionConfig, KnnService, RefineOptions, ServeError};
 use knn_shard::ShardedEngine;
 use knn_sim::{ItemId, ProfileDelta};
-
-/// The slice of each service's API the load loop needs; lets one
-/// driver measure both the single-process and the sharded front-end.
-trait LoadTarget: Clone + Send + 'static {
-    fn query(&self, user: UserId);
-    fn submit(&self, delta: ProfileDelta) -> Result<(), ServeError>;
-    fn stats(&self) -> ServiceStats;
-}
-
-impl LoadTarget for KnnService {
-    fn query(&self, user: UserId) {
-        std::hint::black_box(self.neighbors(user).expect("in-range user"));
-    }
-    fn submit(&self, delta: ProfileDelta) -> Result<(), ServeError> {
-        self.submit_update(delta)
-    }
-    fn stats(&self) -> ServiceStats {
-        self.stats()
-    }
-}
-
-impl LoadTarget for ShardedKnnService {
-    fn query(&self, user: UserId) {
-        std::hint::black_box(self.neighbors(user).expect("in-range user"));
-    }
-    fn submit(&self, delta: ProfileDelta) -> Result<(), ServeError> {
-        self.submit_update(delta)
-    }
-    fn stats(&self) -> ServiceStats {
-        self.stats()
-    }
-}
 
 struct Measurement {
     mode: &'static str,
@@ -101,8 +67,8 @@ fn lcg(state: &mut u64) -> u64 {
 /// admission lets them (sleeping the `retry_after_hint` on rejection —
 /// a well-behaved client). Returns latency percentiles over all reads
 /// plus the service's own overload accounting.
-fn measure<T: LoadTarget>(
-    service: &T,
+fn measure(
+    service: &KnnService,
     mode: &'static str,
     readers: usize,
     writers: usize,
@@ -122,7 +88,7 @@ fn measure<T: LoadTarget>(
             while !stop.load(Ordering::Relaxed) {
                 let user = UserId::new((lcg(&mut state) % n as u64) as u32);
                 let started = Instant::now();
-                service.query(user);
+                std::hint::black_box(service.neighbors(user).expect("in-range user"));
                 latencies_us.push(started.elapsed().as_secs_f64() * 1e6);
             }
             latencies_us
@@ -139,7 +105,7 @@ fn measure<T: LoadTarget>(
                 let user = UserId::new((lcg(&mut state) % n as u64) as u32);
                 let item = ItemId::new(1_000 + (lcg(&mut state) % 512) as u32);
                 let weight = 1.0 + (lcg(&mut state) % 16) as f32 * 0.25;
-                match service.submit(ProfileDelta::set(user, item, weight)) {
+                match service.submit_update(ProfileDelta::set(user, item, weight)) {
                     Ok(()) => accepted += 1,
                     Err(ServeError::Overloaded { retry_after_hint }) => {
                         std::thread::sleep(retry_after_hint.min(Duration::from_millis(5)));

@@ -182,7 +182,6 @@
 
 pub mod config;
 pub mod error;
-pub mod fasthash;
 pub mod metrics;
 pub mod partition;
 pub mod phase1;

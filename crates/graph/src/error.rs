@@ -1,9 +1,8 @@
 use std::fmt;
-use std::io;
 
 use crate::UserId;
 
-/// Errors produced by graph construction, validation, and edge-list I/O.
+/// Errors produced by graph construction and validation.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum GraphError {
@@ -40,15 +39,6 @@ pub enum GraphError {
         /// The edge whose score was invalid.
         edge: (UserId, UserId),
     },
-    /// An edge-list file contained a malformed line.
-    MalformedLine {
-        /// 1-based line number.
-        line: usize,
-        /// The offending content (possibly truncated).
-        content: String,
-    },
-    /// Underlying I/O failure while reading or writing an edge list.
-    Io(io::Error),
 }
 
 impl fmt::Display for GraphError {
@@ -85,28 +75,11 @@ impl fmt::Display for GraphError {
             GraphError::NonFiniteSimilarity { edge: (s, d) } => {
                 write!(f, "non-finite similarity on edge ({s}, {d})")
             }
-            GraphError::MalformedLine { line, content } => {
-                write!(f, "malformed edge-list line {line}: {content:?}")
-            }
-            GraphError::Io(e) => write!(f, "edge-list i/o error: {e}"),
         }
     }
 }
 
-impl std::error::Error for GraphError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            GraphError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for GraphError {
-    fn from(e: io::Error) -> Self {
-        GraphError::Io(e)
-    }
-}
+impl std::error::Error for GraphError {}
 
 #[cfg(test)]
 mod tests {
@@ -141,27 +114,10 @@ mod tests {
             GraphError::NonFiniteSimilarity {
                 edge: (UserId::new(0), UserId::new(1)),
             },
-            GraphError::MalformedLine {
-                line: 3,
-                content: "a b".into(),
-            },
-            GraphError::Io(io::Error::new(io::ErrorKind::NotFound, "gone")),
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());
             assert!(!format!("{v:?}").is_empty());
         }
-    }
-
-    #[test]
-    fn io_variant_exposes_source() {
-        use std::error::Error;
-        let e = GraphError::from(io::Error::other("boom"));
-        assert!(e.source().is_some());
-        assert!(GraphError::SelfLoop {
-            vertex: UserId::new(0)
-        }
-        .source()
-        .is_none());
     }
 }

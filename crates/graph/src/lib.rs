@@ -1,8 +1,8 @@
 //! Directed-graph substrate for out-of-core KNN computation.
 //!
 //! This crate provides the graph data structures, random-graph
-//! generators, text/binary edge-list I/O, and structural statistics used
-//! by the out-of-core KNN engine (`knn-core`) and its baselines. It is
+//! generators, and structural statistics used by the out-of-core KNN
+//! engine (`knn-core`) and its baselines. It is
 //! deliberately free of any storage or similarity concerns: vertices are
 //! plain [`UserId`]s and edges are either unscored ([`DiGraph`], [`Csr`])
 //! or carry a similarity score ([`KnnGraph`]).
@@ -24,7 +24,6 @@ pub mod csr;
 pub mod digraph;
 pub mod error;
 pub mod generators;
-pub mod io;
 pub mod knn;
 pub mod neighbor;
 pub mod pagerank;
@@ -42,6 +41,6 @@ pub use stats::DegreeStats;
 
 /// A directed edge as a raw `(source, destination)` pair of vertex ids.
 ///
-/// Generators and I/O functions traffic in raw pairs; structured graph
+/// Generators traffic in raw pairs; structured graph
 /// types ([`DiGraph`], [`Csr`], [`KnnGraph`]) are built from them.
 pub type EdgePair = (u32, u32);

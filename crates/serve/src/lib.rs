@@ -55,24 +55,18 @@
 //! [`ServeError::UnpersistedUpdates`]. Queue failures are retried on
 //! every loop pass, preserving per-user submission order.
 //!
-//! # One loop, two front-ends
+//! # One loop, one front-end
 //!
 //! [`spawn_sharded`] serves a `knn_shard::ShardedEngine` through the
-//! **same** background machinery — one refinement loop, one repair
-//! worker, one publish path, one [`ServiceStats`] assembly, and one
-//! handle type ([`ShardedRefineHandle`] is [`RefineHandle`] over the
-//! sharded engine). Two things differ, on purpose:
-//!
-//! * **what a publish hands each cell** — [`spawn`] has one cell that
-//!   serves the global graph and profiles themselves; `spawn_sharded`
-//!   has one cell per shard, each serving the projection of the global
-//!   view onto the users that shard owns (rebuilt on exact publishes,
-//!   refreshed at just the touched rows on repaired ones);
-//! * **the read path** — [`KnnService`] answers from a single cell
-//!   load; [`ShardedKnnService`] routes to the owner shard and
-//!   scatter-gathers batches from one coherent generation vector,
-//!   answering identically to the unsharded service (see the `sharded`
-//!   module docs).
+//! **same** machinery as [`spawn`] — one refinement loop, one repair
+//! worker, one publish path, one [`ServiceStats`] assembly — and
+//! returns the same [`KnnService`] ([`ShardedKnnService`] is an alias;
+//! [`ShardedRefineHandle`] is [`RefineHandle`] over the sharded
+//! engine). Sharding stays inside the engine: its ring, router,
+//! exchange fabric and per-shard durable logs. The engine's graph and
+//! profiles are identical at every shard count, so every publish swaps
+//! one cell to those global containers, and every read answers from
+//! one cell load.
 //!
 //! # Operating under load
 //!
@@ -90,12 +84,6 @@
 //!   or **block** the submitter up to a deadline. A rejected update
 //!   was never accepted; an accepted update keeps the full durability
 //!   guarantee.
-//! * **Degraded reads** ([`RefineOptions::coherence`],
-//!   [`CoherenceBudget`]): the sharded batch paths retry generation
-//!   coherence within a bounded budget (attempts + wall deadline) and
-//!   then answer from the freshest per-shard snapshots, flagged via
-//!   [`BatchNeighbors::degraded`], instead of spinning against a
-//!   racing publisher.
 //! * **Circuit breaker** ([`RefineOptions::breaker`],
 //!   [`BreakerConfig`]): a flapping storage backend opens the breaker
 //!   — drain/queue passes are suspended for a capped, exponentially
@@ -107,15 +95,14 @@
 //!   `neighbors`/`query_profile` lookups are answered from a
 //!   generation-keyed cache, invalidated wholesale on every snapshot
 //!   swap. Hits are bit-identical to uncached answers (the cached
-//!   value is a prior answer for the same immutable generation);
-//!   degraded sharded reads bypass it entirely.
+//!   value is a prior answer for the same immutable generation).
 //!
 //! [`ServiceStats`] exposes the whole overload surface: `rejected`,
 //! `shed`, `coalesced`, `peak_pending`, `breaker_open`,
 //! `breaker_open_ms`, `cache_hits`, `cache_misses`. The
 //! `serve_load` bench bin drives closed-loop mixed read/update
-//! traffic against both services and reports latency percentiles and
-//! saturation throughput.
+//! traffic against a single and a sharded engine and reports latency
+//! percentiles and saturation throughput.
 //!
 //! ```
 //! use knn_core::{EngineConfig, KnnEngine};
@@ -150,7 +137,6 @@ mod ingest;
 mod refine;
 mod repair;
 mod service;
-mod sharded;
 mod snapshot;
 
 pub use admission::{AdmissionConfig, OverloadPolicy};
@@ -158,6 +144,8 @@ pub use breaker::BreakerConfig;
 pub use error::ServeError;
 pub use ingest::UpdateIngest;
 pub use refine::{RefineHandle, RefineOptions};
-pub use service::{spawn, BatchNeighbors, KnnService, ServiceStats};
-pub use sharded::{spawn_sharded, CoherenceBudget, ShardedKnnService, ShardedRefineHandle};
+pub use service::{
+    spawn, spawn_sharded, BatchNeighbors, KnnService, ServiceStats, ShardedKnnService,
+    ShardedRefineHandle,
+};
 pub use snapshot::{Snapshot, SnapshotCell};

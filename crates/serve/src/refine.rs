@@ -1,6 +1,6 @@
-//! The background half of the service, written once for both
-//! front-ends: the refinement loop, the fast-path repair worker, the
-//! one publish path, and their control handle.
+//! The background half of the service: the refinement loop, the
+//! fast-path repair worker, the one publish path, and their control
+//! handle.
 //!
 //! With [`RefineOptions::repair`] off (the default) there is one
 //! background thread: it drains the ingest queue, feeds the engine's
@@ -19,10 +19,10 @@
 //! lock, so epochs stay strictly ordered.
 //!
 //! [`crate::spawn`] and [`crate::spawn_sharded`] start the same
-//! machinery. Two seams carry what differs: the loop drives either
-//! engine through [`RefineEngine`], and [`Shared::publish`] turns the
-//! global view into what each publication cell serves — the view itself
-//! with one cell, per-shard projections ([`crate::sharded`]) with several.
+//! machinery: the loop drives either engine through [`RefineEngine`],
+//! and every publish swaps one cell to the global graph and profiles
+//! themselves. Sharding lives inside [`ShardedEngine`]; the read side
+//! never sees it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -30,7 +30,7 @@ use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use knn_core::{EngineConfig, EngineError, IterationReport, KnnEngine};
-use knn_graph::{KnnGraph, UserId};
+use knn_graph::KnnGraph;
 use knn_shard::ShardedEngine;
 use knn_sim::{Measure, ProfileDelta, ProfileStore};
 
@@ -39,7 +39,6 @@ use crate::breaker::{Breaker, BreakerConfig};
 use crate::cache::QueryCache;
 use crate::ingest::UpdateIngest;
 use crate::repair::{queue_all, repair_touched};
-use crate::sharded::{project_shards, refresh_projections, CoherenceBudget};
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::ServeError;
 
@@ -84,10 +83,6 @@ pub struct RefineOptions {
     /// uncached answers (the cached value is a prior answer for the
     /// same immutable generation).
     pub query_cache: usize,
-    /// Retry budget of the sharded batch paths' coherence gather
-    /// (attempts + wall deadline); ignored by the unsharded service,
-    /// whose single cell is inherently coherent.
-    pub coherence: CoherenceBudget,
     /// Backoff schedule of the durable-path circuit breaker: after a
     /// queueing pass with failures, drain/queue is skipped for a
     /// capped, exponentially growing interval so a flapping
@@ -105,7 +100,6 @@ impl Default for RefineOptions {
             repair: false,
             admission: AdmissionConfig::default(),
             query_cache: 1024,
-            coherence: CoherenceBudget::default(),
             breaker: BreakerConfig::default(),
         }
     }
@@ -179,11 +173,6 @@ pub(crate) struct ViewState {
     pub(crate) graph: Arc<KnnGraph>,
     /// The global profile view.
     pub(crate) profiles: Arc<ProfileStore>,
-    /// With several cells, cell `s`'s projection of `graph` and
-    /// `profiles`: full-width, populated only at the users `s` owns.
-    /// Empty with one cell, which serves the global containers
-    /// themselves.
-    pub(crate) projections: Vec<(Arc<KnnGraph>, Arc<ProfileStore>)>,
     /// Deltas already applied to the view (and published as repaired)
     /// but not yet handed to the engine — the repair worker appends,
     /// the refine thread takes.
@@ -191,36 +180,27 @@ pub(crate) struct ViewState {
 }
 
 impl ViewState {
-    /// What each cell serves of this view, in cell order.
-    fn snapshots(&self, measure: Measure, repaired: bool) -> Vec<Snapshot> {
-        let global = [(Arc::clone(&self.graph), Arc::clone(&self.profiles))];
-        let cells = if self.projections.is_empty() {
-            &global[..]
-        } else {
-            &self.projections[..]
-        };
-        let (epoch, iteration, changed) = (self.epoch, self.iteration, self.changed_fraction);
-        cells
-            .iter()
-            .map(|(g, p)| Snapshot::new(epoch, iteration, changed, measure, g.clone(), p.clone()))
-            .map(|snapshot| snapshot.with_repaired(repaired))
-            .collect()
+    /// The snapshot this view publishes: the global containers
+    /// themselves, shared by `Arc`, never copied.
+    fn snapshot(&self, measure: Measure, repaired: bool) -> Snapshot {
+        Snapshot::new(
+            self.epoch,
+            self.iteration,
+            self.changed_fraction,
+            measure,
+            Arc::clone(&self.graph),
+            Arc::clone(&self.profiles),
+        )
+        .with_repaired(repaired)
     }
 }
 
-/// Shared state between a service front-end, the handle, and the loop
-/// threads.
+/// Shared state between the service front-end, the handle, and the
+/// loop threads.
 #[derive(Debug)]
 pub(crate) struct Shared {
-    /// One publication cell per shard, in shard order; exactly one
-    /// behind [`crate::spawn`].
-    pub(crate) cells: Vec<SnapshotCell>,
-    /// Users per cell, in cell order — the scatter lists.
-    pub(crate) owned: Vec<Vec<UserId>>,
-    /// `user index → cell`. Like `owned`, read only by the sharded
-    /// front-end and by publishes to several cells; [`crate::spawn`]
-    /// leaves both empty.
-    pub(crate) owner_of: Vec<u32>,
+    /// The one publication cell.
+    pub(crate) cell: SnapshotCell,
     pub(crate) ingest: UpdateIngest,
     pub(crate) stop: AtomicBool,
     /// Last fully published epoch + its condvar, for `wait_for_epoch`.
@@ -234,8 +214,6 @@ pub(crate) struct Shared {
     pub(crate) queue_failures: AtomicU64,
     /// Generation-keyed read cache shared by every service clone.
     pub(crate) cache: QueryCache,
-    /// Coherence-retry budget of the sharded batch read paths.
-    pub(crate) coherence: CoherenceBudget,
     /// Whether the durable-path circuit breaker is currently open
     /// (mirrored here by the loop for `stats()`).
     pub(crate) breaker_open: AtomicBool,
@@ -248,29 +226,11 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// The one publish path; call with the view lock held. Advances
-    /// the epoch, brings every cell to the view's state, and wakes
-    /// epoch waiters. One cell serves the global containers as they
-    /// are; several serve projections, refreshed at just the `touched`
-    /// rows and users on a repaired publish and rebuilt otherwise.
-    fn publish(
-        &self,
-        view: &mut ViewState,
-        measure: Measure,
-        repaired: bool,
-        touched: Option<(&[UserId], &[ProfileDelta])>,
-    ) {
+    /// the epoch, swaps the cell to the view's state, and wakes epoch
+    /// waiters.
+    fn publish(&self, view: &mut ViewState, measure: Measure, repaired: bool) {
         view.epoch += 1;
-        if self.cells.len() > 1 {
-            match touched {
-                Some((rows, deltas)) => refresh_projections(view, &self.owner_of, rows, deltas),
-                None => view.projections = project_shards(&view.graph, &view.profiles, &self.owned),
-            }
-        }
-        // Cell by cell; batch readers ride out the short
-        // mixed-generation window via `gather_coherent`.
-        for (cell, snapshot) in self.cells.iter().zip(view.snapshots(measure, repaired)) {
-            cell.publish(snapshot);
-        }
+        self.cell.publish(view.snapshot(measure, repaired));
         self.notify_epoch(view.epoch);
     }
 
@@ -282,35 +242,24 @@ impl Shared {
     }
 }
 
-/// Publishes epoch 0 on one cell per entry of `owned` and starts the
-/// background threads. Returns the shared state, the thread a submit
-/// must wake, and the control handle.
+/// Publishes epoch 0 and starts the background threads. Returns the
+/// shared state, the thread a submit must wake, and the control handle.
 pub(crate) fn start<E: RefineEngine>(
     engine: E,
     options: RefineOptions,
-    owned: Vec<Vec<UserId>>,
-    owner_of: Vec<u32>,
 ) -> Result<(Arc<Shared>, Thread, RefineHandle<E>), ServeError> {
     let measure = engine.config().measure();
-    let graph = Arc::new(engine.graph().clone());
     let profiles = Arc::new(engine.export_profiles()?);
     let view = ViewState {
         epoch: 0,
         iteration: engine.iteration(),
         changed_fraction: 1.0,
-        projections: match owned.len() {
-            1 => Vec::new(),
-            _ => project_shards(&graph, &profiles, &owned),
-        },
-        graph,
+        graph: Arc::new(engine.graph().clone()),
         profiles: Arc::clone(&profiles),
         pending_engine: Vec::new(),
     };
-    let cells = view.snapshots(measure, false);
     let shared = Arc::new(Shared {
-        cells: cells.into_iter().map(SnapshotCell::new).collect(),
-        owned,
-        owner_of,
+        cell: SnapshotCell::new(view.snapshot(measure, false)),
         ingest: UpdateIngest::with_admission(
             engine.config().num_users(),
             options.admission.clone(),
@@ -323,7 +272,6 @@ pub(crate) fn start<E: RefineEngine>(
         repaired_epochs: AtomicU64::new(0),
         queue_failures: AtomicU64::new(0),
         cache: QueryCache::new(options.query_cache),
-        coherence: options.coherence,
         breaker_open: AtomicBool::new(false),
         breaker_open_ms: AtomicU64::new(0),
         refine_thread: OnceLock::new(),
@@ -376,8 +324,8 @@ fn repair_worker(shared: &Shared, measure: Measure, idle_park: Duration) {
             let mut view = shared.view.lock().expect("view lock poisoned");
             let state = &mut *view;
             Arc::make_mut(&mut state.profiles).apply_deltas(&drained);
-            let rows = repair_touched(&mut state.graph, &state.profiles, measure, &drained);
-            shared.publish(state, measure, true, Some((&rows, &drained)));
+            repair_touched(&mut state.graph, &state.profiles, measure, &drained);
+            shared.publish(state, measure, true);
             state.pending_engine.extend(drained);
         }
         shared.repaired_epochs.fetch_add(1, Ordering::Relaxed);
@@ -584,7 +532,7 @@ fn refine_loop_inner<E: RefineEngine>(
         }
         state.iteration = engine.iteration();
         state.changed_fraction = report.changed_fraction;
-        shared.publish(state, measure, repaired, None);
+        shared.publish(state, measure, repaired);
     }
     Ok(())
 }
@@ -625,9 +573,8 @@ impl<E> RefineHandle<E> {
         !self.thread.is_finished()
     }
 
-    /// Blocks until generation `epoch` (or newer) is published on
-    /// every cell, or `timeout` elapses. Returns whether the epoch was
-    /// reached.
+    /// Blocks until generation `epoch` (or newer) is published, or
+    /// `timeout` elapses. Returns whether the epoch was reached.
     pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
         let last = self.shared.published.lock().expect("publish lock poisoned");
         let (last, _) = self
@@ -638,7 +585,7 @@ impl<E> RefineHandle<E> {
         *last >= epoch
     }
 
-    /// The latest fully published epoch — the value
+    /// The latest published epoch — the value
     /// [`wait_for_epoch`](RefineHandle::wait_for_epoch) waits on.
     pub fn current_epoch(&self) -> u64 {
         *self.shared.published.lock().expect("publish lock poisoned")
@@ -648,33 +595,28 @@ impl<E> RefineHandle<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knn_graph::UserId;
     use knn_sim::generators::{clustered_profiles, ClusteredConfig};
     use knn_sim::{ItemId, Profile};
 
     const N: usize = 60;
 
-    /// Drives one cell through an exact publish and a repaired one,
-    /// checking after each that it serves the view's own containers
-    /// and that no projection exists.
-    fn assert_one_cell_serves_the_view<E: RefineEngine>(
-        engine: E,
-        owned: Vec<Vec<UserId>>,
-        owner_of: Vec<u32>,
-    ) {
+    /// Drives the cell through an exact publish and a repaired one,
+    /// checking after each that it serves the view's own containers.
+    fn assert_the_cell_serves_the_view<E: RefineEngine>(engine: E) {
         let options = RefineOptions {
             max_iterations: Some(1),
             idle_park: Duration::from_millis(1),
             repair: true,
             ..RefineOptions::default()
         };
-        let (shared, wake, handle) = start(engine, options, owned, owner_of).unwrap();
+        let (shared, wake, handle) = start(engine, options).unwrap();
         let check = |epoch: u64| {
             assert!(handle.wait_for_epoch(epoch, Duration::from_secs(60)));
             // Publishes hold the view lock, so the cell cannot move on
             // while the two are compared.
             let view = shared.view.lock().unwrap();
-            let served = shared.cells[0].load();
-            assert!(view.projections.is_empty());
+            let served = shared.cell.load();
             assert!(Arc::ptr_eq(served.graph(), &view.graph));
             assert!(Arc::ptr_eq(served.profiles(), &view.profiles));
         };
@@ -698,13 +640,13 @@ mod tests {
     #[test]
     fn one_cell_publishes_the_global_containers_themselves() {
         let (config, profiles) = world();
-        let engine = KnnEngine::in_memory(config, profiles).unwrap();
-        assert_one_cell_serves_the_view(engine, vec![Vec::new()], Vec::new());
+        assert_the_cell_serves_the_view(KnnEngine::in_memory(config, profiles).unwrap());
 
-        // So does one shard, whose front-end does route.
-        let (config, profiles) = world();
-        let engine = ShardedEngine::in_memory(config, profiles, 1).unwrap();
-        let everyone = (0..N as u32).map(UserId::new).collect();
-        assert_one_cell_serves_the_view(engine, vec![everyone], vec![0; N]);
+        // At every shard count: sharding stays inside the engine.
+        for shards in 1..=3 {
+            let (config, profiles) = world();
+            let engine = ShardedEngine::in_memory(config, profiles, shards).unwrap();
+            assert_the_cell_serves_the_view(engine);
+        }
     }
 }

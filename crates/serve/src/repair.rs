@@ -139,26 +139,19 @@ pub(crate) fn place_user(
 /// that still list `user` get that edge re-scored under the new
 /// profile (up *or* down). All writes are copy-on-write through the
 /// `Arc`, so snapshots already published keep their generation intact.
-///
-/// Returns the ids of every row that changed (always includes `user`),
-/// sorted and deduplicated — the sharded path uses it to refresh owner
-/// projections.
 pub(crate) fn repair_user(
     graph: &mut Arc<KnnGraph>,
     profiles: &ProfileStore,
     measure: Measure,
     user: UserId,
-) -> Vec<UserId> {
+) {
     let old: Vec<UserId> = graph.neighbors(user).iter().map(|nb| nb.id).collect();
     let row = place_user(graph, profiles, measure, user);
     let kept: HashSet<UserId> = row.iter().map(|nb| nb.id).collect();
-    let mut changed = vec![user];
     for nb in &row {
         // All seven measures are symmetric, so the forward score is
         // the back-edge score.
-        if KnnGraph::patch_offer(graph, nb.id, Neighbor::new(user, nb.sim)) {
-            changed.push(nb.id);
-        }
+        KnnGraph::patch_offer(graph, nb.id, Neighbor::new(user, nb.sim));
     }
     let query = profiles.get(user);
     for v in old {
@@ -167,39 +160,29 @@ pub(crate) fn repair_user(
         }
         if graph.neighbors(v).iter().any(|nb| nb.id == user) {
             let sim = measure.score(query, profiles.get(v));
-            if KnnGraph::patch_rescore(graph, v, user, sim) {
-                changed.push(v);
-            }
+            KnnGraph::patch_rescore(graph, v, user, sim);
         }
     }
     KnnGraph::patch_row(graph, user, row).expect("greedy placement yields a valid row");
-    changed.sort_unstable();
-    changed.dedup();
-    changed
 }
 
 /// Re-places every user touched by `deltas` (deduplicated, in first-
-/// touch order) and returns the union of changed rows. `profiles`
-/// must already have the deltas applied.
+/// touch order). `profiles` must already have the deltas applied.
 pub(crate) fn repair_touched(
     graph: &mut Arc<KnnGraph>,
     profiles: &ProfileStore,
     measure: Measure,
     deltas: &[ProfileDelta],
-) -> Vec<UserId> {
+) {
     let mut touched: Vec<UserId> = Vec::new();
     for d in deltas {
         if !touched.contains(&d.user) {
             touched.push(d.user);
         }
     }
-    let mut changed: Vec<UserId> = Vec::new();
     for u in touched {
-        changed.extend(repair_user(graph, profiles, measure, u));
+        repair_user(graph, profiles, measure, u);
     }
-    changed.sort_unstable();
-    changed.dedup();
-    changed
 }
 
 /// Hands every delta to `queue` (oldest parked retries first, then the
@@ -368,9 +351,8 @@ mod tests {
         let user = UserId::new(0);
         // User 0 switches taste to the second cluster's items.
         profiles.set(user, profile(&[(10, 1.0), (11, 3.0)]));
-        let changed = repair_user(&mut graph, &profiles, Measure::Cosine, user);
+        repair_user(&mut graph, &profiles, Measure::Cosine, user);
 
-        assert!(changed.contains(&user));
         // New row crossed the bridge into cluster 2.
         assert!(
             graph.neighbors(user).iter().all(|nb| nb.id.raw() >= 4),

@@ -6,25 +6,26 @@ use std::thread::Thread;
 
 use knn_core::KnnEngine;
 use knn_graph::{Neighbor, UserId};
+use knn_shard::ShardedEngine;
 use knn_sim::{Profile, ProfileDelta};
 
 use crate::cache::CacheKey;
-use crate::refine::{start, RefineHandle, Shared};
+use crate::refine::{start, RefineEngine, RefineHandle, Shared};
 use crate::snapshot::Snapshot;
 use crate::{RefineOptions, ServeError};
 
 /// Running counters of one service instance (shared by its clones).
 #[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) neighbor_queries: AtomicU64,
-    pub(crate) profile_queries: AtomicU64,
+struct Counters {
+    neighbor_queries: AtomicU64,
+    profile_queries: AtomicU64,
 }
 
 /// Rejects query profiles carrying non-finite weights: best-first
 /// ordering is `total_cmp`, under which a NaN similarity would rank
 /// *above* every real score — garbage at rank 0. Same finite-weight
 /// rule ingest enforces on updates.
-pub(crate) fn validate_query(query: &Profile) -> Result<(), ServeError> {
+fn validate_query(query: &Profile) -> Result<(), ServeError> {
     if query.iter().any(|(_, w)| !w.is_finite()) {
         return Err(ServeError::NonFiniteQuery);
     }
@@ -43,7 +44,7 @@ pub struct ServiceStats {
     pub updates_submitted: u64,
     /// Updates already handed to the engine's phase-5 log.
     pub updates_drained: u64,
-    /// Latest epoch published on every cell (what
+    /// Latest published epoch (what
     /// [`RefineHandle::wait_for_epoch`](crate::RefineHandle::wait_for_epoch)
     /// waits on).
     pub snapshot_epoch: u64,
@@ -80,9 +81,9 @@ pub struct ServiceStats {
 }
 
 impl Shared {
-    /// The stats of either front-end: its query counters plus the
-    /// state both share with the loop.
-    pub(crate) fn stats(&self, counters: &Counters) -> ServiceStats {
+    /// The service's query counters plus the state it shares with the
+    /// loop.
+    fn stats(&self, counters: &Counters) -> ServiceStats {
         ServiceStats {
             neighbor_queries: counters.neighbor_queries.load(Ordering::Relaxed),
             profile_queries: counters.profile_queries.load(Ordering::Relaxed),
@@ -108,23 +109,15 @@ impl Shared {
 /// Every row of `results` was read from **one** snapshot (one coherent
 /// generation of the graph), identified by `generation` — callers can
 /// compare generations across batches to detect refinement progress,
-/// or join rows of one batch knowing they never straddle a swap. The
-/// sharded service keeps the same contract across shards: its
-/// generation covers one coherent per-shard generation vector.
+/// or join rows of one batch knowing they never straddle a swap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchNeighbors {
-    /// Generation (epoch) of the snapshot(s) the batch was answered
-    /// from.
+    /// Generation (epoch) of the snapshot the batch was answered from.
     pub generation: u64,
     /// Per queried user, in query order: the best-first neighbor list.
     pub results: Vec<Vec<Neighbor>>,
-    /// `true` when the sharded gather exhausted its coherence-retry
-    /// budget (see
-    /// [`RefineOptions::coherence`](crate::RefineOptions)) and the
-    /// rows were read from the freshest snapshots available instead of
-    /// one coherent generation vector; `generation` is then the newest
-    /// epoch among them. Always `false` from the unsharded service and
-    /// whenever the budget sufficed.
+    /// Always `false`: every batch is read from one snapshot. Kept so
+    /// existing callers that read it still compile.
     pub degraded: bool,
 }
 
@@ -162,8 +155,30 @@ pub fn spawn(
     engine: KnnEngine,
     options: RefineOptions,
 ) -> Result<(KnnService, RefineHandle), ServeError> {
-    // One cell, and a front-end that never routes: no ownership tables.
-    let (shared, wake, handle) = start(engine, options, vec![Vec::new()], Vec::new())?;
+    serve(engine, options)
+}
+
+/// Starts serving a sharded engine, with the same lifecycle and the
+/// same front-end as [`spawn`]. The shards stay inside the engine —
+/// its router lands each drained update on the owner shard's durable
+/// log — while the service publishes the engine's global graph and
+/// profiles, which are identical at every shard count.
+///
+/// # Errors
+///
+/// Returns a storage error if the initial profile export fails.
+pub fn spawn_sharded(
+    engine: ShardedEngine,
+    options: RefineOptions,
+) -> Result<(ShardedKnnService, ShardedRefineHandle), ServeError> {
+    serve(engine, options)
+}
+
+fn serve<E: RefineEngine>(
+    engine: E,
+    options: RefineOptions,
+) -> Result<(KnnService, RefineHandle<E>), ServeError> {
+    let (shared, wake, handle) = start(engine, options)?;
     let service = KnnService {
         shared,
         counters: Arc::new(Counters::default()),
@@ -172,11 +187,18 @@ pub fn spawn(
     Ok((service, handle))
 }
 
+/// The front-end [`spawn_sharded`] returns: the same [`KnnService`].
+pub type ShardedKnnService = KnnService;
+
+/// Control handle of the sharded refinement loop: the same handle as
+/// [`RefineHandle`], giving back a [`ShardedEngine`] on stop.
+pub type ShardedRefineHandle = RefineHandle<ShardedEngine>;
+
 impl KnnService {
     /// The currently published snapshot. Hold it to answer any number
     /// of related questions from one consistent state.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.shared.cells[0].load()
+        self.shared.cell.load()
     }
 
     /// The top-K list of `user` in the current snapshot.

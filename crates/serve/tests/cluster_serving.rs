@@ -92,9 +92,9 @@ fn cluster_engine_serves_sharded() {
 
     let (config, profiles) = world();
     let engine = ShardedEngine::in_memory(config, profiles, 3).expect("sharded engine");
+    assert_eq!(engine.num_shards(), 3);
     let (service, refine) = spawn_sharded(engine, options()).expect("spawn_sharded");
 
-    assert_eq!(service.num_shards(), 3);
     assert_eq!(service.neighbors(UserId::new(0)).expect("serving").len(), K);
     assert!(
         refine.wait_for_epoch(ITERATIONS, Duration::from_secs(120)),

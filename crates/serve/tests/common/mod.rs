@@ -1,7 +1,7 @@
 //! Shared by the failure-contract suites: a storage backend whose
 //! update-log appends fail on demand, the small world both suites
-//! serve, and either service front-end behind one set of calls so a
-//! contract can be run against `spawn` and `spawn_sharded` alike.
+//! serve, and an engine selector so a contract can be run against
+//! `spawn` and `spawn_sharded` alike.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -12,12 +12,11 @@ use std::time::{Duration, Instant};
 use knn_core::{EngineConfig, KnnEngine};
 use knn_graph::UserId;
 use knn_serve::{
-    spawn, spawn_sharded, KnnService, RefineHandle, RefineOptions, ServeError, ServiceStats,
-    ShardedKnnService, ShardedRefineHandle,
+    spawn, spawn_sharded, KnnService, RefineHandle, RefineOptions, ServeError, ShardedRefineHandle,
 };
 use knn_shard::ShardedEngine;
 use knn_sim::generators::{clustered_profiles, ClusteredConfig};
-use knn_sim::{Profile, ProfileDelta, ProfileStore};
+use knn_sim::{Profile, ProfileStore};
 use knn_store::{IoStats, MemBackend, StorageBackend, StoreError, StreamId};
 
 pub const N: usize = 120;
@@ -194,17 +193,26 @@ pub fn failing_sharded_engine(shards: usize) -> (ShardedEngine, Arc<Faults>) {
     (engine, faults)
 }
 
+/// Whether `service` comes to show `user` holding exactly `expected`
+/// within `timeout`.
 pub fn wait_visible(
     service: &KnnService,
     user: UserId,
     expected: &Profile,
     timeout: Duration,
 ) -> bool {
-    Front::Single(service.clone()).wait_visible(user, expected, timeout)
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
+        if service.snapshot().profiles().get(user) == expected {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    false
 }
 
-/// Which front-end a contract runs against: `spawn`, or `spawn_sharded`
-/// over two shards.
+/// Which engine a contract serves: a `KnnEngine` through `spawn`, or a
+/// two-shard `ShardedEngine` through `spawn_sharded`.
 #[derive(Debug, Clone, Copy)]
 pub enum FrontEnd {
     Single,
@@ -213,72 +221,25 @@ pub enum FrontEnd {
 
 pub const FRONT_ENDS: [FrontEnd; 2] = [FrontEnd::Single, FrontEnd::Sharded];
 
-/// Either query front-end.
-pub enum Front {
-    Single(KnnService),
-    Sharded(ShardedKnnService),
-}
-
 /// Either control handle.
 pub enum Handle {
     Single(RefineHandle),
     Sharded(ShardedRefineHandle),
 }
 
-/// Serves the world on failing backends behind `kind`'s front-end.
-pub fn spawn_failing(kind: FrontEnd, options: RefineOptions) -> (Front, Handle, Arc<Faults>) {
+/// Serves the world on failing backends of `kind`'s engine.
+pub fn spawn_failing(kind: FrontEnd, options: RefineOptions) -> (KnnService, Handle, Arc<Faults>) {
     match kind {
         FrontEnd::Single => {
             let (engine, faults) = failing_engine();
             let (service, handle) = spawn(engine, options).expect("spawn");
-            (Front::Single(service), Handle::Single(handle), faults)
+            (service, Handle::Single(handle), faults)
         }
         FrontEnd::Sharded => {
             let (engine, faults) = failing_sharded_engine(2);
             let (service, handle) = spawn_sharded(engine, options).expect("spawn_sharded");
-            (Front::Sharded(service), Handle::Sharded(handle), faults)
+            (service, Handle::Sharded(handle), faults)
         }
-    }
-}
-
-impl Front {
-    pub fn submit_update(&self, delta: ProfileDelta) -> Result<(), ServeError> {
-        match self {
-            Front::Single(s) => s.submit_update(delta),
-            Front::Sharded(s) => s.submit_update(delta),
-        }
-    }
-
-    pub fn stats(&self) -> ServiceStats {
-        match self {
-            Front::Single(s) => s.stats(),
-            Front::Sharded(s) => s.stats(),
-        }
-    }
-
-    /// Whether the served state shows `user` holding exactly `expected`
-    /// (a [`fresh_profile`]). The single service exposes its snapshot;
-    /// the sharded one shows a profile only through `query_profile`,
-    /// where a fresh profile's only perfect match is its holder.
-    fn shows(&self, user: UserId, expected: &Profile) -> bool {
-        match self {
-            Front::Single(s) => s.snapshot().profiles().get(user) == expected,
-            Front::Sharded(s) => {
-                let top = s.query_profile(expected, 1).expect("finite query");
-                top.first().is_some_and(|n| n.id == user && n.sim > 0.999)
-            }
-        }
-    }
-
-    pub fn wait_visible(&self, user: UserId, expected: &Profile, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.shows(user, expected) {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        false
     }
 }
 

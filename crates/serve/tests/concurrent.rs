@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use knn_core::{EngineConfig, KnnEngine};
 use knn_graph::{KnnGraph, UserId};
-use knn_serve::{spawn, RefineOptions};
+use knn_serve::{spawn, spawn_sharded, KnnService, RefineOptions};
+use knn_shard::ShardedEngine;
 use knn_sim::generators::{clustered_profiles, ClusteredConfig};
 use knn_sim::{ItemId, Profile, ProfileDelta, ProfileStore};
 use knn_store::WorkingDir;
@@ -53,14 +54,12 @@ fn expected_generations() -> Vec<KnnGraph> {
 /// the refinement loop swaps snapshots must only ever see graphs that
 /// are byte-identical to some *completed* iteration's graph — never a
 /// mixture of two generations — and each batched read must be
-/// internally consistent with its snapshot's iteration number.
+/// internally consistent with its snapshot's iteration number. It
+/// holds behind `spawn_sharded` too, against the same twin graphs,
+/// since graphs do not depend on the shard count.
 #[test]
 fn concurrent_readers_observe_only_complete_generations() {
     let expected = Arc::new(expected_generations());
-
-    let (config, profiles) = world();
-    let wd = WorkingDir::temp("serve_live").expect("live workdir");
-    let engine = KnnEngine::new(config, profiles, wd).expect("live engine");
     let options = RefineOptions {
         convergence_threshold: None,
         max_iterations: Some(ITERATIONS),
@@ -68,15 +67,43 @@ fn concurrent_readers_observe_only_complete_generations() {
         repair: false,
         ..RefineOptions::default()
     };
-    let (service, refine) = spawn(engine, options).expect("spawn service");
 
+    let (config, profiles) = world();
+    let wd = WorkingDir::temp("serve_live").expect("live workdir");
+    let engine = KnnEngine::new(config, profiles, wd).expect("live engine");
+    let (service, refine) = spawn(engine, options.clone()).expect("spawn service");
+    assert_readers_see_whole_generations(&service, &expected, || {
+        refine.wait_for_epoch(ITERATIONS, Duration::from_secs(120))
+    });
+    let engine = refine.stop().expect("stop refinement");
+    assert_eq!(engine.iteration(), ITERATIONS);
+    engine.into_working_dir().destroy().expect("cleanup");
+
+    let (config, profiles) = world();
+    let engine = ShardedEngine::in_memory(config, profiles, 2).expect("sharded engine");
+    let (service, refine) = spawn_sharded(engine, options).expect("spawn_sharded");
+    assert_readers_see_whole_generations(&service, &expected, || {
+        refine.wait_for_epoch(ITERATIONS, Duration::from_secs(120))
+    });
+    let engine = refine.stop().expect("stop sharded refinement");
+    assert_eq!(engine.iteration(), ITERATIONS);
+}
+
+/// Races four readers against `service`'s refinement loop until
+/// `reached_last_epoch` returns, checking every snapshot and batch
+/// against the twin's `expected` generations.
+fn assert_readers_see_whole_generations(
+    service: &KnnService,
+    expected: &Arc<Vec<KnnGraph>>,
+    reached_last_epoch: impl FnOnce() -> bool,
+) {
     let stop = Arc::new(AtomicBool::new(false));
     let torn_reads = Arc::new(AtomicU64::new(0));
     let mut readers = Vec::new();
     let mut epoch_sets = Vec::new();
     for reader_id in 0..4u32 {
         let service = service.clone();
-        let expected = Arc::clone(&expected);
+        let expected = Arc::clone(expected);
         let stop = Arc::clone(&stop);
         let torn_reads = Arc::clone(&torn_reads);
         let epochs_seen = Arc::new(AtomicU64::new(0));
@@ -99,21 +126,20 @@ fn concurrent_readers_observe_only_complete_generations() {
                         UserId::new(((reader_id as usize * 13 + i * 7 + reads as usize) % N) as u32)
                     })
                     .collect();
-                let lists = service
-                    .neighbors_many(&users)
-                    .expect("in-range users")
-                    .results;
+                let batch = service.neighbors_many(&users).expect("in-range users");
+                let lists = &batch.results;
                 // Atomicity of the batch: *some single* completed
                 // generation must explain every returned list at once.
                 let single_generation = expected.iter().any(|gen| {
                     users
                         .iter()
-                        .zip(&lists)
+                        .zip(lists)
                         .all(|(u, list)| gen.neighbors(*u) == list.as_slice())
                 });
                 if !single_generation {
                     torn_reads.fetch_add(1, Ordering::Relaxed);
                 }
+                assert!(!batch.degraded, "a batch came back degraded");
                 seen.insert(snapshot.epoch());
                 reads += 1;
             }
@@ -123,7 +149,7 @@ fn concurrent_readers_observe_only_complete_generations() {
     }
 
     assert!(
-        refine.wait_for_epoch(ITERATIONS, Duration::from_secs(120)),
+        reached_last_epoch(),
         "refinement did not reach epoch {ITERATIONS}"
     );
     stop.store(true, Ordering::Release);
@@ -148,10 +174,6 @@ fn concurrent_readers_observe_only_complete_generations() {
     let last = service.snapshot();
     assert_eq!(last.iteration(), ITERATIONS);
     assert_eq!(*last.graph().as_ref(), expected[ITERATIONS as usize]);
-
-    let engine = refine.stop().expect("stop refinement");
-    assert_eq!(engine.iteration(), ITERATIONS);
-    engine.into_working_dir().destroy().expect("cleanup");
 }
 
 /// Updates submitted through the service surface in a later snapshot's

@@ -51,11 +51,11 @@ fn transient_append_failure_loses_nothing() {
         // failed one on a retry pass (the injected failure self-heals
         // after one).
         assert!(
-            service.wait_visible(UserId::new(1), &p1, Duration::from_secs(30)),
+            wait_visible(&service, UserId::new(1), &p1, Duration::from_secs(30)),
             "{kind:?}: user 1's delta was dropped"
         );
         assert!(
-            service.wait_visible(UserId::new(2), &p2, Duration::from_secs(30)),
+            wait_visible(&service, UserId::new(2), &p2, Duration::from_secs(30)),
             "{kind:?}: user 2's delta was dropped"
         );
         assert!(backend.failures() >= 1, "{kind:?}: injection never fired");
@@ -157,7 +157,7 @@ fn permanent_failure_with_repair_returns_served_updates() {
         // (placement needs no storage), as a repaired epoch (the
         // counter moves right after the publish it counts)...
         assert!(
-            service.wait_visible(user, &fresh, Duration::from_secs(30)),
+            wait_visible(&service, user, &fresh, Duration::from_secs(30)),
             "{kind:?}: repair path should not depend on the update log"
         );
         let deadline = Instant::now() + Duration::from_secs(30);

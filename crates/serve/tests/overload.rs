@@ -10,7 +10,9 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{failing_engine, fresh_profile, spawn_failing, world, FRONT_ENDS, K, N, SEED};
+use common::{
+    failing_engine, fresh_profile, spawn_failing, wait_visible, world, FRONT_ENDS, K, N, SEED,
+};
 use knn_core::{EngineConfig, KnnEngine};
 use knn_graph::UserId;
 use knn_serve::{spawn, AdmissionConfig, BreakerConfig, OverloadPolicy, RefineOptions, ServeError};
@@ -154,7 +156,12 @@ fn breaker_throttles_a_flapping_backend() {
 
         backend.heal();
         assert!(
-            service.wait_visible(UserId::new(7), &fresh_profile(7), Duration::from_secs(30)),
+            wait_visible(
+                &service,
+                UserId::new(7),
+                &fresh_profile(7),
+                Duration::from_secs(30)
+            ),
             "{kind:?}: update lost after heal"
         );
         refine.stop().expect("clean stop");

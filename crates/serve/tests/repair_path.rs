@@ -113,7 +113,7 @@ fn update_visible_without_any_iteration() {
     );
 }
 
-/// Visibility without iterations, sharded: the owner shard's cell
+/// Visibility without iterations, sharded: the repair worker
 /// republishes and a self-query finds the updated user at the top.
 #[test]
 fn sharded_update_visible_without_any_iteration() {
@@ -145,7 +145,7 @@ fn sharded_update_visible_without_any_iteration() {
     let stats = service.stats();
     assert!(stats.repaired_epochs >= 1, "no repaired epoch published");
     assert_eq!(stats.updates_drained, 1);
-    // The user's own row was re-placed on its owner shard.
+    // The user's own row was re-placed.
     let row = service.neighbors(user).expect("in range");
     assert_eq!(row.len(), K);
     assert!(row.iter().all(|nb| nb.id != user));
@@ -190,7 +190,7 @@ fn nan_query_is_rejected_not_ranked_first() {
     refine.stop().expect("stop");
 }
 
-/// The same guard on the scatter-gather front-end.
+/// The same guard behind `spawn_sharded`.
 #[test]
 fn sharded_nan_query_is_rejected() {
     let (config, profiles) = world();

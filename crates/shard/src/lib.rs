@@ -53,8 +53,9 @@
 //! becomes a framed write to the peer, `drain` the peer's receive
 //! buffer at its merge barrier — and inherits the determinism argument
 //! as long as it preserves per-destination FIFO order. The serving
-//! layer (`knn-serve`) builds scatter-gather query fan-out on the same
-//! ring via `ShardedKnnService`.
+//! layer (`knn-serve`'s `spawn_sharded`) publishes the engine's global
+//! graph and profiles, which are the same at every shard count, so
+//! queries never fan out across the ring.
 //!
 //! [`ForeignPayload`]: knn_core::tuple_table::ForeignPayload
 

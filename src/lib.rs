@@ -16,7 +16,7 @@
 //! | [`cluster`] | `knn-cluster` | locality pre-pass: sketch embeddings, mini-batch k-means / random buckets, cluster-seeded `G(0)` |
 //! | [`core`] | `knn-core` | the five-phase engine (partitioning → tuples → PI graph → KNN → updates) |
 //! | [`shard`] | `knn-shard` | consistent-hash shard layer: `ShardedEngine`, cross-shard tuple exchange, routing backend |
-//! | [`serve`] | `knn-serve` | online query layer: snapshot swap, concurrent `KnnService`, background refinement, sharded scatter-gather |
+//! | [`serve`] | `knn-serve` | online query layer: snapshot swap, concurrent `KnnService`, background refinement over a plain or sharded engine |
 //! | [`baseline`] | `knn-baseline` | brute force, NN-Descent, naive out-of-core, recall |
 //! | [`datasets`] | `knn-datasets` | Table-1 dataset replicas and workload presets |
 //!

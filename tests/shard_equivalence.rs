@@ -6,9 +6,8 @@
 //! totals, and a byte-identical union of persisted streams (each
 //! stream merely lives on its owner shard instead of the one backend).
 //! A plain `KnnEngine` rides along as the root reference, pinning the
-//! 1-shard engine to the unsharded code path, and the serving layer's
-//! scatter-gather front-end must answer exactly like the unsharded
-//! service.
+//! 1-shard engine to the unsharded code path, and a service over a
+//! sharded engine must answer exactly like the unsharded service.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -261,11 +260,10 @@ fn independent_runs_to_convergence_agree_across_shard_counts() {
     }
 }
 
-/// The serving half of the acceptance bar: scatter-gather answers from
-/// a 4-shard service are identical to the unsharded service over the
+/// The serving half of the acceptance bar: answers from a service over
+/// a 4-shard engine are identical to the unsharded service over the
 /// same engine state — neighbors, batches (and their generation tag),
-/// and ad-hoc profile scans. So are a 1-shard service's, whose single
-/// cell serves the global containers with no projection.
+/// and ad-hoc profile scans. So are a 1-shard service's.
 #[test]
 fn scatter_gather_matches_the_single_shard_service() {
     let n = 72;
@@ -299,9 +297,9 @@ fn scatter_gather_matches_the_single_shard_service() {
             sharded.run_iteration().expect("iteration");
         }
         assert_eq!(&graph, sharded.graph(), "shards={shards}");
+        assert_eq!(sharded.num_shards(), shards);
         let (sharded_service, sharded_refine) =
             spawn_sharded(sharded, frozen.clone()).expect("spawn_sharded");
-        assert_eq!(sharded_service.num_shards(), shards);
         assert_eq!(sharded_service.num_users(), service.num_users());
 
         for &u in &users {
@@ -314,7 +312,7 @@ fn scatter_gather_matches_the_single_shard_service() {
         let sharded_batch = sharded_service.neighbors_many(&users).expect("batch");
         assert_eq!(batch, sharded_batch, "shards={shards}");
 
-        // Ad-hoc scans: per-shard top-k gather equals the full scan.
+        // Ad-hoc scans.
         for &u in users.iter().take(8) {
             let query = snapshot.profiles().get(u);
             assert_eq!(
@@ -341,7 +339,7 @@ fn scatter_gather_matches_the_single_shard_service() {
 
 /// Live updates through the sharded service: a submitted delta is
 /// routed to its owner shard's durable queue, applied by a later
-/// iteration, and surfaces in the coherent per-shard snapshots.
+/// iteration, and surfaces in a served snapshot.
 #[test]
 fn updates_flow_through_the_sharded_service() {
     let n = 120;
@@ -384,8 +382,8 @@ fn updates_flow_through_the_sharded_service() {
             let engine_view = refine.current_epoch();
             assert!(engine_view >= batch.generation);
         }
-        // The update has surfaced once the owner shard's snapshot
-        // carries the replaced profile.
+        // The update has surfaced once the served snapshot carries the
+        // replaced profile.
         let done = service
             .query_profile(&fresh, 1)
             .expect("finite query")
