@@ -1,25 +1,21 @@
 //! Baselines and quality metrics for out-of-core KNN.
 //!
-//! Three comparators frame the engine's evaluation:
+//! Two comparators frame the engine's evaluation:
 //!
 //! * [`brute_force`] — exact KNN by exhaustive pairwise scoring
 //!   (multithreaded); the ground truth for recall measurements.
 //! * [`nn_descent`] — the in-memory NN-Descent algorithm of Dong,
 //!   Moses & Li (WWW 2011), the paper's reference \[1\] and the
 //!   algorithm whose iteration the out-of-core engine externalizes.
-//! * [`naive_ooc`] — the strawman the paper argues against: the same
-//!   KNN iteration executed with *random-access* partition loads
-//!   instead of the PI-graph schedule. Identical results, drastically
-//!   more partition I/O.
 //!
 //! [`recall`] quantifies result quality against the brute-force truth.
 
+#![warn(unreachable_pub, missing_docs)]
+
 pub mod brute_force;
-pub mod naive_ooc;
 pub mod nn_descent;
 pub mod recall;
 
 pub use brute_force::brute_force_knn;
-pub use naive_ooc::{naive_out_of_core_iteration, NaiveOocOutput};
 pub use nn_descent::{NnDescent, NnDescentConfig, NnDescentOutcome};
 pub use recall::{recall_at_k, RecallReport};

@@ -5,9 +5,9 @@
 //!
 //! * `unprepared` — the classic `Similarity::score(&Profile, &Profile)`
 //!   entry point (per-profile aggregates recomputed per pair);
-//! * `prepared` — `Measure::score_prepared` over [`PreparedProfile`]s
-//!   (aggregates hoisted to profile load, the phase-4 hot path);
-//! * `bound` — the O(1) `Measure::upper_bound` ceiling that the
+//! * `prepared` — `Measure::score_ref` over `PreparedRef::new` views
+//!   of the same profiles (aggregates hoisted to profile load);
+//! * `bound` — the O(1) `Measure::upper_bound_ref` ceiling that the
 //!   phase-4 filter evaluates instead of a kernel when it can;
 //! * `pair` / `row@L` — the same pairs, grouped in runs of `L`
 //!   candidates per source (L = 1, 8, 64, 512), through
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use knn_bench::{opt_or, TextTable};
 use knn_sim::generators::{clustered_profiles, ClusteredConfig};
-use knn_sim::{Measure, PreparedProfile, Profile, ProfileArena, RowKernel, Similarity};
+use knn_sim::{Measure, PreparedRef, Profile, ProfileArena, ProfileStats, RowKernel, Similarity};
 
 /// Candidates per source row in the `pair` / `row@L` columns.
 const RUN_LENGTHS: [usize; 4] = [1, 8, 64, 512];
@@ -67,9 +67,11 @@ fn main() {
     let profiles: Vec<Profile> = (0..num_profiles as u32)
         .map(|u| store.get(knn_graph::UserId::new(u)).clone())
         .collect();
-    let prepared: Vec<PreparedProfile> = profiles
+    let stats: Vec<_> = profiles.iter().map(ProfileStats::with_sketch).collect();
+    let prepared: Vec<PreparedRef> = profiles
         .iter()
-        .map(|p| PreparedProfile::new(p.clone()))
+        .zip(&stats)
+        .map(|(p, (stats, sketch))| PreparedRef::new(p.entries(), stats, sketch))
         .collect();
     let mut builder = ProfileArena::builder(num_profiles, store.total_entries());
     for (u, p) in profiles.iter().enumerate() {
@@ -108,7 +110,7 @@ fn main() {
         let t0 = Instant::now();
         let mut sum_prepared = 0.0f64;
         for &(a, b) in &pairs {
-            sum_prepared += measure.score_prepared(&prepared[a], &prepared[b]) as f64;
+            sum_prepared += measure.score_ref(prepared[a], prepared[b]) as f64;
         }
         let prepared_ns = t0.elapsed().as_nanos() as f64 / num_pairs as f64;
 
@@ -124,7 +126,7 @@ fn main() {
         let t0 = Instant::now();
         let mut bound_acc = 0.0f64;
         for &(a, b) in &pairs {
-            bound_acc += measure.upper_bound(&prepared[a], &prepared[b]) as f64;
+            bound_acc += measure.upper_bound_ref(prepared[a], prepared[b]) as f64;
         }
         let bound_ns = t0.elapsed().as_nanos() as f64 / num_pairs as f64;
         std::hint::black_box(bound_acc);

@@ -167,9 +167,7 @@ impl EngineConfig {
 
     /// Minimum surviving-tuple count before phase 4 fans a bucket out
     /// to the worker pool; smaller buckets score inline because the
-    /// dispatch overhead would dominate (see
-    /// [`Phase4Options::parallel_threshold`](crate::phase4::Phase4Options::parallel_threshold)
-    /// for the tradeoff).
+    /// dispatch overhead would dominate.
     pub fn parallel_threshold(&self) -> usize {
         self.parallel_threshold
     }
@@ -366,10 +364,8 @@ impl EngineConfigBuilder {
     }
 
     /// Sets the phase-4 bucket size below which scoring stays inline
-    /// instead of fanning out to the worker pool (default
-    /// [`DEFAULT_PARALLEL_THRESHOLD`](crate::phase4::DEFAULT_PARALLEL_THRESHOLD);
-    /// the result never depends on it, only the dispatch overhead
-    /// does).
+    /// instead of fanning out to the worker pool (default 2048; the
+    /// result never depends on it, only the dispatch overhead does).
     pub fn parallel_threshold(mut self, tuples: usize) -> Self {
         self.parallel_threshold = tuples;
         self

@@ -15,14 +15,14 @@
 //!    the sorted lists to emit candidate tuples `(s, d)` into
 //!    columnar per-bucket staging, deduplicated by radix sort and
 //!    spilled as varint-delta runs when memory bounds demand it.
-//! 3. **PI graph** ([`pigraph`], [`traversal`]) — build the
+//! 3. **PI graph** ([`PiGraph`], [`traversal`]) — build the
 //!    partition-interaction graph and order the partition pairs with a
 //!    traversal heuristic so that partition load/unload operations are
 //!    minimized (the paper's Table 1 compares these heuristics).
-//! 4. **KNN computation** ([`phase4`], [`topk`]) — walk the schedule
+//! 4. **KNN computation** ([`topk`]) — walk the schedule
 //!    with a two-slot partition cache, score every tuple, and keep
 //!    per-user top-`K` accumulators, yielding `G(t+1)`.
-//! 5. **Lazy profile updates** ([`phase5`]) — apply the update queue so
+//! 5. **Lazy profile updates** — apply the update queue so
 //!    that `P(t+1)` reflects changes queued during iteration `t`.
 //!
 //! Every phase performs its I/O through the
@@ -61,9 +61,9 @@
 //! (or per-bucket) work out over that many scoped workers, pulling
 //! tasks from a work-stealing queue ([`mod@phase1`] sorts and encodes
 //! partition streams concurrently, [`mod@phase2`] scans partitions
-//! with per-scan tuple tables merged bucket-parallel, [`mod@phase4`]
-//! scores tuple chunks on a worker pool, [`mod@phase5`] rebuilds
-//! touched profile streams concurrently).
+//! with per-scan tuple tables merged bucket-parallel, phase 4 scores
+//! tuple chunks on a worker pool, phase 5 rebuilds touched profile
+//! streams concurrently).
 //!
 //! The guarantee: **thread count never changes the answer.** Each unit
 //! of work is a pure function of its partition's inputs, every
@@ -121,10 +121,10 @@
 //!   candidate pair once ([`tuple_table::meta_bits`] direction bits);
 //!   the symmetric kernel runs once per pair, its score offered along
 //!   every recorded direction.
-//! * **Prepared profiles** — partition loads wrap profiles in
-//!   [`knn_sim::PreparedProfile`] (one-pass aggregates + block
-//!   sketches); [`knn_sim::Measure::score_prepared`] is bit-identical
-//!   to the classic `score` path.
+//! * **Prepared profiles** — partition loads build one
+//!   [`knn_sim::ProfileArena`] whose rows carry one-pass aggregates and
+//!   block sketches; [`knn_sim::Measure::score_ref`] over its views is
+//!   bit-identical to the classic `score` path.
 //! * **Cross-iteration pair suppression** (`EngineConfig::prune_pairs`,
 //!   default on) — the engine tracks per-user profile-dirty bits from
 //!   phase 5 and the edge additions `G(t) ∖ G(t-1)`; pairs generated
@@ -134,7 +134,7 @@
 //!   so phase 4 skips them (`sims_skipped`). A fresh engine or resume
 //!   has no bookkeeping, so its first iteration re-scores everything.
 //! * **Bound-based filtering** (`EngineConfig::bound_filter`, default
-//!   on) — [`knn_sim::Measure::upper_bound`] is an O(1) score
+//!   on) — [`knn_sim::Measure::upper_bound_ref`] is an O(1) score
 //!   ceiling; candidates that cannot beat the current k-th
 //!   accumulator entry are dropped unevaluated (`sims_pruned`).
 //!
@@ -180,22 +180,24 @@
 //! # }
 //! ```
 
-pub mod config;
-pub mod error;
+#![warn(unreachable_pub, missing_docs)]
+
 pub mod metrics;
 pub mod partition;
 pub mod phase1;
 pub mod phase2;
-pub mod phase4;
-pub mod phase5;
-pub mod pigraph;
 pub mod reference;
 pub mod topk;
 pub mod traversal;
 pub mod tuple_table;
 
+mod config;
 mod engine;
+mod error;
 mod par;
+mod phase4;
+mod phase5;
+mod pigraph;
 
 pub use config::{EngineConfig, EngineConfigBuilder};
 pub use engine::{KnnEngine, Phase2Provider, ScrubReport};

@@ -50,38 +50,32 @@ pub fn replication_cost(graph: &DiGraph, partitioning: &Partitioning) -> u64 {
     popcount(&out_parts) + popcount(&in_parts)
 }
 
-/// Computes the per-partition breakdown `(N_in(i), N_out(i))`.
-///
-/// Useful for reports; `replication_cost` equals the sum of both
-/// columns.
-///
-/// # Panics
-///
-/// Panics on vertex-count mismatch, as in [`replication_cost`].
-pub fn per_partition_counts(graph: &DiGraph, partitioning: &Partitioning) -> Vec<(u64, u64)> {
-    assert_eq!(graph.num_vertices(), partitioning.num_users());
-    let m = partitioning.num_partitions();
-    let mut in_sources: Vec<std::collections::HashSet<u32>> =
-        vec![std::collections::HashSet::new(); m];
-    let mut out_dests: Vec<std::collections::HashSet<u32>> =
-        vec![std::collections::HashSet::new(); m];
-    for (s, d) in graph.iter_edges() {
-        let pd = partitioning.partition_of(d) as usize;
-        let ps = partitioning.partition_of(s) as usize;
-        // (s, d) is an in-edge of partition(d) with source s,
-        // and an out-edge of partition(s) with destination d.
-        in_sources[pd].insert(s.raw());
-        out_dests[ps].insert(d.raw());
-    }
-    (0..m)
-        .map(|i| (in_sources[i].len() as u64, out_dests[i].len() as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use knn_graph::DiGraph;
+
+    /// The per-partition breakdown `(N_in(i), N_out(i))` by hash sets:
+    /// the slow oracle `replication_cost` must sum to.
+    fn per_partition_counts(graph: &DiGraph, partitioning: &Partitioning) -> Vec<(u64, u64)> {
+        assert_eq!(graph.num_vertices(), partitioning.num_users());
+        let m = partitioning.num_partitions();
+        let mut in_sources: Vec<std::collections::HashSet<u32>> =
+            vec![std::collections::HashSet::new(); m];
+        let mut out_dests: Vec<std::collections::HashSet<u32>> =
+            vec![std::collections::HashSet::new(); m];
+        for (s, d) in graph.iter_edges() {
+            let pd = partitioning.partition_of(d) as usize;
+            let ps = partitioning.partition_of(s) as usize;
+            // (s, d) is an in-edge of partition(d) with source s,
+            // and an out-edge of partition(s) with destination d.
+            in_sources[pd].insert(s.raw());
+            out_dests[ps].insert(d.raw());
+        }
+        (0..m)
+            .map(|i| (in_sources[i].len() as u64, out_dests[i].len() as u64))
+            .collect()
+    }
 
     fn two_partition(assignment: Vec<u32>) -> Partitioning {
         Partitioning::from_assignment(assignment, 2).unwrap()

@@ -31,7 +31,7 @@
 //!    accumulator seeds written in phase 1 carry their prior verdict.
 //! 3. **Bound-based filtering** (`sims_pruned`) — a surviving tuple is
 //!    scored only if its O(1) score ceiling
-//!    ([`Measure::upper_bound`]) could still beat the current k-th
+//!    ([`Measure::upper_bound_ref`]) could still beat the current k-th
 //!    entry of the target accumulator(s); thresholds are sampled at
 //!    bucket start, which only under-prunes, never over-prunes.
 //!
@@ -65,11 +65,11 @@ use crate::{EngineError, PiGraph};
 
 /// Default for [`Phase4Options::parallel_threshold`]: buckets smaller
 /// than this are scored inline even when a worker pool exists.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
+pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 
 /// Options of one phase-4 run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Phase4Options {
+pub(crate) struct Phase4Options {
     /// The KNN bound `K`.
     pub k: usize,
     /// Similarity measure.
@@ -113,7 +113,7 @@ pub struct Phase4Options {
 /// conditions re-scoring provably cannot change any accumulator, so
 /// suppression is exact.
 #[derive(Debug, Clone, Copy)]
-pub struct Phase4Prune<'a> {
+pub(crate) struct Phase4Prune<'a> {
     /// Per-user seed validity (accumulator seeded and scores current).
     pub seed_ok: &'a [bool],
     /// Per-user profile dirtiness from the last phase 5.
@@ -122,7 +122,7 @@ pub struct Phase4Prune<'a> {
 
 /// Result of one phase-4 run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Phase4Output {
+pub(crate) struct Phase4Output {
     /// The next KNN graph `G(t+1)`.
     pub graph: KnnGraph,
     /// Partition cache operation counts (the real Table-1 metric).
@@ -267,7 +267,7 @@ fn unload_state(
 /// Returns [`EngineError::Store`] on I/O failure or corrupt state
 /// streams, and [`EngineError::InputMismatch`] if a tuple references a
 /// user missing from its partition's streams.
-pub fn run_phase4(
+pub(crate) fn run_phase4(
     schedule: &Schedule,
     pi: &PiGraph,
     meta: &BucketMeta,

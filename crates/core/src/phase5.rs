@@ -25,13 +25,13 @@ use crate::EngineError;
 /// storage backend's update log, so they survive a crash on any
 /// durable backend.
 #[derive(Debug)]
-pub struct UpdateQueue {
+pub(crate) struct UpdateQueue {
     num_users: usize,
 }
 
 /// Summary of one phase-5 run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Phase5Stats {
+pub(crate) struct Phase5Stats {
     /// Deltas applied.
     pub updates_applied: u64,
     /// Partition streams rewritten.
@@ -41,7 +41,7 @@ pub struct Phase5Stats {
 impl UpdateQueue {
     /// Creates the queue facade for a computation over `num_users`
     /// users (the log itself lives in the backend).
-    pub fn new(num_users: usize) -> Self {
+    pub(crate) fn new(num_users: usize) -> Self {
         UpdateQueue { num_users }
     }
 
@@ -51,9 +51,9 @@ impl UpdateQueue {
     ///
     /// Returns [`EngineError::InvalidUpdate`] for an out-of-range user
     /// or any non-finite weight (`Set` and `Replace` alike, via
-    /// [`DeltaOp::weights_finite`]), [`EngineError::Store`] on I/O
-    /// failure.
-    pub fn queue(
+    /// [`DeltaOp::weights_finite`](knn_sim::DeltaOp::weights_finite)),
+    /// [`EngineError::Store`] on I/O failure.
+    pub(crate) fn queue(
         &mut self,
         delta: &ProfileDelta,
         backend: &dyn StorageBackend,
@@ -79,7 +79,7 @@ impl UpdateQueue {
     /// # Errors
     ///
     /// Returns [`EngineError::Store`] on read failure.
-    pub fn pending(&self, backend: &dyn StorageBackend) -> Result<usize, EngineError> {
+    pub(crate) fn pending(&self, backend: &dyn StorageBackend) -> Result<usize, EngineError> {
         Ok(read_deltas(backend)?.len())
     }
 
@@ -108,7 +108,7 @@ impl UpdateQueue {
     ///
     /// Returns [`EngineError::Store`] on I/O failure or corrupt
     /// streams.
-    pub fn apply_all(
+    pub(crate) fn apply_all(
         &mut self,
         partitioning: &Partitioning,
         backend: &dyn StorageBackend,
@@ -202,7 +202,7 @@ impl UpdateQueue {
     ///
     /// Returns [`EngineError::Store`] on I/O failure and
     /// [`EngineError::InputMismatch`] for an unknown user.
-    pub fn read_profile(
+    pub(crate) fn read_profile(
         user: UserId,
         partitioning: &Partitioning,
         backend: &dyn StorageBackend,

@@ -53,13 +53,6 @@ pub enum Heuristic {
 }
 
 impl Heuristic {
-    /// The three heuristics evaluated in the paper's Table 1.
-    pub const PAPER: [Heuristic; 3] = [
-        Heuristic::Sequential,
-        Heuristic::DegreeHighLow,
-        Heuristic::DegreeLowHigh,
-    ];
-
     /// All built-in heuristics (paper + extensions).
     pub const ALL: [Heuristic; 5] = [
         Heuristic::Sequential,

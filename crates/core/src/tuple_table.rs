@@ -165,15 +165,6 @@ impl BucketMeta {
         self.bytes.get(&bucket).map(Vec::len)
     }
 
-    /// Total number of tuples carrying at least one old-path bit.
-    pub fn num_old(&self) -> u64 {
-        self.bytes
-            .values()
-            .flat_map(|bytes| bytes.iter())
-            .filter(|&&b| b & (meta_bits::OLD_FWD | meta_bits::OLD_BWD) != 0)
-            .count() as u64
-    }
-
     /// Total number of directed tuples represented (FWD and BWD bits).
     pub fn num_directed(&self) -> u64 {
         self.bytes
@@ -1369,7 +1360,9 @@ mod tests {
                 meta_bits::FWD | meta_bits::BWD | meta_bits::OLD_FWD,
                 "{label}: old applies to the offered direction only"
             );
-            assert_eq!(meta.num_old(), 3, "{label}");
+            let old = meta.bucket_bytes((0, 1)).unwrap().iter();
+            let old = old.filter(|&&b| b & (meta_bits::OLD_FWD | meta_bits::OLD_BWD) != 0);
+            assert_eq!(old.count(), 3, "{label}");
             // Unknown buckets/indices read inert.
             assert_eq!(meta.bits((0, 1), 3), 0);
             assert_eq!(meta.bits((9, 9), 0), 0);

@@ -368,27 +368,29 @@ proptest! {
         pb in proptest::collection::vec((0u32..40, -5.0f32..5.0), 0..20),
         cand_id in 100u32..120,
     ) {
-        use knn_sim::{Measure, PreparedProfile, Profile};
+        use knn_sim::{Measure, PreparedRef, Profile, ProfileStats};
         let build = |pairs: &[(u32, f32)]| {
             let mut map = std::collections::HashMap::new();
             for &(i, w) in pairs {
                 map.insert(i, w);
             }
-            PreparedProfile::new(Profile::from_unsorted_pairs(map.into_iter().collect()).unwrap())
+            Profile::from_unsorted_pairs(map.into_iter().collect()).unwrap()
         };
-        let (a, b) = (build(&pa), build(&pb));
+        let (pa, pb) = (build(&pa), build(&pb));
+        let ((sa, ka), (sb, kb)) = (ProfileStats::with_sketch(&pa), ProfileStats::with_sketch(&pb));
+        let (a, b) = (PreparedRef::new(pa.entries(), &sa, &ka), PreparedRef::new(pb.entries(), &sb, &kb));
         let mut acc = TopKAccumulator::new(k);
         for &(id, sim) in &seated {
             acc.offer(Neighbor::new(UserId::new(id), sim));
         }
         for m in Measure::ALL {
             let Some(threshold) = acc.threshold() else { break };
-            let bound = m.upper_bound(&a, &b);
+            let bound = m.upper_bound_ref(a, b);
             let prunable =
                 bound.is_finite() && !Neighbor::new(UserId::new(cand_id), bound).beats(&threshold);
             if prunable {
                 let mut replay = acc.clone();
-                let true_score = m.score_prepared(&a, &b);
+                let true_score = m.score_ref(a, b);
                 let changed = replay.offer(Neighbor::new(UserId::new(cand_id), true_score));
                 prop_assert!(
                     !changed,

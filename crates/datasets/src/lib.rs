@@ -20,6 +20,8 @@
 //! assert_eq!(edges.len(), wiki.paper_edges());
 //! ```
 
+#![warn(unreachable_pub, missing_docs)]
+
 pub mod workloads;
 
 pub use workloads::{Workload, WorkloadConfig};

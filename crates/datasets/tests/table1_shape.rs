@@ -77,25 +77,27 @@ fn extension_heuristics_never_lose_to_sequential_on_replicas() {
 }
 
 #[test]
-fn replicas_concentrate_pagerank_mass_like_core_periphery_networks() {
+fn replicas_concentrate_degree_mass_like_core_periphery_networks() {
     // The replica calibration relies on a small core covering most
-    // edges; PageRank top-mass is an independent probe of that
-    // structure. An equally-sized Erdős–Rényi graph must concentrate
-    // far less mass in its top 5% of vertices.
+    // edges; the in-degree share held by the top 5% of vertices is an
+    // independent probe of that structure. An equally-sized
+    // Erdős–Rényi graph must concentrate far less of it.
     use knn_graph::generators::erdos_renyi;
-    use knn_graph::pagerank::{pagerank, PageRankConfig};
-    use knn_graph::{Csr, DiGraph};
+    use knn_graph::DiGraph;
 
     let ds = Table1Dataset::GeneralRelativity;
     let row = ds.paper_row();
-    let top_mass = |edges: &[(u32, u32)]| {
+    let top_share = |edges: &[(u32, u32)]| {
         let g = DiGraph::from_undirected_edges(row.nodes, edges.to_vec()).unwrap();
-        pagerank(&Csr::from_digraph(&g), PageRankConfig::default()).top_mass(row.nodes / 20)
+        let mut degrees = g.in_degrees();
+        degrees.sort_unstable_by(|a, b| b.cmp(a));
+        let top: usize = degrees[..row.nodes / 20].iter().sum();
+        top as f64 / degrees.iter().sum::<usize>() as f64
     };
-    let replica = top_mass(&ds.generate(42));
-    let er = top_mass(&erdos_renyi(row.nodes, row.edges, 42));
+    let replica = top_share(&ds.generate(42));
+    let er = top_share(&erdos_renyi(row.nodes, row.edges, 42));
     assert!(
         replica > 1.5 * er,
-        "replica top-5% PageRank mass {replica:.3} vs ER {er:.3}"
+        "replica top-5% in-degree share {replica:.3} vs ER {er:.3}"
     );
 }

@@ -184,43 +184,6 @@ impl DiGraph {
         }
         t
     }
-
-    /// Returns the subgraph induced by `keep`, relabeling vertices to
-    /// `0..keep.len()` in the order given.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::VertexOutOfRange`] if `keep` references a
-    /// missing vertex.
-    pub fn induced_subgraph(&self, keep: &[UserId]) -> Result<DiGraph, GraphError> {
-        let n = self.num_vertices();
-        let mut remap = vec![u32::MAX; n];
-        for (new, &v) in keep.iter().enumerate() {
-            if v.index() >= n {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: v,
-                    num_vertices: n,
-                });
-            }
-            remap[v.index()] = new as u32;
-        }
-        let mut sub = DiGraph::new(keep.len());
-        for &v in keep {
-            let new_s = remap[v.index()];
-            for &d in self.out_neighbors(v) {
-                let new_d = remap[d as usize];
-                if new_d != u32::MAX {
-                    sub.add_edge(UserId::new(new_s), UserId::new(new_d));
-                }
-            }
-        }
-        Ok(sub)
-    }
-
-    /// Collects all edges into a vector of raw pairs.
-    pub fn to_edge_pairs(&self) -> Vec<EdgePair> {
-        self.iter_edges().map(|(s, d)| (s.raw(), d.raw())).collect()
-    }
 }
 
 #[cfg(test)]
@@ -300,32 +263,5 @@ mod tests {
         assert!(g.has_edge(UserId::new(0), UserId::new(1)));
         assert!(g.has_edge(UserId::new(1), UserId::new(0)));
         assert_eq!(g.num_edges(), 4);
-    }
-
-    #[test]
-    fn induced_subgraph_relabels_and_filters() {
-        let g = DiGraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]).unwrap();
-        let sub = g
-            .induced_subgraph(&[UserId::new(0), UserId::new(1), UserId::new(4)])
-            .unwrap();
-        assert_eq!(sub.num_vertices(), 3);
-        // 0->1 kept (0->1), 0->4 kept (0->2); 1->2, 2->3, 3->4 dropped.
-        assert_eq!(sub.num_edges(), 2);
-        assert!(sub.has_edge(UserId::new(0), UserId::new(1)));
-        assert!(sub.has_edge(UserId::new(0), UserId::new(2)));
-    }
-
-    #[test]
-    fn induced_subgraph_rejects_bad_vertex() {
-        let g = path_graph();
-        assert!(g.induced_subgraph(&[UserId::new(99)]).is_err());
-    }
-
-    #[test]
-    fn to_edge_pairs_round_trips() {
-        let g = path_graph();
-        let pairs = g.to_edge_pairs();
-        let g2 = DiGraph::from_edges(4, pairs).unwrap();
-        assert_eq!(g, g2);
     }
 }

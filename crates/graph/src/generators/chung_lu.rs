@@ -45,12 +45,6 @@ impl ChungLuConfig {
         self.alpha = alpha;
         self
     }
-
-    /// Overrides the rank offset.
-    pub fn with_offset(mut self, offset: f64) -> Self {
-        self.offset = offset;
-        self
-    }
 }
 
 /// Generates a heavy-tailed random graph with **exactly**

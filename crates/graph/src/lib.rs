@@ -1,11 +1,11 @@
 //! Directed-graph substrate for out-of-core KNN computation.
 //!
 //! This crate provides the graph data structures, random-graph
-//! generators, and structural statistics used by the out-of-core KNN
+//! generators, and degree statistics used by the out-of-core KNN
 //! engine (`knn-core`) and its baselines. It is
 //! deliberately free of any storage or similarity concerns: vertices are
-//! plain [`UserId`]s and edges are either unscored ([`DiGraph`], [`Csr`])
-//! or carry a similarity score ([`KnnGraph`]).
+//! plain [`UserId`]s and edges are either unscored ([`DiGraph`]) or
+//! carry a similarity score ([`KnnGraph`]).
 //!
 //! # Quick example
 //!
@@ -20,18 +20,17 @@
 //! assert_eq!(g.num_edges(), 3);
 //! ```
 
-pub mod csr;
+#![warn(unreachable_pub, missing_docs)]
+
 pub mod digraph;
-pub mod error;
 pub mod generators;
 pub mod knn;
 pub mod neighbor;
-pub mod pagerank;
 pub mod stats;
 
+mod error;
 mod id;
 
-pub use csr::Csr;
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use id::UserId;
@@ -42,5 +41,5 @@ pub use stats::DegreeStats;
 /// A directed edge as a raw `(source, destination)` pair of vertex ids.
 ///
 /// Generators traffic in raw pairs; structured graph
-/// types ([`DiGraph`], [`Csr`], [`KnnGraph`]) are built from them.
+/// types ([`DiGraph`], [`KnnGraph`]) are built from them.
 pub type EdgePair = (u32, u32);

@@ -1,11 +1,6 @@
 //! Structural statistics used to validate the synthetic dataset
 //! replicas against the shapes the paper's datasets exhibit.
 
-use std::collections::HashSet;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::EdgePair;
 
 /// Summary statistics of an (undirected) degree sequence.
@@ -86,81 +81,6 @@ impl DegreeStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of vertices with degree `d`.
-pub fn degree_histogram(n: usize, edges: &[EdgePair]) -> Vec<usize> {
-    let mut deg = vec![0usize; n];
-    for &(a, b) in edges {
-        deg[a as usize] += 1;
-        deg[b as usize] += 1;
-    }
-    let max = deg.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for d in deg {
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// Number of connected components of the undirected graph (union-find).
-pub fn connected_components(n: usize, edges: &[EdgePair]) -> usize {
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut components = n;
-    for &(a, b) in edges {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra != rb {
-            parent[ra as usize] = rb;
-            components -= 1;
-        }
-    }
-    components
-}
-
-/// Estimates the mean local clustering coefficient by sampling up to
-/// `samples` vertices with degree ≥ 2. Deterministic in `seed`.
-///
-/// Returns 0.0 when no vertex has degree ≥ 2.
-pub fn clustering_coefficient_estimate(
-    n: usize,
-    edges: &[EdgePair],
-    samples: usize,
-    seed: u64,
-) -> f64 {
-    let mut adj: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-    for &(a, b) in edges {
-        adj[a as usize].insert(b);
-        adj[b as usize].insert(a);
-    }
-    let eligible: Vec<usize> = (0..n).filter(|&v| adj[v].len() >= 2).collect();
-    if eligible.is_empty() {
-        return 0.0;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let take = samples.min(eligible.len());
-    let mut total = 0.0f64;
-    for _ in 0..take {
-        let v = eligible[rng.random_range(0..eligible.len())];
-        let nbrs: Vec<u32> = adj[v].iter().copied().collect();
-        let d = nbrs.len();
-        let mut closed = 0usize;
-        for i in 0..d {
-            for j in (i + 1)..d {
-                if adj[nbrs[i] as usize].contains(&nbrs[j]) {
-                    closed += 1;
-                }
-            }
-        }
-        total += closed as f64 / (d * (d - 1) / 2) as f64;
-    }
-    total / take as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,38 +109,5 @@ mod tests {
         assert_eq!(s.isolated, 4);
         assert_eq!(s.gini, 0.0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn histogram_counts_each_degree() {
-        let edges = [(0, 1), (0, 2), (0, 3), (0, 4)];
-        let h = degree_histogram(5, &edges);
-        assert_eq!(h, vec![0, 4, 0, 0, 1]);
-    }
-
-    #[test]
-    fn components_of_two_triangles() {
-        let edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)];
-        assert_eq!(connected_components(6, &edges), 2);
-        assert_eq!(connected_components(7, &edges), 3, "vertex 6 isolated");
-    }
-
-    #[test]
-    fn clustering_of_a_triangle_is_one() {
-        let edges = [(0, 1), (1, 2), (2, 0)];
-        let c = clustering_coefficient_estimate(3, &edges, 100, 0);
-        assert!((c - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clustering_of_a_star_is_zero() {
-        let edges = [(0, 1), (0, 2), (0, 3)];
-        let c = clustering_coefficient_estimate(4, &edges, 100, 0);
-        assert_eq!(c, 0.0);
-    }
-
-    #[test]
-    fn clustering_handles_no_eligible_vertices() {
-        assert_eq!(clustering_coefficient_estimate(3, &[(0, 1)], 10, 0), 0.0);
     }
 }

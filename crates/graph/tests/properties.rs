@@ -4,7 +4,7 @@ use knn_graph::generators::{
     chung_lu, erdos_renyi, erdos_renyi_directed, validate_undirected, watts_strogatz, ChungLuConfig,
 };
 use knn_graph::neighbor::cmp_best_first;
-use knn_graph::{Csr, DiGraph, KnnGraph, Neighbor, UserId};
+use knn_graph::{DiGraph, KnnGraph, Neighbor, UserId};
 use proptest::prelude::*;
 
 /// Strategy producing a small directed graph as (n, edges).
@@ -29,18 +29,6 @@ proptest! {
         let mut g = DiGraph::from_edges(n, edges).unwrap();
         g.sort_and_dedup();
         prop_assert_eq!(g.num_edges(), g.iter_edges().count());
-    }
-
-    #[test]
-    fn csr_agrees_with_digraph((n, edges) in small_digraph()) {
-        let mut g = DiGraph::from_edges(n, edges).unwrap();
-        g.sort_and_dedup();
-        let csr = Csr::from_digraph(&g);
-        prop_assert_eq!(csr.num_edges(), g.num_edges());
-        for v in 0..n as u32 {
-            let u = UserId::new(v);
-            prop_assert_eq!(csr.neighbors(u), g.out_neighbors(u));
-        }
     }
 
     #[test]

@@ -94,12 +94,6 @@ impl AdmissionConfig {
         }
     }
 
-    /// Sets the per-user pending bound.
-    pub fn with_per_user(mut self, per_user: usize) -> Self {
-        self.per_user_capacity = Some(per_user.max(1));
-        self
-    }
-
     /// Sets the overload policy.
     pub fn with_policy(mut self, policy: OverloadPolicy) -> Self {
         self.policy = policy;

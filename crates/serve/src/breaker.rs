@@ -52,7 +52,7 @@ impl BreakerConfig {
 /// is the only writer of the durable path). Times flow in through
 /// `now` parameters so unit tests need no sleeping.
 #[derive(Debug)]
-pub struct Breaker {
+pub(crate) struct Breaker {
     config: BreakerConfig,
     /// Consecutive queueing passes in which every attempt failed.
     consecutive_failures: u32,
@@ -65,7 +65,7 @@ pub struct Breaker {
 }
 
 impl Breaker {
-    pub fn new(config: BreakerConfig, jitter_seed: u64) -> Self {
+    pub(crate) fn new(config: BreakerConfig, jitter_seed: u64) -> Self {
         Breaker {
             config,
             consecutive_failures: 0,
@@ -89,7 +89,7 @@ impl Breaker {
     /// How much longer the breaker is open at `now` (`None` = closed,
     /// drain/queue may proceed). An elapsed open interval half-closes:
     /// the next pass runs as a probe, and `record` decides what's next.
-    pub fn remaining_open(&mut self, now: Instant) -> Option<Duration> {
+    pub(crate) fn remaining_open(&mut self, now: Instant) -> Option<Duration> {
         match self.open {
             Some((_, until)) if now < until => Some(until - now),
             Some((since, until)) => {
@@ -104,7 +104,7 @@ impl Breaker {
     /// Records the outcome of one queueing pass: `failures` attempts
     /// refused by the backend, out of `attempted` total. A pass that
     /// attempted nothing carries no signal and leaves the state alone.
-    pub fn record(&mut self, now: Instant, attempted: usize, failures: usize) {
+    pub(crate) fn record(&mut self, now: Instant, attempted: usize, failures: usize) {
         if attempted == 0 {
             return;
         }
@@ -128,13 +128,13 @@ impl Breaker {
     }
 
     /// Whether the breaker is open at `now`.
-    pub fn is_open(&mut self, now: Instant) -> bool {
+    pub(crate) fn is_open(&mut self, now: Instant) -> bool {
         self.remaining_open(now).is_some()
     }
 
     /// Total time spent open so far (including the current open
     /// interval, measured up to `now`).
-    pub fn open_total(&self, now: Instant) -> Duration {
+    pub(crate) fn open_total(&self, now: Instant) -> Duration {
         match self.open {
             Some((since, until)) => {
                 self.open_total + now.min(until).saturating_duration_since(since)

@@ -129,6 +129,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub, missing_docs)]
+
 mod admission;
 mod breaker;
 mod cache;

@@ -568,11 +568,6 @@ impl<E> RefineHandle<E> {
             .map_err(|_| ServeError::RefineLoopPanicked)?
     }
 
-    /// Whether the loop thread is still alive.
-    pub fn is_running(&self) -> bool {
-        !self.thread.is_finished()
-    }
-
     /// Blocks until generation `epoch` (or newer) is published, or
     /// `timeout` elapses. Returns whether the epoch was reached.
     pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use knn_core::metrics::{ConvergenceOutcome, IterationReport};
+use knn_core::metrics::IterationReport;
 use knn_core::phase2::{self, Phase2Options, Phase2Output};
 use knn_core::tuple_table::{
     merge_parts_with_exchange, BucketMeta, ExchangeSource, TupleTableStats,
@@ -149,7 +149,6 @@ pub struct ShardedEngine {
     inner: KnnEngine,
     shards: Vec<Arc<dyn StorageBackend>>,
     router: Arc<ShardRouter>,
-    ring: Arc<HashRing>,
     exchange: Arc<Mutex<ExchangeStats>>,
     reports: Vec<ShardedIterationReport>,
 }
@@ -184,7 +183,7 @@ impl ShardedEngine {
         let fabric: Arc<dyn ExchangeFabric> = Arc::new(ChannelFabric::new(shards.len()));
         inner.set_phase2_provider(Some(Box::new(ShardedPhase2 {
             shards: shards.clone(),
-            ring: Arc::clone(&ring),
+            ring,
             fabric,
             exchange: Arc::clone(&exchange),
         })));
@@ -207,7 +206,6 @@ impl ShardedEngine {
             inner,
             shards,
             router,
-            ring,
             exchange,
             reports: Vec::new(),
         })
@@ -308,36 +306,6 @@ impl ShardedEngine {
         Ok(sharded)
     }
 
-    /// Runs iterations until the edge-change fraction drops below
-    /// `threshold` or `max_iterations` is reached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first iteration error.
-    pub fn run_until_converged(
-        &mut self,
-        threshold: f64,
-        max_iterations: usize,
-    ) -> Result<ConvergenceOutcome, EngineError> {
-        let mut last_change = 1.0f64;
-        for i in 0..max_iterations {
-            let report = self.run_iteration()?;
-            last_change = report.report.changed_fraction;
-            if last_change < threshold {
-                return Ok(ConvergenceOutcome {
-                    converged: true,
-                    iterations_run: i + 1,
-                    final_change_fraction: last_change,
-                });
-            }
-        }
-        Ok(ConvergenceOutcome {
-            converged: false,
-            iterations_run: max_iterations,
-            final_change_fraction: last_change,
-        })
-    }
-
     /// Queues a profile update; the router lands it on its user's
     /// owner shard's durable log.
     ///
@@ -376,11 +344,6 @@ impl ShardedEngine {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The ownership ring.
-    pub fn ring(&self) -> &Arc<HashRing> {
-        &self.ring
     }
 
     /// The shard backends, in shard order.

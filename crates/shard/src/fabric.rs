@@ -83,8 +83,8 @@ impl ExchangeFabric for ChannelFabric {
 }
 
 /// Per-iteration exchange-volume counters, accounted by the sharded
-/// phase-2 driver (deliberately **not** by [`IoStats`]
-/// (`knn_store::IoStats`): exchange volume is a shard-topology cost
+/// phase-2 driver (deliberately **not** by
+/// [`IoStats`](knn_store::IoStats): exchange volume is a shard-topology cost
 /// that must stay off the storage meters for I/O totals to be
 /// shard-count-invariant).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -59,6 +59,8 @@
 //!
 //! [`ForeignPayload`]: knn_core::tuple_table::ForeignPayload
 
+#![warn(unreachable_pub, missing_docs)]
+
 pub mod engine;
 pub mod fabric;
 pub mod ring;

@@ -1,6 +1,6 @@
 //! Consistent-hash ownership: which shard owns a partition or a user.
 //!
-//! The ring places [`VNODES`] virtual points per shard on a `u64`
+//! The ring places 64 virtual points per shard on a `u64`
 //! circle; a key is owned by the shard of the first point at or after
 //! its hash (wrapping). Ownership is a pure function of the shard
 //! count, so every process — driver, shard, future remote peer —

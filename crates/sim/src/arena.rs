@@ -1,13 +1,10 @@
 //! Arena-backed prepared profiles: one CSR allocation per partition.
 //!
-//! Phase 4 used to wrap every loaded profile in its own
-//! [`crate::PreparedProfile`] inside a hash map — one heap allocation
-//! per user for the entry vector, another for the boxed sketch, and a
-//! fat map entry per lookup. At partition scale that is thousands of
-//! small allocations per load and a pointer chase per scored pair.
-//!
-//! [`ProfileArena`] replaces the per-user objects with columns shared
-//! by the whole partition:
+//! Per-user prepared objects would cost one heap allocation per user
+//! for the entry vector, another for the sketch, and a pointer chase
+//! per scored pair — thousands of small allocations per partition
+//! load. [`ProfileArena`] stores a partition's profiles as columns
+//! shared by the whole partition instead:
 //!
 //! * `offsets` — CSR row boundaries (`offsets[i]..offsets[i+1]` is
 //!   user `i`'s entry range);
@@ -23,9 +20,9 @@
 //! [`PreparedRef`] is the borrowing view over one row: pointers and
 //! slice lengths, created on demand — no allocation, no clone.
 //! [`Measure::score_ref`] and [`Measure::upper_bound_ref`] run the
-//! *same* generic kernel functions as the owned
-//! [`crate::Measure::score_prepared`] path, so the scores are
-//! bit-identical by construction (property-tested in
+//! *same* generic kernel functions over an arena row as over a
+//! [`crate::Profile`]'s entries viewed with [`PreparedRef::new`], so
+//! the scores are bit-identical by construction (property-tested in
 //! `tests/properties.rs`); [`crate::RowKernel`] scores one view
 //! against a whole run of others.
 //!
@@ -78,11 +75,6 @@ impl ProfileArena {
     /// Whether the arena holds no profiles.
     pub fn is_empty(&self) -> bool {
         self.users.is_empty()
-    }
-
-    /// Total profile entries across all rows.
-    pub fn entry_count(&self) -> usize {
-        self.items.len()
     }
 
     /// The stored user ids, ascending (row order).
@@ -171,6 +163,19 @@ impl ProfileArenaBuilder {
 /// and [`Measure::upper_bound_ref`] — slices into a
 /// [`ProfileArena`]'s columns (or into a [`crate::Profile`]), no
 /// ownership, no allocation.
+///
+/// ```
+/// use knn_sim::{Measure, PreparedRef, Profile, ProfileStats, Similarity};
+///
+/// let a = Profile::from_items(vec![1, 2, 3]).unwrap();
+/// let b = Profile::from_items(vec![2, 3, 4]).unwrap();
+/// let ((sa, ka), (sb, kb)) = (ProfileStats::with_sketch(&a), ProfileStats::with_sketch(&b));
+/// let (va, vb) = (PreparedRef::new(a.entries(), &sa, &ka), PreparedRef::new(b.entries(), &sb, &kb));
+/// // Bit-identical to the plain path…
+/// assert_eq!(Measure::Cosine.score_ref(va, vb), Measure::Cosine.score(&a, &b));
+/// // …and the O(1) bound dominates the true score.
+/// assert!(Measure::Jaccard.upper_bound_ref(va, vb) >= Measure::Jaccard.score_ref(va, vb));
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedRef<'a> {
     entries: Entries<'a>,
@@ -192,21 +197,11 @@ impl<'a> PreparedRef<'a> {
         stats: &'a ProfileStats,
         sketch: &'a BoundSketch,
     ) -> Self {
-        Self::from_parts(Entries::Pairs(entries), stats, sketch, sketch.block_mask())
-    }
-
-    /// A view whose `block_mask` the caller computed once and kept.
-    pub(crate) fn from_parts(
-        entries: Entries<'a>,
-        stats: &'a ProfileStats,
-        sketch: &'a BoundSketch,
-        block_mask: u32,
-    ) -> Self {
         PreparedRef {
-            entries,
+            entries: Entries::Pairs(entries),
             stats,
             sketch,
-            block_mask,
+            block_mask: sketch.block_mask(),
         }
     }
 
@@ -234,18 +229,24 @@ impl<'a> PreparedRef<'a> {
 impl Measure {
     /// Scores two views — the single-pair entry point, a two-pointer
     /// merge of the two rows. Bit-identical to
-    /// [`Measure::score_prepared`] (and therefore to
-    /// [`crate::Similarity::score`]) on the same profiles: the same
-    /// kernel runs over the same sorted entries with the same
-    /// precomputed aggregates.
+    /// [`crate::Similarity::score`] on the same profiles: the same
+    /// kernel runs over the same sorted entries, with aggregates
+    /// precomputed by the same arithmetic.
     pub fn score_ref(&self, a: PreparedRef<'_>, b: PreparedRef<'_>) -> f32 {
         let v = score_entries(*self, a.entries, a.stats, b.entries, b.stats);
         debug_assert!(v.is_finite(), "{self} produced non-finite score {v}");
         v as f32
     }
 
-    /// The O(1) score ceiling of two arena views; identical to
-    /// [`Measure::upper_bound`] on the same profiles.
+    /// An O(1) upper bound on [`Measure::score_ref`] for the same
+    /// operands: `score_ref(a, b) <= upper_bound_ref(a, b)` always
+    /// (property-tested). Measures without a useful cheap bound return
+    /// a trivial ceiling; a bound of `f32::INFINITY` means "no bound
+    /// available" (never prunes).
+    ///
+    /// The executor uses this against the current k-th accumulator
+    /// score: when even the ceiling cannot beat the current worst
+    /// top-K entry, the full intersection walk is skipped.
     pub fn upper_bound_ref(&self, a: PreparedRef<'_>, b: PreparedRef<'_>) -> f32 {
         upper_bound_parts(*self, a, b)
     }
@@ -254,7 +255,7 @@ impl Measure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PreparedProfile, Profile};
+    use crate::Profile;
 
     fn arena_of(rows: &[(u32, Vec<(u32, f32)>)]) -> ProfileArena {
         let mut b = ProfileArena::builder(rows.len(), 16);
@@ -273,18 +274,21 @@ mod tests {
             (9, vec![(100, 1.0), (1, 0.25), (3, 4.0)]),
         ];
         let arena = arena_of(&rows);
-        let prepared: Vec<PreparedProfile> = rows
+        let profiles: Vec<Profile> = rows
             .iter()
-            .map(|(_, p)| PreparedProfile::new(Profile::from_unsorted_pairs(p.clone()).unwrap()))
+            .map(|(_, p)| Profile::from_unsorted_pairs(p.clone()).unwrap())
             .collect();
+        let prepared: Vec<_> = profiles.iter().map(ProfileStats::with_sketch).collect();
+        let owned =
+            |i: usize| PreparedRef::new(profiles[i].entries(), &prepared[i].0, &prepared[i].1);
         for m in Measure::ALL {
             for i in 0..rows.len() {
                 for j in 0..rows.len() {
                     let via_ref = m.score_ref(arena.view(i as u32), arena.view(j as u32));
-                    let via_owned = m.score_prepared(&prepared[i], &prepared[j]);
+                    let via_owned = m.score_ref(owned(i), owned(j));
                     assert_eq!(via_ref.to_bits(), via_owned.to_bits(), "{m} diverged");
                     let bound_ref = m.upper_bound_ref(arena.view(i as u32), arena.view(j as u32));
-                    let bound_owned = m.upper_bound(&prepared[i], &prepared[j]);
+                    let bound_owned = m.upper_bound_ref(owned(i), owned(j));
                     assert_eq!(bound_ref.to_bits(), bound_owned.to_bits(), "{m} bound");
                 }
             }
@@ -295,7 +299,7 @@ mod tests {
     fn index_and_views_resolve_rows() {
         let arena = arena_of(&[(2, vec![(5, 1.0)]), (7, vec![(1, 2.0), (3, 4.0)])]);
         assert_eq!(arena.len(), 2);
-        assert_eq!(arena.entry_count(), 3);
+        assert_eq!(arena.view(0).entries().len(), 1);
         assert_eq!(arena.users(), &[2, 7]);
         assert_eq!(arena.index_of(7), Some(1));
         assert_eq!(arena.index_of(3), None);
@@ -333,7 +337,7 @@ mod tests {
         b.push(10, vec![(2, 2.0)]).unwrap();
         let arena = b.finish();
         assert_eq!(arena.users(), &[5, 10]);
-        assert_eq!(arena.entry_count(), 2);
+        assert_eq!(arena.view(1).entries().len(), 1);
     }
 
     #[test]

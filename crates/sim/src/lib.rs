@@ -8,15 +8,16 @@
 //!   representation for rating vectors, term sets, and tag sets;
 //! * [`Similarity`] / [`Measure`] — the similarity kernels (cosine,
 //!   Jaccard, weighted Jaccard, overlap, common-items, Pearson);
-//! * [`PreparedProfile`] / [`ProfileStats`] — profiles with one-pass
-//!   precomputed aggregates, powering the
-//!   [`Measure::score_prepared`] kernels (bit-identical to
-//!   [`Similarity::score`]) and the O(1) [`Measure::upper_bound`]
-//!   score ceilings used for top-K candidate pruning;
+//! * [`ProfileStats`] / [`BoundSketch`] — one-pass per-profile
+//!   aggregates and block sketches, powering the O(1)
+//!   [`Measure::upper_bound_ref`] score ceilings used for top-K
+//!   candidate pruning;
 //! * [`ProfileArena`] / [`PreparedRef`] — a partition's profiles as
 //!   one CSR allocation with item ids and weights in separate columns,
-//!   and the borrowed view of one row; [`Measure::score_ref`] is the
-//!   single-pair entry point over views (a two-pointer merge);
+//!   and the borrowed view of one row (or of any profile's entries,
+//!   via [`PreparedRef::new`]); [`Measure::score_ref`] is the
+//!   single-pair entry point over views (a two-pointer merge,
+//!   bit-identical to [`Similarity::score`]);
 //! * [`RowKernel`] — the 1×N kernel: a source row loaded once into an
 //!   L1-resident probe, then any number of candidate rows scored
 //!   against it by a walk over their id columns alone, bit-identical
@@ -39,10 +40,12 @@
 //! assert!(sim > 0.0 && sim < 1.0);
 //! ```
 
+#![warn(unreachable_pub, missing_docs)]
+
 pub mod arena;
 mod cow;
 pub mod delta;
-pub mod error;
+mod error;
 pub mod generators;
 pub mod prepared;
 pub mod profile;
@@ -54,7 +57,7 @@ pub mod tfidf;
 pub use arena::{PreparedRef, ProfileArena, ProfileArenaBuilder};
 pub use delta::{DeltaOp, ProfileDelta};
 pub use error::ProfileError;
-pub use prepared::{BoundSketch, PreparedProfile, ProfileStats, BLOCK_SHIFT, SKETCH_BLOCKS};
+pub use prepared::{BoundSketch, ProfileStats, BLOCK_SHIFT, SKETCH_BLOCKS};
 pub use profile::{ItemId, Profile};
 pub use row::RowKernel;
 pub use similarity::{Entries, Measure, Similarity};

@@ -1,25 +1,25 @@
-//! Prepared profiles: per-profile statistics computed once, reused
-//! across every similarity evaluation.
+//! Per-profile statistics computed once, reused across every
+//! similarity evaluation.
 //!
 //! The phase-4 executor scores each resident profile against thousands
-//! of candidates. The unprepared kernels recompute per-profile
-//! aggregates — most expensively the L2 norm for cosine — on **every**
-//! pair. [`PreparedProfile`] hoists those aggregates into a one-pass
-//! [`ProfileStats`] computed at partition-load time, so the per-pair
-//! cost drops to the intersection walk itself.
+//! of candidates. The plain kernels recompute per-profile aggregates —
+//! most expensively the L2 norm for cosine — on **every** pair.
+//! [`ProfileStats`] hoists those aggregates into one pass at
+//! partition-load time, so the per-pair cost drops to the intersection
+//! walk itself; a [`crate::PreparedRef`] carries them beside the
+//! entries.
 //!
-//! The stats also power O(1) **upper bounds**
-//! ([`crate::Measure::upper_bound`]): a cheap score ceiling the
+//! The stats and the [`BoundSketch`] also power O(1) **upper bounds**
+//! ([`crate::Measure::upper_bound_ref`]): a cheap score ceiling the
 //! executor compares against the current k-th best candidate to skip
 //! whole kernel evaluations that cannot possibly enter the top-K.
 //!
-//! Determinism contract: [`crate::Measure::score_prepared`] performs
-//! the *same* floating-point operations in the same order as
+//! Determinism contract: [`crate::Measure::score_ref`] performs the
+//! *same* floating-point operations in the same order as
 //! [`crate::Similarity::score`] — the two are bit-identical for every
 //! measure (property-tested in `tests/properties.rs`), so preparing
 //! profiles never changes a computed graph.
 
-use crate::similarity::Entries;
 use crate::{Measure, PreparedRef, Profile};
 
 /// Number of item-id blocks in the bound sketch. Items map to block
@@ -41,9 +41,9 @@ pub const BLOCK_SHIFT: u32 = 6;
 const SKETCH_SLACK: f64 = 1.0 + 1e-6;
 
 /// One-pass scalar aggregates of a [`Profile`], sufficient for every
-/// prepared kernel — kept small (they sit inline on the kernels'
-/// hottest cache lines; the larger bound sketch lives behind a box,
-/// touched only by the pruning filter).
+/// pair kernel — kept small (they sit on the kernels' hottest cache
+/// lines; the larger bound sketch lives apart, touched only by the
+/// pruning filter).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProfileStats {
     /// Number of entries (`Profile::len`).
@@ -60,7 +60,7 @@ pub struct ProfileStats {
     pub min_weight: f64,
 }
 
-/// The per-block id-range sketch powering [`Measure::upper_bound`]:
+/// The per-block id-range sketch powering [`Measure::upper_bound_ref`]:
 /// block norms (blocked Cauchy–Schwarz for cosine), block counts
 /// (intersection caps for the set measures), and block weight sums
 /// (the non-negative weighted-Jaccard numerator cap).
@@ -97,11 +97,6 @@ fn block_of(item: u32) -> usize {
 }
 
 impl ProfileStats {
-    /// Computes the scalar aggregates in one pass over the entries.
-    pub fn of(profile: &Profile) -> Self {
-        Self::with_sketch(profile).0
-    }
-
     /// Computes the scalar aggregates and the bound sketch in one
     /// shared pass.
     pub fn with_sketch(profile: &Profile) -> (Self, BoundSketch) {
@@ -109,9 +104,8 @@ impl ProfileStats {
     }
 
     /// The entry-slice form of [`ProfileStats::with_sketch`]: the same
-    /// one-pass aggregation over a sorted entry slice — the arena
-    /// builder runs it over each user's freshly appended CSR rows, so
-    /// the borrowed and owned prepared paths carry identical stats.
+    /// one-pass aggregation over a sorted entry slice (the clustering
+    /// pre-pass embeds profiles from the sketch alone).
     pub fn with_sketch_of_entries(entries: &[(crate::ItemId, f32)]) -> (Self, BoundSketch) {
         Self::with_sketch_of(entries.iter().map(|&(item, w)| (item.raw(), w)))
     }
@@ -224,108 +218,6 @@ impl BoundSketch {
     }
 }
 
-/// A [`Profile`] bundled with its precomputed [`ProfileStats`]
-/// (inline, on the kernel hot path) and boxed [`BoundSketch`]
-/// (pointer-chased only by the pruning filter) — the operand of the
-/// prepared similarity kernels.
-///
-/// ```
-/// use knn_sim::{Measure, PreparedProfile, Profile, Similarity};
-///
-/// let a = PreparedProfile::new(Profile::from_items(vec![1, 2, 3]).unwrap());
-/// let b = PreparedProfile::new(Profile::from_items(vec![2, 3, 4]).unwrap());
-/// // Bit-identical to the unprepared path…
-/// assert_eq!(
-///     Measure::Cosine.score_prepared(&a, &b),
-///     Measure::Cosine.score(a.profile(), b.profile()),
-/// );
-/// // …and the O(1) bound dominates the true score.
-/// assert!(Measure::Jaccard.upper_bound(&a, &b) >= Measure::Jaccard.score_prepared(&a, &b));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedProfile {
-    profile: Profile,
-    stats: ProfileStats,
-    sketch: Box<BoundSketch>,
-    block_mask: u32,
-}
-
-impl PreparedProfile {
-    /// Prepares a profile, computing its stats and sketch in one pass.
-    pub fn new(profile: Profile) -> Self {
-        let (stats, sketch) = ProfileStats::with_sketch(&profile);
-        PreparedProfile {
-            profile,
-            stats,
-            block_mask: sketch.block_mask(),
-            sketch: Box::new(sketch),
-        }
-    }
-
-    /// The borrowed view of this profile — the operand of
-    /// [`Measure::score_ref`], [`Measure::upper_bound_ref`] and
-    /// [`crate::RowKernel`].
-    pub fn view(&self) -> PreparedRef<'_> {
-        PreparedRef::from_parts(
-            Entries::Pairs(self.profile.entries()),
-            &self.stats,
-            &self.sketch,
-            self.block_mask,
-        )
-    }
-
-    /// The wrapped profile.
-    pub fn profile(&self) -> &Profile {
-        &self.profile
-    }
-
-    /// The precomputed scalar aggregates.
-    pub fn stats(&self) -> &ProfileStats {
-        &self.stats
-    }
-
-    /// The precomputed bound sketch.
-    pub fn sketch(&self) -> &BoundSketch {
-        &self.sketch
-    }
-
-    /// Unwraps the profile, dropping the stats.
-    pub fn into_profile(self) -> Profile {
-        self.profile
-    }
-}
-
-impl From<Profile> for PreparedProfile {
-    fn from(profile: Profile) -> Self {
-        PreparedProfile::new(profile)
-    }
-}
-
-impl Measure {
-    /// Scores two prepared profiles.
-    ///
-    /// Bit-identical to [`crate::Similarity::score`] on the wrapped
-    /// profiles for every measure — the prepared path reuses the
-    /// precomputed aggregates and the SoA intersection walk but
-    /// performs the same arithmetic in the same order.
-    pub fn score_prepared(&self, a: &PreparedProfile, b: &PreparedProfile) -> f32 {
-        self.score_ref(a.view(), b.view())
-    }
-
-    /// An O(1) upper bound on [`Measure::score_prepared`] for the same
-    /// operands: `score_prepared(a, b) <= upper_bound(a, b)` always
-    /// (property-tested). Measures without a useful cheap bound return
-    /// a trivial ceiling; a bound of `f32::INFINITY` means "no bound
-    /// available" (never prunes).
-    ///
-    /// The executor uses this against the current k-th accumulator
-    /// score: when even the ceiling cannot beat the current worst
-    /// top-K entry, the full intersection walk is skipped.
-    pub fn upper_bound(&self, a: &PreparedProfile, b: &PreparedProfile) -> f32 {
-        self.upper_bound_ref(a.view(), b.view())
-    }
-}
-
 /// The core of [`Measure::upper_bound_ref`]: every bound is a function
 /// of the two operands' [`ProfileStats`], [`BoundSketch`] and block
 /// mask alone — the entries are never touched.
@@ -413,14 +305,45 @@ mod tests {
     use super::*;
     use crate::Similarity;
 
-    fn prep(pairs: &[(u32, f32)]) -> PreparedProfile {
-        PreparedProfile::new(Profile::from_unsorted_pairs(pairs.to_vec()).unwrap())
+    /// A profile with its stats and sketch, scored through
+    /// [`PreparedRef::new`] views.
+    struct Prepared {
+        profile: Profile,
+        stats: ProfileStats,
+        sketch: BoundSketch,
+    }
+
+    impl Prepared {
+        fn new(profile: Profile) -> Self {
+            let (stats, sketch) = ProfileStats::with_sketch(&profile);
+            Prepared {
+                profile,
+                stats,
+                sketch,
+            }
+        }
+
+        fn view(&self) -> PreparedRef<'_> {
+            PreparedRef::new(self.profile.entries(), &self.stats, &self.sketch)
+        }
+    }
+
+    fn prep(pairs: &[(u32, f32)]) -> Prepared {
+        Prepared::new(Profile::from_unsorted_pairs(pairs.to_vec()).unwrap())
+    }
+
+    fn score(m: Measure, a: &Prepared, b: &Prepared) -> f32 {
+        m.score_ref(a.view(), b.view())
+    }
+
+    fn bound(m: Measure, a: &Prepared, b: &Prepared) -> f32 {
+        m.upper_bound_ref(a.view(), b.view())
     }
 
     #[test]
     fn stats_match_profile_accessors() {
         let p = Profile::from_unsorted_pairs(vec![(1, 3.0), (4, -4.0), (9, 0.5)]).unwrap();
-        let s = ProfileStats::of(&p);
+        let s = ProfileStats::with_sketch(&p).0;
         assert_eq!(s.len, 3);
         assert_eq!(s.l2_norm.to_bits(), p.l2_norm().to_bits());
         assert_eq!(s.weight_sum.to_bits(), p.weight_sum().to_bits());
@@ -431,7 +354,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let s = ProfileStats::of(&Profile::new());
+        let s = ProfileStats::with_sketch(&Profile::new()).0;
         assert_eq!(s.len, 0);
         assert_eq!(s.l2_norm, 0.0);
         assert_eq!(s.weight_sum, 0.0);
@@ -446,14 +369,14 @@ mod tests {
             prep(&[(1, 1.0), (2, -2.0), (9, 0.5)]),
             prep(&[(2, 3.0), (9, 1.0)]),
             prep(&[(100, 1.0)]),
-            PreparedProfile::new(Profile::new()),
+            Prepared::new(Profile::new()),
             prep(&[(1, 0.25), (2, 0.5), (3, 4.0), (7, 1.5)]),
         ];
         for m in Measure::ALL {
             for a in &samples {
                 for b in &samples {
-                    let prepared = m.score_prepared(a, b);
-                    let plain = m.score(a.profile(), b.profile());
+                    let prepared = score(m, a, b);
+                    let plain = m.score(&a.profile, &b.profile);
                     assert_eq!(
                         prepared.to_bits(),
                         plain.to_bits(),
@@ -471,13 +394,13 @@ mod tests {
             prep(&[(2, 3.0), (9, 1.0)]),
             prep(&[(1, 1.0), (2, 1.0), (3, 1.0)]),
             prep(&[(2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0)]),
-            PreparedProfile::new(Profile::new()),
+            Prepared::new(Profile::new()),
         ];
         for m in Measure::ALL {
             for a in &samples {
                 for b in &samples {
-                    let bound = m.upper_bound(a, b);
-                    let score = m.score_prepared(a, b);
+                    let bound = bound(m, a, b);
+                    let score = score(m, a, b);
                     assert!(bound >= score, "{m}: bound {bound} < score {score}");
                 }
             }
@@ -488,15 +411,15 @@ mod tests {
     fn jaccard_bound_is_tight_for_subsets() {
         let a = prep(&[(1, 1.0), (2, 1.0)]);
         let b = prep(&[(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)]);
-        assert_eq!(Measure::Jaccard.upper_bound(&a, &b), 0.5);
-        assert_eq!(Measure::Jaccard.score_prepared(&a, &b), 0.5);
+        assert_eq!(bound(Measure::Jaccard, &a, &b), 0.5);
+        assert_eq!(score(Measure::Jaccard, &a, &b), 0.5);
     }
 
     #[test]
     fn weighted_jaccard_bound_disabled_for_negative_weights() {
         let a = prep(&[(1, -1.0)]);
         let b = prep(&[(1, 2.0)]);
-        assert_eq!(Measure::WeightedJaccard.upper_bound(&a, &b), f32::INFINITY);
+        assert_eq!(bound(Measure::WeightedJaccard, &a, &b), f32::INFINITY);
     }
 
     #[test]
@@ -504,9 +427,9 @@ mod tests {
         // A singleton vs. a long profile: set-measure bounds collapse.
         let a = prep(&[(1, 1.0)]);
         let b = prep(&[(2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0)]);
-        assert!(Measure::Jaccard.upper_bound(&a, &b) <= 0.2);
-        assert!(Measure::Dice.upper_bound(&a, &b) <= 2.0 / 6.0);
-        assert_eq!(Measure::Pearson.upper_bound(&a, &b), 0.0);
+        assert!(bound(Measure::Jaccard, &a, &b) <= 0.2);
+        assert!(bound(Measure::Dice, &a, &b) <= 2.0 / 6.0);
+        assert_eq!(bound(Measure::Pearson, &a, &b), 0.0);
     }
 
     /// The sketch's reason to exist: profiles living in disjoint
@@ -518,26 +441,26 @@ mod tests {
         // Block 0 (ids 0–63) vs block 4 (ids 256–319).
         let a = prep(&[(1, 3.0), (5, 2.0), (20, 4.0)]);
         let b = prep(&[(260, 3.0), (270, 1.0), (300, 5.0)]);
-        assert!(Measure::Cosine.upper_bound(&a, &b) < 1e-5);
-        assert_eq!(Measure::Jaccard.upper_bound(&a, &b), 0.0);
-        assert_eq!(Measure::Dice.upper_bound(&a, &b), 0.0);
-        assert_eq!(Measure::Overlap.upper_bound(&a, &b), 0.0);
-        assert_eq!(Measure::CommonItems.upper_bound(&a, &b), 0.0);
-        assert_eq!(Measure::Pearson.upper_bound(&a, &b), 0.0);
-        assert!(Measure::WeightedJaccard.upper_bound(&a, &b) < 1e-5);
+        assert!(bound(Measure::Cosine, &a, &b) < 1e-5);
+        assert_eq!(bound(Measure::Jaccard, &a, &b), 0.0);
+        assert_eq!(bound(Measure::Dice, &a, &b), 0.0);
+        assert_eq!(bound(Measure::Overlap, &a, &b), 0.0);
+        assert_eq!(bound(Measure::CommonItems, &a, &b), 0.0);
+        assert_eq!(bound(Measure::Pearson, &a, &b), 0.0);
+        assert!(bound(Measure::WeightedJaccard, &a, &b) < 1e-5);
         // Same-block long profiles still bound high.
         let c = prep(&[(2, 3.0), (6, 2.0), (21, 4.0)]);
-        assert!(Measure::Cosine.upper_bound(&a, &c) > 0.5);
+        assert!(bound(Measure::Cosine, &a, &c) > 0.5);
     }
 
     #[test]
     fn block_sketch_partitions_the_entries() {
         let p = prep(&[(1, 3.0), (70, 4.0), (70 + 64 * 32, 1.0)]);
-        let k = p.sketch();
+        let k = &p.sketch;
         // Items 1 → block 0; 70 → block 1; 70+2048 wraps back to 1.
         assert_eq!(k.block_counts[0], 1);
         assert_eq!(k.block_counts[1], 2);
-        assert_eq!(k.block_counts.iter().sum::<u32>() as usize, p.stats().len);
+        assert_eq!(k.block_counts.iter().sum::<u32>() as usize, p.stats.len);
         assert!((k.block_norms[0] - 3.0).abs() < 1e-6);
         assert!((k.block_norms[1] - (17.0f32).sqrt()).abs() < 1e-5);
         assert!((k.block_weight_sums[1] - 5.0).abs() < 1e-6);
@@ -575,7 +498,7 @@ mod tests {
         // over 1, 7 or 64 per step, weights cycling through signs,
         // zeros and magnitudes.
         let weights = [0.5f32, -0.0, 3.0, 0.0, -1.25, 1.25, 7.5, 1.0e-3];
-        let rows: Vec<PreparedProfile> = (0..48u32)
+        let rows: Vec<Prepared> = (0..48u32)
             .map(|r| {
                 let stride = [1, 7, 64][r as usize % 3];
                 let pairs: Vec<(u32, f32)> = (0..(r * 3) % 71)
@@ -591,7 +514,7 @@ mod tests {
             .collect();
         for a in &rows {
             for b in &rows {
-                let (ka, kb) = (a.sketch(), b.sketch());
+                let (ka, kb) = (&a.sketch, &b.sketch);
                 let common = ka.block_mask() & kb.block_mask();
                 assert_eq!(
                     ka.dot_cap(kb, common).to_bits(),
@@ -601,7 +524,7 @@ mod tests {
                     ka.common_items_cap(kb, common),
                     full_common_items_cap(ka, kb)
                 );
-                if a.stats().is_non_negative() && b.stats().is_non_negative() {
+                if a.stats.is_non_negative() && b.stats.is_non_negative() {
                     assert_eq!(
                         ka.min_sum_cap(kb, common).to_bits(),
                         full_min_sum_cap(ka, kb).to_bits()
@@ -609,13 +532,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn into_profile_round_trips() {
-        let p = Profile::from_items(vec![1, 2]).unwrap();
-        let prepared = PreparedProfile::from(p.clone());
-        assert_eq!(prepared.profile(), &p);
-        assert_eq!(prepared.into_profile(), p);
     }
 }

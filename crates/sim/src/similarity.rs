@@ -5,9 +5,8 @@
 //! * [`Similarity::score`] — the classic two-profile entry point; any
 //!   per-profile aggregate a kernel needs (the L2 norm for cosine) is
 //!   computed on the spot.
-//! * [`crate::Measure::score_prepared`] / [`crate::Measure::score_ref`]
-//!   — one pair of operands whose aggregates were computed once up
-//!   front ([`crate::PreparedProfile`], [`crate::PreparedRef`]).
+//! * [`crate::Measure::score_ref`] — one pair of operands whose
+//!   aggregates were computed once up front ([`crate::PreparedRef`]).
 //! * [`crate::RowKernel`] — one resident row against a run of
 //!   candidates: the common items are found by a probe, not a merge,
 //!   and fed to the same closing arithmetic.
@@ -166,7 +165,7 @@ impl fmt::Display for Measure {
 impl Similarity for Measure {
     /// Scores two plain profiles — a thin wrapper over the shared
     /// kernels that computes the needed per-profile aggregates on the
-    /// spot. Bit-identical to [`Measure::score_prepared`] on prepared
+    /// spot. Bit-identical to [`Measure::score_ref`] on prepared
     /// operands.
     fn score(&self, a: &Profile, b: &Profile) -> f32 {
         let (ae, be) = (a.entries(), b.entries());
@@ -198,7 +197,6 @@ impl Similarity for Measure {
 
 /// The prepared-operand kernel dispatch: scores row `a` against `b`
 /// with their precomputed norms (called by
-/// [`crate::Measure::score_prepared`] and the arena-backed
 /// [`crate::Measure::score_ref`]; same arithmetic as
 /// [`Similarity::score`]).
 pub(crate) fn score_rows<A: Row, B: Row>(

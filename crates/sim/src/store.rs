@@ -84,12 +84,6 @@ impl ProfileStore {
         self.profiles.get(user.index())
     }
 
-    /// Wraps the store in an [`std::sync::Arc`], freezing it into the
-    /// shared read-only view that snapshots hand to concurrent readers.
-    pub fn into_shared(self) -> std::sync::Arc<ProfileStore> {
-        std::sync::Arc::new(self)
-    }
-
     /// Applies one queued delta.
     ///
     /// # Panics
@@ -203,8 +197,6 @@ mod tests {
             Some(1.5)
         );
         assert!(s.get_checked(UserId::new(2)).is_none());
-        let shared = s.into_shared();
-        assert_eq!(shared.num_users(), 2);
     }
 
     #[test]

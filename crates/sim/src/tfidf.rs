@@ -74,15 +74,6 @@ impl DocumentFrequencies {
             .map(|(item, w)| (item, w * self.idf(item)))
             .collect()
     }
-
-    /// Re-weights every profile of `store` in place.
-    pub fn reweight_store(&self, store: &mut ProfileStore) {
-        for u in 0..store.num_users() {
-            let user = knn_graph::UserId::new(u as u32);
-            let new = self.reweight(store.get(user));
-            store.set(user, new);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,17 +130,6 @@ mod tests {
         // Same-topic docs stay close to 1.
         let c = df.reweight(store.get(u(1)));
         assert!(Measure::Cosine.score(&a, &c) > 0.99);
-    }
-
-    #[test]
-    fn reweight_store_applies_to_everyone() {
-        let mut store = corpus();
-        let df = DocumentFrequencies::from_store(&store);
-        let before = store.get(knn_graph::UserId::new(0)).clone();
-        df.reweight_store(&mut store);
-        let after = store.get(knn_graph::UserId::new(0));
-        assert_ne!(&before, after);
-        assert_eq!(before.len(), after.len());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for profiles and similarity kernels.
 
-use knn_sim::{Measure, PreparedProfile, PreparedRef, Profile, ProfileStats, Similarity};
+use knn_sim::{BoundSketch, Measure, PreparedRef, Profile, ProfileStats, Similarity};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -16,6 +16,12 @@ fn build(pairs: &[(u32, f32)]) -> Profile {
         map.insert(i, w);
     }
     Profile::from_unsorted_pairs(map.into_iter().collect()).unwrap()
+}
+
+/// The borrowed prepared view of `profile`, over the stats and sketch
+/// `prepared` holds for it (`ProfileStats::with_sketch`).
+fn view<'a>(profile: &'a Profile, prepared: &'a (ProfileStats, BoundSketch)) -> PreparedRef<'a> {
+    PreparedRef::new(profile.entries(), &prepared.0, &prepared.1)
 }
 
 /// Naive dot product via hash map, for cross-checking the merge join.
@@ -89,16 +95,17 @@ proptest! {
     }
 
     /// The prepared-kernel determinism contract: for every measure,
-    /// `score_prepared` is **bit-identical** to the classic
-    /// `Similarity::score` path — preparing profiles never changes a
-    /// computed graph.
+    /// `score_ref` over prepared views is **bit-identical** to the
+    /// classic `Similarity::score` path — preparing profiles never
+    /// changes a computed graph.
     #[test]
     fn prepared_scores_are_bit_identical(pa in raw_pairs(), pb in raw_pairs()) {
         let (a, b) = (build(&pa), build(&pb));
-        let (qa, qb) = (PreparedProfile::new(a.clone()), PreparedProfile::new(b.clone()));
+        let (sa, sb) = (ProfileStats::with_sketch(&a), ProfileStats::with_sketch(&b));
+        let (qa, qb) = (view(&a, &sa), view(&b, &sb));
         for m in Measure::ALL {
             let plain = m.score(&a, &b);
-            let prepared = m.score_prepared(&qa, &qb);
+            let prepared = m.score_ref(qa, qb);
             prop_assert_eq!(
                 plain.to_bits(),
                 prepared.to_bits(),
@@ -117,19 +124,18 @@ proptest! {
         pa in proptest::collection::vec((0u32..5000, -5.0f32..5.0), 0..40),
         pb in proptest::collection::vec((0u32..5000, -5.0f32..5.0), 0..40),
     ) {
-        let (qa, qb) = (
-            PreparedProfile::new(build(&pa)),
-            PreparedProfile::new(build(&pb)),
-        );
+        let (a, b) = (build(&pa), build(&pb));
+        let (sa, sb) = (ProfileStats::with_sketch(&a), ProfileStats::with_sketch(&b));
+        let (qa, qb) = (view(&a, &sa), view(&b, &sb));
         for m in Measure::ALL {
-            let score = m.score_prepared(&qa, &qb);
-            let bound = m.upper_bound(&qa, &qb);
+            let score = m.score_ref(qa, qb);
+            let bound = m.upper_bound_ref(qa, qb);
             prop_assert!(
                 bound >= score,
                 "{} bound {} below score {}", m, bound, score
             );
             // Bounds are symmetric, like the measures themselves.
-            prop_assert_eq!(bound.to_bits(), m.upper_bound(&qb, &qa).to_bits(), "{} bound asymmetric", m);
+            prop_assert_eq!(bound.to_bits(), m.upper_bound_ref(qb, qa).to_bits(), "{} bound asymmetric", m);
         }
     }
 
@@ -153,8 +159,8 @@ proptest! {
     }
 }
 
-/// Builds an arena of the two generated profiles next to their owned
-/// prepared forms (same map semantics as `build`).
+/// Builds an arena of the two generated profiles (same map semantics
+/// as `build`).
 fn build_arena(pa: &[(u32, f32)], pb: &[(u32, f32)]) -> knn_sim::ProfileArena {
     let dedup = |pairs: &[(u32, f32)]| {
         let mut map: HashMap<u32, f32> = HashMap::new();
@@ -170,10 +176,9 @@ fn build_arena(pa: &[(u32, f32)], pb: &[(u32, f32)]) -> knn_sim::ProfileArena {
 }
 
 proptest! {
-    /// The arena-backed borrowed path is bit-identical to the owned
-    /// prepared path — scores and upper bounds alike, for every
-    /// measure: the tentpole determinism contract of the phase-4
-    /// arena rework.
+    /// Arena views are bit-identical to views over owned profiles —
+    /// scores and upper bounds alike, for every measure: the
+    /// determinism contract of the phase-4 arena.
     #[test]
     fn arena_views_are_bit_identical_to_prepared_profiles(
         pa in raw_pairs(),
@@ -181,22 +186,23 @@ proptest! {
     ) {
         let arena = build_arena(&pa, &pb);
         let (a, b) = (build(&pa), build(&pb));
-        let (pa, pb) = (PreparedProfile::new(a), PreparedProfile::new(b));
+        let (sa, sb) = (ProfileStats::with_sketch(&a), ProfileStats::with_sketch(&b));
+        let (qa, qb) = (view(&a, &sa), view(&b, &sb));
         let (va, vb) = (arena.view(0), arena.view(1));
         for m in Measure::ALL {
             prop_assert_eq!(
                 m.score_ref(va, vb).to_bits(),
-                m.score_prepared(&pa, &pb).to_bits(),
+                m.score_ref(qa, qb).to_bits(),
                 "{} score diverged", m
             );
             prop_assert_eq!(
                 m.score_ref(va, vb).to_bits(),
-                m.score(pa.profile(), pb.profile()).to_bits(),
+                m.score(&a, &b).to_bits(),
                 "{} unprepared score diverged", m
             );
             prop_assert_eq!(
                 m.upper_bound_ref(va, vb).to_bits(),
-                m.upper_bound(&pa, &pb).to_bits(),
+                m.upper_bound_ref(qa, qb).to_bits(),
                 "{} bound diverged", m
             );
             prop_assert!(
@@ -256,10 +262,7 @@ proptest! {
             .map(|row| Profile::from_unsorted_pairs(row.clone()).unwrap())
             .collect();
         let prepared: Vec<_> = profiles.iter().map(ProfileStats::with_sketch).collect();
-        let pairs_view = |i: usize| {
-            let (stats, sketch) = &prepared[i];
-            PreparedRef::new(profiles[i].entries(), stats, sketch)
-        };
+        let pairs_view = |i: usize| view(&profiles[i], &prepared[i]);
         for m in Measure::ALL {
             let mut kernel = knn_sim::RowKernel::new(m);
             for (source, candidates) in &runs {

@@ -133,18 +133,6 @@ impl CommitTarget {
             CommitTarget::KnnSlice(p) => StreamId::KnnSlice(p),
         }
     }
-
-    /// The backup target for a committed stream, if it is one the
-    /// protocol stages (`None` for scratch and never-mutated streams).
-    pub fn of(stream: StreamId) -> Option<CommitTarget> {
-        match stream {
-            StreamId::Meta => Some(CommitTarget::Meta),
-            StreamId::Assignment => Some(CommitTarget::Assignment),
-            StreamId::Profiles(p) => Some(CommitTarget::Profiles(p)),
-            StreamId::KnnSlice(p) => Some(CommitTarget::KnnSlice(p)),
-            _ => None,
-        }
-    }
 }
 
 impl StreamId {

@@ -184,12 +184,6 @@ impl<T> SlotCache<T> {
         }
         Ok(())
     }
-
-    /// Drops every resident payload **without** counting unloads — for
-    /// abandoning a dry run.
-    pub fn clear_uncounted(&mut self) {
-        self.slots.clear();
-    }
 }
 
 #[cfg(test)]

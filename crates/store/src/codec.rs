@@ -84,6 +84,37 @@ pub fn need(buf: &impl Buf, needed: usize, what: &str, path: &Path) -> Result<()
     }
 }
 
+/// Ensures `count` fixed-width rows of `row_bytes` each remain
+/// readable and returns `count` as a `usize`. The byte total is
+/// checked arithmetic, so a hostile header count is a corruption error
+/// rather than a wrapped length.
+pub fn need_rows(
+    buf: &impl Buf,
+    count: u64,
+    row_bytes: usize,
+    what: &str,
+    path: &Path,
+) -> Result<usize, StoreError> {
+    let sized = usize::try_from(count)
+        .ok()
+        .and_then(|rows| Some((rows, rows.checked_mul(row_bytes)?)));
+    let Some((rows, needed)) = sized else {
+        return Err(StoreError::corrupt(
+            path,
+            format!("{what}: {count} rows overflow the address space"),
+        ));
+    };
+    need(buf, needed, what, path)?;
+    Ok(rows)
+}
+
+/// Rows to pre-allocate for a header declaring `count` rows of at
+/// least `min_row_bytes` each: never more than `remaining` payload
+/// bytes could hold, whatever the header claims.
+pub fn row_capacity(count: u64, remaining: usize, min_row_bytes: usize) -> usize {
+    (remaining / min_row_bytes).min(usize::try_from(count).unwrap_or(usize::MAX))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,9 +26,6 @@
 //!   (see the module docs for the versioning story);
 //! * [`IoStats`] — atomic counters living *inside* the backend
 //!   boundary, so different backends are metered uniformly;
-//! * [`DiskModel`] — seek + bandwidth cost models replaying a run's I/O
-//!   trace as simulated HDD/SSD/RAM-disk time (the paper's future-work
-//!   device comparison);
 //! * [`SlotCache`] — the ≤`c`-resident partition cache whose
 //!   load/unload operation counts are exactly the metric of the paper's
 //!   Table 1.
@@ -70,14 +67,14 @@
 //! let _ = IoStats::new();
 //! ```
 
+#![warn(unreachable_pub, missing_docs)]
+
 pub mod backend;
 pub mod cache;
 pub mod codec;
 pub mod commit;
 pub mod crc32;
 pub mod delta_log;
-pub mod disk_model;
-pub mod error;
 pub mod fault;
 pub mod io_stats;
 pub mod layout;
@@ -85,10 +82,11 @@ pub mod record_file;
 pub mod retry;
 pub mod tuple_stream;
 
+mod error;
+
 pub use backend::{CommitTarget, DiskBackend, MemBackend, StorageBackend, StreamId};
 pub use cache::{CacheCounters, SlotCache};
 pub use commit::{recover, CommitRecord, CommitTxn, RecoveryReport};
-pub use disk_model::DiskModel;
 pub use error::StoreError;
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
 pub use io_stats::{IoSnapshot, IoStats};

@@ -18,7 +18,7 @@
 use bytes::{Buf, BufMut, BytesMut};
 use std::path::Path;
 
-use crate::codec::{need, put_header, take_header};
+use crate::codec::{need, need_rows, put_header, row_capacity, take_header};
 use crate::crc32::crc32;
 use crate::{IoStats, StoreError};
 
@@ -134,8 +134,7 @@ pub fn decode_pairs(
 ) -> Result<Vec<(u32, u32)>, StoreError> {
     let mut buf = bytes;
     let count = take_header(&mut buf, kind as u16, path)?;
-    need(&buf, count as usize * 8, "pair rows", path)?;
-    let mut rows = Vec::with_capacity(count as usize);
+    let mut rows = Vec::with_capacity(need_rows(&buf, count, 8, "pair rows", path)?);
     for _ in 0..count {
         rows.push((buf.get_u32_le(), buf.get_u32_le()));
     }
@@ -193,8 +192,7 @@ pub fn encode_scored_pairs(rows: &[(u32, u32, f32)]) -> BytesMut {
 pub fn decode_scored_pairs(bytes: &[u8], path: &Path) -> Result<Vec<(u32, u32, f32)>, StoreError> {
     let mut buf = bytes;
     let count = take_header(&mut buf, RecordKind::ScoredEdges as u16, path)?;
-    need(&buf, count as usize * 12, "scored rows", path)?;
-    let mut rows = Vec::with_capacity(count as usize);
+    let mut rows = Vec::with_capacity(need_rows(&buf, count, 12, "scored rows", path)?);
     for _ in 0..count {
         rows.push((buf.get_u32_le(), buf.get_u32_le(), buf.get_f32_le()));
     }
@@ -273,12 +271,13 @@ pub fn decode_user_lists(
 ) -> Result<Vec<UserListRow>, StoreError> {
     let mut buf = bytes;
     let count = take_header(&mut buf, kind as u16, path)?;
-    let mut rows = Vec::with_capacity(count as usize);
+    // Each row is at least its 8-byte (user, len) header.
+    let mut rows = Vec::with_capacity(row_capacity(count, buf.remaining(), 8));
     for _ in 0..count {
         need(&buf, 8, "user-list row header", path)?;
         let user = buf.get_u32_le();
-        let len = buf.get_u32_le() as usize;
-        need(&buf, len * 8, "user-list entries", path)?;
+        let len = u64::from(buf.get_u32_le());
+        let len = need_rows(&buf, len, 8, "user-list entries", path)?;
         let mut list = Vec::with_capacity(len);
         for _ in 0..len {
             list.push((buf.get_u32_le(), buf.get_f32_le()));
@@ -331,8 +330,7 @@ pub fn encode_meta(entries: &[(u32, u64)]) -> BytesMut {
 pub fn decode_meta(bytes: &[u8], path: &Path) -> Result<Vec<(u32, u64)>, StoreError> {
     let mut buf = bytes;
     let count = take_header(&mut buf, RecordKind::Meta as u16, path)?;
-    need(&buf, count as usize * 12, "meta rows", path)?;
-    let mut rows = Vec::with_capacity(count as usize);
+    let mut rows = Vec::with_capacity(need_rows(&buf, count, 12, "meta rows", path)?);
     for _ in 0..count {
         rows.push((buf.get_u32_le(), buf.get_u64_le()));
     }
@@ -470,6 +468,55 @@ mod tests {
             "{err}"
         );
         wd.destroy().unwrap();
+    }
+
+    /// A bare header declaring `count` rows, with no row bytes behind it.
+    fn bare_header(kind: RecordKind, count: u64) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_header(&mut buf, kind as u16, count);
+        buf.to_vec()
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(result: Result<T, StoreError>) {
+        assert!(
+            matches!(result, Err(StoreError::Corrupt { .. })),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn hostile_pair_header_is_corrupt_not_panic() {
+        let path = Path::new("/hostile/pairs");
+        for count in [1u64 << 61, u64::MAX] {
+            let bytes = bare_header(RecordKind::Tuples, count);
+            assert_corrupt(decode_pairs(&bytes, RecordKind::Tuples, path));
+        }
+    }
+
+    #[test]
+    fn hostile_scored_pair_header_is_corrupt_not_panic() {
+        let path = Path::new("/hostile/scored");
+        for count in [1u64 << 61, u64::MAX] {
+            let bytes = bare_header(RecordKind::ScoredEdges, count);
+            assert_corrupt(decode_scored_pairs(&bytes, path));
+        }
+    }
+
+    #[test]
+    fn hostile_meta_header_is_corrupt_not_panic() {
+        let path = Path::new("/hostile/meta");
+        for count in [1u64 << 61, u64::MAX] {
+            assert_corrupt(decode_meta(&bare_header(RecordKind::Meta, count), path));
+        }
+    }
+
+    #[test]
+    fn hostile_user_list_header_is_corrupt_not_panic() {
+        let path = Path::new("/hostile/lists");
+        for count in [1u64 << 61, u64::MAX] {
+            let bytes = bare_header(RecordKind::Profiles, count);
+            assert_corrupt(decode_user_lists(&bytes, RecordKind::Profiles, path));
+        }
     }
 
     #[test]

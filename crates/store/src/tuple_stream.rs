@@ -44,7 +44,7 @@ use std::path::Path;
 
 use bytes::{BufMut, BytesMut};
 
-use crate::codec::{put_header, HEADER_LEN, MAGIC, VERSION};
+use crate::codec::{put_header, row_capacity, HEADER_LEN, MAGIC, VERSION};
 use crate::record_file::{decode_pairs, RecordKind};
 use crate::StoreError;
 
@@ -161,11 +161,6 @@ impl TupleStreamWriter {
     /// Whether no row has been pushed.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Encoded row bytes buffered so far (excluding the header).
-    pub fn byte_len(&self) -> usize {
-        self.rows.len()
     }
 
     /// Finishes the stream, producing the full unframed codec payload
@@ -482,7 +477,9 @@ pub fn decode_tuples(bytes: Vec<u8>, path: &Path) -> Result<Vec<TupleRow>, Store
             .collect());
     }
     let mut reader = TupleStreamReader::new(bytes, path)?;
-    let mut rows = Vec::with_capacity(reader.remaining() as usize);
+    // A v2 row is at least two one-byte varints.
+    let payload = reader.bytes.len() - reader.pos;
+    let mut rows = Vec::with_capacity(row_capacity(reader.remaining(), payload, 2));
     while let Some(row) = reader.next()? {
         rows.push(row);
     }
@@ -619,6 +616,25 @@ mod tests {
             matches!(&err, StoreError::Corrupt { detail, .. } if detail.contains("overflows u32")),
             "{err}"
         );
+    }
+
+    /// A bare header declaring an absurd row count is corrupt; it
+    /// neither reserves capacity for the count nor wraps a length.
+    #[test]
+    fn hostile_row_count_is_corrupt_not_panic() {
+        for count in [1u64 << 61, u64::MAX] {
+            let mut v2 = BytesMut::new();
+            put_header(&mut v2, RecordKind::TuplesV2 as u16, count);
+            v2.put_u8(TUPLE_STREAM_FORMAT);
+            let mut legacy = BytesMut::new();
+            put_header(&mut legacy, RecordKind::Tuples as u16, count);
+            for bytes in [v2, legacy] {
+                assert!(matches!(
+                    decode_tuples(bytes.to_vec(), &p()),
+                    Err(StoreError::Corrupt { .. })
+                ));
+            }
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `knn-graph` | graph types, generators, edge-list I/O |
+//! | [`graph`] | `knn-graph` | graph types, generators, degree statistics |
 //! | [`sim`] | `knn-sim` | sparse profiles, similarity measures, workload generators |
-//! | [`store`] | `knn-store` | the `StorageBackend` trait (disk + in-memory backends), codecs, I/O accounting, disk models, the 2-slot cache |
+//! | [`store`] | `knn-store` | the `StorageBackend` trait (disk + in-memory backends), codecs, I/O accounting, the 2-slot cache |
 //! | [`cluster`] | `knn-cluster` | locality pre-pass: sketch embeddings, mini-batch k-means / random buckets, cluster-seeded `G(0)` |
 //! | [`core`] | `knn-core` | the five-phase engine (partitioning → tuples → PI graph → KNN → updates) |
 //! | [`shard`] | `knn-shard` | consistent-hash shard layer: `ShardedEngine`, cross-shard tuple exchange, routing backend |
 //! | [`serve`] | `knn-serve` | online query layer: snapshot swap, concurrent `KnnService`, background refinement over a plain or sharded engine |
-//! | [`baseline`] | `knn-baseline` | brute force, NN-Descent, naive out-of-core, recall |
+//! | [`baseline`] | `knn-baseline` | brute force, NN-Descent, recall |
 //! | [`datasets`] | `knn-datasets` | Table-1 dataset replicas and workload presets |
 //!
 //! The most common entry points are also re-exported at the top level.
@@ -85,6 +85,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub, missing_docs)]
+
 pub use knn_baseline as baseline;
 pub use knn_cluster as cluster;
 pub use knn_core as core;
@@ -107,4 +109,4 @@ pub use knn_serve::{
 };
 pub use knn_shard::{ShardedEngine, ShardedIterationReport};
 pub use knn_sim::{ItemId, Measure, Profile, ProfileDelta, ProfileStore, Similarity};
-pub use knn_store::{DiskBackend, DiskModel, IoStats, MemBackend, StorageBackend, WorkingDir};
+pub use knn_store::{DiskBackend, IoStats, MemBackend, StorageBackend, WorkingDir};

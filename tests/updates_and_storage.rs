@@ -1,13 +1,9 @@
-//! Integration tests for the lazy-update semantics (phase 5), the
-//! naive baseline's I/O penalty, and storage failure behaviour.
+//! Integration tests for the lazy-update semantics (phase 5) and
+//! storage failure behaviour.
 
-use ooc_knn::baseline::naive_out_of_core_iteration;
-use ooc_knn::core::partition::Partitioning;
-use ooc_knn::core::phase1::reshard_profiles;
 use ooc_knn::core::reference::reference_iteration;
 use ooc_knn::sim::generators::{clustered_profiles, ClusteredConfig};
 use ooc_knn::sim::DeltaOp;
-use ooc_knn::store::StorageBackend;
 use ooc_knn::{
     EngineConfig, EngineError, ItemId, KnnEngine, KnnGraph, Measure, Profile, ProfileDelta,
     ProfileStore, UserId, WorkingDir,
@@ -125,46 +121,6 @@ fn invalid_updates_are_rejected_without_corrupting_the_queue() {
     let report = engine.run_iteration().unwrap();
     assert_eq!(report.updates_applied, 0);
     engine.into_working_dir().destroy().unwrap();
-}
-
-#[test]
-fn naive_baseline_same_answer_far_more_io() {
-    let n = 80;
-    let profiles = workload(n, 4);
-    let g0 = KnnGraph::random_init(n, 4, 4);
-    let m = 8;
-
-    // Engine run.
-    let config = EngineConfig::builder(n)
-        .k(4)
-        .num_partitions(m)
-        .measure(Measure::Cosine)
-        .seed(4)
-        .build()
-        .unwrap();
-    let wd = WorkingDir::temp("itest_naive_engine").unwrap();
-    let mut engine =
-        KnnEngine::with_initial_graph(config, g0.clone(), profiles.clone(), wd).unwrap();
-    let report = engine.run_iteration().unwrap();
-    let engine_graph = engine.graph().clone();
-    let engine_ops = report.cache.total_ops();
-    engine.into_working_dir().destroy().unwrap();
-
-    // Naive random-access run over the same layout (storage backend
-    // agnostic — run it on the disk backend, like the paper's setting).
-    let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
-    let partitioning = Partitioning::from_assignment(assignment, m).unwrap();
-    let backend = ooc_knn::store::DiskBackend::temp("itest_naive").unwrap();
-    reshard_profiles(&backend, None, &partitioning, Some(&profiles), 1).unwrap();
-    let naive =
-        naive_out_of_core_iteration(&g0, &partitioning, &backend, &Measure::Cosine, 4, 2).unwrap();
-    assert_eq!(naive.graph, engine_graph, "both paths must agree on G(t+1)");
-    assert!(
-        naive.cache.total_ops() > 3 * engine_ops,
-        "naive ops {} should dwarf engine ops {engine_ops}",
-        naive.cache.total_ops()
-    );
-    backend.working_dir().unwrap().clone().destroy().unwrap();
 }
 
 #[test]
