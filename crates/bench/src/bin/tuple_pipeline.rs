@@ -1,7 +1,7 @@
 //! **Experiment S6 — the phase-1/2 tuple pipeline, out of core.**
 //!
 //! Runs one engine on the columnar tuple pipeline (SoA staging,
-//! sort-time dedup, varint-delta spill codec, loser-tree streaming
+//! per-source dedup, varint-delta spill codec, loser-tree streaming
 //! merge) with a small spill threshold, so phase 2 stays on the
 //! out-of-core path the paper's memory constraint forces, and reports
 //! per-iteration phase-1/2 wall clock and spill traffic.

@@ -2,9 +2,9 @@
 //! edges instead of uniform random ones.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use knn_graph::sample::draw_unscored;
 use knn_graph::{KnnGraph, Neighbor, UserId};
 
 use crate::ClusterAssignment;
@@ -45,38 +45,19 @@ pub fn cluster_seeded_graph(assignment: &ClusterAssignment, k: usize, seed: u64)
     // random G(0).
     let explore = k.div_ceil(3).min(take.saturating_sub(1));
     let intra_take = take - explore;
-    let members = assignment.members();
+    // One persistent pool per cluster plus one over the population,
+    // drawn with random_init's sampler: O(k) draws per vertex.
+    let mut local = assignment.members();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool: Vec<u32> = (0..n as u32).collect();
-    let mut local: Vec<u32> = Vec::new();
     for v in 0..n as u32 {
         let mut list: Vec<Neighbor> = Vec::with_capacity(take);
-        // Intra-cluster first: a fresh seeded shuffle per vertex, like
-        // random_init's per-vertex pool shuffle.
-        local.clear();
-        local.extend_from_slice(&members[assignment.label_of(v) as usize]);
-        local.shuffle(&mut rng);
-        for &c in local.iter() {
-            if c != v {
-                list.push(Neighbor::unscored(UserId::new(c)));
-                if list.len() == intra_take {
-                    break;
-                }
-            }
-        }
+        // Intra-cluster first.
+        let cluster = &mut local[assignment.label_of(v) as usize];
+        draw_unscored(cluster, v, intra_take, &mut rng, &mut list);
         // Explore slots plus top-up (small clusters, or k larger than
         // the cluster) from the whole population.
-        if list.len() < take {
-            pool.shuffle(&mut rng);
-            for &c in pool.iter() {
-                if c != v && !list.iter().any(|nb| nb.id.raw() == c) {
-                    list.push(Neighbor::unscored(UserId::new(c)));
-                    if list.len() == take {
-                        break;
-                    }
-                }
-            }
-        }
+        draw_unscored(&mut pool, v, take, &mut rng, &mut list);
         g.set_neighbors(UserId::new(v), list)
             .expect("cluster-seeded list upholds the KNN invariants");
     }
@@ -151,6 +132,46 @@ mod tests {
             cluster_seeded_graph(&a, 3, 5),
             cluster_seeded_graph(&a, 3, 6)
         );
+    }
+
+    proptest::proptest! {
+        /// Rows are self-free, duplicate-free and `min(K, n − 1)` long
+        /// for any cluster layout, and a pure function of the seed.
+        #[test]
+        fn rows_are_valid_and_seed_deterministic(
+            n in 2usize..60,
+            clusters in 1u32..6,
+            k in 1usize..9,
+            seed in 0u64..20,
+        ) {
+            let labels = (0..n as u32).map(|u| (u * 7 + 3) % clusters).collect();
+            let a = assignment(labels, clusters);
+            let g = cluster_seeded_graph(&a, k, seed);
+            proptest::prop_assert_eq!(&g, &cluster_seeded_graph(&a, k, seed));
+            for v in 0..n as u32 {
+                let row = g.neighbors(UserId::new(v));
+                let mut ids: Vec<u32> = row.iter().map(|nb| nb.id.raw()).collect();
+                proptest::prop_assert!(!ids.contains(&v), "self-loop at {}", v);
+                ids.sort_unstable();
+                ids.dedup();
+                proptest::prop_assert_eq!(ids.len(), k.min(n - 1), "row {}", v);
+            }
+        }
+    }
+
+    /// Both draws stay uniform at scale: with 10 equal clusters of
+    /// 1 000, every in-degree is a sum of near-Poisson intra and
+    /// explore draws — mean exactly K, max far below 3K.
+    #[test]
+    fn in_degrees_stay_uniform_at_scale() {
+        let (n, k) = (10_000u32, 10usize);
+        let a = assignment((0..n).map(|u| u % 10).collect(), 10);
+        let g = cluster_seeded_graph(&a, k, 3);
+        let in_deg = g.to_digraph().in_degrees();
+        let mean = in_deg.iter().sum::<usize>() as f64 / n as f64;
+        let max = *in_deg.iter().max().unwrap();
+        assert_eq!(mean, k as f64);
+        assert!(max < 3 * k, "max in-degree {max} >= 3K");
     }
 
     #[test]

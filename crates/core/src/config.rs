@@ -143,7 +143,8 @@ impl EngineConfig {
     }
 
     /// Whether phase 1 recomputes the partitioning every iteration
-    /// (paper-faithful) or reuses the iteration-0 assignment.
+    /// (paper-faithful) or reuses the assignment of `G(0)` computed at
+    /// construction.
     pub fn repartition_each_iteration(&self) -> bool {
         self.repartition_each_iteration
     }
@@ -341,8 +342,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Disables per-iteration repartitioning (reuse iteration-0
-    /// assignment).
+    /// Disables per-iteration repartitioning (reuse the assignment of
+    /// `G(0)` computed at construction).
     pub fn repartition_each_iteration(mut self, yes: bool) -> Self {
         self.repartition_each_iteration = yes;
         self

@@ -1049,29 +1049,41 @@ impl KnnEngine {
         });
 
         // Phase 1: partition G(t) and lay out edge/profile streams.
+        // G(0) was partitioned at construction (and that assignment is
+        // what a resume reloads), so iteration 0 repartitions only
+        // when every iteration does.
         let before = self.io_now();
         let t0 = Instant::now();
-        if self.config.repartition_each_iteration() || self.iteration == 0 {
-            let partitioner = Self::make_partitioner(&self.config, self.clusters.as_ref())?;
-            let next =
-                partitioner.partition(&self.graph.to_digraph(), self.config.num_partitions())?;
-            if next != self.partitioning {
-                // Resharding rewrites every profile stream in place —
-                // stage them all first.
-                if let Some(txn) = txn.as_mut() {
-                    for p in 0..self.partitioning.num_partitions() as u32 {
-                        txn.backup(backend, CommitTarget::Profiles(p))?;
-                    }
+        // One digraph serves the partitioner and the replication cost,
+        // and is dropped before any stream is rewritten.
+        let (next, replication_cost) = {
+            let digraph = self.graph.to_digraph();
+            let next = if self.config.repartition_each_iteration() {
+                let partitioner = Self::make_partitioner(&self.config, self.clusters.as_ref())?;
+                Some(partitioner.partition(&digraph, self.config.num_partitions())?)
+            } else {
+                None
+            };
+            let cost =
+                objective::replication_cost(&digraph, next.as_ref().unwrap_or(&self.partitioning));
+            (next, cost)
+        };
+        if let Some(next) = next.filter(|next| *next != self.partitioning) {
+            // Resharding rewrites every profile stream in place —
+            // stage them all first.
+            if let Some(txn) = txn.as_mut() {
+                for p in 0..self.partitioning.num_partitions() as u32 {
+                    txn.backup(backend, CommitTarget::Profiles(p))?;
                 }
-                phase1::reshard_profiles(
-                    backend,
-                    Some(&self.partitioning),
-                    &next,
-                    None,
-                    self.config.threads(),
-                )?;
-                self.partitioning = next;
             }
+            phase1::reshard_profiles(
+                backend,
+                Some(&self.partitioning),
+                &next,
+                None,
+                self.config.threads(),
+            )?;
+            self.partitioning = next;
         }
         let phase1_stats = phase1::write_partition_edges(
             &self.graph,
@@ -1080,8 +1092,6 @@ impl KnnEngine {
             self.config.threads(),
             seed_ok.as_deref(),
         )?;
-        let replication_cost =
-            objective::replication_cost(&self.graph.to_digraph(), &self.partitioning);
         durations[0] = t0.elapsed();
         io[0] = self.io_now() - before;
 

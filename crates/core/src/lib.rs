@@ -13,7 +13,7 @@
 //!    edge lists sorted by bridge vertex.
 //! 2. **Tuple generation** ([`phase2`], [`tuple_table`]) — merge-scan
 //!    the sorted lists to emit candidate tuples `(s, d)` into
-//!    columnar per-bucket staging, deduplicated by radix sort and
+//!    columnar per-bucket staging, deduplicated per source and
 //!    spilled as varint-delta runs when memory bounds demand it.
 //! 3. **PI graph** ([`PiGraph`], [`traversal`]) — build the
 //!    partition-interaction graph and order the partition pairs with a
@@ -148,8 +148,10 @@
 //! # The phase-1/2 tuple pipeline
 //!
 //! The tuple data plane is columnar end to end (see [`tuple_table`]):
-//! struct-of-arrays staging with no per-offer hash probe or
-//! allocation, LSD-radix sort-time dedup, a varint-delta spill codec
+//! struct-of-arrays staging with no per-offer allocation (one cheap
+//! hash probe on the partition pair), a per-source dedup (counting sort by source, a stamp
+//! array over destinations) whose scratch is bounded by the block and
+//! the bucket's two partitions, a varint-delta spill codec
 //! ([`knn_store::tuple_stream`], ~2 B per dense tuple vs the legacy
 //! fixed-width 8), and a streaming loser-tree k-way merge whose
 //! output encodes straight into the bucket streams phase 4 iterates.

@@ -37,6 +37,8 @@ pub struct Partitioning {
     assignment: Vec<u32>,
     num_partitions: usize,
     users: Vec<Vec<UserId>>,
+    /// `rows[u]`: user `u`'s index in `users[assignment[u]]`.
+    rows: Vec<u32>,
 }
 
 impl Partitioning {
@@ -53,14 +55,17 @@ impl Partitioning {
         let n = assignment.len();
         let cap = n.div_ceil(m);
         let mut users: Vec<Vec<UserId>> = vec![Vec::new(); m];
+        let mut rows = Vec::with_capacity(n);
         for (u, &p) in assignment.iter().enumerate() {
             if p as usize >= m {
                 return Err(EngineError::config(format!(
                     "user {u} assigned to partition {p} but m={m}"
                 )));
             }
-            users[p as usize].push(UserId::new(u as u32));
-            if users[p as usize].len() > cap {
+            let members = &mut users[p as usize];
+            rows.push(members.len() as u32);
+            members.push(UserId::new(u as u32));
+            if members.len() > cap {
                 return Err(EngineError::config(format!(
                     "partition {p} exceeds balance bound {cap} users"
                 )));
@@ -70,6 +75,7 @@ impl Partitioning {
             assignment,
             num_partitions: m,
             users,
+            rows,
         })
     }
 
@@ -104,6 +110,15 @@ impl Partitioning {
     /// The raw assignment vector (index = user id).
     pub fn assignment(&self) -> &[u32] {
         &self.assignment
+    }
+
+    /// Each user's row within its partition (index = user id): the
+    /// position of `u` in [`users_of`](Self::users_of)`(partition_of(u))`.
+    /// Partition streams list their users in that order, and since
+    /// `users_of` is ascending, row order equals id order within a
+    /// partition.
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
     }
 
     /// The maximum allowed partition size `⌈n/m⌉`.
@@ -234,6 +249,7 @@ mod tests {
         let p = Partitioning::from_assignment(vec![1, 0, 1, 0], 2).unwrap();
         assert_eq!(p.users_of(0), &[UserId::new(1), UserId::new(3)]);
         assert_eq!(p.users_of(1), &[UserId::new(0), UserId::new(2)]);
+        assert_eq!(p.rows(), &[0, 0, 1, 1]);
     }
 
     #[test]

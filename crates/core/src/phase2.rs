@@ -5,7 +5,7 @@
 //! with every `(v, d)` out-edge yields the two-hop candidate `(s, d)`,
 //! and the out-edges themselves are the direct candidates `(v, d)` —
 //! together the "neighbors and neighbors' neighbors" set the paper's
-//! KNN step scores. Uniqueness is enforced by the hash table
+//! KNN step scores. Uniqueness is enforced by the tuple table
 //! ([`crate::tuple_table::TupleTable`]).
 //!
 //! Partitions are scanned **in parallel**: every scan owns a private
@@ -90,10 +90,9 @@ pub fn generate_tuples(
     additions: Option<&EdgeAdditions>,
 ) -> Result<Phase2Output, EngineError> {
     backend.clear_tuples()?;
-    let m = partitioning.num_partitions();
-    let all: Vec<u32> = (0..m as u32).collect();
+    let all: Vec<u32> = (0..partitioning.num_partitions() as u32).collect();
     let parts = scan_tables(partitioning, backend, options, additions, &all)?;
-    let (pi, stats, tuple_meta) = merge_parts(backend, m, parts, options.threads)?;
+    let (pi, stats, tuple_meta) = merge_parts(backend, partitioning, parts, options.threads)?;
     Ok(Phase2Output {
         pi,
         stats,

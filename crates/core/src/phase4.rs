@@ -349,14 +349,6 @@ fn drive(
     let mut sims_computed = 0u64;
     let mut sims_skipped = 0u64;
     let mut sims_pruned = 0u64;
-    // user → its row in its partition's streams, which list the
-    // partition's users in ascending order.
-    let mut row_of = vec![0u32; partitioning.num_users()];
-    for p in 0..partitioning.num_partitions() as u32 {
-        for (row, user) in partitioning.users_of(p).iter().enumerate() {
-            row_of[user.index()] = row as u32;
-        }
-    }
 
     for step in schedule.iter() {
         cache.ensure(
@@ -398,7 +390,7 @@ fn drive(
                     (src, dst),
                     tuples,
                     meta,
-                    &row_of,
+                    partitioning.rows(),
                     src_state,
                     dst_state,
                     options,

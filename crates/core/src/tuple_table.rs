@@ -1,6 +1,6 @@
-//! Phase 2's tuple table `H`: columnar staging, radix sorting, and a
-//! streaming k-way merge, bucketed by partition pair with spill to the
-//! storage backend.
+//! Phase 2's tuple table `H`: columnar staging, a per-source dedup, and
+//! a streaming k-way merge, bucketed by partition pair with spill to
+//! the storage backend.
 //!
 //! The paper uses one hash table to deduplicate candidate tuples
 //! `(s, d)` (the same two-hop pair arises once per bridge vertex, plus
@@ -15,16 +15,26 @@
 //!   tuple's bucket `(part(min), part(max))` is a pure function of
 //!   the tuple, deduplicating *per bucket* is equivalent to one
 //!   global table.
-//! * **Columnar, sort-based dedup** — offers append to per-bucket
-//!   struct-of-arrays blocks ([`TupleColumns`]: a `u32` src column, a
-//!   `u32` dst column, a packed meta column) with **no per-tuple
-//!   allocation and no per-offer hash probe**; duplicates are folded
-//!   later by an LSD radix sort + adjacent-merge (meta bits OR), at
-//!   spill time and at merge time. Dropping the per-offer dedup maps
-//!   removes the one phase-2 structure whose residency grew with the
-//!   *unique* tuple count instead of the spill threshold — staging
-//!   memory is now strictly `O(buckets × spill_threshold)` rows (or
-//!   the explicit byte budget below).
+//! * **Columnar staging, per-source dedup** — offers append to
+//!   struct-of-arrays blocks (a `u32` src column, a `u32` dst column,
+//!   a packed meta column), one block per touched bucket, found
+//!   through [`Partitioning::assignment`] and one multiplicative-hash
+//!   probe, with **no per-tuple allocation and no hash of the tuple
+//!   itself**.
+//!   Duplicates fold later, at spill time and at merge time, in three
+//!   steps: a counting sort of the rows by source, a per-source pass
+//!   over each source's destinations with a stamp array (per
+//!   destination, the output slot the current source gave it — a
+//!   repeat ORs its meta bits into that slot), and a small sort of
+//!   each source's unique destinations. Both arrays are indexed by an
+//!   endpoint's **row in its partition** ([`Partitioning::users_of`]
+//!   is ascending, so row order is id order within a bucket), so the
+//!   dedup's scratch is `O(block rows + users of the bucket's two
+//!   partitions)` — never `O(n)` or `O(id span)`. Staging memory is
+//!   `O(buckets × spill_threshold)` rows (or the explicit byte budget
+//!   below), independent of the unique tuple count, plus about 100 B
+//!   of bookkeeping per bucket the table touched — never `O(m²)`, so
+//!   every partition count up to [`MAX_PARTITIONS`] stays usable.
 //!
 //! Memory is bounded two ways: a bucket whose staging reaches
 //! `spill_threshold` rows is flushed to a [`StreamId::TupleRun`] as a
@@ -49,8 +59,8 @@
 //! scanned partition (its **run namespace**), so each scan worker
 //! spills into a disjoint range of run streams and never contends
 //! with its siblings. Tuples generated by two different scans meet in
-//! the same bucket merge, where the sort + adjacent-merge resolves
-//! them. The merged output — bytes, [`PiGraph`], [`TupleTableStats`],
+//! the same bucket merge, whose worker dedups every table's staged
+//! block of the bucket in one pass. The merged output — bytes, [`PiGraph`], [`TupleTableStats`],
 //! and [`BucketMeta`] — depends only on the offered `(tuple, bits)`
 //! multiset, not on how many threads scanned or merged, which is the
 //! phase-2 leg of the engine's determinism guarantee.
@@ -62,7 +72,8 @@
 //! bytes never depend on the suppression oracle); the iteration-scoped
 //! old-path bits live in the returned [`BucketMeta`] only.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use knn_store::tuple_stream::TupleRow;
 use knn_store::{StorageBackend, StreamId, TupleDecoder, TupleStreamWriter};
@@ -200,65 +211,57 @@ impl BucketMeta {
 }
 
 // ---------------------------------------------------------------------
-// Columnar staging + LSD radix sort
+// Columnar staging + per-source dedup
 // ---------------------------------------------------------------------
 
 /// One bucket's staged tuples in struct-of-arrays form: parallel
-/// `src`/`dst`/`meta` columns. Appends are three plain pushes; sorting
-/// and deduplication are columnar passes with no comparator and no
-/// per-tuple allocation.
+/// `src`/`dst`/`meta` columns. Appends are three plain pushes;
+/// deduplication is a counting sort plus one stamp-array pass, with
+/// no per-tuple allocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TupleColumns {
+struct TupleColumns {
     src: Vec<u32>,
     dst: Vec<u32>,
     meta: Vec<u8>,
 }
 
 impl TupleColumns {
-    /// An empty block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Rows staged.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.src.len()
     }
 
     /// Whether no row is staged.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.src.is_empty()
     }
 
     /// Appends one canonical row.
-    pub fn push(&mut self, u: u32, v: u32, meta: u8) {
+    fn push(&mut self, u: u32, v: u32, meta: u8) {
         self.src.push(u);
         self.dst.push(v);
         self.meta.push(meta);
     }
 
     /// The row at `idx`.
-    pub fn row(&self, idx: usize) -> TupleRow {
+    fn row(&self, idx: usize) -> TupleRow {
         (self.src[idx], self.dst[idx], self.meta[idx])
     }
 
-    /// Moves every row of `other` into `self` (concatenation).
-    pub fn append(&mut self, other: &mut TupleColumns) {
-        self.src.append(&mut other.src);
-        self.dst.append(&mut other.dst);
-        self.meta.append(&mut other.meta);
+    /// The rows encoded as one tuple stream.
+    fn encode(&self) -> TupleStreamWriter {
+        let mut writer = TupleStreamWriter::new();
+        for i in 0..self.len() {
+            let (u, v, meta) = self.row(i);
+            writer.push(u, v, meta);
+        }
+        writer
     }
 
     fn clear(&mut self) {
         self.src.clear();
         self.dst.clear();
         self.meta.clear();
-    }
-
-    fn truncate(&mut self, len: usize) {
-        self.src.truncate(len);
-        self.dst.truncate(len);
-        self.meta.truncate(len);
     }
 
     /// Releases the columns' heap capacity (used after a
@@ -270,96 +273,152 @@ impl TupleColumns {
         self.meta = Vec::new();
     }
 
-    /// Sorts the rows by `(src, dst)` with an LSD radix sort (byte
-    /// digits, low to high, dst column then src column; uniform digit
-    /// passes are skipped) and folds duplicate pairs by OR-ing their
-    /// meta bits. The result is the sorted unique canonical rows —
-    /// exactly what a comparison sort + dedup would produce, without
-    /// the branchy comparator.
-    pub fn sort_dedup(&mut self) {
-        let n = self.len();
-        if n > 1 {
-            self.radix_sort();
-            self.dedup_or();
+    /// Folds the rows of `blocks` into one block of the sorted
+    /// (`(src, dst)`) unique rows, OR-ing the meta bits of equal pairs —
+    /// what a comparison sort plus adjacent merge of the concatenation
+    /// would produce.
+    ///
+    /// `row` maps an endpoint id to its dense row: every source to a
+    /// distinct row below `src_rows`, **increasing with the id**, and
+    /// every destination to a distinct row below `dst_rows`. For a
+    /// bucket these are the endpoints' rows in their partitions (see
+    /// [`dedup_bucket`]), so the scratch — the output block, one count
+    /// per source row, one stamp per destination row, and one source's
+    /// unique destinations — is `O(rows + src_rows + dst_rows)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks hold `u32::MAX` rows or more, or if `row`
+    /// maps past its bound.
+    fn dedup(
+        blocks: &[TupleColumns],
+        src_rows: usize,
+        dst_rows: usize,
+        row: impl Fn(u32) -> usize,
+    ) -> TupleColumns {
+        let n: usize = blocks.iter().map(TupleColumns::len).sum();
+        if n == 0 {
+            return TupleColumns::default();
         }
-    }
-
-    fn radix_sort(&mut self) {
-        let n = self.len();
-        let mut scratch = TupleColumns {
+        assert!(n < u32::MAX as usize, "tuple block too large to dedup");
+        // 1. Counting sort by source row. After the scatter, `ends[r]`
+        //    is where source row r's run ends.
+        let mut ends = vec![0u32; src_rows + 1];
+        for block in blocks {
+            for &s in &block.src {
+                ends[row(s) + 1] += 1;
+            }
+        }
+        for r in 1..=src_rows {
+            ends[r] += ends[r - 1];
+        }
+        let mut out = TupleColumns {
             src: vec![0; n],
             dst: vec![0; n],
             meta: vec![0; n],
         };
-        // LSD over the 64-bit key (src, dst): 4 byte-passes on dst
-        // then 4 on src. Each pass is a stable counting sort; a pass
-        // whose digit is uniform across all rows is a no-op and is
-        // skipped (the common case for the high bytes of real ids).
-        for (use_src, shift) in [
-            (false, 0u32),
-            (false, 8),
-            (false, 16),
-            (false, 24),
-            (true, 0),
-            (true, 8),
-            (true, 16),
-            (true, 24),
-        ] {
-            let mut hist = [0usize; 256];
-            {
-                let keys = if use_src { &self.src } else { &self.dst };
-                for &k in keys {
-                    hist[((k >> shift) & 0xFF) as usize] += 1;
-                }
+        for block in blocks {
+            for (i, &s) in block.src.iter().enumerate() {
+                let slot = &mut ends[row(s)];
+                let at = *slot as usize;
+                *slot += 1;
+                out.src[at] = s;
+                out.dst[at] = block.dst[i];
+                out.meta[at] = block.meta[i];
             }
-            if hist.contains(&n) {
+        }
+
+        // 2. Per source, fold repeated destinations. `stamp[row(d)]` is
+        //    1 + the output slot the current source gave `d`; a slot
+        //    below the source's first one was set by an earlier source
+        //    and reads as untouched, so the array is never reset.
+        // 3. Sort the source's unique destinations (packed with their
+        //    meta byte) and compact them in place: output rows never
+        //    overtake the run being read.
+        let mut stamp = vec![0u32; dst_rows];
+        let mut unique: Vec<u64> = Vec::new();
+        let (mut begin, mut written) = (0usize, 0usize);
+        for &end in &ends[..src_rows] {
+            let end = end as usize;
+            if begin == end {
                 continue;
             }
-            let mut offsets = [0usize; 256];
-            let mut sum = 0usize;
-            for b in 0..256 {
-                offsets[b] = sum;
-                sum += hist[b];
+            let s = out.src[begin];
+            unique.clear();
+            for i in begin..end {
+                let d = out.dst[i];
+                let mark = &mut stamp[row(d)];
+                let at = *mark as usize;
+                if at > written {
+                    unique[at - 1 - written] |= u64::from(out.meta[i]);
+                } else {
+                    unique.push(u64::from(d) << 8 | u64::from(out.meta[i]));
+                    *mark = (written + unique.len()) as u32;
+                }
             }
-            for i in 0..n {
-                let key = if use_src { self.src[i] } else { self.dst[i] };
-                let digit = ((key >> shift) & 0xFF) as usize;
-                let out = offsets[digit];
-                offsets[digit] += 1;
-                scratch.src[out] = self.src[i];
-                scratch.dst[out] = self.dst[i];
-                scratch.meta[out] = self.meta[i];
+            unique.sort_unstable();
+            for &packed in &unique {
+                out.src[written] = s;
+                out.dst[written] = (packed >> 8) as u32;
+                out.meta[written] = packed as u8;
+                written += 1;
             }
-            std::mem::swap(&mut self.src, &mut scratch.src);
-            std::mem::swap(&mut self.dst, &mut scratch.dst);
-            std::mem::swap(&mut self.meta, &mut scratch.meta);
+            begin = end;
         }
+        out.src.truncate(written);
+        out.dst.truncate(written);
+        out.meta.truncate(written);
+        out
     }
+}
 
-    /// Folds adjacent equal pairs (input must be sorted), OR-ing meta.
-    fn dedup_or(&mut self) {
-        let n = self.len();
-        if n == 0 {
-            return;
-        }
-        let mut write = 0usize;
-        for read in 1..n {
-            if self.src[read] == self.src[write] && self.dst[read] == self.dst[write] {
-                self.meta[write] |= self.meta[read];
-            } else {
-                write += 1;
-                self.src[write] = self.src[read];
-                self.dst[write] = self.dst[read];
-                self.meta[write] = self.meta[read];
-            }
-        }
-        self.truncate(write + 1);
-    }
+/// Folds a bucket's staged blocks into its sorted unique rows (see
+/// [`TupleColumns::dedup`]), keyed by each endpoint's row in its
+/// partition: the bucket's sources all live in partition `i`, its
+/// destinations in partition `j`.
+fn dedup_bucket(
+    partitioning: &Partitioning,
+    (i, j): (u32, u32),
+    blocks: &[TupleColumns],
+) -> TupleColumns {
+    let rows = partitioning.rows();
+    TupleColumns::dedup(
+        blocks,
+        partitioning.users_of(i).len(),
+        partitioning.users_of(j).len(),
+        |id| rows[id as usize] as usize,
+    )
 }
 
 // ---------------------------------------------------------------------
 // The columnar tuple table
 // ---------------------------------------------------------------------
+
+/// Hashes the staging index's `(i, j)` bucket keys with one multiply
+/// per word (the Fx scheme): at 12 k users on a 2-core host, the
+/// default SipHash made phase 2 ~13 % slower than an `O(m²)` dense
+/// bucket vector, this ~5 %. Keys are partition ids, so no flooding
+/// resistance is needed.
+#[derive(Default)]
+struct BucketHasher(u64);
+
+impl Hasher for BucketHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; the well-mixed high bits
+        // of the product belong there.
+        self.0.rotate_left(26)
+    }
+}
 
 /// The bucketed, spilling columnar tuple table (see the module docs).
 pub struct TupleTable<'a> {
@@ -371,9 +430,12 @@ pub struct TupleTable<'a> {
     memory_budget: Option<usize>,
     /// Run-stream namespace of this table (the scanned partition).
     namespace: u32,
-    /// In-memory columnar staging per bucket (canonical rows, offers
-    /// appended verbatim — duplicates fold at sort time).
-    staging: BTreeMap<(u32, u32), TupleColumns>,
+    /// In-memory columnar staging, one block per touched bucket in
+    /// first-touch order (canonical rows, offers appended verbatim —
+    /// duplicates fold at spill or merge time).
+    staging: Vec<((u32, u32), TupleColumns)>,
+    /// Each touched bucket's index in `staging`.
+    slots: HashMap<(u32, u32), usize, BuildHasherDefault<BucketHasher>>,
     /// Total staged rows across buckets (budget accounting).
     staged_rows: usize,
     /// Buckets that have spilled runs on storage (run count).
@@ -387,7 +449,8 @@ pub struct TupleTable<'a> {
 /// merge side.
 pub struct TableParts {
     namespace: u32,
-    staging: BTreeMap<(u32, u32), TupleColumns>,
+    /// The non-empty staged blocks, in bucket order.
+    staging: Vec<((u32, u32), TupleColumns)>,
     spilled: BTreeMap<(u32, u32), u32>,
     counters: TupleTableStats,
 }
@@ -434,7 +497,8 @@ impl<'a> TupleTable<'a> {
             spill_threshold,
             memory_budget: None,
             namespace,
-            staging: BTreeMap::new(),
+            staging: Vec::new(),
+            slots: HashMap::default(),
             staged_rows: 0,
             spilled: BTreeMap::new(),
             counters: TupleTableStats::default(),
@@ -471,7 +535,7 @@ impl<'a> TupleTable<'a> {
     ///
     /// Internally the table stages the **canonical** undirected tuple
     /// `(min, max)` with its [`meta_bits`] nibble; duplicate offers
-    /// are appended as-is and folded (bits OR) by the sort at spill or
+    /// are appended as-is and folded (bits OR) by the dedup at spill or
     /// merge time — a direction is suppressible if **any** of its
     /// generating paths is all-old, and OR over the offer multiset is
     /// order-independent, which keeps the output thread-invariant.
@@ -490,15 +554,17 @@ impl<'a> TupleTable<'a> {
         } else {
             meta_bits::BWD | if old_path { meta_bits::OLD_BWD } else { 0 }
         };
-        let key = (
-            self.partitioning.partition_of(knn_graph::UserId::new(u)),
-            self.partitioning.partition_of(knn_graph::UserId::new(v)),
-        );
-        let staged = self.staging.entry(key).or_default();
+        let assignment = self.partitioning.assignment();
+        let key = (assignment[u as usize], assignment[v as usize]);
+        let slot = *self.slots.entry(key).or_insert_with(|| {
+            self.staging.push((key, TupleColumns::default()));
+            self.staging.len() - 1
+        });
+        let staged = &mut self.staging[slot].1;
         staged.push(u, v, bits);
         self.staged_rows += 1;
         if staged.len() >= self.spill_threshold {
-            self.spill(key)?;
+            self.spill(slot)?;
         }
         if let Some(budget) = self.memory_budget {
             while self.staged_rows * STAGED_TUPLE_BYTES > budget {
@@ -511,17 +577,19 @@ impl<'a> TupleTable<'a> {
         Ok(())
     }
 
-    /// The non-empty staged bucket with the most rows; ties break on
-    /// the smaller key (deterministic budget spilling).
-    fn largest_staged_bucket(&self) -> Option<(u32, u32)> {
+    /// The staging slot of the non-empty bucket with the most rows;
+    /// ties break on the smaller key (deterministic budget spilling).
+    fn largest_staged_bucket(&self) -> Option<usize> {
         self.staging
             .iter()
-            .filter(|(_, cols)| !cols.is_empty())
-            .max_by(|(ka, a), (kb, b)| a.len().cmp(&b.len()).then(kb.cmp(ka)))
-            .map(|(&k, _)| k)
+            .enumerate()
+            .filter(|(_, (_, cols))| !cols.is_empty())
+            .max_by(|(_, (ka, a)), (_, (kb, b))| a.len().cmp(&b.len()).then(kb.cmp(ka)))
+            .map(|(slot, _)| slot)
     }
 
-    fn spill(&mut self, key: (u32, u32)) -> Result<(), EngineError> {
+    fn spill(&mut self, slot: usize) -> Result<(), EngineError> {
+        let key = self.staging[slot].0;
         let run_idx = *self.spilled.get(&key).unwrap_or(&0);
         if run_idx >= RUN_STRIDE {
             return Err(EngineError::input(format!(
@@ -530,17 +598,12 @@ impl<'a> TupleTable<'a> {
             )));
         }
         let budgeted = self.memory_budget.is_some();
-        let staged = self.staging.get_mut(&key).expect("spill of unknown bucket");
+        let staged = &mut self.staging[slot].1;
         self.staged_rows -= staged.len();
-        staged.sort_dedup();
-        let mut writer = TupleStreamWriter::new();
-        for i in 0..staged.len() {
-            let (u, v, meta) = staged.row(i);
-            writer.push(u, v, meta);
-        }
+        let run = dedup_bucket(self.partitioning, key, std::slice::from_ref(staged));
         self.backend.write(
             StreamId::TupleRun(key.0, key.1, self.namespace * RUN_STRIDE + run_idx),
-            &writer.finish(),
+            &run.encode().finish(),
         )?;
         if budgeted {
             // Under a byte budget, high-water capacity must not
@@ -560,9 +623,15 @@ impl<'a> TupleTable<'a> {
     /// [`merge_parts`]. Cross-table duplicates are resolved by the
     /// merge (metadata bits OR together).
     pub fn into_parts(self) -> TableParts {
+        let mut staging: Vec<((u32, u32), TupleColumns)> = self
+            .staging
+            .into_iter()
+            .filter(|(_, cols)| !cols.is_empty())
+            .collect();
+        staging.sort_unstable_by_key(|&(key, _)| key);
         TableParts {
             namespace: self.namespace,
-            staging: self.staging,
+            staging,
             spilled: self.spilled,
             counters: self.counters,
         }
@@ -577,9 +646,8 @@ impl<'a> TupleTable<'a> {
     ///
     /// Returns [`EngineError::Store`] on I/O failure.
     pub fn finalize(self) -> Result<(PiGraph, TupleTableStats, BucketMeta), EngineError> {
-        let backend = self.backend;
-        let num_partitions = self.partitioning.num_partitions();
-        merge_parts(backend, num_partitions, vec![self.into_parts()], 1)
+        let (backend, partitioning) = (self.backend, self.partitioning);
+        merge_parts(backend, partitioning, vec![self.into_parts()], 1)
     }
 }
 
@@ -774,7 +842,7 @@ impl LoserTree {
 /// streams received from other shards.
 struct BucketWork {
     key: (u32, u32),
-    staged: TupleColumns,
+    staged: Vec<TupleColumns>,
     runs: Vec<(u32, u32)>,      // (namespace, run count)
     exchange: Vec<(u32, bool)>, // (arrival seq, originated as a spill run)
 }
@@ -821,8 +889,9 @@ pub struct ExchangeSource {
 /// bucket merge; a single-process run never does (everything is
 /// local).
 ///
-/// Foreign staged blocks are sorted and deduplicated, then encoded
-/// (empty blocks yield no payload); foreign spill runs are drained
+/// Foreign staged blocks are deduplicated (keyed through
+/// `partitioning`, like every dedup), then encoded; foreign spill runs
+/// are drained
 /// through the same bounded [`StorageBackend::read_chunk`] window the
 /// local merge would use — so the metered read traffic for a spilled
 /// bucket is identical whether its owner is local or remote — then
@@ -835,6 +904,7 @@ pub struct ExchangeSource {
 /// Returns [`EngineError::Store`] on I/O failure or a corrupt run.
 pub fn extract_foreign_payloads(
     backend: &dyn StorageBackend,
+    partitioning: &Partitioning,
     parts: &mut [TableParts],
     is_local: impl Fn((u32, u32)) -> bool,
 ) -> Result<Vec<ForeignPayload>, EngineError> {
@@ -843,28 +913,17 @@ pub fn extract_foreign_payloads(
     let mut payloads = Vec::new();
     for idx in order {
         let part = &mut parts[idx];
-        let foreign_staged: Vec<(u32, u32)> = part
-            .staging
-            .keys()
-            .copied()
-            .filter(|&key| !is_local(key))
-            .collect();
-        for key in foreign_staged {
-            let mut staged = part.staging.remove(&key).expect("listed key present");
-            staged.sort_dedup();
-            if staged.is_empty() {
-                continue;
-            }
-            let mut writer = TupleStreamWriter::new();
-            for i in 0..staged.len() {
-                let (u, v, meta) = staged.row(i);
-                writer.push(u, v, meta);
-            }
+        let (local, foreign): (Vec<_>, Vec<_>) = std::mem::take(&mut part.staging)
+            .into_iter()
+            .partition(|&(key, _)| is_local(key));
+        part.staging = local;
+        for (key, staged) in foreign {
+            let rows = dedup_bucket(partitioning, key, &[staged]);
             payloads.push(ForeignPayload {
                 bucket: key,
                 from_spill: false,
-                rows: staged.len() as u64,
-                bytes: writer.finish().to_vec(),
+                rows: rows.len() as u64,
+                bytes: rows.encode().finish().to_vec(),
             });
         }
         let foreign_runs: Vec<((u32, u32), u32)> = part
@@ -896,8 +955,9 @@ pub fn extract_foreign_payloads(
 }
 
 /// Merges the parts of every scan table into the final bucket streams:
-/// per bucket, radix-sort the concatenated staging, then stream a
-/// loser-tree k-way merge over the staged block and every spill run,
+/// per bucket, dedup every table's staged block in one pass (keyed
+/// through `partitioning`, on the bucket's merge worker), then stream
+/// a loser-tree k-way merge over the result and every spill run,
 /// OR-ing the meta bits of equal canonical pairs, encoding the output
 /// straight into the bucket's v2 tuple stream (direction bits inline;
 /// old-path bits into the returned [`BucketMeta`]). Runs are deleted
@@ -919,11 +979,11 @@ pub fn extract_foreign_payloads(
 /// Returns [`EngineError::Store`] on I/O failure.
 pub fn merge_parts(
     backend: &dyn StorageBackend,
-    num_partitions: usize,
+    partitioning: &Partitioning,
     parts: Vec<TableParts>,
     threads: usize,
 ) -> Result<(PiGraph, TupleTableStats, BucketMeta), EngineError> {
-    merge_parts_with_exchange(backend, num_partitions, parts, threads, Vec::new())
+    merge_parts_with_exchange(backend, partitioning, parts, threads, Vec::new())
 }
 
 /// [`merge_parts`] extended with received exchange streams: each
@@ -949,7 +1009,7 @@ pub fn merge_parts(
 /// Returns [`EngineError::Store`] on I/O failure.
 pub fn merge_parts_with_exchange(
     backend: &dyn StorageBackend,
-    num_partitions: usize,
+    partitioning: &Partitioning,
     mut parts: Vec<TableParts>,
     threads: usize,
     exchange: Vec<ExchangeSource>,
@@ -959,28 +1019,20 @@ pub fn merge_parts_with_exchange(
     let mut work: BTreeMap<(u32, u32), BucketWork> = BTreeMap::new();
     let new_bucket = |key: (u32, u32)| BucketWork {
         key,
-        staged: TupleColumns::new(),
+        staged: Vec::new(),
         runs: Vec::new(),
         exchange: Vec::new(),
     };
     for part in parts {
         counters.offered += part.counters.offered;
         counters.spills += part.counters.spills;
-        let keys: BTreeSet<(u32, u32)> = part
-            .staging
-            .keys()
-            .chain(part.spilled.keys())
-            .copied()
-            .collect();
-        let mut staging = part.staging;
-        for key in keys {
+        for (key, staged) in part.staging {
             let entry = work.entry(key).or_insert_with(|| new_bucket(key));
-            if let Some(mut staged) = staging.remove(&key) {
-                entry.staged.append(&mut staged);
-            }
-            if let Some(&runs) = part.spilled.get(&key) {
-                entry.runs.push((part.namespace, runs));
-            }
+            entry.staged.push(staged);
+        }
+        for (key, runs) in part.spilled {
+            let entry = work.entry(key).or_insert_with(|| new_bucket(key));
+            entry.runs.push((part.namespace, runs));
         }
     }
     for source in exchange {
@@ -994,9 +1046,11 @@ pub fn merge_parts_with_exchange(
 
     let keys: Vec<(u32, u32)> = work.keys().copied().collect();
     let buckets: Vec<BucketWork> = work.into_values().collect();
-    let merged = par::run_indexed_owned(buckets, threads, |_, work| merge_bucket(backend, work))?;
+    let merged = par::run_indexed_owned(buckets, threads, |_, work| {
+        merge_bucket(backend, partitioning, work)
+    })?;
 
-    let mut pi = PiGraph::new(num_partitions);
+    let mut pi = PiGraph::new(partitioning.num_partitions());
     let mut meta = BucketMeta::default();
     for (key, (unique, meta_bytes)) in keys.into_iter().zip(merged) {
         if unique == 0 {
@@ -1014,10 +1068,11 @@ pub fn merge_parts_with_exchange(
 /// count and full metadata bytes.
 fn merge_bucket(
     backend: &dyn StorageBackend,
+    partitioning: &Partitioning,
     work: BucketWork,
 ) -> Result<(u64, Vec<u8>), EngineError> {
-    let mut staged = work.staged;
-    staged.sort_dedup();
+    let staged = dedup_bucket(partitioning, work.key, &work.staged);
+    drop(work.staged);
     let run_streams: Vec<StreamId> = work
         .runs
         .iter()
@@ -1160,31 +1215,106 @@ mod tests {
         set
     }
 
+    /// The per-source dedup equals a `BTreeMap` fold of the same rows
+    /// with meta bits OR-ed: on standalone blocks (ids at both ends of
+    /// `u32`, all-duplicate blocks, a single source, any block split),
+    /// and on one bucket whose offers are split across 1, 2 and 8
+    /// scan tables.
     #[test]
-    fn columns_radix_sort_matches_comparison_sort() {
-        // Keys exercising every digit position, with duplicates whose
-        // meta bits must OR together.
-        let rows: Vec<TupleRow> = vec![
-            (0x01020304, 0x01020305, 1),
-            (7, 9, 2),
-            (0xFFFF_0000, 0xFFFF_0001, 4),
-            (7, 9, 8),
-            (7, 8, 1),
-            (0x01020304, 0x01020305, 2),
-            (0, u32::MAX, 1),
+    fn columns_source_dedup_matches_a_btreemap_fold() {
+        fn fold(rows: &[TupleRow]) -> Vec<TupleRow> {
+            let mut want: BTreeMap<(u32, u32), u8> = BTreeMap::new();
+            for &(u, v, m) in rows {
+                *want.entry((u, v)).or_insert(0) |= m;
+            }
+            want.into_iter().map(|((u, v), m)| (u, v, m)).collect()
+        }
+        let cases: Vec<(&str, Vec<TupleRow>)> = vec![
+            (
+                "id extremes",
+                vec![
+                    (0x01020304, 0x01020305, 1),
+                    (7, 9, 2),
+                    (0xFFFF_0000, 0xFFFF_0001, 4),
+                    (7, 9, 8),
+                    (7, 8, 1),
+                    (0x01020304, 0x01020305, 2),
+                    (0, u32::MAX, 1),
+                    (u32::MAX - 1, u32::MAX, 2),
+                    (0, u32::MAX, 8),
+                    (0, 1, 4),
+                ],
+            ),
+            (
+                "all duplicates",
+                (0..50).map(|i| (5, 6, 1 << (i % 4))).collect(),
+            ),
+            (
+                "single source",
+                (0..40u32)
+                    .map(|i| (3, 1000 - (i * 7) % 25, (i % 16) as u8))
+                    .collect(),
+            ),
         ];
-        let mut cols = TupleColumns::new();
-        for &(u, v, m) in &rows {
-            cols.push(u, v, m);
+        for (label, rows) in &cases {
+            // Rows are ranks among the block's distinct ids, so the
+            // scratch stays O(rows) however far apart the ids sit.
+            let mut ids: Vec<u32> = rows.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let rank = |id: u32| ids.binary_search(&id).unwrap();
+            for split in [1usize, 2, 3] {
+                let mut blocks = vec![TupleColumns::default(); split];
+                for (i, &(u, v, m)) in rows.iter().enumerate() {
+                    blocks[i % split].push(u, v, m);
+                }
+                let got = TupleColumns::dedup(&blocks, ids.len(), ids.len(), rank);
+                let got: Vec<TupleRow> = (0..got.len()).map(|i| got.row(i)).collect();
+                assert_eq!(got, fold(rows), "{label}, {split} blocks");
+            }
         }
-        cols.sort_dedup();
-        let mut expected: BTreeMap<(u32, u32), u8> = BTreeMap::new();
-        for &(u, v, m) in &rows {
-            *expected.entry((u, v)).or_insert(0) |= m;
+
+        // One bucket, (0, 1), fed by several scan tables at once.
+        let offers: Vec<TupleRow> = (0..120u32)
+            .map(|i| {
+                // Even ids sit in partition 0, odd ones in partition 1.
+                let (u, v) = (2 * (i % 7), 13 + 2 * ((i * 5) % 11));
+                (u, v, [1, 2, 5, 10][(i % 4) as usize])
+            })
+            .collect();
+        for tables in [1u32, 2, 8] {
+            for spill_threshold in [3usize, 1 << 16] {
+                let (b, p) = setup(40, 2);
+                let mut parts = Vec::new();
+                for ns in 0..tables {
+                    let mut t = TupleTable::with_namespace(&b, &p, spill_threshold, ns);
+                    for &(u, v, m) in offers.iter().skip(ns as usize).step_by(tables as usize) {
+                        let (s, d) = if m & meta_bits::FWD != 0 {
+                            (u, v)
+                        } else {
+                            (v, u)
+                        };
+                        t.offer_flagged(s, d, m & (meta_bits::OLD_FWD | meta_bits::OLD_BWD) != 0)
+                            .unwrap();
+                    }
+                    parts.push(t.into_parts());
+                }
+                let (pi, _, meta) = merge_parts(&b, &p, parts, 2).unwrap();
+                assert_eq!(pi.num_pairs(), 1);
+                let bits = meta.bucket_bytes((0, 1)).unwrap();
+                let got: Vec<TupleRow> = read_tuples(&b, StreamId::TupleBucket(0, 1))
+                    .unwrap()
+                    .into_iter()
+                    .zip(bits)
+                    .map(|((u, v, _), &m)| (u, v, m))
+                    .collect();
+                assert_eq!(
+                    got,
+                    fold(&offers),
+                    "{tables} tables, spill={spill_threshold}"
+                );
+            }
         }
-        let got: Vec<TupleRow> = (0..cols.len()).map(|i| cols.row(i)).collect();
-        let want: Vec<TupleRow> = expected.into_iter().map(|((u, v), m)| (u, v, m)).collect();
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1386,6 +1516,36 @@ mod tests {
         assert_eq!(pi.self_pairs(), vec![2]);
     }
 
+    /// Staging grows with the buckets a table touches, not with m²: at
+    /// the largest accepted partition count (one user per partition),
+    /// several live tables — the last run namespace included — stage,
+    /// spill and merge a handful of tuples.
+    #[test]
+    fn staging_is_sparse_at_max_partitions() {
+        let m = MAX_PARTITIONS;
+        let (b, p) = setup(m, m);
+        let top = (m - 1) as u32;
+        let tables: Vec<TupleTable> = [0, 1, top]
+            .into_iter()
+            .map(|ns| TupleTable::with_namespace(&b, &p, 2, ns))
+            .collect();
+        let mut parts = Vec::new();
+        for mut t in tables {
+            for (s, d) in [(0, top), (top, 0), (top - 1, top), (7, 3), (7, 3)] {
+                t.offer(s, d).unwrap();
+            }
+            parts.push(t.into_parts());
+        }
+        let (pi, st, meta) = merge_parts(&b, &p, parts, 2).unwrap();
+        assert_eq!((st.offered, st.unique), (15, 3));
+        assert!(st.spills > 0, "threshold 2 must spill");
+        assert_eq!(pi.total_tuples(), 3);
+        assert_eq!(read_bucket(&b, 0, top), vec![(0, top)]);
+        assert_eq!(meta.bits((0, top), 0), meta_bits::FWD | meta_bits::BWD);
+        assert_eq!(read_bucket(&b, top - 1, top), vec![(top - 1, top)]);
+        assert_eq!(read_bucket(&b, 3, 7), vec![(3, 7)]);
+    }
+
     #[test]
     fn run_files_are_cleaned_up() {
         let (b, p) = setup(20, 2);
@@ -1437,7 +1597,7 @@ mod tests {
                 t.offer(ns * 4 + 4, 1).unwrap(); // unique per table
                 parts.push(t.into_parts());
             }
-            let (pi, st, meta) = merge_parts(&b, 2, parts, threads).unwrap();
+            let (pi, st, meta) = merge_parts(&b, &p, parts, threads).unwrap();
             assert_eq!(st.offered, 7);
             assert_eq!(st.unique, 4, "threads={threads}");
             assert_eq!(st.duplicates, 3, "threads={threads}");

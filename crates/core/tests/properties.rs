@@ -56,7 +56,7 @@ fn run_tables(
         }
     }
     let parts = tables.into_iter().map(TupleTable::into_parts).collect();
-    let (pi, stats, meta) = merge_parts(backend, partitioning.num_partitions(), parts, 2).unwrap();
+    let (pi, stats, meta) = merge_parts(backend, partitioning, parts, 2).unwrap();
     let mut buckets = Buckets::new();
     let mut directed = std::collections::BTreeSet::new();
     for ((i, j), w) in pi.iter_buckets() {

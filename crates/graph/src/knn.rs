@@ -1,10 +1,10 @@
 //! The K-bounded, similarity-scored directed graph `G(t)`.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::neighbor::cmp_best_first;
+use crate::sample::draw_unscored;
 use crate::{DiGraph, GraphError, Neighbor, UserId};
 
 /// The KNN graph `G(t)`: a directed graph where every vertex keeps at
@@ -55,7 +55,9 @@ impl KnnGraph {
     /// marked [`Neighbor::unscored`] so that any real similarity
     /// computed in iteration 1 displaces them.
     ///
-    /// Deterministic in `seed`.
+    /// Deterministic in `seed`. Each row costs at most `k + 1` draws
+    /// ([`draw_unscored`] over one persistent pool), so the whole
+    /// graph is `O(n·k)`.
     ///
     /// # Panics
     ///
@@ -69,19 +71,10 @@ impl KnnGraph {
         }
         let take = k.min(n - 1);
         let mut pool: Vec<u32> = (0..n as u32).collect();
-        for v in 0..n as u32 {
-            pool.shuffle(&mut rng);
-            let mut list = Vec::with_capacity(take);
-            for &c in pool.iter() {
-                if c != v {
-                    list.push(Neighbor::unscored(UserId::new(c)));
-                    if list.len() == take {
-                        break;
-                    }
-                }
-            }
+        for (v, list) in g.lists.iter_mut().enumerate() {
+            list.reserve_exact(take);
+            draw_unscored(&mut pool, v as u32, take, &mut rng, list);
             list.sort_by(cmp_best_first);
-            g.lists[v as usize] = list;
         }
         g
     }

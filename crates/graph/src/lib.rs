@@ -26,6 +26,7 @@ pub mod digraph;
 pub mod generators;
 pub mod knn;
 pub mod neighbor;
+pub mod sample;
 pub mod stats;
 
 mod error;

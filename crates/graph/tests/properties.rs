@@ -135,7 +135,13 @@ proptest! {
         prop_assert_eq!(&a, &b);
         let expect = k.min(n - 1);
         for v in 0..n as u32 {
-            prop_assert_eq!(a.neighbors(UserId::new(v)).len(), expect);
+            let row = a.neighbors(UserId::new(v));
+            prop_assert_eq!(row.len(), expect);
+            let mut ids: Vec<u32> = row.iter().map(|nb| nb.id.raw()).collect();
+            prop_assert!(!ids.contains(&v), "self-loop at {}", v);
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), expect, "duplicate neighbor at {}", v);
         }
     }
 
@@ -148,4 +154,20 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&f));
         prop_assert_eq!(a.edge_change_fraction(&a), 0.0);
     }
+}
+
+/// The K-draw sampler still draws uniformly: at n = 10 000 every
+/// in-degree is a sum of ~Binomial(n − 1, K / (n − 1)) draws, so its
+/// mean is exactly K and its max stays far below 3K. A sampler biased
+/// toward its pool's head (e.g. one that stopped re-permuting) piles
+/// thousands of in-edges onto a few vertices.
+#[test]
+fn random_init_in_degrees_stay_uniform_at_scale() {
+    let (n, k) = (10_000usize, 10usize);
+    let g = KnnGraph::random_init(n, k, 3);
+    let in_deg = g.to_digraph().in_degrees();
+    let mean = in_deg.iter().sum::<usize>() as f64 / n as f64;
+    let max = *in_deg.iter().max().unwrap();
+    assert_eq!(mean, k as f64);
+    assert!(max < 3 * k, "max in-degree {max} >= 3K");
 }

@@ -79,10 +79,12 @@ impl Phase2Provider for ShardedPhase2 {
             let mut parts =
                 phase2::scan_tables(partitioning, backend, options, additions, owned_partitions)?;
             let ring = &self.ring;
-            let payloads =
-                knn_core::tuple_table::extract_foreign_payloads(backend, &mut parts, |key| {
-                    ring.owner_of_partition(key.0) as usize == s
-                })?;
+            let payloads = knn_core::tuple_table::extract_foreign_payloads(
+                backend,
+                partitioning,
+                &mut parts,
+                |key| ring.owner_of_partition(key.0) as usize == s,
+            )?;
             for payload in payloads {
                 let to = self.ring.owner_of_partition(payload.bucket.0);
                 volume.record(&payload);
@@ -114,7 +116,7 @@ impl Phase2Provider for ShardedPhase2 {
                 });
             }
             let (pi_s, stats_s, meta_s) =
-                merge_parts_with_exchange(backend, m, parts, options.threads, sources)?;
+                merge_parts_with_exchange(backend, partitioning, parts, options.threads, sources)?;
             for ((i, j), weight) in pi_s.iter_buckets() {
                 pi.add_bucket(i, j, weight);
             }

@@ -94,7 +94,8 @@ fn assert_split_matches_reference(
     let reference: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
     let ref_parts = scan(reference.as_ref(), &partitioning, spill_threshold, tuples);
     let (ref_pi, ref_stats, ref_meta) =
-        merge_parts(reference.as_ref(), m, vec![ref_parts], 1).expect("reference merge");
+        merge_parts(reference.as_ref(), &partitioning, vec![ref_parts], 1)
+            .expect("reference merge");
 
     // Split: the scanner extracts foreign buckets, the owner persists
     // and merges them as exchange streams.
@@ -106,17 +107,18 @@ fn assert_split_matches_reference(
         spill_threshold,
         tuples,
     )];
-    let payloads =
-        extract_foreign_payloads(scanner.as_ref(), &mut parts, is_local).expect("extract");
+    let payloads = extract_foreign_payloads(scanner.as_ref(), &partitioning, &mut parts, is_local)
+        .expect("extract");
     for p in &payloads {
         assert!(!is_local(p.bucket), "a local bucket left the scanner");
         assert!(p.rows > 0 && !p.bytes.is_empty(), "empty payload shipped");
     }
     let sources = persist_exchange(owner.as_ref(), &payloads);
     let (local_pi, local_stats, local_meta) =
-        merge_parts_with_exchange(scanner.as_ref(), m, parts, 1, Vec::new()).expect("local merge");
+        merge_parts_with_exchange(scanner.as_ref(), &partitioning, parts, 1, Vec::new())
+            .expect("local merge");
     let (foreign_pi, foreign_stats, foreign_meta) =
-        merge_parts_with_exchange(owner.as_ref(), m, Vec::new(), 1, sources)
+        merge_parts_with_exchange(owner.as_ref(), &partitioning, Vec::new(), 1, sources)
             .expect("foreign merge");
 
     // Stitch the halves like the sharded driver does.
