@@ -211,7 +211,7 @@ fn main() {
     for _ in 0..iters {
         for ((engine, run), shard_engine) in single.iter_mut().zip(&mut sharded) {
             let report = engine.run_iteration().expect("iteration");
-            run.bytes_spilled.push(report.bytes_spilled);
+            run.bytes_spilled.push(report.phase_io[1].spill_bytes);
             run.replication_cost.push(report.replication_cost);
             run.intra_fraction
                 .push(report.intra_partition_tuple_fraction());

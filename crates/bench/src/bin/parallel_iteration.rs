@@ -150,7 +150,7 @@ fn main() {
                 p1_ms.push(report.phase_durations[0].as_secs_f64() * 1e3);
                 p2_ms.push(report.phase_durations[1].as_secs_f64() * 1e3);
                 p4_ms.push(report.phase_durations[3].as_secs_f64() * 1e3);
-                spilled_per_iter.push(report.bytes_spilled);
+                spilled_per_iter.push(report.phase_io[1].spill_bytes);
                 sims_per_iter.push(report.sims_computed);
                 skipped_per_iter.push(report.sims_skipped);
                 pruned_per_iter.push(report.sims_pruned);

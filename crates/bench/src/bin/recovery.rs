@@ -1,17 +1,9 @@
-//! **Experiment R1 — durability overhead and recovery wall time.**
+//! **Experiment R1 — recovery wall time.**
 //!
-//! Two questions about the crash-consistent commit protocol:
-//!
-//! 1. **What does crash-free durability cost?** Paired runs of the
-//!    same workload on disk with the commit protocol off (the
-//!    pre-protocol write path) and on (staged pre-image backups + a
-//!    commit record per iteration). The claim: the protocol costs at
-//!    most a few percent of iteration wall time, because backups copy
-//!    only streams the iteration already rewrites.
-//! 2. **How fast is recovery?** For a sweep of world sizes, crash an
-//!    iteration halfway through its storage schedule and measure the
-//!    storage-level `recover()` and the full engine resume, against
-//!    the working-directory size on disk.
+//! How fast does the crash-consistent commit protocol recover? For a
+//! sweep of world sizes, crash an iteration halfway through its
+//! storage schedule and measure the storage-level `recover()` and the
+//! full engine resume, against the working-directory size on disk.
 //!
 //! Emits one JSON document on stdout (for the BENCH trajectory) and a
 //! human-readable table on stderr.
@@ -26,26 +18,8 @@ use knn_bench::{opt_or, TextTable};
 use knn_core::{EngineConfig, KnnEngine};
 use knn_datasets::WorkloadConfig;
 use knn_graph::UserId;
-use knn_sim::{ItemId, Measure, ProfileDelta, ProfileStore};
+use knn_sim::{ItemId, ProfileDelta};
 use knn_store::{DiskBackend, FaultBackend, FaultKind, FaultPlan, StorageBackend};
-
-fn config(
-    n: usize,
-    k: usize,
-    m: usize,
-    seed: u64,
-    measure: Measure,
-    protocol: bool,
-) -> EngineConfig {
-    EngineConfig::builder(n)
-        .k(k)
-        .num_partitions(m)
-        .measure(measure)
-        .seed(seed)
-        .commit_protocol(protocol)
-        .build()
-        .expect("config")
-}
 
 fn update_for(iteration: u64, n: usize) -> ProfileDelta {
     ProfileDelta::set(
@@ -53,29 +27,6 @@ fn update_for(iteration: u64, n: usize) -> ProfileDelta {
         ItemId::new(20_000_000 + iteration as u32),
         2.5,
     )
-}
-
-/// Runs `iters` iterations (one queued update each, so the commit
-/// path consumes log bytes every iteration) and returns the summed
-/// iteration wall seconds.
-fn timed_run(
-    config: EngineConfig,
-    profiles: ProfileStore,
-    backend: Arc<dyn StorageBackend>,
-    iters: u64,
-    n: usize,
-) -> f64 {
-    let mut engine = KnnEngine::new_on(config, profiles, backend).expect("engine");
-    let mut wall = 0.0;
-    while engine.iteration() < iters {
-        engine
-            .queue_update(&update_for(engine.iteration(), n))
-            .expect("queue");
-        let started = Instant::now();
-        engine.run_iteration().expect("iteration");
-        wall += started.elapsed().as_secs_f64();
-    }
-    wall
 }
 
 fn dir_bytes(path: &std::path::Path) -> u64 {
@@ -106,7 +57,13 @@ struct RecoveryPoint {
 /// storage schedule, and times recovery on the survived bytes.
 fn crash_and_recover(users: usize, k: usize, m: usize, seed: u64, iters: u64) -> RecoveryPoint {
     let workload = WorkloadConfig::recommender().build(users, seed);
-    let cfg = config(users, k, m, seed, workload.measure, true);
+    let cfg = EngineConfig::builder(users)
+        .k(k)
+        .num_partitions(m)
+        .measure(workload.measure)
+        .seed(seed)
+        .build()
+        .expect("config");
 
     let disk = DiskBackend::temp("bench_recovery").expect("disk backend");
     let wd = disk.working_dir().expect("workdir").clone();
@@ -187,50 +144,6 @@ fn main() {
     eprintln!("R1 recovery: n={n}, K={k}, m={m}, seed={seed}, iters={iters}");
     let started = Instant::now();
 
-    // Part 1: paired crash-free overhead, protocol off vs on.
-    // Alternating repetitions with a min-fold squeeze out filesystem
-    // cache and allocator noise; steady state is what the overhead
-    // claim is about.
-    let workload = WorkloadConfig::recommender().build(n, seed);
-    let mut walls = [f64::INFINITY; 2];
-    for rep in 0..3 {
-        for (slot, protocol) in [(0, false), (1, true)] {
-            let disk = DiskBackend::temp("bench_recovery_overhead").expect("disk backend");
-            let wd = disk.working_dir().expect("workdir").clone();
-            let wall = timed_run(
-                config(n, k, m, seed, workload.measure, protocol),
-                workload.profiles.clone(),
-                Arc::new(disk),
-                iters,
-                n,
-            );
-            wd.destroy().expect("cleanup");
-            if rep > 0 {
-                // Rep 0 is warmup.
-                walls[slot] = walls[slot].min(wall);
-            }
-        }
-    }
-    let [off_s, on_s] = walls;
-    let overhead_pct = (on_s - off_s) / off_s * 100.0;
-
-    let mut table = TextTable::new(&["mode", "iters", "wall s", "s/iter"]);
-    table.row(&[
-        "protocol-off".into(),
-        iters.to_string(),
-        format!("{off_s:.2}"),
-        format!("{:.3}", off_s / iters as f64),
-    ]);
-    table.row(&[
-        "protocol-on".into(),
-        iters.to_string(),
-        format!("{on_s:.2}"),
-        format!("{:.3}", on_s / iters as f64),
-    ]);
-    eprintln!("{}", table.render());
-    eprintln!("commit-protocol overhead: {overhead_pct:+.1}%");
-
-    // Part 2: recovery wall time vs workdir size.
     let mut points = Vec::new();
     for users in [n / 4, n / 2, n] {
         points.push(crash_and_recover(users.max(64), k, m, seed, iters));
@@ -262,7 +175,7 @@ fn main() {
     eprintln!("{}", table.render());
 
     println!(
-        r#"{{"bench":"recovery","users":{n},"k":{k},"partitions":{m},"seed":{seed},"iters":{iters},"wall_s":{:.2},"overhead":{{"protocol_off_s":{off_s:.3},"protocol_on_s":{on_s:.3},"overhead_pct":{overhead_pct:.2}}},"recovery":[{}]}}"#,
+        r#"{{"bench":"recovery","users":{n},"k":{k},"partitions":{m},"seed":{seed},"iters":{iters},"wall_s":{:.2},"recovery":[{}]}}"#,
         started.elapsed().as_secs_f64(),
         rows.join(",")
     );

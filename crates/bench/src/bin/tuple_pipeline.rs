@@ -64,21 +64,22 @@ fn main() {
     let mut rows_json = Vec::new();
     for i in 0..iters {
         let r = engine.run_iteration().expect("iteration");
+        let spill = &r.phase_io[1];
         eprintln!(
             "iter {i}: p1 {:.1} ms, p2 {:.1} ms, spilled {} B in {} runs, {} merges",
             r.phase_durations[0].as_secs_f64() * 1e3,
             r.phase_durations[1].as_secs_f64() * 1e3,
-            r.bytes_spilled,
-            r.spill_runs,
-            r.merge_passes
+            spill.spill_bytes,
+            spill.spill_runs,
+            spill.merge_passes
         );
         rows_json.push(format!(
             r#"{{"iter":{i},"p1_ms":{:.2},"p2_ms":{:.2},"spilled_bytes":{},"spill_runs":{},"merge_passes":{},"tuples_unique":{}}}"#,
             r.phase_durations[0].as_secs_f64() * 1e3,
             r.phase_durations[1].as_secs_f64() * 1e3,
-            r.bytes_spilled,
-            r.spill_runs,
-            r.merge_passes,
+            spill.spill_bytes,
+            spill.spill_runs,
+            spill.merge_passes,
             r.tuples.unique
         ));
     }

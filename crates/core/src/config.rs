@@ -37,16 +37,12 @@ pub struct EngineConfig {
     threads: usize,
     cache_slots: usize,
     include_reverse: bool,
-    repartition_each_iteration: bool,
     spill_threshold: usize,
     tuple_table_memory: Option<usize>,
-    parallel_threshold: usize,
     prune_pairs: bool,
     bound_filter: bool,
     cluster_init: bool,
-    num_clusters: Option<usize>,
     cluster_method: ClusterMethod,
-    commit_protocol: bool,
     seed: u64,
 }
 
@@ -68,26 +64,25 @@ impl EngineConfig {
     /// Explicit builder calls always win.
     pub fn builder(num_users: usize) -> EngineConfigBuilder {
         EngineConfigBuilder {
-            num_users,
-            k: 10,
-            num_partitions: 8,
-            measure: Measure::Cosine,
-            heuristic: Heuristic::DegreeLowHigh,
-            partitioner: PartitionerKind::Greedy,
-            threads: default_threads(),
-            cache_slots: 2,
-            include_reverse: false,
-            repartition_each_iteration: true,
-            spill_threshold: 1 << 20,
-            tuple_table_memory: None,
-            parallel_threshold: crate::phase4::DEFAULT_PARALLEL_THRESHOLD,
-            prune_pairs: default_prune(),
-            bound_filter: default_prune(),
-            cluster_init: false,
-            num_clusters: None,
-            cluster_method: ClusterMethod::KMeans,
+            config: EngineConfig {
+                num_users,
+                k: 10,
+                num_partitions: 8,
+                measure: Measure::Cosine,
+                heuristic: Heuristic::DegreeLowHigh,
+                partitioner: PartitionerKind::Greedy,
+                threads: default_threads(),
+                cache_slots: 2,
+                include_reverse: false,
+                spill_threshold: 1 << 20,
+                tuple_table_memory: None,
+                prune_pairs: default_prune(),
+                bound_filter: default_prune(),
+                cluster_init: false,
+                cluster_method: ClusterMethod::KMeans,
+                seed: 0,
+            },
             commit_protocol: true,
-            seed: 0,
         }
     }
 
@@ -142,13 +137,6 @@ impl EngineConfig {
         self.include_reverse
     }
 
-    /// Whether phase 1 recomputes the partitioning every iteration
-    /// (paper-faithful) or reuses the assignment of `G(0)` computed at
-    /// construction.
-    pub fn repartition_each_iteration(&self) -> bool {
-        self.repartition_each_iteration
-    }
-
     /// Tuple-table spill threshold, in tuples per bucket.
     pub fn spill_threshold(&self) -> usize {
         self.spill_threshold
@@ -164,13 +152,6 @@ impl EngineConfig {
     /// every persisted byte — stays identical at every thread count.
     pub fn tuple_table_memory(&self) -> Option<usize> {
         self.tuple_table_memory
-    }
-
-    /// Minimum surviving-tuple count before phase 4 fans a bucket out
-    /// to the worker pool; smaller buckets score inline because the
-    /// dispatch overhead would dominate.
-    pub fn parallel_threshold(&self) -> usize {
-        self.parallel_threshold
     }
 
     /// Whether phase 4 suppresses tuples already evaluated last
@@ -196,16 +177,10 @@ impl EngineConfig {
         self.cluster_init
     }
 
-    /// Explicit cluster count for the pre-pass, or `None` for the
-    /// `⌈√n⌉` default ([`knn_cluster::default_num_clusters`]).
-    pub fn num_clusters(&self) -> Option<usize> {
-        self.num_clusters
-    }
-
-    /// The cluster count the pre-pass will actually use.
-    pub fn effective_num_clusters(&self) -> usize {
-        self.num_clusters
-            .unwrap_or_else(|| knn_cluster::default_num_clusters(self.num_users))
+    /// The cluster count of the pre-pass: always `⌈√n⌉`
+    /// ([`knn_cluster::default_num_clusters`]).
+    pub(crate) fn num_clusters(&self) -> usize {
+        knn_cluster::default_num_clusters(self.num_users)
     }
 
     /// The clustering algorithm of the pre-pass (default k-means).
@@ -218,18 +193,6 @@ impl EngineConfig {
     /// [`cluster_init`](EngineConfig::cluster_init) is on.
     pub fn clustering_enabled(&self) -> bool {
         self.cluster_init || self.partitioner == PartitionerKind::Cluster
-    }
-
-    /// Whether iterations commit atomically (default on): committed
-    /// streams are backed up before in-place rewrites, a
-    /// generation-stamped commit record is written at the end of each
-    /// iteration, and resume rolls back to the last committed
-    /// generation (see `knn_store::commit`). Off reproduces the exact
-    /// pre-protocol behavior — no backups, no commit record — which is
-    /// what the paired recovery bench measures against and how legacy
-    /// working directories are generated.
-    pub fn commit_protocol(&self) -> bool {
-        self.commit_protocol
     }
 
     /// Seed for every randomized component (initial graph, partitioner
@@ -260,32 +223,15 @@ fn default_prune() -> bool {
 /// Builder for [`EngineConfig`] (see there for an example).
 #[derive(Debug, Clone)]
 pub struct EngineConfigBuilder {
-    num_users: usize,
-    k: usize,
-    num_partitions: usize,
-    measure: Measure,
-    heuristic: Heuristic,
-    partitioner: PartitionerKind,
-    threads: usize,
-    cache_slots: usize,
-    include_reverse: bool,
-    repartition_each_iteration: bool,
-    spill_threshold: usize,
-    tuple_table_memory: Option<usize>,
-    parallel_threshold: usize,
-    prune_pairs: bool,
-    bound_filter: bool,
-    cluster_init: bool,
-    num_clusters: Option<usize>,
-    cluster_method: ClusterMethod,
+    config: EngineConfig,
+    /// Cleared only by `commit_protocol(false)`, which `build` rejects.
     commit_protocol: bool,
-    seed: u64,
 }
 
 impl EngineConfigBuilder {
     /// Sets the KNN bound `K` (default 10).
     pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
+        self.config.k = k;
         self
     }
 
@@ -297,26 +243,26 @@ impl EngineConfigBuilder {
     /// [`PartitionerKind::Cluster`] (and the balance contract in
     /// general) refuses to produce silently.
     pub fn num_partitions(mut self, m: usize) -> Self {
-        self.num_partitions = m;
+        self.config.num_partitions = m;
         self
     }
 
     /// Sets the similarity measure (default cosine).
     pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
+        self.config.measure = measure;
         self
     }
 
     /// Sets the traversal heuristic (default degree low→high, the
     /// paper's usually-best variant).
     pub fn heuristic(mut self, heuristic: Heuristic) -> Self {
-        self.heuristic = heuristic;
+        self.config.heuristic = heuristic;
         self
     }
 
     /// Sets the phase-1 partitioner (default greedy).
     pub fn partitioner(mut self, partitioner: PartitionerKind) -> Self {
-        self.partitioner = partitioner;
+        self.config.partitioner = partitioner;
         self
     }
 
@@ -325,34 +271,27 @@ impl EngineConfigBuilder {
     /// Every partition-parallel phase draws from this budget; the
     /// computed graph and persisted bytes do not depend on it.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.config.threads = threads;
         self
     }
 
     /// Sets the resident-partition cache capacity (default 2, as in
     /// the paper).
     pub fn cache_slots(mut self, slots: usize) -> Self {
-        self.cache_slots = slots;
+        self.config.cache_slots = slots;
         self
     }
 
     /// Enables the NN-Descent-style reverse candidate offer.
     pub fn include_reverse(mut self, yes: bool) -> Self {
-        self.include_reverse = yes;
-        self
-    }
-
-    /// Disables per-iteration repartitioning (reuse the assignment of
-    /// `G(0)` computed at construction).
-    pub fn repartition_each_iteration(mut self, yes: bool) -> Self {
-        self.repartition_each_iteration = yes;
+        self.config.include_reverse = yes;
         self
     }
 
     /// Sets the tuple-table spill threshold in tuples per bucket
     /// (default 2²⁰).
     pub fn spill_threshold(mut self, tuples: usize) -> Self {
-        self.spill_threshold = tuples;
+        self.config.spill_threshold = tuples;
         self
     }
 
@@ -360,15 +299,7 @@ impl EngineConfigBuilder {
     /// uncapped — see [`EngineConfig::tuple_table_memory`]). Must be
     /// at least 1 KiB when set.
     pub fn tuple_table_memory(mut self, bytes: Option<usize>) -> Self {
-        self.tuple_table_memory = bytes;
-        self
-    }
-
-    /// Sets the phase-4 bucket size below which scoring stays inline
-    /// instead of fanning out to the worker pool (default 2048; the
-    /// result never depends on it, only the dispatch overhead does).
-    pub fn parallel_threshold(mut self, tuples: usize) -> Self {
-        self.parallel_threshold = tuples;
+        self.config.tuple_table_memory = bytes;
         self
     }
 
@@ -376,7 +307,7 @@ impl EngineConfigBuilder {
     /// `KNN_TEST_PRUNE` — see [`EngineConfig::builder`]). Exact: the
     /// computed graphs are identical either way.
     pub fn prune_pairs(mut self, yes: bool) -> Self {
-        self.prune_pairs = yes;
+        self.config.prune_pairs = yes;
         self
     }
 
@@ -384,33 +315,28 @@ impl EngineConfigBuilder {
     /// `KNN_TEST_PRUNE` — see [`EngineConfig::builder`]). Exact: the
     /// computed graphs are identical either way.
     pub fn bound_filter(mut self, yes: bool) -> Self {
-        self.bound_filter = yes;
+        self.config.bound_filter = yes;
         self
     }
 
     /// Seeds `G(0)` from intra-cluster edges of the `knn-cluster`
     /// pre-pass instead of uniform random neighbors (default off).
     pub fn cluster_init(mut self, yes: bool) -> Self {
-        self.cluster_init = yes;
-        self
-    }
-
-    /// Sets an explicit cluster count for the pre-pass (default
-    /// `None`: `⌈√n⌉`). Must satisfy `1 ≤ num_clusters ≤ n`.
-    pub fn num_clusters(mut self, clusters: Option<usize>) -> Self {
-        self.num_clusters = clusters;
+        self.config.cluster_init = yes;
         self
     }
 
     /// Sets the clustering algorithm of the pre-pass (default
     /// k-means; `RandomBuckets` is the cheaper, coarser variant).
     pub fn cluster_method(mut self, method: ClusterMethod) -> Self {
-        self.cluster_method = method;
+        self.config.cluster_method = method;
         self
     }
 
-    /// Toggles the atomic iteration-commit protocol (default on — see
-    /// [`EngineConfig::commit_protocol`]).
+    /// Every iteration commits atomically, so `true` changes nothing
+    /// and `false` makes [`build`](EngineConfigBuilder::build) fail.
+    /// Kept only so existing `commit_protocol(true)` calls still
+    /// compile.
     pub fn commit_protocol(mut self, yes: bool) -> Self {
         self.commit_protocol = yes;
         self
@@ -418,7 +344,7 @@ impl EngineConfigBuilder {
 
     /// Sets the global seed (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
@@ -428,81 +354,53 @@ impl EngineConfigBuilder {
     ///
     /// Returns [`EngineError::Config`] if any constraint is violated:
     /// `n ≥ 2`, `k ≥ 1`, `1 ≤ m ≤ n`, `threads ≥ 1`, `cache_slots ≥ 2`,
-    /// `spill_threshold ≥ 1`.
+    /// `spill_threshold ≥ 1`, and no `commit_protocol(false)`.
     pub fn build(self) -> Result<EngineConfig, EngineError> {
-        if self.num_users < 2 {
+        if !self.commit_protocol {
+            return Err(EngineError::config(
+                "the commit protocol cannot be turned off: every iteration commits",
+            ));
+        }
+        let c = self.config;
+        if c.num_users < 2 {
             return Err(EngineError::config(format!(
                 "need at least 2 users, got {}",
-                self.num_users
+                c.num_users
             )));
         }
-        if self.k == 0 {
+        if c.k == 0 {
             return Err(EngineError::config("K must be at least 1"));
         }
-        if self.num_partitions == 0 || self.num_partitions > self.num_users {
+        if c.num_partitions == 0 || c.num_partitions > c.num_users {
             return Err(EngineError::config(format!(
                 "num_partitions must be in 1..={} (one user per partition at most), got {}",
-                self.num_users, self.num_partitions
+                c.num_users, c.num_partitions
             )));
         }
-        if self.num_partitions > crate::tuple_table::MAX_PARTITIONS {
+        if c.num_partitions > crate::tuple_table::MAX_PARTITIONS {
             return Err(EngineError::config(format!(
                 "num_partitions must be at most {} (the phase-2 spill-run namespace bound), got {}",
                 crate::tuple_table::MAX_PARTITIONS,
-                self.num_partitions
+                c.num_partitions
             )));
         }
-        if self.threads == 0 {
+        if c.threads == 0 {
             return Err(EngineError::config("threads must be at least 1"));
         }
-        if self.cache_slots < 2 {
+        if c.cache_slots < 2 {
             return Err(EngineError::config(
                 "cache needs at least 2 slots to co-load a partition pair",
             ));
         }
-        if self.spill_threshold == 0 {
+        if c.spill_threshold == 0 {
             return Err(EngineError::config("spill_threshold must be at least 1"));
         }
-        if self.tuple_table_memory.is_some_and(|b| b < 1024) {
+        if c.tuple_table_memory.is_some_and(|b| b < 1024) {
             return Err(EngineError::config(
                 "tuple_table_memory must be at least 1 KiB (or None to disable the budget)",
             ));
         }
-        if self.parallel_threshold == 0 {
-            return Err(EngineError::config(
-                "parallel_threshold must be at least 1 (use a huge value to force inline scoring)",
-            ));
-        }
-        if let Some(c) = self.num_clusters {
-            if c == 0 || c > self.num_users {
-                return Err(EngineError::config(format!(
-                    "num_clusters must be in 1..={} (at most one user per cluster), got {c}",
-                    self.num_users
-                )));
-            }
-        }
-        Ok(EngineConfig {
-            num_users: self.num_users,
-            k: self.k,
-            num_partitions: self.num_partitions,
-            measure: self.measure,
-            heuristic: self.heuristic,
-            partitioner: self.partitioner,
-            threads: self.threads,
-            cache_slots: self.cache_slots,
-            include_reverse: self.include_reverse,
-            repartition_each_iteration: self.repartition_each_iteration,
-            spill_threshold: self.spill_threshold,
-            tuple_table_memory: self.tuple_table_memory,
-            parallel_threshold: self.parallel_threshold,
-            prune_pairs: self.prune_pairs,
-            bound_filter: self.bound_filter,
-            cluster_init: self.cluster_init,
-            num_clusters: self.num_clusters,
-            cluster_method: self.cluster_method,
-            commit_protocol: self.commit_protocol,
-            seed: self.seed,
-        })
+        Ok(c)
     }
 }
 
@@ -520,15 +418,10 @@ mod tests {
         // matrix hook); without it, 1.
         assert_eq!(c.threads(), default_threads());
         assert!(!c.include_reverse());
-        assert!(c.repartition_each_iteration());
         // Pruning tracks KNN_TEST_PRUNE (the CI no-prune hook);
         // without it, on.
         assert_eq!(c.prune_pairs(), default_prune());
         assert_eq!(c.bound_filter(), default_prune());
-        assert_eq!(
-            c.parallel_threshold(),
-            crate::phase4::DEFAULT_PARALLEL_THRESHOLD
-        );
     }
 
     #[test]
@@ -573,19 +466,6 @@ mod tests {
             .tuple_table_memory(Some(100))
             .build()
             .is_err());
-        assert!(EngineConfig::builder(10)
-            .parallel_threshold(0)
-            .build()
-            .is_err());
-        // Cluster counts outside 1..=n.
-        assert!(EngineConfig::builder(10)
-            .num_clusters(Some(0))
-            .build()
-            .is_err());
-        assert!(EngineConfig::builder(10)
-            .num_clusters(Some(11))
-            .build()
-            .is_err());
     }
 
     /// The m ≤ n rejection the cluster packer relies on: the builder
@@ -609,19 +489,16 @@ mod tests {
         let c = EngineConfig::builder(100).build().unwrap();
         assert!(!c.cluster_init());
         assert!(!c.clustering_enabled());
-        assert_eq!(c.num_clusters(), None);
-        assert_eq!(c.effective_num_clusters(), 10, "⌈√100⌉");
+        assert_eq!(c.num_clusters(), 10, "⌈√100⌉");
         assert_eq!(c.cluster_method(), ClusterMethod::KMeans);
 
         let c = EngineConfig::builder(100)
             .cluster_init(true)
-            .num_clusters(Some(5))
             .cluster_method(ClusterMethod::RandomBuckets)
             .build()
             .unwrap();
         assert!(c.cluster_init());
         assert!(c.clustering_enabled());
-        assert_eq!(c.effective_num_clusters(), 5);
         assert_eq!(c.cluster_method(), ClusterMethod::RandomBuckets);
 
         // The cluster partitioner alone also flips the pre-pass on.
@@ -644,10 +521,8 @@ mod tests {
             .threads(8)
             .cache_slots(4)
             .include_reverse(true)
-            .repartition_each_iteration(false)
             .spill_threshold(128)
             .tuple_table_memory(Some(1 << 20))
-            .parallel_threshold(512)
             .prune_pairs(false)
             .bound_filter(true)
             .seed(99)
@@ -661,23 +536,23 @@ mod tests {
         assert_eq!(c.threads(), 8);
         assert_eq!(c.cache_slots(), 4);
         assert!(c.include_reverse());
-        assert!(!c.repartition_each_iteration());
         assert_eq!(c.spill_threshold(), 128);
         assert_eq!(c.tuple_table_memory(), Some(1 << 20));
-        assert_eq!(c.parallel_threshold(), 512);
         assert!(!c.prune_pairs());
         assert!(c.bound_filter());
         assert_eq!(c.seed(), 99);
     }
 
     #[test]
-    fn commit_protocol_defaults_on_and_toggles() {
-        assert!(EngineConfig::builder(10).build().unwrap().commit_protocol());
-        assert!(!EngineConfig::builder(10)
-            .commit_protocol(false)
+    fn commit_protocol_off_is_a_config_error() {
+        assert!(EngineConfig::builder(10)
+            .commit_protocol(true)
             .build()
-            .unwrap()
-            .commit_protocol());
+            .is_ok());
+        assert!(matches!(
+            EngineConfig::builder(10).commit_protocol(false).build(),
+            Err(EngineError::Config { .. })
+        ));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use knn_store::backend::{
 use knn_store::commit::{read_commit_state, write_commit, CommitState};
 use knn_store::{
     CommitRecord, CommitTarget, CommitTxn, DiskBackend, IoSnapshot, MemBackend, RecoveryReport,
-    RetryBackend, RetryPolicy, StorageBackend, StreamId, WorkingDir,
+    RetryBackend, RetryPolicy, StorageBackend, StoreError, StreamId, WorkingDir,
 };
 
 use crate::config::EngineConfig;
@@ -36,6 +36,25 @@ const META_SEED: u32 = 5;
 // keep the historical five-key metadata byte-for-byte).
 const META_NUM_CLUSTERS: u32 = 6;
 const META_CLUSTER_METHOD: u32 = 7;
+
+/// The metadata a configuration pins — key, name, value — in stream
+/// order after [`META_ITERATION`]: written by every commit, checked by
+/// every read.
+fn config_meta(config: &EngineConfig) -> Vec<(u32, &'static str, u64)> {
+    let (n, k, m) = (config.num_users(), config.k(), config.num_partitions());
+    let mut meta = vec![
+        (META_NUM_USERS, "num_users", n as u64),
+        (META_K, "k", k as u64),
+        (META_NUM_PARTITIONS, "num_partitions", m as u64),
+        (META_SEED, "seed", config.seed()),
+    ];
+    if config.clustering_enabled() {
+        let (clusters, method) = (config.num_clusters(), config.cluster_method());
+        meta.push((META_NUM_CLUSTERS, "num_clusters", clusters as u64));
+        meta.push((META_CLUSTER_METHOD, "cluster_method", method.code()));
+    }
+    meta
+}
 
 /// The out-of-core KNN engine: owns a [`StorageBackend`], the current
 /// KNN graph `G(t)`, and the update queue, and executes the five-phase
@@ -72,9 +91,8 @@ pub struct KnnEngine {
     /// closure summing its shard meters so phase I/O deltas cover
     /// every backend the iteration touched.
     io_meter: Option<Arc<dyn Fn() -> IoSnapshot + Send + Sync>>,
-    /// What crash recovery found when this engine was resumed with the
-    /// commit protocol on; `None` for fresh engines and protocol-off
-    /// resumes.
+    /// What crash recovery found when this engine was resumed; `None`
+    /// for fresh engines.
     recovery: Option<RecoveryReport>,
 }
 
@@ -135,6 +153,202 @@ impl std::fmt::Display for ScrubReport {
         }
         Ok(())
     }
+}
+
+/// Where [`read_stored_state`] sends what it finds.
+enum Findings<'a> {
+    /// `resume_on`: the first finding is the error.
+    Fail,
+    /// `verify`: every finding is recorded and reading goes on.
+    Record(&'a mut ScrubReport),
+}
+
+impl Findings<'_> {
+    /// Reports one violated invariant.
+    fn report(&mut self, finding: String) -> Result<(), EngineError> {
+        match self {
+            Findings::Fail => Err(EngineError::input(finding)),
+            Findings::Record(report) => {
+                report.issues.push(finding);
+                Ok(())
+            }
+        }
+    }
+
+    /// Counts one check toward the scrub total.
+    fn count(&mut self) {
+        if let Findings::Record(report) = self {
+            report.streams_checked += 1;
+        }
+    }
+
+    /// Counts one check and reports `finding` unless `ok`.
+    fn check(&mut self, ok: bool, finding: impl FnOnce() -> String) -> Result<(), EngineError> {
+        self.count();
+        if ok {
+            Ok(())
+        } else {
+            self.report(finding())
+        }
+    }
+
+    /// Counts one stream read. A stream that fails to decode is a
+    /// finding for the scrub (`Ok(None)`) and a storage error for
+    /// resume; I/O failure aborts either.
+    fn decoded<T>(
+        &mut self,
+        read: Result<T, StoreError>,
+        what: impl FnOnce() -> String,
+    ) -> Result<Option<T>, EngineError> {
+        self.count();
+        match (read, self) {
+            (
+                Err(e @ (StoreError::Corrupt { .. } | StoreError::VersionMismatch { .. })),
+                Findings::Record(report),
+            ) => {
+                report.issues.push(format!("{}: {e}", what()));
+                Ok(None)
+            }
+            (read, _) => Ok(Some(read?)),
+        }
+    }
+}
+
+/// Marks a user with no stored placement (no assignment row, or no
+/// KNN slice naming it yet).
+const UNPLACED: u32 = u32::MAX;
+
+/// The committed state as [`read_stored_state`] found it.
+struct StoredState {
+    /// The stored iteration (0 when the metadata lacks it).
+    iteration: u64,
+    /// Each user's stored partition, [`UNPLACED`] where no valid row
+    /// places it.
+    assignment: Vec<u32>,
+    /// `G(t)` rebuilt from the KNN slices.
+    graph: KnnGraph,
+}
+
+/// Reads the committed metadata, assignment and KNN slices and checks
+/// them against `config` — the one list of invariants `resume_on` and
+/// `verify` share:
+///
+/// - metadata names `n`, `K`, `m` and the seed of `config` (plus the
+///   cluster keys when clustering is on) and an iteration;
+/// - the assignment has exactly `n` rows, places every user once, and
+///   names partitions `< m` only;
+/// - each user heads at most one run of KNN-slice rows across all
+///   slices, in its assigned partition, with at most `K` neighbors.
+///
+/// Stored bytes are untrusted input: every violation goes to
+/// `findings`, never into the returned state.
+fn read_stored_state(
+    config: &EngineConfig,
+    backend: &dyn StorageBackend,
+    findings: &mut Findings<'_>,
+) -> Result<StoredState, EngineError> {
+    let n = config.num_users();
+    let k = config.k();
+    let m = config.num_partitions() as u32;
+
+    let meta: std::collections::HashMap<u32, u64> = findings
+        .decoded(read_meta(backend), || "metadata stream".into())?
+        .unwrap_or_default()
+        .into_iter()
+        .collect();
+    for (key, name, want) in config_meta(config) {
+        let found = meta.get(&key);
+        findings.check(found == Some(&want), || match found {
+            Some(found) => format!("stored {name} is {found}, config says {want}"),
+            None => format!("metadata missing {name}"),
+        })?;
+    }
+    let iteration = meta.get(&META_ITERATION).copied();
+    findings.check(iteration.is_some(), || "metadata missing iteration".into())?;
+
+    let mut assignment = vec![UNPLACED; n];
+    if let Some(rows) = findings.decoded(read_pairs(backend, StreamId::Assignment), || {
+        "assignment stream".into()
+    })? {
+        findings.check(rows.len() == n, || {
+            format!("assignment covers {} users, expected {n}", rows.len())
+        })?;
+        for (user, p) in rows {
+            let Some(slot) = assignment.get_mut(user as usize) else {
+                findings.report(format!("assignment row for unknown user {user}"))?;
+                continue;
+            };
+            if *slot != UNPLACED {
+                findings.report(format!("assignment names user {user} twice"))?;
+            } else if p >= m {
+                findings.report(format!(
+                    "assignment puts user {user} in partition {p}, m={m}"
+                ))?;
+            } else {
+                *slot = p;
+            }
+        }
+    }
+
+    let mut graph = KnnGraph::new(n, k);
+    let mut slice_of = vec![UNPLACED; n];
+    for p in 0..m {
+        let Some(rows) = findings
+            .decoded(read_scored_pairs(backend, StreamId::KnnSlice(p)), || {
+                format!("KNN slice of partition {p}")
+            })?
+        else {
+            continue;
+        };
+        for run in rows.chunk_by(|a, b| a.0 == b.0) {
+            let user = run[0].0;
+            let Some(claimed) = slice_of.get_mut(user as usize) else {
+                findings.report(format!(
+                    "KNN slice of partition {p} names unknown user {user}"
+                ))?;
+                continue;
+            };
+            if std::mem::replace(claimed, p) != UNPLACED {
+                findings.report(format!(
+                    "KNN slice of partition {p} names user {user} twice"
+                ))?;
+                continue;
+            }
+            if run.len() > k {
+                findings.report(format!(
+                    "KNN slice of partition {p} carries {} neighbors for user {user}, K={k}",
+                    run.len()
+                ))?;
+                continue;
+            }
+            let list = run
+                .iter()
+                .map(|&(_, d, sim)| Neighbor {
+                    id: UserId::new(d),
+                    sim,
+                })
+                .collect();
+            if let Err(e) = graph.set_neighbors(UserId::new(user), list) {
+                findings.report(format!("KNN slice of partition {p}: {e}"))?;
+            }
+        }
+    }
+    // Placement last, so a duplicated user reads as "twice" whichever
+    // slice its runs landed in.
+    for (user, (&slice, &assigned)) in slice_of.iter().zip(&assignment).enumerate() {
+        if slice != UNPLACED && assigned != UNPLACED && slice != assigned {
+            findings.report(format!(
+                "KNN slice of partition {slice} names user {user}, \
+                 assigned to partition {assigned}"
+            ))?;
+        }
+    }
+
+    Ok(StoredState {
+        iteration: iteration.unwrap_or_default(),
+        assignment,
+        graph,
+    })
 }
 
 /// What phase-4 suppression needs to know about the previous
@@ -210,7 +424,7 @@ impl KnnEngine {
         let assignment = cluster_profiles(
             profiles,
             config.cluster_method(),
-            config.effective_num_clusters(),
+            config.num_clusters(),
             config.seed(),
         )?;
         Ok(Some(Arc::new(assignment)))
@@ -385,9 +599,7 @@ impl KnnEngine {
         engine.persist_state(None)?;
         // Generation 0 is committed the moment the initial state is
         // durable, so a crash during iteration 0 rolls back here.
-        if engine.config.commit_protocol() {
-            write_commit(engine.backend.as_ref(), &CommitRecord::clean(0))?;
-        }
+        write_commit(engine.backend.as_ref(), &CommitRecord::clean(0))?;
         Ok(engine)
     }
 
@@ -411,10 +623,11 @@ impl KnnEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::InputMismatch`] if the stored metadata
-    /// disagrees with `config` (different `n`, `K`, `m`, or seed) or a
-    /// stored KNN slice is inconsistent (a user listed twice, or more
-    /// than `K` neighbors for one user), and storage errors for missing
-    /// or corrupt state streams.
+    /// disagrees with `config` (different `n`, `K`, `m`, or seed), the
+    /// stored assignment does not place every user exactly once, or a
+    /// stored KNN slice is inconsistent (a user listed twice, outside
+    /// its assigned partition, or with more than `K` neighbors), and
+    /// storage errors for missing or corrupt state streams.
     pub fn resume_on(
         config: EngineConfig,
         backend: Arc<dyn StorageBackend>,
@@ -428,147 +641,40 @@ impl KnnEngine {
         // generation, an interrupted log truncation is finished, torn
         // log tails are pruned, and orphaned scratch is deleted. A
         // legacy layout (no commit record) passes through untouched.
-        let recovery = if config.commit_protocol() {
-            Some(knn_store::recover(backend.as_ref())?)
-        } else {
-            None
-        };
-        let meta: std::collections::HashMap<u32, u64> =
-            read_meta(backend.as_ref())?.into_iter().collect();
-        let expect = |key: u32, name: &str, want: u64| -> Result<(), EngineError> {
-            match meta.get(&key) {
-                Some(&found) if found == want => Ok(()),
-                Some(&found) => Err(EngineError::input(format!(
-                    "stored {name} is {found}, config says {want}"
-                ))),
-                None => Err(EngineError::input(format!("metadata missing {name}"))),
+        let recovery = knn_store::recover(backend.as_ref())?;
+        let stored = read_stored_state(&config, backend.as_ref(), &mut Findings::Fail)?;
+        // After recovery the commit record and the metadata must name
+        // the same generation — a disagreement means the directory was
+        // modified outside the protocol.
+        if let Some(generation) = recovery.committed_generation {
+            if generation != stored.iteration {
+                return Err(EngineError::input(format!(
+                    "commit record names generation {generation}, \
+                     stored metadata says iteration {}",
+                    stored.iteration
+                )));
             }
-        };
-        expect(META_NUM_USERS, "num_users", config.num_users() as u64)?;
-        expect(META_K, "k", config.k() as u64)?;
-        expect(
-            META_NUM_PARTITIONS,
-            "num_partitions",
-            config.num_partitions() as u64,
-        )?;
-        expect(META_SEED, "seed", config.seed())?;
+        }
         let clusters = if config.clustering_enabled() {
-            expect(
-                META_NUM_CLUSTERS,
-                "num_clusters",
-                config.effective_num_clusters() as u64,
-            )?;
-            expect(
-                META_CLUSTER_METHOD,
-                "cluster_method",
-                config.cluster_method().code(),
-            )?;
             Some(Arc::new(ClusterAssignment::load(
                 backend.as_ref(),
                 config.num_users(),
-                config.effective_num_clusters() as u32,
+                config.num_clusters() as u32,
             )?))
         } else {
             None
         };
-        let iteration = *meta
-            .get(&META_ITERATION)
-            .ok_or_else(|| EngineError::input("metadata missing iteration"))?;
-        // After recovery the commit record and the metadata must name
-        // the same generation — a disagreement means the directory was
-        // modified outside the protocol.
-        if let Some(generation) = recovery.as_ref().and_then(|r| r.committed_generation) {
-            if generation != iteration {
-                return Err(EngineError::input(format!(
-                    "commit record names generation {generation}, \
-                     stored metadata says iteration {iteration}"
-                )));
-            }
-        }
-
-        let assignment_rows = read_pairs(backend.as_ref(), StreamId::Assignment)?;
-        let mut assignment = vec![0u32; config.num_users()];
-        if assignment_rows.len() != config.num_users() {
-            return Err(EngineError::input(format!(
-                "assignment covers {} users, expected {}",
-                assignment_rows.len(),
-                config.num_users()
-            )));
-        }
-        for (user, p) in assignment_rows {
-            let slot = assignment.get_mut(user as usize).ok_or_else(|| {
-                EngineError::input(format!("assignment row for unknown user {user}"))
-            })?;
-            *slot = p;
-        }
-        let partitioning = Partitioning::from_assignment(assignment, config.num_partitions())?;
-
-        // Rebuild G(t) from the per-partition KNN slices. Slice rows
-        // are untrusted input: a user may appear in at most one run of
-        // rows across ALL slices, with at most K neighbors — anything
-        // else is a corrupt or tampered slice, rejected loudly rather
-        // than silently merged.
-        let mut graph = KnnGraph::new(config.num_users(), config.k());
-        let mut seen = vec![false; config.num_users()];
-        let mut install = |p: u32, user: u32, list: Vec<Neighbor>| -> Result<(), EngineError> {
-            let claimed = seen.get_mut(user as usize).ok_or_else(|| {
-                EngineError::input(format!(
-                    "KNN slice of partition {p} names unknown user {user}"
-                ))
-            })?;
-            if std::mem::replace(claimed, true) {
-                return Err(EngineError::input(format!(
-                    "KNN slice of partition {p} names user {user} twice"
-                )));
-            }
-            if list.len() > config.k() {
-                return Err(EngineError::input(format!(
-                    "KNN slice of partition {p} carries {} neighbors for user {user}, K={}",
-                    list.len(),
-                    config.k()
-                )));
-            }
-            graph.set_neighbors(UserId::new(user), list)?;
-            Ok(())
-        };
-        for p in 0..config.num_partitions() as u32 {
-            let rows = read_scored_pairs(backend.as_ref(), StreamId::KnnSlice(p))?;
-            let mut current: Option<(u32, Vec<Neighbor>)> = None;
-            for (s, d, sim) in rows {
-                match &mut current {
-                    Some((user, list)) if *user == s => {
-                        list.push(Neighbor {
-                            id: UserId::new(d),
-                            sim,
-                        });
-                    }
-                    _ => {
-                        if let Some((user, list)) = current.take() {
-                            install(p, user, list)?;
-                        }
-                        current = Some((
-                            s,
-                            vec![Neighbor {
-                                id: UserId::new(d),
-                                sim,
-                            }],
-                        ));
-                    }
-                }
-            }
-            if let Some((user, list)) = current {
-                install(p, user, list)?;
-            }
-        }
+        let partitioning =
+            Partitioning::from_assignment(stored.assignment, config.num_partitions())?;
 
         let queue = UpdateQueue::new(config.num_users());
         Ok(KnnEngine {
             config,
             backend,
-            graph,
+            graph: stored.graph,
             partitioning,
             queue,
-            iteration,
+            iteration: stored.iteration,
             reports: Vec::new(),
             clusters,
             // A resumed engine has no in-process memory of the last
@@ -577,7 +683,7 @@ impl KnnEngine {
             prune: None,
             phase2_provider: None,
             io_meter: None,
-            recovery,
+            recovery: Some(recovery),
         })
     }
 
@@ -591,16 +697,9 @@ impl KnnEngine {
             txn.backup(backend, CommitTarget::Meta)?;
             txn.backup(backend, CommitTarget::Assignment)?;
         }
-        let mut meta = vec![
-            (META_ITERATION, self.iteration),
-            (META_NUM_USERS, self.config.num_users() as u64),
-            (META_K, self.config.k() as u64),
-            (META_NUM_PARTITIONS, self.config.num_partitions() as u64),
-            (META_SEED, self.config.seed()),
-        ];
-        if let Some(clusters) = &self.clusters {
-            meta.push((META_NUM_CLUSTERS, clusters.num_clusters() as u64));
-            meta.push((META_CLUSTER_METHOD, self.config.cluster_method().code()));
+        let mut meta = vec![(META_ITERATION, self.iteration)];
+        for (key, _, value) in config_meta(&self.config) {
+            meta.push((key, value));
         }
         write_meta(backend, &meta)?;
         let assignment_rows: Vec<(u32, u32)> = self
@@ -658,19 +757,18 @@ impl KnnEngine {
     }
 
     /// What crash recovery found and repaired when this engine was
-    /// resumed with [`EngineConfig::commit_protocol`] on; `None` for
-    /// fresh engines and protocol-off resumes. A clean shutdown
-    /// resumes with a default report (nothing rolled back, nothing
-    /// deleted).
+    /// resumed; `None` for fresh engines. A clean shutdown resumes
+    /// with a default report (nothing rolled back, nothing deleted).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }
 
     /// Scrubs the persisted state: decodes every committed stream
-    /// (CRC-verified by the backend), cross-checks the commit record,
-    /// metadata, assignment, profile, and KNN-slice invariants against
-    /// the configuration, and strictly decodes the update log. Read
-    /// only — call it between iterations.
+    /// (CRC-verified by the backend), checks the commit record, runs
+    /// the metadata, assignment and KNN-slice invariants `resume_on`
+    /// enforces, cross-checks the stored layout and profiles against
+    /// this engine, and strictly decodes the update log. Read only —
+    /// call it between iterations.
     ///
     /// # Errors
     ///
@@ -678,124 +776,54 @@ impl KnnEngine {
     /// consistency problems are findings in the returned report, not
     /// errors.
     pub fn verify(&self) -> Result<ScrubReport, EngineError> {
-        use knn_store::StoreError;
         let backend = self.backend.as_ref();
         let mut report = ScrubReport::default();
-        let check = |ok: bool, finding: String, report: &mut ScrubReport| {
-            report.streams_checked += 1;
-            if !ok {
-                report.issues.push(finding);
-            }
-        };
-        // Decode failures are findings (a scrub exists to surface
-        // them); only genuine I/O failure aborts the scrub.
-        fn soft<T>(
-            result: Result<T, StoreError>,
-            what: &str,
-            report: &mut ScrubReport,
-        ) -> Result<Option<T>, EngineError> {
-            report.streams_checked += 1;
-            match result {
-                Ok(v) => Ok(Some(v)),
-                Err(e @ (StoreError::Corrupt { .. } | StoreError::VersionMismatch { .. })) => {
-                    report.issues.push(format!("{what}: {e}"));
-                    Ok(None)
-                }
-                Err(e) => Err(e.into()),
-            }
-        }
+        let findings = &mut Findings::Record(&mut report);
 
         // The commit record, when present, must be intact, clean, and
-        // name the current generation. Absent is fine: legacy layout
-        // or protocol off.
+        // name the current generation. Absent is fine: a legacy
+        // layout not yet upgraded by an iteration.
         match read_commit_state(backend)? {
             CommitState::Absent => {}
-            CommitState::Torn => {
-                check(false, "commit record is torn".to_string(), &mut report);
-            }
+            CommitState::Torn => findings.check(false, || "commit record is torn".into())?,
             CommitState::Valid(rec) => {
-                check(
-                    rec.generation == self.iteration,
+                findings.check(rec.generation == self.iteration, || {
                     format!(
                         "commit record names generation {}, engine is at iteration {}",
                         rec.generation, self.iteration
-                    ),
-                    &mut report,
-                );
-                check(
-                    rec.log_consumed_len == 0,
+                    )
+                })?;
+                findings.check(rec.log_consumed_len == 0, || {
                     format!(
                         "commit record carries {} consumed-log bytes at rest \
                          (truncation never completed)",
                         rec.log_consumed_len
-                    ),
-                    &mut report,
-                );
+                    )
+                })?;
             }
         }
 
-        // Metadata must agree with the configuration.
-        let meta: std::collections::HashMap<u32, u64> =
-            soft(read_meta(backend), "metadata stream", &mut report)?
-                .unwrap_or_default()
-                .into_iter()
-                .collect();
-        for (key, name, want) in [
-            (META_ITERATION, "iteration", self.iteration),
-            (META_NUM_USERS, "num_users", self.config.num_users() as u64),
-            (META_K, "k", self.config.k() as u64),
-            (
-                META_NUM_PARTITIONS,
-                "num_partitions",
-                self.config.num_partitions() as u64,
-            ),
-            (META_SEED, "seed", self.config.seed()),
-        ] {
-            check(
-                meta.get(&key) == Some(&want),
-                format!(
-                    "metadata {name} is {:?}, expected {want}",
-                    meta.get(&key).copied()
-                ),
-                &mut report,
-            );
-        }
-
-        // The assignment must cover exactly the configured users with
-        // in-range partitions — and match the in-memory layout.
-        let assignment_rows = soft(
-            read_pairs(backend, StreamId::Assignment),
-            "assignment stream",
-            &mut report,
-        )?
-        .unwrap_or_default();
-        let n = self.config.num_users();
-        let m = self.config.num_partitions() as u32;
-        let mut assignment_ok = assignment_rows.len() == n;
-        for &(user, p) in &assignment_rows {
-            assignment_ok &= (user as usize) < n
-                && p < m
-                && self.partitioning.assignment().get(user as usize) == Some(&p);
-        }
-        check(
-            assignment_ok,
+        // The shared invariants, then agreement with this engine.
+        let stored = read_stored_state(&self.config, backend, findings)?;
+        findings.check(stored.iteration == self.iteration, || {
             format!(
-                "assignment stream disagrees with the engine layout \
-                 ({} rows for n={n})",
-                assignment_rows.len()
-            ),
-            &mut report,
-        );
+                "stored iteration is {}, engine is at iteration {}",
+                stored.iteration, self.iteration
+            )
+        })?;
+        findings.check(stored.assignment == self.partitioning.assignment(), || {
+            "assignment stream disagrees with the engine layout".into()
+        })?;
 
         // Every user's profile lives exactly once, in its assigned
         // partition.
+        let n = self.config.num_users();
         let mut profile_seen = vec![false; n];
-        for p in 0..m {
-            let Some(rows) = soft(
-                read_user_lists(backend, StreamId::Profiles(p)),
-                &format!("profile stream of partition {p}"),
-                &mut report,
-            )?
+        for p in 0..self.config.num_partitions() as u32 {
+            let Some(rows) = findings
+                .decoded(read_user_lists(backend, StreamId::Profiles(p)), || {
+                    format!("profile stream of partition {p}")
+                })?
             else {
                 continue;
             };
@@ -805,55 +833,20 @@ impl KnnEngine {
                     && self.partitioning.partition_of(UserId::new(*user)) == p
                     && !std::mem::replace(&mut profile_seen[*user as usize], true);
             }
-            check(
-                ok,
-                format!("profile stream of partition {p} misplaces or repeats a user"),
-                &mut report,
-            );
+            findings.check(ok, || {
+                format!("profile stream of partition {p} misplaces or repeats a user")
+            })?;
         }
-        check(
-            profile_seen.iter().all(|&s| s),
-            format!(
-                "{} users have no stored profile",
-                profile_seen.iter().filter(|&&s| !s).count()
-            ),
-            &mut report,
-        );
-
-        // KNN slices: each user at most once across all slices, in its
-        // assigned partition, with at most K neighbors.
-        let mut knn_seen = vec![0usize; n];
-        for p in 0..m {
-            let Some(rows) = soft(
-                read_scored_pairs(backend, StreamId::KnnSlice(p)),
-                &format!("KNN slice of partition {p}"),
-                &mut report,
-            )?
-            else {
-                continue;
-            };
-            let mut ok = true;
-            for (s, _, _) in &rows {
-                ok &= (*s as usize) < n && self.partitioning.partition_of(UserId::new(*s)) == p;
-                if let Some(count) = knn_seen.get_mut(*s as usize) {
-                    *count += 1;
-                    ok &= *count <= self.config.k();
-                }
-            }
-            check(
-                ok,
-                format!("KNN slice of partition {p} misplaces a user or overflows K"),
-                &mut report,
-            );
-        }
+        let missing = profile_seen.iter().filter(|&&s| !s).count();
+        findings.check(missing == 0, || {
+            format!("{missing} users have no stored profile")
+        })?;
 
         // The update log must decode strictly (a torn tail at rest is
         // a finding — recovery prunes those on resume).
-        check(
-            self.queue.pending(backend).is_ok(),
-            "update log does not decode cleanly".to_string(),
-            &mut report,
-        );
+        findings.check(self.queue.pending(backend).is_ok(), || {
+            "update log does not decode cleanly".into()
+        })?;
 
         // Between iterations no staged backups, spill runs, or
         // exchange runs should survive — a leftover means an
@@ -869,11 +862,9 @@ impl KnnEngine {
                 )
             })
             .count();
-        check(
-            leftovers == 0,
-            format!("{leftovers} staged/scratch streams survive at rest"),
-            &mut report,
-        );
+        findings.check(leftovers == 0, || {
+            format!("{leftovers} staged/scratch streams survive at rest")
+        })?;
 
         Ok(report)
     }
@@ -882,11 +873,6 @@ impl KnnEngine {
     /// or whatever the installed [`io meter`](KnnEngine::set_io_meter)
     /// reports.
     pub fn io_snapshot(&self) -> IoSnapshot {
-        self.io_now()
-    }
-
-    /// The I/O counters the per-phase report brackets observe.
-    fn io_now(&self) -> IoSnapshot {
         match &self.io_meter {
             Some(meter) => meter(),
             None => self.backend.stats().snapshot(),
@@ -1018,10 +1004,7 @@ impl KnnEngine {
         // before their first in-place mutation, and the commit record
         // written at the end flips the visible generation atomically —
         // a crash anywhere in between rolls back on resume.
-        let mut txn = self
-            .config
-            .commit_protocol()
-            .then(|| CommitTxn::new(self.iteration));
+        let mut txn = CommitTxn::new(self.iteration);
 
         // Cross-iteration suppression inputs (see the crate docs'
         // scoring-pipeline section). `seed_ok[u]` means u's prior
@@ -1048,33 +1031,23 @@ impl KnnEngine {
                 .collect()
         });
 
-        // Phase 1: partition G(t) and lay out edge/profile streams.
-        // G(0) was partitioned at construction (and that assignment is
-        // what a resume reloads), so iteration 0 repartitions only
-        // when every iteration does.
-        let before = self.io_now();
+        // Phase 1: repartition G(t) and lay out edge/profile streams.
+        let before = self.io_snapshot();
         let t0 = Instant::now();
         // One digraph serves the partitioner and the replication cost,
         // and is dropped before any stream is rewritten.
         let (next, replication_cost) = {
             let digraph = self.graph.to_digraph();
-            let next = if self.config.repartition_each_iteration() {
-                let partitioner = Self::make_partitioner(&self.config, self.clusters.as_ref())?;
-                Some(partitioner.partition(&digraph, self.config.num_partitions())?)
-            } else {
-                None
-            };
-            let cost =
-                objective::replication_cost(&digraph, next.as_ref().unwrap_or(&self.partitioning));
+            let partitioner = Self::make_partitioner(&self.config, self.clusters.as_ref())?;
+            let next = partitioner.partition(&digraph, self.config.num_partitions())?;
+            let cost = objective::replication_cost(&digraph, &next);
             (next, cost)
         };
-        if let Some(next) = next.filter(|next| *next != self.partitioning) {
+        if next != self.partitioning {
             // Resharding rewrites every profile stream in place —
             // stage them all first.
-            if let Some(txn) = txn.as_mut() {
-                for p in 0..self.partitioning.num_partitions() as u32 {
-                    txn.backup(backend, CommitTarget::Profiles(p))?;
-                }
+            for p in 0..self.partitioning.num_partitions() as u32 {
+                txn.backup(backend, CommitTarget::Profiles(p))?;
             }
             phase1::reshard_profiles(
                 backend,
@@ -1093,11 +1066,11 @@ impl KnnEngine {
             seed_ok.as_deref(),
         )?;
         durations[0] = t0.elapsed();
-        io[0] = self.io_now() - before;
+        io[0] = self.io_snapshot() - before;
 
         // Phase 2: tuple generation + dedup into pair buckets (tagged
         // with path age when suppression is active).
-        let before = self.io_now();
+        let before = self.io_snapshot();
         let t0 = Instant::now();
         let phase2_options = phase2::Phase2Options {
             spill_threshold: self.config.spill_threshold(),
@@ -1114,7 +1087,7 @@ impl KnnEngine {
             }
         };
         durations[1] = t0.elapsed();
-        io[1] = self.io_now() - before;
+        io[1] = self.io_snapshot() - before;
         // Partition locality of this iteration's tuple volume: the
         // diagonal of the PI graph counts tuples whose endpoints share
         // a partition.
@@ -1123,15 +1096,15 @@ impl KnnEngine {
             .sum();
 
         // Phase 3: PI-graph traversal schedule.
-        let before = self.io_now();
+        let before = self.io_snapshot();
         let t0 = Instant::now();
         let schedule = self.config.heuristic().schedule(&phase2_out.pi);
         let predicted = simulate_schedule_ops(&schedule, self.config.cache_slots());
         durations[2] = t0.elapsed();
-        io[2] = self.io_now() - before;
+        io[2] = self.io_snapshot() - before;
 
         // Phase 4: out-of-core similarity scoring and top-K harvest.
-        let before = self.io_now();
+        let before = self.io_snapshot();
         let t0 = Instant::now();
         let options = Phase4Options {
             k: self.config.k(),
@@ -1139,7 +1112,7 @@ impl KnnEngine {
             threads: self.config.threads(),
             cache_slots: self.config.cache_slots(),
             include_reverse: self.config.include_reverse(),
-            parallel_threshold: self.config.parallel_threshold(),
+            parallel_threshold: phase4::DEFAULT_PARALLEL_THRESHOLD,
             bound_filter: self.config.bound_filter(),
         };
         let prune_ctx = match (prune_state, &seed_ok) {
@@ -1159,21 +1132,18 @@ impl KnnEngine {
             prune_ctx.as_ref(),
         )?;
         durations[3] = t0.elapsed();
-        io[3] = self.io_now() - before;
+        io[3] = self.io_snapshot() - before;
 
-        // Phase 5: apply the lazy profile-update queue. In commit mode
-        // the consumed log bytes come back here and are truncated by
-        // the commit step below, not by phase 5.
-        let before = self.io_now();
+        // Phase 5: apply the lazy profile-update queue. The consumed
+        // log bytes come back here and are truncated by the commit
+        // step below, not by phase 5.
+        let before = self.io_snapshot();
         let t0 = Instant::now();
-        let (phase5_stats, updated_users, consumed) = self.queue.apply_all(
-            &self.partitioning,
-            backend,
-            self.config.threads(),
-            txn.as_mut(),
-        )?;
+        let (phase5_stats, updated_users, consumed) =
+            self.queue
+                .apply_all(&self.partitioning, backend, self.config.threads(), &mut txn)?;
         durations[4] = t0.elapsed();
-        io[4] = self.io_now() - before;
+        io[4] = self.io_snapshot() - before;
 
         let changed_fraction = self.graph.edge_change_fraction(&phase4_out.graph);
         // Bookkeeping for the next iteration's suppression, derived
@@ -1192,10 +1162,8 @@ impl KnnEngine {
         });
         self.graph = phase4_out.graph;
         self.iteration += 1;
-        self.persist_state(txn.as_mut())?;
-        if let Some(txn) = txn.take() {
-            txn.commit(backend, self.iteration, &consumed)?;
-        }
+        self.persist_state(Some(&mut txn))?;
+        txn.commit(backend, self.iteration, &consumed)?;
 
         let report = IterationReport {
             iteration: self.iteration - 1,
@@ -1209,9 +1177,6 @@ impl KnnEngine {
             sims_skipped: phase4_out.sims_skipped,
             sims_pruned: phase4_out.sims_pruned,
             accums_seeded: phase1_stats.accums_seeded,
-            bytes_spilled: io[1].spill_bytes,
-            spill_runs: io[1].spill_runs,
-            merge_passes: io[1].merge_passes,
             updates_applied: phase5_stats.updates_applied,
             replication_cost,
             intra_partition_tuples,
@@ -1429,28 +1394,66 @@ mod tests {
         ));
     }
 
+    /// A scrub-clean engine one iteration in, on a backend the stored
+    /// state tests then tamper with.
+    fn stored_world() -> (EngineConfig, Arc<dyn StorageBackend>, KnnEngine) {
+        let (config, profiles, wd) = small_world(40, 17);
+        wd.destroy().unwrap();
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let mut engine = KnnEngine::new_on(config.clone(), profiles, Arc::clone(&backend)).unwrap();
+        engine.run_iteration().unwrap();
+        let scrub = engine.verify().unwrap();
+        assert!(scrub.is_clean(), "{scrub}");
+        (config, backend, engine)
+    }
+
+    /// Exactly `n` assignment rows, but user `u` twice and user `w`
+    /// never. `w` sits in partition 0, where an unplaced user used to
+    /// land silently, so only the repeat gives the stream away.
     #[test]
-    fn repartition_toggle_does_not_change_results() {
-        let n = 40;
-        let g0 = KnnGraph::random_init(n, 3, 13);
-        let mut graphs = Vec::new();
-        for repartition in [true, false] {
-            let (_, profiles, wd) = small_world(n, 13);
-            let config = EngineConfig::builder(n)
-                .k(3)
-                .num_partitions(5)
-                .repartition_each_iteration(repartition)
-                .seed(13)
-                .build()
-                .unwrap();
-            let mut engine =
-                KnnEngine::with_initial_graph(config, g0.clone(), profiles, wd).unwrap();
-            for _ in 0..2 {
-                engine.run_iteration().unwrap();
-            }
-            graphs.push(engine.graph().clone());
-            engine.into_working_dir().destroy().unwrap();
-        }
-        assert_eq!(graphs[0], graphs[1], "layout must not affect results");
+    fn stored_state_rejects_an_assignment_that_repeats_a_user() {
+        let (config, backend, engine) = stored_world();
+        let assignment = engine.partitioning().assignment().to_vec();
+        let w = assignment.iter().position(|&p| p == 0).unwrap() as u32;
+        let u = (w + 1) % assignment.len() as u32;
+        let rows: Vec<(u32, u32)> = (0..assignment.len() as u32)
+            .map(|user| if user == w { u } else { user })
+            .map(|user| (user, assignment[user as usize]))
+            .collect();
+        write_pairs(backend.as_ref(), StreamId::Assignment, &rows).unwrap();
+
+        let scrub = engine.verify().unwrap();
+        let repeat = format!("assignment names user {u} twice");
+        assert!(scrub.issues.iter().any(|i| i.contains(&repeat)), "{scrub}");
+        drop(engine);
+        let err = KnnEngine::resume_on(config, backend).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::InputMismatch { .. }) && err.to_string().contains(&repeat),
+            "{err}"
+        );
+    }
+
+    /// A user's KNN rows moved into another partition's slice.
+    #[test]
+    fn stored_state_rejects_a_knn_slice_outside_the_assigned_partition() {
+        let (config, backend, engine) = stored_world();
+        let user = engine.partitioning().users_of(0)[0].raw();
+        let mut own = read_scored_pairs(backend.as_ref(), StreamId::KnnSlice(0)).unwrap();
+        let mut other = read_scored_pairs(backend.as_ref(), StreamId::KnnSlice(1)).unwrap();
+        other.extend(own.iter().filter(|row| row.0 == user));
+        own.retain(|row| row.0 != user);
+        write_scored_pairs(backend.as_ref(), StreamId::KnnSlice(0), &own).unwrap();
+        write_scored_pairs(backend.as_ref(), StreamId::KnnSlice(1), &other).unwrap();
+
+        let scrub = engine.verify().unwrap();
+        assert!(!scrub.is_clean(), "{scrub}");
+        drop(engine);
+        let err = KnnEngine::resume_on(config, backend).unwrap_err();
+        let misplaced = format!("names user {user}, assigned to partition 0");
+        assert!(
+            matches!(&err, EngineError::InputMismatch { .. })
+                && err.to_string().contains(&misplaced),
+            "{err}"
+        );
     }
 }

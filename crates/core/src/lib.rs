@@ -83,6 +83,18 @@
 //! reports, and summed I/O totals byte/value-identical to one process
 //! — pinned by the `shard_equivalence` suite.
 //!
+//! # Durability
+//!
+//! Every iteration is one atomic commit: committed streams are staged
+//! before their first in-place rewrite, a commit record flips the
+//! generation, and the commit truncates the consumed update log
+//! (`knn_store::commit`). [`KnnEngine::resume_on`] runs crash recovery
+//! first, then reads the committed metadata, assignment and KNN
+//! slices through the same reader [`KnnEngine::verify`] uses, so both
+//! hold stored bytes to one list of invariants: resume fails on the
+//! first violation, the scrub reports them all. Working directories
+//! written before the protocol (no commit record) still resume.
+//!
 //! # Choosing a partitioner
 //!
 //! Placement is an I/O lever, never a correctness one: every
@@ -100,7 +112,7 @@
 //!   clusters into partitions; the right choice when profiles have
 //!   community structure, where it concentrates tuples on the PI
 //!   diagonal (watch `IterationReport::intra_partition_tuples` rise
-//!   and `bytes_spilled` / cross-shard exchange fall). Requires the
+//!   and phase-2 spill bytes / cross-shard exchange fall). Requires the
 //!   engine to run the pre-pass (it does automatically; the bare
 //!   `instantiate` errors). Pair with
 //!   [`EngineConfig::cluster_init`](config::EngineConfig::cluster_init)
@@ -157,9 +169,10 @@
 //! output encodes straight into the bucket streams phase 4 iterates.
 //! Phase-2 staging is bounded by `spill_threshold` rows per bucket
 //! or an explicit per-scan-table byte budget
-//! ([`EngineConfig::tuple_table_memory`]); spill traffic is metered
-//! (`IterationReport::bytes_spilled` / `spill_runs` /
-//! `merge_passes`). On the phase-4 side, each partition's profiles
+//! ([`EngineConfig::tuple_table_memory`]); spill traffic is metered in
+//! phase 2's I/O snapshot (`IterationReport::phase_io[1]`'s
+//! `spill_bytes` / `spill_runs` / `merge_passes`). On the phase-4
+//! side, each partition's profiles
 //! materialize into one CSR [`knn_sim::ProfileArena`] (split id and
 //! weight columns), and each run of candidates sharing a source row is
 //! scored by one [`knn_sim::RowKernel`] load — bit-identically to the

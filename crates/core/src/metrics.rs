@@ -24,7 +24,9 @@ pub struct IterationReport {
     pub iteration: u64,
     /// Wall-clock time of each phase.
     pub phase_durations: [Duration; 5],
-    /// I/O performed by each phase.
+    /// I/O performed by each phase. Phase 2's entry also carries the
+    /// tuple spill traffic: `phase_io[1].spill_bytes`, `spill_runs`
+    /// and `merge_passes` (all 0 when everything staged in memory).
     pub phase_io: [IoSnapshot; 5],
     /// Partition cache operations of phase 4 (the Table-1 metric).
     pub cache: CacheCounters,
@@ -48,15 +50,6 @@ pub struct IterationReport {
     /// edges (the replayed prior verdicts that make suppression
     /// sound).
     pub accums_seeded: u64,
-    /// Bytes written into phase-2 tuple spill runs (the out-of-core
-    /// overflow traffic; 0 when everything staged in memory). Sourced
-    /// from the backend's [`knn_store::IoStats`] spill meter.
-    pub bytes_spilled: u64,
-    /// Phase-2 spill runs written.
-    pub spill_runs: u64,
-    /// Phase-2 k-way merge passes over spill runs (one per bucket that
-    /// had runs to merge).
-    pub merge_passes: u64,
     /// Profile updates applied in phase 5.
     pub updates_applied: u64,
     /// The partitioning objective `Σ (N_in + N_out)` of this iteration.
@@ -151,10 +144,11 @@ impl fmt::Display for IterationReport {
             "  tuples: {} offered, {} unique, {} duplicates, {} spills",
             self.tuples.offered, self.tuples.unique, self.tuples.duplicates, self.tuples.spills
         )?;
+        let spill = &self.phase_io[1];
         writeln!(
             f,
             "  spill: {} B in {} runs, {} merge passes",
-            self.bytes_spilled, self.spill_runs, self.merge_passes
+            spill.spill_bytes, spill.spill_runs, spill.merge_passes
         )?;
         writeln!(
             f,
@@ -206,14 +200,18 @@ mod tests {
     use super::*;
 
     fn sample() -> IterationReport {
+        let mut phase_io = [IoSnapshot {
+            bytes_read: 100,
+            bytes_written: 50,
+            ..Default::default()
+        }; 5];
+        phase_io[1].spill_bytes = 4096;
+        phase_io[1].spill_runs = 3;
+        phase_io[1].merge_passes = 2;
         IterationReport {
             iteration: 3,
             phase_durations: [Duration::from_millis(10); 5],
-            phase_io: [IoSnapshot {
-                bytes_read: 100,
-                bytes_written: 50,
-                ..Default::default()
-            }; 5],
+            phase_io,
             cache: CacheCounters {
                 loads: 10,
                 unloads: 10,
@@ -236,9 +234,6 @@ mod tests {
             sims_skipped: 15,
             sims_pruned: 5,
             accums_seeded: 12,
-            bytes_spilled: 4096,
-            spill_runs: 3,
-            merge_passes: 2,
             updates_applied: 2,
             replication_cost: 42,
             intra_partition_tuples: 20,

@@ -3,9 +3,9 @@
 //! Profile changes arriving *during* iteration `t` are appended to the
 //! backend's durable update log (the paper's queue `q`) and are **not**
 //! visible to the similarity computation of iteration `t`. At the end
-//! of the iteration this phase drains the log, rewrites only the
-//! affected partition profile streams, and leaves the log empty for
-//! iteration `t+1`.
+//! of the iteration this phase drains the log and rewrites only the
+//! affected partition profile streams; the iteration's commit then
+//! truncates the consumed log for iteration `t+1`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -88,7 +88,7 @@ impl UpdateQueue {
     /// once — touched partitions are rebuilt and written across up to
     /// `threads` workers, each owning its (disjoint) stream, so peak
     /// memory stays `O(threads × partition)` and the persisted bytes
-    /// are thread-count-invariant — and truncates the log.
+    /// are thread-count-invariant.
     ///
     /// Returns the run statistics, the **sorted, deduplicated** set of
     /// users whose profile changed — the input of the engine's
@@ -96,13 +96,11 @@ impl UpdateQueue {
     /// these users is stale from the next iteration on — and the raw
     /// log bytes this call consumed.
     ///
-    /// With `txn` present the commit protocol is active: each touched
-    /// profile stream is backed up (pre-image staged) before the
-    /// rewrite loop, and the log is **not** truncated here — the
-    /// engine truncates it inside [`CommitTxn::commit`], where the
-    /// consumed-prefix record makes an interrupted truncation
-    /// recoverable. With `txn == None` the legacy behavior is exact:
-    /// rewrite, then truncate.
+    /// Each touched profile stream is backed up into `txn` (pre-image
+    /// staged) before the rewrite loop. The log is **not** truncated
+    /// here: the engine truncates it inside [`CommitTxn::commit`],
+    /// where the consumed-prefix record makes an interrupted
+    /// truncation recoverable.
     ///
     /// # Errors
     ///
@@ -113,7 +111,7 @@ impl UpdateQueue {
         partitioning: &Partitioning,
         backend: &dyn StorageBackend,
         threads: usize,
-        txn: Option<&mut CommitTxn>,
+        txn: &mut CommitTxn,
     ) -> Result<(Phase5Stats, Vec<u32>, Vec<u8>), EngineError> {
         // One raw read serves both decoding and the consumed-bytes
         // return (`read_deltas` is exactly this read + decode, so the
@@ -147,18 +145,13 @@ impl UpdateQueue {
         // groups run concurrently and nothing is buffered past its
         // own write.
         let groups: Vec<(u32, Vec<&ProfileDelta>)> = by_partition.into_iter().collect();
-        let committing = if let Some(txn) = txn {
-            // Pre-images are staged sequentially, in partition order,
-            // before any worker mutates — the backup traffic is
-            // thread-count-invariant and every touched stream is
-            // restorable whatever op the crash lands on.
-            for (p, _) in &groups {
-                txn.backup(backend, CommitTarget::Profiles(*p))?;
-            }
-            true
-        } else {
-            false
-        };
+        // Pre-images are staged sequentially, in partition order,
+        // before any worker mutates — the backup traffic is
+        // thread-count-invariant and every touched stream is
+        // restorable whatever op the crash lands on.
+        for (p, _) in &groups {
+            txn.backup(backend, CommitTarget::Profiles(*p))?;
+        }
         par::run_indexed(groups.len(), threads, |idx| {
             let (p, partition_deltas) = &groups[idx];
             let stream = StreamId::Profiles(*p);
@@ -189,9 +182,6 @@ impl UpdateQueue {
             write_user_lists(backend, stream, &new_rows)?;
             Ok(())
         })?;
-        if !committing {
-            backend.truncate_updates()?;
-        }
         Ok((result, updated_users, raw))
     }
 
@@ -233,6 +223,19 @@ mod tests {
     use knn_sim::{DeltaOp, ItemId, ProfileStore};
     use knn_store::MemBackend;
 
+    /// Applies the queue and commits, as one engine iteration does.
+    fn apply(
+        q: &mut UpdateQueue,
+        p: &Partitioning,
+        b: &MemBackend,
+        threads: usize,
+    ) -> (Phase5Stats, Vec<u32>) {
+        let mut txn = CommitTxn::new(0);
+        let (stats, updated, consumed) = q.apply_all(p, b, threads, &mut txn).unwrap();
+        txn.commit(b, 1, &consumed).unwrap();
+        (stats, updated)
+    }
+
     fn setup(n: usize, m: usize) -> (MemBackend, Partitioning, UpdateQueue) {
         let b = MemBackend::new();
         let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
@@ -271,7 +274,7 @@ mod tests {
             .unwrap();
         q.queue(&ProfileDelta::set(UserId::new(3), ItemId::new(6), 3.0), &b)
             .unwrap();
-        let (st, updated, _) = q.apply_all(&p, &b, 1, None).unwrap();
+        let (st, updated) = apply(&mut q, &p, &b, 1);
         assert_eq!(st.updates_applied, 2);
         assert_eq!(st.partitions_rewritten, 1);
         assert_eq!(updated, vec![0, 3], "updated users sorted and deduped");
@@ -291,7 +294,7 @@ mod tests {
             .unwrap();
         q.queue(&ProfileDelta::set(u, ItemId::new(1), 7.0), &b)
             .unwrap();
-        let (_, updated, _) = q.apply_all(&p, &b, 1, None).unwrap();
+        let (_, updated) = apply(&mut q, &p, &b, 1);
         assert_eq!(
             updated,
             vec![0],
@@ -306,9 +309,9 @@ mod tests {
         let (b, p, mut q) = setup(2, 1);
         q.queue(&ProfileDelta::set(UserId::new(1), ItemId::new(0), 1.0), &b)
             .unwrap();
-        q.apply_all(&p, &b, 1, None).unwrap();
+        apply(&mut q, &p, &b, 1);
         assert_eq!(q.pending(&b).unwrap(), 0);
-        let (st, updated, _) = q.apply_all(&p, &b, 1, None).unwrap();
+        let (st, updated) = apply(&mut q, &p, &b, 1);
         assert_eq!(st.updates_applied, 0);
         assert!(updated.is_empty());
     }
@@ -320,10 +323,10 @@ mod tests {
         let full = Profile::from_unsorted_pairs(vec![(1, 1.0), (2, 2.0)]).unwrap();
         q.queue(&ProfileDelta::replace(u, full.clone()), &b)
             .unwrap();
-        q.apply_all(&p, &b, 1, None).unwrap();
+        apply(&mut q, &p, &b, 1);
         assert_eq!(UpdateQueue::read_profile(u, &p, &b).unwrap(), full);
         q.queue(&ProfileDelta::new(u, DeltaOp::Clear), &b).unwrap();
-        q.apply_all(&p, &b, 1, None).unwrap();
+        apply(&mut q, &p, &b, 1);
         assert!(UpdateQueue::read_profile(u, &p, &b).unwrap().is_empty());
     }
 
@@ -341,7 +344,7 @@ mod tests {
                 )
                 .unwrap();
             }
-            let (st, _, _) = q.apply_all(&p, &b, threads, None).unwrap();
+            let (st, _) = apply(&mut q, &p, &b, threads);
             let streams: Vec<Vec<u8>> = (0..4u32)
                 .map(|part| b.read(StreamId::Profiles(part)).unwrap())
                 .collect();
@@ -362,7 +365,7 @@ mod tests {
         q.queue(&ProfileDelta::set(UserId::new(0), ItemId::new(5), 2.0), &b)
             .unwrap();
         let mut txn = CommitTxn::new(7);
-        let (st, _, raw) = q.apply_all(&p, &b, 1, Some(&mut txn)).unwrap();
+        let (st, _, raw) = q.apply_all(&p, &b, 1, &mut txn).unwrap();
         assert_eq!(st.partitions_rewritten, 1);
         // Only the touched partition is staged, under the txn epoch,
         // holding the pre-image; the log is left for the commit step.
@@ -378,7 +381,7 @@ mod tests {
         assert_eq!(
             q.pending(&b).unwrap(),
             1,
-            "log not truncated in commit mode"
+            "log truncation is left to the commit"
         );
     }
 

@@ -235,9 +235,9 @@ impl ShardedEngine {
 
     /// Reopens a sharded engine from shard backends previously
     /// populated by a sharded constructor **with the same shard
-    /// count** (stream placement is a pure function of the ring). With
-    /// [`EngineConfig::commit_protocol`] on, crash recovery runs first
-    /// — through the router, so every shard's streams converge to the
+    /// count** (stream placement is a pure function of the ring). Crash
+    /// recovery runs first — through the router, so every shard's
+    /// streams converge to the
     /// common committed generation before any state is trusted (the
     /// commit record lives on shard 0; each staged backup lives with
     /// its target's owner).

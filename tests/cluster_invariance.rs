@@ -48,7 +48,11 @@ fn deterministic_fields(r: &IterationReport) -> impl PartialEq + std::fmt::Debug
         r.schedule_len,
         (r.sims_computed, r.sims_skipped, r.sims_pruned),
         r.accums_seeded,
-        (r.bytes_spilled, r.spill_runs, r.merge_passes),
+        (
+            r.phase_io[1].spill_bytes,
+            r.phase_io[1].spill_runs,
+            r.phase_io[1].merge_passes,
+        ),
         r.updates_applied,
         (r.replication_cost, r.intra_partition_tuples),
         r.changed_fraction.to_bits(),

@@ -466,31 +466,21 @@ fn transient_fault_storms_are_absorbed_by_the_retry_policy() {
 
 /// A pre-protocol working directory (no commit record, no staged
 /// streams) resumes under the protocol untouched, and the first
-/// committed iteration upgrades it in place.
+/// committed iteration upgrades it in place. At rest, the commit
+/// record is the only stream the protocol adds, so deleting it from a
+/// committed run yields exactly the pre-protocol layout.
 #[test]
 fn legacy_layout_resumes_under_the_protocol() {
     let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-    let legacy_config = EngineConfig::builder(N)
-        .k(K)
-        .num_partitions(M)
-        .measure(Measure::Cosine)
-        .prune_pairs(false)
-        .commit_protocol(false)
-        .seed(SEED)
-        .build()
-        .unwrap();
     let mut legacy =
-        KnnEngine::new_on(legacy_config, workload(), Arc::clone(&backend)).expect("legacy build");
+        KnnEngine::new_on(config(), workload(), Arc::clone(&backend)).expect("legacy build");
     legacy.queue_update(&update_for(0)).unwrap();
     legacy.run_iteration().expect("legacy iteration");
     legacy.queue_update(&update_for(1)).unwrap();
     legacy.run_iteration().expect("legacy iteration");
     let carried = legacy.graph().clone();
     drop(legacy);
-    assert!(
-        !backend.exists(StreamId::Commit),
-        "protocol-off runs must not write commit records"
-    );
+    backend.delete(StreamId::Commit).unwrap();
 
     let mut resumed = KnnEngine::resume_on(config(), Arc::clone(&backend)).expect("resume");
     let recovery = resumed.recovery_report().expect("recovery ran").clone();

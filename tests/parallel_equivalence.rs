@@ -52,11 +52,11 @@ fn config(n: usize, k: usize, m: usize, seed: u64, threads: usize) -> EngineConf
 /// (`sims_skipped`, `sims_pruned`, `accums_seeded`) are part of the
 /// determinism contract: suppression and bound decisions are taken on
 /// the driving thread against bucket-start state, so they must not
-/// depend on thread count or backend either. The spill counters
-/// (`bytes_spilled`, `spill_runs`, `merge_passes`) are pinned the same
-/// way: spilling is per scan table and the merge is per bucket, so
-/// the traffic is a pure function of the workload (`phase_io` pins the
-/// same meters again at the IoSnapshot level).
+/// depend on thread count or backend either. The phase-2 spill
+/// counters (`phase_io[1]`'s `spill_bytes`, `spill_runs`,
+/// `merge_passes`) are pinned the same way: spilling is per scan table
+/// and the merge is per bucket, so the traffic is a pure function of
+/// the workload.
 fn deterministic_fields(r: &IterationReport) -> impl PartialEq + std::fmt::Debug {
     (
         r.iteration,
@@ -67,7 +67,11 @@ fn deterministic_fields(r: &IterationReport) -> impl PartialEq + std::fmt::Debug
         r.schedule_len,
         (r.sims_computed, r.sims_skipped, r.sims_pruned),
         r.accums_seeded,
-        (r.bytes_spilled, r.spill_runs, r.merge_passes),
+        (
+            r.phase_io[1].spill_bytes,
+            r.phase_io[1].spill_runs,
+            r.phase_io[1].merge_passes,
+        ),
         r.updates_applied,
         // Partition locality (replication cost, intra-partition tuple
         // count) is a function of the partitioning and the tuple set
@@ -142,7 +146,7 @@ fn thread_count_and_backend_never_change_the_computation() {
             .map(|(_, _, e)| e.run_iteration().expect("iteration"))
             .collect();
         assert!(
-            reports[0].bytes_spilled > 0 && reports[0].merge_passes > 0,
+            reports[0].phase_io[1].spill_bytes > 0 && reports[0].phase_io[1].merge_passes > 0,
             "iteration {iteration}: the spill/merge path was not exercised"
         );
 

@@ -75,7 +75,11 @@ fn deterministic_fields(r: &IterationReport) -> impl PartialEq + std::fmt::Debug
         r.schedule_len,
         (r.sims_computed, r.sims_skipped, r.sims_pruned),
         r.accums_seeded,
-        (r.bytes_spilled, r.spill_runs, r.merge_passes),
+        (
+            r.phase_io[1].spill_bytes,
+            r.phase_io[1].spill_runs,
+            r.phase_io[1].merge_passes,
+        ),
         r.updates_applied,
         (r.replication_cost, r.intra_partition_tuples),
         r.changed_fraction.to_bits(),
@@ -190,7 +194,7 @@ fn shard_count_never_changes_the_computation() {
         }
         let ref_report = reference.run_iteration().expect("iteration");
         assert!(
-            ref_report.bytes_spilled > 0 && ref_report.merge_passes > 0,
+            ref_report.phase_io[1].spill_bytes > 0 && ref_report.phase_io[1].merge_passes > 0,
             "iteration {iteration}: the spill/merge path was not exercised"
         );
         for (label, engine) in &mut engines {
