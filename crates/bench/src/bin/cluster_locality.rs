@@ -6,8 +6,9 @@
 //! cluster-seeded `G(0)` (the `knn-cluster` pre-pass drives both).
 //!
 //! Part 1 measures the I/O side on identical tuple workloads: spill
-//! bytes in a single process, exchange bytes across a sharded fabric,
-//! the intra-partition tuple fraction, and the replication objective.
+//! bytes, the intra-partition tuple fraction, and the replication
+//! objective; a sharded twin of each variant must land on the same
+//! graph.
 //! Part 2 measures the initialization side: iterations needed to reach
 //! the pinned `recall_regression.rs` floors from a random versus a
 //! cluster-seeded start, and the converged recall of both (the floors
@@ -82,8 +83,6 @@ fn config(
 struct LocalityRun {
     variant: &'static str,
     bytes_spilled: Vec<u64>,
-    exchange_bytes: Vec<u64>,
-    exchange_tuples: Vec<u64>,
     replication_cost: Vec<u64>,
     intra_fraction: Vec<f64>,
 }
@@ -177,7 +176,7 @@ fn main() {
     );
     let started = Instant::now();
 
-    // ---- Part 1: spill + exchange traffic, paired and alternating.
+    // ---- Part 1: spill traffic, paired and alternating.
     // Both variants run in lockstep in this one process: the same
     // workload bytes, the same iteration cadence, only placement and
     // G(0) differ.
@@ -192,8 +191,6 @@ fn main() {
                 LocalityRun {
                     variant: v.name,
                     bytes_spilled: Vec::new(),
-                    exchange_bytes: Vec::new(),
-                    exchange_tuples: Vec::new(),
                     replication_cost: Vec::new(),
                     intra_fraction: Vec::new(),
                 },
@@ -215,9 +212,7 @@ fn main() {
             run.replication_cost.push(report.replication_cost);
             run.intra_fraction
                 .push(report.intra_partition_tuple_fraction());
-            let sharded_report = shard_engine.run_iteration().expect("sharded iteration");
-            run.exchange_bytes.push(sharded_report.exchange.bytes);
-            run.exchange_tuples.push(sharded_report.exchange.tuples);
+            shard_engine.run_iteration().expect("sharded iteration");
         }
     }
     // The determinism contract, checked in anger: the sharded twin of
@@ -235,25 +230,12 @@ fn main() {
         sum(&single[0].1.bytes_spilled),
         sum(&single[1].1.bytes_spilled),
     );
-    let exchange_reduction = reduction(
-        sum(&single[0].1.exchange_bytes),
-        sum(&single[1].1.exchange_bytes),
-    );
 
-    let mut table = TextTable::new(&[
-        "variant",
-        "spilled B",
-        "xchg B",
-        "xchg tuples",
-        "repl cost",
-        "intra frac",
-    ]);
+    let mut table = TextTable::new(&["variant", "spilled B", "repl cost", "intra frac"]);
     for (_, run) in &single {
         table.row(&[
             run.variant.to_string(),
             sum(&run.bytes_spilled).to_string(),
-            sum(&run.exchange_bytes).to_string(),
-            sum(&run.exchange_tuples).to_string(),
             sum(&run.replication_cost).to_string(),
             format!(
                 "{:.3}",
@@ -262,11 +244,7 @@ fn main() {
         ]);
     }
     eprintln!("{}", table.render());
-    eprintln!(
-        "spill bytes: -{:.1}%   exchange bytes: -{:.1}%",
-        spill_reduction * 100.0,
-        exchange_reduction * 100.0
-    );
+    eprintln!("spill bytes: -{:.1}%", spill_reduction * 100.0);
 
     // ---- Part 2: iterations-to-floor from random vs cluster-seeded
     // G(0), on the exact workloads and floors recall_regression.rs
@@ -314,11 +292,9 @@ fn main() {
         .iter()
         .map(|(_, run)| {
             format!(
-                r#"{{"variant":"{}","bytes_spilled":[{}],"exchange_bytes":[{}],"exchange_tuples":[{}],"replication_cost":[{}],"intra_partition_tuple_fraction":[{}]}}"#,
+                r#"{{"variant":"{}","bytes_spilled":[{}],"replication_cost":[{}],"intra_partition_tuple_fraction":[{}]}}"#,
                 run.variant,
                 join_u64(&run.bytes_spilled),
-                join_u64(&run.exchange_bytes),
-                join_u64(&run.exchange_tuples),
                 join_u64(&run.replication_cost),
                 join_f64(&run.intra_fraction),
             )
@@ -349,11 +325,10 @@ fn main() {
         })
         .collect();
     println!(
-        r#"{{"bench":"cluster_locality","users":{n},"k":{k},"partitions":{m},"shards":{shards},"threads":{threads},"seed":{seed},"iters":{iters},"wall_s":{:.2},"locality":{{"graphs_equal":true,"runs":[{}],"spill_bytes_reduction":{:.4},"exchange_bytes_reduction":{:.4}}},"convergence":[{}]}}"#,
+        r#"{{"bench":"cluster_locality","users":{n},"k":{k},"partitions":{m},"shards":{shards},"threads":{threads},"seed":{seed},"iters":{iters},"wall_s":{:.2},"locality":{{"graphs_equal":true,"runs":[{}],"spill_bytes_reduction":{:.4}}},"convergence":[{}]}}"#,
         started.elapsed().as_secs_f64(),
         locality_json.join(","),
         spill_reduction,
-        exchange_reduction,
         floor_json.join(",")
     );
 }

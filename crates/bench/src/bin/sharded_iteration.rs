@@ -1,17 +1,14 @@
-//! **Experiment S6 — sharded iteration: exchange volume and overhead.**
+//! **Experiment S6 — sharded iteration: overhead of the shard layer.**
 //!
 //! Runs the same seeded workload through a 1-shard and an N-shard
 //! [`ShardedEngine`] **in one process**, in lockstep: after every
 //! iteration the two graphs are asserted equal (the shard-count
 //! determinism contract, checked in anger), the summed I/O meters are
-//! asserted equal at the end, and the JSON records what sharding
-//! *adds* — the per-iteration cross-shard exchange traffic (payloads,
-//! tuples, encoded bytes, spill-run payloads) that the fabric moves
-//! and a single process never pays.
+//! asserted equal at the end, and the JSON records the iteration time
+//! each shard count takes relative to one shard.
 //!
-//! Runs on per-shard `MemBackend`s so the numbers isolate the
-//! exchange/merge overhead of the shard layer rather than disk
-//! latency.
+//! Runs on per-shard `MemBackend`s so the numbers isolate the routing
+//! overhead of the shard layer rather than disk latency.
 //!
 //! Emits one JSON document on stdout (committed as
 //! `BENCH_shards.json`) and a human-readable table on stderr.
@@ -32,10 +29,6 @@ struct Run {
     users: usize,
     shards: usize,
     iter_ms: Vec<f64>,
-    exchange_payloads: Vec<u64>,
-    exchange_spill_payloads: Vec<u64>,
-    exchange_tuples: Vec<u64>,
-    exchange_bytes: Vec<u64>,
     tuples_unique: Vec<u64>,
     edges: usize,
 }
@@ -107,10 +100,6 @@ fn main() {
                 users: n,
                 shards,
                 iter_ms: Vec::with_capacity(iters),
-                exchange_payloads: Vec::with_capacity(iters),
-                exchange_spill_payloads: Vec::with_capacity(iters),
-                exchange_tuples: Vec::with_capacity(iters),
-                exchange_bytes: Vec::with_capacity(iters),
                 tuples_unique: Vec::with_capacity(iters),
                 edges: 0,
             })
@@ -121,11 +110,6 @@ fn main() {
                 let t0 = Instant::now();
                 let report = engine.run_iteration().expect("iteration");
                 run.iter_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                run.exchange_payloads.push(report.exchange.payloads);
-                run.exchange_spill_payloads
-                    .push(report.exchange.spill_payloads);
-                run.exchange_tuples.push(report.exchange.tuples);
-                run.exchange_bytes.push(report.exchange.bytes);
                 run.tuples_unique.push(report.report.tuples.unique);
             }
             for engine in engines.iter().skip(1) {
@@ -151,27 +135,15 @@ fn main() {
         }
     }
 
-    let mut table = TextTable::new(&[
-        "users",
-        "shards",
-        "mean iter ms",
-        "vs 1-shard",
-        "xchg payloads/iter",
-        "xchg tuples/iter",
-        "xchg KiB/iter",
-    ]);
+    let mut table = TextTable::new(&["users", "shards", "mean iter ms", "vs 1-shard"]);
     for group in runs.chunks(shard_counts.len()) {
         let base = mean(&group[0].iter_ms);
         for r in group {
-            let per_iter = |xs: &[u64]| xs.iter().sum::<u64>() as f64 / xs.len().max(1) as f64;
             table.row(&[
                 r.users.to_string(),
                 r.shards.to_string(),
                 format!("{:.1}", mean(&r.iter_ms)),
                 format!("{:.2}x", mean(&r.iter_ms) / base),
-                format!("{:.0}", per_iter(&r.exchange_payloads)),
-                format!("{:.0}", per_iter(&r.exchange_tuples)),
-                format!("{:.1}", per_iter(&r.exchange_bytes) / 1024.0),
             ]);
         }
     }
@@ -189,16 +161,12 @@ fn main() {
                         .join(",")
                 };
                 format!(
-                    r#"{{"users":{},"shards":{},"iter_ms":[{}],"mean_iter_ms":{:.2},"overhead_vs_1shard":{:.3},"exchange_payloads":[{}],"exchange_spill_payloads":[{}],"exchange_tuples":[{}],"exchange_bytes":[{}],"tuples_unique":[{}],"graphs_equal":true,"edges":{}}}"#,
+                    r#"{{"users":{},"shards":{},"iter_ms":[{}],"mean_iter_ms":{:.2},"overhead_vs_1shard":{:.3},"tuples_unique":[{}],"graphs_equal":true,"edges":{}}}"#,
                     r.users,
                     r.shards,
                     fmt_ms(&r.iter_ms),
                     mean(&r.iter_ms),
                     mean(&r.iter_ms) / base,
-                    join_u64(&r.exchange_payloads),
-                    join_u64(&r.exchange_spill_payloads),
-                    join_u64(&r.exchange_tuples),
-                    join_u64(&r.exchange_bytes),
                     join_u64(&r.tuples_unique),
                     r.edges
                 )

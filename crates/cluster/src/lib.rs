@@ -28,11 +28,10 @@
 //!
 //! Exactness is untouched: clustering only changes *placement and
 //! initialization*. The converged graph is the same mathematical
-//! object either way; only the route there (spill bytes, cross-shard
-//! exchange volume, iteration count) improves. Everything here is
-//! single-threaded and seeded, so outputs are identical at every
-//! thread count and on every platform — the determinism contract the
-//! engine extends over these artifacts.
+//! object either way; only the route there (spill bytes, iteration
+//! count) improves. Everything here is single-threaded and seeded, so
+//! outputs are identical at every thread count and on every platform —
+//! the determinism contract the engine extends over these artifacts.
 //!
 //! ```
 //! use knn_cluster::{cluster_profiles, ClusterMethod};

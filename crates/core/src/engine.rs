@@ -83,44 +83,9 @@ pub struct KnnEngine {
     /// engine, resume) or suppression is disabled — the next
     /// iteration then re-scores everything.
     prune: Option<PruneState>,
-    /// Phase-2 override (see [`Phase2Provider`]); `None` runs the
-    /// built-in single-backend pipeline.
-    phase2_provider: Option<Box<dyn Phase2Provider>>,
-    /// I/O meter override for the per-phase report brackets; `None`
-    /// reads this engine's backend stats. A sharded driver installs a
-    /// closure summing its shard meters so phase I/O deltas cover
-    /// every backend the iteration touched.
-    io_meter: Option<Arc<dyn Fn() -> IoSnapshot + Send + Sync>>,
     /// What crash recovery found when this engine was resumed; `None`
     /// for fresh engines.
     recovery: Option<RecoveryReport>,
-}
-
-/// Pluggable phase-2 implementation. The engine driver calls this in
-/// place of [`phase2::generate_tuples`] when installed via
-/// [`KnnEngine::set_phase2_provider`] — the hook a sharded driver uses
-/// to scan partitions on per-shard backends, exchange foreign buckets,
-/// and merge at each bucket's owner, while phases 1/3/4/5 run
-/// unchanged against the routing backend.
-///
-/// Implementations own their storage handles (the engine passes no
-/// backend) and must uphold the determinism contract: for a given
-/// partitioning and edge streams, the persisted tuple buckets and the
-/// returned [`Phase2Output`](phase2::Phase2Output) must equal what the
-/// built-in pipeline would produce.
-pub trait Phase2Provider: Send {
-    /// Runs phase 2 for the current iteration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Store`] on I/O failure, like
-    /// [`phase2::generate_tuples`].
-    fn generate_tuples(
-        &mut self,
-        partitioning: &Partitioning,
-        options: &phase2::Phase2Options,
-        additions: Option<&EdgeAdditions>,
-    ) -> Result<phase2::Phase2Output, EngineError>;
 }
 
 /// Outcome of [`KnnEngine::verify`]: how many invariants were checked
@@ -592,8 +557,6 @@ impl KnnEngine {
             reports: Vec::new(),
             clusters,
             prune: None,
-            phase2_provider: None,
-            io_meter: None,
             recovery: None,
         };
         engine.persist_state(None)?;
@@ -681,8 +644,6 @@ impl KnnEngine {
             // iteration's scoring, so the first iteration re-scores
             // everything (suppression resumes one iteration later).
             prune: None,
-            phase2_provider: None,
-            io_meter: None,
             recovery: Some(recovery),
         })
     }
@@ -849,7 +810,7 @@ impl KnnEngine {
         })?;
 
         // Between iterations no staged backups, spill runs, or
-        // exchange runs should survive — a leftover means an
+        // legacy exchange runs should survive — a leftover means an
         // interrupted commit or GC. Bucket streams legitimately rest
         // between iterations, so they are not leftovers.
         let leftovers = backend
@@ -869,28 +830,10 @@ impl KnnEngine {
         Ok(report)
     }
 
-    /// Cumulative I/O counters (metered inside the storage backend),
-    /// or whatever the installed [`io meter`](KnnEngine::set_io_meter)
-    /// reports.
+    /// Cumulative I/O counters, metered inside the storage backend
+    /// (see [`StorageBackend::io_snapshot`]).
     pub fn io_snapshot(&self) -> IoSnapshot {
-        match &self.io_meter {
-            Some(meter) => meter(),
-            None => self.backend.stats().snapshot(),
-        }
-    }
-
-    /// Installs (or clears) a [`Phase2Provider`] overriding the
-    /// built-in phase-2 pipeline on subsequent iterations.
-    pub fn set_phase2_provider(&mut self, provider: Option<Box<dyn Phase2Provider>>) {
-        self.phase2_provider = provider;
-    }
-
-    /// Installs (or clears) the I/O meter backing
-    /// [`io_snapshot`](KnnEngine::io_snapshot) and the per-phase
-    /// [`IterationReport`] I/O brackets. Use when iteration I/O lands
-    /// on backends other than this engine's own (sharding).
-    pub fn set_io_meter(&mut self, meter: Option<Arc<dyn Fn() -> IoSnapshot + Send + Sync>>) {
-        self.io_meter = meter;
+        self.backend.io_snapshot()
     }
 
     /// The storage backend this engine runs on.
@@ -1078,14 +1021,8 @@ impl KnnEngine {
             threads: self.config.threads(),
         };
         let additions = prune_state.map(|st| &st.additions);
-        let phase2_out = match self.phase2_provider.as_mut() {
-            Some(provider) => {
-                provider.generate_tuples(&self.partitioning, &phase2_options, additions)?
-            }
-            None => {
-                phase2::generate_tuples(&self.partitioning, backend, &phase2_options, additions)?
-            }
-        };
+        let phase2_out =
+            phase2::generate_tuples(&self.partitioning, backend, &phase2_options, additions)?;
         durations[1] = t0.elapsed();
         io[1] = self.io_snapshot() - before;
         // Partition locality of this iteration's tuple volume: the

@@ -77,11 +77,11 @@
 //! threads × backends.
 //!
 //! The `knn-shard` crate extends the same contract across **shard
-//! counts**: a sharded engine scans partitions on per-shard backends,
-//! exchanges foreign buckets as extra merge inputs (via the
-//! [`Phase2Provider`] hook), and produces bucket streams, graphs,
-//! reports, and summed I/O totals byte/value-identical to one process
-//! — pinned by the `shard_equivalence` suite.
+//! counts**, by placement alone: the unmodified engine runs over a
+//! routing [`StorageBackend`](knn_store::StorageBackend) that stores
+//! each stream on its owning shard, so bucket streams, graphs,
+//! reports, and summed I/O totals are byte/value-identical to one
+//! process — pinned by the `shard_equivalence` suite.
 //!
 //! # Durability
 //!
@@ -112,7 +112,7 @@
 //!   clusters into partitions; the right choice when profiles have
 //!   community structure, where it concentrates tuples on the PI
 //!   diagonal (watch `IterationReport::intra_partition_tuples` rise
-//!   and phase-2 spill bytes / cross-shard exchange fall). Requires the
+//!   and phase-2 spill bytes fall). Requires the
 //!   engine to run the pre-pass (it does automatically; the bare
 //!   `instantiate` errors). Pair with
 //!   [`EngineConfig::cluster_init`](config::EngineConfig::cluster_init)
@@ -215,7 +215,7 @@ mod phase5;
 mod pigraph;
 
 pub use config::{EngineConfig, EngineConfigBuilder};
-pub use engine::{KnnEngine, Phase2Provider, ScrubReport};
+pub use engine::{KnnEngine, ScrubReport};
 pub use error::EngineError;
 pub use metrics::IterationReport;
 pub use partition::{Partitioner, PartitionerKind, Partitioning};

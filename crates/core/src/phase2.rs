@@ -90,8 +90,7 @@ pub fn generate_tuples(
     additions: Option<&EdgeAdditions>,
 ) -> Result<Phase2Output, EngineError> {
     backend.clear_tuples()?;
-    let all: Vec<u32> = (0..partitioning.num_partitions() as u32).collect();
-    let parts = scan_tables(partitioning, backend, options, additions, &all)?;
+    let parts = scan_tables(partitioning, backend, options, additions)?;
     let (pi, stats, tuple_meta) = merge_parts(backend, partitioning, parts, options.threads)?;
     Ok(Phase2Output {
         pi,
@@ -100,29 +99,17 @@ pub fn generate_tuples(
     })
 }
 
-/// Scans the given `partitions`, returning one
-/// [`TableParts`](crate::tuple_table::TableParts) per partition in the
-/// given order. This is [`generate_tuples`]'s scan half, exposed so a
-/// sharded driver can scan only the partitions a shard owns, extract
-/// the foreign buckets, and feed the rest into
-/// [`crate::tuple_table::merge_parts_with_exchange`]. Each table's run
-/// namespace is its **partition id** (not its slot in `partitions`),
-/// so spill-run stream names are identical however partitions are
-/// divided among callers.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Store`] on I/O failure or corrupt edge
-/// streams.
-pub fn scan_tables(
+/// [`generate_tuples`]'s scan half: scans every partition, returning
+/// one [`TableParts`](crate::tuple_table::TableParts) per partition.
+/// Each table's run namespace is its partition id.
+fn scan_tables(
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
     options: &Phase2Options,
     additions: Option<&EdgeAdditions>,
-    partitions: &[u32],
 ) -> Result<Vec<crate::tuple_table::TableParts>, EngineError> {
-    par::run_indexed(partitions.len(), options.threads, |idx| {
-        let p = partitions[idx];
+    par::run_indexed(partitioning.num_partitions(), options.threads, |idx| {
+        let p = idx as u32;
         let mut table =
             TupleTable::with_namespace(backend, partitioning, options.spill_threshold, p)
                 .with_memory_budget(options.tuple_table_memory);

@@ -188,26 +188,6 @@ impl BucketMeta {
     fn insert(&mut self, bucket: (u32, u32), bytes: Vec<u8>) {
         self.bytes.insert(bucket, bytes);
     }
-
-    /// Folds another meta set into this one. The two bucket sets must
-    /// be disjoint — every bucket is merged by exactly one owner — so
-    /// absorbing the per-shard outputs of a sharded phase 2 rebuilds
-    /// the same map a single-process merge would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` carries a bucket this set already holds.
-    pub fn absorb(&mut self, other: BucketMeta) {
-        for (bucket, bytes) in other.bytes {
-            let clash = self.bytes.insert(bucket, bytes);
-            assert!(
-                clash.is_none(),
-                "bucket ({}, {}) merged by two owners",
-                bucket.0,
-                bucket.1
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -838,120 +818,11 @@ impl LoserTree {
 }
 
 /// One bucket's pending merge input: staged blocks and spill runs from
-/// every contributing table, in namespace order, plus any exchange
-/// streams received from other shards.
+/// every contributing table, in namespace order.
 struct BucketWork {
     key: (u32, u32),
     staged: Vec<TupleColumns>,
-    runs: Vec<(u32, u32)>,      // (namespace, run count)
-    exchange: Vec<(u32, bool)>, // (arrival seq, originated as a spill run)
-}
-
-/// One canonical-pair payload extracted for cross-shard exchange: the
-/// sorted unique rows of a staged block or a spill run whose bucket is
-/// owned by another shard, encoded as a TuplesV2 stream payload (full
-/// meta nibble, same codec as spill runs). Produced by
-/// [`extract_foreign_payloads`], persisted by the owner as a
-/// [`StreamId::ExchangeRun`], and merged via
-/// [`merge_parts_with_exchange`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForeignPayload {
-    /// The destination bucket `(i, j)`.
-    pub bucket: (u32, u32),
-    /// Whether the payload originated as a spill run rather than a
-    /// staged block — the owner's merge-pass accounting depends on it
-    /// (a bucket records a merge pass exactly when some contributing
-    /// table spilled, local or not).
-    pub from_spill: bool,
-    /// Canonical rows carried (sorted, unique).
-    pub rows: u64,
-    /// The unframed TuplesV2 stream payload.
-    pub bytes: Vec<u8>,
-}
-
-/// One received exchange stream feeding a bucket merge: the payload
-/// was persisted as `StreamId::ExchangeRun(bucket.0, bucket.1, seq)`
-/// by the owning shard before merging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExchangeSource {
-    /// The bucket the stream belongs to.
-    pub bucket: (u32, u32),
-    /// Arrival sequence number (the third `ExchangeRun` coordinate).
-    pub seq: u32,
-    /// See [`ForeignPayload::from_spill`].
-    pub from_spill: bool,
-}
-
-/// Extracts every staged block and spill run whose bucket is **not**
-/// local (per `is_local` over bucket keys) out of `parts`, returning
-/// them as encoded [`ForeignPayload`]s for the exchange fabric. The
-/// sharded phase 2 calls this between the partition scans and the
-/// bucket merge; a single-process run never does (everything is
-/// local).
-///
-/// Foreign staged blocks are deduplicated (keyed through
-/// `partitioning`, like every dedup), then encoded; foreign spill runs
-/// are drained
-/// through the same bounded [`StorageBackend::read_chunk`] window the
-/// local merge would use — so the metered read traffic for a spilled
-/// bucket is identical whether its owner is local or remote — then
-/// re-encoded and deleted. Payload order is deterministic: parts in
-/// namespace order, buckets in ascending key order, staged blocks
-/// before runs.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Store`] on I/O failure or a corrupt run.
-pub fn extract_foreign_payloads(
-    backend: &dyn StorageBackend,
-    partitioning: &Partitioning,
-    parts: &mut [TableParts],
-    is_local: impl Fn((u32, u32)) -> bool,
-) -> Result<Vec<ForeignPayload>, EngineError> {
-    let mut order: Vec<usize> = (0..parts.len()).collect();
-    order.sort_by_key(|&i| parts[i].namespace);
-    let mut payloads = Vec::new();
-    for idx in order {
-        let part = &mut parts[idx];
-        let (local, foreign): (Vec<_>, Vec<_>) = std::mem::take(&mut part.staging)
-            .into_iter()
-            .partition(|&(key, _)| is_local(key));
-        part.staging = local;
-        for (key, staged) in foreign {
-            let rows = dedup_bucket(partitioning, key, &[staged]);
-            payloads.push(ForeignPayload {
-                bucket: key,
-                from_spill: false,
-                rows: rows.len() as u64,
-                bytes: rows.encode().finish().to_vec(),
-            });
-        }
-        let foreign_runs: Vec<((u32, u32), u32)> = part
-            .spilled
-            .iter()
-            .filter(|&(&key, _)| !is_local(key))
-            .map(|(&key, &runs)| (key, runs))
-            .collect();
-        for (key, runs) in foreign_runs {
-            part.spilled.remove(&key);
-            for run in 0..runs {
-                let stream = StreamId::TupleRun(key.0, key.1, part.namespace * RUN_STRIDE + run);
-                let mut reader = ChunkedRunReader::open(backend, stream, RUN_CHUNK_BYTES)?;
-                let mut writer = TupleStreamWriter::new();
-                while let Some((u, v, meta)) = reader.next()? {
-                    writer.push(u, v, meta);
-                }
-                backend.delete(stream)?;
-                payloads.push(ForeignPayload {
-                    bucket: key,
-                    from_spill: true,
-                    rows: writer.len(),
-                    bytes: writer.finish().to_vec(),
-                });
-            }
-        }
-    }
-    Ok(payloads)
+    runs: Vec<(u32, u32)>, // (namespace, run count)
 }
 
 /// Merges the parts of every scan table into the final bucket streams:
@@ -980,39 +851,8 @@ pub fn extract_foreign_payloads(
 pub fn merge_parts(
     backend: &dyn StorageBackend,
     partitioning: &Partitioning,
-    parts: Vec<TableParts>,
-    threads: usize,
-) -> Result<(PiGraph, TupleTableStats, BucketMeta), EngineError> {
-    merge_parts_with_exchange(backend, partitioning, parts, threads, Vec::new())
-}
-
-/// [`merge_parts`] extended with received exchange streams: each
-/// [`ExchangeSource`] is one foreign run persisted as a
-/// [`StreamId::ExchangeRun`], opened as an additional loser-tree input
-/// of its bucket's merge — exactly like a local spill run, through the
-/// same bounded refill window. Exchange streams are deleted once their
-/// bucket merges, like runs.
-///
-/// A bucket records a merge pass when it merges local spill runs **or**
-/// an exchange stream that originated as one (`from_spill`) — the same
-/// "some contributing table spilled" predicate a single-process merge
-/// applies, so summed merge-pass counts are shard-count-invariant.
-///
-/// With exchange sources present, a shard's `offered` counts only its
-/// own scans while `unique` counts the buckets it owns, so the
-/// per-shard `duplicates` field is meaningless in isolation (it
-/// saturates at 0); callers aggregate `offered` and `unique` across
-/// shards and derive the global `duplicates` from the sums.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Store`] on I/O failure.
-pub fn merge_parts_with_exchange(
-    backend: &dyn StorageBackend,
-    partitioning: &Partitioning,
     mut parts: Vec<TableParts>,
     threads: usize,
-    exchange: Vec<ExchangeSource>,
 ) -> Result<(PiGraph, TupleTableStats, BucketMeta), EngineError> {
     parts.sort_by_key(|p| p.namespace);
     let mut counters = TupleTableStats::default();
@@ -1021,7 +861,6 @@ pub fn merge_parts_with_exchange(
         key,
         staged: Vec::new(),
         runs: Vec::new(),
-        exchange: Vec::new(),
     };
     for part in parts {
         counters.offered += part.counters.offered;
@@ -1034,14 +873,6 @@ pub fn merge_parts_with_exchange(
             let entry = work.entry(key).or_insert_with(|| new_bucket(key));
             entry.runs.push((part.namespace, runs));
         }
-    }
-    for source in exchange {
-        // Foreign-only buckets have no local part entry; they still
-        // merge (and count) at their owner.
-        let entry = work
-            .entry(source.bucket)
-            .or_insert_with(|| new_bucket(source.bucket));
-        entry.exchange.push((source.seq, source.from_spill));
     }
 
     let keys: Vec<(u32, u32)> = work.keys().copied().collect();
@@ -1082,21 +913,15 @@ fn merge_bucket(
             })
         })
         .collect();
-    let exchange_streams: Vec<StreamId> = work
-        .exchange
-        .iter()
-        .map(|&(seq, _)| StreamId::ExchangeRun(work.key.0, work.key.1, seq))
-        .collect();
 
-    let mut sources: Vec<MergeSource> =
-        Vec::with_capacity(run_streams.len() + exchange_streams.len() + 1);
+    let mut sources: Vec<MergeSource> = Vec::with_capacity(run_streams.len() + 1);
     if !staged.is_empty() {
         sources.push(MergeSource::Staged {
             cols: staged,
             pos: 0,
         });
     }
-    for &stream in run_streams.iter().chain(&exchange_streams) {
+    for &stream in &run_streams {
         // Each run streams through a bounded refill window — the
         // merge never materializes a run's payload, so its peak
         // memory is O(runs × RUN_CHUNK_BYTES) plus the staged block.
@@ -1106,12 +931,9 @@ fn merge_bucket(
             RUN_CHUNK_BYTES,
         )?));
     }
-    // Merge-pass accounting must match the single-process run: a pass
-    // is charged when some contributing table spilled this bucket,
-    // whether the run arrived locally or as a `from_spill` exchange
-    // stream. Staged-only exchange streams don't count — in one
-    // process those rows would have sat in the staging map.
-    if !run_streams.is_empty() || work.exchange.iter().any(|&(_, from_spill)| from_spill) {
+    // A pass is charged when some contributing table spilled this
+    // bucket.
+    if !run_streams.is_empty() {
         backend.stats().record_merge_pass();
     }
 
@@ -1157,7 +979,7 @@ fn merge_bucket(
             &writer.finish(),
         )?;
     }
-    for stream in run_streams.into_iter().chain(exchange_streams) {
+    for stream in run_streams {
         backend.delete(stream)?;
     }
     Ok((unique, meta_bytes))

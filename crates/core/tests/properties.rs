@@ -16,49 +16,53 @@ use proptest::prelude::*;
 /// Offers with duplicates planted, so dedup is always exercised: each
 /// generated pair is offered 1–3 times, with repeats interleaved far
 /// apart (straddling whatever spill boundaries the threshold creates).
-/// One generated offer: the pair plus how many times to offer it.
-type Offer = ((u32, u32), u8);
+/// One generated offer: the pair, how many times to offer it, and
+/// whether its path is old.
+type Offer = ((u32, u32), u8, bool);
 /// Final bucket contents keyed by partition pair.
 type Buckets = std::collections::BTreeMap<(u32, u32), Vec<(u32, u32)>>;
+/// Directed tuples, each with whether some offer of it was old.
+type Directed = std::collections::BTreeMap<(u32, u32), bool>;
 
 fn arb_offers() -> impl Strategy<Value = (usize, Vec<Offer>)> {
     (6usize..40).prop_flat_map(|n| {
         let pair = (0..n as u32, 0..n as u32);
-        (Just(n), proptest::collection::vec((pair, 1u8..4), 0..120))
+        (
+            Just(n),
+            proptest::collection::vec((pair, 1u8..4, proptest::bool::ANY), 0..120),
+        )
     })
 }
 
 /// Replays `offers` into tables (one per `namespaces`) and merges,
 /// returning bucket contents (canonical tuples), the directed-tuple
-/// expansion via the metadata bits, and stats. Repeat-offers are
-/// interleaved round-robin so duplicates straddle spill runs rather
-/// than sitting adjacent.
+/// expansion via the metadata bits (old-path bits included), and
+/// stats. Repeat-offers are interleaved round-robin so duplicates
+/// straddle spill runs rather than sitting adjacent.
 fn run_tables(
     backend: &MemBackend,
     partitioning: &Partitioning,
     offers: &[Offer],
     spill_threshold: usize,
     namespaces: u32,
-) -> (
-    knn_core::tuple_table::TupleTableStats,
-    Buckets,
-    std::collections::BTreeSet<(u32, u32)>,
-) {
+) -> (knn_core::tuple_table::TupleTableStats, Buckets, Directed) {
     let mut tables: Vec<TupleTable> = (0..namespaces)
         .map(|ns| TupleTable::with_namespace(backend, partitioning, spill_threshold, ns))
         .collect();
-    let max_repeat = offers.iter().map(|&(_, r)| r).max().unwrap_or(1);
+    let max_repeat = offers.iter().map(|&(_, r, _)| r).max().unwrap_or(1);
     for round in 0..max_repeat {
-        for (i, &((s, d), repeats)) in offers.iter().enumerate() {
+        for (i, &((s, d), repeats, old)) in offers.iter().enumerate() {
             if round < repeats {
-                tables[i % namespaces as usize].offer(s, d).unwrap();
+                tables[i % namespaces as usize]
+                    .offer_flagged(s, d, old)
+                    .unwrap();
             }
         }
     }
     let parts = tables.into_iter().map(TupleTable::into_parts).collect();
     let (pi, stats, meta) = merge_parts(backend, partitioning, parts, 2).unwrap();
     let mut buckets = Buckets::new();
-    let mut directed = std::collections::BTreeSet::new();
+    let mut directed = Directed::new();
     for ((i, j), w) in pi.iter_buckets() {
         let rows = read_tuples(backend, StreamId::TupleBucket(i, j)).unwrap();
         assert_eq!(rows.len() as u64, w, "PI weight disagrees with bucket");
@@ -70,10 +74,10 @@ fn run_tables(
                 "bucket stream direction bits must match the metadata"
             );
             if bits & meta_bits::FWD != 0 {
-                directed.insert((u, v));
+                directed.insert((u, v), bits & meta_bits::OLD_FWD != 0);
             }
             if bits & meta_bits::BWD != 0 {
-                directed.insert((v, u));
+                directed.insert((v, u), bits & meta_bits::OLD_BWD != 0);
             }
         }
         buckets.insert((i, j), rows.into_iter().map(|(u, v, _)| (u, v)).collect());
@@ -295,14 +299,15 @@ proptest! {
         // the canonical endpoints' partitions, plus the directed view.
         let mut expected: Buckets = Buckets::new();
         let mut canonical = std::collections::HashSet::new();
-        let mut expected_directed = std::collections::BTreeSet::new();
+        // Old-path bits OR across every offer of a directed tuple.
+        let mut expected_directed = Directed::new();
         let mut offered = 0u64;
-        for &((s, d), repeats) in &offers {
+        for &((s, d), repeats, old) in &offers {
             if s == d {
                 continue;
             }
             offered += repeats as u64;
-            expected_directed.insert((s, d));
+            *expected_directed.entry((s, d)).or_insert(false) |= old;
             let (u, v) = (s.min(d), s.max(d));
             if canonical.insert((u, v)) {
                 let key = (

@@ -62,8 +62,8 @@
 //! worker, one publish path, one [`ServiceStats`] assembly — and
 //! returns the same [`KnnService`] ([`ShardedKnnService`] is an alias;
 //! [`ShardedRefineHandle`] is [`RefineHandle`] over the sharded
-//! engine). Sharding stays inside the engine: its ring, router,
-//! exchange fabric and per-shard durable logs. The engine's graph and
+//! engine). Sharding stays inside the engine: its ring, router
+//! and per-shard durable logs. The engine's graph and
 //! profiles are identical at every shard count, so every publish swaps
 //! one cell to those global containers, and every read answers from
 //! one cell load.

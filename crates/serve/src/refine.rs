@@ -153,8 +153,8 @@ impl RefineEngine for ShardedEngine {
     fn queue_update(&mut self, delta: &ProfileDelta) -> Result<(), EngineError> {
         self.queue_update(delta)
     }
-    /// Through the sharded driver, so its `reports()` and exchange
-    /// stats keep filling.
+    /// Through the sharded driver, so its `reports()` and per-shard
+    /// I/O keep filling.
     fn run_iteration(&mut self) -> Result<IterationReport, EngineError> {
         self.run_iteration().map(|sharded| sharded.report)
     }

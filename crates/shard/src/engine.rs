@@ -1,25 +1,19 @@
-//! The sharded driver: N single-process engine shards, one answer.
+//! The sharded driver: the unmodified engine over a shard router.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use knn_core::metrics::IterationReport;
-use knn_core::phase2::{self, Phase2Options, Phase2Output};
-use knn_core::tuple_table::{
-    merge_parts_with_exchange, BucketMeta, ExchangeSource, TupleTableStats,
-};
-use knn_core::{EngineConfig, EngineError, KnnEngine, Partitioning, Phase2Provider, PiGraph};
-use knn_graph::{EdgeAdditions, KnnGraph, UserId};
+use knn_core::{EngineConfig, EngineError, KnnEngine};
+use knn_graph::{KnnGraph, UserId};
 use knn_sim::{Profile, ProfileDelta, ProfileStore};
-use knn_store::{IoSnapshot, MemBackend, StorageBackend, StreamId};
+use knn_store::{IoSnapshot, MemBackend, StorageBackend};
 
-use crate::fabric::{ChannelFabric, ExchangeFabric, ExchangeStats};
-use crate::ring::HashRing;
 use crate::router::ShardRouter;
 
 /// One sharded iteration's report: the engine-level
 /// [`IterationReport`] (its I/O brackets already summed across
-/// shards), plus the per-shard breakdown and the exchange volume.
+/// shards), plus the per-shard breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedIterationReport {
     /// The aggregate report — field for field what a single-process
@@ -27,121 +21,29 @@ pub struct ShardedIterationReport {
     pub report: IterationReport,
     /// This iteration's I/O delta per shard backend, in shard order.
     pub per_shard_io: Vec<IoSnapshot>,
-    /// This iteration's I/O delta on the router's own meter (events
-    /// recorded against the routing façade, e.g. phase-4 partition
-    /// loads).
-    pub router_io: IoSnapshot,
-    /// Cross-shard tuple-exchange volume of this iteration.
+    /// Always zero: shards exchange nothing, every stream is written
+    /// to its owner directly. Kept only because the benchmark under
+    /// `e2e/` still reads it.
     pub exchange: ExchangeStats,
 }
 
-/// The phase-2 override installed into the inner engine: scan each
-/// shard's partitions on that shard's backend, ship foreign buckets
-/// over the fabric, merge (local parts + received exchange runs) at
-/// each bucket's owner, and stitch the per-shard outputs into one
-/// [`Phase2Output`].
-struct ShardedPhase2 {
-    shards: Vec<Arc<dyn StorageBackend>>,
-    ring: Arc<HashRing>,
-    fabric: Arc<dyn ExchangeFabric>,
-    /// Overwritten each iteration with that iteration's volume; read
-    /// by [`ShardedEngine::run_iteration`].
-    exchange: Arc<Mutex<ExchangeStats>>,
+/// Cross-shard exchange volume, which is always zero (see
+/// [`ShardedIterationReport::exchange`]). Kept only because the
+/// benchmark under `e2e/` still reads its fields.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ExchangeStats {
+    /// Payloads moved between shards.
+    pub payloads: u64,
+    /// Tuples moved between shards.
+    pub tuples: u64,
+    /// Bytes moved between shards.
+    pub bytes: u64,
 }
 
-impl Phase2Provider for ShardedPhase2 {
-    fn generate_tuples(
-        &mut self,
-        partitioning: &Partitioning,
-        options: &Phase2Options,
-        additions: Option<&EdgeAdditions>,
-    ) -> Result<Phase2Output, EngineError> {
-        let m = partitioning.num_partitions();
-        let num_shards = self.shards.len();
-        let mut owned: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        for p in 0..m as u32 {
-            owned[self.ring.owner_of_partition(p) as usize].push(p);
-        }
-        for shard in &self.shards {
-            shard.clear_tuples()?;
-        }
-
-        // Scan half: each shard scans its own partitions against its
-        // own backend, peels off the buckets it does not own, and
-        // ships them. Shards run in shard order and payloads leave in
-        // deterministic extraction order, so arrival order at every
-        // destination — which names the exchange streams — is a pure
-        // function of the world, not of timing.
-        let mut volume = ExchangeStats::default();
-        let mut per_shard_parts = Vec::with_capacity(num_shards);
-        for (s, owned_partitions) in owned.iter().enumerate() {
-            let backend = self.shards[s].as_ref();
-            let mut parts =
-                phase2::scan_tables(partitioning, backend, options, additions, owned_partitions)?;
-            let ring = &self.ring;
-            let payloads = knn_core::tuple_table::extract_foreign_payloads(
-                backend,
-                partitioning,
-                &mut parts,
-                |key| ring.owner_of_partition(key.0) as usize == s,
-            )?;
-            for payload in payloads {
-                let to = self.ring.owner_of_partition(payload.bucket.0);
-                volume.record(&payload);
-                self.fabric.send(to, payload);
-            }
-            per_shard_parts.push(parts);
-        }
-
-        // Merge half: every send above has completed (the loop is the
-        // barrier), so each shard drains its inbox, persists the
-        // foreign runs as exchange streams, and merges them alongside
-        // its local parts.
-        let mut pi = PiGraph::new(m);
-        let mut stats = TupleTableStats::default();
-        let mut tuple_meta = BucketMeta::default();
-        for (s, parts) in per_shard_parts.into_iter().enumerate() {
-            let backend = self.shards[s].as_ref();
-            let mut sources = Vec::new();
-            for (seq, payload) in self.fabric.drain(s as u32).into_iter().enumerate() {
-                let seq = seq as u32;
-                backend.write(
-                    StreamId::ExchangeRun(payload.bucket.0, payload.bucket.1, seq),
-                    &payload.bytes,
-                )?;
-                sources.push(ExchangeSource {
-                    bucket: payload.bucket,
-                    seq,
-                    from_spill: payload.from_spill,
-                });
-            }
-            let (pi_s, stats_s, meta_s) =
-                merge_parts_with_exchange(backend, partitioning, parts, options.threads, sources)?;
-            for ((i, j), weight) in pi_s.iter_buckets() {
-                pi.add_bucket(i, j, weight);
-            }
-            stats.offered += stats_s.offered;
-            stats.unique += stats_s.unique;
-            stats.spills += stats_s.spills;
-            tuple_meta.absorb(meta_s);
-        }
-        // Per-shard duplicate counts are partial under exchange (see
-        // `merge_parts_with_exchange`); the global number is exact.
-        stats.duplicates = stats.offered - stats.unique;
-
-        *self.exchange.lock().expect("exchange stats poisoned") = volume;
-        Ok(Phase2Output {
-            pi,
-            stats,
-            tuple_meta,
-        })
-    }
-}
-
-/// The sharded engine: consistent-hashes the world across N shard
-/// backends and drives the unmodified five-phase loop over a
-/// [`ShardRouter`], with phase 2 swapped for the scan–exchange–merge
-/// pipeline above.
+/// The sharded engine: the unmodified five-phase [`KnnEngine`] over a
+/// [`ShardRouter`], which stores every stream on its owning shard.
+/// Sharding is placement only — phase 2 writes its spill runs and
+/// merged buckets through the router like every other phase.
 ///
 /// The determinism contract extends to shard count: graphs, persisted
 /// stream bytes (each on its owning shard), [`IterationReport`]s, and
@@ -149,25 +51,22 @@ impl Phase2Provider for ShardedPhase2 {
 /// by the `shard_equivalence` suite.
 pub struct ShardedEngine {
     inner: KnnEngine,
-    shards: Vec<Arc<dyn StorageBackend>>,
     router: Arc<ShardRouter>,
-    exchange: Arc<Mutex<ExchangeStats>>,
     reports: Vec<ShardedIterationReport>,
 }
 
 impl fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedEngine")
-            .field("num_shards", &self.shards.len())
+            .field("num_shards", &self.num_shards())
             .field("inner", &self.inner)
             .finish()
     }
 }
 
 impl ShardedEngine {
-    /// The shared constructor step: builds the ring and router, opens
-    /// the inner engine over the router via `open`, and wires in the
-    /// scan–exchange–merge phase 2 and the summed I/O meter.
+    /// The shared constructor step: builds the router and opens the
+    /// inner engine over it via `open`.
     fn assemble(
         shards: Vec<Arc<dyn StorageBackend>>,
         open: impl FnOnce(Arc<dyn StorageBackend>) -> Result<KnnEngine, EngineError>,
@@ -177,38 +76,11 @@ impl ShardedEngine {
                 "a sharded engine needs at least one shard",
             ));
         }
-        let ring = Arc::new(HashRing::new(shards.len()));
-        let router = Arc::new(ShardRouter::new(shards.clone(), Arc::clone(&ring)));
-        let mut inner = open(Arc::clone(&router) as Arc<dyn StorageBackend>)?;
-
-        let exchange = Arc::new(Mutex::new(ExchangeStats::default()));
-        let fabric: Arc<dyn ExchangeFabric> = Arc::new(ChannelFabric::new(shards.len()));
-        inner.set_phase2_provider(Some(Box::new(ShardedPhase2 {
-            shards: shards.clone(),
-            ring,
-            fabric,
-            exchange: Arc::clone(&exchange),
-        })));
-
-        // The report brackets must see iteration I/O wherever it
-        // lands: on a shard (delegated operations) or on the router
-        // itself (events recorded against the façade). Each event hits
-        // exactly one meter, so this sum matches the single meter of
-        // an unsharded run.
-        let meters: Vec<Arc<knn_store::IoStats>> = shards
-            .iter()
-            .map(|s| Arc::clone(s.stats()))
-            .chain(std::iter::once(Arc::clone(router.stats())))
-            .collect();
-        inner.set_io_meter(Some(Arc::new(move || {
-            meters.iter().map(|m| m.snapshot()).sum()
-        })));
-
+        let router = Arc::new(ShardRouter::new(shards));
+        let inner = open(Arc::clone(&router) as Arc<dyn StorageBackend>)?;
         Ok(ShardedEngine {
             inner,
-            shards,
             router,
-            exchange,
             reports: Vec::new(),
         })
     }
@@ -289,20 +161,18 @@ impl ShardedEngine {
     ///
     /// Same as [`KnnEngine::run_iteration`].
     pub fn run_iteration(&mut self) -> Result<ShardedIterationReport, EngineError> {
-        let before: Vec<IoSnapshot> = self.shards.iter().map(|s| s.stats().snapshot()).collect();
-        let router_before = self.router.stats().snapshot();
+        let before: Vec<IoSnapshot> = self.shards().iter().map(|s| s.io_snapshot()).collect();
         let report = self.inner.run_iteration()?;
         let per_shard_io = self
-            .shards
+            .shards()
             .iter()
             .zip(before)
-            .map(|(s, b)| s.stats().snapshot() - b)
+            .map(|(s, b)| s.io_snapshot() - b)
             .collect();
         let sharded = ShardedIterationReport {
             report,
             per_shard_io,
-            router_io: self.router.stats().snapshot() - router_before,
-            exchange: *self.exchange.lock().expect("exchange stats poisoned"),
+            exchange: ExchangeStats::default(),
         };
         self.reports.push(sharded.clone());
         Ok(sharded)
@@ -345,12 +215,12 @@ impl ShardedEngine {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.shards().len()
     }
 
     /// The shard backends, in shard order.
     pub fn shards(&self) -> &[Arc<dyn StorageBackend>] {
-        &self.shards
+        self.router.shards()
     }
 
     /// The routing façade the inner engine runs against.

@@ -38,7 +38,6 @@ const USER_TAG: u64 = 0x75 << 56;
 /// The consistent-hash ring over `num_shards` shards.
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    num_shards: usize,
     /// `(point hash, shard)` sorted by hash.
     points: Vec<(u64, u32)>,
 }
@@ -59,12 +58,7 @@ impl HashRing {
             }
         }
         points.sort_unstable();
-        HashRing { num_shards, points }
-    }
-
-    /// Number of shards on the ring.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
+        HashRing { points }
     }
 
     fn owner_of(&self, key: u64) -> u32 {

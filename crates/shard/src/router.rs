@@ -3,14 +3,15 @@
 //! The sharded engine runs the unmodified five-phase driver against
 //! this router. Every stream has exactly one home: per-partition
 //! streams (edges, profiles, accumulators, KNN slices) live with the
-//! partition's ring owner, tuple streams of bucket `(i, j)` live with
-//! partition `i`'s owner, and the singleton metadata streams live on
-//! shard 0. Because each storage operation is delegated to exactly one
-//! shard — and metered there — the **sum** of the shard meters (plus
-//! this router's own, which absorbs direct `stats()` events such as
-//! phase-4 partition loads) equals the single-backend meter of the
-//! same run, which is the I/O half of the shard-count-invariance
-//! contract.
+//! partition's ring owner, tuple streams of bucket `(i, j)` — spill
+//! runs and the merged bucket — live with partition `i`'s owner, and
+//! the singleton metadata streams live on shard 0. Because each
+//! storage operation is delegated to exactly one shard — and metered
+//! there — the **sum** of the shard meters and this router's own
+//! (which absorbs direct `stats()` events such as phase-4 partition
+//! loads and merge passes) equals the single-backend meter of the
+//! same run; [`StorageBackend::io_snapshot`] returns that sum. This is
+//! the I/O half of the shard-count-invariance contract.
 //!
 //! The update log is the one routed-by-user surface: an appended
 //! delta batch is decoded and each delta re-encoded (the codec is
@@ -25,14 +26,14 @@ use std::sync::Arc;
 
 use knn_store::backend::append_delta;
 use knn_store::delta_log::decode_deltas;
-use knn_store::{IoStats, StorageBackend, StoreError, StreamId, WorkingDir};
+use knn_store::{IoSnapshot, IoStats, StorageBackend, StoreError, StreamId, WorkingDir};
 
 use crate::ring::HashRing;
 
 /// Routes every [`StorageBackend`] operation to the owning shard.
 pub struct ShardRouter {
     shards: Vec<Arc<dyn StorageBackend>>,
-    ring: Arc<HashRing>,
+    ring: HashRing,
     /// Receives events recorded through `stats()` directly (partition
     /// loads/unloads, merge passes of code running against the
     /// router); delegated reads/writes are metered by the shard that
@@ -49,16 +50,16 @@ impl fmt::Debug for ShardRouter {
 }
 
 impl ShardRouter {
-    /// A router over `shards`, owned per `ring`.
+    /// A router over `shards`, owned per the [`HashRing`] of
+    /// `shards.len()` shards.
     ///
     /// # Panics
     ///
-    /// Panics if the shard count disagrees with the ring.
-    pub fn new(shards: Vec<Arc<dyn StorageBackend>>, ring: Arc<HashRing>) -> Self {
-        assert_eq!(shards.len(), ring.num_shards(), "ring/backends mismatch");
+    /// Panics on zero shards (see [`HashRing::new`]).
+    pub fn new(shards: Vec<Arc<dyn StorageBackend>>) -> Self {
         ShardRouter {
+            ring: HashRing::new(shards.len()),
             shards,
-            ring,
             stats: Arc::new(IoStats::new()),
         }
     }
@@ -91,11 +92,6 @@ impl ShardRouter {
     pub fn shards(&self) -> &[Arc<dyn StorageBackend>] {
         &self.shards
     }
-
-    /// The ownership ring.
-    pub fn ring(&self) -> &Arc<HashRing> {
-        &self.ring
-    }
 }
 
 impl StorageBackend for ShardRouter {
@@ -105,6 +101,14 @@ impl StorageBackend for ShardRouter {
 
     fn stats(&self) -> &Arc<IoStats> {
         &self.stats
+    }
+
+    fn io_snapshot(&self) -> IoSnapshot {
+        self.shards
+            .iter()
+            .map(|s| s.io_snapshot())
+            .sum::<IoSnapshot>()
+            + self.stats.snapshot()
     }
 
     fn read(&self, stream: StreamId) -> Result<Vec<u8>, StoreError> {
@@ -229,7 +233,7 @@ mod tests {
         let backends: Vec<Arc<dyn StorageBackend>> = (0..shards)
             .map(|_| Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>)
             .collect();
-        ShardRouter::new(backends, Arc::new(HashRing::new(shards)))
+        ShardRouter::new(backends)
     }
 
     #[test]
@@ -277,7 +281,7 @@ mod tests {
         let mut seen = 0usize;
         for (s, shard) in r.shards().iter().enumerate() {
             for d in read_deltas(shard.as_ref()).unwrap() {
-                assert_eq!(r.ring().owner_of_user(d.user.raw()) as usize, s);
+                assert_eq!(r.ring.owner_of_user(d.user.raw()) as usize, s);
                 seen += 1;
             }
         }

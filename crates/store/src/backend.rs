@@ -55,7 +55,7 @@ use knn_sim::ProfileDelta;
 
 use crate::delta_log::{decode_deltas, encode_delta};
 use crate::record_file::{self, UserListRow};
-use crate::{IoStats, RecordKind, StoreError, WorkingDir};
+use crate::{IoSnapshot, IoStats, RecordKind, StoreError, WorkingDir};
 
 /// The name of one record stream an engine run persists.
 ///
@@ -85,13 +85,11 @@ pub enum StreamId {
     TupleBucket(u32, u32),
     /// One sorted spill run of a tuple bucket (phase-2 scratch).
     TupleRun(u32, u32, u32),
-    /// One foreign tuple run received over the exchange fabric
-    /// (sharded phase-2 scratch): bucket `(i, j)`, arrival sequence
-    /// `r`. Same TuplesV2 payload as [`StreamId::TupleRun`], but its
-    /// traffic is **not** metered in [`IoStats`] — exchange volume is
-    /// a shard-topology cost, accounted by the fabric itself, and
-    /// keeping it off the storage meter is what makes the per-phase
-    /// `IoSnapshot`s identical at every shard count.
+    /// A legacy tuple scratch stream (`t{i}_{j}.x{r}`) that the
+    /// removed cross-shard exchange wrote. Nothing writes it any more;
+    /// it stays so that tuple clearing and recovery GC still delete
+    /// such files left in older working directories, and because the
+    /// benchmark's stream-kind table still names it.
     ExchangeRun(u32, u32, u32),
     /// The generation commit record: one tiny CRC-framed record naming
     /// the last durably committed iteration (see `crate::commit`).
@@ -156,7 +154,7 @@ impl StreamId {
     }
 
     /// Whether this stream is phase-2 tuple scratch (bucket, spill run,
-    /// or received exchange run), i.e. cleared at the start of every
+    /// or legacy exchange run), i.e. cleared at the start of every
     /// iteration.
     pub fn is_tuple_scratch(self) -> bool {
         matches!(
@@ -189,12 +187,6 @@ impl StreamId {
                 base.with_file_name(name)
             }
         }
-    }
-
-    /// Whether this stream's traffic bypasses the [`IoStats`] meter
-    /// (exchange-fabric scratch — see [`StreamId::ExchangeRun`]).
-    fn is_unmetered(self) -> bool {
-        matches!(self, StreamId::ExchangeRun(..))
     }
 }
 
@@ -253,6 +245,13 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// The backend's I/O meter. Every read/write/append/delete this
     /// backend performs is recorded here.
     fn stats(&self) -> &Arc<IoStats>;
+
+    /// Everything this backend has metered so far. A backend that
+    /// delegates to others (a shard router) adds their meters to its
+    /// own, so callers see every byte wherever it landed.
+    fn io_snapshot(&self) -> IoSnapshot {
+        self.stats().snapshot()
+    }
 
     /// Reads one stream and strips the frame, returning the codec
     /// payload (integrity checking per the backend's medium — see the
@@ -636,12 +635,7 @@ impl StorageBackend for DiskBackend {
     }
 
     fn read(&self, stream: StreamId) -> Result<Vec<u8>, StoreError> {
-        let path = stream.path_in(&self.workdir);
-        if stream.is_unmetered() {
-            let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-            return record_file::verify_unframe(bytes, &path);
-        }
-        record_file::read_file(&path, &self.stats)
+        record_file::read_file(&stream.path_in(&self.workdir), &self.stats)
     }
 
     fn read_chunk(&self, stream: StreamId, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
@@ -662,19 +656,11 @@ impl StorageBackend for DiskBackend {
             filled += n;
         }
         buf.truncate(filled);
-        if !stream.is_unmetered() {
-            self.stats.record_read(filled as u64);
-        }
+        self.stats.record_read(filled as u64);
         Ok(buf)
     }
 
     fn write(&self, stream: StreamId, payload: &[u8]) -> Result<(), StoreError> {
-        if stream.is_unmetered() {
-            let path = stream.path_in(&self.workdir);
-            let framed = record_file::frame(payload);
-            std::fs::write(&path, &framed).map_err(|e| StoreError::io(&path, e))?;
-            return Ok(());
-        }
         record_file::write_file(&stream.path_in(&self.workdir), payload, &self.stats)?;
         if matches!(stream, StreamId::TupleRun(..)) {
             // Spill traffic is metered separately (framed size, same
@@ -688,9 +674,7 @@ impl StorageBackend for DiskBackend {
     fn write_raw(&self, stream: StreamId, framed: &[u8]) -> Result<(), StoreError> {
         let path = stream.path_in(&self.workdir);
         std::fs::write(&path, framed).map_err(|e| StoreError::io(&path, e))?;
-        if !stream.is_unmetered() {
-            self.stats.record_write(framed.len() as u64);
-        }
+        self.stats.record_write(framed.len() as u64);
         Ok(())
     }
 
@@ -704,12 +688,8 @@ impl StorageBackend for DiskBackend {
         let src = from.path_in(&self.workdir);
         let dst = to.path_in(&self.workdir);
         let len = std::fs::copy(&src, &dst).map_err(|e| StoreError::io(&src, e))?;
-        if !from.is_unmetered() {
-            self.stats.record_read(len);
-        }
-        if !to.is_unmetered() {
-            self.stats.record_write(len);
-        }
+        self.stats.record_read(len);
+        self.stats.record_write(len);
         Ok(())
     }
 
@@ -926,9 +906,7 @@ impl StorageBackend for MemBackend {
                 std::io::Error::new(std::io::ErrorKind::NotFound, "no such stream"),
             )
         })?;
-        if !stream.is_unmetered() {
-            self.stats.record_read(bytes.len() as u64);
-        }
+        self.stats.record_read(bytes.len() as u64);
         // The stored bytes are the full frame (identical to what the
         // disk backend persists). The checksum is re-verified on every
         // read even though RAM buffers don't rot: a torn raw write (a
@@ -949,17 +927,13 @@ impl StorageBackend for MemBackend {
         let start = (offset as usize).min(bytes.len());
         let end = start.saturating_add(len as usize).min(bytes.len());
         let out = bytes[start..end].to_vec();
-        if !stream.is_unmetered() {
-            self.stats.record_read(out.len() as u64);
-        }
+        self.stats.record_read(out.len() as u64);
         Ok(out)
     }
 
     fn write(&self, stream: StreamId, payload: &[u8]) -> Result<(), StoreError> {
         let framed = record_file::frame(payload);
-        if !stream.is_unmetered() {
-            self.stats.record_write(framed.len() as u64);
-        }
+        self.stats.record_write(framed.len() as u64);
         if matches!(stream, StreamId::TupleRun(..)) {
             // Same spill meter as DiskBackend (framed size), so the
             // backends stay byte-for-byte comparable.
@@ -970,9 +944,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn write_raw(&self, stream: StreamId, framed: &[u8]) -> Result<(), StoreError> {
-        if !stream.is_unmetered() {
-            self.stats.record_write(framed.len() as u64);
-        }
+        self.stats.record_write(framed.len() as u64);
         self.lock_streams().insert(stream, framed.to_vec());
         Ok(())
     }
@@ -994,12 +966,8 @@ impl StorageBackend for MemBackend {
         let len = bytes.len() as u64;
         streams.insert(to, bytes);
         drop(streams);
-        if !from.is_unmetered() {
-            self.stats.record_read(len);
-        }
-        if !to.is_unmetered() {
-            self.stats.record_write(len);
-        }
+        self.stats.record_read(len);
+        self.stats.record_write(len);
         Ok(())
     }
 
@@ -1390,29 +1358,5 @@ mod tests {
         assert_eq!(parse_root_name("parts"), None);
         assert_eq!(parse_part_name("p0001.accum.bak2"), None);
         assert_eq!(parse_part_name("p0001.profiles.bakx"), None);
-    }
-
-    /// Exchange-run traffic is invisible to the I/O meter on both
-    /// backends — sharded and unsharded runs must report identical
-    /// storage counters — while the bytes still round-trip framed.
-    #[test]
-    fn exchange_runs_are_stored_framed_but_unmetered() {
-        for (b, wd) in backends() {
-            let b = b.as_ref();
-            let stream = StreamId::ExchangeRun(1, 2, 0);
-            let before = b.stats().snapshot();
-            write_pairs(b, stream, &[(3, 4), (5, 6)]).unwrap();
-            assert_eq!(read_pairs(b, stream).unwrap(), vec![(3, 4), (5, 6)]);
-            let chunk = b.read_chunk(stream, 0, 8).unwrap();
-            assert_eq!(chunk.len(), 8);
-            assert_eq!(
-                b.stats().snapshot(),
-                before,
-                "{}: exchange traffic leaked into the meter",
-                b.name()
-            );
-            b.delete(stream).unwrap();
-            destroy(wd);
-        }
     }
 }

@@ -255,7 +255,7 @@ pub struct RecoveryReport {
     /// never mutated, so they are dropped without a restore).
     pub torn_backups: u64,
     /// Per-iteration scratch streams (tuple buckets, spill runs,
-    /// exchange runs) garbage-collected.
+    /// legacy exchange runs) garbage-collected.
     pub scratch_deleted: u64,
     /// Whether an applied-but-untruncated update-log prefix was
     /// truncated to finish an interrupted commit.
@@ -375,7 +375,7 @@ pub fn recover(b: &dyn StorageBackend) -> Result<RecoveryReport, StoreError> {
     report.log_drop_detail = b.repair_update_log()?;
 
     // Per-iteration scratch from the interrupted iteration (tuple
-    // buckets, spill runs, exchange runs) is dead weight the next
+    // buckets, spill runs, legacy exchange runs) is dead weight the next
     // iteration would clear anyway — but a *resumed* directory must
     // list identically to a never-crashed one, so GC it now.
     report.scratch_deleted = streams.iter().filter(|s| s.is_tuple_scratch()).count() as u64;

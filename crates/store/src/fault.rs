@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::record_file;
-use crate::{IoStats, StorageBackend, StoreError, StreamId, WorkingDir};
+use crate::{IoSnapshot, IoStats, StorageBackend, StoreError, StreamId, WorkingDir};
 
 /// How the scripted fault manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,6 +261,10 @@ impl StorageBackend for FaultBackend {
 
     fn stats(&self) -> &Arc<IoStats> {
         self.inner.stats()
+    }
+
+    fn io_snapshot(&self) -> IoSnapshot {
+        self.inner.io_snapshot()
     }
 
     fn read(&self, stream: StreamId) -> Result<Vec<u8>, StoreError> {

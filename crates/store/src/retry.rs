@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::{IoStats, StorageBackend, StoreError, StreamId, WorkingDir};
+use crate::{IoSnapshot, IoStats, StorageBackend, StoreError, StreamId, WorkingDir};
 
 /// The retry budget and backoff shape.
 #[derive(Debug, Clone)]
@@ -137,6 +137,10 @@ impl StorageBackend for RetryBackend {
 
     fn stats(&self) -> &Arc<IoStats> {
         self.inner.stats()
+    }
+
+    fn io_snapshot(&self) -> IoSnapshot {
+        self.inner.io_snapshot()
     }
 
     fn read(&self, stream: StreamId) -> Result<Vec<u8>, StoreError> {

@@ -15,7 +15,7 @@
 //! | [`store`] | `knn-store` | the `StorageBackend` trait (disk + in-memory backends), codecs, I/O accounting, the 2-slot cache |
 //! | [`cluster`] | `knn-cluster` | locality pre-pass: sketch embeddings, mini-batch k-means / random buckets, cluster-seeded `G(0)` |
 //! | [`core`] | `knn-core` | the five-phase engine (partitioning → tuples → PI graph → KNN → updates) |
-//! | [`shard`] | `knn-shard` | consistent-hash shard layer: `ShardedEngine`, cross-shard tuple exchange, routing backend |
+//! | [`shard`] | `knn-shard` | consistent-hash shard layer: `ShardedEngine` over a routing backend that places each stream on its owner shard |
 //! | [`serve`] | `knn-serve` | online query layer: snapshot swap, concurrent `KnnService`, background refinement over a plain or sharded engine |
 //! | [`baseline`] | `knn-baseline` | brute force, NN-Descent, recall |
 //! | [`datasets`] | `knn-datasets` | Table-1 dataset replicas and workload presets |

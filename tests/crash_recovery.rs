@@ -63,9 +63,9 @@ fn update_for(iteration: u64) -> ProfileDelta {
 }
 
 /// Every committed stream at rest plus the update log, as raw bytes —
-/// the bit-identical-state fingerprint. Tuple scratch (buckets, spill
-/// runs, exchange runs) is re-derived every iteration and GC'd by
-/// recovery, so it is not part of the durable contract.
+/// the bit-identical-state fingerprint. Tuple scratch (buckets and
+/// spill runs) is re-derived every iteration and GC'd by recovery, so
+/// it is not part of the durable contract.
 fn stream_bytes(b: &dyn StorageBackend) -> BTreeMap<String, Vec<u8>> {
     let mut map = BTreeMap::new();
     for s in b.list().expect("list") {
