@@ -14,11 +14,12 @@
 //! the iteration pipeline rather than disk latency (the storage axis
 //! is experiment S2, `backends`).
 //!
-//! Besides wall times, the JSON carries the per-iteration phase-4
+//! Besides wall times, the JSON carries the per-iteration
 //! scoring-funnel trajectory (`p4_ms`, `sims_per_iter`,
 //! `sims_skipped`, `sims_pruned`, `accums_seeded`): as the graph
-//! converges, cross-iteration pair suppression removes most kernel
-//! evaluations and phase 4's cost falls with it — the committed
+//! converges, phase 2 suppresses most offers (`sims_skipped` counts
+//! the suppressed directed offers), so fewer tuples reach phase 4 and
+//! its cost falls with them — the committed
 //! artifact runs 8 iterations per configuration so the steady-state
 //! regime is on record, not just the cold bootstrap (the paired
 //! funnel-vs-rescore measurement is experiment S5, `scoring_funnel`).

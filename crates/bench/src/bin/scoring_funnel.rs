@@ -1,9 +1,10 @@
-//! **Experiment S5 — the phase-4 scoring-funnel effect, paired.**
+//! **Experiment S5 — the scoring-funnel effect, paired.**
 //!
 //! Runs two engines over the identical seeded workload in lockstep:
-//! one with the scoring funnel (cross-iteration pair suppression +
-//! bound filtering, the defaults) and one forced down the classic
-//! full-rescore path. Because the two alternate iteration by
+//! one with the scoring funnel (phase 2's offer-time suppression +
+//! phase 4's bound filtering, the defaults) and one forced down the
+//! classic full-rescore path. The `sims_skipped` column counts the
+//! directed offers phase 2 suppressed, so they never reached phase 4. Because the two alternate iteration by
 //! iteration inside one process, machine-level drift (thermal
 //! throttling, timeslicing) hits both equally — the per-iteration
 //! ratios isolate the funnel's real effect, which separate runs on a

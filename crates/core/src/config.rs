@@ -56,7 +56,7 @@ impl EngineConfig {
     /// An explicit [`threads`](EngineConfigBuilder::threads) call
     /// always wins.
     ///
-    /// Similarly, phase-4 pruning
+    /// Similarly, pruning
     /// ([`prune_pairs`](EngineConfig::prune_pairs) and
     /// [`bound_filter`](EngineConfig::bound_filter)) defaults to
     /// enabled unless `KNN_TEST_PRUNE=0` is set — the hook CI uses to
@@ -154,11 +154,12 @@ impl EngineConfig {
         self.tuple_table_memory
     }
 
-    /// Whether phase 4 suppresses tuples already evaluated last
-    /// iteration (cross-iteration pair tracking + accumulator
-    /// seeding). Exact: the computed graphs are identical either way;
-    /// disabling merely re-scores everything (see the crate docs'
-    /// scoring-pipeline section).
+    /// Whether phase 2 suppresses offers whose verdict is already
+    /// known — a pair evaluated last iteration between users whose
+    /// standing is unchanged, its verdict replayed by phase 1's
+    /// accumulator seeding. Exact: the computed graphs are identical
+    /// either way; disabling merely offers and re-scores everything
+    /// (see the crate docs' scoring-funnel section).
     pub fn prune_pairs(&self) -> bool {
         self.prune_pairs
     }
@@ -303,7 +304,7 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Toggles cross-iteration pair suppression (default on, or
+    /// Toggles phase 2's offer-time suppression (default on, or
     /// `KNN_TEST_PRUNE` — see [`EngineConfig::builder`]). Exact: the
     /// computed graphs are identical either way.
     pub fn prune_pairs(mut self, yes: bool) -> Self {

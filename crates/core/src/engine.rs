@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use knn_cluster::{cluster_profiles, cluster_seeded_graph, ClusterAssignment};
-use knn_graph::{EdgeAdditions, KnnGraph, Neighbor, UserId};
+use knn_graph::{KnnGraph, Neighbor, UserId};
 use knn_sim::{Profile, ProfileDelta, ProfileStore};
 use knn_store::backend::{
     read_meta, read_pairs, read_scored_pairs, read_user_lists, write_meta, write_pairs,
@@ -20,8 +20,8 @@ use crate::config::EngineConfig;
 use crate::metrics::{ConvergenceOutcome, IterationReport};
 use crate::partition::{objective, ClusterPartitioner, Partitioner, PartitionerKind, Partitioning};
 use crate::phase1;
-use crate::phase2;
-use crate::phase4::{self, Phase4Options, Phase4Prune};
+use crate::phase2::{self, PruneState, Suppression};
+use crate::phase4::{self, Phase4Options};
 use crate::phase5::UpdateQueue;
 use crate::traversal::simulate_schedule_ops;
 use crate::EngineError;
@@ -78,10 +78,10 @@ pub struct KnnEngine {
     /// [`EngineConfig::clustering_enabled`]; consumed by the cluster
     /// partitioner on every (re)partition and persisted for resume.
     clusters: Option<Arc<ClusterAssignment>>,
-    /// Cross-iteration bookkeeping for phase-4 pair suppression;
-    /// `None` when no prior iteration ran in this process (fresh
-    /// engine, resume) or suppression is disabled — the next
-    /// iteration then re-scores everything.
+    /// Cross-iteration bookkeeping for phase 2's offer-time
+    /// suppression; `None` when no prior iteration ran in this process
+    /// (fresh engine, resume) or suppression is disabled — the next
+    /// iteration then offers and scores everything.
     prune: Option<PruneState>,
     /// What crash recovery found when this engine was resumed; `None`
     /// for fresh engines.
@@ -314,17 +314,6 @@ fn read_stored_state(
         assignment,
         graph,
     })
-}
-
-/// What phase-4 suppression needs to know about the previous
-/// iteration, maintained by [`KnnEngine::run_iteration`]:
-struct PruneState {
-    /// Users whose profile changed in the last phase 5 — every score
-    /// involving them is stale.
-    profile_dirty: Vec<bool>,
-    /// Edges of `G(t)` absent from `G(t-1)` — a tuple generated only
-    /// through such an edge was never evaluated before.
-    additions: EdgeAdditions,
 }
 
 impl std::fmt::Debug for KnnEngine {
@@ -1011,8 +1000,8 @@ impl KnnEngine {
         durations[0] = t0.elapsed();
         io[0] = self.io_snapshot() - before;
 
-        // Phase 2: tuple generation + dedup into pair buckets (tagged
-        // with path age when suppression is active).
+        // Phase 2: tuple generation + dedup into pair buckets, never
+        // offering a pair whose verdict the seeds already replay.
         let before = self.io_snapshot();
         let t0 = Instant::now();
         let phase2_options = phase2::Phase2Options {
@@ -1020,9 +1009,19 @@ impl KnnEngine {
             tuple_table_memory: self.config.tuple_table_memory(),
             threads: self.config.threads(),
         };
-        let additions = prune_state.map(|st| &st.additions);
-        let phase2_out =
-            phase2::generate_tuples(&self.partitioning, backend, &phase2_options, additions)?;
+        let suppression = prune_state
+            .zip(seed_ok.as_deref())
+            .map(|(state, seed_ok)| Suppression {
+                state,
+                seed_ok,
+                include_reverse: self.config.include_reverse(),
+            });
+        let phase2_out = phase2::generate_tuples(
+            &self.partitioning,
+            backend,
+            &phase2_options,
+            suppression.as_ref(),
+        )?;
         durations[1] = t0.elapsed();
         io[1] = self.io_snapshot() - before;
         // Partition locality of this iteration's tuple volume: the
@@ -1052,21 +1051,12 @@ impl KnnEngine {
             parallel_threshold: phase4::DEFAULT_PARALLEL_THRESHOLD,
             bound_filter: self.config.bound_filter(),
         };
-        let prune_ctx = match (prune_state, &seed_ok) {
-            (Some(st), Some(ok)) => Some(Phase4Prune {
-                seed_ok: ok,
-                profile_dirty: &st.profile_dirty,
-            }),
-            _ => None,
-        };
         let phase4_out = phase4::run_phase4(
             &schedule,
             &phase2_out.pi,
-            &phase2_out.tuple_meta,
             &self.partitioning,
             backend,
             &options,
-            prune_ctx.as_ref(),
         )?;
         durations[3] = t0.elapsed();
         io[3] = self.io_snapshot() - before;
@@ -1111,7 +1101,7 @@ impl KnnEngine {
             tuples: phase2_out.stats,
             schedule_len: schedule.len(),
             sims_computed: phase4_out.sims_computed,
-            sims_skipped: phase4_out.sims_skipped,
+            sims_skipped: phase2_out.suppressed,
             sims_pruned: phase4_out.sims_pruned,
             accums_seeded: phase1_stats.accums_seeded,
             updates_applied: phase5_stats.updates_applied,

@@ -122,12 +122,12 @@
 //!   near-zero phase-1 cost and the worst/structure-dependent
 //!   objective; baselines and id-ordered data respectively.
 //!
-//! # The phase-4 scoring funnel
+//! # The scoring funnel
 //!
-//! Phase 4 dominates iteration cost, so its scoring path removes
-//! kernel evaluations whose outcome is already decided — and every
-//! stage is **exact** (the refined graph is identical with the funnel
-//! on or off):
+//! Phase 4 dominates iteration cost, so the pipeline removes kernel
+//! evaluations whose outcome is already decided — and every stage is
+//! **exact** (the refined graph is identical with the funnel on or
+//! off):
 //!
 //! * **Symmetric pair dedup** — phase 2 stores each unordered
 //!   candidate pair once ([`tuple_table::meta_bits`] direction bits);
@@ -137,20 +137,24 @@
 //!   [`knn_sim::ProfileArena`] whose rows carry one-pass aggregates and
 //!   block sketches; [`knn_sim::Measure::score_ref`] over its views is
 //!   bit-identical to the classic `score` path.
-//! * **Cross-iteration pair suppression** (`EngineConfig::prune_pairs`,
-//!   default on) — the engine tracks per-user profile-dirty bits from
-//!   phase 5 and the edge additions `G(t) ∖ G(t-1)`; pairs generated
-//!   purely through old edges between clean users were already
-//!   evaluated last iteration, and phase 1's accumulator seeding
-//!   (each clean user's scored neighbor list) replays their verdict,
-//!   so phase 4 skips them (`sims_skipped`). A fresh engine or resume
-//!   has no bookkeeping, so its first iteration re-scores everything.
+//! * **Offer-time suppression** (`EngineConfig::prune_pairs`, default
+//!   on) — redundancy is decided once, in phase 2, where candidates
+//!   are born. The engine tracks per-user profile-dirty bits from
+//!   phase 5 and the edge additions `G(t) ∖ G(t-1)`; a directed
+//!   candidate generated through an all-old path between users whose
+//!   standing is unchanged was already evaluated last iteration, and
+//!   phase 1's accumulator seeding (each clean user's scored neighbor
+//!   list) replays its verdict, so phase 2 never offers it.
+//!   `sims_skipped` counts these suppressed offers. A fresh engine or
+//!   resume has no bookkeeping, so its first iteration offers and
+//!   scores everything.
 //! * **Bound-based filtering** (`EngineConfig::bound_filter`, default
 //!   on) — [`knn_sim::Measure::upper_bound_ref`] is an O(1) score
 //!   ceiling; candidates that cannot beat the current k-th
 //!   accumulator entry are dropped unevaluated (`sims_pruned`).
 //!
-//! Funnel decisions are taken on the driving thread against
+//! Suppression is a pure function of the graphs and the dirty bits,
+//! and filter decisions are taken on phase 4's driving thread against
 //! bucket-start state, so the counters and the graph stay
 //! thread-count- and backend-invariant; `tests/pruning_equivalence.rs`
 //! pins pruned ≡ unpruned graph equality per iteration, updates
@@ -164,7 +168,7 @@
 //! hash probe on the partition pair), a per-source dedup (counting sort by source, a stamp
 //! array over destinations) whose scratch is bounded by the block and
 //! the bucket's two partitions, a varint-delta spill codec
-//! ([`knn_store::tuple_stream`], ~2 B per dense tuple vs the legacy
+//! ([`knn_store::tuple_stream`], ~2 B per dense tuple vs a
 //! fixed-width 8), and a streaming loser-tree k-way merge whose
 //! output encodes straight into the bucket streams phase 4 iterates.
 //! Phase-2 staging is bounded by `spill_threshold` rows per bucket

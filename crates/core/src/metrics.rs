@@ -39,9 +39,11 @@ pub struct IterationReport {
     pub schedule_len: usize,
     /// Similarity evaluations performed (kernels actually run).
     pub sims_computed: u64,
-    /// Tuples suppressed by cross-iteration pair tracking: already
-    /// evaluated last iteration with provably unchanged outcome, so
-    /// no kernel ran.
+    /// Directed offers phase 2 suppressed as redundant: generated
+    /// through an all-old path between users whose standing is
+    /// unchanged, so last iteration's verdict (replayed by the seeds)
+    /// stands. They never became tuples, so they are counted in
+    /// offers, not in unique tuples.
     pub sims_skipped: u64,
     /// Tuples dropped by the upper-bound filter: their O(1) score
     /// ceiling could not beat the current k-th accumulator entry.
@@ -76,9 +78,11 @@ impl IterationReport {
         }
     }
 
-    /// Fraction of this iteration's unique tuples whose kernel
-    /// evaluation was avoided (suppressed or bound-pruned); 0 when
-    /// there were no tuples.
+    /// Share of avoided work: `(sims_skipped + sims_pruned) /
+    /// (sims_computed + sims_skipped + sims_pruned)`; 0 when all three
+    /// are 0. It mixes units — `sims_skipped` counts suppressed
+    /// directed offers, the other two count unique tuples — so read it
+    /// as a trend, not as a share of one population.
     pub fn sims_avoided_fraction(&self) -> f64 {
         let total = self.sims_computed + self.sims_skipped + self.sims_pruned;
         if total == 0 {

@@ -53,7 +53,7 @@ pub struct Phase1Stats {
 /// every accumulator starts empty (the classic full-rescore path).
 /// With `seed_ok`, the accumulator of each user `u` with `seed_ok[u]`
 /// is pre-seeded with `u`'s current scored neighbor list — replaying
-/// iteration `t-1`'s verdict so phase 4 can skip re-scoring pairs it
+/// iteration `t-1`'s verdict so phase 2 can drop offers of pairs it
 /// already evaluated. Callers must only set `seed_ok[u]` when every
 /// seed score is still valid: `u`'s own profile **and** every profile
 /// in `u`'s neighbor list unchanged since those scores were computed,

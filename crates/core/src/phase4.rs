@@ -10,30 +10,32 @@
 //!
 //! # The scoring funnel
 //!
-//! Each bucket's tuples pass a driver-side filter before any kernel
-//! runs; a tuple is **evaluated** only if it survives all three
-//! stages, and every decision is a pure function of iteration-start
-//! state plus the deterministic bucket order — so the counters and the
-//! resulting graph are identical at every thread count:
+//! A tuple reaches a kernel only through these stages, and every
+//! decision is a pure function of iteration-start state plus the
+//! deterministic bucket order — so the counters and the resulting
+//! graph are identical at every thread count:
 //!
 //! 0. **Symmetric pair dedup** — phase 2 stores each unordered pair
-//!    once ([`BucketMeta`] direction bits recording which directed
-//!    candidates exist), so the symmetric kernel runs once per pair
-//!    and its score is offered along every recorded direction.
+//!    once, its bucket row carrying the [`meta_bits`] direction bits of
+//!    the directed candidates that exist, so the symmetric kernel runs
+//!    once per pair and its score is offered along every recorded
+//!    direction.
 //! 1. **Prepared profiles** — a partition load materializes its
 //!    profiles as one [`ProfileArena`] (split id / weight columns),
 //!    hoisting the per-profile aggregates (L2 norm, weight sum,
 //!    extrema, block sketches) out of the kernels.
-//! 2. **Cross-iteration pair suppression** (`sims_skipped`) — tuples
-//!    that were already evaluated last iteration (old generating path,
-//!    per [`BucketMeta`]) between users whose standing is provably
-//!    unchanged (see [`Phase4Prune`]) are skipped outright; the
-//!    accumulator seeds written in phase 1 carry their prior verdict.
-//! 3. **Bound-based filtering** (`sims_pruned`) — a surviving tuple is
-//!    scored only if its O(1) score ceiling
-//!    ([`Measure::upper_bound_ref`]) could still beat the current k-th
-//!    entry of the target accumulator(s); thresholds are sampled at
-//!    bucket start, which only under-prunes, never over-prunes.
+//! 2. **Offer-time suppression** (`sims_skipped`) — decided in phase 2,
+//!    not here: a directed candidate whose verdict is already known
+//!    (all-old generating path between users whose standing is
+//!    provably unchanged) is never offered, and the accumulator seeds
+//!    written in phase 1 carry its prior verdict. Phase 4 scores what
+//!    the buckets hold.
+//! 3. **Bound-based filtering** (`sims_pruned`) — a tuple is scored
+//!    only if its O(1) score ceiling ([`Measure::upper_bound_ref`])
+//!    could still beat the current k-th entry of the target
+//!    accumulator(s); thresholds are sampled at bucket start, which
+//!    only under-prunes, never over-prunes. Every unique tuple is
+//!    either pruned here or computed.
 //!
 //! Both pruning stages are **exact**: they only ever drop evaluations
 //! whose outcome is already decided, so `G(t+1)` is identical with
@@ -60,7 +62,7 @@ use knn_store::{CacheCounters, SlotCache, StorageBackend, StoreError, StreamId};
 use crate::partition::Partitioning;
 use crate::topk::TopKAccumulator;
 use crate::traversal::Schedule;
-use crate::tuple_table::{meta_bits, BucketMeta};
+use crate::tuple_table::meta_bits;
 use crate::{EngineError, PiGraph};
 
 /// Default for [`Phase4Options::parallel_threshold`]: buckets smaller
@@ -94,32 +96,6 @@ pub(crate) struct Phase4Options {
     pub bound_filter: bool,
 }
 
-/// The cross-iteration suppression inputs of one phase-4 run — all
-/// derived by the engine at iteration start:
-///
-/// * `seed_ok` — per user: this user's accumulator was seeded from its
-///   current scored neighbor list, and every one of those seed scores
-///   is still valid (the user's own profile and every seed neighbor's
-///   profile unchanged). Implies the user's prior top-K verdict is
-///   replayable, so losing candidates stay losing;
-/// * `profile_dirty` — per user: profile changed in the last phase 5,
-///   so any score involving this user must be recomputed.
-///
-/// Combined with the [`BucketMeta`] old-path bits, a directed
-/// candidate offer `s → d` is redundant iff it has an old path,
-/// `seed_ok[s]`, `!profile_dirty[d]`, and — when reverse offers are
-/// on — also `seed_ok[d]`; a canonical tuple whose every direction is
-/// redundant is skipped without a kernel evaluation. Under these
-/// conditions re-scoring provably cannot change any accumulator, so
-/// suppression is exact.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Phase4Prune<'a> {
-    /// Per-user seed validity (accumulator seeded and scores current).
-    pub seed_ok: &'a [bool],
-    /// Per-user profile dirtiness from the last phase 5.
-    pub profile_dirty: &'a [bool],
-}
-
 /// Result of one phase-4 run.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Phase4Output {
@@ -129,9 +105,6 @@ pub(crate) struct Phase4Output {
     pub cache: CacheCounters,
     /// Similarity evaluations performed.
     pub sims_computed: u64,
-    /// Tuples suppressed by cross-iteration pair tracking (already
-    /// evaluated last iteration, outcome unchanged).
-    pub sims_skipped: u64,
     /// Tuples dropped by the upper-bound filter (ceiling could not
     /// beat the current k-th accumulator entry).
     pub sims_pruned: u64,
@@ -255,12 +228,8 @@ fn unload_state(
     Ok(())
 }
 
-/// Runs phase 4 over the given schedule.
-///
-/// `prune` enables cross-iteration pair suppression (see
-/// [`Phase4Prune`]); `None` re-scores every tuple, which is the
-/// correct choice whenever the previous iteration's bookkeeping is
-/// unavailable (first iteration, resume, pruning disabled).
+/// Runs phase 4 over the given schedule, scoring every tuple of the
+/// phase-2 buckets that the bound filter does not prune.
 ///
 /// # Errors
 ///
@@ -270,24 +239,13 @@ fn unload_state(
 pub(crate) fn run_phase4(
     schedule: &Schedule,
     pi: &PiGraph,
-    meta: &BucketMeta,
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
     options: &Phase4Options,
-    prune: Option<&Phase4Prune<'_>>,
 ) -> Result<Phase4Output, EngineError> {
     let workers = options.threads.max(1);
     if workers <= 1 {
-        return drive(
-            schedule,
-            pi,
-            meta,
-            partitioning,
-            backend,
-            options,
-            prune,
-            None,
-        );
+        return drive(schedule, pi, partitioning, backend, options, None);
     }
     // Persistent worker pool for the whole run: tasks own Arc'd
     // profile maps, so the cache can evict freely while chunks are in
@@ -312,16 +270,7 @@ pub(crate) fn run_phase4(
             result_rx,
             workers,
         };
-        drive(
-            schedule,
-            pi,
-            meta,
-            partitioning,
-            backend,
-            options,
-            prune,
-            Some(pool),
-        )
+        drive(schedule, pi, partitioning, backend, options, Some(pool))
     })
 }
 
@@ -333,21 +282,17 @@ struct WorkerPool {
     workers: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive(
     schedule: &Schedule,
     pi: &PiGraph,
-    meta: &BucketMeta,
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
     options: &Phase4Options,
-    prune: Option<&Phase4Prune<'_>>,
     pool: Option<WorkerPool>,
 ) -> Result<Phase4Output, EngineError> {
     let mut cache: SlotCache<PartitionState> =
         SlotCache::new(options.cache_slots).with_io_stats(Arc::clone(backend.stats()));
     let mut sims_computed = 0u64;
-    let mut sims_skipped = 0u64;
     let mut sims_pruned = 0u64;
 
     for step in schedule.iter() {
@@ -375,29 +320,18 @@ fn drive(
             if pi.bucket_weight(src, dst) == 0 {
                 continue;
             }
-            // Bucket rows stream in already carrying their direction
-            // bits (v2 tuple codec); the full metadata byte — old-path
-            // bits included — comes from the phase-2 BucketMeta.
+            // Bucket rows stream in carrying their direction bits (v2
+            // tuple codec).
             let tuples = read_tuples(backend, StreamId::TupleBucket(src, dst))?;
-            // Validate and filter on the driving thread: skip / prune
+            // Validate and filter on the driving thread: prune
             // decisions read the accumulators as of bucket start
             // (scores land only after the whole bucket is collected),
             // so they are identical at every thread count.
-            let (survivors, skipped, pruned) = {
+            let (survivors, pruned) = {
                 let src_state = cache.get(src).expect("src resident");
                 let dst_state = cache.get(dst).expect("dst resident");
-                filter_bucket(
-                    (src, dst),
-                    tuples,
-                    meta,
-                    partitioning.rows(),
-                    src_state,
-                    dst_state,
-                    options,
-                    prune,
-                )?
+                filter_bucket(tuples, partitioning.rows(), src_state, dst_state, options)?
             };
-            sims_skipped += skipped;
             sims_pruned += pruned;
             if survivors.is_empty() {
                 continue;
@@ -463,7 +397,6 @@ fn drive(
         graph,
         cache: counters,
         sims_computed,
-        sims_skipped,
         sims_pruned,
     })
 }
@@ -482,40 +415,21 @@ const GATE_WINDOW: u64 = 1024;
 const GATE_MIN_HIT_SHIFT: u64 = 5;
 
 /// The driver-side scoring funnel of one bucket: validates every
-/// canonical tuple's endpoints, applies cross-iteration suppression
-/// and the upper-bound filter per recorded direction, and returns
-/// `(survivors, skipped, pruned)`.
+/// canonical tuple's endpoints, applies the upper-bound filter per
+/// recorded direction, and returns `(survivors, pruned)`.
 ///
 /// Thresholds are read from the accumulators as they stand at bucket
 /// start; since thresholds only tighten as scores arrive, a stale
 /// threshold can only *under*-prune — the filter is exact regardless
 /// of bucket or thread scheduling.
-#[allow(clippy::too_many_arguments)]
 fn filter_bucket(
-    bucket: (u32, u32),
     tuples: Vec<TupleRow>,
-    meta: &BucketMeta,
     row_of: &[u32],
     src: &PartitionState,
     dst: &PartitionState,
     options: &Phase4Options,
-    prune: Option<&Phase4Prune<'_>>,
-) -> Result<(Vec<PendingTuple>, u64, u64), EngineError> {
-    // Resolve the bucket's metadata slice once — the per-tuple bits
-    // are then a plain index, not a map lookup on the hot path.
-    let meta_bytes = meta.bucket_bytes(bucket).unwrap_or(&[]);
-    if meta_bytes.len() != tuples.len() {
-        return Err(EngineError::input(format!(
-            "bucket ({}, {}) has {} tuples but its metadata covers {} — phase-2 metadata \
-             must come from the same run as the bucket streams",
-            bucket.0,
-            bucket.1,
-            tuples.len(),
-            meta_bytes.len(),
-        )));
-    }
+) -> Result<(Vec<PendingTuple>, u64), EngineError> {
     let mut survivors: Vec<PendingTuple> = Vec::with_capacity(tuples.len());
-    let mut skipped = 0u64;
     let mut pruned = 0u64;
     let mut bound_attempts = 0u64;
     let mut bound_hits = 0u64;
@@ -535,63 +449,25 @@ fn filter_bucket(
     };
 
     // Bucket tuples are sorted by (u, v): walk them in equal-u groups
-    // so the per-user lookups (arena row, threshold, seed bit) happen
-    // once per group instead of once per tuple.
+    // so the per-user lookups (arena row, threshold) happen once per
+    // group instead of once per tuple.
     let mut start = 0usize;
     while start < tuples.len() {
         let u = tuples[start].0;
         let end = start + tuples[start..].partition_point(|t| t.0 == u);
         let u_idx = row_in(src, u, (u, tuples[start].1))?;
         let up = src.arena.view(u_idx);
-        let u_seed_ok = prune.is_some_and(|pr| pr.seed_ok[u as usize]);
-        let u_profile_dirty = prune.is_some_and(|pr| pr.profile_dirty[u as usize]);
         let u_threshold = if options.bound_filter {
             src.accums[u_idx as usize].threshold()
         } else {
             None
         };
-        #[allow(clippy::needless_range_loop)] // idx also indexes the bucket metadata
-        for idx in start..end {
-            let v = tuples[idx].1;
+        for &(_, v, bits) in &tuples[start..end] {
             let v_idx = row_in(dst, v, (u, v))?;
-            let bits = meta_bytes[idx];
-            debug_assert_eq!(
-                tuples[idx].2,
-                bits & (meta_bits::FWD | meta_bits::BWD),
-                "bucket stream direction bits disagree with BucketMeta"
-            );
-            // Which directed offers still need a fresh evaluation? A
-            // direction is redundant when its pair was evaluated last
-            // iteration (old path) and everything it was judged
-            // against is provably unchanged.
-            let (fwd_needed, bwd_needed) = match prune {
-                Some(pr) => {
-                    let v_seed_ok = pr.seed_ok[v as usize];
-                    let v_profile_dirty = pr.profile_dirty[v as usize];
-                    let fwd_redundant = bits & meta_bits::OLD_FWD != 0
-                        && u_seed_ok
-                        && !v_profile_dirty
-                        && (!options.include_reverse || v_seed_ok);
-                    let bwd_redundant = bits & meta_bits::OLD_BWD != 0
-                        && v_seed_ok
-                        && !u_profile_dirty
-                        && (!options.include_reverse || u_seed_ok);
-                    (
-                        bits & meta_bits::FWD != 0 && !fwd_redundant,
-                        bits & meta_bits::BWD != 0 && !bwd_redundant,
-                    )
-                }
-                None => (bits & meta_bits::FWD != 0, bits & meta_bits::BWD != 0),
-            };
-            if !fwd_needed && !bwd_needed {
-                // Every recorded direction was already evaluated last
-                // iteration; the seed rows carry their verdicts.
-                skipped += 1;
-                continue;
-            }
             // Which accumulators would a fresh score have to beat?
-            let into_u = fwd_needed || (options.include_reverse && bwd_needed);
-            let into_v = bwd_needed || (options.include_reverse && fwd_needed);
+            let (fwd, bwd) = (bits & meta_bits::FWD != 0, bits & meta_bits::BWD != 0);
+            let into_u = fwd || (options.include_reverse && bwd);
+            let into_v = bwd || (options.include_reverse && fwd);
             if options.bound_filter {
                 let gate_open = bound_attempts < GATE_WINDOW
                     || bound_hits << GATE_MIN_HIT_SHIFT >= bound_attempts;
@@ -621,7 +497,7 @@ fn filter_bucket(
         }
         start = end;
     }
-    Ok((survivors, skipped, pruned))
+    Ok((survivors, pruned))
 }
 
 /// Applies a bucket's scores (one per tuple, in tuple order) to the
@@ -714,22 +590,12 @@ mod tests {
         let profiles = line_profiles(2);
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let out = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p2.tuple_meta,
-            &p,
-            &b,
-            &options(1, 1),
-            None,
-        )
-        .unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(1, 1)).unwrap();
         let nbrs = out.graph.neighbors(UserId::new(0));
         assert_eq!(nbrs.len(), 1);
         assert_eq!(nbrs[0].id, UserId::new(1));
         assert!((nbrs[0].sim - 0.5).abs() < 1e-6, "cosine of half-overlap");
         assert_eq!(out.sims_computed, 1);
-        assert_eq!(out.sims_skipped, 0);
         assert_eq!(out.sims_pruned, 0);
     }
 
@@ -742,16 +608,7 @@ mod tests {
         for h in Heuristic::ALL {
             let (b, p, p2) = setup_world(&g, &profiles, 4);
             let schedule = h.schedule(&p2.pi);
-            let out = run_phase4(
-                &schedule,
-                &p2.pi,
-                &p2.tuple_meta,
-                &p,
-                &b,
-                &options(4, 1),
-                None,
-            )
-            .unwrap();
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(4, 1)).unwrap();
             results.push((h, out.graph));
         }
         for (h, g2) in &results[1..] {
@@ -768,16 +625,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let (b, p, p2) = setup_world(&g, &profiles, 3);
             let schedule = Heuristic::DegreeLowHigh.schedule(&p2.pi);
-            let out = run_phase4(
-                &schedule,
-                &p2.pi,
-                &p2.tuple_meta,
-                &p,
-                &b,
-                &options(5, threads),
-                None,
-            )
-            .unwrap();
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(5, threads)).unwrap();
             results.push(out.graph);
         }
         assert_eq!(results[0], results[1]);
@@ -799,26 +647,8 @@ mod tests {
             "test needs a bucket above the parallel threshold"
         );
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let sequential = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p2.tuple_meta,
-            &p,
-            &b,
-            &options(6, 1),
-            None,
-        )
-        .unwrap();
-        let parallel = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p2.tuple_meta,
-            &p,
-            &b,
-            &options(6, 4),
-            None,
-        )
-        .unwrap();
+        let sequential = run_phase4(&schedule, &p2.pi, &p, &b, &options(6, 1)).unwrap();
+        let parallel = run_phase4(&schedule, &p2.pi, &p, &b, &options(6, 4)).unwrap();
         assert_eq!(sequential.graph, parallel.graph);
         assert_eq!(sequential.sims_computed, parallel.sims_computed);
     }
@@ -837,7 +667,7 @@ mod tests {
             let schedule = Heuristic::Sequential.schedule(&p2.pi);
             let mut opts = options(4, 4);
             opts.parallel_threshold = threshold;
-            let out = run_phase4(&schedule, &p2.pi, &p2.tuple_meta, &p, &b, &opts, None).unwrap();
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &opts).unwrap();
             results.push((out.graph, out.sims_computed));
         }
         assert_eq!(results[0], results[1]);
@@ -852,16 +682,7 @@ mod tests {
         for m in [2, 3, 5] {
             let (b, p, p2) = setup_world(&g, &profiles, m);
             let schedule = Heuristic::Sequential.schedule(&p2.pi);
-            let out = run_phase4(
-                &schedule,
-                &p2.pi,
-                &p2.tuple_meta,
-                &p,
-                &b,
-                &options(3, 1),
-                None,
-            )
-            .unwrap();
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap();
             results.push(out.graph);
         }
         assert_eq!(results[0], results[1]);
@@ -876,16 +697,7 @@ mod tests {
         let (b, p, p2) = setup_world(&g, &profiles, 6);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let predicted = crate::traversal::simulate_schedule_ops(&schedule, 2);
-        let out = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p2.tuple_meta,
-            &p,
-            &b,
-            &options(3, 1),
-            None,
-        )
-        .unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap();
         assert_eq!(
             out.cache.loads, predicted.loads,
             "dry run must match execution"
@@ -904,7 +716,7 @@ mod tests {
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let mut opts = options(1, 1);
         opts.include_reverse = true;
-        let out = run_phase4(&schedule, &p2.pi, &p2.tuple_meta, &p, &b, &opts, None).unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &opts).unwrap();
         assert_eq!(out.graph.neighbors(UserId::new(1)).len(), 1);
         assert_eq!(out.graph.neighbors(UserId::new(1))[0].id, UserId::new(0));
     }
@@ -916,16 +728,7 @@ mod tests {
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         assert!(schedule.is_empty());
-        let out = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p2.tuple_meta,
-            &p,
-            &b,
-            &options(2, 1),
-            None,
-        )
-        .unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(2, 1)).unwrap();
         assert_eq!(out.graph.num_edges(), 0);
         assert_eq!(out.sims_computed, 0);
     }
@@ -986,16 +789,7 @@ mod tests {
             write_user_lists(&b, stream, &rows).unwrap();
         }
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let err = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p2.tuple_meta,
-            &p,
-            &b,
-            &options(3, 1),
-            None,
-        )
-        .unwrap_err();
+        let err = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap_err();
         assert!(
             matches!(&err, EngineError::InputMismatch { .. }),
             "got {err:?}"
@@ -1021,16 +815,7 @@ mod tests {
             tamper(&mut rows);
             write_user_lists(&b, StreamId::Accumulators(1), &rows).unwrap();
             let schedule = Heuristic::Sequential.schedule(&p2.pi);
-            let err = run_phase4(
-                &schedule,
-                &p2.pi,
-                &p2.tuple_meta,
-                &p,
-                &b,
-                &options(3, 1),
-                None,
-            )
-            .unwrap_err();
+            let err = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap_err();
             assert!(
                 matches!(&err, EngineError::Store(StoreError::Corrupt { .. })),
                 "got {err:?}"
@@ -1064,16 +849,14 @@ mod tests {
             let schedule = Heuristic::DegreeLowHigh.schedule(&p2.pi);
             let mut plain_opts = options(2, 1);
             plain_opts.measure = measure;
-            let plain =
-                run_phase4(&schedule, &p2.pi, &p2.tuple_meta, &p, &b, &plain_opts, None).unwrap();
+            let plain = run_phase4(&schedule, &p2.pi, &p, &b, &plain_opts).unwrap();
             let mut counters = Vec::new();
             for threads in [1usize, 4] {
                 let mut opts = options(2, threads);
                 opts.measure = measure;
                 opts.bound_filter = true;
                 opts.parallel_threshold = 8; // force the pool path too
-                let filtered =
-                    run_phase4(&schedule, &p2.pi, &p2.tuple_meta, &p, &b, &opts, None).unwrap();
+                let filtered = run_phase4(&schedule, &p2.pi, &p, &b, &opts).unwrap();
                 assert_eq!(
                     plain.graph, filtered.graph,
                     "{measure}: bound filter changed the graph"
@@ -1095,111 +878,5 @@ mod tests {
                 assert!(counters[0].1 > 0, "{measure}: filter never pruned");
             }
         }
-    }
-
-    /// One unpruned iteration from `g` (fresh world), returning
-    /// `G(t+1)`.
-    fn iterate_unpruned(g: &KnnGraph, profiles: &ProfileStore, k: usize, m: usize) -> KnnGraph {
-        let (b, p, p2) = setup_world(g, profiles, m);
-        let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        run_phase4(
-            &schedule,
-            &p2.pi,
-            &p2.tuple_meta,
-            &p,
-            &b,
-            &options(k, 1),
-            None,
-        )
-        .unwrap()
-        .graph
-    }
-
-    /// One pruned iteration from `current` (with `previous` as the
-    /// last graph and clean profiles), returning the full output.
-    fn iterate_pruned(
-        current: &KnnGraph,
-        previous: &KnnGraph,
-        profiles: &ProfileStore,
-        k: usize,
-        m: usize,
-    ) -> Phase4Output {
-        let n = current.num_vertices();
-        let additions = current.additions_since(previous);
-        let seed_ok: Vec<bool> = (0..n as u32)
-            .map(|u| current.fully_scored(UserId::new(u)))
-            .collect();
-        let profile_dirty = vec![false; n];
-        let b = knn_store::MemBackend::new();
-        let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
-        let p = Partitioning::from_assignment(assignment, m).unwrap();
-        reshard_profiles(&b, None, &p, Some(profiles), 1).unwrap();
-        write_partition_edges(current, &p, &b, 1, Some(&seed_ok)).unwrap();
-        let out = generate_tuples(
-            &p,
-            &b,
-            &crate::phase2::Phase2Options::new(1 << 16, 1),
-            Some(&additions),
-        )
-        .unwrap();
-        let schedule = Heuristic::Sequential.schedule(&out.pi);
-        let prune = Phase4Prune {
-            seed_ok: &seed_ok,
-            profile_dirty: &profile_dirty,
-        };
-        run_phase4(
-            &schedule,
-            &out.pi,
-            &out.tuple_meta,
-            &p,
-            &b,
-            &options(k, 1),
-            Some(&prune),
-        )
-        .unwrap()
-    }
-
-    /// Cross-iteration suppression is exact: iteration 2 with the
-    /// honest G(0) → G(1) addition oracle skips a real share of the
-    /// tuples and still lands on the identical G(2).
-    #[test]
-    fn suppression_is_exact_on_iteration_two() {
-        let (n, k, m) = (40, 4, 4);
-        let g0 = KnnGraph::random_init(n, k, 21);
-        let profiles = line_profiles(n);
-        let g1 = iterate_unpruned(&g0, &profiles, k, m);
-        let reference = iterate_unpruned(&g1, &profiles, k, m);
-        let pruned = iterate_pruned(&g1, &g0, &profiles, k, m);
-        assert_eq!(pruned.graph, reference, "suppression changed G(2)");
-        assert!(pruned.sims_skipped > 0, "no pair was suppressed");
-        assert!(
-            pruned.sims_computed > 0,
-            "iteration 2 still has fresh pairs"
-        );
-    }
-
-    /// At a fixed point (G(t+1) == G(t), static profiles) suppression
-    /// skips *every* tuple: zero kernel evaluations, identical graph.
-    #[test]
-    fn suppression_skips_everything_at_a_fixed_point() {
-        let (n, k, m) = (40, 4, 4);
-        let profiles = line_profiles(n);
-        let mut prev = KnnGraph::random_init(n, k, 21);
-        let mut current = iterate_unpruned(&prev, &profiles, k, m);
-        let mut rounds = 0;
-        while current != prev {
-            prev = current;
-            current = iterate_unpruned(&prev, &profiles, k, m);
-            rounds += 1;
-            assert!(rounds < 20, "line-profile world failed to converge");
-        }
-        // current == prev: the oracle between them is empty.
-        let pruned = iterate_pruned(&current, &prev, &profiles, k, m);
-        assert_eq!(pruned.graph, current, "fixed point not reproduced");
-        assert_eq!(
-            pruned.sims_computed, 0,
-            "a fully static world needs zero kernel evaluations"
-        );
-        assert!(pruned.sims_skipped > 0);
     }
 }

@@ -39,9 +39,8 @@
 //! Memory is bounded two ways: a bucket whose staging reaches
 //! `spill_threshold` rows is flushed to a [`StreamId::TupleRun`] as a
 //! sorted, deduplicated run in the varint-delta
-//! [`knn_store::tuple_stream`] codec (runs carry the full meta nibble,
-//! so old-path bits survive spills without any resident side table);
-//! and an optional **byte budget** ([`TupleTable::with_memory_budget`])
+//! [`knn_store::tuple_stream`] codec (direction bits inline); and an
+//! optional **byte budget** ([`TupleTable::with_memory_budget`])
 //! spills the largest staged bucket whenever total staging exceeds it,
 //! which is the knob `EngineConfig::tuple_table_memory` exposes.
 //!
@@ -60,17 +59,16 @@
 //! spills into a disjoint range of run streams and never contends
 //! with its siblings. Tuples generated by two different scans meet in
 //! the same bucket merge, whose worker dedups every table's staged
-//! block of the bucket in one pass. The merged output — bytes, [`PiGraph`], [`TupleTableStats`],
-//! and [`BucketMeta`] — depends only on the offered `(tuple, bits)`
-//! multiset, not on how many threads scanned or merged, which is the
-//! phase-2 leg of the engine's determinism guarantee.
+//! block of the bucket in one pass. The merged output — bytes,
+//! [`PiGraph`] and [`TupleTableStats`] — depends only on the offered
+//! directed-tuple multiset, not on how many threads scanned or merged,
+//! which is the phase-2 leg of the engine's determinism guarantee.
 //! [`TupleTable::finalize`] is the single-table convenience wrapper
 //! over the same merge.
 //!
 //! Final bucket streams persist the canonical pairs with their
-//! **direction** bits inline (a pure function of `G(t)`, so bucket
-//! bytes never depend on the suppression oracle); the iteration-scoped
-//! old-path bits live in the returned [`BucketMeta`] only.
+//! direction bits inline, so phase 4 reads everything it needs from
+//! the bucket rows themselves.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -109,85 +107,16 @@ pub struct TupleTableStats {
     pub spills: u64,
 }
 
-/// Per-tuple metadata bits of one **canonical** (undirected) tuple
-/// `(u, v)` with `u < v`: which of the two directed candidate tuples
-/// exist, and which of them arose through an all-old generating path
-/// (i.e. were already evaluated last iteration).
+/// The direction bits of one **canonical** (undirected) tuple `(u, v)`
+/// with `u < v`: which of the two directed candidate tuples exist. They
+/// are what lets phase 4 evaluate each unordered pair's symmetric
+/// kernel once and still make exactly the offers the directed tuple
+/// set implies.
 pub mod meta_bits {
     /// The directed tuple `(u, v)` exists (`v` is a candidate for `u`).
     pub const FWD: u8 = 1;
     /// The directed tuple `(v, u)` exists (`u` is a candidate for `v`).
     pub const BWD: u8 = 2;
-    /// `(u, v)` was generated by at least one all-old path.
-    pub const OLD_FWD: u8 = 4;
-    /// `(v, u)` was generated by at least one all-old path.
-    pub const OLD_BWD: u8 = 8;
-
-    /// The direction bits — the graph-derived, persisted subset of the
-    /// nibble (old-path bits are iteration-relative and stay in
-    /// memory).
-    pub const DIRECTION_MASK: u8 = FWD | BWD;
-}
-
-/// Per-bucket tuple metadata, one byte of [`meta_bits`] per canonical
-/// tuple, aligned with the **sorted** tuple order of each final
-/// bucket stream. The direction bits are what lets phase 4 evaluate
-/// each *unordered* pair's symmetric kernel exactly once and still
-/// make exactly the offers the directed tuple set implies; the
-/// old-path bits carry the cross-iteration suppression signal.
-///
-/// Memory posture: the tuple payloads stay on storage (direction bits
-/// included, via the v2 tuple codec), but the full metadata byte —
-/// old-path bits included — stays resident for the iteration, one
-/// byte per unique tuple. That is deliberate at the current scale
-/// (~10 MB per 10⁷ tuples); the old-path bits are iteration-relative
-/// and meaningless at rest, so persisting them would only tie bucket
-/// bytes to the suppression oracle.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BucketMeta {
-    bytes: HashMap<(u32, u32), Vec<u8>>,
-}
-
-impl BucketMeta {
-    /// The metadata byte of tuple `idx` in bucket `(i, j)` (sorted
-    /// order). Unknown buckets and out-of-range indices read as 0
-    /// (no directions — phase 4 treats the tuple as inert).
-    ///
-    /// Hot loops should resolve the bucket once with
-    /// [`BucketMeta::bucket_bytes`] and index the slice instead of
-    /// paying a map lookup per tuple.
-    pub fn bits(&self, bucket: (u32, u32), idx: usize) -> u8 {
-        self.bytes
-            .get(&bucket)
-            .and_then(|bytes| bytes.get(idx).copied())
-            .unwrap_or(0)
-    }
-
-    /// The whole metadata byte slice of one bucket, aligned with the
-    /// bucket stream's sorted tuple order; `None` for unknown buckets.
-    pub fn bucket_bytes(&self, bucket: (u32, u32)) -> Option<&[u8]> {
-        self.bytes.get(&bucket).map(Vec::as_slice)
-    }
-
-    /// Number of tuples recorded for `bucket`, or `None` when the
-    /// bucket is unknown — phase 4 uses this to reject metadata that
-    /// does not belong to the bucket streams it is scoring.
-    pub fn bucket_len(&self, bucket: (u32, u32)) -> Option<usize> {
-        self.bytes.get(&bucket).map(Vec::len)
-    }
-
-    /// Total number of directed tuples represented (FWD and BWD bits).
-    pub fn num_directed(&self) -> u64 {
-        self.bytes
-            .values()
-            .flat_map(|bytes| bytes.iter())
-            .map(|&b| ((b & meta_bits::FWD != 0) as u64) + ((b & meta_bits::BWD != 0) as u64))
-            .sum()
-    }
-
-    fn insert(&mut self, bucket: (u32, u32), bytes: Vec<u8>) {
-        self.bytes.insert(bucket, bytes);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -497,42 +426,27 @@ impl<'a> TupleTable<'a> {
     }
 
     /// Offers the directed tuple `(s, d)` — "`d` is a candidate for
-    /// `s`"; self-tuples (`s == d`) are ignored. The tuple is tagged
-    /// as *freshly generated* (its path contains a new edge) — use
-    /// [`TupleTable::offer_flagged`] to tag old paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Store`] if a spill write fails.
-    pub fn offer(&mut self, s: u32, d: u32) -> Result<(), EngineError> {
-        self.offer_flagged(s, d, false)
-    }
-
-    /// Offers the directed tuple `(s, d)` with its path-age flag:
-    /// `old_path` is `true` when every edge of the generating path
-    /// already existed last iteration (so the pair was already
-    /// evaluated then).
+    /// `s`"; self-tuples (`s == d`) are ignored.
     ///
     /// Internally the table stages the **canonical** undirected tuple
-    /// `(min, max)` with its [`meta_bits`] nibble; duplicate offers
-    /// are appended as-is and folded (bits OR) by the dedup at spill or
-    /// merge time — a direction is suppressible if **any** of its
-    /// generating paths is all-old, and OR over the offer multiset is
+    /// `(min, max)` with its [`meta_bits`] direction bit; duplicate
+    /// offers are appended as-is and folded (bits OR) by the dedup at
+    /// spill or merge time. OR over the offer multiset is
     /// order-independent, which keeps the output thread-invariant.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Store`] if a spill write fails.
-    pub fn offer_flagged(&mut self, s: u32, d: u32, old_path: bool) -> Result<(), EngineError> {
+    pub fn offer(&mut self, s: u32, d: u32) -> Result<(), EngineError> {
         if s == d {
             return Ok(());
         }
         self.counters.offered += 1;
         let (u, v) = (s.min(d), s.max(d));
         let bits = if s < d {
-            meta_bits::FWD | if old_path { meta_bits::OLD_FWD } else { 0 }
+            meta_bits::FWD
         } else {
-            meta_bits::BWD | if old_path { meta_bits::OLD_BWD } else { 0 }
+            meta_bits::BWD
         };
         let assignment = self.partitioning.assignment();
         let key = (assignment[u as usize], assignment[v as usize]);
@@ -618,14 +532,13 @@ impl<'a> TupleTable<'a> {
     }
 
     /// Flushes and merges every bucket to its final stream, returning
-    /// the PI graph (bucket → tuple count), the run statistics, and
-    /// the per-bucket tuple metadata. Single-table shorthand for
-    /// [`merge_parts`].
+    /// the PI graph (bucket → tuple count) and the run statistics.
+    /// Single-table shorthand for [`merge_parts`].
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Store`] on I/O failure.
-    pub fn finalize(self) -> Result<(PiGraph, TupleTableStats, BucketMeta), EngineError> {
+    pub fn finalize(self) -> Result<(PiGraph, TupleTableStats), EngineError> {
         let (backend, partitioning) = (self.backend, self.partitioning);
         merge_parts(backend, partitioning, vec![self.into_parts()], 1)
     }
@@ -829,14 +742,13 @@ struct BucketWork {
 /// per bucket, dedup every table's staged block in one pass (keyed
 /// through `partitioning`, on the bucket's merge worker), then stream
 /// a loser-tree k-way merge over the result and every spill run,
-/// OR-ing the meta bits of equal canonical pairs, encoding the output
-/// straight into the bucket's v2 tuple stream (direction bits inline;
-/// old-path bits into the returned [`BucketMeta`]). Runs are deleted
+/// OR-ing the direction bits of equal canonical pairs, encoding the
+/// output straight into the bucket's v2 tuple stream. Runs are deleted
 /// as soon as their bucket merges. Buckets are processed across
 /// `threads` workers — each bucket is a disjoint stream whose content
 /// is a pure function of the offered `(tuple, bits)` multiset, so the
-/// persisted bytes, [`PiGraph`], and [`BucketMeta`] are identical at
-/// every thread count.
+/// persisted bytes and [`PiGraph`] are identical at every thread
+/// count.
 ///
 /// Statistics: `offered` and `spills` sum over the parts; `unique`
 /// counts the merged **canonical** tuples; `duplicates = offered -
@@ -853,7 +765,7 @@ pub fn merge_parts(
     partitioning: &Partitioning,
     mut parts: Vec<TableParts>,
     threads: usize,
-) -> Result<(PiGraph, TupleTableStats, BucketMeta), EngineError> {
+) -> Result<(PiGraph, TupleTableStats), EngineError> {
     parts.sort_by_key(|p| p.namespace);
     let mut counters = TupleTableStats::default();
     let mut work: BTreeMap<(u32, u32), BucketWork> = BTreeMap::new();
@@ -882,26 +794,24 @@ pub fn merge_parts(
     })?;
 
     let mut pi = PiGraph::new(partitioning.num_partitions());
-    let mut meta = BucketMeta::default();
-    for (key, (unique, meta_bytes)) in keys.into_iter().zip(merged) {
+    for (key, unique) in keys.into_iter().zip(merged) {
         if unique == 0 {
             continue;
         }
         counters.unique += unique;
         pi.add_bucket(key.0, key.1, unique);
-        meta.insert(key, meta_bytes);
     }
     counters.duplicates = counters.offered.saturating_sub(counters.unique);
-    Ok((pi, counters, meta))
+    Ok((pi, counters))
 }
 
 /// Merges one bucket (see [`merge_parts`]), returning its unique-tuple
-/// count and full metadata bytes.
+/// count.
 fn merge_bucket(
     backend: &dyn StorageBackend,
     partitioning: &Partitioning,
     work: BucketWork,
-) -> Result<(u64, Vec<u8>), EngineError> {
+) -> Result<u64, EngineError> {
     let staged = dedup_bucket(partitioning, work.key, &work.staged);
     drop(work.staged);
     let run_streams: Vec<StreamId> = work
@@ -938,7 +848,6 @@ fn merge_bucket(
     }
 
     let mut writer = TupleStreamWriter::new();
-    let mut meta_bytes: Vec<u8> = Vec::new();
     if !sources.is_empty() {
         let mut heads = Vec::with_capacity(sources.len());
         for source in sources.iter_mut() {
@@ -953,7 +862,7 @@ fn merge_bucket(
             tree.heads[w] = sources[w].next()?;
             tree.replay(w);
             // Absorb equal canonical pairs from the other sources,
-            // OR-ing their meta bits (order-independent).
+            // OR-ing their direction bits (order-independent).
             loop {
                 let w2 = tree.winner();
                 match tree.heads[w2] {
@@ -965,10 +874,7 @@ fn merge_bucket(
                     _ => break,
                 }
             }
-            // Direction bits persist with the bucket; old-path bits
-            // are iteration-scoped and ride in BucketMeta only.
-            writer.push(row.0, row.1, row.2 & meta_bits::DIRECTION_MASK);
-            meta_bytes.push(row.2);
+            writer.push(row.0, row.1, row.2);
         }
     }
 
@@ -982,7 +888,7 @@ fn merge_bucket(
     for stream in run_streams {
         backend.delete(stream)?;
     }
-    Ok((unique, meta_bytes))
+    Ok(unique)
 }
 
 #[cfg(test)]
@@ -1005,26 +911,24 @@ mod tests {
             .collect()
     }
 
+    /// The direction bits of bucket `(i, j)`, in its sorted tuple order.
+    fn bucket_bits(b: &dyn StorageBackend, i: u32, j: u32) -> Vec<u8> {
+        read_tuples(b, StreamId::TupleBucket(i, j))
+            .unwrap()
+            .into_iter()
+            .map(|(_, _, bits)| bits)
+            .collect()
+    }
+
     /// Expands a merged world back into the directed tuple set the
     /// offers described (the view the reference engine scores).
-    fn directed_set(
-        b: &dyn StorageBackend,
-        pi: &PiGraph,
-        meta: &BucketMeta,
-    ) -> std::collections::HashSet<(u32, u32)> {
+    fn directed_set(b: &dyn StorageBackend, pi: &PiGraph) -> std::collections::HashSet<(u32, u32)> {
         let mut set = std::collections::HashSet::new();
         for ((i, j), _) in pi.iter_buckets() {
-            for (idx, (u, v, inline)) in read_tuples(b, StreamId::TupleBucket(i, j))
-                .unwrap()
-                .into_iter()
-                .enumerate()
-            {
-                let bits = meta.bits((i, j), idx);
-                assert_ne!(bits & meta_bits::DIRECTION_MASK, 0, "inert tuple stored");
-                assert_eq!(
-                    inline,
-                    bits & meta_bits::DIRECTION_MASK,
-                    "bucket stream must carry exactly the direction bits"
+            for (u, v, bits) in read_tuples(b, StreamId::TupleBucket(i, j)).unwrap() {
+                assert!(
+                    bits != 0 && bits & !(meta_bits::FWD | meta_bits::BWD) == 0,
+                    "a stored tuple carries direction bits only, at least one"
                 );
                 if bits & meta_bits::FWD != 0 {
                     set.insert((u, v));
@@ -1057,24 +961,24 @@ mod tests {
                 vec![
                     (0x01020304, 0x01020305, 1),
                     (7, 9, 2),
-                    (0xFFFF_0000, 0xFFFF_0001, 4),
-                    (7, 9, 8),
+                    (0xFFFF_0000, 0xFFFF_0001, 3),
+                    (7, 9, 1),
                     (7, 8, 1),
                     (0x01020304, 0x01020305, 2),
                     (0, u32::MAX, 1),
                     (u32::MAX - 1, u32::MAX, 2),
-                    (0, u32::MAX, 8),
-                    (0, 1, 4),
+                    (0, u32::MAX, 2),
+                    (0, 1, 3),
                 ],
             ),
             (
                 "all duplicates",
-                (0..50).map(|i| (5, 6, 1 << (i % 4))).collect(),
+                (0..50).map(|i| (5, 6, 1 << (i % 2))).collect(),
             ),
             (
                 "single source",
                 (0..40u32)
-                    .map(|i| (3, 1000 - (i * 7) % 25, (i % 16) as u8))
+                    .map(|i| (3, 1000 - (i * 7) % 25, (i % 3 + 1) as u8))
                     .collect(),
             ),
         ];
@@ -1101,7 +1005,7 @@ mod tests {
             .map(|i| {
                 // Even ids sit in partition 0, odd ones in partition 1.
                 let (u, v) = (2 * (i % 7), 13 + 2 * ((i * 5) % 11));
-                (u, v, [1, 2, 5, 10][(i % 4) as usize])
+                (u, v, [1, 2, 3][(i % 3) as usize])
             })
             .collect();
         for tables in [1u32, 2, 8] {
@@ -1111,25 +1015,18 @@ mod tests {
                 for ns in 0..tables {
                     let mut t = TupleTable::with_namespace(&b, &p, spill_threshold, ns);
                     for &(u, v, m) in offers.iter().skip(ns as usize).step_by(tables as usize) {
-                        let (s, d) = if m & meta_bits::FWD != 0 {
-                            (u, v)
-                        } else {
-                            (v, u)
-                        };
-                        t.offer_flagged(s, d, m & (meta_bits::OLD_FWD | meta_bits::OLD_BWD) != 0)
-                            .unwrap();
+                        if m & meta_bits::FWD != 0 {
+                            t.offer(u, v).unwrap();
+                        }
+                        if m & meta_bits::BWD != 0 {
+                            t.offer(v, u).unwrap();
+                        }
                     }
                     parts.push(t.into_parts());
                 }
-                let (pi, _, meta) = merge_parts(&b, &p, parts, 2).unwrap();
+                let (pi, _) = merge_parts(&b, &p, parts, 2).unwrap();
                 assert_eq!(pi.num_pairs(), 1);
-                let bits = meta.bucket_bytes((0, 1)).unwrap();
-                let got: Vec<TupleRow> = read_tuples(&b, StreamId::TupleBucket(0, 1))
-                    .unwrap()
-                    .into_iter()
-                    .zip(bits)
-                    .map(|((u, v, _), &m)| (u, v, m))
-                    .collect();
+                let got = read_tuples(&b, StreamId::TupleBucket(0, 1)).unwrap();
                 assert_eq!(
                     got,
                     fold(&offers),
@@ -1146,7 +1043,7 @@ mod tests {
             let sources: Vec<Vec<TupleRow>> = (0..k)
                 .map(|s| {
                     (0..10u32)
-                        .map(|i| (i * k as u32 + s as u32, u32::MAX, 1u8 << (s % 4)))
+                        .map(|i| (i * k as u32 + s as u32, u32::MAX, 1u8 << (s % 2)))
                         .collect()
                 })
                 .collect();
@@ -1176,7 +1073,7 @@ mod tests {
         let (b, _) = setup(4, 2);
         let rows: Vec<TupleRow> = (0..400u32)
             .flat_map(|u| {
-                (u + 1..u + 3).map(move |v| (u * 7, u * 7 + (v - u), ((u + v) % 16) as u8))
+                (u + 1..u + 3).map(move |v| (u * 7, u * 7 + (v - u), ((u + v) % 3 + 1) as u8))
             })
             .collect();
         let stream = StreamId::TupleRun(0, 1, 0);
@@ -1211,14 +1108,13 @@ mod tests {
             t.offer(0, 1).unwrap(); // bucket (0, 1): users 0→p0, 1→p1
         }
         t.offer(0, 3).unwrap(); // also bucket (0, 1)
-        let (pi, st, meta) = t.finalize().unwrap();
+        let (pi, st) = t.finalize().unwrap();
         assert_eq!(st.offered, 4);
         assert_eq!(st.duplicates, 2);
         assert_eq!(st.unique, 2);
         assert_eq!(pi.bucket_weight(0, 1), 2);
         assert_eq!(read_bucket(&b, 0, 1), vec![(0, 1), (0, 3)]);
-        assert_eq!(meta.bits((0, 1), 0), meta_bits::FWD);
-        assert_eq!(meta.bits((0, 1), 1), meta_bits::FWD);
+        assert_eq!(bucket_bits(&b, 0, 1), vec![meta_bits::FWD; 2]);
     }
 
     /// The symmetric-dedup contract: (s, d) and (d, s) collapse to one
@@ -1230,18 +1126,19 @@ mod tests {
         let mut t = TupleTable::new(&b, &p, 1000);
         t.offer(0, 1).unwrap(); // forward
         t.offer(1, 0).unwrap(); // backward: same canonical tuple
-        t.offer_flagged(3, 2, true).unwrap(); // backward-only, old path
-        let (pi, st, meta) = t.finalize().unwrap();
+        t.offer(3, 2).unwrap(); // backward-only
+        let (pi, st) = t.finalize().unwrap();
         assert_eq!(st.offered, 3);
         assert_eq!(st.unique, 2, "two canonical tuples");
         assert_eq!(st.duplicates, 1, "the reverse offer folds in");
         // (0, 1) carries both directions; (2, 3) only the backward one.
         assert_eq!(pi.bucket_weight(0, 1), 2);
         assert_eq!(read_bucket(&b, 0, 1), vec![(0, 1), (2, 3)]);
-        assert_eq!(meta.bits((0, 1), 0), meta_bits::FWD | meta_bits::BWD);
-        assert_eq!(meta.bits((0, 1), 1), meta_bits::BWD | meta_bits::OLD_BWD);
-        assert_eq!(meta.num_directed(), 3);
-        let directed = directed_set(&b, &pi, &meta);
+        assert_eq!(
+            bucket_bits(&b, 0, 1),
+            vec![meta_bits::FWD | meta_bits::BWD, meta_bits::BWD]
+        );
+        let directed = directed_set(&b, &pi);
         let expected: std::collections::HashSet<(u32, u32)> =
             [(0, 1), (1, 0), (3, 2)].into_iter().collect();
         assert_eq!(directed, expected);
@@ -1252,7 +1149,7 @@ mod tests {
         let (b, p) = setup(4, 2);
         let mut t = TupleTable::new(&b, &p, 1000);
         t.offer(2, 2).unwrap();
-        let (pi, st, _) = t.finalize().unwrap();
+        let (pi, st) = t.finalize().unwrap();
         assert_eq!(st.offered, 0);
         assert_eq!(pi.total_tuples(), 0);
     }
@@ -1271,53 +1168,40 @@ mod tests {
                 expected.push((s, d));
             }
         }
-        let (pi, st, meta) = t.finalize().unwrap();
+        let (pi, st) = t.finalize().unwrap();
         assert!(st.spills > 0, "threshold should have forced spills");
         assert_eq!(st.unique as usize, expected.len());
         assert_eq!(st.duplicates as usize, expected.len());
         // Re-read all buckets and compare with the expected set.
-        let directed = directed_set(&b, &pi, &meta);
+        let directed = directed_set(&b, &pi);
         let expected: std::collections::HashSet<(u32, u32)> = expected.into_iter().collect();
         assert_eq!(directed, expected);
     }
 
-    /// Old-path bits survive spills (the full nibble rides in the run
-    /// streams) and OR across duplicate offers.
+    /// Direction bits survive spills (they ride in the run streams)
+    /// and OR across duplicate offers.
     #[test]
     fn meta_bits_survive_spills_and_or_across_offers() {
         for spill_threshold in [1usize, 2, 100] {
             let (b, p) = setup(20, 2);
             let mut t = TupleTable::new(&b, &p, spill_threshold);
-            t.offer_flagged(0, 1, true).unwrap(); // old fwd
-            t.offer_flagged(2, 3, false).unwrap();
-            t.offer_flagged(2, 3, true).unwrap(); // later offer upgrades to old
-            t.offer_flagged(5, 4, false).unwrap(); // fresh bwd
-            t.offer_flagged(4, 5, true).unwrap(); // old fwd, same canonical
-            let (pi, _, meta) = t.finalize().unwrap();
+            t.offer(0, 1).unwrap(); // fwd
+            t.offer(2, 3).unwrap();
+            t.offer(2, 3).unwrap(); // a repeat adds nothing
+            t.offer(5, 4).unwrap(); // bwd
+            t.offer(4, 5).unwrap(); // fwd, same canonical tuple
+            let (pi, _) = t.finalize().unwrap();
             assert_eq!(pi.bucket_weight(0, 1), 3);
             assert_eq!(read_bucket(&b, 0, 1), vec![(0, 1), (2, 3), (4, 5)]);
-            let label = format!("spill={spill_threshold}");
             assert_eq!(
-                meta.bits((0, 1), 0),
-                meta_bits::FWD | meta_bits::OLD_FWD,
-                "{label}"
+                bucket_bits(&b, 0, 1),
+                vec![
+                    meta_bits::FWD,
+                    meta_bits::FWD,
+                    meta_bits::FWD | meta_bits::BWD
+                ],
+                "spill={spill_threshold}"
             );
-            assert_eq!(
-                meta.bits((0, 1), 1),
-                meta_bits::FWD | meta_bits::OLD_FWD,
-                "{label}"
-            );
-            assert_eq!(
-                meta.bits((0, 1), 2),
-                meta_bits::FWD | meta_bits::BWD | meta_bits::OLD_FWD,
-                "{label}: old applies to the offered direction only"
-            );
-            let old = meta.bucket_bytes((0, 1)).unwrap().iter();
-            let old = old.filter(|&&b| b & (meta_bits::OLD_FWD | meta_bits::OLD_BWD) != 0);
-            assert_eq!(old.count(), 3, "{label}");
-            // Unknown buckets/indices read inert.
-            assert_eq!(meta.bits((0, 1), 3), 0);
-            assert_eq!(meta.bits((9, 9), 0), 0);
         }
     }
 
@@ -1330,7 +1214,7 @@ mod tests {
         t.offer(3, 4).unwrap(); // canonical (3, 4): p0 → p1 again
         t.offer(2, 5).unwrap(); // p2 → p2 (users 2 and 5 share partition 2)
         t.offer(4, 0).unwrap(); // canonical (0, 4): p0 → p1, backward
-        let (pi, _, _) = t.finalize().unwrap();
+        let (pi, _) = t.finalize().unwrap();
         assert_eq!(pi.bucket_weight(0, 1), 3);
         assert_eq!(pi.bucket_weight(1, 0), 0, "reverse bucket folded away");
         assert_eq!(pi.bucket_weight(2, 2), 1);
@@ -1358,12 +1242,15 @@ mod tests {
             }
             parts.push(t.into_parts());
         }
-        let (pi, st, meta) = merge_parts(&b, &p, parts, 2).unwrap();
+        let (pi, st) = merge_parts(&b, &p, parts, 2).unwrap();
         assert_eq!((st.offered, st.unique), (15, 3));
         assert!(st.spills > 0, "threshold 2 must spill");
         assert_eq!(pi.total_tuples(), 3);
         assert_eq!(read_bucket(&b, 0, top), vec![(0, top)]);
-        assert_eq!(meta.bits((0, top), 0), meta_bits::FWD | meta_bits::BWD);
+        assert_eq!(
+            bucket_bits(&b, 0, top),
+            vec![meta_bits::FWD | meta_bits::BWD]
+        );
         assert_eq!(read_bucket(&b, top - 1, top), vec![(top - 1, top)]);
         assert_eq!(read_bucket(&b, 3, 7), vec![(3, 7)]);
     }
@@ -1375,7 +1262,7 @@ mod tests {
         for s in 0..10u32 {
             t.offer(s, (s + 1) % 20).unwrap();
         }
-        let (_, st, _) = t.finalize().unwrap();
+        let (_, st) = t.finalize().unwrap();
         assert!(st.spills > 0);
         // Only final bucket streams remain.
         assert!(b
@@ -1389,10 +1276,10 @@ mod tests {
     fn empty_table_finalizes_to_empty_pi() {
         let (b, p) = setup(4, 2);
         let t = TupleTable::new(&b, &p, 10);
-        let (pi, st, meta) = t.finalize().unwrap();
+        let (pi, st) = t.finalize().unwrap();
         assert_eq!(pi.total_tuples(), 0);
         assert_eq!(st.offered, 0);
-        assert_eq!(meta.num_directed(), 0);
+        assert!(b.list().unwrap().is_empty());
     }
 
     /// The parallel-phase-2 contract: tables with distinct namespaces
@@ -1414,12 +1301,12 @@ mod tests {
                 t.offer(0, 1).unwrap();
                 t.offer(2, 3).unwrap();
                 if ns == 1 {
-                    t.offer_flagged(1, 0, true).unwrap();
+                    t.offer(1, 0).unwrap();
                 }
                 t.offer(ns * 4 + 4, 1).unwrap(); // unique per table
                 parts.push(t.into_parts());
             }
-            let (pi, st, meta) = merge_parts(&b, &p, parts, threads).unwrap();
+            let (pi, st) = merge_parts(&b, &p, parts, threads).unwrap();
             assert_eq!(st.offered, 7);
             assert_eq!(st.unique, 4, "threads={threads}");
             assert_eq!(st.duplicates, 3, "threads={threads}");
@@ -1429,14 +1316,17 @@ mod tests {
             // the (p1, p0) bucket.
             assert_eq!(read_bucket(&b, 0, 1), vec![(0, 1), (2, 3)]);
             assert_eq!(read_bucket(&b, 1, 0), vec![(1, 4), (1, 8)]);
-            // The cross-table reverse offer merged its bits in.
+            // The cross-table reverse offer merged its bit in.
             assert_eq!(
-                meta.bits((0, 1), 0),
-                meta_bits::FWD | meta_bits::BWD | meta_bits::OLD_BWD,
+                bucket_bits(&b, 0, 1),
+                vec![meta_bits::FWD | meta_bits::BWD, meta_bits::FWD],
                 "threads={threads}"
             );
-            assert_eq!(meta.bits((1, 0), 0), meta_bits::BWD, "threads={threads}");
-            assert_eq!(meta.bits((1, 0), 1), meta_bits::BWD, "threads={threads}");
+            assert_eq!(
+                bucket_bits(&b, 1, 0),
+                vec![meta_bits::BWD; 2],
+                "threads={threads}"
+            );
             // Runs from both namespaces are gone.
             assert!(b
                 .list()
@@ -1461,8 +1351,8 @@ mod tests {
                 t.offer(s, d).unwrap();
                 max_staged = max_staged.max(t.staged_rows);
             }
-            let (pi, st, meta) = t.finalize().unwrap();
-            let directed = directed_set(&b, &pi, &meta);
+            let (pi, st) = t.finalize().unwrap();
+            let directed = directed_set(&b, &pi);
             (st.unique, st.duplicates, directed, max_staged, st.spills)
         };
         let unbounded = run(None);
@@ -1483,36 +1373,29 @@ mod tests {
     }
 
     /// The merge agrees with a plain fold of the offer multiset — a
-    /// `BTreeMap` keyed by canonical pair, meta bits OR-combined — on
-    /// everything it returns and persists, at every spill threshold.
+    /// `BTreeMap` keyed by canonical pair, direction bits OR-combined —
+    /// on everything it returns and persists, at every spill threshold.
     #[test]
     fn merge_matches_a_btreemap_fold_of_the_offers() {
-        let offers: Vec<(u32, u32, bool)> = (0..40u32)
-            .flat_map(|s| {
-                [
-                    (s, (s + 1) % 40, s % 3 == 0),
-                    ((s + 1) % 40, s, false),
-                    (s, (s + 13) % 40, true),
-                ]
-            })
+        let offers: Vec<(u32, u32)> = (0..40u32)
+            .flat_map(|s| [(s, (s + 1) % 40), ((s + 1) % 40, s), (s, (s + 13) % 40)])
             .collect();
         for spill_threshold in [1usize, 3, 1 << 16] {
             let (b, p) = setup(40, 3);
             let mut t = TupleTable::new(&b, &p, spill_threshold);
-            for &(s, d, old) in &offers {
-                t.offer_flagged(s, d, old).unwrap();
+            for &(s, d) in &offers {
+                t.offer(s, d).unwrap();
             }
-            let (pi, stats, meta) = t.finalize().unwrap();
+            let (pi, stats) = t.finalize().unwrap();
 
             // bucket → canonical pair → OR of the offered bits.
             let mut fold: BTreeMap<(u32, u32), BTreeMap<(u32, u32), u8>> = BTreeMap::new();
-            for &(s, d, old) in &offers {
+            for &(s, d) in &offers {
                 let (u, v) = (s.min(d), s.max(d));
-                let bits = match (s < d, old) {
-                    (true, false) => meta_bits::FWD,
-                    (true, true) => meta_bits::FWD | meta_bits::OLD_FWD,
-                    (false, false) => meta_bits::BWD,
-                    (false, true) => meta_bits::BWD | meta_bits::OLD_BWD,
+                let bits = if s < d {
+                    meta_bits::FWD
+                } else {
+                    meta_bits::BWD
                 };
                 let part = |x: u32| p.partition_of(knn_graph::UserId::new(x));
                 *fold
@@ -1522,21 +1405,16 @@ mod tests {
                     .or_insert(0) |= bits;
             }
             let mut want_pi = PiGraph::new(3);
-            let mut want_meta = BucketMeta::default();
             let mut want_streams = Vec::new();
             for (&(i, j), rows) in &fold {
                 want_pi.add_bucket(i, j, rows.len() as u64);
-                want_meta.insert((i, j), rows.values().copied().collect());
-                let decoded: Vec<TupleRow> = rows
-                    .iter()
-                    .map(|(&(u, v), &bits)| (u, v, bits & meta_bits::DIRECTION_MASK))
-                    .collect();
+                let decoded: Vec<TupleRow> =
+                    rows.iter().map(|(&(u, v), &bits)| (u, v, bits)).collect();
                 want_streams.push((StreamId::TupleBucket(i, j), decoded));
             }
             let unique: u64 = fold.values().map(|rows| rows.len() as u64).sum();
 
             assert_eq!(pi, want_pi, "spill={spill_threshold}");
-            assert_eq!(meta, want_meta, "spill={spill_threshold}");
             assert_eq!(
                 (stats.offered, stats.unique, stats.duplicates),
                 (offers.len() as u64, unique, offers.len() as u64 - unique),

@@ -474,13 +474,13 @@ pub fn write_tuples(
     b.write(stream, &crate::tuple_stream::encode_tuples(rows))
 }
 
-/// Reads a tuple stream written by [`write_tuples`] — or a legacy
-/// fixed-width pair stream, whose rows decode with an empty meta
-/// nibble (see [`crate::tuple_stream`] for the versioning story).
+/// Reads a tuple stream written by [`write_tuples`] (see
+/// [`crate::tuple_stream`] for the versioning story).
 ///
 /// # Errors
 ///
-/// Same as [`read_pairs`].
+/// Same as [`read_pairs`]; a stream of any other record kind is
+/// [`StoreError::Corrupt`].
 pub fn read_tuples(
     b: &dyn StorageBackend,
     stream: StreamId,

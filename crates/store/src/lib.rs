@@ -22,8 +22,8 @@
 //! * [`tuple_stream`] — the varint-delta tuple codec (format v2):
 //!   sorted canonical pairs delta-encoded with packed meta nibbles,
 //!   with streaming reader/writer cursors for phase 2's spill runs
-//!   and bucket streams; legacy fixed-width pair streams still decode
-//!   (see the module docs for the versioning story);
+//!   and bucket streams (see the module docs for the versioning
+//!   story);
 //! * [`IoStats`] — atomic counters living *inside* the backend
 //!   boundary, so different backends are metered uniformly;
 //! * [`SlotCache`] — the ≤`c`-resident partition cache whose

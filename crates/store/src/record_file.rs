@@ -31,7 +31,8 @@ pub enum RecordKind {
     InEdges = 1,
     /// Directed out-edges of a partition, sorted by bridge vertex.
     OutEdges = 2,
-    /// Deduplicated similarity tuples `(s, d)` of one PI edge.
+    /// Fixed-width `(s, d)` pairs. The tuple-stream readers reject
+    /// this kind; phase 2 writes [`RecordKind::TuplesV2`].
     Tuples = 3,
     /// Scored KNN edges `(s, d, sim)`.
     ScoredEdges = 4,
@@ -46,8 +47,8 @@ pub enum RecordKind {
     /// User → partition assignment rows.
     Assignment = 9,
     /// Canonical similarity tuples with packed meta nibbles, in the
-    /// varint-delta format of [`crate::tuple_stream`] (format v2;
-    /// [`RecordKind::Tuples`] is the legacy fixed-width encoding).
+    /// varint-delta format of [`crate::tuple_stream`] (format v2), the
+    /// only tuple stream kind its readers accept.
     TuplesV2 = 10,
     /// User → cluster-label rows (the locality pre-pass artifact).
     Clusters = 11,

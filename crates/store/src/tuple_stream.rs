@@ -2,8 +2,9 @@
 //!
 //! Phase 2 moves more bytes than any other phase: every spill run and
 //! every final bucket is a sorted list of canonical tuples `(u, v)`
-//! with `u < v`, each carrying a 4-bit metadata nibble (direction and
-//! old-path bits). The fixed-width pair encoding costs 8 bytes per
+//! with `u < v`, each carrying a 4-bit metadata nibble. The engine uses
+//! its low two bits for the tuple's directions; bits 2–3 are reserved
+//! and written as zero. A fixed-width pair encoding costs 8 bytes per
 //! tuple and cannot carry the nibble at all; this codec exploits the
 //! sortedness instead:
 //!
@@ -13,43 +14,34 @@
 //!   ascending) or `v - u - 1` when the group changes (`v > u`
 //!   always, by canonicality);
 //! * the meta nibble is **bit-packed** into the low bits of the head
-//!   varint, so direction/old-path bits travel with the tuple instead
-//!   of in a resident side table.
+//!   varint, so the direction bits travel with the tuple instead of in
+//!   a resident side table.
 //!
-//! Dense buckets encode in ~2 bytes per tuple versus the legacy 8 —
+//! Dense buckets encode in ~2 bytes per tuple versus a fixed-width 8 —
 //! spilled traffic shrinks by well over half, which is exactly the
 //! lever the paper's PC-class I/O budget needs.
 //!
-//! # Stream versioning and legacy compatibility
+//! # Stream versioning
 //!
 //! Every tuple stream starts with the standard [`crate::codec`] header
-//! whose record-kind field doubles as the format discriminator:
-//!
-//! * kind [`RecordKind::TuplesV2`] — this codec; the header is
-//!   followed by one **format byte** ([`TUPLE_STREAM_FORMAT`], `2`)
-//!   reserved for future in-kind evolution, then the varint rows;
-//! * kind [`RecordKind::Tuples`] — the legacy fixed-width pair
-//!   encoding written before this codec existed. [`decode_tuples`]
-//!   and [`TupleStreamReader`] accept it transparently, yielding each
-//!   pair with an empty meta nibble (pre-refactor streams kept their
-//!   metadata in memory, never at rest).
-//!
-//! Tuple streams are per-iteration scratch — `resume` never reads
-//! them — so the legacy path exists for tooling that inspects old
-//! working directories and as the template for future format bumps;
-//! the guarantee that pre-refactor working directories still open is
-//! carried by the *other* streams' unchanged encodings.
+//! of kind [`RecordKind::TuplesV2`], followed by one **format byte**
+//! ([`TUPLE_STREAM_FORMAT`], `2`) reserved for future in-kind
+//! evolution, then the varint rows. Any other record kind — the
+//! fixed-width [`RecordKind::Tuples`] pair encoding included — reads
+//! as [`StoreError::Corrupt`]. Tuple streams are per-iteration scratch
+//! (cleared before every phase 2, never read by `resume`), so no
+//! older encoding needs to stay readable.
 
 use std::path::Path;
 
 use bytes::{BufMut, BytesMut};
 
 use crate::codec::{put_header, row_capacity, HEADER_LEN, MAGIC, VERSION};
-use crate::record_file::{decode_pairs, RecordKind};
+use crate::record_file::RecordKind;
 use crate::StoreError;
 
 /// One row of a tuple stream: the canonical pair (`u < v`) plus its
-/// meta nibble (low 4 bits used; see the engine's `meta_bits`).
+/// meta nibble (the engine's `meta_bits` direction bits).
 pub type TupleRow = (u32, u32, u8);
 
 /// The in-kind format byte of [`RecordKind::TuplesV2`] streams.
@@ -184,20 +176,9 @@ pub fn encode_tuples(rows: &[TupleRow]) -> BytesMut {
     w.finish()
 }
 
-/// Which on-storage format a tuple stream was written in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TupleFormat {
-    /// Varint-delta rows with packed meta nibbles.
-    V2 { format_byte: u8 },
-    /// Legacy fixed-width pairs ([`RecordKind::Tuples`]); meta reads
-    /// as 0.
-    Legacy,
-}
-
-/// Parses the header of a tuple stream payload, dispatching on the
-/// record kind, and returns the format plus the declared row count and
-/// the offset of the first row byte.
-fn take_tuple_header(bytes: &[u8], path: &Path) -> Result<(TupleFormat, u64, usize), StoreError> {
+/// Parses the header of a tuple stream payload and returns the
+/// declared row count and the offset of the first row byte.
+fn take_tuple_header(bytes: &[u8], path: &Path) -> Result<(u64, usize), StoreError> {
     if bytes.len() < HEADER_LEN {
         return Err(StoreError::corrupt(
             path,
@@ -223,16 +204,12 @@ fn take_tuple_header(bytes: &[u8], path: &Path) -> Result<(TupleFormat, u64, usi
     }
     let kind = u16::from_le_bytes([bytes[6], bytes[7]]);
     let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    if kind == RecordKind::Tuples as u16 {
-        return Ok((TupleFormat::Legacy, count, HEADER_LEN));
-    }
     if kind != RecordKind::TuplesV2 as u16 {
         return Err(StoreError::corrupt(
             path,
             format!(
-                "record kind {kind} found, expected a tuple stream ({} or legacy {})",
-                RecordKind::TuplesV2 as u16,
-                RecordKind::Tuples as u16
+                "record kind {kind} found, expected a tuple stream ({})",
+                RecordKind::TuplesV2 as u16
             ),
         ));
     }
@@ -250,7 +227,7 @@ fn take_tuple_header(bytes: &[u8], path: &Path) -> Result<(TupleFormat, u64, usi
             ),
         ));
     }
-    Ok((TupleFormat::V2 { format_byte }, count, HEADER_LEN + 1))
+    Ok((count, HEADER_LEN + 1))
 }
 
 /// Outcome of one [`TupleDecoder::try_next`] step.
@@ -266,17 +243,13 @@ pub enum DecodeStep {
 }
 
 /// The chunk-fed tuple decode state machine: O(1) state (row count,
-/// previous key, format), pulled over any byte window the caller
-/// manages. This is what lets a k-way merge stream a spill run
-/// through a **bounded** refill buffer — the decoder never requires
-/// the whole payload at once, and a row straddling a chunk boundary
-/// simply reports [`DecodeStep::NeedMore`] without consuming bytes.
-///
-/// Accepts both the v2 varint-delta format and legacy fixed-width
-/// pair streams (meta nibble 0).
+/// previous key), pulled over any byte window the caller manages. This
+/// is what lets a k-way merge stream a spill run through a **bounded**
+/// refill buffer — the decoder never requires the whole payload at
+/// once, and a row straddling a chunk boundary simply reports
+/// [`DecodeStep::NeedMore`] without consuming bytes.
 #[derive(Debug, Clone)]
 pub struct TupleDecoder {
-    format: TupleFormat,
     remaining: u64,
     prev: Option<(u32, u32)>,
 }
@@ -285,19 +258,17 @@ impl TupleDecoder {
     /// Parses the stream header from the first bytes of a tuple
     /// stream, returning the decoder and the number of header bytes
     /// consumed. The slice must cover the whole header
-    /// ([`HEADER_LEN`]` + 1` bytes for v2) — any sane refill chunk
-    /// does.
+    /// ([`HEADER_LEN`]` + 1` bytes) — any sane refill chunk does.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] for a malformed header or unknown
-    /// format, [`StoreError::VersionMismatch`] for a foreign codec
-    /// version.
+    /// [`StoreError::Corrupt`] for a malformed header, a record kind
+    /// other than [`RecordKind::TuplesV2`] or an unknown format byte,
+    /// [`StoreError::VersionMismatch`] for a foreign codec version.
     pub fn from_stream_start(bytes: &[u8], path: &Path) -> Result<(Self, usize), StoreError> {
-        let (format, remaining, pos) = take_tuple_header(bytes, path)?;
+        let (remaining, pos) = take_tuple_header(bytes, path)?;
         Ok((
             TupleDecoder {
-                format,
                 remaining,
                 prev: None,
             },
@@ -328,60 +299,47 @@ impl TupleDecoder {
         if self.remaining == 0 {
             return Ok(DecodeStep::Done);
         }
-        let row = match self.format {
-            TupleFormat::Legacy => {
-                if buf.len().saturating_sub(*pos) < 8 {
-                    return Ok(DecodeStep::NeedMore);
-                }
-                let u = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes"));
-                let v = u32::from_le_bytes(buf[*pos + 4..*pos + 8].try_into().expect("4 bytes"));
-                *pos += 8;
-                (u, v, 0u8)
+        let start = *pos;
+        let Some(head) = try_varint(buf, pos, path)? else {
+            return Ok(DecodeStep::NeedMore);
+        };
+        let Some(dv) = try_varint(buf, pos, path)? else {
+            *pos = start;
+            return Ok(DecodeStep::NeedMore);
+        };
+        let meta = (head & u64::from(TUPLE_META_MAX)) as u8;
+        let du = head >> 4;
+        // Corrupt deltas must surface as errors, never wrap:
+        // all id reconstruction is checked arithmetic.
+        let overflow = || StoreError::corrupt(path, "tuple delta overflows the id space");
+        let add1 = |base: u64, delta: u64| {
+            base.checked_add(1)
+                .and_then(|x| x.checked_add(delta))
+                .ok_or_else(overflow)
+        };
+        let (u, v) = match self.prev {
+            Some((pu, pv)) => {
+                let u = u64::from(pu).checked_add(du).ok_or_else(overflow)?;
+                let v = if du == 0 {
+                    add1(u64::from(pv), dv)?
+                } else {
+                    add1(u, dv)?
+                };
+                (u, v)
             }
-            TupleFormat::V2 { .. } => {
-                let start = *pos;
-                let Some(head) = try_varint(buf, pos, path)? else {
-                    return Ok(DecodeStep::NeedMore);
-                };
-                let Some(dv) = try_varint(buf, pos, path)? else {
-                    *pos = start;
-                    return Ok(DecodeStep::NeedMore);
-                };
-                let meta = (head & u64::from(TUPLE_META_MAX)) as u8;
-                let du = head >> 4;
-                // Corrupt deltas must surface as errors, never wrap:
-                // all id reconstruction is checked arithmetic.
-                let overflow = || StoreError::corrupt(path, "tuple delta overflows the id space");
-                let add1 = |base: u64, delta: u64| {
-                    base.checked_add(1)
-                        .and_then(|x| x.checked_add(delta))
-                        .ok_or_else(overflow)
-                };
-                let (u, v) = match self.prev {
-                    Some((pu, pv)) => {
-                        let u = u64::from(pu).checked_add(du).ok_or_else(overflow)?;
-                        let v = if du == 0 {
-                            add1(u64::from(pv), dv)?
-                        } else {
-                            add1(u, dv)?
-                        };
-                        (u, v)
-                    }
-                    None => {
-                        let u = du;
-                        (u, add1(u, dv)?)
-                    }
-                };
-                // v > u by construction, so this bounds u as well.
-                if v > u64::from(u32::MAX) {
-                    return Err(StoreError::corrupt(
-                        path,
-                        format!("tuple id {v} overflows u32"),
-                    ));
-                }
-                (u as u32, v as u32, meta)
+            None => {
+                let u = du;
+                (u, add1(u, dv)?)
             }
         };
+        // v > u by construction, so this bounds u as well.
+        if v > u64::from(u32::MAX) {
+            return Err(StoreError::corrupt(
+                path,
+                format!("tuple id {v} overflows u32"),
+            ));
+        }
+        let row = (u as u32, v as u32, meta);
         self.prev = Some((row.0, row.1));
         self.remaining -= 1;
         Ok(DecodeStep::Row(row))
@@ -461,7 +419,7 @@ impl TupleStreamReader {
     }
 }
 
-/// Decodes a whole tuple stream payload — v2 or legacy — into rows.
+/// Decodes a whole tuple stream payload into rows.
 /// Takes the payload by value (backend reads already hand over an
 /// owned buffer; no copy is made).
 ///
@@ -469,13 +427,6 @@ impl TupleStreamReader {
 ///
 /// Same as [`TupleStreamReader::next`].
 pub fn decode_tuples(bytes: Vec<u8>, path: &Path) -> Result<Vec<TupleRow>, StoreError> {
-    // The legacy fast path reuses the fixed-width pair decoder.
-    if let Ok((TupleFormat::Legacy, _, _)) = take_tuple_header(&bytes, path) {
-        return Ok(decode_pairs(&bytes, RecordKind::Tuples, path)?
-            .into_iter()
-            .map(|(u, v)| (u, v, 0))
-            .collect());
-    }
     let mut reader = TupleStreamReader::new(bytes, path)?;
     // A v2 row is at least two one-byte varints.
     let payload = reader.bytes.len() - reader.pos;
@@ -550,14 +501,20 @@ mod tests {
         assert_eq!(r.next().unwrap(), None);
     }
 
+    /// The fixed-width pair encoding is not a tuple stream: every entry
+    /// point rejects it as corrupt.
     #[test]
-    fn legacy_pair_streams_decode_with_empty_meta() {
+    fn legacy_pair_streams_are_rejected() {
         let pairs = vec![(0u32, 3u32), (2, 9), (7, 8)];
-        let legacy = encode_pairs(RecordKind::Tuples, &pairs);
-        let rows = decode_tuples(legacy.to_vec(), &p()).unwrap();
-        assert_eq!(rows, vec![(0, 3, 0), (2, 9, 0), (7, 8, 0)]);
-        let mut reader = TupleStreamReader::new(legacy.to_vec(), &p()).unwrap();
-        assert_eq!(reader.next().unwrap(), Some((0, 3, 0)));
+        let legacy = encode_pairs(RecordKind::Tuples, &pairs).to_vec();
+        let corrupt = |r: Result<(), StoreError>| matches!(r, Err(StoreError::Corrupt { .. }));
+        assert!(corrupt(decode_tuples(legacy.clone(), &p()).map(drop)));
+        assert!(corrupt(
+            TupleStreamReader::new(legacy.clone(), &p()).map(drop)
+        ));
+        assert!(corrupt(
+            TupleDecoder::from_stream_start(&legacy, &p()).map(drop)
+        ));
     }
 
     #[test]
@@ -619,7 +576,8 @@ mod tests {
     }
 
     /// A bare header declaring an absurd row count is corrupt; it
-    /// neither reserves capacity for the count nor wraps a length.
+    /// neither reserves capacity for the count nor wraps a length. A
+    /// fixed-width pair header is rejected before its count is read.
     #[test]
     fn hostile_row_count_is_corrupt_not_panic() {
         for count in [1u64 << 61, u64::MAX] {

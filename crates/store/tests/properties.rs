@@ -202,11 +202,10 @@ proptest! {
         wd.destroy().unwrap();
     }
 
-    /// The legacy-format decode fixture: a fixed-width pair stream
-    /// written by the pre-overhaul codec decodes through the v2 reader
-    /// as the same pairs with empty meta nibbles.
+    /// A fixed-width pair stream is not a tuple stream: whatever pairs
+    /// it holds, reading it back as tuples is a typed corruption error.
     #[test]
-    fn legacy_pair_streams_decode_as_tuples(
+    fn legacy_pair_streams_are_rejected(
         raw in proptest::collection::vec((0u32..50_000, 0u32..50_000, 0u8..1), 0..80),
     ) {
         use knn_store::backend::{read_tuples, write_pairs as backend_write_pairs};
@@ -215,8 +214,7 @@ proptest! {
         let pairs: Vec<(u32, u32)> = rows.iter().map(|&(u, v, _)| (u, v)).collect();
         let b = MemBackend::new();
         backend_write_pairs(&b, StreamId::TupleRun(2, 3, 0), &pairs).unwrap();
-        let decoded = read_tuples(&b, StreamId::TupleRun(2, 3, 0)).unwrap();
-        let expected: Vec<(u32, u32, u8)> = pairs.iter().map(|&(u, v)| (u, v, 0)).collect();
-        prop_assert_eq!(decoded, expected);
+        let decoded = read_tuples(&b, StreamId::TupleRun(2, 3, 0));
+        prop_assert!(matches!(decoded, Err(StoreError::Corrupt { .. })), "{:?}", decoded);
     }
 }

@@ -43,7 +43,7 @@ fn config() -> EngineConfig {
         .k(K)
         .num_partitions(M)
         .measure(Measure::Cosine)
-        // A resumed engine restarts phase-4 suppression from scratch,
+        // A resumed engine restarts offer-time suppression from scratch,
         // so the twin must not carry in-process pruning state either —
         // report equality then holds iteration by iteration.
         .prune_pairs(false)

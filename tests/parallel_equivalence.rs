@@ -50,9 +50,10 @@ fn config(n: usize, k: usize, m: usize, seed: u64, threads: usize) -> EngineConf
 /// wall-clock durations (and the phase-duration-bearing fields),
 /// which legitimately differ run to run. The scoring-funnel counters
 /// (`sims_skipped`, `sims_pruned`, `accums_seeded`) are part of the
-/// determinism contract: suppression and bound decisions are taken on
-/// the driving thread against bucket-start state, so they must not
-/// depend on thread count or backend either. The phase-2 spill
+/// determinism contract: suppression is decided per generating path
+/// in phase 2 and bound decisions on phase 4's driving thread against
+/// bucket-start state, so they must not depend on thread count or
+/// backend either. The phase-2 spill
 /// counters (`phase_io[1]`'s `spill_bytes`, `spill_runs`,
 /// `merge_passes`) are pinned the same way: spilling is per scan table
 /// and the merge is per bucket, so the traffic is a pure function of

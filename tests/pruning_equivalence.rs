@@ -1,9 +1,10 @@
-//! The phase-4 pruning acceptance bar.
+//! The pruning acceptance bar.
 //!
-//! Cross-iteration pair suppression and bound-based candidate
-//! filtering are *exact* optimizations: they skip kernel evaluations
-//! whose outcome is already decided, never evaluations that could
-//! matter. This suite pins that claim at the engine level:
+//! Offer-time suppression (phase 2 never offers a pair whose verdict
+//! is already known) and bound-based candidate filtering (phase 4) are
+//! *exact* optimizations: they skip work whose outcome is already
+//! decided, never work that could matter. This suite pins that claim
+//! at the engine level:
 //!
 //! * a pruned engine and an unpruned engine over the same seeded
 //!   workload produce **identical graphs after every iteration** — on
@@ -11,9 +12,11 @@
 //! * run independently to convergence, both land on the same final
 //!   graph after the same number of iterations;
 //! * the pruned run actually prunes (the counters are non-trivial in
-//!   steady state) while `sims_computed + sims_skipped + sims_pruned`
-//!   equals the unpruned run's `sims_computed` once the tuple sets
-//!   coincide.
+//!   steady state) while its funnel accounts for every offer: each
+//!   unpruned offer is either offered or suppressed (`sims_skipped`),
+//!   and each unique tuple is either computed or bound-pruned;
+//! * at a fixed point an iteration offers nothing, scores nothing and
+//!   loads no partition.
 
 use std::sync::Arc;
 
@@ -48,7 +51,7 @@ fn config(n: usize, seed: u64, prune: bool) -> EngineConfig {
 /// Pruned vs. unpruned engines in lockstep for 4 iterations on both
 /// backends, with the same profile updates queued mid-run: identical
 /// graphs at every step, and the pruned run's funnel accounts for
-/// every tuple.
+/// every offer and every tuple.
 #[test]
 fn pruned_and_unpruned_graphs_are_identical_every_iteration() {
     let n = 72;
@@ -93,13 +96,23 @@ fn pruned_and_unpruned_graphs_are_identical_every_iteration() {
                 "backend={} iteration {iteration}: pruning changed the graph",
                 if disk { "disk" } else { "mem" }
             );
-            // Same tuple sets (identical graphs all along), so the
-            // pruned funnel must account for exactly the unpruned
-            // evaluation count.
+            // Same candidate sets (identical graphs all along), so
+            // every unpruned offer is either offered or suppressed by
+            // the pruned run, and every tuple it keeps is either
+            // computed or bound-pruned.
             assert_eq!(
-                rp.sims_computed + rp.sims_skipped + rp.sims_pruned,
-                ru.sims_computed,
+                rp.tuples.offered + rp.sims_skipped,
+                ru.tuples.offered,
+                "iteration {iteration}: suppression does not cover the offers"
+            );
+            assert_eq!(
+                rp.sims_computed + rp.sims_pruned,
+                rp.tuples.unique,
                 "iteration {iteration}: funnel does not cover the tuple set"
+            );
+            assert!(
+                rp.tuples.unique <= ru.tuples.unique,
+                "iteration {iteration}: suppression added tuples"
             );
             assert_eq!(ru.sims_skipped, 0, "unpruned run must not skip");
             assert_eq!(ru.sims_pruned, 0, "unpruned run must not prune");
@@ -166,6 +179,43 @@ fn converged_graph_matches_the_unpruned_run() {
         pruned_work < plain_work,
         "pruning saved no steady-state work ({pruned_work} vs {plain_work})"
     );
+}
+
+/// The steady-state goal for phases 2 and 4: once a static world (no
+/// updates) stops changing, the next iteration offers no tuple, runs
+/// no kernel, loads no partition and leaves the graph as it was.
+#[test]
+fn a_fixed_point_offers_nothing_and_loads_nothing() {
+    let n = 96;
+    let seed = 41;
+    let mut engine = KnnEngine::new_on(
+        config(n, seed, true),
+        workload(n, seed),
+        Arc::new(MemBackend::new()),
+    )
+    .expect("engine");
+    let mut reached = false;
+    for _ in 0..20 {
+        if engine.run_iteration().expect("iteration").changed_fraction == 0.0 {
+            reached = true;
+            break;
+        }
+    }
+    assert!(
+        reached,
+        "static world did not reach a fixed point in 20 iterations"
+    );
+    let before = engine.graph().clone();
+    let report = engine.run_iteration().expect("fixed-point iteration");
+    assert_eq!(report.tuples.offered, 0, "a fixed point offers no tuple");
+    assert_eq!(report.sims_computed, 0, "a fixed point runs no kernel");
+    assert_eq!(
+        report.cache.total_ops(),
+        0,
+        "a fixed point loads no partition"
+    );
+    assert!(report.sims_skipped > 0, "every offer was suppressed");
+    assert_eq!(engine.graph(), &before, "a fixed point changed the graph");
 }
 
 /// The `KNN_TEST_PRUNE` escape hatch semantics the CI no-prune job
