@@ -1,9 +1,9 @@
 //! **Experiment C1 — what locality-aware placement buys.**
 //!
 //! Paired, alternating runs **in one process** on the
-//! planted-community workload: the hash-style random partitioner with
-//! a uniform-random `G(0)` versus the cluster packer with a
-//! cluster-seeded `G(0)` (the `knn-cluster` pre-pass drives both).
+//! planted-community workload: the engine default (greedy placement,
+//! uniform-random `G(0)`) versus clustering on (the `knn-cluster`
+//! pre-pass packs clusters into partitions and seeds `G(0)`).
 //!
 //! Part 1 measures the I/O side on identical tuple workloads: spill
 //! bytes, the intra-partition tuple fraction, and the replication
@@ -25,31 +25,27 @@ use std::time::Instant;
 
 use knn_baseline::{brute_force_knn, recall_at_k};
 use knn_bench::{opt_or, TextTable};
-use knn_core::{EngineConfig, KnnEngine, PartitionerKind};
+use knn_core::{EngineConfig, KnnEngine};
 use knn_datasets::WorkloadConfig;
 use knn_shard::ShardedEngine;
 use knn_sim::Measure;
 
-/// One paired variant: partitioner + initialization, always changed
-/// together (the baseline is the engine's hash-style default end to
-/// end, the treatment is the full locality stack).
+/// One paired variant: the engine's clustering switch (the baseline
+/// is the engine default, the treatment the full locality stack).
 #[derive(Clone, Copy)]
 struct Variant {
     name: &'static str,
-    kind: PartitionerKind,
-    cluster_init: bool,
+    clustering: bool,
 }
 
 const VARIANTS: [Variant; 2] = [
     Variant {
-        name: "random",
-        kind: PartitionerKind::Random,
-        cluster_init: false,
+        name: "greedy",
+        clustering: false,
     },
     Variant {
         name: "cluster",
-        kind: PartitionerKind::Cluster,
-        cluster_init: true,
+        clustering: true,
     },
 ];
 
@@ -67,8 +63,7 @@ fn config(
     let mut b = EngineConfig::builder(n)
         .k(k)
         .num_partitions(m)
-        .partitioner(v.kind)
-        .cluster_init(v.cluster_init)
+        .clustering(v.clustering)
         .measure(measure)
         .threads(threads)
         .seed(seed);

@@ -1,19 +1,19 @@
 //! **Experiment E6 — future work: "more heuristics for the PI graph
 //! traversal".**
 //!
-//! Extends Table 1 in two directions the paper proposes: two extra
-//! heuristics (greedy-chain and weight-aware) and a sweep over PI-graph
-//! *families* (Erdős–Rényi, Barabási–Albert, Watts–Strogatz,
+//! Extends Table 1 in the direction the paper proposes: the
+//! greedy-chain heuristic (the engine's schedule) over a sweep of
+//! PI-graph *families* (Erdős–Rényi, Barabási–Albert, Watts–Strogatz,
 //! core–periphery) to show where degree-based ordering pays off — the
 //! savings grow with degree skew and vanish on degree-regular
-//! structures.
+//! structures. The Table-1 replicas with the same columns are
+//! `table1 --extended`.
 //!
 //! Usage: `heuristics [--nodes N] [--edges N] [--seed N] [--slots N]`
 
 use knn_bench::{opt_or, pct, TextTable};
 use knn_core::traversal::{simulate_schedule_ops, Heuristic};
 use knn_core::PiGraph;
-use knn_datasets::Table1Dataset;
 use knn_graph::generators::{
     barabasi_albert, core_periphery, erdos_renyi, watts_strogatz, CorePeripheryConfig,
 };
@@ -27,7 +27,6 @@ fn ops_row(name: &str, n: usize, pairs: &[(u32, u32)], slots: usize, t: &mut Tex
         Heuristic::DegreeHighLow,
         Heuristic::DegreeLowHigh,
         Heuristic::GreedyChain,
-        Heuristic::WeightAware,
     ] {
         cells.push(format!("{} ({})", ops(h), pct(ops(h), seq)));
     }
@@ -42,17 +41,15 @@ fn main() {
     let slots: usize = opt_or(&args, "slots", 2);
 
     println!("E6 heuristic ablation (slots={slots}, seed={seed})");
-    println!("\npart 1: synthetic PI-graph families (n={n}, |E|={e})\n");
-    let headers = [
+    println!("\nsynthetic PI-graph families (n={n}, |E|={e})\n");
+    let mut t = TextTable::new(&[
         "family",
         "pairs",
         "seq",
         "high-low",
         "low-high",
         "greedy-chain",
-        "weight-aware",
-    ];
-    let mut t = TextTable::new(&headers);
+    ]);
     ops_row("erdos-renyi", n, &erdos_renyi(n, e, seed), slots, &mut t);
     ops_row(
         "barabasi-albert",
@@ -81,15 +78,7 @@ fn main() {
     );
     t.print();
 
-    println!("\npart 2: the six Table-1 replicas with all five heuristics\n");
-    let mut t = TextTable::new(&headers);
-    for ds in Table1Dataset::ALL {
-        let row = ds.paper_row();
-        ops_row(row.label, row.nodes, &ds.generate(seed), slots, &mut t);
-    }
-    t.print();
-
     println!("\nexpected shape: ER/WS (degree-regular) show ~no degree-heuristic benefit;");
     println!("BA and core-periphery (skewed) show the paper's 5-15% band; greedy-chain");
-    println!("adds boundary reuse on top; weight-aware matters once bucket sizes vary.");
+    println!("adds boundary reuse on top.");
 }

@@ -1,101 +1,69 @@
-//! **Experiment E8 — the phase-1 partitioning objective ablation.**
+//! **Experiment E8 — the phase-1 placement ablation.**
 //!
-//! The paper partitions `G(t)` to minimize `Σ (N_in + N_out)` — the
-//! unique-external-vertex count. This experiment quantifies what each
-//! partitioner buys: the objective value on the Table-1 replicas and,
-//! end-to-end, the downstream effect on tuple-bucket spread and
-//! partition operations inside the engine.
+//! The engine places users one of two ways, chosen by its clustering
+//! switch: greedy placement minimizing the paper's objective
+//! `Σ (N_in + N_out)` (the default), or the `knn-cluster` pre-pass's
+//! clusters packed into partitions with a cluster-seeded `G(0)`. This
+//! experiment runs one engine iteration per variant on the same world
+//! and reports the objective, the tuple locality and the partition
+//! operations each one buys, plus the constructor's setup time (where
+//! the pre-pass runs).
 //!
 //! Usage: `partitioners [--partitions N] [--seed N] [--users N]`
 
 use std::time::Instant;
 
 use knn_bench::{opt_or, TextTable};
-use knn_core::partition::{objective, PartitionerKind};
 use knn_core::{EngineConfig, KnnEngine};
-use knn_datasets::{Table1Dataset, WorkloadConfig};
-use knn_graph::DiGraph;
+use knn_datasets::WorkloadConfig;
 use knn_store::WorkingDir;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let m: usize = opt_or(&args, "partitions", 16);
     let seed: u64 = opt_or(&args, "seed", 42);
-    let n_engine: usize = opt_or(&args, "users", 5000);
+    let n: usize = opt_or(&args, "users", 5000);
 
-    println!("E8 partitioner ablation (m={m}, seed={seed})");
-    println!("\npart 1: objective Σ(N_in + N_out) on Table-1 replicas (lower is better)\n");
+    println!("E8 placement ablation (n={n}, m={m}, seed={seed}, one iteration)\n");
     let mut t = TextTable::new(&[
-        "dataset",
-        "contiguous",
-        "random",
-        "greedy",
-        "refined",
-        "greedy time",
-    ]);
-    for ds in [
-        Table1Dataset::GeneralRelativity,
-        Table1Dataset::WikiVote,
-        Table1Dataset::Gnutella,
-    ] {
-        let row = ds.paper_row();
-        let g = DiGraph::from_undirected_edges(row.nodes, ds.generate(seed)).expect("graph");
-        let mut cells = vec![row.label.to_string()];
-        let mut greedy_time = String::new();
-        for kind in PartitionerKind::ALL {
-            // The cluster packer is profile-driven — the engine binds it
-            // to a clustering pre-pass, so there is no graph-only
-            // instantiation to ablate here. Part 2 covers it end to end.
-            if kind == PartitionerKind::Cluster {
-                continue;
-            }
-            let t0 = Instant::now();
-            let p = kind.instantiate(seed).partition(&g, m).expect("partition");
-            let elapsed = t0.elapsed();
-            if kind == PartitionerKind::Greedy {
-                greedy_time = format!("{elapsed:.2?}");
-            }
-            cells.push(objective::replication_cost(&g, &p).to_string());
-        }
-        cells.push(greedy_time);
-        t.row(&cells);
-    }
-    t.print();
-
-    println!("\npart 2: end-to-end engine effect (n={n_engine}, one iteration)\n");
-    let mut t = TextTable::new(&[
-        "partitioner",
+        "clustering",
         "objective",
+        "intra frac",
         "pi pairs",
         "part ops",
+        "setup time",
         "iter time",
     ]);
-    for kind in PartitionerKind::ALL {
-        let workload = WorkloadConfig::recommender().build(n_engine, seed);
-        let config = EngineConfig::builder(n_engine)
+    for clustering in [false, true] {
+        let workload = WorkloadConfig::recommender().build(n, seed);
+        let config = EngineConfig::builder(n)
             .k(10)
             .num_partitions(m)
-            .partitioner(kind)
+            .clustering(clustering)
             .measure(workload.measure)
             .seed(seed)
             .build()
             .expect("config");
         let wd = WorkingDir::temp("partitioners").expect("workdir");
+        let t0 = Instant::now();
         let mut engine = KnnEngine::new(config, workload.profiles, wd).expect("engine");
+        let setup = t0.elapsed();
         let t0 = Instant::now();
         let report = engine.run_iteration().expect("iteration");
         let elapsed = t0.elapsed();
         t.row(&[
-            kind.to_string(),
+            if clustering { "on" } else { "off" }.to_string(),
             report.replication_cost.to_string(),
+            format!("{:.3}", report.intra_partition_tuple_fraction()),
             report.schedule_len.to_string(),
             report.cache.total_ops().to_string(),
+            format!("{setup:.2?}"),
             format!("{elapsed:.2?}"),
         ]);
         engine.into_working_dir().destroy().expect("cleanup");
     }
     t.print();
-    println!("\nexpected shape: greedy/refined cut the objective well below contiguous and");
-    println!("random; with m² ≪ tuple spread the op counts move less than the objective —");
-    println!("the win is in bytes touched per load, not the schedule length.");
+    println!("\nexpected shape: clustering raises the intra-partition tuple fraction and,");
+    println!("from its cluster-seeded G(0), lowers the objective; part ops match while");
+    println!("the PI graph is complete (pi pairs = m(m+1)/2).");
 }

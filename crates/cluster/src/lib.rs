@@ -1,9 +1,9 @@
 //! Locality pre-pass for the out-of-core KNN engine.
 //!
-//! Hash, random, and greedy partitioners look only at the *interaction
-//! graph*, so on realistic workloads nearly every phase-2 tuple crosses
-//! partitions and the random `G(0)` spends early iterations scoring
-//! hopeless pairs. This crate clusters users by their **profiles**
+//! The greedy partitioner looks only at the *interaction graph*, so on
+//! realistic workloads nearly every phase-2 tuple crosses partitions
+//! and the random `G(0)` spends early iterations scoring hopeless
+//! pairs. This crate clusters users by their **profiles**
 //! before the engine starts, following the Cluster-and-Conquer
 //! observation that a cheap clustering pass shrinks cross-partition
 //! traffic and cuts iterations-to-convergence:
@@ -12,11 +12,8 @@
 //!   user, derived from the per-block L2 norms of the `knn-sim`
 //!   [`BoundSketch`](knn_sim::BoundSketch) (no new profile pass: the
 //!   same one-shot aggregation phase 4 already uses);
-//! * [`ClusterMethod::KMeans`] — deterministic seeded mini-batch
-//!   k-means over those embeddings (the quality option);
-//! * [`ClusterMethod::RandomBuckets`] — the Cluster-and-Conquer
-//!   random-hyperplane bucket trick (the cheap fallback: one pass, no
-//!   iteration);
+//! * [`cluster_profiles`] — deterministic seeded mini-batch k-means
+//!   over those embeddings;
 //! * [`ClusterAssignment`] — the persisted artifact (one label per
 //!   user), round-tripped through any
 //!   [`StorageBackend`](knn_store::StorageBackend) under
@@ -26,6 +23,10 @@
 //!   edges (filled to `K` with seeded random), the alternative to
 //!   [`KnnGraph::random_init`](knn_graph::KnnGraph::random_init).
 //!
+//! The engine runs this pass when its `clustering` switch is on and
+//! uses the assignment twice: it packs clusters into partitions and
+//! seeds `G(0)` from them.
+//!
 //! Exactness is untouched: clustering only changes *placement and
 //! initialization*. The converged graph is the same mathematical
 //! object either way; only the route there (spill bytes, iteration
@@ -34,14 +35,13 @@
 //! the determinism contract the engine extends over these artifacts.
 //!
 //! ```
-//! use knn_cluster::{cluster_profiles, ClusterMethod};
+//! use knn_cluster::cluster_profiles;
 //! use knn_sim::generators::{clustered_profiles, ClusteredConfig};
 //!
 //! let (profiles, _) = clustered_profiles(
 //!     ClusteredConfig::new(60, 7).with_clusters(3).with_ratings(12, 2),
 //! );
-//! let assignment =
-//!     cluster_profiles(&profiles, ClusterMethod::KMeans, 3, 7).unwrap();
+//! let assignment = cluster_profiles(&profiles, 3, 7).unwrap();
 //! assert_eq!(assignment.num_users(), 60);
 //! assert!(assignment.labels().iter().all(|&c| c < 3));
 //! ```
@@ -49,7 +49,6 @@
 #![warn(unreachable_pub, missing_docs)]
 
 mod assignment;
-mod buckets;
 mod embed;
 mod error;
 mod kmeans;
@@ -62,38 +61,6 @@ pub use seed_graph::cluster_seeded_graph;
 
 use knn_sim::ProfileStore;
 
-/// Selector for the clustering algorithm of the pre-pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ClusterMethod {
-    /// Deterministic seeded mini-batch k-means over sketch embeddings
-    /// (default; best locality).
-    #[default]
-    KMeans,
-    /// Random-hyperplane sign buckets over sketch embeddings — the
-    /// Cluster-and-Conquer cheap variant: one pass, no iteration,
-    /// coarser clusters.
-    RandomBuckets,
-}
-
-impl ClusterMethod {
-    /// Stable numeric code for metadata persistence.
-    pub fn code(self) -> u64 {
-        match self {
-            ClusterMethod::KMeans => 0,
-            ClusterMethod::RandomBuckets => 1,
-        }
-    }
-}
-
-impl std::fmt::Display for ClusterMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ClusterMethod::KMeans => "kmeans",
-            ClusterMethod::RandomBuckets => "random-buckets",
-        })
-    }
-}
-
 /// The default cluster count for `n` users: `⌈√n⌉`, clamped to
 /// `[1, n]` — balanced cluster sizes of about `√n` keep both the
 /// k-means pass and the downstream partition packing cheap.
@@ -102,8 +69,8 @@ pub fn default_num_clusters(n: usize) -> usize {
 }
 
 /// Runs the clustering pre-pass: embeds every profile into sketch
-/// space and labels it with one of `num_clusters` clusters using
-/// `method`. Deterministic in `seed`; independent of thread count by
+/// space and labels it with one of `num_clusters` clusters by
+/// mini-batch k-means. Deterministic in `seed`; independent of thread count by
 /// construction (the pass is single-threaded — it is a once-per-run
 /// setup cost, not an iteration hot path).
 ///
@@ -113,7 +80,6 @@ pub fn default_num_clusters(n: usize) -> usize {
 /// exceeds the number of users.
 pub fn cluster_profiles(
     profiles: &ProfileStore,
-    method: ClusterMethod,
     num_clusters: usize,
     seed: u64,
 ) -> Result<ClusterAssignment, ClusterError> {
@@ -123,11 +89,7 @@ pub fn cluster_profiles(
             "num_clusters must be in 1..={n}, got {num_clusters}"
         )));
     }
-    let embeddings = embed_profiles(profiles);
-    let labels = match method {
-        ClusterMethod::KMeans => kmeans::kmeans_labels(&embeddings, num_clusters, seed),
-        ClusterMethod::RandomBuckets => buckets::bucket_labels(&embeddings, num_clusters, seed),
-    };
+    let labels = kmeans::kmeans_labels(&embed_profiles(profiles), num_clusters, seed);
     ClusterAssignment::new(labels, num_clusters as u32)
 }
 
@@ -166,7 +128,7 @@ mod tests {
     #[test]
     fn kmeans_recovers_planted_clusters() {
         let (profiles, truth) = planted(120, 4, 11);
-        let a = cluster_profiles(&profiles, ClusterMethod::KMeans, 4, 11).unwrap();
+        let a = cluster_profiles(&profiles, 4, 11).unwrap();
         let ri = rand_index(a.labels(), &truth);
         assert!(ri > 0.9, "rand index {ri} too low for planted clusters");
     }
@@ -174,38 +136,17 @@ mod tests {
     #[test]
     fn methods_are_deterministic_in_seed() {
         let (profiles, _) = planted(80, 3, 5);
-        for method in [ClusterMethod::KMeans, ClusterMethod::RandomBuckets] {
-            let a = cluster_profiles(&profiles, method, 5, 9).unwrap();
-            let b = cluster_profiles(&profiles, method, 5, 9).unwrap();
-            assert_eq!(a, b, "{method} not deterministic");
-        }
-    }
-
-    #[test]
-    fn random_buckets_cover_label_range() {
-        let (profiles, _) = planted(200, 4, 3);
-        let a = cluster_profiles(&profiles, ClusterMethod::RandomBuckets, 8, 3).unwrap();
-        assert_eq!(a.num_users(), 200);
-        assert!(a.labels().iter().all(|&c| c < 8));
+        let a = cluster_profiles(&profiles, 5, 9).unwrap();
+        let b = cluster_profiles(&profiles, 5, 9).unwrap();
+        assert_eq!(a, b, "k-means not deterministic");
     }
 
     #[test]
     fn invalid_cluster_counts_rejected() {
         let (profiles, _) = planted(10, 2, 1);
-        assert!(cluster_profiles(&profiles, ClusterMethod::KMeans, 0, 1).is_err());
-        assert!(cluster_profiles(&profiles, ClusterMethod::KMeans, 11, 1).is_err());
-        assert!(cluster_profiles(&profiles, ClusterMethod::KMeans, 10, 1).is_ok());
-    }
-
-    #[test]
-    fn method_codes_round_trip() {
-        // Resume compares the persisted code with the configured
-        // method's, so the codes must stay stable and distinct.
-        assert_eq!(ClusterMethod::KMeans.code(), 0);
-        assert_eq!(ClusterMethod::RandomBuckets.code(), 1);
-        for method in [ClusterMethod::KMeans, ClusterMethod::RandomBuckets] {
-            assert!(!method.to_string().is_empty());
-        }
+        assert!(cluster_profiles(&profiles, 0, 1).is_err());
+        assert!(cluster_profiles(&profiles, 11, 1).is_err());
+        assert!(cluster_profiles(&profiles, 10, 1).is_ok());
     }
 
     #[test]

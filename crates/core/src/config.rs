@@ -1,10 +1,7 @@
 //! Engine configuration.
 
-use knn_cluster::ClusterMethod;
 use knn_sim::Measure;
 
-use crate::partition::PartitionerKind;
-use crate::traversal::Heuristic;
 use crate::EngineError;
 
 /// Validated configuration of a [`crate::KnnEngine`].
@@ -12,14 +9,14 @@ use crate::EngineError;
 /// Build with [`EngineConfig::builder`]:
 ///
 /// ```
-/// use knn_core::{EngineConfig, Heuristic};
+/// use knn_core::EngineConfig;
 /// use knn_sim::Measure;
 ///
 /// let config = EngineConfig::builder(10_000)
 ///     .k(10)
 ///     .num_partitions(16)
 ///     .measure(Measure::Cosine)
-///     .heuristic(Heuristic::DegreeLowHigh)
+///     .clustering(true)
 ///     .threads(4)
 ///     .build()
 ///     .unwrap();
@@ -32,8 +29,6 @@ pub struct EngineConfig {
     k: usize,
     num_partitions: usize,
     measure: Measure,
-    heuristic: Heuristic,
-    partitioner: PartitionerKind,
     threads: usize,
     cache_slots: usize,
     include_reverse: bool,
@@ -41,8 +36,7 @@ pub struct EngineConfig {
     tuple_table_memory: Option<usize>,
     prune_pairs: bool,
     bound_filter: bool,
-    cluster_init: bool,
-    cluster_method: ClusterMethod,
+    clustering: bool,
     seed: u64,
 }
 
@@ -69,8 +63,6 @@ impl EngineConfig {
                 k: 10,
                 num_partitions: 8,
                 measure: Measure::Cosine,
-                heuristic: Heuristic::DegreeLowHigh,
-                partitioner: PartitionerKind::Greedy,
                 threads: default_threads(),
                 cache_slots: 2,
                 include_reverse: false,
@@ -78,8 +70,7 @@ impl EngineConfig {
                 tuple_table_memory: None,
                 prune_pairs: default_prune(),
                 bound_filter: default_prune(),
-                cluster_init: false,
-                cluster_method: ClusterMethod::KMeans,
+                clustering: false,
                 seed: 0,
             },
             commit_protocol: true,
@@ -104,16 +95,6 @@ impl EngineConfig {
     /// The similarity measure.
     pub fn measure(&self) -> Measure {
         self.measure
-    }
-
-    /// The PI-graph traversal heuristic.
-    pub fn heuristic(&self) -> Heuristic {
-        self.heuristic
-    }
-
-    /// The phase-1 partitioner.
-    pub fn partitioner(&self) -> PartitionerKind {
-        self.partitioner
     }
 
     /// The engine-wide worker-thread budget: phases 1 (edge layout and
@@ -171,29 +152,22 @@ impl EngineConfig {
         self.bound_filter
     }
 
-    /// Whether `G(0)` is cluster-seeded (intra-cluster edges from the
-    /// `knn-cluster` pre-pass) instead of uniformly random. Exactness
-    /// is untouched — only the iteration count to convergence changes.
-    pub fn cluster_init(&self) -> bool {
-        self.cluster_init
-    }
-
     /// The cluster count of the pre-pass: always `⌈√n⌉`
     /// ([`knn_cluster::default_num_clusters`]).
     pub(crate) fn num_clusters(&self) -> usize {
         knn_cluster::default_num_clusters(self.num_users)
     }
 
-    /// The clustering algorithm of the pre-pass (default k-means).
-    pub fn cluster_method(&self) -> ClusterMethod {
-        self.cluster_method
-    }
-
-    /// Whether this configuration needs the clustering pre-pass: the
-    /// partitioner is [`PartitionerKind::Cluster`] and/or
-    /// [`cluster_init`](EngineConfig::cluster_init) is on.
+    /// Whether the engine runs the `knn-cluster` pre-pass (k-means
+    /// over profile sketches), packs its clusters into partitions
+    /// ([`ClusterPartitioner`](crate::partition::ClusterPartitioner))
+    /// and seeds `G(0)` from intra-cluster edges. Off (the default),
+    /// users are placed by the
+    /// [`GreedyPartitioner`](crate::partition::GreedyPartitioner) and
+    /// `G(0)` is uniformly random. Exactness is untouched either way:
+    /// for the same `G(t)` both placements compute the same `G(t+1)`.
     pub fn clustering_enabled(&self) -> bool {
-        self.cluster_init || self.partitioner == PartitionerKind::Cluster
+        self.clustering
     }
 
     /// Seed for every randomized component (initial graph, partitioner
@@ -240,9 +214,8 @@ impl EngineConfigBuilder {
     ///
     /// [`build`](EngineConfigBuilder::build) rejects `m == 0` and
     /// `m > num_users`: with fewer users than partitions some
-    /// partition is necessarily empty, which the cluster packing of
-    /// [`PartitionerKind::Cluster`] (and the balance contract in
-    /// general) refuses to produce silently.
+    /// partition is necessarily empty, which the cluster packing (and
+    /// the balance contract in general) refuses to produce silently.
     pub fn num_partitions(mut self, m: usize) -> Self {
         self.config.num_partitions = m;
         self
@@ -251,19 +224,6 @@ impl EngineConfigBuilder {
     /// Sets the similarity measure (default cosine).
     pub fn measure(mut self, measure: Measure) -> Self {
         self.config.measure = measure;
-        self
-    }
-
-    /// Sets the traversal heuristic (default degree low→high, the
-    /// paper's usually-best variant).
-    pub fn heuristic(mut self, heuristic: Heuristic) -> Self {
-        self.config.heuristic = heuristic;
-        self
-    }
-
-    /// Sets the phase-1 partitioner (default greedy).
-    pub fn partitioner(mut self, partitioner: PartitionerKind) -> Self {
-        self.config.partitioner = partitioner;
         self
     }
 
@@ -320,17 +280,11 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Seeds `G(0)` from intra-cluster edges of the `knn-cluster`
-    /// pre-pass instead of uniform random neighbors (default off).
-    pub fn cluster_init(mut self, yes: bool) -> Self {
-        self.config.cluster_init = yes;
-        self
-    }
-
-    /// Sets the clustering algorithm of the pre-pass (default
-    /// k-means; `RandomBuckets` is the cheaper, coarser variant).
-    pub fn cluster_method(mut self, method: ClusterMethod) -> Self {
-        self.config.cluster_method = method;
+    /// Turns the clustering pre-pass on: cluster placement plus a
+    /// cluster-seeded `G(0)` (default off — see
+    /// [`EngineConfig::clustering_enabled`]).
+    pub fn clustering(mut self, yes: bool) -> Self {
+        self.config.clustering = yes;
         self
     }
 
@@ -475,40 +429,28 @@ mod tests {
     /// to leave a partition empty.
     #[test]
     fn more_partitions_than_users_rejected_for_every_partitioner() {
-        for kind in PartitionerKind::ALL {
+        for clustering in [false, true] {
             let err = EngineConfig::builder(6)
                 .num_partitions(7)
-                .partitioner(kind)
+                .clustering(clustering)
                 .build()
                 .unwrap_err();
-            assert!(err.to_string().contains("num_partitions"), "{kind}: {err}");
+            assert!(
+                err.to_string().contains("num_partitions"),
+                "clustering={clustering}: {err}"
+            );
         }
     }
 
     #[test]
     fn clustering_knobs_stick_and_default_off() {
         let c = EngineConfig::builder(100).build().unwrap();
-        assert!(!c.cluster_init());
         assert!(!c.clustering_enabled());
         assert_eq!(c.num_clusters(), 10, "⌈√100⌉");
-        assert_eq!(c.cluster_method(), ClusterMethod::KMeans);
 
-        let c = EngineConfig::builder(100)
-            .cluster_init(true)
-            .cluster_method(ClusterMethod::RandomBuckets)
-            .build()
-            .unwrap();
-        assert!(c.cluster_init());
+        let c = EngineConfig::builder(100).clustering(true).build().unwrap();
         assert!(c.clustering_enabled());
-        assert_eq!(c.cluster_method(), ClusterMethod::RandomBuckets);
-
-        // The cluster partitioner alone also flips the pre-pass on.
-        let c = EngineConfig::builder(100)
-            .partitioner(PartitionerKind::Cluster)
-            .build()
-            .unwrap();
-        assert!(!c.cluster_init());
-        assert!(c.clustering_enabled());
+        assert_eq!(c.num_clusters(), 10, "the switch leaves the count alone");
     }
 
     #[test]
@@ -517,8 +459,7 @@ mod tests {
             .k(3)
             .num_partitions(5)
             .measure(Measure::Jaccard)
-            .heuristic(Heuristic::Sequential)
-            .partitioner(PartitionerKind::Contiguous)
+            .clustering(true)
             .threads(8)
             .cache_slots(4)
             .include_reverse(true)
@@ -532,8 +473,7 @@ mod tests {
         assert_eq!(c.k(), 3);
         assert_eq!(c.num_partitions(), 5);
         assert_eq!(c.measure(), Measure::Jaccard);
-        assert_eq!(c.heuristic(), Heuristic::Sequential);
-        assert_eq!(c.partitioner(), PartitionerKind::Contiguous);
+        assert!(c.clustering_enabled());
         assert_eq!(c.threads(), 8);
         assert_eq!(c.cache_slots(), 4);
         assert!(c.include_reverse());

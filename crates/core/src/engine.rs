@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use knn_cluster::{cluster_profiles, cluster_seeded_graph, ClusterAssignment};
-use knn_graph::{KnnGraph, Neighbor, UserId};
+use knn_graph::{DiGraph, KnnGraph, Neighbor, UserId};
 use knn_sim::{Profile, ProfileDelta, ProfileStore};
 use knn_store::backend::{
     read_meta, read_pairs, read_scored_pairs, read_user_lists, write_meta, write_pairs,
@@ -18,12 +18,12 @@ use knn_store::{
 
 use crate::config::EngineConfig;
 use crate::metrics::{ConvergenceOutcome, IterationReport};
-use crate::partition::{objective, ClusterPartitioner, Partitioner, PartitionerKind, Partitioning};
+use crate::partition::{objective, ClusterPartitioner, GreedyPartitioner, Partitioning};
 use crate::phase1;
 use crate::phase2::{self, PruneState, Suppression};
 use crate::phase4::{self, Phase4Options};
 use crate::phase5::UpdateQueue;
-use crate::traversal::simulate_schedule_ops;
+use crate::traversal::{simulate_schedule_ops, Heuristic};
 use crate::EngineError;
 
 // Metadata keys of the `Meta` stream.
@@ -33,9 +33,16 @@ const META_K: u32 = 3;
 const META_NUM_PARTITIONS: u32 = 4;
 const META_SEED: u32 = 5;
 // Written only when the clustering pre-pass ran (so non-cluster runs
-// keep the historical five-key metadata byte-for-byte).
+// keep the historical five-key metadata byte-for-byte). The method is
+// always k-means, code 0; resume still rejects any other stored code.
 const META_NUM_CLUSTERS: u32 = 6;
 const META_CLUSTER_METHOD: u32 = 7;
+const CLUSTER_METHOD_KMEANS: u64 = 0;
+
+/// The phase-3 schedule. It never changes the computed graph, and at
+/// two cache slots it never costs more partition loads than the
+/// paper's best heuristic (see the [`crate::traversal`] docs).
+const SCHEDULE: Heuristic = Heuristic::GreedyChain;
 
 /// The metadata a configuration pins — key, name, value — in stream
 /// order after [`META_ITERATION`]: written by every commit, checked by
@@ -49,9 +56,9 @@ fn config_meta(config: &EngineConfig) -> Vec<(u32, &'static str, u64)> {
         (META_SEED, "seed", config.seed()),
     ];
     if config.clustering_enabled() {
-        let (clusters, method) = (config.num_clusters(), config.cluster_method());
-        meta.push((META_NUM_CLUSTERS, "num_clusters", clusters as u64));
-        meta.push((META_CLUSTER_METHOD, "cluster_method", method.code()));
+        let clusters = config.num_clusters() as u64;
+        meta.push((META_NUM_CLUSTERS, "num_clusters", clusters));
+        meta.push((META_CLUSTER_METHOD, "cluster_method", CLUSTER_METHOD_KMEANS));
     }
     meta
 }
@@ -331,7 +338,8 @@ impl std::fmt::Debug for KnnEngine {
 impl KnnEngine {
     /// Creates a disk-backed engine with the random initial graph
     /// `G(0)` (NN-Descent-style: `K` random neighbors per user, derived
-    /// from `config.seed()`).
+    /// from `config.seed()`), or the cluster-seeded one when
+    /// [`clustering`](EngineConfig::clustering_enabled) is on.
     ///
     /// `profiles` is consumed: it is sharded into per-partition streams
     /// of the backend and dropped — from here on the profile set lives
@@ -351,7 +359,7 @@ impl KnnEngine {
     }
 
     /// Creates an engine on an arbitrary storage backend with the
-    /// random initial graph `G(0)`.
+    /// initial graph `G(0)` of [`KnnEngine::new`].
     ///
     /// # Errors
     ///
@@ -362,7 +370,10 @@ impl KnnEngine {
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Self, EngineError> {
         let clusters = Self::compute_clusters(&config, &profiles)?;
-        let initial = Self::initial_graph_with(&config, clusters.as_deref());
+        let initial = match &clusters {
+            Some(assignment) => cluster_seeded_graph(assignment, config.k(), config.seed()),
+            None => KnnGraph::random_init(config.num_users(), config.k(), config.seed()),
+        };
         Self::build_on(config, initial, profiles, clusters, backend)
     }
 
@@ -375,64 +386,21 @@ impl KnnEngine {
         if !config.clustering_enabled() {
             return Ok(None);
         }
-        let assignment = cluster_profiles(
-            profiles,
-            config.cluster_method(),
-            config.num_clusters(),
-            config.seed(),
-        )?;
+        let assignment = cluster_profiles(profiles, config.num_clusters(), config.seed())?;
         Ok(Some(Arc::new(assignment)))
     }
 
-    /// The initial graph `G(0)` for a config plus an optional cluster
-    /// assignment: cluster-seeded when
-    /// [`cluster_init`](EngineConfig::cluster_init) is on, else the
-    /// classic uniform-random NN-Descent start.
-    fn initial_graph_with(config: &EngineConfig, clusters: Option<&ClusterAssignment>) -> KnnGraph {
-        match clusters {
-            Some(assignment) if config.cluster_init() => {
-                cluster_seeded_graph(assignment, config.k(), config.seed())
-            }
-            _ => KnnGraph::random_init(config.num_users(), config.k(), config.seed()),
-        }
-    }
-
-    /// Computes the initial graph `G(0)` a fresh engine would start
-    /// from: cluster-seeded when the config enables
-    /// [`cluster_init`](EngineConfig::cluster_init) (running the
-    /// clustering pre-pass), uniform random otherwise. Used by drivers
-    /// (the sharded engine) that construct the engine through
-    /// [`with_initial_graph_on`](KnnEngine::with_initial_graph_on).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] if the configured cluster count
-    /// is invalid for `profiles`.
-    pub fn initial_graph(
-        config: &EngineConfig,
-        profiles: &ProfileStore,
-    ) -> Result<KnnGraph, EngineError> {
-        let clusters = Self::compute_clusters(config, profiles)?;
-        Ok(Self::initial_graph_with(config, clusters.as_deref()))
-    }
-
-    /// The partitioner instance for this engine: graph partitioners
-    /// from the bare kind + seed; [`PartitionerKind::Cluster`] bound to
-    /// the pre-pass assignment.
-    fn make_partitioner(
+    /// Phase-1 placement of `graph`: cluster packing when the pre-pass
+    /// ran, greedy otherwise.
+    fn partition(
         config: &EngineConfig,
         clusters: Option<&Arc<ClusterAssignment>>,
-    ) -> Result<Box<dyn Partitioner>, EngineError> {
-        if config.partitioner() == PartitionerKind::Cluster {
-            let clusters = clusters.ok_or_else(|| {
-                EngineError::config(
-                    "PartitionerKind::Cluster requires the clustering pre-pass output \
-                     (engine invariant violated)",
-                )
-            })?;
-            Ok(Box::new(ClusterPartitioner::new(Arc::clone(clusters))))
-        } else {
-            Ok(config.partitioner().instantiate(config.seed()))
+        graph: &DiGraph,
+    ) -> Result<Partitioning, EngineError> {
+        let m = config.num_partitions();
+        match clusters {
+            Some(clusters) => ClusterPartitioner::new(Arc::clone(clusters)).partition(graph, m),
+            None => GreedyPartitioner::new(config.seed()).partition(graph, m),
         }
     }
 
@@ -449,7 +417,9 @@ impl KnnEngine {
     }
 
     /// Creates a disk-backed engine from an explicit initial graph
-    /// (e.g. a warm start from a previous run).
+    /// (e.g. a warm start from a previous run). With clustering on,
+    /// the pre-pass still runs and places the users; only the
+    /// cluster-seeded `G(0)` is replaced by `graph`.
     ///
     /// # Errors
     ///
@@ -519,10 +489,9 @@ impl KnnEngine {
                 config.num_users()
             )));
         }
-        // Initial layout: partition G(0) with the configured
-        // partitioner and shard the profiles accordingly.
-        let partitioner = Self::make_partitioner(&config, clusters.as_ref())?;
-        let partitioning = partitioner.partition(&graph.to_digraph(), config.num_partitions())?;
+        // Initial layout: partition G(0) and shard the profiles
+        // accordingly.
+        let partitioning = Self::partition(&config, clusters.as_ref(), &graph.to_digraph())?;
         phase1::reshard_profiles(
             backend.as_ref(),
             None,
@@ -970,8 +939,7 @@ impl KnnEngine {
         // and is dropped before any stream is rewritten.
         let (next, replication_cost) = {
             let digraph = self.graph.to_digraph();
-            let partitioner = Self::make_partitioner(&self.config, self.clusters.as_ref())?;
-            let next = partitioner.partition(&digraph, self.config.num_partitions())?;
+            let next = Self::partition(&self.config, self.clusters.as_ref(), &digraph)?;
             let cost = objective::replication_cost(&digraph, &next);
             (next, cost)
         };
@@ -1034,7 +1002,7 @@ impl KnnEngine {
         // Phase 3: PI-graph traversal schedule.
         let before = self.io_snapshot();
         let t0 = Instant::now();
-        let schedule = self.config.heuristic().schedule(&phase2_out.pi);
+        let schedule = SCHEDULE.schedule(&phase2_out.pi);
         let predicted = simulate_schedule_ops(&schedule, self.config.cache_slots());
         durations[2] = t0.elapsed();
         io[2] = self.io_snapshot() - before;

@@ -16,9 +16,11 @@
 //!    columnar per-bucket staging, deduplicated per source and
 //!    spilled as varint-delta runs when memory bounds demand it.
 //! 3. **PI graph** ([`PiGraph`], [`traversal`]) — build the
-//!    partition-interaction graph and order the partition pairs with a
-//!    traversal heuristic so that partition load/unload operations are
-//!    minimized (the paper's Table 1 compares these heuristics).
+//!    partition-interaction graph and order the partition pairs so
+//!    that partition load/unload operations are minimized (the
+//!    paper's Table 1 compares three traversal heuristics; the engine
+//!    runs [`Heuristic::GreedyChain`], which never does worse than
+//!    the best of them at two cache slots).
 //! 4. **KNN computation** ([`topk`]) — walk the schedule
 //!    with a two-slot partition cache, score every tuple, and keep
 //!    per-user top-`K` accumulators, yielding `G(t+1)`.
@@ -95,32 +97,27 @@
 //! first violation, the scrub reports them all. Working directories
 //! written before the protocol (no commit record) still resume.
 //!
-//! # Choosing a partitioner
+//! # Placement and schedule
 //!
-//! Placement is an I/O lever, never a correctness one: every
-//! [`PartitionerKind`] produces the same refined graph for the same
-//! `G(t)` (pinned by `tests/cluster_invariance.rs`), so pick by cost
-//! profile:
+//! Placement (phase 1) and the traversal schedule (phase 3) are I/O
+//! levers, never correctness ones: for the same `G(t)` every placement
+//! and every schedule produce the same `G(t+1)` (pinned by
+//! `tests/cluster_invariance.rs` and phase 4's tests). The engine
+//! therefore exposes one switch,
+//! [`EngineConfig::clustering_enabled`](config::EngineConfig::clustering_enabled):
 //!
-//! * [`PartitionerKind::Greedy`] (default) — the paper's objective
-//!   minimizer; the best replication cost per phase-1 second for most
-//!   workloads.
-//! * [`PartitionerKind::Refined`] — greedy plus a local-move pass;
-//!   buys a few percent of objective when iterations are long enough
-//!   to amortize the extra phase-1 time.
-//! * [`PartitionerKind::Cluster`] — packs the `knn-cluster` pre-pass's
-//!   clusters into partitions; the right choice when profiles have
-//!   community structure, where it concentrates tuples on the PI
-//!   diagonal (watch `IterationReport::intra_partition_tuples` rise
-//!   and phase-2 spill bytes fall). Requires the
-//!   engine to run the pre-pass (it does automatically; the bare
-//!   `instantiate` errors). Pair with
-//!   [`EngineConfig::cluster_init`](config::EngineConfig::cluster_init)
-//!   to also seed `G(0)` from intra-cluster edges and save an
-//!   iteration to the recall floor on clustered data.
-//! * [`PartitionerKind::Random`] / [`PartitionerKind::Contiguous`] —
-//!   near-zero phase-1 cost and the worst/structure-dependent
-//!   objective; baselines and id-ordered data respectively.
+//! * off (default) — [`partition::GreedyPartitioner`], the paper's
+//!   objective minimizer, and a uniformly random `G(0)`;
+//! * on — the `knn-cluster` pre-pass runs once, its clusters are
+//!   packed into partitions ([`partition::ClusterPartitioner`]) and
+//!   `G(0)` is seeded from intra-cluster edges. It pays off when
+//!   profiles have community structure: tuples concentrate on the PI
+//!   diagonal (`IterationReport::intra_partition_tuples` rises,
+//!   phase-2 spill bytes fall) and the recall floor comes sooner.
+//!
+//! The schedule is always [`Heuristic::GreedyChain`]. The paper's
+//! three heuristics remain in [`traversal`] for the Table-1
+//! reproduction.
 //!
 //! # The scoring funnel
 //!
@@ -222,6 +219,6 @@ pub use config::{EngineConfig, EngineConfigBuilder};
 pub use engine::{KnnEngine, ScrubReport};
 pub use error::EngineError;
 pub use metrics::IterationReport;
-pub use partition::{Partitioner, PartitionerKind, Partitioning};
+pub use partition::Partitioning;
 pub use pigraph::PiGraph;
 pub use traversal::Heuristic;

@@ -118,8 +118,8 @@ impl IterationReport {
 
     /// Fraction of this iteration's unique tuples that stayed inside
     /// one partition; 0 when there were no tuples. Higher is better —
-    /// a locality-aware partitioner (e.g.
-    /// `PartitionerKind::Cluster`) exists to raise this number.
+    /// cluster placement (`EngineConfig::clustering`) exists to raise
+    /// this number.
     pub fn intra_partition_tuple_fraction(&self) -> f64 {
         if self.tuples.unique == 0 {
             0.0

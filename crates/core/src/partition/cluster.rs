@@ -6,14 +6,14 @@ use std::sync::Arc;
 use knn_cluster::ClusterAssignment;
 use knn_graph::DiGraph;
 
-use crate::partition::{Partitioner, Partitioning};
+use crate::partition::Partitioning;
 use crate::EngineError;
 
 /// Packs the users of a [`ClusterAssignment`] into `m` balanced
 /// partitions, keeping each cluster's users together wherever the
 /// balance cap `⌈n/m⌉` allows.
 ///
-/// Unlike the graph partitioners, this one ignores the interaction
+/// Unlike the greedy partitioner, this one ignores the interaction
 /// graph entirely: the cluster labels already encode profile locality,
 /// and packing by label is what shrinks cross-partition tuple volume.
 /// The algorithm is pure and seedless:
@@ -29,56 +29,36 @@ use crate::EngineError;
 ///
 /// Deterministic by construction: no RNG, no thread-dependent state.
 pub struct ClusterPartitioner {
-    clusters: Option<Arc<ClusterAssignment>>,
+    clusters: Arc<ClusterAssignment>,
 }
 
 impl ClusterPartitioner {
-    /// Builds a partitioner over a concrete cluster assignment (the
-    /// form the engine constructs internally).
+    /// Builds a partitioner over a concrete cluster assignment.
     pub fn new(clusters: Arc<ClusterAssignment>) -> Self {
-        ClusterPartitioner {
-            clusters: Some(clusters),
-        }
+        ClusterPartitioner { clusters }
     }
 
-    /// The assignment-less form produced by
-    /// [`PartitionerKind::instantiate`](crate::partition::PartitionerKind::instantiate):
-    /// it cannot partition (the engine must supply the cluster
-    /// assignment) and says so loudly when asked.
-    pub fn unbound() -> Self {
-        ClusterPartitioner { clusters: None }
-    }
-}
-
-impl Partitioner for ClusterPartitioner {
-    fn partition(&self, graph: &DiGraph, m: usize) -> Result<Partitioning, EngineError> {
-        let Some(clusters) = &self.clusters else {
-            return Err(EngineError::config(
-                "ClusterPartitioner has no cluster assignment: PartitionerKind::Cluster is \
-                 engine-managed (the engine runs the knn-cluster pre-pass and binds its \
-                 assignment); construct ClusterPartitioner::new(assignment) to use it directly",
-            ));
-        };
-        if clusters.num_users() != graph.num_vertices() {
+    /// Packs the clusters into `m` balanced partitions. `graph` is
+    /// only checked to cover the same users as the assignment.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Config`] if the user counts disagree or
+    /// unless `1 ≤ m ≤ max(n, 1)`.
+    pub fn partition(&self, graph: &DiGraph, m: usize) -> Result<Partitioning, EngineError> {
+        if self.clusters.num_users() != graph.num_vertices() {
             return Err(EngineError::config(format!(
                 "cluster assignment covers {} users but the graph has {} vertices",
-                clusters.num_users(),
+                self.clusters.num_users(),
                 graph.num_vertices()
             )));
         }
-        pack_clusters(clusters, m)
-    }
-
-    fn name(&self) -> &'static str {
-        "cluster"
+        pack_clusters(&self.clusters, m)
     }
 }
 
 /// The packing core (see [`ClusterPartitioner`] for the algorithm).
-pub(crate) fn pack_clusters(
-    clusters: &ClusterAssignment,
-    m: usize,
-) -> Result<Partitioning, EngineError> {
+fn pack_clusters(clusters: &ClusterAssignment, m: usize) -> Result<Partitioning, EngineError> {
     let n = clusters.num_users();
     if m == 0 || m > n.max(1) {
         return Err(EngineError::config(format!(
@@ -221,14 +201,6 @@ mod tests {
                 assert!(!p.users_of(i).is_empty(), "partition {i} empty");
             }
         }
-    }
-
-    #[test]
-    fn unbound_partitioner_refuses_loudly() {
-        let err = ClusterPartitioner::unbound()
-            .partition(&graph(4), 2)
-            .unwrap_err();
-        assert!(err.to_string().contains("no cluster assignment"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use knn_graph::DiGraph;
 
-use super::{Partitioner, Partitioning};
+use super::Partitioning;
 use crate::EngineError;
 
 /// Streaming greedy placement: users are processed hubs-first
@@ -36,8 +36,15 @@ fn mix(seed: u64, x: u64) -> u64 {
     h
 }
 
-impl Partitioner for GreedyPartitioner {
-    fn partition(&self, graph: &DiGraph, m: usize) -> Result<Partitioning, EngineError> {
+impl GreedyPartitioner {
+    /// Partitions the vertices of `graph` into `m` balanced partitions
+    /// (≤ `⌈n/m⌉` users each), deterministically for a given graph and
+    /// seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Config`] unless `1 ≤ m ≤ max(n, 1)`.
+    pub fn partition(&self, graph: &DiGraph, m: usize) -> Result<Partitioning, EngineError> {
         let n = graph.num_vertices();
         if m == 0 || m > n.max(1) {
             return Err(EngineError::config(format!("m={m} invalid for n={n}")));
@@ -105,18 +112,17 @@ impl Partitioner for GreedyPartitioner {
 
         Partitioning::from_assignment(assignment, m)
     }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::assert_balanced;
     use crate::partition::objective::replication_cost;
-    use crate::partition::{assert_balanced, RandomPartitioner};
     use knn_graph::generators::{chung_lu, ChungLuConfig};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     #[test]
     fn balanced_and_deterministic() {
@@ -158,7 +164,14 @@ mod tests {
         let edges = chung_lu(ChungLuConfig::new(300, 1200, 9));
         let g = DiGraph::from_undirected_edges(300, edges).unwrap();
         let greedy = GreedyPartitioner::new(1).partition(&g, 6).unwrap();
-        let random = RandomPartitioner::new(1).partition(&g, 6).unwrap();
+        // A seeded shuffle dealt round-robin: balanced, structure-blind.
+        let mut order: Vec<usize> = (0..300).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(1));
+        let mut assignment = vec![0u32; 300];
+        for (i, &u) in order.iter().enumerate() {
+            assignment[u] = (i % 6) as u32;
+        }
+        let random = Partitioning::from_assignment(assignment, 6).unwrap();
         let (cg, cr) = (replication_cost(&g, &greedy), replication_cost(&g, &random));
         assert!(cg < cr, "greedy {cg} should beat random {cr}");
     }

@@ -1,23 +1,22 @@
-//! Phase 1 partitioners: split the `n` users into `m` balanced
-//! partitions minimizing the paper's objective `Σᵢ (N_in(i) + N_out(i))`
-//! — the count of unique in-edge sources plus unique out-edge
-//! destinations per partition, i.e. the vertex-replication cost that
-//! phase 4 will pay in partition I/O.
+//! Phase 1 placement: split the `n` users into `m` balanced
+//! partitions. The engine uses one of two partitioners, chosen by
+//! [`EngineConfig::clustering_enabled`](crate::EngineConfig::clustering_enabled):
+//!
+//! * [`GreedyPartitioner`] (clustering off) minimizes the paper's
+//!   objective `Σᵢ (N_in(i) + N_out(i))` — the count of unique in-edge
+//!   sources plus unique out-edge destinations per partition, i.e. the
+//!   vertex-replication cost that phase 4 will pay in partition I/O;
+//! * [`ClusterPartitioner`] (clustering on) packs the `knn-cluster`
+//!   pre-pass's profile clusters into partitions.
 
 mod cluster;
-mod contiguous;
 mod greedy;
 pub mod objective;
-mod random;
-mod refine;
 
 pub use cluster::ClusterPartitioner;
-pub use contiguous::ContiguousPartitioner;
 pub use greedy::GreedyPartitioner;
-pub use random::RandomPartitioner;
-pub use refine::RefinePartitioner;
 
-use knn_graph::{DiGraph, UserId};
+use knn_graph::UserId;
 
 use crate::EngineError;
 
@@ -127,89 +126,6 @@ impl Partitioning {
     }
 }
 
-/// A phase-1 partitioning algorithm.
-///
-/// Implementations must produce balanced partitions (≤ `⌈n/m⌉` users
-/// each) deterministically for a given graph and seed.
-pub trait Partitioner {
-    /// Partitions the vertices of `graph` into `m` balanced partitions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] for invalid `m`.
-    fn partition(&self, graph: &DiGraph, m: usize) -> Result<Partitioning, EngineError>;
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Selector for the built-in partitioners (used by [`crate::EngineConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum PartitionerKind {
-    /// Contiguous id ranges (no structure awareness; fastest).
-    Contiguous,
-    /// Seeded random balanced assignment.
-    Random,
-    /// Streaming greedy placement minimizing new vertex replication
-    /// (default).
-    #[default]
-    Greedy,
-    /// Greedy followed by swap-refinement passes.
-    Refined,
-    /// Locality-aware packing of the `knn-cluster` pre-pass clusters
-    /// (profile locality, not graph structure). Engine-managed: the
-    /// engine runs the clustering pre-pass and binds its assignment;
-    /// [`instantiate`](PartitionerKind::instantiate) alone yields an
-    /// unbound partitioner that refuses to run.
-    Cluster,
-}
-
-impl PartitionerKind {
-    /// All built-in kinds, for sweeps.
-    pub const ALL: [PartitionerKind; 5] = [
-        PartitionerKind::Contiguous,
-        PartitionerKind::Random,
-        PartitionerKind::Greedy,
-        PartitionerKind::Refined,
-        PartitionerKind::Cluster,
-    ];
-
-    /// Instantiates the partitioner with the given seed.
-    ///
-    /// [`Cluster`](PartitionerKind::Cluster) yields an **unbound**
-    /// [`ClusterPartitioner`] whose `partition` fails with a config
-    /// error: it needs the engine-computed cluster assignment, which a
-    /// bare kind + seed cannot supply (the engine binds it via
-    /// [`ClusterPartitioner::new`]).
-    pub fn instantiate(self, seed: u64) -> Box<dyn Partitioner> {
-        match self {
-            PartitionerKind::Contiguous => Box::new(ContiguousPartitioner),
-            PartitionerKind::Random => Box::new(RandomPartitioner::new(seed)),
-            PartitionerKind::Greedy => Box::new(GreedyPartitioner::new(seed)),
-            PartitionerKind::Refined => Box::new(RefinePartitioner::new(
-                GreedyPartitioner::new(seed),
-                2,
-                seed,
-            )),
-            PartitionerKind::Cluster => Box::new(ClusterPartitioner::unbound()),
-        }
-    }
-}
-
-impl std::fmt::Display for PartitionerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            PartitionerKind::Contiguous => "contiguous",
-            PartitionerKind::Random => "random",
-            PartitionerKind::Greedy => "greedy",
-            PartitionerKind::Refined => "refined",
-            PartitionerKind::Cluster => "cluster",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Shared helper asserting the balance contract in tests.
 #[cfg(test)]
 pub(crate) fn assert_balanced(p: &Partitioning) {
@@ -250,22 +166,6 @@ mod tests {
         assert_eq!(p.users_of(0), &[UserId::new(1), UserId::new(3)]);
         assert_eq!(p.users_of(1), &[UserId::new(0), UserId::new(2)]);
         assert_eq!(p.rows(), &[0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn kind_instantiates_all() {
-        let g = DiGraph::from_edges(6, [(0, 1), (2, 3), (4, 5)]).unwrap();
-        for kind in PartitionerKind::ALL {
-            assert!(!kind.to_string().is_empty());
-            if kind == PartitionerKind::Cluster {
-                // Cluster is engine-managed: the bare instantiation
-                // must refuse rather than partition without labels.
-                assert!(kind.instantiate(1).partition(&g, 3).is_err());
-                continue;
-            }
-            let p = kind.instantiate(1).partition(&g, 3).unwrap();
-            assert_balanced(&p);
-        }
     }
 
     #[test]

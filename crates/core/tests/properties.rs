@@ -1,9 +1,7 @@
 //! Property-based tests for the engine's invariant-bearing pieces.
 
 use knn_cluster::ClusterAssignment;
-use knn_core::partition::{
-    objective, ClusterPartitioner, Partitioner, PartitionerKind, Partitioning,
-};
+use knn_core::partition::{objective, ClusterPartitioner, GreedyPartitioner, Partitioning};
 use knn_core::topk::TopKAccumulator;
 use knn_core::traversal::{simulate_schedule_ops, Heuristic};
 use knn_core::tuple_table::{merge_parts, meta_bits, TupleTable};
@@ -84,50 +82,53 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
-/// Instantiates `kind` the way the engine would: graph partitioners
-/// from the bare kind + seed, `Cluster` bound to a deterministic
-/// synthetic cluster assignment (labels derived from the seed).
-fn make_partitioner(kind: PartitionerKind, seed: u64, n: usize) -> Box<dyn Partitioner> {
-    if kind == PartitionerKind::Cluster {
+/// Places `g` the way the engine would with clustering off (greedy
+/// from the seed) or on (the cluster packer over a deterministic
+/// synthetic cluster assignment, labels derived from the seed).
+fn place(clustering: bool, seed: u64, g: &DiGraph, m: usize) -> Partitioning {
+    let n = g.num_vertices();
+    if clustering {
         let k = ((n as u64 % 4) + 1).min(n.max(1) as u64) as u32;
         let labels: Vec<u32> = (0..n as u64)
             .map(|u| ((u * 31 + seed) % k as u64) as u32)
             .collect();
-        Box::new(ClusterPartitioner::new(std::sync::Arc::new(
+        ClusterPartitioner::new(std::sync::Arc::new(
             ClusterAssignment::new(labels, k).unwrap(),
-        )))
+        ))
+        .partition(g, m)
+        .unwrap()
     } else {
-        kind.instantiate(seed)
+        GreedyPartitioner::new(seed).partition(g, m).unwrap()
     }
 }
 
 proptest! {
-    /// One harness over every `Partitioner` impl (random, greedy,
-    /// contiguous, refined, cluster): the result is a permutation of
+    /// One harness over both placements (greedy with clustering off,
+    /// cluster packing with it on): the result is a permutation of
     /// the users, balanced within `⌈n/m⌉`, and byte-identical when the
-    /// same partitioner runs twice with the same seed.
+    /// same placement runs twice with the same seed.
     #[test]
     fn every_partitioner_is_balanced_and_total((n, edges) in arb_graph(), m in 1usize..6, seed in 0u64..20) {
         let m = m.min(n);
         let mut g = DiGraph::from_edges(n, edges).unwrap();
         g.sort_and_dedup();
-        for kind in PartitionerKind::ALL {
-            let p = make_partitioner(kind, seed, n).partition(&g, m).unwrap();
+        for clustering in [false, true] {
+            let p = place(clustering, seed, &g, m);
             let cap = n.div_ceil(m);
             let mut seen = vec![false; n];
             for part in 0..m as u32 {
-                prop_assert!(p.users_of(part).len() <= cap, "{kind} unbalanced");
+                prop_assert!(p.users_of(part).len() <= cap, "clustering={clustering} unbalanced");
                 for u in p.users_of(part) {
-                    prop_assert!(!seen[u.index()], "{kind} duplicated user {u}");
+                    prop_assert!(!seen[u.index()], "clustering={clustering} duplicated user {u}");
                     seen[u.index()] = true;
                 }
             }
-            prop_assert!(seen.iter().all(|&s| s), "{kind} lost a user");
+            prop_assert!(seen.iter().all(|&s| s), "clustering={clustering} lost a user");
             // Deterministic per seed: a fresh instance reproduces the
-            // assignment exactly (thread counts never enter: every
-            // partitioner is single-threaded by construction).
-            let again = make_partitioner(kind, seed, n).partition(&g, m).unwrap();
-            prop_assert_eq!(&p, &again, "{} not deterministic", kind);
+            // assignment exactly (thread counts never enter: both
+            // partitioners are single-threaded by construction).
+            let again = place(clustering, seed, &g, m);
+            prop_assert_eq!(&p, &again, "clustering={} not deterministic", clustering);
         }
     }
 
@@ -138,7 +139,7 @@ proptest! {
         let m = m.min(n);
         let mut g = DiGraph::from_edges(n, edges).unwrap();
         g.sort_and_dedup();
-        let p = PartitionerKind::Greedy.instantiate(seed).partition(&g, m).unwrap();
+        let p = GreedyPartitioner::new(seed).partition(&g, m).unwrap();
         let cost = objective::replication_cost(&g, &p);
         let sources = (0..n as u32).filter(|&v| g.out_degree(UserId::new(v)) > 0).count() as u64;
         let sinks = g.in_degrees().iter().filter(|&&d| d > 0).count() as u64;

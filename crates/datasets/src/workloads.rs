@@ -30,7 +30,8 @@ pub enum WorkloadConfig {
     /// User–item bipartite ratings with planted user communities,
     /// controllable cross-community overlap, and a Zipf noise tail —
     /// the workload that exercises locality-aware placement
-    /// (`PartitionerKind::Cluster` / cluster-seeded `G(0)`).
+    /// (`EngineConfig::clustering`: cluster placement and a
+    /// cluster-seeded `G(0)`).
     ClusteredBipartite {
         /// Number of planted user communities.
         clusters: usize,

@@ -66,17 +66,6 @@ fn lower_bound_of_the_op_model_holds_on_replicas() {
 }
 
 #[test]
-fn extension_heuristics_never_lose_to_sequential_on_replicas() {
-    let ds = Table1Dataset::GeneralRelativity;
-    let row = ds.paper_row();
-    let pi = PiGraph::from_network_shape(row.nodes, &ds.generate(11));
-    let seq = ops(&pi, Heuristic::Sequential);
-    for h in [Heuristic::GreedyChain, Heuristic::WeightAware] {
-        assert!(ops(&pi, h) <= seq, "{h} lost to sequential");
-    }
-}
-
-#[test]
 fn replicas_concentrate_degree_mass_like_core_periphery_networks() {
     // The replica calibration relies on a small core covering most
     // edges; the in-degree share held by the top 5% of vertices is an

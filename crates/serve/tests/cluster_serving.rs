@@ -1,13 +1,13 @@
 //! Cluster-configured engines flow through the serving layer
 //! unchanged: `spawn` and `spawn_sharded` accept an engine built with
-//! the cluster partitioner and cluster-seeded `G(0)`, the refinement
+//! clustering on (cluster placement and cluster-seeded `G(0)`), the refinement
 //! loop publishes its generations, and the refined graph matches a
 //! synchronous twin's — serving adds no nondeterminism on top of the
 //! clustering pre-pass.
 
 use std::time::Duration;
 
-use knn_core::{EngineConfig, KnnEngine, PartitionerKind};
+use knn_core::{EngineConfig, KnnEngine};
 use knn_graph::UserId;
 use knn_serve::{spawn, spawn_sharded, RefineOptions};
 use knn_shard::ShardedEngine;
@@ -29,8 +29,7 @@ fn world() -> (EngineConfig, ProfileStore) {
     let config = EngineConfig::builder(N)
         .k(K)
         .num_partitions(M)
-        .partitioner(PartitionerKind::Cluster)
-        .cluster_init(true)
+        .clustering(true)
         .threads(2)
         .seed(SEED)
         .build()

@@ -125,7 +125,8 @@ impl ShardedEngine {
         Self::assemble(shards, |router| KnnEngine::resume_on(config, router))
     }
 
-    /// Random-initial-graph constructor over explicit shard backends.
+    /// Constructor over explicit shard backends with the initial graph
+    /// of [`KnnEngine::new_on`].
     ///
     /// # Errors
     ///
@@ -135,8 +136,7 @@ impl ShardedEngine {
         profiles: ProfileStore,
         shards: Vec<Arc<dyn StorageBackend>>,
     ) -> Result<Self, EngineError> {
-        let graph = KnnEngine::initial_graph(&config, &profiles)?;
-        Self::with_initial_graph_on(config, graph, profiles, shards)
+        Self::assemble(shards, |router| KnnEngine::new_on(config, profiles, router))
     }
 
     /// A fully in-memory sharded engine: `num_shards` [`MemBackend`]s.

@@ -14,6 +14,15 @@ use ooc_knn::store::SlotCache;
 use ooc_knn::{PiGraph, Table1Dataset};
 use std::convert::Infallible;
 
+/// The heuristic's name, marking the one the engine runs.
+fn label(h: Heuristic) -> String {
+    if h == Heuristic::GreedyChain {
+        format!("{h} (engine)")
+    } else {
+        h.to_string()
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small PI graph: hub partition 0, a triangle 1-2-3, self-pair 4.
     let mut pi = PiGraph::new(5);
@@ -37,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Heuristic::DegreeLowHigh,
         Heuristic::GreedyChain,
     ] {
-        println!("\n=== {h} — step-by-step with 2 slots");
+        println!("\n=== {} — step-by-step with 2 slots", label(h));
         let schedule = h.schedule(&pi);
         let mut cache: SlotCache<()> = SlotCache::new(2);
         for step in schedule.iter() {
@@ -93,13 +102,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n=== Wiki-Vote replica: ops by heuristic and slot count");
     let ds = Table1Dataset::WikiVote;
     let pi = PiGraph::from_network_shape(ds.paper_nodes(), &ds.generate(42));
-    print!("{:<16}", "heuristic");
+    print!("{:<22}", "heuristic");
     for slots in [2usize, 3, 4, 8] {
         print!("  {:>10}", format!("{slots} slots"));
     }
     println!();
     for h in Heuristic::ALL {
-        print!("{:<16}", h.to_string());
+        print!("{:<22}", label(h));
         for slots in [2usize, 3, 4, 8] {
             let ops = simulate_schedule_ops(&h.schedule(&pi), slots).total_ops();
             print!("  {ops:>10}");

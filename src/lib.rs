@@ -13,7 +13,7 @@
 //! | [`graph`] | `knn-graph` | graph types, generators, degree statistics |
 //! | [`sim`] | `knn-sim` | sparse profiles, similarity measures, workload generators |
 //! | [`store`] | `knn-store` | the `StorageBackend` trait (disk + in-memory backends), codecs, I/O accounting, the 2-slot cache |
-//! | [`cluster`] | `knn-cluster` | locality pre-pass: sketch embeddings, mini-batch k-means / random buckets, cluster-seeded `G(0)` |
+//! | [`cluster`] | `knn-cluster` | locality pre-pass: sketch embeddings, mini-batch k-means, cluster-seeded `G(0)` |
 //! | [`core`] | `knn-core` | the five-phase engine (partitioning → tuples → PI graph → KNN → updates) |
 //! | [`shard`] | `knn-shard` | consistent-hash shard layer: `ShardedEngine` over a routing backend that places each stream on its owner shard |
 //! | [`serve`] | `knn-serve` | online query layer: snapshot swap, concurrent `KnnService`, background refinement over a plain or sharded engine |
@@ -98,10 +98,8 @@ pub use knn_sim as sim;
 pub use knn_store as store;
 
 pub use knn_baseline::{brute_force_knn, recall_at_k, NnDescent, NnDescentConfig};
-pub use knn_cluster::{cluster_profiles, ClusterAssignment, ClusterMethod};
-pub use knn_core::{
-    EngineConfig, EngineError, Heuristic, IterationReport, KnnEngine, PartitionerKind, PiGraph,
-};
+pub use knn_cluster::{cluster_profiles, ClusterAssignment};
+pub use knn_core::{EngineConfig, EngineError, Heuristic, IterationReport, KnnEngine, PiGraph};
 pub use knn_datasets::{Table1Dataset, Workload, WorkloadConfig};
 pub use knn_graph::{DiGraph, KnnGraph, Neighbor, UserId};
 pub use knn_serve::{

@@ -1,22 +1,22 @@
 //! Acceptance bar for the `knn-cluster` locality layer: clustering
 //! changes *placement and initialization*, never *results*.
 //!
-//! 1. The partitioner choice — cluster packing included — does not
-//!    change the computed graph at all: one iteration is a pure
-//!    function of `G(t)`, the profiles, the measure, and `K`.
-//! 2. A cluster-configured engine (cluster partitioner + cluster-seeded
-//!    `G(0)`) is deterministic across thread counts and shard counts,
-//!    like every other configuration.
-//! 3. Converged recall floors hold regardless of partitioner choice
-//!    (the same floors `recall_regression.rs` pins for the default).
+//! 1. The placement — greedy or cluster packing — does not change the
+//!    computed graph at all: one iteration is a pure function of
+//!    `G(t)`, the profiles, the measure, and `K`.
+//! 2. A clustering engine (cluster placement + cluster-seeded `G(0)`)
+//!    is deterministic across thread counts and shard counts, like
+//!    every other configuration.
+//! 3. Converged recall floors hold with clustering on (the same floors
+//!    `recall_regression.rs` pins for the default).
 //! 4. `resume` round-trips the persisted cluster assignment.
 
 use std::sync::Arc;
 
-use ooc_knn::cluster::ClusterMethod;
 use ooc_knn::core::metrics::IterationReport;
+use ooc_knn::store::backend::{read_meta, write_meta};
 use ooc_knn::{
-    brute_force_knn, recall_at_k, EngineConfig, KnnEngine, KnnGraph, MemBackend, PartitionerKind,
+    brute_force_knn, recall_at_k, EngineConfig, EngineError, KnnEngine, KnnGraph, MemBackend,
     ShardedEngine, StorageBackend, WorkloadConfig,
 };
 
@@ -24,8 +24,7 @@ fn cluster_config(n: usize, k: usize, m: usize, seed: u64, threads: usize) -> En
     EngineConfig::builder(n)
         .k(k)
         .num_partitions(m)
-        .partitioner(PartitionerKind::Cluster)
-        .cluster_init(true)
+        .clustering(true)
         .threads(threads)
         .seed(seed)
         // Force real spill traffic so the locality path is exercised
@@ -59,20 +58,20 @@ fn deterministic_fields(r: &IterationReport) -> impl PartialEq + std::fmt::Debug
     )
 }
 
-/// Partition layout is an I/O concern: for a FIXED `G(0)`, every
-/// partitioner — including the cluster packer — yields the same graph
-/// after every iteration. Only the locality metrics may differ.
+/// Partition layout is an I/O concern: for a FIXED `G(0)`, greedy
+/// placement and the cluster packer yield the same graph after every
+/// iteration. Only the locality metrics may differ.
 #[test]
 fn partitioner_choice_never_changes_the_graph() {
     let n = 90;
     let workload = WorkloadConfig::communities().build(n, 17);
     let g0 = KnnGraph::random_init(n, 5, 17);
     let mut reference: Option<KnnGraph> = None;
-    for kind in PartitionerKind::ALL {
+    for clustering in [false, true] {
         let config = EngineConfig::builder(n)
             .k(5)
             .num_partitions(6)
-            .partitioner(kind)
+            .clustering(clustering)
             .measure(workload.measure)
             .seed(17)
             .build()
@@ -90,7 +89,11 @@ fn partitioner_choice_never_changes_the_graph() {
         match &reference {
             None => reference = Some(engine.graph().clone()),
             Some(expected) => {
-                assert_eq!(engine.graph(), expected, "{kind} changed the graph")
+                assert_eq!(
+                    engine.graph(),
+                    expected,
+                    "clustering={clustering} changed the graph"
+                )
             }
         }
     }
@@ -137,17 +140,16 @@ fn cluster_engine_is_thread_and_shard_invariant() {
     }
 }
 
-/// The `recall_regression.rs` floors, re-pinned under the cluster
-/// partitioner with cluster-seeded initialization: locality buys I/O,
-/// never recall.
+/// The `recall_regression.rs` floors, re-pinned with clustering on
+/// (cluster placement and cluster-seeded initialization): locality
+/// buys I/O, never recall.
 fn converged_recall_clustered(workload: &WorkloadConfig, n: usize, k: usize, seed: u64) -> f64 {
     let built = workload.build(n, seed);
     let truth = brute_force_knn(&built.profiles, &built.measure, k, 4);
     let config = EngineConfig::builder(n)
         .k(k)
         .num_partitions(8)
-        .partitioner(PartitionerKind::Cluster)
-        .cluster_init(true)
+        .clustering(true)
         .measure(built.measure)
         .threads(4)
         .seed(seed)
@@ -229,24 +231,24 @@ fn resume_round_trips_the_cluster_assignment() {
     assert_eq!(plain_resume.graph(), &graph_after_1, "graph recovery broke");
     assert!(plain_resume.clusters().is_none());
 
-    // A mismatched clustering config must be rejected at resume, like
-    // any other metadata disagreement.
-    let other = EngineConfig::builder(n)
-        .k(4)
-        .num_partitions(5)
-        .partitioner(PartitionerKind::Cluster)
-        .cluster_init(true)
-        .cluster_method(ClusterMethod::RandomBuckets)
-        .threads(2)
-        .seed(31)
-        .spill_threshold(64)
-        .tuple_table_memory(Some(1024))
-        .build()
-        .expect("config");
+    // A stored cluster method other than k-means (code 0; a retired
+    // method wrote 1) must be rejected at resume, like any other
+    // metadata disagreement.
+    let meta = read_meta(backend.as_ref()).expect("meta");
+    let tampered: Vec<(u32, u64)> = meta
+        .iter()
+        .map(|&(key, value)| (key, if key == 7 { 1 } else { value }))
+        .collect();
+    assert_ne!(tampered, meta, "meta key 7 (cluster_method) is written");
+    write_meta(backend.as_ref(), &tampered).expect("rewrite meta");
     assert!(
-        KnnEngine::resume_on(other, Arc::clone(&backend)).is_err(),
+        matches!(
+            KnnEngine::resume_on(config.clone(), Arc::clone(&backend)),
+            Err(EngineError::InputMismatch { .. })
+        ),
         "resume accepted a different cluster_method"
     );
+    write_meta(backend.as_ref(), &meta).expect("restore meta");
 
     // The cluster-configured resume keeps iterating normally.
     resumed.run_iteration().expect("resumed iteration");

@@ -5,8 +5,8 @@
 use ooc_knn::core::reference::{reference_iteration, reference_run};
 use ooc_knn::sim::generators::{clustered_profiles, ClusteredConfig};
 use ooc_knn::{
-    brute_force_knn, recall_at_k, EngineConfig, Heuristic, KnnEngine, KnnGraph, Measure,
-    PartitionerKind, ProfileStore, WorkingDir,
+    brute_force_knn, recall_at_k, EngineConfig, KnnEngine, KnnGraph, Measure, ProfileStore,
+    WorkingDir,
 };
 
 fn workload(n: usize, seed: u64) -> ProfileStore {
@@ -56,26 +56,18 @@ fn engine_transition_equals_reference_transition() {
 }
 
 #[test]
-fn result_is_invariant_across_heuristics() {
-    let baseline = run_engine(90, 5, 11, 2, |b| {
-        b.num_partitions(6).heuristic(Heuristic::Sequential)
-    });
-    for h in Heuristic::ALL {
-        let got = run_engine(90, 5, 11, 2, |b| b.num_partitions(6).heuristic(h));
-        assert_eq!(got, baseline, "{h} changed the result graph");
-    }
-}
-
-#[test]
 fn result_is_invariant_across_partition_counts_and_partitioners() {
     let baseline = run_engine(80, 4, 5, 2, |b| b.num_partitions(2));
     for m in [4, 8, 16] {
         let got = run_engine(80, 4, 5, 2, |b| b.num_partitions(m));
         assert_eq!(got, baseline, "m={m} changed the result graph");
     }
-    for kind in PartitionerKind::ALL {
-        let got = run_engine(80, 4, 5, 2, |b| b.num_partitions(8).partitioner(kind));
-        assert_eq!(got, baseline, "{kind} changed the result graph");
+    for clustering in [false, true] {
+        let got = run_engine(80, 4, 5, 2, |b| b.num_partitions(8).clustering(clustering));
+        assert_eq!(
+            got, baseline,
+            "clustering={clustering} changed the result graph"
+        );
     }
 }
 
