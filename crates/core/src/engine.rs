@@ -68,11 +68,12 @@ fn config_meta(config: &EngineConfig) -> Vec<(u32, &'static str, u64)> {
 /// iteration loop.
 ///
 /// Memory footprint with a [`DiskBackend`]: `G(t)` (`n × K` scored
-/// edges) plus at most `cache_slots` partitions of profile/accumulator
-/// state — the profile set itself lives on disk, exactly as in the
-/// paper. With a [`MemBackend`] the same loop runs against RAM-resident
-/// byte buffers: identical results, no filesystem in the hot path. See
-/// the crate docs for a full example.
+/// edges), during phase 4 the top-K accumulators (another `n × K`),
+/// plus at most `cache_slots` partitions of profiles — the profile set
+/// itself lives on disk, exactly as in the paper. With a
+/// [`MemBackend`] the same loop runs against RAM-resident byte
+/// buffers: identical results, no filesystem in the hot path. See the
+/// crate docs for a full example.
 pub struct KnnEngine {
     config: EngineConfig,
     backend: Arc<dyn StorageBackend>,
@@ -767,17 +768,21 @@ impl KnnEngine {
             "update log does not decode cleanly".into()
         })?;
 
-        // Between iterations no staged backups, spill runs, or
-        // legacy exchange runs should survive — a leftover means an
-        // interrupted commit or GC. Bucket streams legitimately rest
-        // between iterations, so they are not leftovers.
+        // Between iterations no staged backups, spill runs, legacy
+        // exchange runs or legacy accumulator streams should survive —
+        // a leftover means an interrupted commit or GC. Bucket streams
+        // legitimately rest between iterations, so they are not
+        // leftovers.
         let leftovers = backend
             .list()?
             .into_iter()
             .filter(|s| {
                 matches!(
                     s,
-                    StreamId::Staged(..) | StreamId::TupleRun(..) | StreamId::ExchangeRun(..)
+                    StreamId::Staged(..)
+                        | StreamId::TupleRun(..)
+                        | StreamId::ExchangeRun(..)
+                        | StreamId::Accumulators(..)
                 )
             })
             .count();
@@ -958,12 +963,11 @@ impl KnnEngine {
             )?;
             self.partitioning = next;
         }
-        let phase1_stats = phase1::write_partition_edges(
+        phase1::write_partition_edges(
             &self.graph,
             &self.partitioning,
             backend,
             self.config.threads(),
-            seed_ok.as_deref(),
         )?;
         durations[0] = t0.elapsed();
         io[0] = self.io_snapshot() - before;
@@ -1007,7 +1011,8 @@ impl KnnEngine {
         durations[2] = t0.elapsed();
         io[2] = self.io_snapshot() - before;
 
-        // Phase 4: out-of-core similarity scoring and top-K harvest.
+        // Phase 4: out-of-core similarity scoring into in-RAM top-K
+        // accumulators seeded from G(t), and the harvest of G(t+1).
         let before = self.io_snapshot();
         let t0 = Instant::now();
         let options = Phase4Options {
@@ -1024,6 +1029,8 @@ impl KnnEngine {
             &phase2_out.pi,
             &self.partitioning,
             backend,
+            &self.graph,
+            seed_ok.as_deref(),
             &options,
         )?;
         durations[3] = t0.elapsed();
@@ -1071,7 +1078,7 @@ impl KnnEngine {
             sims_computed: phase4_out.sims_computed,
             sims_skipped: phase2_out.suppressed,
             sims_pruned: phase4_out.sims_pruned,
-            accums_seeded: phase1_stats.accums_seeded,
+            accums_seeded: phase4_out.accums_seeded,
             updates_applied: phase5_stats.updates_applied,
             replication_cost,
             intra_partition_tuples,

@@ -22,8 +22,9 @@
 //!    runs [`Heuristic::GreedyChain`], which never does worse than
 //!    the best of them at two cache slots).
 //! 4. **KNN computation** ([`topk`]) — walk the schedule
-//!    with a two-slot partition cache, score every tuple, and keep
-//!    per-user top-`K` accumulators, yielding `G(t+1)`.
+//!    with a two-slot cache of partition profiles, score every tuple,
+//!    and keep per-user top-`K` accumulators in RAM beside `G(t)`
+//!    (an `n·K` cost, like the graph itself), yielding `G(t+1)`.
 //! 5. **Lazy profile updates** — apply the update queue so
 //!    that `P(t+1)` reflects changes queued during iteration `t`.
 //!
@@ -140,8 +141,9 @@
 //!   phase 5 and the edge additions `G(t) ∖ G(t-1)`; a directed
 //!   candidate generated through an all-old path between users whose
 //!   standing is unchanged was already evaluated last iteration, and
-//!   phase 1's accumulator seeding (each clean user's scored neighbor
-//!   list) replays its verdict, so phase 2 never offers it.
+//!   phase 4's accumulator seeding (each clean user's accumulator
+//!   starts from its scored `G(t)` row) replays its verdict, so
+//!   phase 2 never offers it.
 //!   `sims_skipped` counts these suppressed offers. A fresh engine or
 //!   resume has no bookkeeping, so its first iteration offers and
 //!   scores everything.

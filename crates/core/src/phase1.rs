@@ -3,9 +3,9 @@
 //! Splits `G(t)` into `m` balanced partitions, writes each partition's
 //! in-edge and out-edge streams **sorted by the bridge vertex** `v` (so
 //! phase 2 can emit all two-hop tuples `s → v → d` with one sequential
-//! merge-scan), migrates profile streams to the new layout, and resets
-//! the per-partition top-K accumulator state. All I/O goes through the
-//! engine's [`StorageBackend`].
+//! merge-scan) and migrates profile streams to the new layout. All I/O
+//! goes through the engine's [`StorageBackend`]. Phase 1 writes no
+//! top-K state: phase 4 builds its accumulators in RAM from `G(t)`.
 //!
 //! The per-partition work — sorting edge rows, encoding and writing
 //! stream payloads — runs across the engine's worker budget. Every
@@ -34,8 +34,6 @@ pub struct Phase1Stats {
     pub out_edges_written: u64,
     /// Profiles migrated between partition streams.
     pub profiles_resharded: u64,
-    /// Accumulator entries pre-seeded from `G(t)`'s scored edges.
-    pub accums_seeded: u64,
 }
 
 /// Writes the per-partition edge streams of `graph` under
@@ -49,17 +47,6 @@ pub struct Phase1Stats {
 ///   `s → v, v ∈ Vi`, sorted by `(v, s)` — the bridge `v` comes first
 ///   in both layouts.
 ///
-/// Also resets each partition's accumulator stream. Without `seed_ok`
-/// every accumulator starts empty (the classic full-rescore path).
-/// With `seed_ok`, the accumulator of each user `u` with `seed_ok[u]`
-/// is pre-seeded with `u`'s current scored neighbor list — replaying
-/// iteration `t-1`'s verdict so phase 2 can drop offers of pairs it
-/// already evaluated. Callers must only set `seed_ok[u]` when every
-/// seed score is still valid: `u`'s own profile **and** every profile
-/// in `u`'s neighbor list unchanged since those scores were computed,
-/// and no unscored sentinel in the list (see the engine's dirty-bit
-/// plumbing).
-///
 /// # Errors
 ///
 /// Returns [`EngineError::Store`] on I/O failure.
@@ -68,7 +55,6 @@ pub fn write_partition_edges(
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
     threads: usize,
-    seed_ok: Option<&[bool]>,
 ) -> Result<Phase1Stats, EngineError> {
     let m = partitioning.num_partitions();
     let mut result = Phase1Stats::default();
@@ -82,7 +68,7 @@ pub fn write_partition_edges(
         in_rows[partitioning.partition_of(d) as usize].push((d.raw(), s.raw()));
     }
 
-    // Each worker owns one partition's rows: sort, write the three
+    // Each worker owns one partition's rows: sort, write the two
     // streams (no other worker touches them), report the edge counts.
     let rows: Vec<EdgeRows> = out_rows.into_iter().zip(in_rows).collect();
     let counts = par::run_indexed_owned(rows, threads, |p, (mut out, mut inn)| {
@@ -91,28 +77,11 @@ pub fn write_partition_edges(
         inn.sort_unstable();
         write_pairs(backend, StreamId::OutEdges(p), &out)?;
         write_pairs(backend, StreamId::InEdges(p), &inn)?;
-        // Accumulator state for every user of p: empty, or seeded
-        // from the user's current scored neighbors.
-        let mut seeded = 0u64;
-        let accum_rows: Vec<(u32, Vec<(u32, f32)>)> = partitioning
-            .users_of(p)
-            .iter()
-            .map(|&u| {
-                let row = match seed_ok {
-                    Some(ok) if ok[u.index()] => graph.seed_row(u),
-                    _ => Vec::new(),
-                };
-                seeded += row.len() as u64;
-                (u.raw(), row)
-            })
-            .collect();
-        write_user_lists(backend, StreamId::Accumulators(p), &accum_rows)?;
-        Ok((out.len() as u64, inn.len() as u64, seeded))
+        Ok((out.len() as u64, inn.len() as u64))
     })?;
-    for (out_edges, in_edges, seeded) in counts {
+    for (out_edges, in_edges) in counts {
         result.out_edges_written += out_edges;
         result.in_edges_written += in_edges;
-        result.accums_seeded += seeded;
     }
 
     Ok(result)
@@ -229,7 +198,7 @@ mod tests {
         let b = b.as_ref();
         // Edges: 4→0, 2→0, 0→5 (users 0,2,4 in partition 0; 1,3,5 in 1).
         let g = graph_with_edges(6, 3, &[(4, 0), (2, 0), (0, 5)]);
-        let st = write_partition_edges(&g, &p, b, 1, None).unwrap();
+        let st = write_partition_edges(&g, &p, b, 1).unwrap();
         assert_eq!(st.out_edges_written, 3);
         assert_eq!(st.in_edges_written, 3);
         // Partition 0 out-edges: bridges 0,2,4 → rows (0,5),(2,0),(4,0).
@@ -241,34 +210,6 @@ mod tests {
         // Partition 1 in-edges: edge into 5 from 0.
         let in1 = read_pairs(b, StreamId::InEdges(1)).unwrap();
         assert_eq!(in1, vec![(5, 0)]);
-    }
-
-    #[test]
-    fn accumulator_files_initialized_empty() {
-        let (b, p) = setup(4, 2);
-        let g = graph_with_edges(4, 2, &[]);
-        write_partition_edges(&g, &p, b.as_ref(), 1, None).unwrap();
-        let rows = read_user_lists(b.as_ref(), StreamId::Accumulators(0)).unwrap();
-        assert_eq!(rows, vec![(0u32, vec![]), (2, vec![])]);
-    }
-
-    #[test]
-    fn accumulators_seed_from_scored_edges_when_allowed() {
-        let (b, p) = setup(4, 2);
-        let mut g = KnnGraph::new(4, 2);
-        g.insert(UserId::new(0), Neighbor::new(UserId::new(1), 0.9));
-        g.insert(UserId::new(0), Neighbor::new(UserId::new(3), 0.4));
-        g.insert(UserId::new(2), Neighbor::new(UserId::new(1), 0.7));
-        // User 0 may seed; user 2 may not (e.g. its profile changed).
-        let seed_ok = vec![true, true, false, true];
-        let st = write_partition_edges(&g, &p, b.as_ref(), 1, Some(&seed_ok)).unwrap();
-        assert_eq!(st.accums_seeded, 2, "only user 0's two edges seed");
-        let rows = read_user_lists(b.as_ref(), StreamId::Accumulators(0)).unwrap();
-        assert_eq!(
-            rows,
-            vec![(0u32, vec![(1, 0.9), (3, 0.4)]), (2, vec![])],
-            "seed rows carry the scored list best-first; denied users stay empty"
-        );
     }
 
     #[test]
@@ -334,7 +275,7 @@ mod tests {
     fn io_is_counted() {
         let (b, p) = setup(4, 2);
         let g = graph_with_edges(4, 2, &[(0, 1), (2, 3)]);
-        write_partition_edges(&g, &p, b.as_ref(), 1, None).unwrap();
+        write_partition_edges(&g, &p, b.as_ref(), 1).unwrap();
         assert!(b.stats().snapshot().bytes_written > 0);
     }
 
@@ -356,7 +297,7 @@ mod tests {
             let (b, p) = setup(n, 5);
             let b = b.as_ref();
             reshard_profiles(b, None, &p, Some(&store), threads).unwrap();
-            let st = write_partition_edges(&g, &p, b, threads, None).unwrap();
+            let st = write_partition_edges(&g, &p, b, threads).unwrap();
             let mut streams: Vec<(StreamId, Vec<u8>)> = b
                 .list()
                 .unwrap()

@@ -77,8 +77,8 @@ pub(crate) struct PruneState {
 pub(crate) struct Suppression<'a> {
     /// The previous iteration's bookkeeping.
     pub state: &'a PruneState,
-    /// Per user: the accumulator was seeded in phase 1 from the user's
-    /// current scored neighbor list, and every seed score is still
+    /// Per user: phase 4 seeds the user's accumulator from its current
+    /// scored neighbor list, and every seed score is still
     /// valid — so the user's prior top-K verdict replays and losing
     /// candidates stay losing.
     pub seed_ok: &'a [bool],
@@ -111,7 +111,7 @@ impl Suppression<'_> {
 /// when its generating path is all old (both legs of a two-hop path,
 /// the edge itself for a direct one), `seed_ok[s]`, `d`'s profile is
 /// clean, and — with reverse offers — `seed_ok[d]`. Such a pair was
-/// scored last iteration, against exactly the state phase 1's seeds
+/// scored last iteration, against exactly the state phase 4's seeds
 /// replay, so scoring it again cannot change any accumulator: graphs
 /// stay identical, only the work shrinks. A pair that some other path
 /// still offers is scored as usual. `None` offers every candidate,
@@ -269,7 +269,7 @@ mod tests {
     }
 
     fn run_phase2(g: &KnnGraph, b: &dyn StorageBackend, p: &Partitioning) -> Phase2Output {
-        write_partition_edges(g, p, b, 1, None).unwrap();
+        write_partition_edges(g, p, b, 1).unwrap();
         generate_tuples(p, b, &Phase2Options::new(1 << 16, 1), None).unwrap()
     }
 
@@ -422,7 +422,7 @@ mod tests {
                     include_reverse,
                 };
                 let (b, p) = setup(n, 4);
-                write_partition_edges(&new_g, &p, &b, 1, None).unwrap();
+                write_partition_edges(&new_g, &p, &b, 1).unwrap();
                 let out =
                     generate_tuples(&p, &b, &Phase2Options::new(1 << 16, 1), Some(&sup)).unwrap();
 
@@ -494,7 +494,7 @@ mod tests {
         let mut outputs = Vec::new();
         for oracle in [None, Some(&sup)] {
             let (b, p) = setup(n, 3);
-            write_partition_edges(&g, &p, &b, 1, None).unwrap();
+            write_partition_edges(&g, &p, &b, 1).unwrap();
             let out = generate_tuples(&p, &b, &Phase2Options::new(1 << 16, 1), oracle).unwrap();
             let mut streams: Vec<(StreamId, Vec<u8>)> = b
                 .list()
@@ -531,7 +531,7 @@ mod tests {
         let mut outputs = Vec::new();
         for spill_threshold in [2usize, 1 << 16] {
             let (b, p) = setup(n, 4);
-            write_partition_edges(&g, &p, &b, 1, None).unwrap();
+            write_partition_edges(&g, &p, &b, 1).unwrap();
             let opts = Phase2Options::new(spill_threshold, 2);
             let out = generate_tuples(&p, &b, &opts, Some(&sup)).unwrap();
             outputs.push((
@@ -578,7 +578,7 @@ mod tests {
             let mut reference: Option<Reference> = None;
             for threads in [1usize, 2, 4] {
                 let (b, p) = setup(n, 5);
-                write_partition_edges(&g, &p, &b, threads, None).unwrap();
+                write_partition_edges(&g, &p, &b, threads).unwrap();
                 let out =
                     generate_tuples(&p, &b, &Phase2Options::new(spill_threshold, threads), None)
                         .unwrap();
@@ -609,7 +609,7 @@ mod tests {
     }
 
     /// One iteration (phases 1, 2 and 4) from `current` on a fresh
-    /// world with clean profiles. With `previous`, phase 1 seeds the
+    /// world with clean profiles. With `previous`, phase 4 seeds the
     /// accumulators and phase 2 suppresses against the `previous` →
     /// `current` additions, as the engine does.
     fn iterate(
@@ -639,7 +639,7 @@ mod tests {
                 include_reverse: false,
             });
         reshard_profiles(&b, None, &p, Some(profiles), 1).unwrap();
-        write_partition_edges(current, &p, &b, 1, seed_ok.as_deref()).unwrap();
+        write_partition_edges(current, &p, &b, 1).unwrap();
         let p2 = generate_tuples(&p, &b, &Phase2Options::new(1 << 16, 1), sup.as_ref()).unwrap();
         let options = Phase4Options {
             k,
@@ -651,7 +651,16 @@ mod tests {
             bound_filter: false,
         };
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let p4 = run_phase4(&schedule, &p2.pi, &p, &b, &options).unwrap();
+        let p4 = run_phase4(
+            &schedule,
+            &p2.pi,
+            &p,
+            &b,
+            current,
+            seed_ok.as_deref(),
+            &options,
+        )
+        .unwrap();
         (p2, p4)
     }
 

@@ -4,9 +4,10 @@
 //! slots by default, exactly the paper's memory constraint), scores
 //! every surviving tuple of the resident pair's buckets — across a
 //! persistent worker pool when `threads > 1` — and folds the scores
-//! into per-user top-K accumulators. Accumulator state belongs to its
-//! partition: it is loaded and saved with the partition, so peak
-//! memory stays `O(cache_slots × partition)`.
+//! into per-user top-K accumulators. The partition cache holds profiles
+//! only; the accumulators are one in-RAM vector indexed by user id,
+//! an `O(n·K)` cost beside `G(t)`, seeded from `G(t)` at phase start
+//! and moved into `G(t+1)` at the end, so phase 4 writes nothing.
 //!
 //! # The scoring funnel
 //!
@@ -27,9 +28,9 @@
 //! 2. **Offer-time suppression** (`sims_skipped`) — decided in phase 2,
 //!    not here: a directed candidate whose verdict is already known
 //!    (all-old generating path between users whose standing is
-//!    provably unchanged) is never offered, and the accumulator seeds
-//!    written in phase 1 carry its prior verdict. Phase 4 scores what
-//!    the buckets hold.
+//!    provably unchanged) is never offered; instead the user's
+//!    accumulator starts from its `G(t)` row, which carries the prior
+//!    verdict. Phase 4 scores what the buckets hold.
 //! 3. **Bound-based filtering** (`sims_pruned`) — a tuple is scored
 //!    only if its O(1) score ceiling ([`Measure::upper_bound_ref`])
 //!    could still beat the current k-th entry of the target
@@ -55,7 +56,7 @@ use std::sync::Arc;
 use crossbeam::channel;
 use knn_graph::{KnnGraph, Neighbor, UserId};
 use knn_sim::{Measure, ProfileArena, RowKernel};
-use knn_store::backend::{read_tuples, read_user_lists, write_user_lists};
+use knn_store::backend::{read_tuples, read_user_lists};
 use knn_store::tuple_stream::TupleRow;
 use knn_store::{CacheCounters, SlotCache, StorageBackend, StoreError, StreamId};
 
@@ -101,6 +102,8 @@ pub(crate) struct Phase4Options {
 pub(crate) struct Phase4Output {
     /// The next KNN graph `G(t+1)`.
     pub graph: KnnGraph,
+    /// Accumulator entries pre-seeded from `G(t)`'s scored edges.
+    pub accums_seeded: u64,
     /// Partition cache operation counts (the real Table-1 metric).
     pub cache: CacheCounters,
     /// Similarity evaluations performed.
@@ -108,19 +111,6 @@ pub(crate) struct Phase4Output {
     /// Tuples dropped by the upper-bound filter (ceiling could not
     /// beat the current k-th accumulator entry).
     pub sims_pruned: u64,
-}
-
-/// One partition's resident state: its users' profiles in one
-/// CSR [`ProfileArena`] (read-only during the iteration, shared with
-/// scoring workers via `Arc`) and their top-K accumulators
-/// (read-write, persisted on unload), both in the partition's
-/// ascending-user row order — so a row index resolved once addresses
-/// a user's profile, sketch and accumulator alike, and nothing on the
-/// hot path hashes a user id.
-struct PartitionState {
-    arena: Arc<ProfileArena>,
-    accums: Vec<TopKAccumulator>,
-    dirty: bool,
 }
 
 /// A canonical tuple queued for scoring: endpoints, their rows in the
@@ -163,11 +153,10 @@ fn score_chunk(
         .collect()
 }
 
-fn load_state(
-    backend: &dyn StorageBackend,
-    k: usize,
-    p: u32,
-) -> Result<PartitionState, EngineError> {
+/// Loads partition `p`'s profiles as one CSR [`ProfileArena`] in
+/// ascending-user row order (read-only during the iteration, shared
+/// with scoring workers via `Arc`).
+fn load_arena(backend: &dyn StorageBackend, p: u32) -> Result<Arc<ProfileArena>, EngineError> {
     let profile_rows = read_user_lists(backend, StreamId::Profiles(p))?;
     let total_entries: usize = profile_rows.iter().map(|(_, row)| row.len()).sum();
     // One pass over the (user-sorted) stream materializes the CSR
@@ -181,96 +170,113 @@ fn load_state(
             ))
         })?;
     }
-    let arena = builder.finish();
-    // The accumulator stream is user-sorted too and must name exactly
-    // the arena's users, so its rows line up with the arena's.
-    let accum_rows = read_user_lists(backend, StreamId::Accumulators(p))?;
-    if !accum_rows.iter().map(|(user, _)| user).eq(arena.users()) {
-        return Err(EngineError::Store(StoreError::corrupt(
-            backend.describe(StreamId::Accumulators(p)),
-            format!(
-                "accumulator rows ({}) do not name the users of partition {p}'s \
-                 profile stream ({})",
-                accum_rows.len(),
-                arena.len()
-            ),
-        )));
-    }
-    let accums = accum_rows
-        .iter()
-        .map(|(_, row)| TopKAccumulator::from_row(k, row))
-        .collect();
-    Ok(PartitionState {
-        arena: Arc::new(arena),
-        accums,
-        dirty: false,
-    })
+    Ok(Arc::new(builder.finish()))
 }
 
-fn unload_state(
-    backend: &dyn StorageBackend,
-    p: u32,
-    state: PartitionState,
-) -> Result<(), EngineError> {
-    if !state.dirty {
-        // Profiles are immutable during the iteration and the
-        // accumulators are unchanged: nothing to persist.
-        return Ok(());
-    }
-    let rows: Vec<(u32, Vec<(u32, f32)>)> = state
-        .arena
-        .users()
-        .iter()
-        .zip(&state.accums)
-        .map(|(&user, acc)| (user, acc.to_row()))
+/// One top-K accumulator per user of `graph`. Without `seed_ok` every
+/// accumulator starts empty (the classic full-rescore path). With it,
+/// the accumulator of each user `u` with `seed_ok[u]` is seeded by
+/// offering `u`'s `G(t)` row, replaying iteration `t-1`'s verdict so
+/// that phase 2 can drop offers of pairs already evaluated. Callers
+/// set `seed_ok[u]` only when every seed score is still valid: `u`'s
+/// own profile **and** every profile in `u`'s neighbor list unchanged
+/// since those scores were computed, and no unscored sentinel in the
+/// list (see the engine's dirty-bit plumbing). Returns the
+/// accumulators and the number of seeded entries.
+fn seed_accumulators(
+    graph: &KnnGraph,
+    seed_ok: Option<&[bool]>,
+    k: usize,
+) -> (Vec<TopKAccumulator>, u64) {
+    let mut seeded = 0u64;
+    let accums = (0..graph.num_vertices())
+        .map(|u| {
+            let mut acc = TopKAccumulator::new(k);
+            if seed_ok.is_some_and(|ok| ok[u]) {
+                let row = graph.neighbors(UserId::new(u as u32));
+                for &nb in row {
+                    acc.offer(nb);
+                }
+                seeded += row.len() as u64;
+            }
+            acc
+        })
         .collect();
-    write_user_lists(backend, StreamId::Accumulators(p), &rows)?;
-    Ok(())
+    (accums, seeded)
 }
 
-/// Runs phase 4 over the given schedule, scoring every tuple of the
-/// phase-2 buckets that the bound filter does not prune.
+/// Runs phase 4 over the given schedule: seeds the accumulators from
+/// `graph` = `G(t)` (see [`seed_accumulators`]), scores every tuple of
+/// the phase-2 buckets that the bound filter does not prune, and
+/// harvests `G(t+1)`.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::Store`] on I/O failure or corrupt state
+/// Returns [`EngineError::Store`] on I/O failure or corrupt profile
 /// streams, and [`EngineError::InputMismatch`] if a tuple references a
-/// user missing from its partition's streams.
+/// user missing from its partition's profile stream.
 pub(crate) fn run_phase4(
     schedule: &Schedule,
     pi: &PiGraph,
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
+    graph: &KnnGraph,
+    seed_ok: Option<&[bool]>,
     options: &Phase4Options,
 ) -> Result<Phase4Output, EngineError> {
+    let (mut accums, accums_seeded) = seed_accumulators(graph, seed_ok, options.k);
+    let mut run = |pool| {
+        drive(
+            schedule,
+            pi,
+            partitioning,
+            backend,
+            options,
+            &mut accums,
+            pool,
+        )
+    };
     let workers = options.threads.max(1);
-    if workers <= 1 {
-        return drive(schedule, pi, partitioning, backend, options, None);
+    let (cache, sims_computed, sims_pruned) = if workers <= 1 {
+        run(None)?
+    } else {
+        // Persistent worker pool for the whole run: tasks own Arc'd
+        // profile arenas, so the cache can evict freely while chunks
+        // are in flight within a bucket.
+        let (task_tx, task_rx) = channel::unbounded::<ScoreTask>();
+        let (result_tx, result_rx) = channel::unbounded::<(usize, Vec<f32>)>();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let task_rx = task_rx.clone();
+                let result_tx = result_tx.clone();
+                scope.spawn(move || {
+                    while let Ok(task) = task_rx.recv() {
+                        let scores = score_chunk(&task.src, &task.dst, &task.tuples, task.measure);
+                        let _ = result_tx.send((task.seq, scores));
+                    }
+                });
+            }
+            drop(task_rx);
+            drop(result_tx);
+            run(Some(WorkerPool {
+                task_tx,
+                result_rx,
+                workers,
+            }))
+        })?
+    };
+
+    // Harvest: every accumulator becomes its user's G(t+1) row.
+    let mut next = KnnGraph::new(accums.len(), options.k);
+    for (u, acc) in accums.into_iter().enumerate() {
+        next.set_neighbors(UserId::new(u as u32), acc.into_sorted())?;
     }
-    // Persistent worker pool for the whole run: tasks own Arc'd
-    // profile maps, so the cache can evict freely while chunks are in
-    // flight within a bucket.
-    let (task_tx, task_rx) = channel::unbounded::<ScoreTask>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, Vec<f32>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                while let Ok(task) = task_rx.recv() {
-                    let scores = score_chunk(&task.src, &task.dst, &task.tuples, task.measure);
-                    let _ = result_tx.send((task.seq, scores));
-                }
-            });
-        }
-        drop(task_rx);
-        drop(result_tx);
-        let pool = WorkerPool {
-            task_tx,
-            result_rx,
-            workers,
-        };
-        drive(schedule, pi, partitioning, backend, options, Some(pool))
+    Ok(Phase4Output {
+        graph: next,
+        accums_seeded,
+        cache,
+        sims_computed,
+        sims_pruned,
     })
 }
 
@@ -282,33 +288,27 @@ struct WorkerPool {
     workers: usize,
 }
 
+/// Walks the schedule, folding every surviving score into `accums`
+/// (indexed by user id). Returns the cache counters, the similarity
+/// evaluations performed and the tuples the bound filter pruned.
 fn drive(
     schedule: &Schedule,
     pi: &PiGraph,
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
     options: &Phase4Options,
+    accums: &mut [TopKAccumulator],
     pool: Option<WorkerPool>,
-) -> Result<Phase4Output, EngineError> {
-    let mut cache: SlotCache<PartitionState> =
+) -> Result<(CacheCounters, u64, u64), EngineError> {
+    let mut cache: SlotCache<Arc<ProfileArena>> =
         SlotCache::new(options.cache_slots).with_io_stats(Arc::clone(backend.stats()));
     let mut sims_computed = 0u64;
     let mut sims_pruned = 0u64;
 
     for step in schedule.iter() {
-        cache.ensure(
-            step.a,
-            None,
-            |p| load_state(backend, options.k, p),
-            |p, s| unload_state(backend, p, s),
-        )?;
+        cache.ensure(step.a, None, |p| load_arena(backend, p))?;
         if !step.is_self() {
-            cache.ensure(
-                step.b,
-                Some(step.a),
-                |p| load_state(backend, options.k, p),
-                |p, s| unload_state(backend, p, s),
-            )?;
+            cache.ensure(step.b, Some(step.a), |p| load_arena(backend, p))?;
         }
         // Both directed buckets of the pair (one for a self-pair).
         let buckets: &[(u32, u32)] = if step.is_self() {
@@ -327,17 +327,20 @@ fn drive(
             // decisions read the accumulators as of bucket start
             // (scores land only after the whole bucket is collected),
             // so they are identical at every thread count.
-            let (survivors, pruned) = {
-                let src_state = cache.get(src).expect("src resident");
-                let dst_state = cache.get(dst).expect("dst resident");
-                filter_bucket(tuples, partitioning.rows(), src_state, dst_state, options)?
-            };
+            let src_profiles = Arc::clone(cache.get(src).expect("src resident"));
+            let dst_profiles = Arc::clone(cache.get(dst).expect("dst resident"));
+            let (survivors, pruned) = filter_bucket(
+                tuples,
+                partitioning.rows(),
+                &src_profiles,
+                &dst_profiles,
+                accums,
+                options,
+            )?;
             sims_pruned += pruned;
             if survivors.is_empty() {
                 continue;
             }
-            let src_profiles = Arc::clone(&cache.get(src).expect("src resident").arena);
-            let dst_profiles = Arc::clone(&cache.get(dst).expect("dst resident").arena);
             let scores = match &pool {
                 Some(pool) if survivors.len() >= options.parallel_threshold => {
                     let chunk = survivors.len().div_ceil(pool.workers);
@@ -365,40 +368,12 @@ fn drive(
                 _ => score_chunk(&src_profiles, &dst_profiles, &survivors, options.measure),
             };
             sims_computed += scores.len() as u64;
-            apply_scores(
-                &mut cache,
-                src,
-                dst,
-                &survivors,
-                &scores,
-                options.include_reverse,
-            );
+            apply_scores(accums, &survivors, &scores, options.include_reverse);
         }
     }
 
-    cache.flush(|p, s| unload_state(backend, p, s))?;
-    let counters = cache.counters();
-
-    // Harvest: fold every partition's accumulator stream into G(t+1).
-    let n = partitioning.num_users();
-    let mut graph = KnnGraph::new(n, options.k);
-    for p in 0..partitioning.num_partitions() as u32 {
-        let rows = read_user_lists(backend, StreamId::Accumulators(p))?;
-        for (user, row) in rows {
-            let neighbors: Vec<Neighbor> = row
-                .iter()
-                .map(|&(id, sim)| Neighbor::new(UserId::new(id), sim))
-                .collect();
-            graph.set_neighbors(UserId::new(user), neighbors)?;
-        }
-    }
-
-    Ok(Phase4Output {
-        graph,
-        cache: counters,
-        sims_computed,
-        sims_pruned,
-    })
+    cache.flush();
+    Ok((cache.counters(), sims_computed, sims_pruned))
 }
 
 /// After this many bound evaluations in one bucket with a hit rate
@@ -425,8 +400,9 @@ const GATE_MIN_HIT_SHIFT: u64 = 5;
 fn filter_bucket(
     tuples: Vec<TupleRow>,
     row_of: &[u32],
-    src: &PartitionState,
-    dst: &PartitionState,
+    src: &ProfileArena,
+    dst: &ProfileArena,
+    accums: &[TopKAccumulator],
     options: &Phase4Options,
 ) -> Result<(Vec<PendingTuple>, u64), EngineError> {
     let mut survivors: Vec<PendingTuple> = Vec::with_capacity(tuples.len());
@@ -434,13 +410,13 @@ fn filter_bucket(
     let mut bound_attempts = 0u64;
     let mut bound_hits = 0u64;
 
-    // The row of `user` in `state`'s streams, or the typed error for a
-    // tuple naming a user those streams do not hold.
-    let row_in = |state: &PartitionState, user: u32, (u, v): (u32, u32)| {
+    // The row of `user` in `arena`, or the typed error for a tuple
+    // naming a user the partition's profile stream does not hold.
+    let row_in = |arena: &ProfileArena, user: u32, (u, v): (u32, u32)| {
         row_of
             .get(user as usize)
             .copied()
-            .filter(|&row| state.arena.users().get(row as usize) == Some(&user))
+            .filter(|&row| arena.users().get(row as usize) == Some(&user))
             .ok_or_else(|| {
                 EngineError::input(format!(
                     "tuple ({u}, {v}) references a user missing from its partition file"
@@ -456,9 +432,9 @@ fn filter_bucket(
         let u = tuples[start].0;
         let end = start + tuples[start..].partition_point(|t| t.0 == u);
         let u_idx = row_in(src, u, (u, tuples[start].1))?;
-        let up = src.arena.view(u_idx);
+        let up = src.view(u_idx);
         let u_threshold = if options.bound_filter {
-            src.accums[u_idx as usize].threshold()
+            accums[u as usize].threshold()
         } else {
             None
         };
@@ -473,14 +449,14 @@ fn filter_bucket(
                     || bound_hits << GATE_MIN_HIT_SHIFT >= bound_attempts;
                 if gate_open {
                     bound_attempts += 1;
-                    let bound = options.measure.upper_bound_ref(up, dst.arena.view(v_idx));
+                    let bound = options.measure.upper_bound_ref(up, dst.view(v_idx));
                     let prunable = bound.is_finite()
                         && (!into_u
                             || u_threshold.is_some_and(|thr| {
                                 !Neighbor::new(UserId::new(v), bound).beats(&thr)
                             }))
                         && (!into_v
-                            || dst.accums[v_idx as usize].threshold().is_some_and(|thr| {
+                            || accums[v as usize].threshold().is_some_and(|thr| {
                                 !Neighbor::new(UserId::new(u), bound).beats(&thr)
                             }));
                     if prunable {
@@ -501,30 +477,21 @@ fn filter_bucket(
 }
 
 /// Applies a bucket's scores (one per tuple, in tuple order) to the
-/// resident accumulators, following each tuple's direction bits (both
+/// accumulators, following each tuple's direction bits (both
 /// directions when `include_reverse` widens the offers).
 fn apply_scores(
-    cache: &mut SlotCache<PartitionState>,
-    src: u32,
-    dst: u32,
+    accums: &mut [TopKAccumulator],
     tuples: &[PendingTuple],
     scores: &[f32],
     include_reverse: bool,
 ) {
-    // Offers into the src-side accumulators (candidate v for user u).
-    let state = cache.get_mut(src).expect("src resident");
-    for (&(_, v, u_row, _, bits), &sim) in tuples.iter().zip(scores) {
-        if bits & meta_bits::FWD != 0 || (include_reverse && bits & meta_bits::BWD != 0) {
-            state.accums[u_row as usize].offer(Neighbor::new(UserId::new(v), sim));
-            state.dirty = true;
+    for (&(u, v, _, _, bits), &sim) in tuples.iter().zip(scores) {
+        let (fwd, bwd) = (bits & meta_bits::FWD != 0, bits & meta_bits::BWD != 0);
+        if fwd || (include_reverse && bwd) {
+            accums[u as usize].offer(Neighbor::new(UserId::new(v), sim));
         }
-    }
-    // Offers into the dst-side accumulators (candidate u for user v).
-    let state = cache.get_mut(dst).expect("dst resident");
-    for (&(u, _, _, v_row, bits), &sim) in tuples.iter().zip(scores) {
-        if bits & meta_bits::BWD != 0 || (include_reverse && bits & meta_bits::FWD != 0) {
-            state.accums[v_row as usize].offer(Neighbor::new(UserId::new(u), sim));
-            state.dirty = true;
+        if bwd || (include_reverse && fwd) {
+            accums[v as usize].offer(Neighbor::new(UserId::new(u), sim));
         }
     }
 }
@@ -536,6 +503,7 @@ mod tests {
     use crate::phase2::generate_tuples;
     use crate::traversal::Heuristic;
     use knn_sim::ProfileStore;
+    use knn_store::backend::write_user_lists;
 
     fn options(k: usize, threads: usize) -> Phase4Options {
         Phase4Options {
@@ -565,7 +533,7 @@ mod tests {
         let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
         let p = Partitioning::from_assignment(assignment, m).unwrap();
         reshard_profiles(&b, None, &p, Some(profiles), 1).unwrap();
-        write_partition_edges(g, &p, &b, 1, None).unwrap();
+        write_partition_edges(g, &p, &b, 1).unwrap();
         let out =
             generate_tuples(&p, &b, &crate::phase2::Phase2Options::new(1 << 16, 1), None).unwrap();
         (b, p, out)
@@ -590,7 +558,7 @@ mod tests {
         let profiles = line_profiles(2);
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(1, 1)).unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(1, 1)).unwrap();
         let nbrs = out.graph.neighbors(UserId::new(0));
         assert_eq!(nbrs.len(), 1);
         assert_eq!(nbrs[0].id, UserId::new(1));
@@ -608,7 +576,7 @@ mod tests {
         for h in Heuristic::ALL {
             let (b, p, p2) = setup_world(&g, &profiles, 4);
             let schedule = h.schedule(&p2.pi);
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(4, 1)).unwrap();
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(4, 1)).unwrap();
             results.push((h, out.graph));
         }
         for (h, g2) in &results[1..] {
@@ -625,7 +593,8 @@ mod tests {
         for threads in [1, 2, 4] {
             let (b, p, p2) = setup_world(&g, &profiles, 3);
             let schedule = Heuristic::DegreeLowHigh.schedule(&p2.pi);
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(5, threads)).unwrap();
+            let out =
+                run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(5, threads)).unwrap();
             results.push(out.graph);
         }
         assert_eq!(results[0], results[1]);
@@ -647,8 +616,8 @@ mod tests {
             "test needs a bucket above the parallel threshold"
         );
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let sequential = run_phase4(&schedule, &p2.pi, &p, &b, &options(6, 1)).unwrap();
-        let parallel = run_phase4(&schedule, &p2.pi, &p, &b, &options(6, 4)).unwrap();
+        let sequential = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(6, 1)).unwrap();
+        let parallel = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(6, 4)).unwrap();
         assert_eq!(sequential.graph, parallel.graph);
         assert_eq!(sequential.sims_computed, parallel.sims_computed);
     }
@@ -667,7 +636,7 @@ mod tests {
             let schedule = Heuristic::Sequential.schedule(&p2.pi);
             let mut opts = options(4, 4);
             opts.parallel_threshold = threshold;
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &opts).unwrap();
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
             results.push((out.graph, out.sims_computed));
         }
         assert_eq!(results[0], results[1]);
@@ -682,7 +651,7 @@ mod tests {
         for m in [2, 3, 5] {
             let (b, p, p2) = setup_world(&g, &profiles, m);
             let schedule = Heuristic::Sequential.schedule(&p2.pi);
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap();
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(3, 1)).unwrap();
             results.push(out.graph);
         }
         assert_eq!(results[0], results[1]);
@@ -697,7 +666,7 @@ mod tests {
         let (b, p, p2) = setup_world(&g, &profiles, 6);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let predicted = crate::traversal::simulate_schedule_ops(&schedule, 2);
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(3, 1)).unwrap();
         assert_eq!(
             out.cache.loads, predicted.loads,
             "dry run must match execution"
@@ -716,7 +685,7 @@ mod tests {
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let mut opts = options(1, 1);
         opts.include_reverse = true;
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &opts).unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
         assert_eq!(out.graph.neighbors(UserId::new(1)).len(), 1);
         assert_eq!(out.graph.neighbors(UserId::new(1))[0].id, UserId::new(0));
     }
@@ -728,9 +697,52 @@ mod tests {
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         assert!(schedule.is_empty());
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &options(2, 1)).unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(2, 1)).unwrap();
         assert_eq!(out.graph.num_edges(), 0);
         assert_eq!(out.sims_computed, 0);
+    }
+
+    /// Seeded users keep their scored `G(t)` list, denied users start
+    /// empty, and `accums_seeded` counts only the seeded edges: with
+    /// nothing to score, the harvest returns exactly the seeds.
+    #[test]
+    fn accumulators_seed_from_scored_edges_when_allowed() {
+        let mut g = KnnGraph::new(4, 2);
+        g.insert(UserId::new(0), Neighbor::new(UserId::new(1), 0.9));
+        g.insert(UserId::new(0), Neighbor::new(UserId::new(3), 0.4));
+        g.insert(UserId::new(2), Neighbor::new(UserId::new(1), 0.7));
+        // User 0 may seed; user 2 may not (e.g. its profile changed).
+        let seed_ok = vec![true, true, false, true];
+        let (accums, seeded) = seed_accumulators(&g, Some(&seed_ok), 2);
+        assert_eq!(seeded, 2, "only user 0's two edges seed");
+        assert_eq!(accums[0].entries(), g.neighbors(UserId::new(0)));
+        assert!(accums[2].is_empty(), "denied users start empty");
+
+        let (b, p, p2) = setup_world(&KnnGraph::new(4, 2), &line_profiles(4), 2);
+        let schedule = Heuristic::Sequential.schedule(&p2.pi);
+        assert!(schedule.is_empty());
+        let out = run_phase4(
+            &schedule,
+            &p2.pi,
+            &p,
+            &b,
+            &g,
+            Some(&seed_ok),
+            &options(2, 1),
+        )
+        .unwrap();
+        assert_eq!(out.accums_seeded, 2);
+        assert_eq!(
+            out.graph.neighbors(UserId::new(0)),
+            &[
+                Neighbor::new(UserId::new(1), 0.9),
+                Neighbor::new(UserId::new(3), 0.4)
+            ],
+            "seeded rows carry the scored list best-first"
+        );
+        assert!(out.graph.neighbors(UserId::new(2)).is_empty());
+        let unseeded = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(2, 1)).unwrap();
+        assert_eq!((unseeded.accums_seeded, unseeded.graph.num_edges()), (0, 0));
     }
 
     /// A chunk boundary may fall anywhere in a run of equal sources:
@@ -782,45 +794,17 @@ mod tests {
         let g = KnnGraph::random_init(n, 3, 5);
         let profiles = line_profiles(n);
         let (b, p, p2) = setup_world(&g, &profiles, 2);
-        // Drop partition 0's last user from both of its streams.
-        for stream in [StreamId::Profiles(0), StreamId::Accumulators(0)] {
-            let mut rows = read_user_lists(&b, stream).unwrap();
-            rows.pop();
-            write_user_lists(&b, stream, &rows).unwrap();
-        }
+        // Drop partition 0's last user from its profile stream.
+        let mut rows = read_user_lists(&b, StreamId::Profiles(0)).unwrap();
+        rows.pop();
+        write_user_lists(&b, StreamId::Profiles(0), &rows).unwrap();
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let err = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap_err();
+        let err = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(3, 1)).unwrap_err();
         assert!(
             matches!(&err, EngineError::InputMismatch { .. }),
             "got {err:?}"
         );
         assert!(err.to_string().contains("missing from its partition file"));
-    }
-
-    /// Accumulator rows that do not line up with the profile rows —
-    /// a user missing, or one too many — are a corrupt stream.
-    #[test]
-    fn accumulator_stream_out_of_step_with_profiles_is_corrupt() {
-        let n = 12;
-        let g = KnnGraph::random_init(n, 3, 5);
-        let profiles = line_profiles(n);
-        for tamper in [
-            (|rows| {
-                rows.remove(0);
-            }) as fn(&mut Vec<(u32, Vec<(u32, f32)>)>),
-            |rows| rows.push((1_000, Vec::new())),
-        ] {
-            let (b, p, p2) = setup_world(&g, &profiles, 2);
-            let mut rows = read_user_lists(&b, StreamId::Accumulators(1)).unwrap();
-            tamper(&mut rows);
-            write_user_lists(&b, StreamId::Accumulators(1), &rows).unwrap();
-            let schedule = Heuristic::Sequential.schedule(&p2.pi);
-            let err = run_phase4(&schedule, &p2.pi, &p, &b, &options(3, 1)).unwrap_err();
-            assert!(
-                matches!(&err, EngineError::Store(StoreError::Corrupt { .. })),
-                "got {err:?}"
-            );
-        }
     }
 
     /// Profiles with strongly varied lengths (1–6 items), so the
@@ -849,14 +833,14 @@ mod tests {
             let schedule = Heuristic::DegreeLowHigh.schedule(&p2.pi);
             let mut plain_opts = options(2, 1);
             plain_opts.measure = measure;
-            let plain = run_phase4(&schedule, &p2.pi, &p, &b, &plain_opts).unwrap();
+            let plain = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &plain_opts).unwrap();
             let mut counters = Vec::new();
             for threads in [1usize, 4] {
                 let mut opts = options(2, threads);
                 opts.measure = measure;
                 opts.bound_filter = true;
                 opts.parallel_threshold = 8; // force the pool path too
-                let filtered = run_phase4(&schedule, &p2.pi, &p, &b, &opts).unwrap();
+                let filtered = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
                 assert_eq!(
                     plain.graph, filtered.graph,
                     "{measure}: bound filter changed the graph"

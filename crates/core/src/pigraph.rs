@@ -135,7 +135,8 @@ impl PiGraph {
     }
 
     /// Total tuples across all buckets.
-    pub fn total_tuples(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_tuples(&self) -> u64 {
         self.buckets.values().sum()
     }
 

@@ -1,6 +1,6 @@
 //! Per-user bounded top-K candidate accumulators.
 
-use knn_graph::{Neighbor, UserId};
+use knn_graph::Neighbor;
 
 /// Accumulates scored candidates for one user, keeping only the best
 /// `K` under the workspace's deterministic order (sim desc, id asc)
@@ -102,7 +102,8 @@ impl TopKAccumulator {
 
     /// Merges every entry of `other` into `self` (union semantics —
     /// commutative and associative up to the final top-K).
-    pub fn merge(&mut self, other: &TopKAccumulator) {
+    #[cfg(test)]
+    fn merge(&mut self, other: &TopKAccumulator) {
         for &n in &other.entries {
             self.offer(n);
         }
@@ -117,48 +118,12 @@ impl TopKAccumulator {
     pub fn into_sorted(self) -> Vec<Neighbor> {
         self.entries
     }
-
-    /// Serializes to the on-disk row shape of
-    /// [`knn_store::record_file::write_user_lists`].
-    pub fn to_row(&self) -> Vec<(u32, f32)> {
-        self.entries.iter().map(|n| (n.id.raw(), n.sim)).collect()
-    }
-
-    /// Rebuilds from an on-disk row.
-    ///
-    /// Rows written by [`TopKAccumulator::to_row`] are already in the
-    /// deterministic best-first order with unique ids and length ≤ K;
-    /// such rows are adopted directly (the hot path — partition loads
-    /// rebuild every resident accumulator). Anything else falls back
-    /// to offering entry by entry, which produces the same result for
-    /// any well-formed multiset.
-    pub fn from_row(k: usize, row: &[(u32, f32)]) -> Self {
-        assert!(k > 0, "K must be positive");
-        let sorted_unique = row.len() <= k
-            && row.windows(2).all(|w| {
-                Neighbor::new(UserId::new(w[0].0), w[0].1)
-                    .beats(&Neighbor::new(UserId::new(w[1].0), w[1].1))
-            });
-        if sorted_unique {
-            return TopKAccumulator {
-                k,
-                entries: row
-                    .iter()
-                    .map(|&(id, sim)| Neighbor::new(UserId::new(id), sim))
-                    .collect(),
-            };
-        }
-        let mut acc = TopKAccumulator::new(k);
-        for &(id, sim) in row {
-            acc.offer(Neighbor::new(UserId::new(id), sim));
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knn_graph::UserId;
 
     fn nb(id: u32, sim: f32) -> Neighbor {
         Neighbor::new(UserId::new(id), sim)
@@ -227,15 +192,22 @@ mod tests {
         assert_eq!(ab.entries(), ba.entries());
     }
 
+    /// Phase 4 seeds an accumulator by offering a user's `G(t)` row and
+    /// harvests it with `into_sorted`: a row that no offer beats comes
+    /// back unchanged.
     #[test]
     fn row_round_trip() {
         let mut acc = TopKAccumulator::new(4);
         for c in [nb(7, 0.7), nb(1, 0.9), nb(3, -0.2)] {
             acc.offer(c);
         }
-        let row = acc.to_row();
-        let back = TopKAccumulator::from_row(4, &row);
-        assert_eq!(back.entries(), acc.entries());
+        let row = acc.clone().into_sorted();
+        let mut back = TopKAccumulator::new(4);
+        for &n in &row {
+            back.offer(n);
+        }
+        assert_eq!(back, acc);
+        assert_eq!(back.into_sorted(), row);
     }
 
     #[test]

@@ -54,22 +54,15 @@ pub fn simulate_schedule_ops(schedule: &Schedule, slots: usize) -> TraversalCost
     let mut cache: SlotCache<()> = SlotCache::new(slots);
     for step in schedule.iter() {
         cache
-            .ensure(step.a, None, |_| Ok::<(), Infallible>(()), |_, _| Ok(()))
+            .ensure(step.a, None, |_| Ok::<(), Infallible>(()))
             .expect("infallible");
         if !step.is_self() {
             cache
-                .ensure(
-                    step.b,
-                    Some(step.a),
-                    |_| Ok::<(), Infallible>(()),
-                    |_, _| Ok(()),
-                )
+                .ensure(step.b, Some(step.a), |_| Ok::<(), Infallible>(()))
                 .expect("infallible");
         }
     }
-    cache
-        .flush(|_, _| Ok::<(), Infallible>(()))
-        .expect("infallible");
+    cache.flush();
     let mut cost = TraversalCost::from(cache.counters());
     cost.steps = schedule.len() as u64;
     cost

@@ -116,7 +116,8 @@ impl DiGraph {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn out_neighbors(&self, v: UserId) -> &[u32] {
+    #[cfg(test)]
+    fn out_neighbors(&self, v: UserId) -> &[u32] {
         &self.out[v.index()]
     }
 

@@ -370,22 +370,6 @@ impl KnnGraph {
         self.neighbors(v).iter().all(|n| !n.is_unscored())
     }
 
-    /// `v`'s neighbor list as on-storage accumulator rows
-    /// `(target, sim)`, best-first — the phase-4 **seed row** that
-    /// replays iteration `t-1`'s scores into iteration `t`'s top-K
-    /// accumulator so that suppressed (already-evaluated) pairs keep
-    /// their standing without being re-scored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn seed_row(&self, v: UserId) -> Vec<(u32, f32)> {
-        self.neighbors(v)
-            .iter()
-            .map(|n| (n.id.raw(), n.sim))
-            .collect()
-    }
-
     /// The edges of `self` that are **not** in `previous`, grouped by
     /// source — the "new edge" oracle of cross-iteration pair
     /// suppression: a candidate tuple needs (re-)scoring only if some
@@ -720,17 +704,15 @@ mod tests {
     }
 
     #[test]
-    fn seed_row_and_fully_scored_track_sentinels() {
+    fn fully_scored_tracks_sentinels() {
         let mut g = KnnGraph::new(4, 3);
         g.insert(UserId::new(0), nb(1, 0.75));
         g.insert(UserId::new(0), nb(2, 0.25));
         assert!(g.fully_scored(UserId::new(0)));
-        assert_eq!(g.seed_row(UserId::new(0)), vec![(1, 0.75), (2, 0.25)]);
         g.insert(UserId::new(0), Neighbor::unscored(UserId::new(3)));
         assert!(!g.fully_scored(UserId::new(0)));
         // Empty lists are vacuously fully scored.
         assert!(g.fully_scored(UserId::new(1)));
-        assert!(g.seed_row(UserId::new(1)).is_empty());
     }
 
     #[test]

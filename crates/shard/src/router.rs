@@ -2,8 +2,8 @@
 //!
 //! The sharded engine runs the unmodified five-phase driver against
 //! this router. Every stream has exactly one home: per-partition
-//! streams (edges, profiles, accumulators, KNN slices) live with the
-//! partition's ring owner, tuple streams of bucket `(i, j)` — spill
+//! streams (edges, profiles, KNN slices, and legacy accumulator
+//! streams) live with the partition's ring owner, tuple streams of bucket `(i, j)` — spill
 //! runs and the merged bucket — live with partition `i`'s owner, and
 //! the singleton metadata streams live on shard 0. Because each
 //! storage operation is delegated to exactly one shard — and metered

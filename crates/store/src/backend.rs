@@ -77,7 +77,12 @@ pub enum StreamId {
     OutEdges(u32),
     /// Profiles of one partition's users.
     Profiles(u32),
-    /// Top-K accumulator state of one partition.
+    /// A legacy per-partition top-K accumulator stream (`p{p}.accum`)
+    /// that phase 4 wrote before its accumulators moved into RAM.
+    /// Nothing writes it any more; it stays so that tuple clearing and
+    /// recovery GC still delete such files left in older working
+    /// directories, and because the benchmark's stream-kind table
+    /// still names it.
     Accumulators(u32),
     /// One partition's persisted KNN-graph slice (scored out-edges).
     KnnSlice(u32),
@@ -153,13 +158,16 @@ impl StreamId {
         }
     }
 
-    /// Whether this stream is phase-2 tuple scratch (bucket, spill run,
-    /// or legacy exchange run), i.e. cleared at the start of every
-    /// iteration.
+    /// Whether this stream is per-iteration scratch, i.e. cleared at
+    /// the start of every iteration: phase-2 tuple scratch (bucket,
+    /// spill run, legacy exchange run) or a legacy accumulator stream.
     pub fn is_tuple_scratch(self) -> bool {
         matches!(
             self,
-            StreamId::TupleBucket(..) | StreamId::TupleRun(..) | StreamId::ExchangeRun(..)
+            StreamId::TupleBucket(..)
+                | StreamId::TupleRun(..)
+                | StreamId::ExchangeRun(..)
+                | StreamId::Accumulators(..)
         )
     }
 
@@ -348,8 +356,9 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// [`StoreError::Io`] on storage failure.
     fn list(&self) -> Result<Vec<StreamId>, StoreError>;
 
-    /// Removes every tuple bucket and spill run (phase 2 of each
-    /// iteration starts clean).
+    /// Removes every per-iteration scratch stream
+    /// ([`StreamId::is_tuple_scratch`]; phase 2 of each iteration
+    /// starts clean).
     ///
     /// # Errors
     ///
@@ -513,8 +522,7 @@ pub fn read_scored_pairs(
     record_file::decode_scored_pairs(&b.read(stream)?, &b.describe(stream))
 }
 
-/// Writes a user-list stream (`user → [(u32, f32)]` rows — profiles or
-/// accumulators).
+/// Writes a user-list stream (`user → [(u32, f32)]` rows — profiles).
 ///
 /// # Errors
 ///
@@ -1105,6 +1113,7 @@ mod tests {
             write_pairs(b, StreamId::TupleBucket(0, 1), &[(0, 1)]).unwrap();
             write_pairs(b, StreamId::TupleRun(0, 1, 2), &[(0, 1)]).unwrap();
             write_pairs(b, StreamId::ExchangeRun(0, 1, 0), &[(0, 1)]).unwrap();
+            write_user_lists(b, StreamId::Accumulators(0), &[]).unwrap();
             write_user_lists(b, StreamId::Profiles(0), &[]).unwrap();
             write_meta(b, &[]).unwrap();
             let mut listed = b.list().unwrap();
@@ -1114,6 +1123,7 @@ mod tests {
                 vec![
                     StreamId::Meta,
                     StreamId::Profiles(0),
+                    StreamId::Accumulators(0),
                     StreamId::TupleBucket(0, 1),
                     StreamId::TupleRun(0, 1, 2),
                     StreamId::ExchangeRun(0, 1, 0),

@@ -3,10 +3,11 @@
 //! The paper's memory constraint is explicit: *"we load the profiles of
 //! at most two partitions Ri and Rj at any point"*. [`SlotCache`] is
 //! that constraint as a data structure — a `capacity`-slot LRU whose
-//! load and unload callbacks move real partition state, and whose
-//! operation counters are exactly the metric of the paper's Table 1.
-//! The phase-4 executor runs it with real payloads; the Table-1
-//! simulator runs it with `()` payloads as a dry run.
+//! load callback brings a partition's read-only payload in, whose
+//! evictions drop it, and whose operation counters are exactly the
+//! metric of the paper's Table 1. The phase-4 executor runs it with
+//! profile arenas; the Table-1 simulator runs it with `()` payloads as
+//! a dry run.
 
 use crate::IoStats;
 use std::sync::Arc;
@@ -32,19 +33,20 @@ impl CacheCounters {
 /// A fixed-capacity cache of partition payloads with LRU eviction and
 /// full load/unload accounting.
 ///
-/// `ensure` brings a partition in (calling `load` on miss, evicting the
-/// least-recently-used non-pinned resident via `unload`), `get`/`get_mut`
-/// access resident payloads, and `flush` unloads everything.
+/// `ensure` brings a partition in (calling `load` on miss, evicting —
+/// dropping — the least-recently-used non-pinned resident), `get`
+/// reads a resident payload, and `flush` unloads everything. Payloads
+/// are read-only: an unload has nothing to write back.
 ///
 /// ```
 /// use knn_store::SlotCache;
 ///
 /// let mut cache: SlotCache<String> = SlotCache::new(2);
 /// let load = |id: u32| Ok::<_, std::io::Error>(format!("payload {id}"));
-/// cache.ensure(1, None, load, |_, _| Ok(())).unwrap();
-/// cache.ensure(2, Some(1), load, |_, _| Ok(())).unwrap();
+/// cache.ensure(1, None, load).unwrap();
+/// cache.ensure(2, Some(1), load).unwrap();
 /// // Loading 3 with 1 pinned evicts 2 (the LRU non-pinned resident).
-/// cache.ensure(3, Some(1), load, |_, _| Ok(())).unwrap();
+/// cache.ensure(3, Some(1), load).unwrap();
 /// assert!(cache.get(1).is_some() && cache.get(3).is_some());
 /// assert!(cache.get(2).is_none());
 /// assert_eq!(cache.counters().loads, 3);
@@ -110,23 +112,14 @@ impl<T> SlotCache<T> {
             .map(|(_, t)| t)
     }
 
-    /// Mutable access to a resident payload (does not touch LRU order).
-    pub fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        self.slots
-            .iter_mut()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, t)| t)
-    }
-
     /// Ensures `id` is resident: counts a hit if present (refreshing
     /// LRU order), otherwise loads it, evicting the least-recently-used
     /// resident other than `pinned` if the cache is full.
     ///
     /// # Errors
     ///
-    /// Propagates errors from the `load`/`unload` callbacks; on error
-    /// the cache state is unchanged except for already-completed
-    /// evictions.
+    /// Propagates errors from the `load` callback; on error the cache
+    /// state is unchanged except for an already-completed eviction.
     ///
     /// # Panics
     ///
@@ -137,7 +130,6 @@ impl<T> SlotCache<T> {
         id: u32,
         pinned: Option<u32>,
         load: impl FnOnce(u32) -> Result<T, E>,
-        unload: impl FnOnce(u32, T) -> Result<(), E>,
     ) -> Result<(), E> {
         if let Some(pos) = self.slots.iter().position(|&(sid, _)| sid == id) {
             // Hit: move to most-recently-used position.
@@ -152,12 +144,11 @@ impl<T> SlotCache<T> {
                 .iter()
                 .position(|&(sid, _)| Some(sid) != pinned)
                 .expect("cannot evict: all residents pinned");
-            let (vid, payload) = self.slots.remove(victim_pos);
+            self.slots.remove(victim_pos);
             self.counters.unloads += 1;
             if let Some(s) = &self.io_stats {
                 s.record_partition_unload();
             }
-            unload(vid, payload)?;
         }
         let payload = load(id)?;
         self.counters.loads += 1;
@@ -169,20 +160,13 @@ impl<T> SlotCache<T> {
     }
 
     /// Unloads every resident payload (counted), e.g. at end of phase.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first `unload` error; remaining residents stay
-    /// cached.
-    pub fn flush<E>(&mut self, mut unload: impl FnMut(u32, T) -> Result<(), E>) -> Result<(), E> {
-        while let Some((id, payload)) = self.slots.pop() {
+    pub fn flush(&mut self) {
+        for _ in self.slots.drain(..) {
             self.counters.unloads += 1;
             if let Some(s) = &self.io_stats {
                 s.record_partition_unload();
             }
-            unload(id, payload)?;
         }
-        Ok(())
     }
 }
 
@@ -195,15 +179,11 @@ mod tests {
         Ok(id * 10)
     }
 
-    fn ok_unload(_: u32, _: u32) -> Result<(), Infallible> {
-        Ok(())
-    }
-
     #[test]
     fn miss_loads_hit_does_not() {
         let mut c: SlotCache<u32> = SlotCache::new(2);
-        c.ensure(1, None, ok_load, ok_unload).unwrap();
-        c.ensure(1, None, ok_load, ok_unload).unwrap();
+        c.ensure(1, None, ok_load).unwrap();
+        c.ensure(1, None, ok_load).unwrap();
         assert_eq!(
             c.counters(),
             CacheCounters {
@@ -218,20 +198,20 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c: SlotCache<u32> = SlotCache::new(2);
-        c.ensure(1, None, ok_load, ok_unload).unwrap();
-        c.ensure(2, None, ok_load, ok_unload).unwrap();
+        c.ensure(1, None, ok_load).unwrap();
+        c.ensure(2, None, ok_load).unwrap();
         // Touch 1 so 2 becomes LRU.
-        c.ensure(1, None, ok_load, ok_unload).unwrap();
-        c.ensure(3, None, ok_load, ok_unload).unwrap();
+        c.ensure(1, None, ok_load).unwrap();
+        c.ensure(3, None, ok_load).unwrap();
         assert!(c.contains(1) && c.contains(3) && !c.contains(2));
     }
 
     #[test]
     fn pinned_partition_survives_eviction() {
         let mut c: SlotCache<u32> = SlotCache::new(2);
-        c.ensure(7, None, ok_load, ok_unload).unwrap();
+        c.ensure(7, None, ok_load).unwrap();
         for other in [1, 2, 3, 4] {
-            c.ensure(other, Some(7), ok_load, ok_unload).unwrap();
+            c.ensure(other, Some(7), ok_load).unwrap();
             assert!(c.contains(7), "pivot must stay resident");
         }
         // 4 neighbor loads, 3 evictions (slots: pivot + 1 neighbor).
@@ -243,48 +223,17 @@ mod tests {
     fn flush_unloads_everything_counted() {
         let mut c: SlotCache<u32> = SlotCache::new(3);
         for id in [1, 2, 3] {
-            c.ensure(id, None, ok_load, ok_unload).unwrap();
+            c.ensure(id, None, ok_load).unwrap();
         }
-        let mut unloaded = Vec::new();
-        c.flush(|id, _| {
-            unloaded.push(id);
-            Ok::<(), Infallible>(())
-        })
-        .unwrap();
+        c.flush();
         assert_eq!(c.counters().unloads, 3);
-        assert_eq!(unloaded.len(), 3);
         assert!(c.resident().is_empty());
-    }
-
-    #[test]
-    fn unload_receives_mutated_payload() {
-        let mut c: SlotCache<Vec<u32>> = SlotCache::new(1);
-        c.ensure(1, None, |_| Ok::<_, Infallible>(vec![]), |_, _| Ok(()))
-            .unwrap();
-        c.get_mut(1).unwrap().push(42);
-        let mut captured = None;
-        c.ensure(
-            2,
-            None,
-            |_| Ok::<_, Infallible>(vec![]),
-            |id, payload| {
-                captured = Some((id, payload));
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(captured, Some((1, vec![42])));
     }
 
     #[test]
     fn load_error_propagates_and_leaves_id_absent() {
         let mut c: SlotCache<u32> = SlotCache::new(2);
-        let r = c.ensure(
-            5,
-            None,
-            |_| Err(std::io::Error::other("boom")),
-            |_, _| Ok(()),
-        );
+        let r = c.ensure(5, None, |_| Err(std::io::Error::other("boom")));
         assert!(r.is_err());
         assert!(!c.contains(5));
         assert_eq!(c.counters().loads, 0);
@@ -294,18 +243,18 @@ mod tests {
     #[should_panic(expected = "all residents pinned")]
     fn single_slot_pinned_conflict_panics() {
         let mut c: SlotCache<u32> = SlotCache::new(1);
-        c.ensure(1, None, ok_load, ok_unload).unwrap();
+        c.ensure(1, None, ok_load).unwrap();
         // Requires evicting 1, but 1 is pinned.
-        let _ = c.ensure(2, Some(1), ok_load, ok_unload);
+        let _ = c.ensure(2, Some(1), ok_load);
     }
 
     #[test]
     fn io_stats_mirroring() {
         let stats = Arc::new(IoStats::new());
         let mut c: SlotCache<u32> = SlotCache::new(1).with_io_stats(Arc::clone(&stats));
-        c.ensure(1, None, ok_load, ok_unload).unwrap();
-        c.ensure(2, None, ok_load, ok_unload).unwrap();
-        c.flush(|_, _| Ok::<(), Infallible>(())).unwrap();
+        c.ensure(1, None, ok_load).unwrap();
+        c.ensure(2, None, ok_load).unwrap();
+        c.flush();
         let snap = stats.snapshot();
         assert_eq!(snap.partition_loads, 2);
         assert_eq!(snap.partition_unloads, 2);

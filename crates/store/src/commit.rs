@@ -375,7 +375,8 @@ pub fn recover(b: &dyn StorageBackend) -> Result<RecoveryReport, StoreError> {
     report.log_drop_detail = b.repair_update_log()?;
 
     // Per-iteration scratch from the interrupted iteration (tuple
-    // buckets, spill runs, legacy exchange runs) is dead weight the next
+    // buckets, spill runs, legacy exchange runs and legacy accumulator
+    // streams) is dead weight the next
     // iteration would clear anyway — but a *resumed* directory must
     // list identically to a never-crashed one, so GC it now.
     report.scratch_deleted = streams.iter().filter(|s| s.is_tuple_scratch()).count() as u64;
@@ -625,8 +626,9 @@ mod tests {
             backend::write_pairs(b, StreamId::TupleBucket(0, 1), &[(0, 1)]).unwrap();
             backend::write_pairs(b, StreamId::TupleRun(0, 1, 0), &[(0, 1)]).unwrap();
             backend::write_pairs(b, StreamId::ExchangeRun(1, 0, 2), &[(0, 1)]).unwrap();
+            backend::write_user_lists(b, StreamId::Accumulators(1), &[]).unwrap();
             let report = recover(b).unwrap();
-            assert_eq!(report.scratch_deleted, 3);
+            assert_eq!(report.scratch_deleted, 4);
             assert!(!b.list().unwrap().iter().any(|s| s.is_tuple_scratch()));
             destroy(wd);
         }

@@ -103,18 +103,10 @@ impl IoStats {
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds another meter's current totals into this one (used to
-    /// aggregate per-shard backends into one cross-shard view).
-    ///
-    /// # Atomicity
-    ///
-    /// Each counter is read and added atomically, but the merge is not
-    /// atomic *across* counters: if `other` is being updated
-    /// concurrently, the folded totals may mix counter values from
-    /// slightly different instants (never losing or double-counting
-    /// any single increment). Call it at quiescent points — phase or
-    /// iteration boundaries — for exact cross-counter totals.
-    pub fn merge(&self, other: &IoStats) {
+    /// Folds another meter's current totals into this one. Each
+    /// counter is added atomically, but not all counters at once.
+    #[cfg(test)]
+    fn merge(&self, other: &IoStats) {
         let snap = other.snapshot();
         self.bytes_read
             .fetch_add(snap.bytes_read, Ordering::Relaxed);

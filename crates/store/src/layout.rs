@@ -14,11 +14,16 @@ use crate::StoreError;
 ///     p0042.in_edges          in-edges of partition 42, sorted by bridge
 ///     p0042.out_edges         out-edges of partition 42, sorted by bridge
 ///     p0042.profiles          profiles of partition 42's users
-///     p0042.accum             top-K accumulator state of partition 42
+///     p0042.knn               KNN-graph slice of partition 42's users
 ///   tuples/
 ///     t0001_0007.tuples       deduplicated (s,d) tuples with s∈R1, d∈R7
 ///   updates.log               phase-5 lazy profile-update queue
 /// ```
+///
+/// Older working directories may also hold `parts/p0042.accum`, the
+/// per-partition top-K state phase 4 kept on disk before its
+/// accumulators moved into RAM; [`WorkingDir::clear_tuples`] deletes
+/// them.
 ///
 /// `WorkingDir` only computes paths and creates directories; record
 /// parsing lives in [`crate::record_file`].
@@ -86,7 +91,8 @@ impl WorkingDir {
         self.root.join("parts").join(format!("p{p:04}.profiles"))
     }
 
-    /// Path of partition `p`'s top-K accumulator state file.
+    /// Path of partition `p`'s legacy top-K accumulator file (see the
+    /// type docs).
     pub fn accum_path(&self, p: u32) -> PathBuf {
         self.root.join("parts").join(format!("p{p:04}.accum"))
     }
@@ -128,19 +134,24 @@ impl WorkingDir {
         self.root.join("commit.bin")
     }
 
-    /// Removes every tuple bucket (phase 2 of each iteration starts
-    /// clean).
+    /// Removes every per-iteration scratch file: everything under
+    /// `tuples/` (phase 2 of each iteration starts clean) and any
+    /// legacy `parts/*.accum` file.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if the directory cannot be read or a
+    /// Returns [`StoreError::Io`] if a directory cannot be read or a
     /// file cannot be removed.
     pub fn clear_tuples(&self) -> Result<(), StoreError> {
-        let dir = self.root.join("tuples");
-        let entries = std::fs::read_dir(&dir).map_err(|e| StoreError::io(&dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError::io(&dir, e))?;
-            std::fs::remove_file(entry.path()).map_err(|e| StoreError::io(entry.path(), e))?;
+        for (sub, only_ext) in [("tuples", None), ("parts", Some("accum"))] {
+            let dir = self.root.join(sub);
+            let entries = std::fs::read_dir(&dir).map_err(|e| StoreError::io(&dir, e))?;
+            for entry in entries {
+                let path = entry.map_err(|e| StoreError::io(&dir, e))?.path();
+                if only_ext.is_none_or(|ext| path.extension() == Some(ext.as_ref())) {
+                    std::fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))?;
+                }
+            }
         }
         Ok(())
     }
@@ -214,8 +225,13 @@ mod tests {
         let wd = WorkingDir::temp("layout_clear").unwrap();
         std::fs::write(wd.tuples_path(0, 1), b"x").unwrap();
         std::fs::write(wd.profiles_path(0), b"y").unwrap();
+        std::fs::write(wd.accum_path(0), b"z").unwrap();
         wd.clear_tuples().unwrap();
         assert!(!wd.tuples_path(0, 1).exists());
+        assert!(
+            !wd.accum_path(0).exists(),
+            "legacy accumulators are scratch"
+        );
         assert!(wd.profiles_path(0).exists());
         wd.destroy().unwrap();
     }

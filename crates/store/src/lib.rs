@@ -13,8 +13,8 @@
 //!   implementations: [`DiskBackend`] (the paper's out-of-core
 //!   setting) and [`MemBackend`] (same codec, RAM-resident — the fast
 //!   path when the data fits);
-//! * [`WorkingDir`] — the on-disk layout `DiskBackend` wraps (one
-//!   edge/profile/accumulator file per partition, one tuple bucket per
+//! * [`WorkingDir`] — the on-disk layout `DiskBackend` wraps (edge,
+//!   profile and KNN-slice files per partition, one tuple bucket per
 //!   partition pair);
 //! * [`codec`] / [`record_file`] — explicit, versioned binary encodings
 //!   shared by every backend (no serde formats are available offline;
@@ -28,7 +28,8 @@
 //!   boundary, so different backends are metered uniformly;
 //! * [`SlotCache`] — the ≤`c`-resident partition cache whose
 //!   load/unload operation counts are exactly the metric of the paper's
-//!   Table 1.
+//!   Table 1 (phase 4 keeps its top-K accumulators in RAM beside
+//!   `G(t)`, so a cached partition is read-only profiles).
 //!
 //! # Durability & crash consistency
 //!
@@ -60,8 +61,8 @@
 //!
 //! // A 2-slot cache holding partition payloads; loads/unloads counted.
 //! let mut cache: SlotCache<Vec<u8>> = SlotCache::new(2);
-//! cache.ensure(0, None, |_| Ok::<_, std::io::Error>(vec![0u8]), |_, _| Ok(())).unwrap();
-//! cache.ensure(1, Some(0), |_| Ok::<_, std::io::Error>(vec![1u8]), |_, _| Ok(())).unwrap();
+//! cache.ensure(0, None, |_| Ok::<_, std::io::Error>(vec![0u8])).unwrap();
+//! cache.ensure(1, Some(0), |_| Ok::<_, std::io::Error>(vec![1u8])).unwrap();
 //! assert_eq!(cache.counters().loads, 2);
 //! assert_eq!(cache.counters().unloads, 0);
 //! let _ = IoStats::new();

@@ -7,8 +7,9 @@
 //!
 //! * **pair files** — `(u32, u32)` rows: raw edges and `(s, d)` tuples;
 //! * **scored-pair files** — `(u32, u32, f32)` rows: KNN edges;
-//! * **user-list files** — `user → [(u32, f32)]` rows: profiles and
-//!   top-K accumulator states.
+//! * **user-list files** — `user → [(u32, f32)]` rows: profiles (and,
+//!   in older working directories, the legacy per-partition top-K
+//!   accumulator files, which are now deleted as scratch).
 //!
 //! Files are partition-sized by construction, so reads slurp the whole
 //! file (that *is* the engine's "load partition" operation) and writes
@@ -38,7 +39,8 @@ pub enum RecordKind {
     ScoredEdges = 4,
     /// User profiles `user → [(item, weight)]`.
     Profiles = 5,
-    /// Top-K accumulators `user → [(candidate, sim)]`.
+    /// Legacy top-K accumulators `user → [(candidate, sim)]`; nothing
+    /// writes this kind any more (see `StreamId::Accumulators`).
     Accumulators = 6,
     /// Engine metadata (small key-value integers).
     Meta = 7,
@@ -225,11 +227,11 @@ pub fn read_scored_pairs(path: &Path, stats: &IoStats) -> Result<Vec<(u32, u32, 
 
 /// One row of a user-list file: a user id and its `(key, value)`
 /// entries — `(item, weight)` for profiles, `(candidate, sim)` for
-/// accumulators.
+/// legacy accumulators.
 pub type UserListRow = (u32, Vec<(u32, f32)>);
 
-/// Writes a user-list file (`user → [(u32, f32)]` rows): profiles
-/// (`RecordKind::Profiles`) or accumulators (`RecordKind::Accumulators`).
+/// Writes a user-list file (`user → [(u32, f32)]` rows), such as
+/// profiles (`RecordKind::Profiles`).
 ///
 /// # Errors
 ///

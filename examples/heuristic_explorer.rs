@@ -55,28 +55,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 if id == step.b && step.is_self() {
                     continue;
                 }
-                let resident_before = cache.contains(id);
-                let (mut loaded, mut evicted) = (None, None);
-                cache.ensure::<Infallible>(
-                    id,
-                    pinned,
-                    |p| {
-                        loaded = Some(p);
-                        Ok(())
-                    },
-                    |p, _| {
-                        evicted = Some(p);
-                        Ok(())
-                    },
-                )?;
-                if let Some(p) = evicted {
+                let hit = cache.contains(id);
+                let before = cache.resident();
+                cache.ensure::<Infallible>(id, pinned, |_| Ok(()))?;
+                if let Some(p) = before.iter().find(|&&p| !cache.contains(p)) {
                     events.push(format!("evict R{p}"));
                 }
-                if let Some(p) = loaded {
-                    events.push(format!("load R{p}"));
-                }
-                if resident_before {
+                if hit {
                     events.push(format!("hit R{id}"));
+                } else {
+                    events.push(format!("load R{id}"));
                 }
             }
             println!(
@@ -85,10 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cache.resident()
             );
         }
-        cache.flush(|p, _| {
+        for p in cache.resident().iter().rev() {
             println!("  final flush: unload R{p}");
-            Ok::<(), Infallible>(())
-        })?;
+        }
+        cache.flush();
         let c = cache.counters();
         println!(
             "  => {} loads + {} unloads = {} ops",

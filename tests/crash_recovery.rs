@@ -541,6 +541,48 @@ fn resume_collects_stale_scratch_and_staged_streams() {
     );
 }
 
+/// Phase 4 keeps its top-K accumulators in RAM, so no iteration leaves
+/// an accumulator stream behind. A legacy `.accum` stream, as an older
+/// working directory holds one, is per-iteration scratch: planted in a
+/// committed run, it is deleted on resume, on both backends.
+#[test]
+fn accumulator_streams_never_rest_and_legacy_ones_are_collected() {
+    let disk = DiskBackend::temp("legacy_accum").expect("tempdir");
+    let wd = disk.working_dir().unwrap().clone();
+    let backends: [Arc<dyn StorageBackend>; 2] = [Arc::new(MemBackend::new()), Arc::new(disk)];
+    for backend in backends {
+        let accum_streams = || {
+            backend
+                .list()
+                .unwrap()
+                .into_iter()
+                .filter(|s| matches!(s, StreamId::Accumulators(_)))
+                .count()
+        };
+        let mut engine = KnnEngine::new_on(config(), workload(), Arc::clone(&backend)).unwrap();
+        for t in 0..2 {
+            engine.queue_update(&update_for(t)).unwrap();
+            engine.run_iteration().unwrap();
+            assert_eq!(accum_streams(), 0, "iteration {t} left accumulator streams");
+        }
+        drop(engine);
+
+        backend
+            .write(StreamId::Accumulators(1), b"legacy accumulators")
+            .unwrap();
+        assert_eq!(accum_streams(), 1);
+        let mut resumed = KnnEngine::resume_on(config(), Arc::clone(&backend)).unwrap();
+        let recovery = resumed.recovery_report().unwrap();
+        assert!(recovery.scratch_deleted >= 1, "{recovery:?}");
+        assert_eq!(accum_streams(), 0, "resume must delete the legacy stream");
+        resumed.run_iteration().unwrap();
+        assert_eq!(accum_streams(), 0);
+        let scrub = resumed.verify().expect("scrub");
+        assert!(scrub.is_clean(), "{scrub}");
+    }
+    wd.destroy().expect("cleanup");
+}
+
 /// The scrub flags corruption and leftovers a healthy store must not
 /// have.
 #[test]

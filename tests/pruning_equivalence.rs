@@ -183,7 +183,8 @@ fn converged_graph_matches_the_unpruned_run() {
 
 /// The steady-state goal for phases 2 and 4: once a static world (no
 /// updates) stops changing, the next iteration offers no tuple, runs
-/// no kernel, loads no partition and leaves the graph as it was.
+/// no kernel, loads no partition, reads and writes no phase-4 byte and
+/// leaves the graph as it was.
 #[test]
 fn a_fixed_point_offers_nothing_and_loads_nothing() {
     let n = 96;
@@ -215,6 +216,12 @@ fn a_fixed_point_offers_nothing_and_loads_nothing() {
         "a fixed point loads no partition"
     );
     assert!(report.sims_skipped > 0, "every offer was suppressed");
+    let phase4_io = report.phase_io[3];
+    assert_eq!(
+        (phase4_io.bytes_read, phase4_io.bytes_written),
+        (0, 0),
+        "a fixed point's phase 4 does no I/O"
+    );
     assert_eq!(engine.graph(), &before, "a fixed point changed the graph");
 }
 
