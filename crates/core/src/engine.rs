@@ -1021,8 +1021,8 @@ impl KnnEngine {
             threads: self.config.threads(),
             cache_slots: self.config.cache_slots(),
             include_reverse: self.config.include_reverse(),
-            parallel_threshold: phase4::DEFAULT_PARALLEL_THRESHOLD,
             bound_filter: self.config.bound_filter(),
+            chunk: phase4::CHUNK,
         };
         let phase4_out = phase4::run_phase4(
             &schedule,

@@ -64,12 +64,16 @@
 //! (or per-bucket) work out over that many scoped workers, pulling
 //! tasks from a work-stealing queue ([`mod@phase1`] sorts and encodes
 //! partition streams concurrently, [`mod@phase2`] scans partitions
-//! with per-scan tuple tables merged bucket-parallel, phase 4 scores
-//! tuple chunks on a worker pool, phase 5 rebuilds touched profile
-//! streams concurrently).
+//! with per-scan tuple tables merged bucket-parallel, phase 4 filters
+//! and scores fixed-size tuple chunks on a worker pool while its
+//! driving thread applies the previous bucket and decodes the next,
+//! phase 5 rebuilds touched profile streams concurrently).
 //!
 //! The guarantee: **thread count never changes the answer.** Each unit
-//! of work is a pure function of its partition's inputs, every
+//! of work is a pure function of its partition's inputs (phase 4's
+//! chunks have a fixed size, and its bound filter reads thresholds
+//! copied at a fixed point in bucket order, the same on one thread),
+//! every
 //! [`StorageBackend`](knn_store::StorageBackend) stream is written by
 //! exactly one unit (the streams are disjoint), and merge points sort
 //! before they write — so `G(t+1)`, every persisted stream byte, the
@@ -153,8 +157,9 @@
 //!   accumulator entry are dropped unevaluated (`sims_pruned`).
 //!
 //! Suppression is a pure function of the graphs and the dirty bits,
-//! and filter decisions are taken on phase 4's driving thread against
-//! bucket-start state, so the counters and the graph stay
+//! and filter decisions are taken per fixed-size chunk against
+//! thresholds copied at a fixed point in bucket order (one bucket
+//! behind the applied scores), so the counters and the graph stay
 //! thread-count- and backend-invariant; `tests/pruning_equivalence.rs`
 //! pins pruned ≡ unpruned graph equality per iteration, updates
 //! included. `KNN_TEST_PRUNE=0` routes the whole suite down the

@@ -13,8 +13,7 @@
 //! determinism guarantee (see the crate docs).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use crossbeam::channel;
+use std::sync::mpsc;
 
 use crate::EngineError;
 
@@ -45,7 +44,7 @@ where
 
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let (tx, rx) = channel::unbounded::<(usize, Result<T, EngineError>)>();
+    let (tx, rx) = mpsc::channel::<(usize, Result<T, EngineError>)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();

@@ -243,7 +243,7 @@ pub fn reference_tuple_set(graph: &knn_graph::KnnGraph) -> std::collections::Has
 mod tests {
     use super::*;
     use crate::phase1::{reshard_profiles, write_partition_edges};
-    use crate::phase4::{run_phase4, Phase4Options, Phase4Output, DEFAULT_PARALLEL_THRESHOLD};
+    use crate::phase4::{run_phase4, Phase4Options, Phase4Output, CHUNK};
     use crate::traversal::Heuristic;
     use knn_graph::{KnnGraph, Neighbor, UserId};
     use knn_sim::{Measure, ProfileStore};
@@ -647,8 +647,8 @@ mod tests {
             threads: 1,
             cache_slots: 2,
             include_reverse: false,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             bound_filter: false,
+            chunk: CHUNK,
         };
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let p4 = run_phase4(

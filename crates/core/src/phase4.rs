@@ -2,12 +2,12 @@
 //!
 //! Walks the phase-3 schedule with a bounded partition cache (two
 //! slots by default, exactly the paper's memory constraint), scores
-//! every surviving tuple of the resident pair's buckets — across a
-//! persistent worker pool when `threads > 1` — and folds the scores
-//! into per-user top-K accumulators. The partition cache holds profiles
-//! only; the accumulators are one in-RAM vector indexed by user id,
-//! an `O(n·K)` cost beside `G(t)`, seeded from `G(t)` at phase start
-//! and moved into `G(t+1)` at the end, so phase 4 writes nothing.
+//! every surviving tuple of the resident pair's buckets in fixed-size
+//! chunks (see [Pipeline](#pipeline)) and folds the scores into per-user
+//! top-K accumulators. The partition cache holds profiles only; the
+//! accumulators are one in-RAM vector indexed by user id, an `O(n·K)`
+//! cost beside `G(t)`, seeded from `G(t)` at phase start and moved into
+//! `G(t+1)` at the end, so phase 4 writes nothing.
 //!
 //! # The scoring funnel
 //!
@@ -34,9 +34,12 @@
 //! 3. **Bound-based filtering** (`sims_pruned`) — a tuple is scored
 //!    only if its O(1) score ceiling ([`Measure::upper_bound_ref`])
 //!    could still beat the current k-th entry of the target
-//!    accumulator(s); thresholds are sampled at bucket start, which
-//!    only under-prunes, never over-prunes. Every unique tuple is
-//!    either pruned here or computed.
+//!    accumulator(s). A bucket is filtered against a copy of the
+//!    thresholds as they stand at its dispatch, which lag one bucket
+//!    behind (bucket `j` sees every score of buckets up to `j−2`); a
+//!    stale threshold only under-prunes, never over-prunes. A hit-rate
+//!    gate, counted per chunk, stands the check down where it cannot
+//!    win. Every unique tuple is either pruned here or computed.
 //!
 //! Both pruning stages are **exact**: they only ever drop evaluations
 //! whose outcome is already decided, so `G(t+1)` is identical with
@@ -50,10 +53,41 @@
 //! run against it by walking only the candidates' id columns — not one
 //! two-pointer merge per pair. Scores are bit-identical to the pair
 //! kernel ([`Measure::score_ref`]), so nothing downstream can tell.
+//!
+//! # Pipeline
+//!
+//! A bucket's rows are cut into chunks of [`CHUNK`] rows, whatever the
+//! thread count. One chunk is one task: validate its rows, run the
+//! bound filter, score the survivors, and keep each score only for the
+//! accumulators whose copied threshold it beats (the rest could not
+//! land anyway). With `threads > 1` a pool of `threads − 1` workers,
+//! spawned once per phase-4 run, claims the chunks of the dispatched
+//! bucket through an atomic cursor; workers never touch the
+//! accumulators, only the bucket's threshold copies. Meanwhile the
+//! driving thread works in a fixed order, to a depth of one bucket:
+//!
+//! 1. dispatch bucket `j` to the pool;
+//! 2. apply bucket `j−1`'s offers to the accumulators, in chunk order;
+//! 3. prepare bucket `j+1`: decode its tuple stream and copy the
+//!    thresholds of its two partitions' users (no score lands between
+//!    this copy and `j+1`'s dispatch, so it is the dispatch-time state);
+//! 4. collect bucket `j`: claim and run its unclaimed chunks, then wait
+//!    for the workers' results.
+//!
+//! So `threads` threads compute at once: the driving thread's own
+//! stages take the place of one worker, and it scores when they are
+//! done.
+//!
+//! With one thread the same order runs inline (score `j`, then apply
+//! `j−1`), so every counter is identical at every thread count. The
+//! partition loads stay on the driving thread, between steps. In
+//! flight at once: the decoded tuples and threshold copies of buckets
+//! `j` and `j+1`, and the offers of buckets `j−1` and `j`; the cache
+//! still holds two arenas.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
-use crossbeam::channel;
 use knn_graph::{KnnGraph, Neighbor, UserId};
 use knn_sim::{Measure, ProfileArena, RowKernel};
 use knn_store::backend::{read_tuples, read_user_lists};
@@ -66,9 +100,10 @@ use crate::traversal::Schedule;
 use crate::tuple_table::meta_bits;
 use crate::{EngineError, PiGraph};
 
-/// Default for [`Phase4Options::parallel_threshold`]: buckets smaller
-/// than this are scored inline even when a worker pool exists.
-pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
+/// Bucket rows per scoring task. It does not depend on the thread
+/// count, so neither do the chunk boundaries, the per-chunk filter
+/// gate, or any counter.
+pub(crate) const CHUNK: usize = 4096;
 
 /// Options of one phase-4 run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,24 +112,19 @@ pub(crate) struct Phase4Options {
     pub k: usize,
     /// Similarity measure.
     pub measure: Measure,
-    /// Worker threads for similarity scoring.
+    /// Threads that filter and score, the driving thread included.
     pub threads: usize,
     /// Partition cache slots (≥ 2).
     pub cache_slots: usize,
     /// Offer each tuple's source as a candidate to its destination too.
     pub include_reverse: bool,
-    /// Minimum surviving-tuple count before a bucket is fanned out to
-    /// the worker pool; smaller buckets are scored inline because the
-    /// chunking/channel dispatch overhead (task allocation, `Arc`
-    /// clones, cross-thread wakeups) dominates the few microseconds of
-    /// kernel work they carry. Raise it on machines with slow wakeups
-    /// or tiny partitions; lower it when individual kernel evaluations
-    /// are unusually expensive.
-    pub parallel_threshold: usize,
     /// Skip kernel evaluations whose O(1) score upper bound cannot
     /// beat the current k-th accumulator entry (exact — never changes
     /// the graph).
     pub bound_filter: bool,
+    /// Bucket rows per scoring task: [`CHUNK`], except in tests that
+    /// cut small buckets into many chunks.
+    pub chunk: usize,
 }
 
 /// Result of one phase-4 run.
@@ -114,20 +144,22 @@ pub(crate) struct Phase4Output {
 }
 
 /// A canonical tuple queued for scoring: endpoints, their rows in the
-/// source and destination partition (resolved once on the driving
-/// thread), and the [`meta_bits`] direction byte (carried through so
-/// the offers follow exactly the directions phase 2 recorded).
+/// source and destination partition (resolved once, by the filter),
+/// and which accumulators its score goes into, as [`meta_bits`]:
+/// `FWD` for `u`'s, `BWD` for `v`'s (the directions phase 2 recorded,
+/// widened by `include_reverse`).
 type PendingTuple = (u32, u32, u32, u32, u8);
 
-/// A unit of scoring work: an owned tuple chunk plus shared profile
-/// arenas, safe to outlive cache evictions. `seq` orders the chunks of
-/// one bucket.
-struct ScoreTask {
-    seq: usize,
-    src: Arc<ProfileArena>,
-    dst: Arc<ProfileArena>,
-    tuples: Vec<PendingTuple>,
-    measure: Measure,
+/// A score bound for the accumulators: `(u, v, into, sim)`, with
+/// `into` as in [`PendingTuple`].
+type Offer = (u32, u32, u8, f32);
+
+/// What one chunk task returns: the offers that can still land, the
+/// similarity evaluations it performed and the rows it pruned.
+struct Scored {
+    offers: Vec<Offer>,
+    computed: u64,
+    pruned: u64,
 }
 
 /// Scores a chunk through the row kernel (see the module docs), one
@@ -236,33 +268,25 @@ pub(crate) fn run_phase4(
             pool,
         )
     };
-    let workers = options.threads.max(1);
-    let (cache, sims_computed, sims_pruned) = if workers <= 1 {
+    let (cache, sims_computed, sims_pruned) = if options.threads <= 1 {
         run(None)?
     } else {
-        // Persistent worker pool for the whole run: tasks own Arc'd
-        // profile arenas, so the cache can evict freely while chunks
-        // are in flight within a bucket.
-        let (task_tx, task_rx) = channel::unbounded::<ScoreTask>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, Vec<f32>)>();
+        // One pool for the whole run; the driving thread is the last
+        // of the `threads`. `drive` owns the pool, so however it
+        // leaves, the job channels close and the workers exit once
+        // they finish the chunks they claimed.
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let task_rx = task_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(task) = task_rx.recv() {
-                        let scores = score_chunk(&task.src, &task.dst, &task.tuples, task.measure);
-                        let _ = result_tx.send((task.seq, scores));
-                    }
-                });
-            }
-            drop(task_rx);
+            let (result_tx, results) = mpsc::channel();
+            let jobs = (1..options.threads)
+                .map(|_| {
+                    let (job_tx, job_rx) = mpsc::channel();
+                    let result_tx = result_tx.clone();
+                    scope.spawn(move || work(job_rx, result_tx));
+                    job_tx
+                })
+                .collect();
             drop(result_tx);
-            run(Some(WorkerPool {
-                task_tx,
-                result_rx,
-                workers,
-            }))
+            run(Some(WorkerPool { jobs, results }))
         })?
     };
 
@@ -280,217 +304,367 @@ pub(crate) fn run_phase4(
     })
 }
 
-/// Handle to the scoring pool (senders dropped at end of scope shut
-/// the workers down).
-struct WorkerPool {
-    task_tx: channel::Sender<ScoreTask>,
-    result_rx: channel::Receiver<(usize, Vec<f32>)>,
-    workers: usize,
+/// A bucket's inputs, prepared by the driving thread ahead of its
+/// dispatch: the decoded rows, and the k-th accumulator entry of every
+/// user of its source and destination partition, indexed by row within
+/// the partition.
+struct Prepared {
+    rows: Vec<TupleRow>,
+    thresholds: [Vec<Option<Neighbor>>; 2],
+}
+
+/// Decodes bucket `(src, dst)` and copies its partitions' thresholds
+/// from `accums` as they stand now: O(users of the two partitions),
+/// not O(rows).
+fn prepare(
+    backend: &dyn StorageBackend,
+    partitioning: &Partitioning,
+    accums: &[TopKAccumulator],
+    (src, dst): (u32, u32),
+) -> Result<Prepared, StoreError> {
+    let copy = |p: u32| -> Vec<Option<Neighbor>> {
+        partitioning
+            .users_of(p)
+            .iter()
+            .map(|u| accums.get(u.index()).and_then(TopKAccumulator::threshold))
+            .collect()
+    };
+    Ok(Prepared {
+        rows: read_tuples(backend, StreamId::TupleBucket(src, dst))?,
+        thresholds: [copy(src), copy(dst)],
+    })
+}
+
+/// One bucket's scoring work, shared read-only by its chunk tasks: its
+/// [`Prepared`] inputs and both partitions' arenas (owned, so a job
+/// outlives a cache eviction).
+struct BucketJob<'a> {
+    input: Prepared,
+    src: Arc<ProfileArena>,
+    dst: Arc<ProfileArena>,
+    row_of: &'a [u32],
+    options: &'a Phase4Options,
+    /// The next chunk to claim, by a worker or the driving thread.
+    cursor: AtomicUsize,
+}
+
+impl<'a> BucketJob<'a> {
+    fn chunks(&self) -> usize {
+        self.input.rows.len().div_ceil(self.options.chunk)
+    }
+
+    /// The next unclaimed chunk, if any.
+    fn claim(&self) -> Option<usize> {
+        // Relaxed: the cursor only hands out indices; the job's data
+        // was published by the channel send that delivered it.
+        let c = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (c < self.chunks()).then_some(c)
+    }
+
+    /// Chunk `c`'s task: validate, filter, score, and keep each score
+    /// only for the accumulators it beats. A score that does not beat
+    /// the copied k-th entry cannot beat the current one either, since
+    /// thresholds only tighten, so dropping it here is exact and spares
+    /// the driving thread the offer.
+    fn run_chunk(&self, c: usize) -> Result<Scored, EngineError> {
+        let start = c * self.options.chunk;
+        let end = self.input.rows.len().min(start + self.options.chunk);
+        let (survivors, pruned) = self.filter(&self.input.rows[start..end])?;
+        let scores = score_chunk(&self.src, &self.dst, &survivors, self.options.measure);
+        let mut offers = Vec::with_capacity(survivors.len());
+        for (&(u, v, u_row, v_row, into), &sim) in survivors.iter().zip(&scores) {
+            // Does the score reach accumulator `side` (bit `bit`) of
+            // `row` as a candidate `cand`?
+            let lands = |bit: u8, side: usize, row: u32, cand: u32| {
+                into & bit != 0
+                    && self
+                        .threshold(side, row)
+                        .is_none_or(|thr| Neighbor::new(UserId::new(cand), sim).beats(&thr))
+            };
+            let lands_in = (u8::from(lands(meta_bits::FWD, 0, u_row, v)) * meta_bits::FWD)
+                | (u8::from(lands(meta_bits::BWD, 1, v_row, u)) * meta_bits::BWD);
+            if lands_in != 0 {
+                offers.push((u, v, lands_in, sim));
+            }
+        }
+        Ok(Scored {
+            offers,
+            computed: scores.len() as u64,
+            pruned,
+        })
+    }
+
+    /// The copied k-th entry of the user at `row` of the source
+    /// (`side` 0) or destination (`side` 1) partition. A row the
+    /// partitioning does not know has none: its tuple is scored and
+    /// offered, never wrongly dropped.
+    fn threshold(&self, side: usize, row: u32) -> Option<Neighbor> {
+        self.input.thresholds[side]
+            .get(row as usize)
+            .copied()
+            .flatten()
+    }
+
+    /// Every chunk in order on the calling thread; the first error
+    /// wins, as it does on the pool.
+    fn run_inline(&self) -> Result<Vec<Scored>, EngineError> {
+        (0..self.chunks()).map(|c| self.run_chunk(c)).collect()
+    }
+
+    /// The scoring funnel of one chunk: validates every canonical
+    /// tuple's endpoints, applies the upper-bound filter per recorded
+    /// direction, and returns `(survivors, pruned)`.
+    ///
+    /// Thresholds are the prepared copies; since thresholds only
+    /// tighten as scores arrive, a stale threshold can only
+    /// *under*-prune — the filter is exact regardless of bucket or
+    /// thread scheduling.
+    fn filter(&self, rows: &[TupleRow]) -> Result<(Vec<PendingTuple>, u64), EngineError> {
+        let (src, dst, options) = (&*self.src, &*self.dst, self.options);
+        let mut survivors: Vec<PendingTuple> = Vec::with_capacity(rows.len());
+        let mut pruned = 0u64;
+        let mut bound_attempts = 0u64;
+        let mut bound_hits = 0u64;
+
+        // The row of `user` in `arena`, or the typed error for a tuple
+        // naming a user the partition's profile stream does not hold.
+        let row_in = |arena: &ProfileArena, user: u32, (u, v): (u32, u32)| {
+            self.row_of
+                .get(user as usize)
+                .copied()
+                .filter(|&row| arena.users().get(row as usize) == Some(&user))
+                .ok_or_else(|| {
+                    EngineError::input(format!(
+                        "tuple ({u}, {v}) references a user missing from its partition file"
+                    ))
+                })
+        };
+
+        // Bucket tuples are sorted by (u, v): walk them in equal-u
+        // groups so the per-user lookups (arena row, threshold) happen
+        // once per group instead of once per tuple.
+        let mut start = 0usize;
+        while start < rows.len() {
+            let u = rows[start].0;
+            let end = start + rows[start..].partition_point(|t| t.0 == u);
+            let u_idx = row_in(src, u, (u, rows[start].1))?;
+            let up = src.view(u_idx);
+            let u_threshold = self.threshold(0, u_idx);
+            for &(_, v, bits) in &rows[start..end] {
+                let v_idx = row_in(dst, v, (u, v))?;
+                // Which accumulators would a fresh score have to beat?
+                let (fwd, bwd) = (bits & meta_bits::FWD != 0, bits & meta_bits::BWD != 0);
+                let into_u = fwd || (options.include_reverse && bwd);
+                let into_v = bwd || (options.include_reverse && fwd);
+                if options.bound_filter {
+                    let gate_open = bound_attempts < GATE_WINDOW
+                        || bound_hits << GATE_MIN_HIT_SHIFT >= bound_attempts;
+                    if gate_open {
+                        bound_attempts += 1;
+                        // A target accumulator that is not full takes
+                        // any score: no ceiling can prune, so skip it.
+                        let v_threshold = self.threshold(1, v_idx);
+                        let prunable = (!into_u || u_threshold.is_some())
+                            && (!into_v || v_threshold.is_some())
+                            && {
+                                let bound = options.measure.upper_bound_ref(up, dst.view(v_idx));
+                                let cannot_beat = |cand: u32, thr: Option<Neighbor>| {
+                                    thr.is_some_and(|thr| {
+                                        !Neighbor::new(UserId::new(cand), bound).beats(&thr)
+                                    })
+                                };
+                                bound.is_finite()
+                                    && (!into_u || cannot_beat(v, u_threshold))
+                                    && (!into_v || cannot_beat(u, v_threshold))
+                            };
+                        if prunable {
+                            // Even the score ceiling cannot displace the
+                            // current k-th entry anywhere this tuple
+                            // would be offered.
+                            bound_hits += 1;
+                            pruned += 1;
+                            continue;
+                        }
+                    }
+                }
+                let into =
+                    (u8::from(into_u) * meta_bits::FWD) | (u8::from(into_v) * meta_bits::BWD);
+                survivors.push((u, v, u_idx, v_idx, into));
+            }
+            start = end;
+        }
+        Ok((survivors, pruned))
+    }
+}
+
+/// The scoring pool of one phase-4 run: one job channel per worker and
+/// one result channel, each result tagged with its chunk index.
+struct WorkerPool<'a> {
+    jobs: Vec<mpsc::Sender<Arc<BucketJob<'a>>>>,
+    results: mpsc::Receiver<(usize, Result<Scored, EngineError>)>,
+}
+
+impl<'a> WorkerPool<'a> {
+    fn dispatch(&self, job: &Arc<BucketJob<'a>>) {
+        for tx in &self.jobs {
+            tx.send(Arc::clone(job))
+                .expect("workers alive while the run drives them");
+        }
+    }
+
+    /// Runs the dispatched job's unclaimed chunks on the calling
+    /// thread, waits for the workers' chunks, and returns the results
+    /// in chunk order; the lowest-index error wins, as inline.
+    fn collect(&self, job: &BucketJob<'a>) -> Result<Vec<Scored>, EngineError> {
+        let chunks = job.chunks();
+        let mut slots: Vec<Option<Result<Scored, EngineError>>> =
+            (0..chunks).map(|_| None).collect();
+        let mut outstanding = chunks;
+        while let Some(c) = job.claim() {
+            slots[c] = Some(job.run_chunk(c));
+            outstanding -= 1;
+        }
+        for _ in 0..outstanding {
+            let (c, scored) = self.results.recv().expect("worker delivered its chunk");
+            slots[c] = Some(scored);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every chunk delivered"))
+            .collect()
+    }
+}
+
+/// A pool worker: claims chunks of each job it is sent until the job's
+/// cursor runs past the end, and exits when its job channel closes or
+/// the driving thread stops listening.
+fn work(
+    jobs: mpsc::Receiver<Arc<BucketJob<'_>>>,
+    results: mpsc::Sender<(usize, Result<Scored, EngineError>)>,
+) {
+    while let Ok(job) = jobs.recv() {
+        while let Some(c) = job.claim() {
+            if results.send((c, job.run_chunk(c))).is_err() {
+                return;
+            }
+        }
+    }
 }
 
 /// Walks the schedule, folding every surviving score into `accums`
-/// (indexed by user id). Returns the cache counters, the similarity
-/// evaluations performed and the tuples the bound filter pruned.
-fn drive(
+/// (indexed by user id) through the depth-one pipeline of the module
+/// docs. Returns the cache counters, the similarity evaluations
+/// performed and the tuples the bound filter pruned.
+fn drive<'a>(
     schedule: &Schedule,
     pi: &PiGraph,
-    partitioning: &Partitioning,
+    partitioning: &'a Partitioning,
     backend: &dyn StorageBackend,
-    options: &Phase4Options,
+    options: &'a Phase4Options,
     accums: &mut [TopKAccumulator],
-    pool: Option<WorkerPool>,
+    pool: Option<WorkerPool<'a>>,
 ) -> Result<(CacheCounters, u64, u64), EngineError> {
     let mut cache: SlotCache<Arc<ProfileArena>> =
         SlotCache::new(options.cache_slots).with_io_stats(Arc::clone(backend.stats()));
     let mut sims_computed = 0u64;
     let mut sims_pruned = 0u64;
 
-    for step in schedule.iter() {
+    // Every non-empty bucket in schedule order, tagged with its step:
+    // both directed buckets of a pair (one for a self-pair).
+    let buckets: Vec<(usize, u32, u32)> = schedule
+        .iter()
+        .enumerate()
+        .flat_map(|(i, step)| {
+            let pairs = if step.is_self() {
+                vec![(step.a, step.a)]
+            } else {
+                vec![(step.a, step.b), (step.b, step.a)]
+            };
+            pairs
+                .into_iter()
+                .filter(|&(src, dst)| pi.bucket_weight(src, dst) > 0)
+                .map(move |(src, dst)| (i, src, dst))
+        })
+        .collect();
+    let prepare_bucket = |j: usize, accums: &[TopKAccumulator]| {
+        let (_, src, dst) = buckets[j];
+        prepare(backend, partitioning, accums, (src, dst))
+    };
+    let mut ahead: Option<Prepared> = None; // bucket j+1
+    let mut unapplied: Vec<Scored> = Vec::new(); // bucket j−1
+    let mut j = 0usize;
+
+    for (i, step) in schedule.iter().enumerate() {
         cache.ensure(step.a, None, |p| load_arena(backend, p))?;
         if !step.is_self() {
             cache.ensure(step.b, Some(step.a), |p| load_arena(backend, p))?;
         }
-        // Both directed buckets of the pair (one for a self-pair).
-        let buckets: &[(u32, u32)] = if step.is_self() {
-            &[(step.a, step.a)]
-        } else {
-            &[(step.a, step.b), (step.b, step.a)]
-        };
-        for &(src, dst) in buckets {
-            if pi.bucket_weight(src, dst) == 0 {
-                continue;
-            }
-            // Bucket rows stream in carrying their direction bits (v2
-            // tuple codec).
-            let tuples = read_tuples(backend, StreamId::TupleBucket(src, dst))?;
-            // Validate and filter on the driving thread: prune
-            // decisions read the accumulators as of bucket start
-            // (scores land only after the whole bucket is collected),
-            // so they are identical at every thread count.
-            let src_profiles = Arc::clone(cache.get(src).expect("src resident"));
-            let dst_profiles = Arc::clone(cache.get(dst).expect("dst resident"));
-            let (survivors, pruned) = filter_bucket(
-                tuples,
-                partitioning.rows(),
-                &src_profiles,
-                &dst_profiles,
-                accums,
-                options,
-            )?;
-            sims_pruned += pruned;
-            if survivors.is_empty() {
-                continue;
-            }
-            let scores = match &pool {
-                Some(pool) if survivors.len() >= options.parallel_threshold => {
-                    let chunk = survivors.len().div_ceil(pool.workers);
-                    let mut dispatched = 0usize;
-                    for (seq, part) in survivors.chunks(chunk).enumerate() {
-                        pool.task_tx
-                            .send(ScoreTask {
-                                seq,
-                                src: Arc::clone(&src_profiles),
-                                dst: Arc::clone(&dst_profiles),
-                                tuples: part.to_vec(),
-                                measure: options.measure,
-                            })
-                            .expect("workers alive while the run drives them");
-                        dispatched += 1;
-                    }
-                    let mut scores = vec![0.0f32; survivors.len()];
-                    for _ in 0..dispatched {
-                        let (seq, part) =
-                            pool.result_rx.recv().expect("worker delivered its chunk");
-                        scores[seq * chunk..][..part.len()].copy_from_slice(&part);
-                    }
-                    scores
-                }
-                _ => score_chunk(&src_profiles, &dst_profiles, &survivors, options.measure),
+        while j < buckets.len() && buckets[j].0 == i {
+            let (_, src, dst) = buckets[j];
+            let input = match ahead.take() {
+                Some(input) => input,
+                None => prepare_bucket(j, accums)?,
             };
-            sims_computed += scores.len() as u64;
-            apply_scores(accums, &survivors, &scores, options.include_reverse);
+            let job = Arc::new(BucketJob {
+                input,
+                src: Arc::clone(cache.get(src).expect("src resident")),
+                dst: Arc::clone(cache.get(dst).expect("dst resident")),
+                row_of: partitioning.rows(),
+                options,
+                cursor: AtomicUsize::new(0),
+            });
+            // 1. Dispatch bucket j, or score it now on one thread.
+            let inline = match &pool {
+                Some(pool) => {
+                    pool.dispatch(&job);
+                    None
+                }
+                None => Some(job.run_inline()),
+            };
+            // 2. Apply bucket j−1.
+            apply_scores(accums, &std::mem::take(&mut unapplied));
+            // 3. Prepare bucket j+1. No score lands before its dispatch,
+            //    so these are the thresholds it would see then.
+            if j + 1 < buckets.len() {
+                ahead = Some(prepare_bucket(j + 1, accums)?);
+            }
+            // 4. Collect bucket j.
+            unapplied = inline
+                .unwrap_or_else(|| pool.as_ref().expect("dispatched to the pool").collect(&job))?;
+            for scored in &unapplied {
+                sims_computed += scored.computed;
+                sims_pruned += scored.pruned;
+            }
+            j += 1;
         }
     }
+    apply_scores(accums, &unapplied);
 
     cache.flush();
     Ok((cache.counters(), sims_computed, sims_pruned))
 }
 
-/// After this many bound evaluations in one bucket with a hit rate
+/// After this many bound evaluations in one chunk with a hit rate
 /// below [`GATE_MIN_HIT_SHIFT`], the bound filter stands down for the
-/// bucket's remainder: on candidate pools where the ceiling can
-/// rarely beat the thresholds (e.g. an almost-converged in-cluster
-/// pool), the checks would be pure overhead. The gate runs on the
-/// driving thread in bucket order, so it — and therefore
-/// `sims_pruned` — is deterministic across thread counts.
+/// chunk's remainder: on candidate pools where the ceiling can rarely
+/// beat the thresholds (e.g. an almost-converged in-cluster pool), the
+/// checks would be pure overhead. Chunk boundaries are fixed
+/// ([`CHUNK`]), so the gate — and therefore `sims_pruned` — is
+/// deterministic across thread counts.
 const GATE_WINDOW: u64 = 1024;
 
 /// Gate threshold: keep checking while `hits << GATE_MIN_HIT_SHIFT >=
 /// attempts`, i.e. at least 1 prune per 32 attempts.
 const GATE_MIN_HIT_SHIFT: u64 = 5;
 
-/// The driver-side scoring funnel of one bucket: validates every
-/// canonical tuple's endpoints, applies the upper-bound filter per
-/// recorded direction, and returns `(survivors, pruned)`.
-///
-/// Thresholds are read from the accumulators as they stand at bucket
-/// start; since thresholds only tighten as scores arrive, a stale
-/// threshold can only *under*-prune — the filter is exact regardless
-/// of bucket or thread scheduling.
-fn filter_bucket(
-    tuples: Vec<TupleRow>,
-    row_of: &[u32],
-    src: &ProfileArena,
-    dst: &ProfileArena,
-    accums: &[TopKAccumulator],
-    options: &Phase4Options,
-) -> Result<(Vec<PendingTuple>, u64), EngineError> {
-    let mut survivors: Vec<PendingTuple> = Vec::with_capacity(tuples.len());
-    let mut pruned = 0u64;
-    let mut bound_attempts = 0u64;
-    let mut bound_hits = 0u64;
-
-    // The row of `user` in `arena`, or the typed error for a tuple
-    // naming a user the partition's profile stream does not hold.
-    let row_in = |arena: &ProfileArena, user: u32, (u, v): (u32, u32)| {
-        row_of
-            .get(user as usize)
-            .copied()
-            .filter(|&row| arena.users().get(row as usize) == Some(&user))
-            .ok_or_else(|| {
-                EngineError::input(format!(
-                    "tuple ({u}, {v}) references a user missing from its partition file"
-                ))
-            })
-    };
-
-    // Bucket tuples are sorted by (u, v): walk them in equal-u groups
-    // so the per-user lookups (arena row, threshold) happen once per
-    // group instead of once per tuple.
-    let mut start = 0usize;
-    while start < tuples.len() {
-        let u = tuples[start].0;
-        let end = start + tuples[start..].partition_point(|t| t.0 == u);
-        let u_idx = row_in(src, u, (u, tuples[start].1))?;
-        let up = src.view(u_idx);
-        let u_threshold = if options.bound_filter {
-            accums[u as usize].threshold()
-        } else {
-            None
-        };
-        for &(_, v, bits) in &tuples[start..end] {
-            let v_idx = row_in(dst, v, (u, v))?;
-            // Which accumulators would a fresh score have to beat?
-            let (fwd, bwd) = (bits & meta_bits::FWD != 0, bits & meta_bits::BWD != 0);
-            let into_u = fwd || (options.include_reverse && bwd);
-            let into_v = bwd || (options.include_reverse && fwd);
-            if options.bound_filter {
-                let gate_open = bound_attempts < GATE_WINDOW
-                    || bound_hits << GATE_MIN_HIT_SHIFT >= bound_attempts;
-                if gate_open {
-                    bound_attempts += 1;
-                    let bound = options.measure.upper_bound_ref(up, dst.view(v_idx));
-                    let prunable = bound.is_finite()
-                        && (!into_u
-                            || u_threshold.is_some_and(|thr| {
-                                !Neighbor::new(UserId::new(v), bound).beats(&thr)
-                            }))
-                        && (!into_v
-                            || accums[v as usize].threshold().is_some_and(|thr| {
-                                !Neighbor::new(UserId::new(u), bound).beats(&thr)
-                            }));
-                    if prunable {
-                        // Even the score ceiling cannot displace the
-                        // current k-th entry anywhere this tuple
-                        // would be offered.
-                        bound_hits += 1;
-                        pruned += 1;
-                        continue;
-                    }
-                }
-            }
-            survivors.push((u, v, u_idx, v_idx, bits));
-        }
-        start = end;
-    }
-    Ok((survivors, pruned))
-}
-
-/// Applies a bucket's scores (one per tuple, in tuple order) to the
-/// accumulators, following each tuple's direction bits (both
-/// directions when `include_reverse` widens the offers).
-fn apply_scores(
-    accums: &mut [TopKAccumulator],
-    tuples: &[PendingTuple],
-    scores: &[f32],
-    include_reverse: bool,
-) {
-    for (&(u, v, _, _, bits), &sim) in tuples.iter().zip(scores) {
-        let (fwd, bwd) = (bits & meta_bits::FWD != 0, bits & meta_bits::BWD != 0);
-        if fwd || (include_reverse && bwd) {
+/// Applies a bucket's offers, in chunk order, to the accumulators they
+/// name.
+fn apply_scores(accums: &mut [TopKAccumulator], scored: &[Scored]) {
+    for &(u, v, into, sim) in scored.iter().flat_map(|chunk| &chunk.offers) {
+        if into & meta_bits::FWD != 0 {
             accums[u as usize].offer(Neighbor::new(UserId::new(v), sim));
         }
-        if bwd || (include_reverse && fwd) {
+        if into & meta_bits::BWD != 0 {
             accums[v as usize].offer(Neighbor::new(UserId::new(u), sim));
         }
     }
@@ -503,7 +677,7 @@ mod tests {
     use crate::phase2::generate_tuples;
     use crate::traversal::Heuristic;
     use knn_sim::ProfileStore;
-    use knn_store::backend::write_user_lists;
+    use knn_store::backend::{write_tuples, write_user_lists};
 
     fn options(k: usize, threads: usize) -> Phase4Options {
         Phase4Options {
@@ -512,8 +686,8 @@ mod tests {
             threads,
             cache_slots: 2,
             include_reverse: false,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             bound_filter: false,
+            chunk: CHUNK,
         }
     }
 
@@ -601,45 +775,88 @@ mod tests {
         assert_eq!(results[0], results[2]);
     }
 
+    /// Buckets of many chunks: the pool and the inline path agree on
+    /// the graph and on every counter at every thread count, at the
+    /// production chunk size and at a small one, with and without
+    /// reverse offers (which read both endpoints' threshold copies).
     #[test]
-    fn parallel_path_is_exercised_above_threshold() {
-        // Enough users that at least one bucket crosses the parallel
-        // threshold with m=2.
+    fn pool_path_matches_inline_across_many_chunks() {
         let n = 600;
         let g = KnnGraph::random_init(n, 6, 2);
-        let profiles = line_profiles(n);
+        let profiles = varied_profiles(n);
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         assert!(
-            p2.pi
-                .iter_buckets()
-                .any(|(_, w)| w >= DEFAULT_PARALLEL_THRESHOLD as u64),
-            "test needs a bucket above the parallel threshold"
+            p2.pi.iter_buckets().all(|(_, w)| w > 4 * 64),
+            "test needs buckets of several chunks"
         );
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let sequential = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(6, 1)).unwrap();
-        let parallel = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(6, 4)).unwrap();
-        assert_eq!(sequential.graph, parallel.graph);
-        assert_eq!(sequential.sims_computed, parallel.sims_computed);
+        for (chunk, include_reverse) in [(CHUNK, false), (64, false), (64, true)] {
+            let mut results = Vec::new();
+            for threads in [1, 2, 3, 4] {
+                let mut opts = options(6, threads);
+                opts.measure = Measure::Jaccard;
+                opts.include_reverse = include_reverse;
+                opts.bound_filter = true;
+                opts.chunk = chunk;
+                let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
+                results.push((out.graph, out.sims_computed, out.sims_pruned, out.cache));
+            }
+            let case = format!("chunk={chunk} include_reverse={include_reverse}");
+            assert!(results[0].2 > 0, "{case}: the filter never pruned");
+            for (threads, r) in [2, 3, 4].iter().zip(&results[1..]) {
+                assert_eq!(&results[0], r, "{case} threads={threads}");
+            }
+        }
     }
 
+    /// Dropping, on the workers, every score that cannot beat a copied
+    /// threshold is exact: with the filter on, many chunks per bucket
+    /// and reverse offers, the pool lands on the in-memory reference
+    /// graph, which offers every score.
     #[test]
-    fn parallel_threshold_is_tunable() {
-        // With the threshold forced to 1, even tiny buckets take the
-        // pool path; with it huge, everything scores inline — both
-        // must produce the identical graph and counters.
+    fn pool_matches_the_in_memory_reference() {
+        let n = 120;
+        let g = KnnGraph::random_init(n, 5, 29);
+        let profiles = varied_profiles(n);
+        let (b, p, p2) = setup_world(&g, &profiles, 3);
+        let schedule = Heuristic::Sequential.schedule(&p2.pi);
+        for include_reverse in [false, true] {
+            let mut opts = options(3, 2);
+            opts.measure = Measure::Jaccard;
+            opts.include_reverse = include_reverse;
+            opts.bound_filter = true;
+            opts.chunk = 8;
+            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
+            let want = crate::reference::reference_iteration(
+                &g,
+                &profiles,
+                &Measure::Jaccard,
+                3,
+                include_reverse,
+            );
+            assert_eq!(out.graph, want, "include_reverse={include_reverse}");
+        }
+    }
+
+    /// The chunk size moves the gate's windows, so it may move the
+    /// prune count, but never the graph or the tuples accounted for.
+    #[test]
+    fn chunk_size_never_changes_the_graph() {
         let n = 60;
         let g = KnnGraph::random_init(n, 4, 9);
-        let profiles = line_profiles(n);
+        let profiles = varied_profiles(n);
+        let (b, p, p2) = setup_world(&g, &profiles, 3);
+        let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let mut results = Vec::new();
-        for threshold in [1usize, usize::MAX] {
-            let (b, p, p2) = setup_world(&g, &profiles, 3);
-            let schedule = Heuristic::Sequential.schedule(&p2.pi);
+        for chunk in [1, 7, CHUNK] {
             let mut opts = options(4, 4);
-            opts.parallel_threshold = threshold;
+            opts.bound_filter = true;
+            opts.chunk = chunk;
             let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
-            results.push((out.graph, out.sims_computed));
+            results.push((out.graph, out.sims_computed + out.sims_pruned));
         }
         assert_eq!(results[0], results[1]);
+        assert_eq!(results[0], results[2]);
     }
 
     #[test]
@@ -835,11 +1052,11 @@ mod tests {
             plain_opts.measure = measure;
             let plain = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &plain_opts).unwrap();
             let mut counters = Vec::new();
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let mut opts = options(2, threads);
                 opts.measure = measure;
                 opts.bound_filter = true;
-                opts.parallel_threshold = 8; // force the pool path too
+                opts.chunk = 8; // several chunks per bucket
                 let filtered = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
                 assert_eq!(
                     plain.graph, filtered.graph,
@@ -852,9 +1069,9 @@ mod tests {
                 );
                 counters.push((filtered.sims_computed, filtered.sims_pruned));
             }
-            assert_eq!(
-                counters[0], counters[1],
-                "{measure}: counters must not depend on threads"
+            assert!(
+                counters.iter().all(|c| *c == counters[0]),
+                "{measure}: counters must not depend on threads: {counters:?}"
             );
             // K=2 on heavily-overlapping line profiles: the filter
             // must actually bite for the set measures.
@@ -862,5 +1079,90 @@ mod tests {
                 assert!(counters[0].1 > 0, "{measure}: filter never pruned");
             }
         }
+    }
+
+    /// The non-empty buckets of `schedule`, in the order phase 4 reads
+    /// them.
+    fn bucket_order(schedule: &Schedule, pi: &PiGraph) -> Vec<(u32, u32)> {
+        schedule
+            .iter()
+            .flat_map(|step| {
+                if step.is_self() {
+                    vec![(step.a, step.a)]
+                } else {
+                    vec![(step.a, step.b), (step.b, step.a)]
+                }
+            })
+            .filter(|&(src, dst)| pi.bucket_weight(src, dst) > 0)
+            .collect()
+    }
+
+    /// A tuple naming a missing user in a later chunk of a bucket fails
+    /// the pool path with the same typed error the inline path gives,
+    /// and the call returns.
+    #[test]
+    fn a_missing_user_in_a_later_chunk_fails_the_pool_like_inline() {
+        let n = 40;
+        let g = KnnGraph::random_init(n, 4, 5);
+        let (b, p, p2) = setup_world(&g, &line_profiles(n), 2);
+        let schedule = Heuristic::Sequential.schedule(&p2.pi);
+        // Append a row naming an unknown user to the second bucket
+        // read; sorted by (u, v), it lands in the bucket's last chunk.
+        let (src, dst) = bucket_order(&schedule, &p2.pi)[1];
+        let mut rows = read_tuples(&b, StreamId::TupleBucket(src, dst)).unwrap();
+        assert!(rows.len() > 8, "the bucket must span several chunks");
+        rows.push((n as u32 + 7, n as u32 + 8, meta_bits::FWD));
+        write_tuples(&b, StreamId::TupleBucket(src, dst), &rows).unwrap();
+        let mut errors = Vec::new();
+        for threads in [1, 2] {
+            let mut opts = options(4, threads);
+            opts.chunk = 4;
+            let err = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::InputMismatch { .. }),
+                "threads={threads}: got {err:?}"
+            );
+            errors.push(err.to_string());
+        }
+        assert_eq!(errors[0], errors[1]);
+        assert!(errors[0].contains(&format!("tuple ({}, {})", n + 7, n + 8)));
+    }
+
+    /// A storage fault at every operation of a pooled run — among them
+    /// the read of bucket `j+1` while bucket `j` is on the pool — returns
+    /// `Err`: no hang, no panic.
+    #[test]
+    fn a_failed_read_ahead_returns_while_a_bucket_is_in_flight() {
+        use knn_store::{FaultBackend, FaultKind, FaultPlan};
+        let n = 40;
+        let g = KnnGraph::random_init(n, 4, 5);
+        let (mem, p, p2) = setup_world(&g, &line_profiles(n), 2);
+        let schedule = Heuristic::Sequential.schedule(&p2.pi);
+        let fault = FaultBackend::new(Arc::new(mem));
+        let mut opts = options(4, 2);
+        opts.chunk = 4;
+        let plan = |fail_at| FaultPlan {
+            fail_at,
+            kind: FaultKind::Crash,
+            seed: 0,
+        };
+        fault.set_plan(plan(u64::MAX));
+        fault.arm();
+        let clean = run_phase4(&schedule, &p2.pi, &p, &fault, &g, None, &opts).unwrap();
+        let ops = fault.ops_observed();
+        let (src, dst) = bucket_order(&schedule, &p2.pi)[1];
+        let read_ahead = fault.describe(StreamId::TupleBucket(src, dst));
+        let mut read_ahead_failed = false;
+        for fail_at in 0..ops {
+            fault.set_plan(plan(fail_at));
+            let err = run_phase4(&schedule, &p2.pi, &p, &fault, &g, None, &opts).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Store(_)),
+                "op {fail_at}: got {err:?}"
+            );
+            read_ahead_failed |= err.to_string().contains(&read_ahead.display().to_string());
+        }
+        assert!(read_ahead_failed, "no kill point hit the read-ahead");
+        assert!(clean.sims_computed > 0);
     }
 }

@@ -51,9 +51,9 @@ fn config(n: usize, k: usize, m: usize, seed: u64, threads: usize) -> EngineConf
 /// which legitimately differ run to run. The scoring-funnel counters
 /// (`sims_skipped`, `sims_pruned`, `accums_seeded`) are part of the
 /// determinism contract: suppression is decided per generating path
-/// in phase 2 and bound decisions on phase 4's driving thread against
-/// bucket-start state, so they must not depend on thread count or
-/// backend either. The phase-2 spill
+/// in phase 2 and bound decisions per fixed-size phase-4 chunk against
+/// thresholds copied at a fixed point in bucket order, so they must
+/// not depend on thread count or backend either. The phase-2 spill
 /// counters (`phase_io[1]`'s `spill_bytes`, `spill_runs`,
 /// `merge_passes`) are pinned the same way: spilling is per scan table
 /// and the merge is per bucket, so the traffic is a pure function of
@@ -227,5 +227,75 @@ fn independent_runs_to_convergence_agree_across_thread_counts() {
                 assert_eq!(ref_graph, engine.graph(), "threads={threads}");
             }
         }
+    }
+}
+
+/// Phase 4's pool at engine level: a world whose buckets span several
+/// 4 096-row scoring chunks, so workers claim chunks of one bucket
+/// while the driving thread applies the previous one and decodes the
+/// next. Threads {1, 2, 3, 4} agree on graphs, reports, persisted
+/// bytes and I/O totals.
+#[test]
+fn buckets_of_many_chunks_agree_across_thread_counts() {
+    const CHUNK_ROWS: u64 = 4096;
+    let n = 2400;
+    let (k, m, seed) = (8, 2, 41);
+    let mut runs: Vec<(usize, Arc<dyn StorageBackend>, KnnEngine)> = [1, 2, 3, 4]
+        .into_iter()
+        .map(|threads| {
+            let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+            let config = EngineConfig::builder(n)
+                .k(k)
+                .num_partitions(m)
+                .measure(Measure::Cosine)
+                .seed(seed)
+                .threads(threads)
+                .build()
+                .expect("config");
+            let engine =
+                KnnEngine::new_on(config, workload(n, seed), Arc::clone(&backend)).expect("engine");
+            (threads, backend, engine)
+        })
+        .collect();
+
+    for iteration in 0..2 {
+        let reports: Vec<IterationReport> = runs
+            .iter_mut()
+            .map(|(_, _, e)| e.run_iteration().expect("iteration"))
+            .collect();
+        if iteration == 0 {
+            assert!(
+                reports[0].intra_partition_tuples > 2 * CHUNK_ROWS * m as u64,
+                "the diagonal buckets must average more than two chunks: {}",
+                reports[0].intra_partition_tuples
+            );
+        }
+        for ((threads, _, engine), report) in runs.iter().zip(&reports).skip(1) {
+            assert_eq!(
+                runs[0].2.graph(),
+                engine.graph(),
+                "iteration {iteration}: graph at threads={threads}"
+            );
+            assert_eq!(
+                deterministic_fields(&reports[0]),
+                deterministic_fields(report),
+                "iteration {iteration}: report at threads={threads}"
+            );
+        }
+    }
+
+    let reference = all_stream_bytes(runs[0].1.as_ref());
+    let reference_io = runs[0].1.stats().snapshot();
+    for (threads, backend, _) in &runs[1..] {
+        assert_eq!(
+            reference,
+            all_stream_bytes(backend.as_ref()),
+            "persisted streams at threads={threads}"
+        );
+        assert_eq!(
+            reference_io,
+            backend.stats().snapshot(),
+            "IoStats at threads={threads}"
+        );
     }
 }
