@@ -22,7 +22,7 @@ use crate::partition::{objective, ClusterPartitioner, GreedyPartitioner, Partiti
 use crate::phase1;
 use crate::phase2::{self, PruneState, Suppression};
 use crate::phase4::{self, Phase4Options};
-use crate::phase5::UpdateQueue;
+use crate::phase5::{self, UpdateQueue};
 use crate::traversal::{simulate_schedule_ops, Heuristic};
 use crate::EngineError;
 
@@ -87,9 +87,10 @@ pub struct KnnEngine {
     /// partitioner on every (re)partition and persisted for resume.
     clusters: Option<Arc<ClusterAssignment>>,
     /// Cross-iteration bookkeeping for phase 2's offer-time
-    /// suppression; `None` when no prior iteration ran in this process
-    /// (fresh engine, resume) or suppression is disabled — the next
-    /// iteration then offers and scores everything.
+    /// suppression and phase 4's seeds, left by the last phase 5;
+    /// `None` when no prior iteration completed in this process (fresh
+    /// engine, resume, a failed iteration) or suppression is disabled
+    /// — the next iteration then offers and scores everything.
     prune: Option<PruneState>,
     /// What crash recovery found when this engine was resumed; `None`
     /// for fresh engines.
@@ -913,29 +914,11 @@ impl KnnEngine {
         let mut txn = CommitTxn::new(self.iteration);
 
         // Cross-iteration suppression inputs (see the crate docs'
-        // scoring-pipeline section). `seed_ok[u]` means u's prior
-        // top-K verdict is replayable: u's own profile and every
-        // profile in u's current neighbor list unchanged since those
-        // scores were computed, and the list fully scored.
-        let prune_state = if self.config.prune_pairs() {
-            self.prune.as_ref()
-        } else {
-            None
-        };
-        let seed_ok: Option<Vec<bool>> = prune_state.map(|st| {
-            (0..self.config.num_users())
-                .map(|u| {
-                    let user = UserId::new(u as u32);
-                    !st.profile_dirty[u]
-                        && self.graph.fully_scored(user)
-                        && self
-                            .graph
-                            .neighbors(user)
-                            .iter()
-                            .all(|nb| !st.profile_dirty[nb.id.index()])
-                })
-                .collect()
-        });
+        // scoring-pipeline section), left by the last iteration's
+        // phase 5. Taken, so an iteration that fails leaves none: the
+        // next one then offers and scores everything.
+        let prune_state = self.prune.take();
+        let prune_state = prune_state.as_ref();
 
         // Phase 1: repartition G(t) and lay out edge/profile streams.
         let before = self.io_snapshot();
@@ -981,13 +964,10 @@ impl KnnEngine {
             tuple_table_memory: self.config.tuple_table_memory(),
             threads: self.config.threads(),
         };
-        let suppression = prune_state
-            .zip(seed_ok.as_deref())
-            .map(|(state, seed_ok)| Suppression {
-                state,
-                seed_ok,
-                include_reverse: self.config.include_reverse(),
-            });
+        let suppression = prune_state.map(|state| Suppression {
+            state,
+            include_reverse: self.config.include_reverse(),
+        });
         let phase2_out = phase2::generate_tuples(
             &self.partitioning,
             backend,
@@ -1030,42 +1010,54 @@ impl KnnEngine {
             &self.partitioning,
             backend,
             &self.graph,
-            seed_ok.as_deref(),
+            prune_state,
             &options,
         )?;
         durations[3] = t0.elapsed();
         io[3] = self.io_snapshot() - before;
 
-        // Phase 5: apply the lazy profile-update queue. The consumed
-        // log bytes come back here and are truncated by the commit
-        // step below, not by phase 5.
+        // Phase 5: apply the lazy profile-update queue, sweep the seeds
+        // it made stale, and commit. Its duration and I/O cover
+        // everything up to the commit, so the phases add up to the
+        // whole iteration. The consumed log bytes are truncated by the
+        // commit, not by the apply step.
         let before = self.io_snapshot();
         let t0 = Instant::now();
-        let (phase5_stats, updated_users, consumed) =
+        let (phase5_stats, updated, consumed) =
             self.queue
                 .apply_all(&self.partitioning, backend, self.config.threads(), &mut txn)?;
-        durations[4] = t0.elapsed();
-        io[4] = self.io_snapshot() - before;
-
         let changed_fraction = self.graph.edge_change_fraction(&phase4_out.graph);
         // Bookkeeping for the next iteration's suppression, derived
-        // before G(t) is replaced: which edges are new, and whose
-        // profile just changed.
-        self.prune = self.config.prune_pairs().then(|| {
-            let additions = phase4_out.graph.additions_since(&self.graph);
+        // before G(t) is replaced: which edges are new, whose profile
+        // just changed, and whose seeds still replay.
+        if self.config.prune_pairs() {
+            let next = &phase4_out.graph;
             let mut profile_dirty = vec![false; self.config.num_users()];
-            for &u in &updated_users {
+            for &u in updated.users() {
                 profile_dirty[u as usize] = true;
             }
-            PruneState {
+            let (seed_ok, fresh) = phase5::sweep_stale_seeds(
+                next,
+                &profile_dirty,
+                &updated,
+                &self.partitioning,
+                backend,
+                self.config.measure(),
+                self.config.threads(),
+            )?;
+            self.prune = Some(PruneState {
                 profile_dirty,
-                additions,
-            }
-        });
+                additions: next.additions_since(&self.graph),
+                seed_ok,
+                fresh,
+            });
+        }
         self.graph = phase4_out.graph;
         self.iteration += 1;
         self.persist_state(Some(&mut txn))?;
         txn.commit(backend, self.iteration, &consumed)?;
+        durations[4] = t0.elapsed();
+        io[4] = self.io_snapshot() - before;
 
         let report = IterationReport {
             iteration: self.iteration - 1,
@@ -1237,6 +1229,48 @@ mod tests {
         let p = engine.profile_of(UserId::new(0)).unwrap();
         assert_eq!(p.get(knn_sim::ItemId::new(99999)), Some(5.0));
         engine.into_working_dir().destroy().unwrap();
+    }
+
+    /// The report covers the whole iteration: the phases' I/O adds up
+    /// to the backend meter's delta over an iteration that applies
+    /// updates (phase 5 carries the sweep, the persist and the commit),
+    /// with suppression on and off.
+    #[test]
+    fn phase_io_adds_up_to_the_iteration() {
+        for prune in [false, true] {
+            let (profiles, _) = clustered_profiles(
+                ClusteredConfig::new(40, 4)
+                    .with_clusters(4)
+                    .with_ratings(12, 2),
+            );
+            let config = EngineConfig::builder(40)
+                .k(4)
+                .num_partitions(4)
+                .seed(4)
+                .prune_pairs(prune)
+                .build()
+                .unwrap();
+            let mut engine = KnnEngine::in_memory(config, profiles).unwrap();
+            engine.run_iteration().unwrap();
+            for u in [3, 17, 31] {
+                engine
+                    .queue_update(&ProfileDelta::set(
+                        UserId::new(u),
+                        knn_sim::ItemId::new(u),
+                        2.0,
+                    ))
+                    .unwrap();
+            }
+            let before = engine.io_snapshot();
+            let report = engine.run_iteration().unwrap();
+            assert_eq!(report.updates_applied, 3);
+            let phases: IoSnapshot = report.phase_io.iter().copied().sum();
+            assert_eq!(phases, engine.io_snapshot() - before, "prune={prune}");
+            assert!(
+                report.phase_io[4].bytes_written > 0,
+                "the commit is phase 5's"
+            );
+        }
     }
 
     #[test]

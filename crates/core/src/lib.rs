@@ -145,12 +145,20 @@
 //!   phase 5 and the edge additions `G(t) ∖ G(t-1)`; a directed
 //!   candidate generated through an all-old path between users whose
 //!   standing is unchanged was already evaluated last iteration, and
-//!   phase 4's accumulator seeding (each clean user's accumulator
+//!   phase 4's accumulator seeding (each seed-ok user's accumulator
 //!   starts from its scored `G(t)` row) replays its verdict, so
-//!   phase 2 never offers it.
-//!   `sims_skipped` counts these suppressed offers. A fresh engine or
-//!   resume has no bookkeeping, so its first iteration offers and
-//!   scores everything.
+//!   phase 2 never offers it. A user is seed-ok when its own profile
+//!   is clean, its row is fully scored, and every updated member of
+//!   the row scores freshly at least as high as the row's old k-th
+//!   entry: every losing candidate lost to that entry, so it still
+//!   loses to all `K` seeds. Phase 5's stale-seed sweep computes those
+//!   fresh scores once the updates are applied, reading each profile
+//!   partition that holds an affected user once (nothing when no
+//!   update was applied), and phase 4 seeds them in place of the stale
+//!   ones — so an update costs O(change), not the verdict of every row
+//!   it touches. `sims_skipped` counts the suppressed offers. A fresh
+//!   engine or resume has no bookkeeping, so its first iteration
+//!   offers and scores everything.
 //! * **Bound-based filtering** (`EngineConfig::bound_filter`, default
 //!   on) — [`knn_sim::Measure::upper_bound_ref`] is an O(1) score
 //!   ceiling; candidates that cannot beat the current k-th

@@ -22,11 +22,17 @@ pub const PHASE_NAMES: [&str; 5] = [
 pub struct IterationReport {
     /// Iteration index `t` (0-based; this report covers `G(t) → G(t+1)`).
     pub iteration: u64,
-    /// Wall-clock time of each phase.
+    /// Wall-clock time of each phase. Phase 5's entry runs to the
+    /// iteration's end: the update apply, the stale-seed sweep, the
+    /// suppression bookkeeping, the state persist and the commit — so
+    /// the entries add up to the whole iteration.
     pub phase_durations: [Duration; 5],
-    /// I/O performed by each phase. Phase 2's entry also carries the
+    /// I/O performed by each phase, over the same spans as
+    /// `phase_durations`: the entries add up to the backend meter's
+    /// delta over the iteration. Phase 2's entry also carries the
     /// tuple spill traffic: `phase_io[1].spill_bytes`, `spill_runs`
     /// and `merge_passes` (all 0 when everything staged in memory).
+    /// Phase 5's carries the KNN-slice, metadata and commit writes.
     pub phase_io: [IoSnapshot; 5],
     /// Partition cache operations of phase 4 (the Table-1 metric).
     pub cache: CacheCounters,
@@ -48,9 +54,10 @@ pub struct IterationReport {
     /// Tuples dropped by the upper-bound filter: their O(1) score
     /// ceiling could not beat the current k-th accumulator entry.
     pub sims_pruned: u64,
-    /// Accumulator entries pre-seeded in phase 1 from `G(t)`'s scored
-    /// edges (the replayed prior verdicts that make suppression
-    /// sound).
+    /// Accumulator entries seeded at the start of phase 4 from the
+    /// rows of `G(t)` whose verdict replays, updated members carrying
+    /// the fresh scores of the last phase 5's stale-seed sweep (the
+    /// replayed prior verdicts that make suppression sound).
     pub accums_seeded: u64,
     /// Profile updates applied in phase 5.
     pub updates_applied: u64,

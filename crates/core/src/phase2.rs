@@ -59,6 +59,10 @@ pub(crate) struct Phase2Options {
     pub threads: usize,
 }
 
+/// The fresh score of updated member `d` in seed-ok user `u`'s row:
+/// `(u, d, sim)` (see [`PruneState::fresh`]).
+pub(crate) type FreshScore = (u32, u32, f32);
+
 /// What the previous iteration leaves for this one's suppression,
 /// maintained by the engine.
 #[derive(Debug)]
@@ -69,19 +73,28 @@ pub(crate) struct PruneState {
     /// Edges of `G(t)` absent from `G(t-1)` — a candidate generated
     /// only through such an edge was never evaluated before.
     pub additions: EdgeAdditions,
+    /// Per user: the prior top-K verdict replays. The user's own
+    /// profile is clean, its `G(t)` row is fully scored, and every
+    /// updated member `d` of the row scores freshly at least as high
+    /// as the row's old k-th entry (`!old_kth.beats(&fresh)`). Every
+    /// candidate that lost last iteration lost to that k-th entry, so
+    /// it still loses to all `K` seeds.
+    pub seed_ok: Vec<bool>,
+    /// `(u, d, sim)`, sorted by `(u, d)`: the fresh score of every
+    /// updated member `d` of a seed-ok user `u`'s row — what phase 4
+    /// seeds in place of the stale `G(t)` score. O(updated users ×
+    /// K), computed by phase 5's stale-seed sweep.
+    pub fresh: Vec<FreshScore>,
 }
 
 /// The inputs of the offer-time redundancy rule (see
 /// [`generate_tuples`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Suppression<'a> {
-    /// The previous iteration's bookkeeping.
+    /// The previous iteration's bookkeeping: dirty bits, edge
+    /// additions and the per-user seed verdicts
+    /// ([`PruneState::seed_ok`]).
     pub state: &'a PruneState,
-    /// Per user: phase 4 seeds the user's accumulator from its current
-    /// scored neighbor list, and every seed score is still
-    /// valid — so the user's prior top-K verdict replays and losing
-    /// candidates stay losing.
-    pub seed_ok: &'a [bool],
     /// Phase 4 offers every score in both directions.
     pub include_reverse: bool,
 }
@@ -90,7 +103,7 @@ impl Suppression<'_> {
     /// Whether a redundant path may start with the edge `s → v`: the
     /// edge is old and `s`'s verdict replays.
     fn starts_redundant(&self, s: u32, v: u32) -> bool {
-        self.seed_ok[s as usize] && !self.state.additions.is_added(s, v)
+        self.state.seed_ok[s as usize] && !self.state.additions.is_added(s, v)
     }
 
     /// Whether a redundant path may end with the edge `v → d`: the edge
@@ -98,7 +111,7 @@ impl Suppression<'_> {
     /// lands in `d`'s accumulator too — `d`'s verdict replays.
     fn ends_redundant(&self, v: u32, d: u32) -> bool {
         !self.state.profile_dirty[d as usize]
-            && (!self.include_reverse || self.seed_ok[d as usize])
+            && (!self.include_reverse || self.state.seed_ok[d as usize])
             && !self.state.additions.is_added(v, d)
     }
 }
@@ -110,13 +123,15 @@ impl Suppression<'_> {
 /// With `suppression`, a directed candidate `s → d` is **not offered**
 /// when its generating path is all old (both legs of a two-hop path,
 /// the edge itself for a direct one), `seed_ok[s]`, `d`'s profile is
-/// clean, and — with reverse offers — `seed_ok[d]`. Such a pair was
-/// scored last iteration, against exactly the state phase 4's seeds
-/// replay, so scoring it again cannot change any accumulator: graphs
-/// stay identical, only the work shrinks. A pair that some other path
-/// still offers is scored as usual. `None` offers every candidate,
-/// which is right whenever the previous iteration's bookkeeping is
-/// unavailable (first iteration, resume, pruning disabled).
+/// clean, and — with reverse offers — `seed_ok[d]`. Such a pair lost
+/// last iteration to the k-th entry of the row phase 4 seeds, and
+/// every seed (fresh scores for updated members included) is at least
+/// as good as that entry, so scoring it again cannot change any
+/// accumulator: graphs stay identical, only the work shrinks. A pair
+/// that some other path still offers is scored as usual. `None`
+/// offers every candidate, which is right whenever the previous
+/// iteration's bookkeeping is unavailable (first iteration, resume,
+/// pruning disabled).
 ///
 /// # Errors
 ///
@@ -174,7 +189,7 @@ fn scan_partition(
 
     // Direct candidates: each out-edge (v, d) of G(t).
     for (&(v, d), &redundant) in out_rows.iter().zip(&out_leg_redundant) {
-        if redundant && suppression.is_some_and(|sup| sup.seed_ok[v as usize]) {
+        if redundant && suppression.is_some_and(|sup| sup.state.seed_ok[v as usize]) {
             suppressed += 1;
         } else {
             table.offer(v, d)?;
@@ -414,11 +429,12 @@ mod tests {
                 let state = PruneState {
                     profile_dirty: flags(n, seed, 8),
                     additions: new_g.additions_since(&old_g),
+                    seed_ok: flags(n, seed + 1, 8).iter().map(|&f| !f).collect(),
+                    fresh: Vec::new(),
                 };
-                let seed_ok: Vec<bool> = flags(n, seed + 1, 8).iter().map(|&f| !f).collect();
+                let seed_ok = &state.seed_ok;
                 let sup = Suppression {
                     state: &state,
-                    seed_ok: &seed_ok,
                     include_reverse,
                 };
                 let (b, p) = setup(n, 4);
@@ -484,11 +500,11 @@ mod tests {
         let state = PruneState {
             profile_dirty: vec![true; n],
             additions: g.additions_since(&old_g),
+            seed_ok: vec![true; n],
+            fresh: Vec::new(),
         };
-        let seed_ok = vec![true; n];
         let sup = Suppression {
             state: &state,
-            seed_ok: &seed_ok,
             include_reverse: false,
         };
         let mut outputs = Vec::new();
@@ -521,11 +537,11 @@ mod tests {
         let state = PruneState {
             profile_dirty: flags(n, 5, 4),
             additions: g.additions_since(&old_g),
+            seed_ok: vec![true; n],
+            fresh: Vec::new(),
         };
-        let seed_ok = vec![true; n];
         let sup = Suppression {
             state: &state,
-            seed_ok: &seed_ok,
             include_reverse: false,
         };
         let mut outputs = Vec::new();
@@ -624,20 +640,15 @@ mod tests {
         let state = previous.map(|previous| PruneState {
             profile_dirty: vec![false; n],
             additions: current.additions_since(previous),
-        });
-        let seed_ok: Option<Vec<bool>> = state.as_ref().map(|_| {
-            (0..n as u32)
+            seed_ok: (0..n as u32)
                 .map(|u| current.fully_scored(UserId::new(u)))
-                .collect()
+                .collect(),
+            fresh: Vec::new(),
         });
-        let sup = state
-            .as_ref()
-            .zip(seed_ok.as_deref())
-            .map(|(state, seed_ok)| Suppression {
-                state,
-                seed_ok,
-                include_reverse: false,
-            });
+        let sup = state.as_ref().map(|state| Suppression {
+            state,
+            include_reverse: false,
+        });
         reshard_profiles(&b, None, &p, Some(profiles), 1).unwrap();
         write_partition_edges(current, &p, &b, 1).unwrap();
         let p2 = generate_tuples(&p, &b, &Phase2Options::new(1 << 16, 1), sup.as_ref()).unwrap();
@@ -651,16 +662,7 @@ mod tests {
             chunk: CHUNK,
         };
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let p4 = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p,
-            &b,
-            current,
-            seed_ok.as_deref(),
-            &options,
-        )
-        .unwrap();
+        let p4 = run_phase4(&schedule, &p2.pi, &p, &b, current, state.as_ref(), &options).unwrap();
         (p2, p4)
     }
 

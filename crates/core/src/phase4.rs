@@ -30,7 +30,11 @@
 //!    (all-old generating path between users whose standing is
 //!    provably unchanged) is never offered; instead the user's
 //!    accumulator starts from its `G(t)` row, which carries the prior
-//!    verdict. Phase 4 scores what the buckets hold.
+//!    verdict. A member updated in the last phase 5 is seeded with the
+//!    fresh score phase 5's stale-seed sweep computed, and the row is
+//!    seeded at all only if no fresh score fell behind its old k-th
+//!    entry (see [`seed_accumulators`]). Phase 4 scores what the
+//!    buckets hold.
 //! 3. **Bound-based filtering** (`sims_pruned`) — a tuple is scored
 //!    only if its O(1) score ceiling ([`Measure::upper_bound_ref`])
 //!    could still beat the current k-th entry of the target
@@ -89,12 +93,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use knn_graph::{KnnGraph, Neighbor, UserId};
-use knn_sim::{Measure, ProfileArena, RowKernel};
+use knn_sim::{Measure, PreparedRef, ProfileArena, RowKernel};
 use knn_store::backend::{read_tuples, read_user_lists};
 use knn_store::tuple_stream::TupleRow;
 use knn_store::{CacheCounters, SlotCache, StorageBackend, StoreError, StreamId};
 
 use crate::partition::Partitioning;
+use crate::phase2::PruneState;
 use crate::topk::TopKAccumulator;
 use crate::traversal::Schedule;
 use crate::tuple_table::meta_bits;
@@ -132,7 +137,8 @@ pub(crate) struct Phase4Options {
 pub(crate) struct Phase4Output {
     /// The next KNN graph `G(t+1)`.
     pub graph: KnnGraph,
-    /// Accumulator entries pre-seeded from `G(t)`'s scored edges.
+    /// Accumulator entries seeded from `G(t)`'s rows (fresh scores
+    /// for updated members).
     pub accums_seeded: u64,
     /// Partition cache operation counts (the real Table-1 metric).
     pub cache: CacheCounters,
@@ -185,10 +191,26 @@ fn score_chunk(
         .collect()
 }
 
+/// Scores the pair `{a, b}` exactly as [`score_chunk`] scores its
+/// canonical tuple `(min, max)`: the smaller id's row resident in
+/// `kernel`, the larger id's row scored against it.
+pub(crate) fn score_canonical(
+    kernel: &mut RowKernel,
+    a: (u32, PreparedRef<'_>),
+    b: (u32, PreparedRef<'_>),
+) -> f32 {
+    let (lo, hi) = if a.0 < b.0 { (a.1, b.1) } else { (b.1, a.1) };
+    kernel.load(lo);
+    kernel.score(hi)
+}
+
 /// Loads partition `p`'s profiles as one CSR [`ProfileArena`] in
 /// ascending-user row order (read-only during the iteration, shared
 /// with scoring workers via `Arc`).
-fn load_arena(backend: &dyn StorageBackend, p: u32) -> Result<Arc<ProfileArena>, EngineError> {
+pub(crate) fn load_arena(
+    backend: &dyn StorageBackend,
+    p: u32,
+) -> Result<Arc<ProfileArena>, EngineError> {
     let profile_rows = read_user_lists(backend, StreamId::Profiles(p))?;
     let total_entries: usize = profile_rows.iter().map(|(_, row)| row.len()).sum();
     // One pass over the (user-sorted) stream materializes the CSR
@@ -205,29 +227,40 @@ fn load_arena(backend: &dyn StorageBackend, p: u32) -> Result<Arc<ProfileArena>,
     Ok(Arc::new(builder.finish()))
 }
 
-/// One top-K accumulator per user of `graph`. Without `seed_ok` every
+/// One top-K accumulator per user of `graph`. Without `prune` every
 /// accumulator starts empty (the classic full-rescore path). With it,
-/// the accumulator of each user `u` with `seed_ok[u]` is seeded by
-/// offering `u`'s `G(t)` row, replaying iteration `t-1`'s verdict so
-/// that phase 2 can drop offers of pairs already evaluated. Callers
-/// set `seed_ok[u]` only when every seed score is still valid: `u`'s
-/// own profile **and** every profile in `u`'s neighbor list unchanged
-/// since those scores were computed, and no unscored sentinel in the
-/// list (see the engine's dirty-bit plumbing). Returns the
-/// accumulators and the number of seeded entries.
+/// the accumulator of each user `u` with
+/// [`seed_ok[u]`](PruneState::seed_ok) is seeded by offering `u`'s
+/// `G(t)` row, replaying iteration `t-1`'s verdict so that phase 2 can
+/// drop offers of pairs already evaluated. A member whose profile
+/// changed in the last phase 5 is seeded with its fresh score from
+/// [`PruneState::fresh`], never the stale `G(t)` one; every other
+/// member's score is still valid. The engine sets `seed_ok[u]` only
+/// when `u`'s own profile is clean, the row holds no unscored
+/// sentinel, and no fresh score falls behind the row's old k-th
+/// entry. Returns the accumulators and the number of seeded entries.
 fn seed_accumulators(
     graph: &KnnGraph,
-    seed_ok: Option<&[bool]>,
+    prune: Option<&PruneState>,
     k: usize,
 ) -> (Vec<TopKAccumulator>, u64) {
     let mut seeded = 0u64;
+    // `fresh` is sorted by user: each user takes its run off the front.
+    let mut fresh = prune.map_or(&[][..], |state| &state.fresh[..]);
     let accums = (0..graph.num_vertices())
         .map(|u| {
             let mut acc = TopKAccumulator::new(k);
-            if seed_ok.is_some_and(|ok| ok[u]) {
+            let run = fresh.partition_point(|&(v, ..)| v as usize == u);
+            let (mine, rest) = fresh.split_at(run);
+            fresh = rest;
+            if prune.is_some_and(|state| state.seed_ok[u]) {
                 let row = graph.neighbors(UserId::new(u as u32));
                 for &nb in row {
-                    acc.offer(nb);
+                    let sim = mine
+                        .iter()
+                        .find(|&&(_, d, _)| d == nb.id.raw())
+                        .map_or(nb.sim, |&(.., sim)| sim);
+                    acc.offer(Neighbor::new(nb.id, sim));
                 }
                 seeded += row.len() as u64;
             }
@@ -238,9 +271,9 @@ fn seed_accumulators(
 }
 
 /// Runs phase 4 over the given schedule: seeds the accumulators from
-/// `graph` = `G(t)` (see [`seed_accumulators`]), scores every tuple of
-/// the phase-2 buckets that the bound filter does not prune, and
-/// harvests `G(t+1)`.
+/// `graph` = `G(t)` and `prune` (see [`seed_accumulators`]), scores
+/// every tuple of the phase-2 buckets that the bound filter does not
+/// prune, and harvests `G(t+1)`.
 ///
 /// # Errors
 ///
@@ -253,10 +286,10 @@ pub(crate) fn run_phase4(
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
     graph: &KnnGraph,
-    seed_ok: Option<&[bool]>,
+    prune: Option<&PruneState>,
     options: &Phase4Options,
 ) -> Result<Phase4Output, EngineError> {
-    let (mut accums, accums_seeded) = seed_accumulators(graph, seed_ok, options.k);
+    let (mut accums, accums_seeded) = seed_accumulators(graph, prune, options.k);
     let mut run = |pool| {
         drive(
             schedule,
@@ -919,43 +952,48 @@ mod tests {
         assert_eq!(out.sims_computed, 0);
     }
 
-    /// Seeded users keep their scored `G(t)` list, denied users start
-    /// empty, and `accums_seeded` counts only the seeded edges: with
-    /// nothing to score, the harvest returns exactly the seeds.
+    /// Seeded users keep their scored `G(t)` list, updated members
+    /// carry their fresh score, denied users start empty, and
+    /// `accums_seeded` counts only the seeded edges: with nothing to
+    /// score, the harvest returns exactly the seeds.
     #[test]
     fn accumulators_seed_from_scored_edges_when_allowed() {
         let mut g = KnnGraph::new(4, 2);
         g.insert(UserId::new(0), Neighbor::new(UserId::new(1), 0.9));
         g.insert(UserId::new(0), Neighbor::new(UserId::new(3), 0.4));
         g.insert(UserId::new(2), Neighbor::new(UserId::new(1), 0.7));
-        // User 0 may seed; user 2 may not (e.g. its profile changed).
-        let seed_ok = vec![true, true, false, true];
-        let (accums, seeded) = seed_accumulators(&g, Some(&seed_ok), 2);
+        g.insert(UserId::new(3), Neighbor::new(UserId::new(0), 0.4));
+        // User 0 may seed, with member 3's profile updated and now
+        // scoring 0.95; users 2 and 3 may not (their own profiles
+        // changed).
+        let prune = PruneState {
+            profile_dirty: vec![false, false, true, true],
+            additions: g.additions_since(&g),
+            seed_ok: vec![true, true, false, false],
+            fresh: vec![(0, 3, 0.95)],
+        };
+        let (accums, seeded) = seed_accumulators(&g, Some(&prune), 2);
         assert_eq!(seeded, 2, "only user 0's two edges seed");
-        assert_eq!(accums[0].entries(), g.neighbors(UserId::new(0)));
+        assert_eq!(
+            accums[0].entries(),
+            &[
+                Neighbor::new(UserId::new(3), 0.95),
+                Neighbor::new(UserId::new(1), 0.9)
+            ],
+            "the updated member seeds its fresh score"
+        );
         assert!(accums[2].is_empty(), "denied users start empty");
+        assert!(accums[3].is_empty(), "denied users start empty");
 
         let (b, p, p2) = setup_world(&KnnGraph::new(4, 2), &line_profiles(4), 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         assert!(schedule.is_empty());
-        let out = run_phase4(
-            &schedule,
-            &p2.pi,
-            &p,
-            &b,
-            &g,
-            Some(&seed_ok),
-            &options(2, 1),
-        )
-        .unwrap();
+        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, Some(&prune), &options(2, 1)).unwrap();
         assert_eq!(out.accums_seeded, 2);
         assert_eq!(
             out.graph.neighbors(UserId::new(0)),
-            &[
-                Neighbor::new(UserId::new(1), 0.9),
-                Neighbor::new(UserId::new(3), 0.4)
-            ],
-            "seeded rows carry the scored list best-first"
+            accums[0].entries(),
+            "seeded rows carry the seeds best-first"
         );
         assert!(out.graph.neighbors(UserId::new(2)).is_empty());
         let unseeded = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(2, 1)).unwrap();

@@ -6,18 +6,31 @@
 //! of the iteration this phase drains the log and rewrites only the
 //! affected partition profile streams; the iteration's commit then
 //! truncates the consumed log for iteration `t+1`.
+//!
+//! With offer-time suppression on, the phase ends with the
+//! **stale-seed sweep** ([`sweep_stale_seeds`]): an update makes every
+//! score involving the updated user stale, so each clean user whose
+//! `G(t+1)` row holds an updated member gets that member's fresh
+//! score, and keeps its seeded verdict for iteration `t+1` if no fresh
+//! score falls behind the row's old k-th entry. The updated users'
+//! new rows come from the apply step, already in memory; the sweep
+//! reads each profile partition holding an affected user once, and
+//! nothing at all when no update was applied. The work is O(change):
+//! one updated member no longer voids a row's verdict.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use knn_graph::UserId;
-use knn_sim::{Profile, ProfileDelta};
+use knn_graph::{KnnGraph, Neighbor, UserId};
+use knn_sim::{Measure, Profile, ProfileArena, ProfileDelta, RowKernel};
 use knn_store::backend::{append_delta, read_deltas, read_user_lists, write_user_lists};
 use knn_store::delta_log::decode_deltas;
 use knn_store::{CommitTarget, CommitTxn, StorageBackend, StoreError, StreamId};
 
 use crate::par;
 use crate::partition::Partitioning;
+use crate::phase2::FreshScore;
+use crate::phase4::{load_arena, score_canonical};
 use crate::EngineError;
 
 /// The engine-facing update queue: validated appends during the
@@ -90,8 +103,9 @@ impl UpdateQueue {
     /// memory stays `O(threads × partition)` and the persisted bytes
     /// are thread-count-invariant.
     ///
-    /// Returns the run statistics, the **sorted, deduplicated** set of
-    /// users whose profile changed — the input of the engine's
+    /// Returns the run statistics, the new rows of the users whose
+    /// profile changed as one [`ProfileArena`] — its ascending
+    /// [`users`](ProfileArena::users) are the input of the engine's
     /// per-user dirty bits: every similarity score involving one of
     /// these users is stale from the next iteration on — and the raw
     /// log bytes this call consumed.
@@ -112,7 +126,7 @@ impl UpdateQueue {
         backend: &dyn StorageBackend,
         threads: usize,
         txn: &mut CommitTxn,
-    ) -> Result<(Phase5Stats, Vec<u32>, Vec<u8>), EngineError> {
+    ) -> Result<(Phase5Stats, ProfileArena, Vec<u8>), EngineError> {
         // One raw read serves both decoding and the consumed-bytes
         // return (`read_deltas` is exactly this read + decode, so the
         // metering is unchanged).
@@ -122,19 +136,15 @@ impl UpdateQueue {
             &PathBuf::from(format!("{}:updates.log", backend.name())),
         )?;
         if deltas.is_empty() {
-            return Ok((Phase5Stats::default(), Vec::new(), raw));
+            return Ok((Phase5Stats::default(), ProfileArena::default(), raw));
         }
         let mut by_partition: BTreeMap<u32, Vec<&ProfileDelta>> = BTreeMap::new();
-        let mut updated_users: Vec<u32> = Vec::with_capacity(deltas.len());
         for d in &deltas {
             by_partition
                 .entry(partitioning.partition_of(d.user))
                 .or_default()
                 .push(d);
-            updated_users.push(d.user.raw());
         }
-        updated_users.sort_unstable();
-        updated_users.dedup();
         let result = Phase5Stats {
             updates_applied: deltas.len() as u64,
             partitions_rewritten: by_partition.len() as u64,
@@ -143,7 +153,7 @@ impl UpdateQueue {
         // deltas in arrival order, and rewrites the stream — fully
         // independently (no other group touches that stream), so the
         // groups run concurrently and nothing is buffered past its
-        // own write.
+        // own write. Each returns its updated users' new rows.
         let groups: Vec<(u32, Vec<&ProfileDelta>)> = by_partition.into_iter().collect();
         // Pre-images are staged sequentially, in partition order,
         // before any worker mutates — the backup traffic is
@@ -152,7 +162,7 @@ impl UpdateQueue {
         for (p, _) in &groups {
             txn.backup(backend, CommitTarget::Profiles(*p))?;
         }
-        par::run_indexed(groups.len(), threads, |idx| {
+        let updated = par::run_indexed(groups.len(), threads, |idx| {
             let (p, partition_deltas) = &groups[idx];
             let stream = StreamId::Profiles(*p);
             let rows = read_user_lists(backend, stream)?;
@@ -180,9 +190,24 @@ impl UpdateQueue {
                 .map(|(user, profile)| (user, profile.iter().map(|(i, w)| (i.raw(), w)).collect()))
                 .collect();
             write_user_lists(backend, stream, &new_rows)?;
-            Ok(())
+            let mut touched: Vec<u32> = partition_deltas.iter().map(|d| d.user.raw()).collect();
+            touched.sort_unstable();
+            Ok(new_rows
+                .into_iter()
+                .filter(|(user, _)| touched.binary_search(user).is_ok())
+                .collect::<Vec<_>>())
         })?;
-        Ok((result, updated_users, raw))
+        let mut updated: Vec<(u32, Vec<(u32, f32)>)> = updated.into_iter().flatten().collect();
+        updated.sort_unstable_by_key(|&(user, _)| user);
+        let entries = updated.iter().map(|(_, row)| row.len()).sum();
+        let mut arena = ProfileArena::builder(updated.len(), entries);
+        for (user, row) in updated {
+            // The rows were just rebuilt from valid profiles.
+            arena.push(user, row).map_err(|e| {
+                EngineError::input(format!("invalid updated profile for user {user}: {e}"))
+            })?;
+        }
+        Ok((result, arena.finish(), raw))
     }
 
     /// Reads one user's current stored profile (diagnostics and
@@ -216,11 +241,100 @@ impl UpdateQueue {
     }
 }
 
+/// The stale-seed sweep, run at the end of phase 5 once the deltas are
+/// applied: the per-user seed verdicts and fresh member scores for
+/// iteration `t+1`'s suppression (see [`crate::phase2::PruneState`]).
+///
+/// `graph` is `G(t+1)`, `updated` the updated users' new rows from
+/// [`UpdateQueue::apply_all`] and `profile_dirty` their dirty bits.
+/// A user `u` is seed-ok when its profile is clean, its row is fully
+/// scored, and every updated member `d` of its row scores freshly at
+/// least as high as the row's old k-th entry. Each stale pair is
+/// scored exactly as phase 4 would score it
+/// ([`score_canonical`]), so the seeds are bit-identical to the scores
+/// a full rescore computes.
+///
+/// I/O: each profile partition holding a clean, fully scored user with
+/// an updated member is read once (one arena per worker resident, plus
+/// `updated`); with no update applied nothing is read. Returns
+/// `(seed_ok, fresh)`, `fresh` sorted by `(u, d)` and kept only for
+/// seed-ok users.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Store`] on I/O failure or corrupt profile
+/// streams, and [`EngineError::InputMismatch`] if a partition stream
+/// lacks one of its users.
+pub(crate) fn sweep_stale_seeds(
+    graph: &KnnGraph,
+    profile_dirty: &[bool],
+    updated: &ProfileArena,
+    partitioning: &Partitioning,
+    backend: &dyn StorageBackend,
+    measure: Measure,
+    threads: usize,
+) -> Result<(Vec<bool>, Vec<FreshScore>), EngineError> {
+    let mut seed_ok: Vec<bool> = (0..graph.num_vertices())
+        .map(|u| !profile_dirty[u] && graph.fully_scored(UserId::new(u as u32)))
+        .collect();
+    let stale = |u: UserId| {
+        graph
+            .neighbors(u)
+            .iter()
+            .any(|nb| profile_dirty[nb.id.index()])
+    };
+    // The affected users of each partition, ascending; partitions
+    // without one are not read.
+    let groups: Vec<(u32, Vec<UserId>)> = (0..partitioning.num_partitions() as u32)
+        .filter_map(|p| {
+            let users: Vec<UserId> = partitioning
+                .users_of(p)
+                .iter()
+                .copied()
+                .filter(|&u| seed_ok[u.index()] && stale(u))
+                .collect();
+            (!users.is_empty()).then_some((p, users))
+        })
+        .collect();
+    let scored = par::run_indexed(groups.len(), threads, |idx| {
+        let (p, users) = &groups[idx];
+        let arena = load_arena(backend, *p)?;
+        let mut kernel = RowKernel::new(measure);
+        let mut fresh = Vec::new();
+        for &u in users {
+            let own = arena.get(u.raw()).ok_or_else(|| {
+                EngineError::input(format!("user {u} missing from partition {p}"))
+            })?;
+            for nb in graph.neighbors(u) {
+                if let Some(theirs) = updated.get(nb.id.raw()) {
+                    let sim = score_canonical(&mut kernel, (u.raw(), own), (nb.id.raw(), theirs));
+                    fresh.push((u.raw(), nb.id.raw(), sim));
+                }
+            }
+        }
+        Ok(fresh)
+    })?;
+    let mut fresh: Vec<FreshScore> = scored.into_iter().flatten().collect();
+    fresh.sort_unstable_by_key(|&(u, d, _)| (u, d));
+    for run in fresh.chunk_by(|a, b| a.0 == b.0) {
+        let u = run[0].0;
+        // A run exists only for a non-empty row; its last entry is the
+        // old k-th one (rows are best-first).
+        let old_kth = graph.neighbors(UserId::new(u)).last().copied();
+        seed_ok[u as usize] = old_kth.is_some_and(|kth| {
+            run.iter()
+                .all(|&(_, d, sim)| !kth.beats(&Neighbor::new(UserId::new(d), sim)))
+        });
+    }
+    fresh.retain(|&(u, ..)| seed_ok[u as usize]);
+    Ok((seed_ok, fresh))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::phase1::reshard_profiles;
-    use knn_sim::{DeltaOp, ItemId, ProfileStore};
+    use knn_sim::{DeltaOp, ItemId, ProfileStore, Similarity};
     use knn_store::MemBackend;
 
     /// Applies the queue and commits, as one engine iteration does.
@@ -233,7 +347,7 @@ mod tests {
         let mut txn = CommitTxn::new(0);
         let (stats, updated, consumed) = q.apply_all(p, b, threads, &mut txn).unwrap();
         txn.commit(b, 1, &consumed).unwrap();
-        (stats, updated)
+        (stats, updated.users().to_vec())
     }
 
     fn setup(n: usize, m: usize) -> (MemBackend, Partitioning, UpdateQueue) {
@@ -383,6 +497,95 @@ mod tests {
             1,
             "log truncation is left to the commit"
         );
+    }
+
+    /// A line world for the sweep: user `u` rates items `u` and `u+1`,
+    /// users alternate between two partitions, and `G(t+1)`'s rows
+    /// carry the true cosine scores.
+    fn sweep_world() -> (
+        MemBackend,
+        Partitioning,
+        UpdateQueue,
+        ProfileStore,
+        KnnGraph,
+    ) {
+        let n = 6;
+        let mut store = ProfileStore::new(n);
+        for u in 0..n as u32 {
+            store.set(
+                UserId::new(u),
+                Profile::from_unsorted_pairs(vec![(u, 1.0), (u + 1, 1.0)]).unwrap(),
+            );
+        }
+        let b = MemBackend::new();
+        let assignment: Vec<u32> = (0..n).map(|u| (u % 2) as u32).collect();
+        let p = Partitioning::from_assignment(assignment, 2).unwrap();
+        reshard_profiles(&b, None, &p, Some(&store), 1).unwrap();
+        let rows: [&[u32]; 6] = [&[1, 2], &[0, 2], &[1, 3], &[2, 4], &[3, 5], &[4]];
+        let mut g = KnnGraph::new(n, 2);
+        for (u, row) in rows.iter().enumerate() {
+            let user = UserId::new(u as u32);
+            for &v in *row {
+                let sim = Measure::Cosine.score(store.get(user), store.get(UserId::new(v)));
+                g.insert(user, Neighbor::new(UserId::new(v), sim));
+            }
+        }
+        (b, p, UpdateQueue::new(n), store, g)
+    }
+
+    /// The verdict rule on a hand-checked world. User 1 gains item 0:
+    /// its score with user 0 rises (0.5 → 0.82), with user 2 it falls
+    /// (0.5 → 0.41). Row 0's old k-th entry is user 2 at 0.0, so row 0
+    /// keeps its verdict and seeds the fresh score; row 2's is user 3
+    /// at 0.5, which now beats user 1, so row 2 loses it. Rows without
+    /// user 1 keep theirs untouched, and user 1 itself is dirty. Only
+    /// partition 0 (users 0 and 2) is read, once; the fresh score is
+    /// bit-identical to the pair kernel's.
+    #[test]
+    fn sweep_keeps_exactly_the_verdicts_the_fresh_scores_allow() {
+        let (b, p, mut q, store, g) = sweep_world();
+        let one = UserId::new(1);
+        q.queue(&ProfileDelta::set(one, ItemId::new(0), 1.0), &b)
+            .unwrap();
+        let mut txn = CommitTxn::new(0);
+        let (_, updated, _) = q.apply_all(&p, &b, 1, &mut txn).unwrap();
+        assert_eq!(updated.users(), &[1]);
+        let dirty = [false, true, false, false, false, false];
+        let before = b.io_snapshot();
+        let (seed_ok, fresh) =
+            sweep_stale_seeds(&g, &dirty, &updated, &p, &b, Measure::Cosine, 2).unwrap();
+        let io = b.io_snapshot() - before;
+        assert_eq!((io.read_ops, io.write_ops), (1, 0), "one partition read");
+        assert_eq!(seed_ok, vec![true, false, false, true, true, true]);
+        let new_one = UpdateQueue::read_profile(one, &p, &b).unwrap();
+        let expected = Measure::Cosine.score(store.get(UserId::new(0)), &new_one);
+        assert!(expected > 0.8);
+        assert_eq!(fresh.len(), 1, "row 2 lost its verdict, so no fresh entry");
+        assert_eq!(fresh[0].0, 0);
+        assert_eq!(fresh[0].1, 1);
+        assert_eq!(fresh[0].2.to_bits(), expected.to_bits());
+    }
+
+    /// Without an applied update the sweep reads nothing, and a seed
+    /// verdict is exactly "clean and fully scored".
+    #[test]
+    fn sweep_without_updates_reads_nothing() {
+        let (b, p, _, _, mut g) = sweep_world();
+        g.insert(UserId::new(5), Neighbor::unscored(UserId::new(0)));
+        let before = b.io_snapshot();
+        let (seed_ok, fresh) = sweep_stale_seeds(
+            &g,
+            &[false; 6],
+            &ProfileArena::default(),
+            &p,
+            &b,
+            Measure::Cosine,
+            2,
+        )
+        .unwrap();
+        assert_eq!(b.io_snapshot() - before, Default::default());
+        assert_eq!(seed_ok, vec![true, true, true, true, true, false]);
+        assert!(fresh.is_empty());
     }
 
     #[test]

@@ -82,6 +82,35 @@ fn deterministic_fields(r: &IterationReport) -> impl PartialEq + std::fmt::Debug
     )
 }
 
+/// The mid-run updates: six users (8 % of 72), derived from their
+/// profiles so that scores involving them both rise and fall —
+/// weights raised and lowered on items they rate, a fresh item, an
+/// item removed, one profile replaced by another user's and that
+/// user's own profile reweighted. Phase 5's stale-seed sweep then has
+/// real work, and its counters (`sims_skipped`, `accums_seeded`) must
+/// stay invariant too.
+fn churn(profiles: &ProfileStore) -> Vec<ProfileDelta> {
+    let user = |i: u32| UserId::new(5 + 12 * i);
+    let rated = |u: UserId| profiles.get(u).entries()[0];
+    let (raised, lowered, removed) = (rated(user(0)), rated(user(1)), rated(user(3)));
+    let reweighted = profiles
+        .get(user(5))
+        .iter()
+        .map(|(item, weight)| (item.raw(), weight * 0.5 + 0.25))
+        .collect();
+    vec![
+        ProfileDelta::set(user(0), raised.0, raised.1 * 3.0),
+        ProfileDelta::set(user(1), lowered.0, lowered.1 * 0.1),
+        ProfileDelta::set(user(2), ItemId::new(801), 3.5),
+        ProfileDelta::remove(user(3), removed.0),
+        ProfileDelta::replace(user(4), profiles.get(user(5)).clone()),
+        ProfileDelta::replace(
+            user(5),
+            Profile::from_unsorted_pairs(reweighted).expect("profile"),
+        ),
+    ]
+}
+
 /// Reads every stream the backend holds, sorted by stream id, as the
 /// backend returns it (unframed payload bytes).
 fn all_stream_bytes(b: &dyn StorageBackend) -> Vec<(StreamId, Vec<u8>)> {
@@ -96,8 +125,8 @@ fn all_stream_bytes(b: &dyn StorageBackend) -> Vec<(StreamId, Vec<u8>)> {
 }
 
 /// Threads {1, 2, 4} × backends {mem, disk}: six engines over the
-/// same seeded workload (updates queued mid-run on all of them) stay
-/// bit-for-bit in lockstep for 3 iterations.
+/// same seeded workload (updates to 8 % of the users queued mid-run on
+/// all of them) stay bit-for-bit in lockstep for 3 iterations.
 #[test]
 fn thread_count_and_backend_never_change_the_computation() {
     let n = 72;
@@ -127,19 +156,14 @@ fn thread_count_and_backend_never_change_the_computation() {
         }
     }
 
+    let updates = churn(&workload(n, seed));
     for iteration in 0..3u32 {
         if iteration == 1 {
             // The same updates land on every engine mid-run.
             for (_, _, engine) in &mut engines {
-                engine
-                    .queue_update(&ProfileDelta::set(UserId::new(5), ItemId::new(801), 3.5))
-                    .expect("update");
-                engine
-                    .queue_update(&ProfileDelta::replace(
-                        UserId::new(17),
-                        Profile::from_unsorted_pairs(vec![(3, 1.0), (8, 2.0)]).expect("profile"),
-                    ))
-                    .expect("update");
+                for delta in &updates {
+                    engine.queue_update(delta).expect("update");
+                }
             }
         }
         let reports: Vec<IterationReport> = engines

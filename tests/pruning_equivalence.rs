@@ -16,8 +16,13 @@
 //!   unpruned offer is either offered or suppressed (`sims_skipped`),
 //!   and each unique tuple is either computed or bound-pruned;
 //! * at a fixed point an iteration offers nothing, scores nothing and
-//!   loads no partition.
+//!   loads no partition;
+//! * under churn — updates every iteration that raise and lower
+//!   existing scores — the graphs still agree at every iteration, and
+//!   a row keeps its seeded verdict through an updated member whose
+//!   fresh score still holds its place (phase 5's stale-seed sweep).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use ooc_knn::sim::generators::{clustered_profiles, ClusteredConfig};
@@ -139,6 +144,223 @@ fn pruned_and_unpruned_graphs_are_identical_every_iteration() {
             }
         }
     }
+}
+
+/// This iteration's updates: six users (8 % of 72), derived from their
+/// current profiles so that the scores involving them both rise and
+/// fall — weights raised and lowered on items they rate, a fresh item
+/// at a small weight, an item removed, one profile replaced by
+/// another user's, and that user's own profile reweighted.
+fn churn(profiles: &ProfileStore, iteration: u32) -> Vec<ProfileDelta> {
+    let n = profiles.num_users() as u32;
+    let user = |i: u32| UserId::new((iteration * 13 + i * 11) % n);
+    let rated = |u: UserId| profiles.get(u).entries().first().copied();
+    let mut deltas = Vec::new();
+    for (i, factor) in [(0, 3.0f32), (1, 0.1)] {
+        if let Some((item, weight)) = rated(user(i)) {
+            deltas.push(ProfileDelta::set(user(i), item, weight * factor));
+        }
+    }
+    deltas.push(ProfileDelta::set(
+        user(2),
+        ItemId::new(7_000 + iteration),
+        0.05,
+    ));
+    if let Some((item, _)) = rated(user(3)) {
+        deltas.push(ProfileDelta::remove(user(3), item));
+    }
+    deltas.push(ProfileDelta::replace(
+        user(4),
+        profiles.get(user(5)).clone(),
+    ));
+    let reweighted = profiles
+        .get(user(5))
+        .iter()
+        .map(|(item, weight)| (item.raw(), weight * 0.5 + 0.25))
+        .collect();
+    deltas.push(ProfileDelta::replace(
+        user(5),
+        Profile::from_unsorted_pairs(reweighted).expect("profile"),
+    ));
+    deltas
+}
+
+/// Entries the seeding rule this suite replaced would have seeded:
+/// every row of a clean user none of whose members is in `dirty`.
+fn seeds_if_any_dirty_member_voids(engine: &KnnEngine, dirty: &HashSet<UserId>) -> u64 {
+    let graph = engine.graph();
+    (0..graph.num_vertices() as u32)
+        .map(UserId::new)
+        .filter(|u| !dirty.contains(u))
+        .map(|u| graph.neighbors(u))
+        .filter(|row| row.iter().all(|nb| !dirty.contains(&nb.id)))
+        .map(|row| row.len() as u64)
+        .sum()
+}
+
+/// Pruned vs. unpruned engines in lockstep under churn: updates to 8 %
+/// of the users before every iteration, on both backends, with reverse
+/// offers off and on, at 2 threads. The graphs agree at every
+/// iteration, the funnel accounts for every offer and tuple, and the
+/// pruned run seeds at least every row the all-members-clean rule
+/// would — strictly more somewhere, so rows really kept their verdict
+/// through an updated member.
+#[test]
+fn churn_every_iteration_keeps_pruned_and_unpruned_in_lockstep() {
+    let n = 72;
+    let seed = 29;
+    for disk in [false, true] {
+        for include_reverse in [false, true] {
+            let label = format!(
+                "backend={} include_reverse={include_reverse}",
+                if disk { "disk" } else { "mem" }
+            );
+            let make = |prune: bool| {
+                let backend: Arc<dyn StorageBackend> = if disk {
+                    Arc::new(DiskBackend::temp("pruning_churn").expect("disk backend"))
+                } else {
+                    Arc::new(MemBackend::new())
+                };
+                let config = EngineConfig::builder(n)
+                    .k(5)
+                    .num_partitions(6)
+                    .measure(Measure::Cosine)
+                    .seed(seed)
+                    .threads(2)
+                    .include_reverse(include_reverse)
+                    .prune_pairs(prune)
+                    .bound_filter(prune)
+                    .build()
+                    .expect("config");
+                KnnEngine::new_on(config, workload(n, seed), backend).expect("engine")
+            };
+            let (mut pruned, mut plain) = (make(true), make(false));
+
+            let mut dirty: HashSet<UserId> = HashSet::new();
+            let mut kept_beyond_old_rule = 0u64;
+            for iteration in 0..5u32 {
+                let old_rule = seeds_if_any_dirty_member_voids(&pruned, &dirty);
+                let deltas = churn(&plain.export_profiles().expect("profiles"), iteration);
+                for engine in [&mut pruned, &mut plain] {
+                    for delta in &deltas {
+                        engine.queue_update(delta).expect("update");
+                    }
+                }
+                let rp = pruned.run_iteration().expect("pruned iteration");
+                let ru = plain.run_iteration().expect("unpruned iteration");
+                assert_eq!(
+                    pruned.graph(),
+                    plain.graph(),
+                    "[{label}] iteration {iteration}: pruning changed the graph"
+                );
+                assert_eq!(
+                    rp.tuples.offered + rp.sims_skipped,
+                    ru.tuples.offered,
+                    "[{label}] iteration {iteration}: suppression does not cover the offers"
+                );
+                assert_eq!(
+                    rp.sims_computed + rp.sims_pruned,
+                    rp.tuples.unique,
+                    "[{label}] iteration {iteration}: funnel does not cover the tuple set"
+                );
+                assert_eq!(rp.updates_applied, deltas.len() as u64);
+                if iteration > 0 {
+                    assert!(
+                        rp.accums_seeded >= old_rule,
+                        "[{label}] iteration {iteration}: seeded {} < {old_rule}",
+                        rp.accums_seeded
+                    );
+                    kept_beyond_old_rule += rp.accums_seeded - old_rule;
+                }
+                dirty = deltas.iter().map(|d| d.user).collect();
+            }
+            assert!(
+                kept_beyond_old_rule > 0,
+                "[{label}] no row kept its verdict through an updated member"
+            );
+            for engine in [pruned, plain] {
+                if let Some(wd) = engine.working_dir().cloned() {
+                    drop(engine);
+                    wd.destroy().expect("cleanup");
+                }
+            }
+        }
+    }
+}
+
+/// A converged world, then one update: user `d` gains a fresh item at
+/// a tiny weight. `d` is in some rows but nobody's k-th entry, with a
+/// clear margin, so its fresh score keeps its place in every row that
+/// holds it. Next iteration every row except `d`'s own is seeded —
+/// one changed neighbour no longer voids a row's verdict — and the
+/// graph still equals the unpruned run's.
+#[test]
+fn one_update_voids_only_the_updated_users_own_row() {
+    let n = 96;
+    let seed = 41;
+    let mut pruned = KnnEngine::new_on(
+        config(n, seed, true),
+        workload(n, seed),
+        Arc::new(MemBackend::new()),
+    )
+    .expect("pruned engine");
+    let mut plain = KnnEngine::new_on(
+        config(n, seed, false),
+        workload(n, seed),
+        Arc::new(MemBackend::new()),
+    )
+    .expect("unpruned engine");
+    let mut reached = false;
+    for _ in 0..20 {
+        let change = pruned.run_iteration().expect("iteration").changed_fraction;
+        plain.run_iteration().expect("iteration");
+        if change == 0.0 {
+            reached = true;
+            break;
+        }
+    }
+    assert!(reached, "static world did not reach a fixed point");
+    assert_eq!(pruned.graph(), plain.graph());
+
+    let graph = pruned.graph().clone();
+    let rows_holding = |d: UserId| {
+        (0..n as u32)
+            .map(UserId::new)
+            .map(|u| graph.neighbors(u))
+            .filter(move |row| row.iter().any(|nb| nb.id == d))
+    };
+    let d = (0..n as u32)
+        .map(UserId::new)
+        .find(|&d| {
+            rows_holding(d).count() > 0
+                && rows_holding(d).all(|row| {
+                    let mine = row.iter().find(|nb| nb.id == d).expect("member");
+                    let kth = row.last().expect("non-empty");
+                    kth.id != d && mine.sim - kth.sim > 0.05
+                })
+        })
+        .expect("a member that is nobody's k-th entry");
+
+    let delta = ProfileDelta::set(d, ItemId::new(1_000_000), 0.01);
+    for engine in [&mut pruned, &mut plain] {
+        engine.queue_update(&delta).expect("update");
+        engine
+            .run_iteration()
+            .expect("iteration applying the update");
+    }
+    assert_eq!(pruned.graph(), plain.graph());
+    let expected: u64 = (0..n as u32)
+        .map(UserId::new)
+        .filter(|&u| u != d)
+        .map(|u| pruned.graph().neighbors(u).len() as u64)
+        .sum();
+    let report = pruned.run_iteration().expect("iteration after the update");
+    plain.run_iteration().expect("iteration after the update");
+    assert_eq!(
+        report.accums_seeded, expected,
+        "every row but user {d}'s stays seeded"
+    );
+    assert_eq!(pruned.graph(), plain.graph(), "pruning changed the graph");
 }
 
 /// Independent runs to convergence: the pruned engine takes the same

@@ -87,6 +87,35 @@ fn deterministic_fields(r: &IterationReport) -> impl PartialEq + std::fmt::Debug
     )
 }
 
+/// The mid-run updates: six users (8 % of 72), derived from their
+/// profiles so that scores involving them both rise and fall —
+/// weights raised and lowered on items they rate, a fresh item, an
+/// item removed, one profile replaced by another user's and that
+/// user's own profile reweighted. Phase 5's stale-seed sweep then has
+/// real work, and its counters (`sims_skipped`, `accums_seeded`) must
+/// stay invariant too.
+fn churn(profiles: &ProfileStore) -> Vec<ProfileDelta> {
+    let user = |i: u32| UserId::new(5 + 12 * i);
+    let rated = |u: UserId| profiles.get(u).entries()[0];
+    let (raised, lowered, removed) = (rated(user(0)), rated(user(1)), rated(user(3)));
+    let reweighted = profiles
+        .get(user(5))
+        .iter()
+        .map(|(item, weight)| (item.raw(), weight * 0.5 + 0.25))
+        .collect();
+    vec![
+        ProfileDelta::set(user(0), raised.0, raised.1 * 3.0),
+        ProfileDelta::set(user(1), lowered.0, lowered.1 * 0.1),
+        ProfileDelta::set(user(2), ItemId::new(801), 3.5),
+        ProfileDelta::remove(user(3), removed.0),
+        ProfileDelta::replace(user(4), profiles.get(user(5)).clone()),
+        ProfileDelta::replace(
+            user(5),
+            Profile::from_unsorted_pairs(reweighted).expect("profile"),
+        ),
+    ]
+}
+
 /// Every stream the backend (or routing façade) holds, sorted by
 /// stream id — for a sharded engine this is the union over its shards.
 fn all_stream_bytes(b: &dyn StorageBackend) -> Vec<(StreamId, Vec<u8>)> {
@@ -168,10 +197,10 @@ fn destroy_shards(engine: ShardedEngine) {
 
 /// Shards {1, 2, 4} × backends {mem, disk} × threads {1, 2}, plus a
 /// plain engine as root reference: thirteen engines over the same
-/// seeded workload (updates queued mid-run on all of them) stay
-/// bit-for-bit in lockstep for 3 iterations, and their persisted
-/// stream unions and summed I/O meters agree byte for byte and counter
-/// for counter.
+/// seeded workload (updates to 8 % of the users queued mid-run on all
+/// of them) stay bit-for-bit in lockstep for 3 iterations, and their
+/// persisted stream unions and summed I/O meters agree byte for byte
+/// and counter for counter.
 #[test]
 fn shard_count_never_changes_the_computation() {
     let n = 72;
@@ -202,13 +231,7 @@ fn shard_count_never_changes_the_computation() {
         }
     }
 
-    let updates = [
-        ProfileDelta::set(UserId::new(5), ItemId::new(801), 3.5),
-        ProfileDelta::replace(
-            UserId::new(17),
-            Profile::from_unsorted_pairs(vec![(3, 1.0), (8, 2.0)]).expect("profile"),
-        ),
-    ];
+    let updates = churn(&workload(n, seed));
     for iteration in 0..3u32 {
         if iteration == 1 {
             for delta in &updates {
