@@ -87,11 +87,15 @@ pub struct KnnEngine {
     /// partitioner on every (re)partition and persisted for resume.
     clusters: Option<Arc<ClusterAssignment>>,
     /// Cross-iteration bookkeeping for phase 2's offer-time
-    /// suppression and phase 4's seeds, left by the last phase 5;
-    /// `None` when no prior iteration completed in this process (fresh
-    /// engine, resume, a failed iteration) or suppression is disabled
-    /// — the next iteration then offers and scores everything.
+    /// suppression and phase 4's seeds, left by the last committed
+    /// phase 5; `None` when no iteration has committed in this process
+    /// (fresh engine, resume) or suppression is disabled — the next
+    /// iteration then offers and scores everything.
     prune: Option<PruneState>,
+    /// Whether a failed iteration's rollback failed too, so the next
+    /// [`run_iteration`](KnnEngine::run_iteration) must roll storage
+    /// back before it stages anything.
+    rollback_pending: bool,
     /// What crash recovery found when this engine was resumed; `None`
     /// for fresh engines.
     recovery: Option<RecoveryReport>,
@@ -517,9 +521,10 @@ impl KnnEngine {
             reports: Vec::new(),
             clusters,
             prune: None,
+            rollback_pending: false,
             recovery: None,
         };
-        engine.persist_state(None)?;
+        engine.persist_state(engine.iteration, &engine.partitioning, &engine.graph, None)?;
         // Generation 0 is committed the moment the initial state is
         // durable, so a crash during iteration 0 rolls back here.
         write_commit(engine.backend.as_ref(), &CommitRecord::clean(0))?;
@@ -604,40 +609,46 @@ impl KnnEngine {
             // iteration's scoring, so the first iteration re-scores
             // everything (suppression resumes one iteration later).
             prune: None,
+            rollback_pending: false,
             recovery: Some(recovery),
         })
     }
 
-    /// Writes the resumable state: metadata, the partition assignment,
-    /// and the current KNN graph sliced per partition. With a `txn`,
-    /// every stream is staged (pre-image backed up) before its
-    /// rewrite, so a crash mid-persist rolls back cleanly.
-    fn persist_state(&self, mut txn: Option<&mut CommitTxn>) -> Result<(), EngineError> {
+    /// Writes the resumable state at `iteration`: metadata, the
+    /// partition assignment, and the KNN graph sliced per partition.
+    /// With a `txn`, every stream is staged (pre-image backed up)
+    /// before its rewrite, so a crash mid-persist rolls back cleanly.
+    fn persist_state(
+        &self,
+        iteration: u64,
+        partitioning: &Partitioning,
+        graph: &KnnGraph,
+        mut txn: Option<&mut CommitTxn>,
+    ) -> Result<(), EngineError> {
         let backend = self.backend.as_ref();
         if let Some(txn) = txn.as_deref_mut() {
             txn.backup(backend, CommitTarget::Meta)?;
             txn.backup(backend, CommitTarget::Assignment)?;
         }
-        let mut meta = vec![(META_ITERATION, self.iteration)];
+        let mut meta = vec![(META_ITERATION, iteration)];
         for (key, _, value) in config_meta(&self.config) {
             meta.push((key, value));
         }
         write_meta(backend, &meta)?;
-        let assignment_rows: Vec<(u32, u32)> = self
-            .partitioning
+        let assignment_rows: Vec<(u32, u32)> = partitioning
             .assignment()
             .iter()
             .enumerate()
             .map(|(u, &p)| (u as u32, p))
             .collect();
         write_pairs(backend, StreamId::Assignment, &assignment_rows)?;
-        for p in 0..self.partitioning.num_partitions() as u32 {
+        for p in 0..partitioning.num_partitions() as u32 {
             if let Some(txn) = txn.as_deref_mut() {
                 txn.backup(backend, CommitTarget::KnnSlice(p))?;
             }
             let mut rows: Vec<(u32, u32, f32)> = Vec::new();
-            for &user in self.partitioning.users_of(p) {
-                for nb in self.graph.neighbors(user) {
+            for &user in partitioning.users_of(p) {
+                for nb in graph.neighbors(user) {
                     rows.push((user.raw(), nb.id.raw(), nb.sim));
                 }
             }
@@ -900,13 +911,57 @@ impl KnnEngine {
     ///
     /// # Errors
     ///
-    /// Any phase's storage or validation error aborts the iteration;
-    /// the engine's in-memory graph is only replaced on success.
+    /// Any phase's storage or validation error aborts the iteration,
+    /// and an aborted iteration is a transaction rolled back in memory
+    /// and in storage alike: the graph, partitioning, iteration number
+    /// and cross-iteration pruning state are installed only once the
+    /// commit succeeds, and on an error the backend is rolled back to
+    /// the last committed generation ([`knn_store::recover`]) before
+    /// the error is returned. Calling `run_iteration` again therefore
+    /// retries the same iteration from the same state, and ends where
+    /// a run that never failed would. A commit that fails after its
+    /// record landed is durable all the same: recovery finishes it,
+    /// and the iteration returns its report. If the rollback itself
+    /// fails, the next call retries it before anything else.
     pub fn run_iteration(&mut self) -> Result<IterationReport, EngineError> {
+        let backend = Arc::clone(&self.backend);
+        if self.rollback_pending {
+            self.roll_back(backend.as_ref())?;
+            self.rollback_pending = false;
+        }
+        let result = self.iterate(backend.as_ref());
+        if result.is_err() {
+            self.rollback_pending = self.roll_back(backend.as_ref()).is_err();
+        }
+        result
+    }
+
+    /// Rolls storage back to the last committed generation after a
+    /// failed iteration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the storage error of a failed rollback, or
+    /// [`EngineError::InputMismatch`] when storage committed a
+    /// generation the engine never installed — only a rollback that
+    /// failed after its commit record landed leaves that, and only
+    /// [`resume_on`](KnnEngine::resume_on) can continue from it.
+    fn roll_back(&self, backend: &dyn StorageBackend) -> Result<(), EngineError> {
+        match knn_store::recover(backend)?.committed_generation {
+            Some(generation) if generation != self.iteration => Err(EngineError::input(format!(
+                "storage committed generation {generation}, the engine is at iteration {}; \
+                 resume the engine from its backend",
+                self.iteration
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// The body of [`run_iteration`](KnnEngine::run_iteration): every
+    /// phase into locals, then the commit, then the install.
+    fn iterate(&mut self, backend: &dyn StorageBackend) -> Result<IterationReport, EngineError> {
         let mut durations = [std::time::Duration::ZERO; 5];
         let mut io = [IoSnapshot::default(); 5];
-        let backend = Arc::clone(&self.backend);
-        let backend = backend.as_ref();
         // The iteration's undo log: committed streams are staged
         // before their first in-place mutation, and the commit record
         // written at the end flips the visible generation atomically —
@@ -915,10 +970,8 @@ impl KnnEngine {
 
         // Cross-iteration suppression inputs (see the crate docs'
         // scoring-pipeline section), left by the last iteration's
-        // phase 5. Taken, so an iteration that fails leaves none: the
-        // next one then offers and scores everything.
-        let prune_state = self.prune.take();
-        let prune_state = prune_state.as_ref();
+        // phase 5 and replaced only when this one commits.
+        let prune_state = self.prune.as_ref();
 
         // Phase 1: repartition G(t) and lay out edge/profile streams.
         let before = self.io_snapshot();
@@ -931,7 +984,8 @@ impl KnnEngine {
             let cost = objective::replication_cost(&digraph, &next);
             (next, cost)
         };
-        if next != self.partitioning {
+        let next = (next != self.partitioning).then_some(next);
+        if let Some(next) = &next {
             // Resharding rewrites every profile stream in place —
             // stage them all first.
             for p in 0..self.partitioning.num_partitions() as u32 {
@@ -940,18 +994,13 @@ impl KnnEngine {
             phase1::reshard_profiles(
                 backend,
                 Some(&self.partitioning),
-                &next,
+                next,
                 None,
                 self.config.threads(),
             )?;
-            self.partitioning = next;
         }
-        phase1::write_partition_edges(
-            &self.graph,
-            &self.partitioning,
-            backend,
-            self.config.threads(),
-        )?;
+        let partitioning = next.as_ref().unwrap_or(&self.partitioning);
+        phase1::write_partition_edges(&self.graph, partitioning, backend, self.config.threads())?;
         durations[0] = t0.elapsed();
         io[0] = self.io_snapshot() - before;
 
@@ -968,18 +1017,14 @@ impl KnnEngine {
             state,
             include_reverse: self.config.include_reverse(),
         });
-        let phase2_out = phase2::generate_tuples(
-            &self.partitioning,
-            backend,
-            &phase2_options,
-            suppression.as_ref(),
-        )?;
+        let phase2_out =
+            phase2::generate_tuples(partitioning, backend, &phase2_options, suppression.as_ref())?;
         durations[1] = t0.elapsed();
         io[1] = self.io_snapshot() - before;
         // Partition locality of this iteration's tuple volume: the
         // diagonal of the PI graph counts tuples whose endpoints share
         // a partition.
-        let intra_partition_tuples: u64 = (0..self.partitioning.num_partitions() as u32)
+        let intra_partition_tuples: u64 = (0..partitioning.num_partitions() as u32)
             .map(|p| phase2_out.pi.bucket_weight(p, p))
             .sum();
 
@@ -1007,7 +1052,7 @@ impl KnnEngine {
         let phase4_out = phase4::run_phase4(
             &schedule,
             &phase2_out.pi,
-            &self.partitioning,
+            partitioning,
             backend,
             &self.graph,
             prune_state,
@@ -1025,12 +1070,12 @@ impl KnnEngine {
         let t0 = Instant::now();
         let (phase5_stats, updated, consumed) =
             self.queue
-                .apply_all(&self.partitioning, backend, self.config.threads(), &mut txn)?;
+                .apply_all(partitioning, backend, self.config.threads(), &mut txn)?;
         let changed_fraction = self.graph.edge_change_fraction(&phase4_out.graph);
         // Bookkeeping for the next iteration's suppression, derived
-        // before G(t) is replaced: which edges are new, whose profile
-        // just changed, and whose seeds still replay.
-        if self.config.prune_pairs() {
+        // while G(t) is still at hand: which edges are new, whose
+        // profile just changed, and whose seeds still replay.
+        let next_prune = if self.config.prune_pairs() {
             let next = &phase4_out.graph;
             let mut profile_dirty = vec![false; self.config.num_users()];
             for &u in updated.users() {
@@ -1040,27 +1085,42 @@ impl KnnEngine {
                 next,
                 &profile_dirty,
                 &updated,
-                &self.partitioning,
+                partitioning,
                 backend,
                 self.config.measure(),
                 self.config.threads(),
             )?;
-            self.prune = Some(PruneState {
+            Some(PruneState {
                 profile_dirty,
                 additions: next.additions_since(&self.graph),
                 seed_ok,
                 fresh,
-            });
+            })
+        } else {
+            None
+        };
+        let iteration = self.iteration + 1;
+        self.persist_state(iteration, partitioning, &phase4_out.graph, Some(&mut txn))?;
+        if let Err(e) = txn.commit(backend, iteration, &consumed) {
+            // A failure after the commit record landed leaves the
+            // iteration durable: recovery finishes the commit instead
+            // of undoing it, and the iteration stands.
+            if knn_store::recover(backend)?.committed_generation != Some(iteration) {
+                return Err(e.into());
+            }
         }
-        self.graph = phase4_out.graph;
-        self.iteration += 1;
-        self.persist_state(Some(&mut txn))?;
-        txn.commit(backend, self.iteration, &consumed)?;
         durations[4] = t0.elapsed();
         io[4] = self.io_snapshot() - before;
 
+        // Committed: install G(t+1) and everything derived with it.
+        if let Some(next) = next {
+            self.partitioning = next;
+        }
+        self.graph = phase4_out.graph;
+        self.iteration = iteration;
+        self.prune = next_prune;
         let report = IterationReport {
-            iteration: self.iteration - 1,
+            iteration: iteration - 1,
             phase_durations: durations,
             phase_io: io,
             cache: phase4_out.cache,

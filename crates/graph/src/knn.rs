@@ -3,9 +3,19 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::cow::CowTable;
 use crate::neighbor::cmp_best_first;
 use crate::sample::draw_unscored;
 use crate::{DiGraph, GraphError, Neighbor, UserId};
+
+/// Rows per copy-on-write page (see [`KnnGraph::PAGE_ROWS`]).
+const PAGE_ROWS: usize = 32;
+
+/// The value every slot past a row's length holds.
+const VACANT: Neighbor = Neighbor {
+    id: UserId::new(u32::MAX),
+    sim: 0.0,
+};
 
 /// The KNN graph `G(t)`: a directed graph where every vertex keeps at
 /// most `K` scored out-neighbors, ordered best-first.
@@ -19,6 +29,20 @@ use crate::{DiGraph, GraphError, Neighbor, UserId};
 /// no self-loops, no duplicate targets, and length ≤ `K` (kept sorted by
 /// the deterministic best-first order of [`Neighbor`]).
 ///
+/// # Layout
+///
+/// One flat row table: row `v` is `K` fixed-stride [`Neighbor`] slots,
+/// of which the first `len(v)` count (the rest hold one fixed vacant
+/// value that nothing reads). Rows live in copy-on-write pages of 32
+/// ([`CowTable`]), their lengths in a table paged the same way. So a
+/// `clone` shares every page — `O(n/32)` reference counts, no row
+/// copied — and a write to a shared page copies that page alone: one
+/// allocation and one `memcpy` per table, never one per row. This is
+/// how the serving layer publishes `G(t)` without copying it and
+/// repairs rows beside readers that still hold the previous
+/// generation. Equality, `Debug` and every accessor read only a row's
+/// first `len` slots.
+///
 /// ```
 /// use knn_graph::{KnnGraph, Neighbor, UserId};
 ///
@@ -29,14 +53,27 @@ use crate::{DiGraph, GraphError, Neighbor, UserId};
 /// // A third candidate only displaces the worst if it is better.
 /// assert!(!g.insert(u, Neighbor::new(UserId::new(1), 0.4)));
 /// assert_eq!(g.neighbors(u)[0].id, UserId::new(2));
+///
+/// // A clone keeps its rows when the original is written.
+/// let published = g.clone();
+/// g.insert(u, Neighbor::new(UserId::new(1), 0.95));
+/// assert_eq!(published.neighbors(u)[0].id, UserId::new(2));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct KnnGraph {
     k: usize,
-    lists: Vec<Vec<Neighbor>>,
+    /// `K` slots per row, best-first, vacant past the row's length.
+    slots: CowTable<Neighbor, PAGE_ROWS>,
+    /// Each row's length.
+    lens: CowTable<u32, PAGE_ROWS>,
 }
 
 impl KnnGraph {
+    /// Rows per copy-on-write page: a clone costs one reference count
+    /// per page, a write to a shared page copies this many rows. Not
+    /// an option; [`crate::cow`] says how it was chosen.
+    pub const PAGE_ROWS: usize = PAGE_ROWS;
+
     /// Creates a graph with `n` vertices, no edges, and bound `k`.
     ///
     /// # Panics
@@ -46,7 +83,8 @@ impl KnnGraph {
         assert!(k > 0, "K must be positive");
         KnnGraph {
             k,
-            lists: vec![Vec::new(); n],
+            slots: CowTable::filled(n, k, VACANT),
+            lens: CowTable::filled(n, 1, 0),
         }
     }
 
@@ -71,10 +109,12 @@ impl KnnGraph {
         }
         let take = k.min(n - 1);
         let mut pool: Vec<u32> = (0..n as u32).collect();
-        for (v, list) in g.lists.iter_mut().enumerate() {
-            list.reserve_exact(take);
-            draw_unscored(&mut pool, v as u32, take, &mut rng, list);
+        let mut list = Vec::with_capacity(take);
+        for v in 0..n {
+            list.clear();
+            draw_unscored(&mut pool, v as u32, take, &mut rng, &mut list);
             list.sort_by(cmp_best_first);
+            g.write_row(UserId::new(v as u32), &list);
         }
         g
     }
@@ -86,12 +126,12 @@ impl KnnGraph {
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.lists.len()
+        self.lens.len()
     }
 
     /// Total number of directed edges.
     pub fn num_edges(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&len| len as usize).sum()
     }
 
     /// The best-first-ordered neighbor list of `v`.
@@ -100,7 +140,35 @@ impl KnnGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: UserId) -> &[Neighbor] {
-        &self.lists[v.index()]
+        let len = self.lens.row(v.index())[0] as usize;
+        &self.slots.row(v.index())[..len]
+    }
+
+    /// Overwrites `v`'s row with `list` (already validated and sorted
+    /// best-first), copying the pages it lands in if a clone shares
+    /// them.
+    fn write_row(&mut self, v: UserId, list: &[Neighbor]) {
+        let row = self.slots.row_mut(v.index());
+        row[..list.len()].copy_from_slice(list);
+        row[list.len()..].fill(VACANT);
+        self.lens.row_mut(v.index())[0] = list.len() as u32;
+    }
+
+    /// The one edit every mutation reduces to: drops the entry at
+    /// `drop` (if any), then places `cand` at its best-first position.
+    /// The caller guarantees room when `drop` is `None`.
+    fn replace(&mut self, v: UserId, drop: Option<usize>, cand: Neighbor) {
+        let len = &mut self.lens.row_mut(v.index())[0];
+        let mut n = *len as usize;
+        let row = self.slots.row_mut(v.index());
+        if let Some(pos) = drop {
+            row.copy_within(pos + 1..n, pos);
+            n -= 1;
+        }
+        let at = row[..n].partition_point(|nb| nb.beats(&cand));
+        row.copy_within(at..n, at + 1);
+        row[at] = cand;
+        *len = n as u32 + 1;
     }
 
     /// Offers candidate `cand` to vertex `v`'s list; keeps the top-`K`.
@@ -115,30 +183,19 @@ impl KnnGraph {
     /// Panics if `v` is out of range or `cand.id == v` (self-loop).
     pub fn insert(&mut self, v: UserId, cand: Neighbor) -> bool {
         assert_ne!(v, cand.id, "self-loop offered to KNN list of {v}");
-        let k = self.k;
-        let list = &mut self.lists[v.index()];
-        if let Some(pos) = list.iter().position(|n| n.id == cand.id) {
-            if cand.beats(&list[pos]) {
-                list.remove(pos);
-                let at = list.partition_point(|n| n.beats(&cand));
-                list.insert(at, cand);
-                return true;
+        let list = self.neighbors(v);
+        let drop = match list.iter().position(|n| n.id == cand.id) {
+            Some(pos) if cand.beats(&list[pos]) => Some(pos),
+            Some(_) => return false,
+            None if list.len() < self.k => None,
+            // List full: candidate must beat the current worst.
+            None if cand.beats(list.last().expect("k > 0 so a full list is non-empty")) => {
+                Some(list.len() - 1)
             }
-            return false;
-        }
-        if list.len() < k {
-            let at = list.partition_point(|n| n.beats(&cand));
-            list.insert(at, cand);
-            return true;
-        }
-        // List full: candidate must beat the current worst.
-        if cand.beats(list.last().expect("k > 0 so a full list is non-empty")) {
-            list.pop();
-            let at = list.partition_point(|n| n.beats(&cand));
-            list.insert(at, cand);
-            return true;
-        }
-        false
+            None => return false,
+        };
+        self.replace(v, drop, cand);
+        true
     }
 
     /// Re-scores an existing edge `v → target` to `sim`, repositioning
@@ -158,17 +215,14 @@ impl KnnGraph {
             sim.is_finite(),
             "non-finite rescore of edge {v} -> {target}"
         );
-        let list = &mut self.lists[v.index()];
+        let list = self.neighbors(v);
         let Some(pos) = list.iter().position(|n| n.id == target) else {
             return false;
         };
         if list[pos].sim.to_bits() == sim.to_bits() {
             return false;
         }
-        list.remove(pos);
-        let cand = Neighbor::new(target, sim);
-        let at = list.partition_point(|n| n.beats(&cand));
-        list.insert(at, cand);
+        self.replace(v, Some(pos), Neighbor::new(target, sim));
         true
     }
 
@@ -188,47 +242,11 @@ impl KnnGraph {
             cand.sim.is_finite(),
             "non-finite score offered to KNN list of {v}"
         );
-        if self.lists[v.index()].iter().any(|n| n.id == cand.id) {
+        if self.neighbors(v).iter().any(|n| n.id == cand.id) {
             self.rescore_neighbor(v, cand.id, cand.sim)
         } else {
             self.insert(v, cand)
         }
-    }
-
-    /// Copy-on-write [`set_neighbors`](KnnGraph::set_neighbors): the
-    /// first patch on a shared graph clones it once (`Arc::make_mut`),
-    /// subsequent patches in the same batch mutate that private copy
-    /// in place. Published snapshots holding the old `Arc` are never
-    /// touched — this is how the serving layer's repair path edits
-    /// rows next to live readers.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`set_neighbors`](KnnGraph::set_neighbors).
-    pub fn patch_row(
-        graph: &mut std::sync::Arc<KnnGraph>,
-        v: UserId,
-        list: Vec<Neighbor>,
-    ) -> Result<(), GraphError> {
-        std::sync::Arc::make_mut(graph).set_neighbors(v, list)
-    }
-
-    /// Copy-on-write [`insert`](KnnGraph::insert) (see
-    /// [`patch_row`](KnnGraph::patch_row) for the sharing contract).
-    pub fn patch_offer(graph: &mut std::sync::Arc<KnnGraph>, v: UserId, cand: Neighbor) -> bool {
-        std::sync::Arc::make_mut(graph).offer_rescored(v, cand)
-    }
-
-    /// Copy-on-write [`rescore_neighbor`](KnnGraph::rescore_neighbor)
-    /// (see [`patch_row`](KnnGraph::patch_row) for the sharing
-    /// contract).
-    pub fn patch_rescore(
-        graph: &mut std::sync::Arc<KnnGraph>,
-        v: UserId,
-        target: UserId,
-        sim: f32,
-    ) -> bool {
-        std::sync::Arc::make_mut(graph).rescore_neighbor(v, target, sim)
     }
 
     /// Replaces `v`'s entire neighbor list after validating the KNN
@@ -276,16 +294,16 @@ impl KnnGraph {
             }
         }
         list.sort_by(cmp_best_first);
-        self.lists[v.index()] = list;
+        self.write_row(v, &list);
         Ok(())
     }
 
     /// Iterates all scored directed edges `(source, neighbor)`.
     pub fn iter_edges(&self) -> impl Iterator<Item = (UserId, Neighbor)> + '_ {
-        self.lists
-            .iter()
-            .enumerate()
-            .flat_map(|(s, list)| list.iter().map(move |&nb| (UserId::new(s as u32), nb)))
+        (0..self.num_vertices() as u32).flat_map(move |s| {
+            let s = UserId::new(s);
+            self.neighbors(s).iter().map(move |&nb| (s, nb))
+        })
     }
 
     /// Drops the scores, yielding the plain directed graph.
@@ -408,6 +426,29 @@ impl KnnGraph {
             .filter(|(_, nb)| !nb.is_unscored())
             .map(|(_, nb)| nb.sim as f64)
             .sum()
+    }
+}
+
+/// Rows compare by their first `len` slots.
+impl PartialEq for KnnGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.k == other.k
+            && self.num_vertices() == other.num_vertices()
+            && (0..self.num_vertices() as u32)
+                .map(UserId::new)
+                .all(|v| self.neighbors(v) == other.neighbors(v))
+    }
+}
+
+impl std::fmt::Debug for KnnGraph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rows: Vec<&[Neighbor]> = (0..self.num_vertices() as u32)
+            .map(|v| self.neighbors(UserId::new(v)))
+            .collect();
+        f.debug_struct("KnnGraph")
+            .field("k", &self.k)
+            .field("lists", &rows)
+            .finish()
     }
 }
 
@@ -603,47 +644,6 @@ mod tests {
         let ids: Vec<u32> = g.neighbors(v).iter().map(|n| n.id.raw()).collect();
         assert_eq!(ids, vec![3, 2]);
         assert!(!g.offer_rescored(v, nb(4, 0.1)), "worse than a full tail");
-    }
-
-    #[test]
-    fn patch_helpers_leave_shared_readers_untouched() {
-        let mut base = KnnGraph::new(4, 2);
-        base.insert(UserId::new(0), nb(1, 0.5));
-        base.insert(UserId::new(1), nb(0, 0.5));
-        let published = std::sync::Arc::new(base);
-        let reader = std::sync::Arc::clone(&published);
-
-        let mut patched = std::sync::Arc::clone(&published);
-        KnnGraph::patch_row(&mut patched, UserId::new(0), vec![nb(2, 0.8), nb(3, 0.6)])
-            .expect("valid row");
-        assert!(KnnGraph::patch_offer(
-            &mut patched,
-            UserId::new(2),
-            nb(0, 0.8)
-        ));
-        assert!(KnnGraph::patch_rescore(
-            &mut patched,
-            UserId::new(1),
-            UserId::new(0),
-            0.1
-        ));
-
-        // The reader still sees the pre-patch generation, bit for bit.
-        assert_eq!(reader.neighbors(UserId::new(0)), &[nb(1, 0.5)]);
-        assert_eq!(reader.neighbors(UserId::new(1)), &[nb(0, 0.5)]);
-        assert!(reader.neighbors(UserId::new(2)).is_empty());
-        // The patched copy has all three edits.
-        assert_eq!(patched.neighbors(UserId::new(0))[0], nb(2, 0.8));
-        assert_eq!(patched.neighbors(UserId::new(2)), &[nb(0, 0.8)]);
-        assert_eq!(patched.neighbors(UserId::new(1)), &[nb(0, 0.1)]);
-        // An exclusively held Arc is patched in place (no clone).
-        let before = std::sync::Arc::as_ptr(&patched);
-        assert!(KnnGraph::patch_offer(
-            &mut patched,
-            UserId::new(3),
-            nb(1, 0.3)
-        ));
-        assert_eq!(std::sync::Arc::as_ptr(&patched), before);
     }
 
     #[test]

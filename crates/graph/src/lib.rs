@@ -22,6 +22,7 @@
 
 #![warn(unreachable_pub, missing_docs)]
 
+pub mod cow;
 pub mod digraph;
 pub mod generators;
 pub mod knn;

@@ -171,3 +171,148 @@ fn random_init_in_degrees_stay_uniform_at_scale() {
     assert_eq!(mean, k as f64);
     assert!(max < 3 * k, "max in-degree {max} >= 3K");
 }
+
+/// The nested-`Vec` semantics of [`KnnGraph::insert`], the model the
+/// paged rows are checked against.
+fn model_insert(list: &mut Vec<Neighbor>, k: usize, cand: Neighbor) -> bool {
+    let place = |list: &mut Vec<Neighbor>| {
+        let at = list.partition_point(|n| n.beats(&cand));
+        list.insert(at, cand);
+    };
+    if let Some(pos) = list.iter().position(|n| n.id == cand.id) {
+        if !cand.beats(&list[pos]) {
+            return false;
+        }
+        list.remove(pos);
+    } else if list.len() == k {
+        if !cand.beats(list.last().unwrap()) {
+            return false;
+        }
+        list.pop();
+    }
+    place(list);
+    true
+}
+
+/// The nested-`Vec` semantics of [`KnnGraph::rescore_neighbor`].
+fn model_rescore(list: &mut Vec<Neighbor>, target: UserId, sim: f32) -> bool {
+    let Some(pos) = list.iter().position(|n| n.id == target) else {
+        return false;
+    };
+    if list[pos].sim.to_bits() == sim.to_bits() {
+        return false;
+    }
+    list.remove(pos);
+    let cand = Neighbor::new(target, sim);
+    let at = list.partition_point(|n| n.beats(&cand));
+    list.insert(at, cand);
+    true
+}
+
+fn assert_matches(g: &KnnGraph, model: &[Vec<Neighbor>]) -> proptest::CaseResult {
+    prop_assert_eq!(g.num_vertices(), model.len());
+    for (v, list) in model.iter().enumerate() {
+        prop_assert_eq!(
+            g.neighbors(UserId::new(v as u32)),
+            list.as_slice(),
+            "row {}",
+            v
+        );
+    }
+    prop_assert_eq!(g.num_edges(), model.iter().map(Vec::len).sum::<usize>());
+    let edges: Vec<(UserId, Neighbor)> = g.iter_edges().collect();
+    let expected: Vec<(UserId, Neighbor)> = model
+        .iter()
+        .enumerate()
+        .flat_map(|(v, list)| list.iter().map(move |&nb| (UserId::new(v as u32), nb)))
+        .collect();
+    prop_assert_eq!(edges, expected);
+    Ok(())
+}
+
+/// Vertex counts around the page size: empty, one vertex, a page short
+/// of, exactly at and just past a boundary, and a ragged last page.
+const SIZES: [usize; 7] = [
+    0,
+    1,
+    KnnGraph::PAGE_ROWS - 1,
+    KnnGraph::PAGE_ROWS,
+    KnnGraph::PAGE_ROWS + 1,
+    2 * KnnGraph::PAGE_ROWS,
+    3 * KnnGraph::PAGE_ROWS + 5,
+];
+
+proptest! {
+    /// Random edits against a `Vec<Vec<Neighbor>>` model, with clones
+    /// taken at random points: every edit answers as the model does,
+    /// and every clone keeps its contents through the writes after it.
+    #[test]
+    fn paged_rows_match_a_nested_model_and_clones_keep_their_rows(
+        size in 0usize..SIZES.len(),
+        k in 1usize..5,
+        ops in proptest::collection::vec(
+            (0u8..4, 0u32..1_000, 0u32..1_000, -1.0f32..1.0, 0u8..10),
+            0..300,
+        ),
+    ) {
+        let n = SIZES[size];
+        let mut g = KnnGraph::new(n, k);
+        let mut model: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
+        let mut clones: Vec<(KnnGraph, Vec<Vec<Neighbor>>)> = Vec::new();
+        for (op, v, t, sim, roll) in ops {
+            if roll == 0 {
+                clones.push((g.clone(), model.clone()));
+            }
+            if n < 2 {
+                continue;
+            }
+            let v = UserId::new(v % n as u32);
+            let t = UserId::new(t % n as u32);
+            let row = &mut model[v.index()];
+            match op {
+                0 if v != t => {
+                    let cand = Neighbor::new(t, sim);
+                    prop_assert_eq!(g.insert(v, cand), model_insert(row, k, cand));
+                }
+                1 => prop_assert_eq!(g.rescore_neighbor(v, t, sim), model_rescore(row, t, sim)),
+                2 if v != t => {
+                    let cand = Neighbor::new(t, sim);
+                    let listed = row.iter().any(|nb| nb.id == t);
+                    let expected = if listed {
+                        model_rescore(row, t, sim)
+                    } else {
+                        model_insert(row, k, cand)
+                    };
+                    prop_assert_eq!(g.offer_rescored(v, cand), expected);
+                }
+                3 => {
+                    // Up to k consecutive ids after v, unsorted.
+                    let len = (t.index() % (k + 1)).min(n - 1);
+                    let list: Vec<Neighbor> = (1..=len)
+                        .map(|d| {
+                            let id = UserId::new(((v.index() + d) % n) as u32);
+                            Neighbor::new(id, sim * d as f32 / 7.0)
+                        })
+                        .collect();
+                    g.set_neighbors(v, list.clone()).unwrap();
+                    let mut sorted = list;
+                    sorted.sort_by(cmp_best_first);
+                    *row = sorted;
+                }
+                _ => {}
+            }
+            prop_assert_eq!(g.neighbors(v), model[v.index()].as_slice());
+        }
+        assert_matches(&g, &model)?;
+        for (clone, snapshot) in &clones {
+            assert_matches(clone, snapshot)?;
+        }
+        // Equality reads rows only: a graph rebuilt from the model
+        // equals the edited one, however its pages were written.
+        let mut rebuilt = KnnGraph::new(n, k);
+        for (v, list) in model.iter().enumerate() {
+            rebuilt.set_neighbors(UserId::new(v as u32), list.clone()).unwrap();
+        }
+        prop_assert_eq!(&rebuilt, &g);
+    }
+}

@@ -32,10 +32,11 @@
 //! full iteration publishes — seconds on large worlds. Setting
 //! [`RefineOptions::repair`] spawns a repair worker that makes
 //! ingest-to-visibility iteration-independent: as soon as updates
-//! drain it applies them to a cloned profile view, re-places each
+//! drain it applies them to the served profile view, re-places each
 //! touched user by greedy search over the current snapshot graph
 //! (seeded from the user's old row, scored through the exact phase-4
-//! `upper_bound` funnel), patches the affected rows copy-on-write, and
+//! `upper_bound` funnel), rewrites the affected rows in place — each
+//! write copies only its page away from published snapshots — and
 //! publishes the result as a new epoch tagged
 //! [`Snapshot::repaired`]`() == true`.
 //!

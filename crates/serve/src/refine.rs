@@ -20,9 +20,15 @@
 //!
 //! [`crate::spawn`] and [`crate::spawn_sharded`] start the same
 //! machinery: the loop drives either engine through [`RefineEngine`],
-//! and every publish swaps one cell to the global graph and profiles
-//! themselves. Sharding lives inside [`ShardedEngine`]; the read side
-//! never sees it.
+//! and every publish swaps one cell to the global graph and profiles.
+//! Sharding lives inside [`ShardedEngine`]; the read side never sees
+//! it.
+//!
+//! A publish copies nothing. Both tables share copy-on-write pages
+//! ([`knn_graph::cow`]): an exact publish clones the engine's graph —
+//! one reference count per page, no row copied — and a repair writes
+//! the view's tables in place, copying only the pages it lands in
+//! while earlier snapshots keep theirs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -161,18 +167,21 @@ impl RefineEngine for ShardedEngine {
 }
 
 /// The mutable served view both publishers edit under one lock: the
-/// repair worker patches it per drained batch, the refine thread
-/// replaces it wholesale per iteration. `epoch` is the single source
-/// of publication order.
+/// repair worker writes its rows in place per drained batch, the
+/// refine thread replaces it wholesale per iteration with clones of
+/// the engine's tables. Either way it shares pages with the snapshots
+/// already published, so neither a publish nor a repair copies more
+/// than the pages a repair writes. `epoch` is the single source of
+/// publication order.
 #[derive(Debug)]
 pub(crate) struct ViewState {
     pub(crate) epoch: u64,
     pub(crate) iteration: u64,
     pub(crate) changed_fraction: f64,
     /// The global graph (the repair search runs over it).
-    pub(crate) graph: Arc<KnnGraph>,
+    pub(crate) graph: KnnGraph,
     /// The global profile view.
-    pub(crate) profiles: Arc<ProfileStore>,
+    pub(crate) profiles: ProfileStore,
     /// Deltas already applied to the view (and published as repaired)
     /// but not yet handed to the engine — the repair worker appends,
     /// the refine thread takes.
@@ -180,16 +189,16 @@ pub(crate) struct ViewState {
 }
 
 impl ViewState {
-    /// The snapshot this view publishes: the global containers
-    /// themselves, shared by `Arc`, never copied.
+    /// The snapshot this view publishes: page-sharing clones of the
+    /// global tables, no row copied.
     fn snapshot(&self, measure: Measure, repaired: bool) -> Snapshot {
         Snapshot::new(
             self.epoch,
             self.iteration,
             self.changed_fraction,
             measure,
-            Arc::clone(&self.graph),
-            Arc::clone(&self.profiles),
+            self.graph.clone(),
+            self.profiles.clone(),
         )
         .with_repaired(repaired)
     }
@@ -203,7 +212,8 @@ pub(crate) struct Shared {
     pub(crate) cell: SnapshotCell,
     pub(crate) ingest: UpdateIngest,
     pub(crate) stop: AtomicBool,
-    /// Last fully published epoch + its condvar, for `wait_for_epoch`.
+    /// Last published epoch + its condvar, for `wait_for_epoch`;
+    /// advanced just after the cell swaps.
     pub(crate) published: Mutex<u64>,
     pub(crate) published_cv: Condvar,
     pub(crate) view: Mutex<ViewState>,
@@ -234,6 +244,15 @@ impl Shared {
         self.notify_epoch(view.epoch);
     }
 
+    /// Applies `deltas` to the view, re-places every user they touch,
+    /// and publishes the result as a repaired epoch; call with the
+    /// view lock held. The writes copy only the pages they land in.
+    fn publish_repaired(&self, view: &mut ViewState, measure: Measure, deltas: &[ProfileDelta]) {
+        view.profiles.apply_deltas(deltas);
+        repair_touched(&mut view.graph, &view.profiles, measure, deltas);
+        self.publish(view, measure, true);
+    }
+
     fn notify_epoch(&self, epoch: u64) {
         let mut last = self.published.lock().expect("publish lock poisoned");
         *last = epoch;
@@ -249,13 +268,13 @@ pub(crate) fn start<E: RefineEngine>(
     options: RefineOptions,
 ) -> Result<(Arc<Shared>, Thread, RefineHandle<E>), ServeError> {
     let measure = engine.config().measure();
-    let profiles = Arc::new(engine.export_profiles()?);
+    let profiles = engine.export_profiles()?;
     let view = ViewState {
         epoch: 0,
         iteration: engine.iteration(),
         changed_fraction: 1.0,
-        graph: Arc::new(engine.graph().clone()),
-        profiles: Arc::clone(&profiles),
+        graph: engine.graph().clone(),
+        profiles: profiles.clone(),
         pending_engine: Vec::new(),
     };
     let shared = Arc::new(Shared {
@@ -322,11 +341,8 @@ fn repair_worker(shared: &Shared, measure: Measure, idle_park: Duration) {
         }
         {
             let mut view = shared.view.lock().expect("view lock poisoned");
-            let state = &mut *view;
-            Arc::make_mut(&mut state.profiles).apply_deltas(&drained);
-            repair_touched(&mut state.graph, &state.profiles, measure, &drained);
-            shared.publish(state, measure, true);
-            state.pending_engine.extend(drained);
+            shared.publish_repaired(&mut view, measure, &drained);
+            view.pending_engine.extend(drained);
         }
         shared.repaired_epochs.fetch_add(1, Ordering::Relaxed);
         // The refine thread must queue the forwarded deltas into the
@@ -339,7 +355,7 @@ fn repair_worker(shared: &Shared, measure: Measure, idle_park: Duration) {
 
 fn refine_loop<E: RefineEngine>(
     mut engine: E,
-    initial_profiles: Arc<ProfileStore>,
+    initial_profiles: ProfileStore,
     shared: Arc<Shared>,
     options: RefineOptions,
     worker: Option<JoinHandle<()>>,
@@ -395,7 +411,7 @@ fn refine_loop<E: RefineEngine>(
 
 fn refine_loop_inner<E: RefineEngine>(
     engine: &mut E,
-    initial_profiles: Arc<ProfileStore>,
+    initial_profiles: ProfileStore,
     shared: &Shared,
     options: &RefineOptions,
     parked: &mut Vec<ProfileDelta>,
@@ -404,11 +420,12 @@ fn refine_loop_inner<E: RefineEngine>(
     let mut iterations_run = 0u64;
     let mut converged = false;
     // The engine-exact profile view `P(t)`, maintained incrementally:
-    // cloning the previous store and replaying the drained deltas
-    // mirrors exactly what the iteration's phase 5 does on disk,
-    // without re-reading every partition file per publish. (This must
-    // start from the engine's own export, *not* the served view — the
-    // repair worker may already have patched the latter.)
+    // replaying the drained deltas mirrors exactly what the
+    // iteration's phase 5 does on disk, without re-reading every
+    // partition file per publish; the pages it writes are copied away
+    // from the snapshots that share them. (This must start from the
+    // engine's own export, *not* the served view — the repair worker
+    // may already have written the latter.)
     let mut engine_profiles = initial_profiles;
     // Deltas queued into the engine's log but not yet applied by an
     // iteration.
@@ -495,23 +512,19 @@ fn refine_loop_inner<E: RefineEngine>(
         // older updates from a pre-existing on-disk log), fall back to
         // the authoritative full export.
         if report.updates_applied == unapplied.len() as u64 {
-            if !unapplied.is_empty() {
-                let mut next = (*engine_profiles).clone();
-                next.apply_deltas(&unapplied);
-                unapplied.clear();
-                engine_profiles = Arc::new(next);
-            }
+            engine_profiles.apply_deltas(&unapplied);
         } else {
-            unapplied.clear();
-            engine_profiles = Arc::new(engine.export_profiles()?);
+            engine_profiles = engine.export_profiles()?;
         }
+        unapplied.clear();
 
         // Exact publish, through the same view lock the repair worker
-        // uses so epochs stay strictly ordered.
+        // uses so epochs stay strictly ordered. Both clones share
+        // every page with their sources.
         let mut view = shared.view.lock().expect("view lock poisoned");
         let state = &mut *view;
-        state.graph = Arc::new(engine.graph().clone());
-        state.profiles = Arc::clone(&engine_profiles);
+        state.graph = engine.graph().clone();
+        state.profiles = engine_profiles.clone();
         let mut repaired = false;
         if options.repair {
             // Deltas already visible in the served view (published as
@@ -525,7 +538,7 @@ fn refine_loop_inner<E: RefineEngine>(
                 .cloned()
                 .collect();
             if !still_pending.is_empty() {
-                Arc::make_mut(&mut state.profiles).apply_deltas(&still_pending);
+                state.profiles.apply_deltas(&still_pending);
                 repair_touched(&mut state.graph, &state.profiles, measure, &still_pending);
                 repaired = true;
             }
@@ -581,49 +594,30 @@ impl<E> RefineHandle<E> {
     }
 
     /// The latest published epoch — the value
-    /// [`wait_for_epoch`](RefineHandle::wait_for_epoch) waits on.
+    /// [`wait_for_epoch`](RefineHandle::wait_for_epoch) waits on. It is
+    /// never behind the generation a reader has loaded.
     pub fn current_epoch(&self) -> u64 {
-        *self.shared.published.lock().expect("publish lock poisoned")
+        self.shared.cell.epoch()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knn_graph::UserId;
+    use knn_graph::{Neighbor, UserId};
     use knn_sim::generators::{clustered_profiles, ClusteredConfig};
     use knn_sim::{ItemId, Profile};
 
-    const N: usize = 60;
+    /// Twenty pages of rows, so a repair leaves most of them shared.
+    const N: usize = 20 * KnnGraph::PAGE_ROWS;
 
-    /// Drives the cell through an exact publish and a repaired one,
-    /// checking after each that it serves the view's own containers.
-    fn assert_the_cell_serves_the_view<E: RefineEngine>(engine: E) {
-        let options = RefineOptions {
+    fn options() -> RefineOptions {
+        RefineOptions {
             max_iterations: Some(1),
             idle_park: Duration::from_millis(1),
             repair: true,
             ..RefineOptions::default()
-        };
-        let (shared, wake, handle) = start(engine, options).unwrap();
-        let check = |epoch: u64| {
-            assert!(handle.wait_for_epoch(epoch, Duration::from_secs(60)));
-            // Publishes hold the view lock, so the cell cannot move on
-            // while the two are compared.
-            let view = shared.view.lock().unwrap();
-            let served = shared.cell.load();
-            assert!(Arc::ptr_eq(served.graph(), &view.graph));
-            assert!(Arc::ptr_eq(served.profiles(), &view.profiles));
-        };
-        check(0);
-        check(1); // the one iteration allowed
-        let mut fresh = Profile::new();
-        fresh.set(ItemId::new(9_001), 2.0);
-        let delta = ProfileDelta::replace(UserId::new(5), fresh);
-        shared.ingest.submit(delta).unwrap();
-        wake.unpark();
-        check(2); // its repaired publish
-        handle.stop().unwrap();
+        }
     }
 
     fn world() -> (EngineConfig, ProfileStore) {
@@ -632,16 +626,132 @@ mod tests {
         (config.build().unwrap(), profiles)
     }
 
+    /// Replaces `user`'s profile with one nobody else shares.
+    fn loner(user: u32) -> ProfileDelta {
+        let mut fresh = Profile::new();
+        fresh.set(ItemId::new(9_001), 2.0);
+        ProfileDelta::replace(UserId::new(user), fresh)
+    }
+
+    /// A deep copy of every row.
+    fn rows(g: &KnnGraph) -> Vec<Vec<Neighbor>> {
+        (0..g.num_vertices() as u32)
+            .map(|u| g.neighbors(UserId::new(u)).to_vec())
+            .collect()
+    }
+
+    /// Per row: whether `a` and `b` serve it from the same memory.
+    fn shared_rows(a: &KnnGraph, b: &KnnGraph) -> Vec<bool> {
+        (0..a.num_vertices() as u32)
+            .map(UserId::new)
+            .map(|u| std::ptr::eq(a.neighbors(u).as_ptr(), b.neighbors(u).as_ptr()))
+            .collect()
+    }
+
+    /// Waits for `epoch`, then checks that the cell serves the view's
+    /// own rows and profiles.
+    fn assert_the_cell_serves_the_view<E>(shared: &Shared, handle: &RefineHandle<E>, epoch: u64) {
+        assert!(handle.wait_for_epoch(epoch, Duration::from_secs(60)));
+        // Publishes hold the view lock, so the cell cannot move on
+        // while the two are compared.
+        let view = shared.view.lock().unwrap();
+        let served = shared.cell.load();
+        assert!(shared_rows(served.graph(), &view.graph).iter().all(|&s| s));
+        assert!(served
+            .profiles()
+            .iter()
+            .all(|(u, p)| std::ptr::eq(p, view.profiles.get(u))));
+    }
+
+    /// Drives the cell through an exact publish and a repaired one:
+    /// the exact one serves the engine's own rows, the repaired one
+    /// moves only the pages it wrote and leaves the previous snapshot
+    /// its rows. Returns the engine, still at the exact generation.
+    fn assert_publishes_copy_no_rows<E: RefineEngine>(engine: E) -> E {
+        let measure = engine.config().measure();
+        let (shared, _, handle) = start(engine, options()).unwrap();
+        assert_the_cell_serves_the_view(&shared, &handle, 0);
+        assert_the_cell_serves_the_view(&shared, &handle, 1); // the one iteration allowed
+        let exact = shared.cell.load();
+        assert!(!exact.repaired());
+        let rows_before = rows(exact.graph());
+
+        // A repair made the way the worker makes it, but not forwarded
+        // to the engine, so the engine stays at the exact generation.
+        shared.publish_repaired(&mut shared.view.lock().unwrap(), measure, &[loner(5)]);
+        assert_the_cell_serves_the_view(&shared, &handle, 2);
+        let repaired = shared.cell.load();
+        assert!(repaired.repaired());
+        assert_eq!(rows(exact.graph()), rows_before);
+        let kept = shared_rows(exact.graph(), repaired.graph());
+        for (page, rows) in kept.chunks(KnnGraph::PAGE_ROWS).enumerate() {
+            assert!(
+                rows.iter().all(|&k| k == rows[0]),
+                "page {page} moved in part"
+            );
+        }
+        for (u, &kept) in kept.iter().enumerate() {
+            let u = UserId::new(u as u32);
+            if exact.graph().neighbors(u) != repaired.graph().neighbors(u) {
+                assert!(!kept, "row {u} changed in place");
+            }
+        }
+        assert!(kept.contains(&false), "the repair wrote nothing");
+        assert!(kept.contains(&true), "the repair copied every page");
+
+        let engine = handle.stop().unwrap();
+        let exact_rows = shared_rows(exact.graph(), engine.graph());
+        assert!(
+            exact_rows.iter().all(|&s| s),
+            "the exact publish copied rows"
+        );
+        engine
+    }
+
+    /// A real update through the ingest queue and the repair worker.
+    fn assert_the_worker_publishes_the_view<E: RefineEngine>(engine: E) {
+        let (shared, wake, handle) = start(engine, options()).unwrap();
+        assert_the_cell_serves_the_view(&shared, &handle, 0);
+        shared.ingest.submit(loner(7)).unwrap();
+        wake.unpark();
+        assert_the_cell_serves_the_view(&shared, &handle, 1); // its repaired publish
+        handle.stop().unwrap();
+    }
+
     #[test]
     fn one_cell_publishes_the_global_containers_themselves() {
         let (config, profiles) = world();
-        assert_the_cell_serves_the_view(KnnEngine::in_memory(config, profiles).unwrap());
+        let engine = KnnEngine::in_memory(config, profiles).unwrap();
+        assert_the_worker_publishes_the_view(assert_publishes_copy_no_rows(engine));
 
         // At every shard count: sharding stays inside the engine.
         for shards in 1..=3 {
             let (config, profiles) = world();
             let engine = ShardedEngine::in_memory(config, profiles, shards).unwrap();
-            assert_the_cell_serves_the_view(engine);
+            assert_the_worker_publishes_the_view(assert_publishes_copy_no_rows(engine));
         }
+    }
+
+    #[test]
+    fn current_epoch_is_never_behind_the_served_generation() {
+        let (config, profiles) = world();
+        let measure = config.measure();
+        let engine = KnnEngine::in_memory(config, profiles).unwrap();
+        let options = RefineOptions {
+            max_iterations: Some(0),
+            ..RefineOptions::default()
+        };
+        let (shared, _, handle) = start(engine, options).unwrap();
+        {
+            let mut view = shared.view.lock().unwrap();
+            view.epoch += 1;
+            shared.cell.publish(view.snapshot(measure, false));
+            // A reader can be served the new generation now...
+            assert_eq!(shared.cell.load().epoch(), view.epoch);
+            // ...so the handle must already report it.
+            assert_eq!(handle.current_epoch(), view.epoch);
+            shared.notify_epoch(view.epoch);
+        }
+        handle.stop().unwrap();
     }
 }

@@ -5,8 +5,8 @@
 //! applies the deltas to a cloned profile view, re-places each touched
 //! user by greedy search over the *current* snapshot graph (the Fast
 //! Online k-nn Graph Building insight: searching the existing graph
-//! beats recomputation by orders of magnitude), patches the user's row
-//! and the reverse rows of its new/old neighbors copy-on-write, and
+//! beats recomputation by orders of magnitude), rewrites the user's
+//! row and the reverse rows of its new/old neighbors in place, and
 //! publishes the result as a new epoch tagged
 //! [`repaired`](crate::Snapshot::repaired). The background iteration
 //! then reconciles exactly — repaired generations are best-effort,
@@ -19,7 +19,6 @@
 //! score — the same exact (never lossy) filter phase 4 applies.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use knn_graph::{KnnGraph, Neighbor, UserId};
 use knn_sim::{Measure, PreparedRef, ProfileDelta, ProfileStats, ProfileStore, Similarity};
@@ -137,10 +136,11 @@ pub(crate) fn place_user(
 /// [`place_user`], then maintains the reverse edges — new neighbors
 /// are offered the (symmetric) back-edge, and dropped old neighbors
 /// that still list `user` get that edge re-scored under the new
-/// profile (up *or* down). All writes are copy-on-write through the
-/// `Arc`, so snapshots already published keep their generation intact.
+/// profile (up *or* down). The graph's pages are copy-on-write, so a
+/// write copies only the page it lands in and snapshots already
+/// published keep their generation intact.
 pub(crate) fn repair_user(
-    graph: &mut Arc<KnnGraph>,
+    graph: &mut KnnGraph,
     profiles: &ProfileStore,
     measure: Measure,
     user: UserId,
@@ -151,7 +151,7 @@ pub(crate) fn repair_user(
     for nb in &row {
         // All seven measures are symmetric, so the forward score is
         // the back-edge score.
-        KnnGraph::patch_offer(graph, nb.id, Neighbor::new(user, nb.sim));
+        graph.offer_rescored(nb.id, Neighbor::new(user, nb.sim));
     }
     let query = profiles.get(user);
     for v in old {
@@ -160,16 +160,18 @@ pub(crate) fn repair_user(
         }
         if graph.neighbors(v).iter().any(|nb| nb.id == user) {
             let sim = measure.score(query, profiles.get(v));
-            KnnGraph::patch_rescore(graph, v, user, sim);
+            graph.rescore_neighbor(v, user, sim);
         }
     }
-    KnnGraph::patch_row(graph, user, row).expect("greedy placement yields a valid row");
+    graph
+        .set_neighbors(user, row)
+        .expect("greedy placement yields a valid row");
 }
 
 /// Re-places every user touched by `deltas` (deduplicated, in first-
 /// touch order). `profiles` must already have the deltas applied.
 pub(crate) fn repair_touched(
-    graph: &mut Arc<KnnGraph>,
+    graph: &mut KnnGraph,
     profiles: &ProfileStore,
     measure: Measure,
     deltas: &[ProfileDelta],
@@ -238,7 +240,7 @@ mod tests {
 
     /// Clustered world: users 0..3 share items {1,2}, users 4..7 share
     /// {10,11}, wired into two cliques.
-    fn two_cluster_world() -> (Arc<KnnGraph>, ProfileStore) {
+    fn two_cluster_world() -> (KnnGraph, ProfileStore) {
         let n = 8;
         let mut profiles = ProfileStore::new(n);
         for u in 0..4u32 {
@@ -259,7 +261,7 @@ mod tests {
                 }
             }
         }
-        (Arc::new(graph), profiles)
+        (graph, profiles)
     }
 
     #[test]
@@ -292,7 +294,7 @@ mod tests {
         let (graph, profiles) = two_cluster_world();
         // Wipe user 0's row: the fallback stride must still find its
         // cluster mates (reachable once any same-cluster seed lands).
-        let mut cold = (*graph).clone();
+        let mut cold = graph.clone();
         cold.set_neighbors(UserId::new(0), Vec::new()).unwrap();
         let a = place_user(&cold, &profiles, Measure::Cosine, UserId::new(0));
         let b = place_user(&cold, &profiles, Measure::Cosine, UserId::new(0));
@@ -307,7 +309,7 @@ mod tests {
     #[test]
     fn repair_user_moves_a_user_across_a_bridged_graph() {
         let (graph, mut profiles) = two_cluster_world();
-        let mut bridged = (*graph).clone();
+        let mut bridged = graph.clone();
         // Bridge: user 1 keeps one cross-cluster edge, so cluster 2 is
         // reachable from user 0's two-hop neighborhood. And user 3
         // lists user 0, to exercise the dropped-old-neighbor rescore.
@@ -345,8 +347,8 @@ mod tests {
                 ],
             )
             .unwrap();
-        let mut graph = Arc::new(bridged);
-        let published = Arc::clone(&graph);
+        let mut graph = bridged;
+        let published = graph.clone();
 
         let user = UserId::new(0);
         // User 0 switches taste to the second cluster's items.

@@ -12,10 +12,14 @@ use crate::ServeError;
 /// the KNN graph `G(t)`, the profile set `P(t)` it was computed over,
 /// and the iteration metadata identifying `t`.
 ///
-/// A snapshot is built by the refinement loop *between* iterations and
-/// never mutated afterwards, so any number of reader threads can hold
-/// one (via `Arc`) while the engine computes the next — readers never
-/// see a half-updated graph, only whole generations.
+/// A snapshot is built by a publish and never mutated afterwards, so
+/// any number of reader threads can hold one (via `Arc`) while the
+/// engine computes the next — readers never see a half-updated graph,
+/// only whole generations. It holds both tables by value, and both
+/// share their pages with the tables they were cloned from
+/// ([`knn_graph::cow`]): building a snapshot copies no row, and a later
+/// write to the publisher's tables copies only the pages it lands in,
+/// leaving this snapshot's rows where they are.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     epoch: u64,
@@ -24,8 +28,8 @@ pub struct Snapshot {
     measure: Measure,
     k: usize,
     repaired: bool,
-    graph: Arc<KnnGraph>,
-    profiles: Arc<ProfileStore>,
+    graph: KnnGraph,
+    profiles: ProfileStore,
 }
 
 impl Snapshot {
@@ -38,8 +42,8 @@ impl Snapshot {
         iteration: u64,
         changed_fraction: f64,
         measure: Measure,
-        graph: Arc<KnnGraph>,
-        profiles: Arc<ProfileStore>,
+        graph: KnnGraph,
+        profiles: ProfileStore,
     ) -> Self {
         let k = graph.k();
         Snapshot {
@@ -112,12 +116,12 @@ impl Snapshot {
     }
 
     /// The full KNN graph.
-    pub fn graph(&self) -> &Arc<KnnGraph> {
+    pub fn graph(&self) -> &KnnGraph {
         &self.graph
     }
 
     /// The profile set `P(t)` the graph was scored over.
-    pub fn profiles(&self) -> &Arc<ProfileStore> {
+    pub fn profiles(&self) -> &ProfileStore {
         &self.profiles
     }
 
@@ -175,11 +179,12 @@ impl Snapshot {
 ///
 /// The cell holds an `Arc<Snapshot>` behind an `RwLock` whose critical
 /// sections are a pointer clone (read) and a pointer store (write) —
-/// no allocation, no I/O, no data copies. Readers therefore never wait
-/// on refinement work, only (very briefly) on the swap instruction
-/// itself; snapshot construction happens entirely outside the lock.
-/// The current epoch is mirrored in an atomic so monitoring can poll
-/// it without touching the lock at all.
+/// no I/O, no data copies. Readers therefore never wait on refinement
+/// work, only (very briefly) on the swap instruction itself; snapshot
+/// construction happens entirely outside the lock. The current epoch
+/// is mirrored in an atomic, stored while the write lock is held, so
+/// monitoring can poll it without touching the lock and never reads
+/// an epoch older than a snapshot some reader already holds.
 #[derive(Debug)]
 pub struct SnapshotCell {
     current: RwLock<Arc<Snapshot>>,
@@ -209,18 +214,24 @@ impl SnapshotCell {
     /// publications must be strictly ordered.
     pub fn publish(&self, next: Snapshot) {
         let next_epoch = next.epoch();
+        let next = Arc::new(next);
         let mut slot = self.current.write().expect("snapshot lock poisoned");
         assert!(
             next_epoch > slot.epoch(),
             "snapshot epochs must advance: {} -> {next_epoch}",
             slot.epoch()
         );
-        *slot = Arc::new(next);
-        drop(slot);
+        let previous = std::mem::replace(&mut *slot, next);
+        // Mirrored before the lock is released: whoever can load this
+        // generation already reads its epoch here.
         self.epoch.store(next_epoch, Ordering::Release);
+        drop(slot);
+        // The previous generation is released outside the lock.
+        drop(previous);
     }
 
-    /// The epoch of the published snapshot, lock-free.
+    /// The epoch of the published snapshot, lock-free. Never behind a
+    /// snapshot that [`load`](SnapshotCell::load) has returned.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -247,14 +258,7 @@ mod tests {
         profiles.set(UserId::new(0), profile(&[(1, 1.0), (2, 1.0)]));
         profiles.set(UserId::new(1), profile(&[(1, 1.0), (2, 1.0)]));
         profiles.set(UserId::new(2), profile(&[(9, 1.0)]));
-        Snapshot::new(
-            epoch,
-            epoch,
-            1.0,
-            Measure::Cosine,
-            Arc::new(graph),
-            Arc::new(profiles),
-        )
+        Snapshot::new(epoch, epoch, 1.0, Measure::Cosine, graph, profiles)
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn assert_readers_see_whole_generations(
                 let snapshot = service.snapshot();
                 let t = snapshot.iteration() as usize;
                 // The graph must be exactly one completed generation.
-                if t >= expected.len() || *snapshot.graph().as_ref() != expected[t] {
+                if t >= expected.len() || *snapshot.graph() != expected[t] {
                     torn_reads.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
@@ -173,7 +173,7 @@ fn assert_readers_see_whole_generations(
     // The final snapshot is exactly the twin's final state.
     let last = service.snapshot();
     assert_eq!(last.iteration(), ITERATIONS);
-    assert_eq!(*last.graph().as_ref(), expected[ITERATIONS as usize]);
+    assert_eq!(*last.graph(), expected[ITERATIONS as usize]);
 }
 
 /// Updates submitted through the service surface in a later snapshot's

@@ -43,7 +43,6 @@
 #![warn(unreachable_pub, missing_docs)]
 
 pub mod arena;
-mod cow;
 pub mod delta;
 mod error;
 pub mod generators;

@@ -1,9 +1,13 @@
 //! In-memory profile table.
 
+use knn_graph::cow::CowTable;
 use knn_graph::UserId;
 
-use crate::cow::CowVec;
 use crate::{Profile, ProfileDelta};
+
+/// Profiles per copy-on-write page (see [`knn_graph::cow`] for how it
+/// was chosen).
+const PAGE_ROWS: usize = 128;
 
 /// The in-memory profile set `P(t)`: one [`Profile`] per user
 /// `0..num_users`, with running byte accounting.
@@ -22,12 +26,12 @@ use crate::{Profile, ProfileDelta};
 /// assert!(store.get(UserId::new(1)).is_empty());
 /// ```
 ///
-/// Clones share their profiles in chunks until one is written, so
-/// the serving layer's snapshot per update copies the few profiles
+/// Clones share their profiles in pages of 128 until one is written,
+/// so the serving layer's snapshot per update copies the few profiles
 /// beside the changed one, not every user's.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileStore {
-    profiles: CowVec<Profile>,
+    profiles: CowTable<Profile, PAGE_ROWS>,
 }
 
 impl ProfileStore {
@@ -56,7 +60,7 @@ impl ProfileStore {
     ///
     /// Panics if `user` is out of range.
     pub fn get(&self, user: UserId) -> &Profile {
-        &self.profiles[user.index()]
+        &self.profiles.row(user.index())[0]
     }
 
     /// Mutable access to the profile of `user`.
@@ -65,7 +69,7 @@ impl ProfileStore {
     ///
     /// Panics if `user` is out of range.
     pub fn get_mut(&mut self, user: UserId) -> &mut Profile {
-        self.profiles.get_mut(user.index())
+        &mut self.profiles.row_mut(user.index())[0]
     }
 
     /// Replaces the profile of `user`.
@@ -74,14 +78,14 @@ impl ProfileStore {
     ///
     /// Panics if `user` is out of range.
     pub fn set(&mut self, user: UserId, profile: Profile) {
-        *self.profiles.get_mut(user.index()) = profile;
+        *self.get_mut(user) = profile;
     }
 
     /// The profile of `user`, or `None` when out of range — the
     /// non-panicking accessor used by read-only views (the serving
     /// layer must not crash on an out-of-range query id).
     pub fn get_checked(&self, user: UserId) -> Option<&Profile> {
-        self.profiles.get(user.index())
+        (user.index() < self.num_users()).then(|| self.get(user))
     }
 
     /// Applies one queued delta.
@@ -90,7 +94,7 @@ impl ProfileStore {
     ///
     /// Panics if the delta's user is out of range.
     pub fn apply_delta(&mut self, delta: &ProfileDelta) {
-        delta.op.apply(self.profiles.get_mut(delta.user.index()));
+        delta.op.apply(self.get_mut(delta.user));
     }
 
     /// Applies a batch of deltas in order.

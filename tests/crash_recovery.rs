@@ -445,6 +445,170 @@ fn two_shard_world_survives_torn_writes() {
     sharded_crash_at_every_op(2, FaultKind::Torn);
 }
 
+/// Storm length that outlasts the engine's retry policy (4 attempts
+/// per operation): the operation it lands on fails the iteration.
+const STORM: u32 = 4;
+
+/// One run of [`retry_in_process`].
+struct Retried {
+    fault: Arc<FaultBackend>,
+    engine: KnnEngine,
+    /// Per completed iteration: its report, and whether the storm hit
+    /// the attempt that produced it.
+    reports: Vec<(IterationReport, bool)>,
+    /// Whether the engine gave up: an iteration failed again after the
+    /// storm was spent.
+    gave_up: bool,
+}
+
+/// Drives the schedule with a `storm`-long transient fault armed at
+/// op `fail_at`, retrying a failed iteration in the same process — no
+/// resume. With `scrub`, every failed attempt must leave a clean
+/// store behind it.
+fn retry_in_process(prune: bool, fail_at: u64, storm: u32, scrub: bool) -> Retried {
+    let fault = Arc::new(FaultBackend::new(
+        Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>
+    ));
+    fault.set_plan(FaultPlan {
+        fail_at,
+        kind: FaultKind::Transient { times: storm },
+        seed: SEED,
+    });
+    let mut engine = KnnEngine::new_on(
+        config_with(prune),
+        workload(),
+        Arc::clone(&fault) as Arc<dyn StorageBackend>,
+    )
+    .expect("build");
+    let mut reports = Vec::new();
+    let mut gave_up = false;
+    let mut queued_for = None;
+    while engine.iteration() < ITERS && !gave_up {
+        // A rolled-back attempt leaves its update in the log: queue
+        // each iteration's update once, whatever its attempts do.
+        if queued_for != Some(engine.iteration()) {
+            engine
+                .queue_update(&update_for(engine.iteration()))
+                .expect("queue");
+            queued_for = Some(engine.iteration());
+        }
+        let ops_before = fault.ops_observed();
+        fault.arm();
+        let result = engine.run_iteration();
+        fault.disarm();
+        let hit = (ops_before..fault.ops_observed()).contains(&fail_at);
+        match result {
+            Ok(report) => reports.push((report, hit)),
+            Err(_) if !hit => gave_up = true,
+            Err(_) => {
+                if scrub {
+                    let report = engine.verify().expect("scrub");
+                    assert!(
+                        report.is_clean(),
+                        "op {fail_at}: failed attempt left {report}"
+                    );
+                }
+            }
+        }
+    }
+    Retried {
+        fault,
+        engine,
+        reports,
+        gave_up,
+    }
+}
+
+/// A failed iteration is rolled back in memory and in storage, so
+/// retrying it in the same process ends where a run that never failed
+/// does: for a storm at every armed op, with and without pruning, the
+/// graph, every report and the committed bytes equal the twin's. A
+/// storm inside the commit's cleanup, after its record landed, leaves
+/// the iteration committed; only that attempt's I/O counts (its
+/// retries and the recovery that finished it) may differ.
+fn retry_at_every_op(prune: bool) {
+    let twin_backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+    let twin = run_clean(Arc::clone(&twin_backend), prune);
+    let twin_streams = stream_bytes(twin_backend.as_ref());
+    let total_ops = retry_in_process(prune, u64::MAX, STORM, true)
+        .fault
+        .ops_observed();
+    assert!(total_ops > 0, "the schedule must perform armed operations");
+
+    for op in 0..total_ops {
+        let run = retry_in_process(prune, op, STORM, true);
+        assert!(!run.gave_up, "storm at op {op}: the retry failed too");
+        assert_eq!(
+            run.engine.graph(),
+            twin.graph(),
+            "graph diverged, storm at op {op}"
+        );
+        assert_eq!(
+            stream_bytes(run.fault.inner().as_ref()),
+            twin_streams,
+            "persisted bytes diverged, storm at op {op}"
+        );
+        assert_eq!(run.reports.len(), twin.reports().len(), "storm at op {op}");
+        for ((report, hit), expected) in run.reports.iter().zip(twin.reports()) {
+            let (mut report, mut expected) = (deterministic(report), deterministic(expected));
+            if *hit {
+                report.phase_io = Default::default();
+                expected.phase_io = Default::default();
+            }
+            assert_eq!(report, expected, "report diverged, storm at op {op}");
+        }
+    }
+}
+
+#[test]
+fn a_failed_iteration_retried_in_process_matches_the_twin() {
+    retry_at_every_op(false);
+}
+
+#[test]
+fn a_failed_iteration_retried_in_process_matches_the_twin_with_pruning() {
+    retry_at_every_op(true);
+}
+
+/// A storm long enough to fail the rollback too: the next attempt
+/// rolls back first and the run ends at the twin's state. Only where
+/// the commit record had landed and the recovery that would finish
+/// it failed does the engine refuse to go on; resuming from its
+/// backend then finishes the schedule.
+#[test]
+fn a_failed_rollback_is_finished_by_the_next_attempt() {
+    let twin_backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+    let twin = run_clean(Arc::clone(&twin_backend), false);
+    let total_ops = retry_in_process(false, u64::MAX, STORM, true)
+        .fault
+        .ops_observed();
+    for op in (0..total_ops).step_by(7) {
+        let Retried {
+            fault,
+            mut engine,
+            gave_up: stuck,
+            ..
+        } = retry_in_process(false, op, 2 * STORM, false);
+        if stuck {
+            let durable = engine.verify().expect("scrub");
+            assert!(
+                !durable.is_clean(),
+                "storm at op {op}: gave up on a clean store"
+            );
+            drop(engine);
+            engine = resume_and_finish(Arc::clone(fault.inner()), false);
+        }
+        assert_eq!(engine.graph(), twin.graph(), "storm at op {op}");
+        assert_eq!(
+            stream_bytes(fault.inner().as_ref()),
+            stream_bytes(twin_backend.as_ref()),
+            "storm at op {op}"
+        );
+        let scrub = engine.verify().expect("scrub");
+        assert!(scrub.is_clean(), "storm at op {op}: {scrub}");
+    }
+}
+
 /// Transient faults never crash the run: the engine's retry policy
 /// absorbs them, the result is bit-identical to a fault-free twin, and
 /// the retries surface on the iteration report.

@@ -95,7 +95,7 @@ fn reconciled_engine_is_bit_identical_to_never_repaired_twin() {
         twin.queue_update(delta).expect("queued");
         twin.run_iteration().expect("twin reconcile");
         assert_eq!(
-            snapshot.graph().as_ref(),
+            snapshot.graph(),
             twin.graph(),
             "served exact graph diverged from the twin at iteration {}",
             i + 1
@@ -190,7 +190,7 @@ fn converges_to_recall_floor_under_churn() {
     let engine = refine.stop().expect("stop");
     // The served exact view is the engine's view.
     assert_eq!(
-        final_snapshot.graph().as_ref(),
+        final_snapshot.graph(),
         engine.graph(),
         "served graph diverged from the engine"
     );
