@@ -5,9 +5,9 @@
 //! uniform-random `G(0)`) versus clustering on (the `knn-cluster`
 //! pre-pass packs clusters into partitions and seeds `G(0)`).
 //!
-//! Part 1 measures the I/O side on identical tuple workloads: spill
-//! bytes, the intra-partition tuple fraction, and the replication
-//! objective; a sharded twin of each variant must land on the same
+//! Part 1 measures the I/O side on identical tuple workloads: phase
+//! 4's partition load/unload operations, the intra-partition tuple
+//! fraction, and the replication objective; a sharded twin of each variant must land on the same
 //! graph.
 //! Part 2 measures the initialization side: iterations needed to reach
 //! the pinned `recall_regression.rs` floors from a random versus a
@@ -58,26 +58,21 @@ fn config(
     seed: u64,
     measure: Measure,
     v: Variant,
-    spill: bool,
 ) -> EngineConfig {
-    let mut b = EngineConfig::builder(n)
+    EngineConfig::builder(n)
         .k(k)
         .num_partitions(m)
         .clustering(v.clustering)
         .measure(measure)
         .threads(threads)
-        .seed(seed);
-    if spill {
-        // Force real spill traffic so the locality win shows up in
-        // bytes on disk, not just in staging-memory bucket counts.
-        b = b.spill_threshold(64).tuple_table_memory(Some(1024));
-    }
-    b.build().expect("config")
+        .seed(seed)
+        .build()
+        .expect("config")
 }
 
 struct LocalityRun {
     variant: &'static str,
-    bytes_spilled: Vec<u64>,
+    partition_ops: Vec<u64>,
     replication_cost: Vec<u64>,
     intra_fraction: Vec<f64>,
 }
@@ -129,7 +124,7 @@ fn run_to_floor(
 ) -> FloorRun {
     let built = workload.build(n, seed);
     let truth = brute_force_knn(&built.profiles, &built.measure, k, threads);
-    let cfg = config(n, k, 8, threads, seed, built.measure, v, false);
+    let cfg = config(n, k, 8, threads, seed, built.measure, v);
     let mut engine = KnnEngine::in_memory(cfg, built.profiles).expect("engine");
     let mut recall_per_iter = Vec::new();
     let mut iters_to_floor = None;
@@ -171,7 +166,7 @@ fn main() {
     );
     let started = Instant::now();
 
-    // ---- Part 1: spill traffic, paired and alternating.
+    // ---- Part 1: partition operations, paired and alternating.
     // Both variants run in lockstep in this one process: the same
     // workload bytes, the same iteration cadence, only placement and
     // G(0) differ.
@@ -179,13 +174,13 @@ fn main() {
     let mut single: Vec<(KnnEngine, LocalityRun)> = VARIANTS
         .iter()
         .map(|&v| {
-            let cfg = config(n, k, m, threads, seed, workload.measure, v, true);
+            let cfg = config(n, k, m, threads, seed, workload.measure, v);
             let engine = KnnEngine::in_memory(cfg, workload.profiles.clone()).expect("engine");
             (
                 engine,
                 LocalityRun {
                     variant: v.name,
-                    bytes_spilled: Vec::new(),
+                    partition_ops: Vec::new(),
                     replication_cost: Vec::new(),
                     intra_fraction: Vec::new(),
                 },
@@ -195,7 +190,7 @@ fn main() {
     let mut sharded: Vec<ShardedEngine> = VARIANTS
         .iter()
         .map(|&v| {
-            let cfg = config(n, k, m, threads, seed, workload.measure, v, true);
+            let cfg = config(n, k, m, threads, seed, workload.measure, v);
             ShardedEngine::in_memory(cfg, workload.profiles.clone(), shards).expect("engine")
         })
         .collect();
@@ -203,7 +198,7 @@ fn main() {
     for _ in 0..iters {
         for ((engine, run), shard_engine) in single.iter_mut().zip(&mut sharded) {
             let report = engine.run_iteration().expect("iteration");
-            run.bytes_spilled.push(report.phase_io[1].spill_bytes);
+            run.partition_ops.push(report.cache.total_ops());
             run.replication_cost.push(report.replication_cost);
             run.intra_fraction
                 .push(report.intra_partition_tuple_fraction());
@@ -221,16 +216,16 @@ fn main() {
         );
     }
 
-    let spill_reduction = reduction(
-        sum(&single[0].1.bytes_spilled),
-        sum(&single[1].1.bytes_spilled),
+    let ops_reduction = reduction(
+        sum(&single[0].1.partition_ops),
+        sum(&single[1].1.partition_ops),
     );
 
-    let mut table = TextTable::new(&["variant", "spilled B", "repl cost", "intra frac"]);
+    let mut table = TextTable::new(&["variant", "partition ops", "repl cost", "intra frac"]);
     for (_, run) in &single {
         table.row(&[
             run.variant.to_string(),
-            sum(&run.bytes_spilled).to_string(),
+            sum(&run.partition_ops).to_string(),
             sum(&run.replication_cost).to_string(),
             format!(
                 "{:.3}",
@@ -239,7 +234,7 @@ fn main() {
         ]);
     }
     eprintln!("{}", table.render());
-    eprintln!("spill bytes: -{:.1}%", spill_reduction * 100.0);
+    eprintln!("partition ops: -{:.1}%", ops_reduction * 100.0);
 
     // ---- Part 2: iterations-to-floor from random vs cluster-seeded
     // G(0), on the exact workloads and floors recall_regression.rs
@@ -287,9 +282,9 @@ fn main() {
         .iter()
         .map(|(_, run)| {
             format!(
-                r#"{{"variant":"{}","bytes_spilled":[{}],"replication_cost":[{}],"intra_partition_tuple_fraction":[{}]}}"#,
+                r#"{{"variant":"{}","partition_ops":[{}],"replication_cost":[{}],"intra_partition_tuple_fraction":[{}]}}"#,
                 run.variant,
-                join_u64(&run.bytes_spilled),
+                join_u64(&run.partition_ops),
                 join_u64(&run.replication_cost),
                 join_f64(&run.intra_fraction),
             )
@@ -320,10 +315,10 @@ fn main() {
         })
         .collect();
     println!(
-        r#"{{"bench":"cluster_locality","users":{n},"k":{k},"partitions":{m},"shards":{shards},"threads":{threads},"seed":{seed},"iters":{iters},"wall_s":{:.2},"locality":{{"graphs_equal":true,"runs":[{}],"spill_bytes_reduction":{:.4}}},"convergence":[{}]}}"#,
+        r#"{{"bench":"cluster_locality","users":{n},"k":{k},"partitions":{m},"shards":{shards},"threads":{threads},"seed":{seed},"iters":{iters},"wall_s":{:.2},"locality":{{"graphs_equal":true,"runs":[{}],"partition_ops_reduction":{:.4}}},"convergence":[{}]}}"#,
         started.elapsed().as_secs_f64(),
         locality_json.join(","),
-        spill_reduction,
+        ops_reduction,
         floor_json.join(",")
     );
 }

@@ -55,8 +55,6 @@ struct Run {
     /// Per-iteration phase-4 wall time (the hot-path trajectory: the
     /// scoring funnel makes later iterations cheaper).
     p4_ms: Vec<f64>,
-    /// Per-iteration phase-2 spill traffic.
-    spilled_per_iter: Vec<u64>,
     /// Per-iteration scoring-funnel counters.
     sims_per_iter: Vec<u64>,
     skipped_per_iter: Vec<u64>,
@@ -133,7 +131,6 @@ fn main() {
             let mut p1_ms = Vec::with_capacity(iters);
             let mut p2_ms = Vec::with_capacity(iters);
             let mut p4_ms = Vec::with_capacity(iters);
-            let mut spilled_per_iter = Vec::with_capacity(iters);
             let mut sims_per_iter = Vec::with_capacity(iters);
             let mut skipped_per_iter = Vec::with_capacity(iters);
             let mut pruned_per_iter = Vec::with_capacity(iters);
@@ -151,7 +148,6 @@ fn main() {
                 p1_ms.push(report.phase_durations[0].as_secs_f64() * 1e3);
                 p2_ms.push(report.phase_durations[1].as_secs_f64() * 1e3);
                 p4_ms.push(report.phase_durations[3].as_secs_f64() * 1e3);
-                spilled_per_iter.push(report.phase_io[1].spill_bytes);
                 sims_per_iter.push(report.sims_computed);
                 skipped_per_iter.push(report.sims_skipped);
                 pruned_per_iter.push(report.sims_pruned);
@@ -177,7 +173,6 @@ fn main() {
                 p1_ms,
                 p2_ms,
                 p4_ms,
-                spilled_per_iter,
                 sims_per_iter,
                 skipped_per_iter,
                 pruned_per_iter,
@@ -234,7 +229,7 @@ fn main() {
                         .join(",")
                 };
                 format!(
-                    r#"{{"users":{},"threads":{},"iter_ms":[{}],"mean_iter_ms":{:.2},"phase_ms":[{}],"p1_ms":[{}],"p2_ms":[{}],"p4_ms":[{}],"speedup_vs_first":{:.3},"sims_computed":{},"sims_per_iter":[{}],"sims_skipped":[{}],"sims_pruned":[{}],"accums_seeded":[{}],"bytes_spilled":[{}],"edges":{}}}"#,
+                    r#"{{"users":{},"threads":{},"iter_ms":[{}],"mean_iter_ms":{:.2},"phase_ms":[{}],"p1_ms":[{}],"p2_ms":[{}],"p4_ms":[{}],"speedup_vs_first":{:.3},"sims_computed":{},"sims_per_iter":[{}],"sims_skipped":[{}],"sims_pruned":[{}],"accums_seeded":[{}],"edges":{}}}"#,
                     r.users,
                     r.threads,
                     fmt_ms(&r.iter_ms),
@@ -249,7 +244,6 @@ fn main() {
                     join_u64(&r.skipped_per_iter),
                     join_u64(&r.pruned_per_iter),
                     join_u64(&r.seeded_per_iter),
-                    join_u64(&r.spilled_per_iter),
                     r.edges
                 )
             })

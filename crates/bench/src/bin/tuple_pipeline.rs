@@ -1,20 +1,18 @@
-//! **Experiment S6 — the phase-1/2 tuple pipeline, out of core.**
+//! **Experiment S6 — the tuple pipeline, out of core.**
 //!
-//! Runs one engine on the columnar tuple pipeline (SoA staging,
-//! per-source dedup, varint-delta spill codec, loser-tree streaming
-//! merge) with a small spill threshold, so phase 2 stays on the
-//! out-of-core path the paper's memory constraint forces, and reports
-//! per-iteration phase-1/2 wall clock and spill traffic.
+//! Runs one engine in its default configuration on the recommender
+//! workload and reports per-iteration wall clock, phase 2 (the live
+//! pass) and phase 4 (candidate generation and scoring) times, and the
+//! bytes the iteration wrote.
 //!
-//! CI's bounded-memory job runs it with `--tuple-memory` and
-//! `--backend disk` under `/usr/bin/time -v` to pin peak RSS.
+//! CI's bounded-memory job runs it with `--backend disk` under
+//! `/usr/bin/time -v` to pin peak RSS.
 //!
 //! Emits one JSON document on stdout and a line per iteration on
 //! stderr.
 //!
 //! Usage: `tuple_pipeline [--users N] [--iters N] [--k N]
-//! [--partitions N] [--seed N] [--spill N] [--tuple-memory BYTES]
-//! [--backend mem|disk]`
+//! [--partitions N] [--seed N] [--backend mem|disk]`
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,13 +29,11 @@ fn main() {
     let k: usize = opt_or(&args, "k", 8);
     let m: usize = opt_or(&args, "partitions", 8);
     let seed: u64 = opt_or(&args, "seed", 42);
-    let spill: usize = opt_or(&args, "spill", 8192);
-    let tuple_memory: usize = opt_or(&args, "tuple-memory", 0); // 0 = no budget
     let backend_kind: String = opt_or(&args, "backend", "mem".to_string());
 
     eprintln!(
         "S6 tuple pipeline: users={users}, iters={iters}, K={k}, m={m}, seed={seed}, \
-         spill={spill}, tuple_memory={tuple_memory}, backend={backend_kind}"
+         backend={backend_kind}"
     );
     let workload = WorkloadConfig::recommender().build(users, seed);
     let mut workdir = None;
@@ -53,8 +49,6 @@ fn main() {
         .num_partitions(m)
         .measure(workload.measure)
         .threads(1)
-        .spill_threshold(spill)
-        .tuple_table_memory((tuple_memory > 0).then_some(tuple_memory))
         .seed(seed)
         .build()
         .expect("config");
@@ -64,27 +58,27 @@ fn main() {
     let mut rows_json = Vec::new();
     for i in 0..iters {
         let r = engine.run_iteration().expect("iteration");
-        let spill = &r.phase_io[1];
+        let ms = |phase: usize| r.phase_durations[phase].as_secs_f64() * 1e3;
+        let written: u64 = r.phase_io.iter().map(|io| io.bytes_written).sum();
         eprintln!(
-            "iter {i}: p1 {:.1} ms, p2 {:.1} ms, spilled {} B in {} runs, {} merges",
-            r.phase_durations[0].as_secs_f64() * 1e3,
-            r.phase_durations[1].as_secs_f64() * 1e3,
-            spill.spill_bytes,
-            spill.spill_runs,
-            spill.merge_passes
+            "iter {i}: {:.1} ms, p2 {:.1} ms, p4 {:.1} ms, wrote {written} B, {} tuples",
+            r.total_duration().as_secs_f64() * 1e3,
+            ms(1),
+            ms(3),
+            r.tuples.unique
         );
         rows_json.push(format!(
-            r#"{{"iter":{i},"p1_ms":{:.2},"p2_ms":{:.2},"spilled_bytes":{},"spill_runs":{},"merge_passes":{},"tuples_unique":{}}}"#,
-            r.phase_durations[0].as_secs_f64() * 1e3,
-            r.phase_durations[1].as_secs_f64() * 1e3,
-            spill.spill_bytes,
-            spill.spill_runs,
-            spill.merge_passes,
+            r#"{{"iter":{i},"iter_ms":{:.2},"p1_ms":{:.2},"p2_ms":{:.2},"p4_ms":{:.2},"bytes_written":{written},"tuples_offered":{},"tuples_unique":{}}}"#,
+            r.total_duration().as_secs_f64() * 1e3,
+            ms(0),
+            ms(1),
+            ms(3),
+            r.tuples.offered,
             r.tuples.unique
         ));
     }
     println!(
-        r#"{{"bench":"tuple_pipeline","backend":"{backend_kind}","users":{users},"k":{k},"partitions":{m},"seed":{seed},"iters":{iters},"spill_threshold":{spill},"tuple_table_memory":{tuple_memory},"wall_s":{:.2},"results":[{}]}}"#,
+        r#"{{"bench":"tuple_pipeline","backend":"{backend_kind}","users":{users},"k":{k},"partitions":{m},"seed":{seed},"iters":{iters},"wall_s":{:.2},"results":[{}]}}"#,
         started.elapsed().as_secs_f64(),
         rows_json.join(",")
     );

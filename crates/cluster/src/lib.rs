@@ -29,8 +29,8 @@
 //!
 //! Exactness is untouched: clustering only changes *placement and
 //! initialization*. The converged graph is the same mathematical
-//! object either way; only the route there (spill bytes, iteration
-//! count) improves. Everything here is single-threaded and seeded, so
+//! object either way; only the route there (partition operations,
+//! iteration count) improves. Everything here is single-threaded and seeded, so
 //! outputs are identical at every thread count and on every platform —
 //! the determinism contract the engine extends over these artifacts.
 //!

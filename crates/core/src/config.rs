@@ -32,8 +32,6 @@ pub struct EngineConfig {
     threads: usize,
     cache_slots: usize,
     include_reverse: bool,
-    spill_threshold: usize,
-    tuple_table_memory: Option<usize>,
     prune_pairs: bool,
     bound_filter: bool,
     clustering: bool,
@@ -66,8 +64,6 @@ impl EngineConfig {
                 threads: default_threads(),
                 cache_slots: 2,
                 include_reverse: false,
-                spill_threshold: 1 << 20,
-                tuple_table_memory: None,
                 prune_pairs: default_prune(),
                 bound_filter: default_prune(),
                 clustering: false,
@@ -97,10 +93,10 @@ impl EngineConfig {
         self.measure
     }
 
-    /// The engine-wide worker-thread budget: phases 1 (edge layout and
-    /// profile resharding), 2 (tuple generation and bucket merge), 4
-    /// (similarity scoring), and 5 (profile-update application) all
-    /// run partition-parallel across up to this many scoped workers.
+    /// The engine-wide worker-thread budget: phases 1 (profile
+    /// resharding), 4 (similarity scoring), and 5 (profile-update
+    /// application) run partition-parallel across up to this many
+    /// scoped workers.
     /// Results are identical at every thread count — see the crate
     /// docs for the determinism guarantee.
     pub fn threads(&self) -> usize {
@@ -116,23 +112,6 @@ impl EngineConfig {
     /// `d` (NN-Descent-style reverse join; off in the paper).
     pub fn include_reverse(&self) -> bool {
         self.include_reverse
-    }
-
-    /// Tuple-table spill threshold, in tuples per bucket.
-    pub fn spill_threshold(&self) -> usize {
-        self.spill_threshold
-    }
-
-    /// Optional phase-2 staging byte budget **per scan table**: when
-    /// set, a scan table whose total staging exceeds the budget spills
-    /// its largest bucket, bounding peak phase-2 staging at
-    /// `min(threads, partitions) × budget` bytes regardless of tuple
-    /// volume. `None` (the default) bounds staging by
-    /// [`spill_threshold`](EngineConfig::spill_threshold) alone.
-    /// Per-table by definition, so the spill pattern — and therefore
-    /// every persisted byte — stays identical at every thread count.
-    pub fn tuple_table_memory(&self) -> Option<usize> {
-        self.tuple_table_memory
     }
 
     /// Whether phase 2 suppresses offers whose verdict is already
@@ -249,18 +228,18 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the tuple-table spill threshold in tuples per bucket
-    /// (default 2²⁰).
-    pub fn spill_threshold(mut self, tuples: usize) -> Self {
-        self.config.spill_threshold = tuples;
+    /// Does nothing: candidate tuples are generated in RAM per bucket
+    /// and never staged or spilled. Kept only so existing
+    /// `spill_threshold(..)` calls still compile.
+    pub fn spill_threshold(self, _tuples: usize) -> Self {
         self
     }
 
-    /// Caps each phase-2 scan table's staging at `bytes` (default
-    /// uncapped — see [`EngineConfig::tuple_table_memory`]). Must be
-    /// at least 1 KiB when set.
-    pub fn tuple_table_memory(mut self, bytes: Option<usize>) -> Self {
-        self.config.tuple_table_memory = bytes;
+    /// Does nothing, like
+    /// [`spill_threshold`](EngineConfigBuilder::spill_threshold): there
+    /// is no tuple staging left to budget. Kept only so existing
+    /// `tuple_table_memory(..)` calls still compile.
+    pub fn tuple_table_memory(self, _bytes: Option<usize>) -> Self {
         self
     }
 
@@ -308,8 +287,10 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`EngineError::Config`] if any constraint is violated:
-    /// `n ≥ 2`, `k ≥ 1`, `1 ≤ m ≤ n`, `threads ≥ 1`, `cache_slots ≥ 2`,
-    /// `spill_threshold ≥ 1`, and no `commit_protocol(false)`.
+    /// `n ≥ 2`, `k ≥ 1`, `1 ≤ m ≤ n`, `m ≤`
+    /// [`MAX_PARTITIONS`](crate::phase2::MAX_PARTITIONS),
+    /// `threads ≥ 1`, `cache_slots ≥ 2`, and no
+    /// `commit_protocol(false)`.
     pub fn build(self) -> Result<EngineConfig, EngineError> {
         if !self.commit_protocol {
             return Err(EngineError::config(
@@ -332,10 +313,10 @@ impl EngineConfigBuilder {
                 c.num_users, c.num_partitions
             )));
         }
-        if c.num_partitions > crate::tuple_table::MAX_PARTITIONS {
+        if c.num_partitions > crate::phase2::MAX_PARTITIONS {
             return Err(EngineError::config(format!(
-                "num_partitions must be at most {} (the phase-2 spill-run namespace bound), got {}",
-                crate::tuple_table::MAX_PARTITIONS,
+                "num_partitions must be at most {} (the live pass's m × m bit matrix), got {}",
+                crate::phase2::MAX_PARTITIONS,
                 c.num_partitions
             )));
         }
@@ -345,14 +326,6 @@ impl EngineConfigBuilder {
         if c.cache_slots < 2 {
             return Err(EngineError::config(
                 "cache needs at least 2 slots to co-load a partition pair",
-            ));
-        }
-        if c.spill_threshold == 0 {
-            return Err(EngineError::config("spill_threshold must be at least 1"));
-        }
-        if c.tuple_table_memory.is_some_and(|b| b < 1024) {
-            return Err(EngineError::config(
-                "tuple_table_memory must be at least 1 KiB (or None to disable the budget)",
             ));
         }
         Ok(c)
@@ -405,22 +378,14 @@ mod tests {
             .num_partitions(11)
             .build()
             .is_err());
-        // Above the phase-2 spill-run namespace bound: a config error,
-        // not a mid-iteration panic.
+        // Above the live pass's partition bound: a config error, not a
+        // mid-iteration allocation.
         assert!(EngineConfig::builder(100_000)
             .num_partitions(70_000)
             .build()
             .is_err());
         assert!(EngineConfig::builder(10).threads(0).build().is_err());
         assert!(EngineConfig::builder(10).cache_slots(1).build().is_err());
-        assert!(EngineConfig::builder(10)
-            .spill_threshold(0)
-            .build()
-            .is_err());
-        assert!(EngineConfig::builder(10)
-            .tuple_table_memory(Some(100))
-            .build()
-            .is_err());
     }
 
     /// The m ≤ n rejection the cluster packer relies on: the builder
@@ -477,11 +442,22 @@ mod tests {
         assert_eq!(c.threads(), 8);
         assert_eq!(c.cache_slots(), 4);
         assert!(c.include_reverse());
-        assert_eq!(c.spill_threshold(), 128);
-        assert_eq!(c.tuple_table_memory(), Some(1 << 20));
         assert!(!c.prune_pairs());
         assert!(c.bound_filter());
         assert_eq!(c.seed(), 99);
+    }
+
+    /// The retired tuple-staging knobs change nothing, whatever the
+    /// value.
+    #[test]
+    fn tuple_staging_knobs_are_no_ops() {
+        let plain = EngineConfig::builder(10).build().unwrap();
+        let knobs = EngineConfig::builder(10)
+            .spill_threshold(0)
+            .tuple_table_memory(Some(100))
+            .build()
+            .unwrap();
+        assert_eq!(knobs, plain);
     }
 
     #[test]

@@ -780,11 +780,11 @@ impl KnnEngine {
             "update log does not decode cleanly".into()
         })?;
 
-        // Between iterations no staged backups, spill runs, legacy
-        // exchange runs or legacy accumulator streams should survive —
-        // a leftover means an interrupted commit or GC. Bucket streams
-        // legitimately rest between iterations, so they are not
-        // leftovers.
+        // Between iterations no staged backups, legacy spill runs,
+        // legacy exchange runs or legacy accumulator streams should
+        // survive — a leftover means an interrupted commit or GC.
+        // Legacy bucket streams are left by older builds between
+        // iterations, so they are not leftovers.
         let leftovers = backend
             .list()?
             .into_iter()
@@ -973,7 +973,7 @@ impl KnnEngine {
         // phase 5 and replaced only when this one commits.
         let prune_state = self.prune.as_ref();
 
-        // Phase 1: repartition G(t) and lay out edge/profile streams.
+        // Phase 1: repartition G(t) and migrate the profile streams.
         let before = self.io_snapshot();
         let t0 = Instant::now();
         // One digraph serves the partitioner and the replication cost,
@@ -1000,38 +1000,27 @@ impl KnnEngine {
             )?;
         }
         let partitioning = next.as_ref().unwrap_or(&self.partitioning);
-        phase1::write_partition_edges(&self.graph, partitioning, backend, self.config.threads())?;
         durations[0] = t0.elapsed();
         io[0] = self.io_snapshot() - before;
 
-        // Phase 2: tuple generation + dedup into pair buckets, never
-        // offering a pair whose verdict the seeds already replay.
+        // Phase 2: index G(t)'s legs, flagged by the offer-time rule,
+        // and find the live bucket pairs. No tuple is generated yet:
+        // phase 4 generates each bucket when it reaches it.
         let before = self.io_snapshot();
         let t0 = Instant::now();
-        let phase2_options = phase2::Phase2Options {
-            spill_threshold: self.config.spill_threshold(),
-            tuple_table_memory: self.config.tuple_table_memory(),
-            threads: self.config.threads(),
-        };
         let suppression = prune_state.map(|state| Suppression {
             state,
             include_reverse: self.config.include_reverse(),
         });
-        let phase2_out =
-            phase2::generate_tuples(partitioning, backend, &phase2_options, suppression.as_ref())?;
+        let legs = phase2::Legs::new(&self.graph, partitioning, suppression.as_ref());
+        let live = phase2::live_buckets(&legs, partitioning);
         durations[1] = t0.elapsed();
         io[1] = self.io_snapshot() - before;
-        // Partition locality of this iteration's tuple volume: the
-        // diagonal of the PI graph counts tuples whose endpoints share
-        // a partition.
-        let intra_partition_tuples: u64 = (0..partitioning.num_partitions() as u32)
-            .map(|p| phase2_out.pi.bucket_weight(p, p))
-            .sum();
 
         // Phase 3: PI-graph traversal schedule.
         let before = self.io_snapshot();
         let t0 = Instant::now();
-        let schedule = SCHEDULE.schedule(&phase2_out.pi);
+        let schedule = SCHEDULE.schedule(&live.pi);
         let predicted = simulate_schedule_ops(&schedule, self.config.cache_slots());
         durations[2] = t0.elapsed();
         io[2] = self.io_snapshot() - before;
@@ -1051,13 +1040,14 @@ impl KnnEngine {
         };
         let phase4_out = phase4::run_phase4(
             &schedule,
-            &phase2_out.pi,
+            &legs,
             partitioning,
             backend,
             &self.graph,
             prune_state,
             &options,
         )?;
+        drop(legs);
         durations[3] = t0.elapsed();
         io[3] = self.io_snapshot() - before;
 
@@ -1125,15 +1115,17 @@ impl KnnEngine {
             phase_io: io,
             cache: phase4_out.cache,
             predicted,
-            tuples: phase2_out.stats,
+            tuples: phase4_out.tuples,
             schedule_len: schedule.len(),
             sims_computed: phase4_out.sims_computed,
-            sims_skipped: phase2_out.suppressed,
+            // Every generating path is offered in a live bucket or
+            // suppressed, live or not.
+            sims_skipped: live.paths - phase4_out.tuples.offered,
             sims_pruned: phase4_out.sims_pruned,
             accums_seeded: phase4_out.accums_seeded,
             updates_applied: phase5_stats.updates_applied,
             replication_cost,
-            intra_partition_tuples,
+            intra_partition_tuples: phase4_out.intra_partition_tuples,
             changed_fraction,
         };
         self.reports.push(report.clone());

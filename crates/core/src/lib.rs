@@ -9,12 +9,12 @@
 //!
 //! 1. **Partitioning** ([`phase1`], [`partition`]) — split the `n`
 //!    users into `m` balanced partitions minimizing the unique
-//!    external-vertex count `Σ (N_in + N_out)`; write per-partition
-//!    edge lists sorted by bridge vertex.
-//! 2. **Tuple generation** ([`phase2`], [`tuple_table`]) — merge-scan
-//!    the sorted lists to emit candidate tuples `(s, d)` into
-//!    columnar per-bucket staging, deduplicated per source and
-//!    spilled as varint-delta runs when memory bounds demand it.
+//!    external-vertex count `Σ (N_in + N_out)`, and migrate the
+//!    profile streams.
+//! 2. **Tuple generation** ([`phase2`]) — index `G(t)`'s edges by
+//!    partition and find the bucket pairs that hold a candidate tuple
+//!    `(s, d)`. The tuples themselves are generated per bucket, in
+//!    RAM, when phase 4 reaches the bucket.
 //! 3. **PI graph** ([`PiGraph`], [`traversal`]) — build the
 //!    partition-interaction graph and order the partition pairs so
 //!    that partition load/unload operations are minimized (the
@@ -22,9 +22,10 @@
 //!    runs [`Heuristic::GreedyChain`], which never does worse than
 //!    the best of them at two cache slots).
 //! 4. **KNN computation** ([`topk`]) — walk the schedule
-//!    with a two-slot cache of partition profiles, score every tuple,
-//!    and keep per-user top-`K` accumulators in RAM beside `G(t)`
-//!    (an `n·K` cost, like the graph itself), yielding `G(t+1)`.
+//!    with a two-slot cache of partition profiles, generate and score
+//!    each bucket's tuples, and keep per-user top-`K` accumulators in
+//!    RAM beside `G(t)` (an `n·K` cost, like the graph itself),
+//!    yielding `G(t+1)`.
 //! 5. **Lazy profile updates** — apply the update queue so
 //!    that `P(t+1)` reflects changes queued during iteration `t`.
 //!
@@ -60,14 +61,14 @@
 //! # Parallelism and the determinism guarantee
 //!
 //! [`EngineConfig::threads`](EngineConfig::threads) is the engine-wide
-//! worker budget: phases 1, 2, 4, and 5 each fan their per-partition
+//! worker budget: phases 1, 4, and 5 each fan their per-partition
 //! (or per-bucket) work out over that many scoped workers, pulling
 //! tasks from a work-stealing queue ([`mod@phase1`] sorts and encodes
-//! partition streams concurrently, [`mod@phase2`] scans partitions
-//! with per-scan tuple tables merged bucket-parallel, phase 4 filters
-//! and scores fixed-size tuple chunks on a worker pool while its
-//! driving thread applies the previous bucket and decodes the next,
-//! phase 5 rebuilds touched profile streams concurrently).
+//! partition streams concurrently, phase 4 filters and scores
+//! fixed-size tuple chunks on a worker pool while its driving thread
+//! applies the previous bucket and generates the next, phase 5
+//! rebuilds touched profile streams concurrently). Phase 2's index
+//! and live pass are `O(n·K)` and run on the driving thread.
 //!
 //! The guarantee: **thread count never changes the answer.** Each unit
 //! of work is a pure function of its partition's inputs (phase 4's
@@ -75,8 +76,9 @@
 //! copied at a fixed point in bucket order, the same on one thread),
 //! every
 //! [`StorageBackend`](knn_store::StorageBackend) stream is written by
-//! exactly one unit (the streams are disjoint), and merge points sort
-//! before they write — so `G(t+1)`, every persisted stream byte, the
+//! exactly one unit (the streams are disjoint), and generated buckets
+//! are sorted before they are scored — so `G(t+1)`, every persisted
+//! stream byte, the
 //! [`IterationReport`] (durations aside), and the backend's
 //! [`IoStats`](knn_store::IoStats) totals are identical whether the
 //! engine ran on 1 thread or 8, on disk or in RAM. The
@@ -86,8 +88,8 @@
 //! The `knn-shard` crate extends the same contract across **shard
 //! counts**, by placement alone: the unmodified engine runs over a
 //! routing [`StorageBackend`](knn_store::StorageBackend) that stores
-//! each stream on its owning shard, so bucket streams, graphs,
-//! reports, and summed I/O totals are byte/value-identical to one
+//! each stream on its owning shard, so profile and KNN streams,
+//! graphs, reports, and summed I/O totals are byte/value-identical to one
 //! process — pinned by the `shard_equivalence` suite.
 //!
 //! # Durability
@@ -117,8 +119,8 @@
 //!   packed into partitions ([`partition::ClusterPartitioner`]) and
 //!   `G(0)` is seeded from intra-cluster edges. It pays off when
 //!   profiles have community structure: tuples concentrate on the PI
-//!   diagonal (`IterationReport::intra_partition_tuples` rises,
-//!   phase-2 spill bytes fall) and the recall floor comes sooner.
+//!   diagonal (`IterationReport::intra_partition_tuples` rises, fewer
+//!   pairs are live) and the recall floor comes sooner.
 //!
 //! The schedule is always [`Heuristic::GreedyChain`]. The paper's
 //! three heuristics remain in [`traversal`] for the Table-1
@@ -131,23 +133,23 @@
 //! **exact** (the refined graph is identical with the funnel on or
 //! off):
 //!
-//! * **Symmetric pair dedup** — phase 2 stores each unordered
-//!   candidate pair once ([`tuple_table::meta_bits`] direction bits);
-//!   the symmetric kernel runs once per pair, its score offered along
-//!   every recorded direction.
+//! * **Symmetric pair dedup** — the generator emits each unordered
+//!   candidate pair once, with direction bits; the symmetric kernel
+//!   runs once per pair, its score offered along every recorded
+//!   direction.
 //! * **Prepared profiles** — partition loads build one
 //!   [`knn_sim::ProfileArena`] whose rows carry one-pass aggregates and
 //!   block sketches; [`knn_sim::Measure::score_ref`] over its views is
 //!   bit-identical to the classic `score` path.
 //! * **Offer-time suppression** (`EngineConfig::prune_pairs`, default
-//!   on) — redundancy is decided once, in phase 2, where candidates
-//!   are born. The engine tracks per-user profile-dirty bits from
+//!   on) — redundancy is decided once, in the generator, where
+//!   candidates are born. The engine tracks per-user profile-dirty bits from
 //!   phase 5 and the edge additions `G(t) ∖ G(t-1)`; a directed
 //!   candidate generated through an all-old path between users whose
 //!   standing is unchanged was already evaluated last iteration, and
 //!   phase 4's accumulator seeding (each seed-ok user's accumulator
 //!   starts from its scored `G(t)` row) replays its verdict, so
-//!   phase 2 never offers it. A user is seed-ok when its own profile
+//!   it is never offered. A user is seed-ok when its own profile
 //!   is clean, its row is fully scored, and every updated member of
 //!   the row scores freshly at least as high as the row's old k-th
 //!   entry: every losing candidate lost to that entry, so it still
@@ -173,26 +175,23 @@
 //! included. `KNN_TEST_PRUNE=0` routes the whole suite down the
 //! full-rescore path.
 //!
-//! # The phase-1/2 tuple pipeline
+//! # The tuple pipeline
 //!
-//! The tuple data plane is columnar end to end (see [`tuple_table`]):
-//! struct-of-arrays staging with no per-offer allocation (one cheap
-//! hash probe on the partition pair), a per-source dedup (counting sort by source, a stamp
-//! array over destinations) whose scratch is bounded by the block and
-//! the bucket's two partitions, a varint-delta spill codec
-//! ([`knn_store::tuple_stream`], ~2 B per dense tuple vs a
-//! fixed-width 8), and a streaming loser-tree k-way merge whose
-//! output encodes straight into the bucket streams phase 4 iterates.
-//! Phase-2 staging is bounded by `spill_threshold` rows per bucket
-//! or an explicit per-scan-table byte budget
-//! ([`EngineConfig::tuple_table_memory`]); spill traffic is metered in
-//! phase 2's I/O snapshot (`IterationReport::phase_io[1]`'s
-//! `spill_bytes` / `spill_runs` / `merge_passes`). On the phase-4
-//! side, each partition's profiles
-//! materialize into one CSR [`knn_sim::ProfileArena`] (split id and
-//! weight columns), and each run of candidates sharing a source row is
-//! scored by one [`knn_sim::RowKernel`] load — bit-identically to the
-//! pair kernels.
+//! The paper materialises candidate tuples on disk because it does not
+//! assume `G(t)` fits in RAM. Here `G(t)` is resident (`n·K` ids, like
+//! the accumulators), so the engine generates the same tuples from it
+//! instead of spilling them. Phase 2 indexes `G(t)`'s legs by target
+//! partition, flags each leg for the offer-time rule, and finds the
+//! live bucket pairs exactly, with one mask OR per in-leg. Phase 4 then
+//! generates both buckets of pair `{a, b}` when it reaches it: the
+//! paths out of `a`'s and `b`'s users, sorted and deduplicated into
+//! canonical rows ([`phase2`]). Its cost is the legs of the two
+//! partitions plus the pair's offers, and at most three buckets of rows
+//! are in memory at once. Nothing of it is written: phases 2 and 3 do no I/O. On the
+//! phase-4 side, each partition's profiles materialize into one CSR
+//! [`knn_sim::ProfileArena`] (split id and weight columns), and each
+//! run of candidates sharing a source row is scored by one
+//! [`knn_sim::RowKernel`] load — bit-identically to the pair kernels.
 //!
 //! The in-memory fast path is one constructor away — identical graphs
 //! for identical seeds, verified by the backend-equivalence suite:
@@ -220,7 +219,6 @@ pub mod phase2;
 pub mod reference;
 pub mod topk;
 pub mod traversal;
-pub mod tuple_table;
 
 mod config;
 mod engine;
@@ -233,7 +231,7 @@ mod pigraph;
 pub use config::{EngineConfig, EngineConfigBuilder};
 pub use engine::{KnnEngine, ScrubReport};
 pub use error::EngineError;
-pub use metrics::IterationReport;
+pub use metrics::{IterationReport, TupleStats};
 pub use partition::Partitioning;
 pub use pigraph::PiGraph;
 pub use traversal::Heuristic;

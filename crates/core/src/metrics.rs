@@ -6,7 +6,18 @@ use std::time::Duration;
 use knn_store::{CacheCounters, IoSnapshot};
 
 use crate::traversal::TraversalCost;
-use crate::tuple_table::TupleTableStats;
+
+/// Candidate tuple counts of one iteration, summed over the buckets
+/// phase 4 generated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TupleStats {
+    /// Directed offers made (before dedup).
+    pub offered: u64,
+    /// Unique canonical tuples: bucket rows.
+    pub unique: u64,
+    /// Offers folded into another: `offered - unique`.
+    pub duplicates: u64,
+}
 
 /// Names of the five phases, for display.
 pub const PHASE_NAMES: [&str; 5] = [
@@ -29,23 +40,22 @@ pub struct IterationReport {
     pub phase_durations: [Duration; 5],
     /// I/O performed by each phase, over the same spans as
     /// `phase_durations`: the entries add up to the backend meter's
-    /// delta over the iteration. Phase 2's entry also carries the
-    /// tuple spill traffic: `phase_io[1].spill_bytes`, `spill_runs`
-    /// and `merge_passes` (all 0 when everything staged in memory).
-    /// Phase 5's carries the KNN-slice, metadata and commit writes.
+    /// delta over the iteration. Phases 2 and 3 do no I/O: candidates
+    /// are generated in RAM. Phase 5's carries the KNN-slice, metadata
+    /// and commit writes.
     pub phase_io: [IoSnapshot; 5],
     /// Partition cache operations of phase 4 (the Table-1 metric).
     pub cache: CacheCounters,
     /// Dry-run prediction from the phase-3 schedule (must match
     /// `cache` when `cache_slots` agree).
     pub predicted: TraversalCost,
-    /// Tuple-table statistics from phase 2.
-    pub tuples: TupleTableStats,
+    /// Candidate tuple counts, from the buckets phase 4 generated.
+    pub tuples: TupleStats,
     /// Number of schedule steps (PI pairs processed).
     pub schedule_len: usize,
     /// Similarity evaluations performed (kernels actually run).
     pub sims_computed: u64,
-    /// Directed offers phase 2 suppressed as redundant: generated
+    /// Directed offers suppressed as redundant: generated
     /// through an all-old path between users whose standing is
     /// unchanged, so last iteration's verdict (replayed by the seeds)
     /// stands. They never became tuples, so they are counted in
@@ -63,10 +73,9 @@ pub struct IterationReport {
     pub updates_applied: u64,
     /// The partitioning objective `Σ (N_in + N_out)` of this iteration.
     pub replication_cost: u64,
-    /// Unique phase-2 tuples whose two endpoints live in the same
-    /// partition (the PI-graph diagonal) — the locality a placement
-    /// policy buys: intra-partition tuples never spill across partition
-    /// streams nor cross shards.
+    /// Unique tuples whose two endpoints live in the same partition
+    /// (the PI-graph diagonal) — the locality a placement policy buys:
+    /// an intra-partition bucket needs one resident partition.
     pub intra_partition_tuples: u64,
     /// Fraction of `G(t)` edges absent from `G(t+1)`.
     pub changed_fraction: f64,
@@ -152,14 +161,8 @@ impl fmt::Display for IterationReport {
         }
         writeln!(
             f,
-            "  tuples: {} offered, {} unique, {} duplicates, {} spills",
-            self.tuples.offered, self.tuples.unique, self.tuples.duplicates, self.tuples.spills
-        )?;
-        let spill = &self.phase_io[1];
-        writeln!(
-            f,
-            "  spill: {} B in {} runs, {} merge passes",
-            spill.spill_bytes, spill.spill_runs, spill.merge_passes
+            "  tuples: {} offered, {} unique, {} duplicates",
+            self.tuples.offered, self.tuples.unique, self.tuples.duplicates
         )?;
         writeln!(
             f,
@@ -211,14 +214,11 @@ mod tests {
     use super::*;
 
     fn sample() -> IterationReport {
-        let mut phase_io = [IoSnapshot {
+        let phase_io = [IoSnapshot {
             bytes_read: 100,
             bytes_written: 50,
             ..Default::default()
         }; 5];
-        phase_io[1].spill_bytes = 4096;
-        phase_io[1].spill_runs = 3;
-        phase_io[1].merge_passes = 2;
         IterationReport {
             iteration: 3,
             phase_durations: [Duration::from_millis(10); 5],
@@ -234,11 +234,10 @@ mod tests {
                 hits: 4,
                 steps: 7,
             },
-            tuples: TupleTableStats {
+            tuples: TupleStats {
                 offered: 100,
                 unique: 80,
                 duplicates: 20,
-                spills: 1,
             },
             schedule_len: 7,
             sims_computed: 80,
@@ -312,13 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn display_reports_the_spill_traffic() {
-        let text = sample().to_string();
-        assert!(text.contains("4096 B in 3 runs"), "{text}");
-        assert!(text.contains("2 merge passes"), "{text}");
-    }
-
-    #[test]
     fn intra_partition_fraction_counts_unique_tuples() {
         let r = sample();
         // 20 intra / 80 unique.
@@ -326,7 +318,7 @@ mod tests {
         assert!(r.to_string().contains("20 intra-partition tuples (25.0%)"));
         let empty = IterationReport {
             intra_partition_tuples: 0,
-            tuples: TupleTableStats::default(),
+            tuples: TupleStats::default(),
             ..sample()
         };
         assert_eq!(empty.intra_partition_tuple_fraction(), 0.0);

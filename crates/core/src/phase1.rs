@@ -1,91 +1,24 @@
-//! Phase 1: KNN-graph partitioning and storage layout.
+//! Phase 1: KNN-graph partitioning and profile layout.
 //!
-//! Splits `G(t)` into `m` balanced partitions, writes each partition's
-//! in-edge and out-edge streams **sorted by the bridge vertex** `v` (so
-//! phase 2 can emit all two-hop tuples `s → v → d` with one sequential
-//! merge-scan) and migrates profile streams to the new layout. All I/O
-//! goes through the engine's [`StorageBackend`]. Phase 1 writes no
-//! top-K state: phase 4 builds its accumulators in RAM from `G(t)`.
+//! Splits `G(t)` into `m` balanced partitions and migrates the profile
+//! streams to the new layout through the engine's [`StorageBackend`].
+//! Phase 1 writes no edge or top-K state: the candidate generator reads
+//! `G(t)` in RAM, and phase 4 builds its accumulators there.
 //!
-//! The per-partition work — sorting edge rows, encoding and writing
-//! stream payloads — runs across the engine's worker budget. Every
-//! stream is written by exactly one worker and the streams are
-//! disjoint, so the persisted bytes (and the backend's atomic I/O
-//! meter) are identical at every thread count.
+//! The per-partition work — sorting rows, encoding and writing stream
+//! payloads — runs across the engine's worker budget. Every stream is
+//! written by exactly one worker and the streams are disjoint, so the
+//! persisted bytes (and the backend's atomic I/O meter) are identical
+//! at every thread count.
 
-use knn_graph::{KnnGraph, UserId};
+use knn_graph::UserId;
 use knn_sim::ProfileStore;
-use knn_store::backend::{read_user_lists, write_pairs, write_user_lists};
+use knn_store::backend::{read_user_lists, write_user_lists};
 use knn_store::{StorageBackend, StreamId};
 
 use crate::par;
 use crate::partition::Partitioning;
 use crate::EngineError;
-
-/// One partition's grouped edge rows: `(out_rows, in_rows)`.
-type EdgeRows = (Vec<(u32, u32)>, Vec<(u32, u32)>);
-
-/// Summary of one phase-1 run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Phase1Stats {
-    /// Directed edges written into in-edge streams.
-    pub in_edges_written: u64,
-    /// Directed edges written into out-edge streams.
-    pub out_edges_written: u64,
-    /// Profiles migrated between partition streams.
-    pub profiles_resharded: u64,
-}
-
-/// Writes the per-partition edge streams of `graph` under
-/// `partitioning`, preparing partitions across up to `threads`
-/// workers.
-///
-/// For partition `Ri` with users `Vi`:
-/// * the **out-edge stream** holds rows `(v, d)` for every edge
-///   `v → d, v ∈ Vi`, sorted by `(v, d)`;
-/// * the **in-edge stream** holds rows `(v, s)` for every edge
-///   `s → v, v ∈ Vi`, sorted by `(v, s)` — the bridge `v` comes first
-///   in both layouts.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Store`] on I/O failure.
-pub fn write_partition_edges(
-    graph: &KnnGraph,
-    partitioning: &Partitioning,
-    backend: &dyn StorageBackend,
-    threads: usize,
-) -> Result<Phase1Stats, EngineError> {
-    let m = partitioning.num_partitions();
-    let mut result = Phase1Stats::default();
-
-    // Group edges by the partition that owns each endpoint-as-bridge.
-    let mut out_rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
-    let mut in_rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
-    for (s, nb) in graph.iter_edges() {
-        let d = nb.id;
-        out_rows[partitioning.partition_of(s) as usize].push((s.raw(), d.raw()));
-        in_rows[partitioning.partition_of(d) as usize].push((d.raw(), s.raw()));
-    }
-
-    // Each worker owns one partition's rows: sort, write the two
-    // streams (no other worker touches them), report the edge counts.
-    let rows: Vec<EdgeRows> = out_rows.into_iter().zip(in_rows).collect();
-    let counts = par::run_indexed_owned(rows, threads, |p, (mut out, mut inn)| {
-        let p = p as u32;
-        out.sort_unstable();
-        inn.sort_unstable();
-        write_pairs(backend, StreamId::OutEdges(p), &out)?;
-        write_pairs(backend, StreamId::InEdges(p), &inn)?;
-        Ok((out.len() as u64, inn.len() as u64))
-    })?;
-    for (out_edges, in_edges) in counts {
-        result.out_edges_written += out_edges;
-        result.in_edges_written += in_edges;
-    }
-
-    Ok(result)
-}
 
 /// Migrates profile streams from `old` partition layout to `new`,
 /// reading old streams and sorting/writing new ones across up to
@@ -174,42 +107,12 @@ pub fn reshard_profiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knn_graph::Neighbor;
-    use knn_store::backend::read_pairs;
     use knn_store::{DiskBackend, MemBackend};
 
     fn setup(n: usize, m: usize) -> (Box<dyn StorageBackend>, Partitioning) {
         let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
         let p = Partitioning::from_assignment(assignment, m).unwrap();
         (Box::new(MemBackend::new()), p)
-    }
-
-    fn graph_with_edges(n: usize, k: usize, edges: &[(u32, u32)]) -> KnnGraph {
-        let mut g = KnnGraph::new(n, k);
-        for &(s, d) in edges {
-            g.insert(UserId::new(s), Neighbor::new(UserId::new(d), 0.5));
-        }
-        g
-    }
-
-    #[test]
-    fn edge_files_are_sorted_by_bridge() {
-        let (b, p) = setup(6, 2);
-        let b = b.as_ref();
-        // Edges: 4→0, 2→0, 0→5 (users 0,2,4 in partition 0; 1,3,5 in 1).
-        let g = graph_with_edges(6, 3, &[(4, 0), (2, 0), (0, 5)]);
-        let st = write_partition_edges(&g, &p, b, 1).unwrap();
-        assert_eq!(st.out_edges_written, 3);
-        assert_eq!(st.in_edges_written, 3);
-        // Partition 0 out-edges: bridges 0,2,4 → rows (0,5),(2,0),(4,0).
-        let out0 = read_pairs(b, StreamId::OutEdges(0)).unwrap();
-        assert_eq!(out0, vec![(0, 5), (2, 0), (4, 0)]);
-        // Partition 0 in-edges: edges into users 0,2,4: (0,2),(0,4).
-        let in0 = read_pairs(b, StreamId::InEdges(0)).unwrap();
-        assert_eq!(in0, vec![(0, 2), (0, 4)]);
-        // Partition 1 in-edges: edge into 5 from 0.
-        let in1 = read_pairs(b, StreamId::InEdges(1)).unwrap();
-        assert_eq!(in1, vec![(5, 0)]);
     }
 
     #[test]
@@ -274,8 +177,8 @@ mod tests {
     #[test]
     fn io_is_counted() {
         let (b, p) = setup(4, 2);
-        let g = graph_with_edges(4, 2, &[(0, 1), (2, 3)]);
-        write_partition_edges(&g, &p, b.as_ref(), 1).unwrap();
+        let store = ProfileStore::new(4);
+        reshard_profiles(b.as_ref(), None, &p, Some(&store), 1).unwrap();
         assert!(b.stats().snapshot().bytes_written > 0);
     }
 
@@ -284,20 +187,18 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_phase1_output() {
         let n = 50;
-        let g = KnnGraph::random_init(n, 4, 33);
         let mut store = ProfileStore::new(n);
         for u in 0..n as u32 {
             store
                 .get_mut(UserId::new(u))
                 .set(knn_sim::ItemId::new(u % 7), 1.0 + u as f32);
         }
-        type Reference = (Phase1Stats, Vec<(StreamId, Vec<u8>)>, u64);
+        type Reference = (Vec<(StreamId, Vec<u8>)>, u64);
         let mut reference: Option<Reference> = None;
         for threads in [1usize, 2, 4] {
             let (b, p) = setup(n, 5);
             let b = b.as_ref();
             reshard_profiles(b, None, &p, Some(&store), threads).unwrap();
-            let st = write_partition_edges(&g, &p, b, threads).unwrap();
             let mut streams: Vec<(StreamId, Vec<u8>)> = b
                 .list()
                 .unwrap()
@@ -307,9 +208,8 @@ mod tests {
             streams.sort_by_key(|&(s, _)| s);
             let bytes_written = b.stats().snapshot().bytes_written;
             match &reference {
-                None => reference = Some((st, streams, bytes_written)),
-                Some((ref_st, ref_streams, ref_bytes)) => {
-                    assert_eq!(ref_st, &st, "threads={threads}");
+                None => reference = Some((streams, bytes_written)),
+                Some((ref_streams, ref_bytes)) => {
                     assert_eq!(ref_streams, &streams, "threads={threads}");
                     assert_eq!(ref_bytes, &bytes_written, "threads={threads}");
                 }

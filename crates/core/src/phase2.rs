@@ -1,63 +1,43 @@
-//! Phase 2: candidate tuple generation and deduplication.
+//! Phase 2: the live-bucket pass, and the candidate generator phase 4
+//! calls pair by pair.
 //!
-//! Streams each partition's sorted in-edge and out-edge streams once,
-//! joining on the bridge vertex `v`: every `(s, v)` in-edge crossed
-//! with every `(v, d)` out-edge yields the two-hop candidate `(s, d)`,
-//! and the out-edges themselves are the direct candidates `(v, d)` —
-//! together the "neighbors and neighbors' neighbors" set the paper's
-//! KNN step scores. Uniqueness is enforced by the tuple table
-//! ([`crate::tuple_table::TupleTable`]).
+//! A candidate of user `s` is a neighbour `d` of `G(t)` (the direct
+//! edge `s → d`) or a neighbour's neighbour (the two-hop path
+//! `s → v → d`): the "neighbors and neighbors' neighbors" set the
+//! paper's KNN step scores. The paper materialises these tuples on
+//! disk because it does not assume `G(t)` fits in RAM. Here `G(t)` is
+//! resident (`n·K` ids), so nothing is stored: `Legs` indexes
+//! `G(t)`'s edges once per iteration, the live pass
+//! (`live_buckets`) finds which partition pairs hold at least one
+//! candidate, and phase 4 generates each pair's buckets
+//! (`pair_candidates`) when it reaches them.
+//!
+//! A candidate tuple is stored **canonically**: the unordered pair
+//! `(min, max)`, with direction bits recording
+//! which directed tuples exist, in bucket `(part(min), part(max))`.
+//! Bucket rows are sorted by `(min, max)`, each pair once.
 //!
 //! This is also where redundancy is decided. With the previous
 //! iteration's bookkeeping (`Suppression`), a directed candidate
 //! whose verdict is already known is never offered: NN-Descent's "join
-//! only what is new", on the paper's out-of-core machinery. The
-//! suppressed offers are counted and reported as
-//! `IterationReport::sims_skipped`.
+//! only what is new". The decision is per generating path, and the
+//! suppressed offers are reported as `IterationReport::sims_skipped`.
 //!
-//! Partitions are scanned **in parallel**: every scan owns a private
-//! [`TupleTable`] spilling into its own run namespace, and
-//! [`crate::tuple_table::merge_parts`] folds the per-scan outputs into
-//! the final bucket streams. The algorithm is the same at every thread
-//! count — only the distribution of scans over workers changes — so
-//! tuple buckets, [`PiGraph`] weights, [`TupleTableStats`] and the
-//! suppressed count are identical whether phase 2 ran on one thread or
-//! eight.
+//! The live set is **exact**: a bucket pair is live if and only if one
+//! of its buckets generates a row. Phase 3 schedules from it, so the
+//! schedule, the partition operations and phase 4's bucket order are
+//! those of the rows themselves.
 
-use knn_graph::EdgeAdditions;
-use knn_store::backend::read_pairs;
-use knn_store::{StorageBackend, StreamId};
+use knn_graph::{EdgeAdditions, KnnGraph, UserId};
 
-use crate::par;
 use crate::partition::Partitioning;
-use crate::tuple_table::{merge_parts, TupleTable, TupleTableStats};
-use crate::{EngineError, PiGraph};
+use crate::phase4::{meta_bits, TupleRow};
+use crate::PiGraph;
 
-/// Output of phase 2: the PI graph over the written tuple buckets plus
-/// dedup statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Phase2Output {
-    /// The partition-interaction graph (bucket tuple counts).
-    pub pi: PiGraph,
-    /// Tuple-table statistics.
-    pub stats: TupleTableStats,
-    /// Directed offers suppressed as redundant (never offered, so not
-    /// in `stats`).
-    pub suppressed: u64,
-}
-
-/// Options of one phase-2 run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Phase2Options {
-    /// Per-bucket staging row count that triggers a spill.
-    pub spill_threshold: usize,
-    /// Optional per-scan-table staging byte budget (see
-    /// [`TupleTable::with_memory_budget`]); peak phase-2 staging is
-    /// then at most `min(threads, partitions) × budget`.
-    pub tuple_table_memory: Option<usize>,
-    /// Worker budget for the partition scans and the bucket merge.
-    pub threads: usize,
-}
+/// The largest partition count the engine accepts, enforced by
+/// [`crate::EngineConfig`]'s builder: the live pass keeps an `m × m`
+/// bit matrix, 32 MiB at this bound.
+pub const MAX_PARTITIONS: usize = 1 << 14;
 
 /// The fresh score of updated member `d` in seed-ok user `u`'s row:
 /// `(u, d, sim)` (see [`PruneState::fresh`]).
@@ -88,7 +68,7 @@ pub(crate) struct PruneState {
 }
 
 /// The inputs of the offer-time redundancy rule (see
-/// [`generate_tuples`]).
+/// [`pair_candidates`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Suppression<'a> {
     /// The previous iteration's bookkeeping: dirty bits, edge
@@ -116,11 +96,306 @@ impl Suppression<'_> {
     }
 }
 
-/// Runs phase 2 over the edge streams written by
-/// [`crate::phase1::write_partition_edges`], scanning partitions
-/// across up to `options.threads` workers.
+/// Leg flag: a redundant path may start with this edge
+/// ([`Suppression::starts_redundant`]).
+const STARTS: u8 = 1;
+/// Leg flag: a redundant path may end with this edge
+/// ([`Suppression::ends_redundant`]).
+const ENDS: u8 = 2;
+
+/// One edge `v → target` of `G(t)`, packed into 8 bytes so that a
+/// row's legs share a cache line.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    target: u32,
+    /// The target's partition (below [`MAX_PARTITIONS`]).
+    part: u16,
+    /// [`STARTS`] / [`ENDS`] (none without suppression).
+    flags: u8,
+}
+
+/// The edges of `G(t)`, indexed for candidate generation: each user's
+/// out-legs sorted by the target's partition, with the target's
+/// partition and the leg's suppression flags beside it. Built once per
+/// iteration in `O(n·K)` and dropped after phase 4.
+#[derive(Debug)]
+pub(crate) struct Legs {
+    /// User `u`'s legs are `start[u]..start[u + 1]`.
+    start: Vec<usize>,
+    legs: Vec<Leg>,
+}
+
+impl Legs {
+    /// Indexes `graph`'s edges under `partitioning`, flagging each leg
+    /// by `suppression`'s rule.
+    pub(crate) fn new(
+        graph: &KnnGraph,
+        partitioning: &Partitioning,
+        suppression: Option<&Suppression<'_>>,
+    ) -> Self {
+        let n = graph.num_vertices();
+        let assignment = partitioning.assignment();
+        let edges = graph.num_edges();
+        let mut legs = Legs {
+            start: Vec::with_capacity(n + 1),
+            legs: Vec::with_capacity(edges),
+        };
+        let mut row: Vec<(u32, u32)> = Vec::new();
+        legs.start.push(0);
+        for v in 0..n as u32 {
+            row.clear();
+            row.extend(
+                graph
+                    .neighbors(UserId::new(v))
+                    .iter()
+                    .map(|nb| (assignment[nb.id.index()], nb.id.raw())),
+            );
+            row.sort_unstable();
+            for &(p, d) in &row {
+                let flags = suppression.map_or(0, |sup| {
+                    (u8::from(sup.starts_redundant(v, d)) * STARTS)
+                        | (u8::from(sup.ends_redundant(v, d)) * ENDS)
+                });
+                legs.legs.push(Leg {
+                    target: d,
+                    part: u16::try_from(p).expect("partition ids stay below MAX_PARTITIONS"),
+                    flags,
+                });
+            }
+            legs.start.push(legs.legs.len());
+        }
+        legs
+    }
+
+    /// User `v`'s legs.
+    fn row(&self, v: u32) -> std::ops::Range<usize> {
+        self.start[v as usize]..self.start[v as usize + 1]
+    }
+
+    /// User `v`'s legs into partition `p`.
+    fn row_into(&self, v: u32, p: u32) -> std::ops::Range<usize> {
+        let row = self.row(v);
+        let legs = &self.legs[row.clone()];
+        let lo = legs.partition_point(|leg| u32::from(leg.part) < p);
+        let hi = lo + legs[lo..].partition_point(|leg| u32::from(leg.part) == p);
+        row.start + lo..row.start + hi
+    }
+
+    /// Visits every directed path from a user of `sources` to a user of
+    /// partition `to`: direct edges `s → d` and two-hop paths
+    /// `s → v → d` with `s != d`, each with whether the offer-time
+    /// rule suppresses it. Costs the sources' legs plus the paths.
+    fn paths_into(&self, sources: &[UserId], to: u32, mut visit: impl FnMut(u32, u32, bool)) {
+        for s in sources.iter().map(|u| u.raw()) {
+            for leg in self.row(s) {
+                let v = self.legs[leg].target;
+                if u32::from(self.legs[leg].part) == to {
+                    visit(s, v, self.legs[leg].flags == STARTS | ENDS);
+                }
+                let starts = self.legs[leg].flags & STARTS != 0;
+                for out in self.row_into(v, to) {
+                    let d = self.legs[out].target;
+                    if d != s {
+                        visit(s, d, starts && self.legs[out].flags & ENDS != 0);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What the live pass finds: the bucket pairs phase 3 schedules, and
+/// how many generating paths `G(t)` has.
+#[derive(Debug)]
+pub(crate) struct Live {
+    /// One weight-1 entry per live pair: `(a, b)` with `a < b` when
+    /// bucket `(a, b)` or `(b, a)` has a row, `(a, a)` when the
+    /// diagonal bucket does. Row counts are known only once phase 4
+    /// has generated the buckets.
+    pub pi: PiGraph,
+    /// Directed generating paths with distinct endpoints, suppressed
+    /// or not: the offers phase 4 makes plus the suppressed ones.
+    pub paths: u64,
+}
+
+/// Finds the live bucket pairs of `legs` in `O(n·K·⌈m/64⌉)` plus one
+/// `O(log K)` lookup per leg, without generating a row.
 ///
-/// With `suppression`, a directed candidate `s → d` is **not offered**
+/// Per pivot `v`, a path `s → v → d` is offered unless both legs are
+/// flagged redundant. So a pair of distinct partitions `{a, b}` is live
+/// through `v` when some in-leg from `a` is not redundant and `v` has
+/// any out-leg into `b`, or some in-leg from `a` exists and `v` has a
+/// non-redundant out-leg into `b` (either way round): one mask OR per
+/// in-leg. A diagonal bucket may also see `s → v → s`, which is no
+/// candidate, so its liveness is checked path by path until one path
+/// holds. Direct edges mark their own bucket unless suppressed.
+pub(crate) fn live_buckets(legs: &Legs, partitioning: &Partitioning) -> Live {
+    let m = partitioning.num_partitions();
+    let n = partitioning.num_users();
+    let assignment = partitioning.assignment();
+    let words = m.div_ceil(64);
+    // Row a, bit b: a path runs between partitions a and b (a != b).
+    let mut cross = vec![0u64; m * words];
+    let mut diagonal = vec![false; m];
+    let mut paths = 0u64;
+
+    // Direct candidates, and G(t)'s transpose: each pivot's in-legs
+    // with their STARTS flag.
+    let mut in_start = vec![0usize; n + 1];
+    for leg in &legs.legs {
+        let d = leg.target;
+        in_start[d as usize + 1] += 1;
+    }
+    for v in 0..n {
+        in_start[v + 1] += in_start[v];
+    }
+    let mut fill = in_start.clone();
+    let mut in_legs = vec![(0u32, false); legs.legs.len()];
+    for s in 0..n as u32 {
+        let a = assignment[s as usize] as usize;
+        for leg in legs.row(s) {
+            let (d, b) = (legs.legs[leg].target, usize::from(legs.legs[leg].part));
+            paths += 1;
+            if legs.legs[leg].flags != STARTS | ENDS {
+                if a == b {
+                    diagonal[a] = true;
+                } else {
+                    cross[a * words + b / 64] |= 1 << (b % 64);
+                }
+            }
+            let slot = &mut fill[d as usize];
+            in_legs[*slot] = (s, legs.legs[leg].flags & STARTS != 0);
+            *slot += 1;
+        }
+    }
+    drop(fill);
+
+    // Two-hop candidates, pivot by pivot.
+    let (mut all, mut fresh) = (vec![0u64; words], vec![0u64; words]);
+    for v in 0..n as u32 {
+        let out = legs.row(v);
+        let ins = &in_legs[in_start[v as usize]..in_start[v as usize + 1]];
+        if out.is_empty() || ins.is_empty() {
+            continue;
+        }
+        for leg in out.clone() {
+            let b = usize::from(legs.legs[leg].part);
+            all[b / 64] |= 1 << (b % 64);
+            if legs.legs[leg].flags & ENDS == 0 {
+                fresh[b / 64] |= 1 << (b % 64);
+            }
+        }
+        for &(s, starts) in ins {
+            let a = assignment[s as usize];
+            let mask = if starts { &fresh } else { &all };
+            for (row, &word) in cross[a as usize * words..][..words].iter_mut().zip(mask) {
+                *row |= word;
+            }
+            let into_a = legs.row_into(v, a);
+            let back = legs.legs[into_a.clone()].iter().any(|leg| leg.target == s);
+            paths += (out.len() - usize::from(back)) as u64;
+            if !diagonal[a as usize] {
+                diagonal[a as usize] = into_a.into_iter().any(|d| {
+                    legs.legs[d].target != s && !(starts && legs.legs[d].flags & ENDS != 0)
+                });
+            }
+        }
+        for leg in out {
+            let b = usize::from(legs.legs[leg].part);
+            all[b / 64] = 0;
+            fresh[b / 64] = 0;
+        }
+    }
+
+    let mut pi = PiGraph::new(m);
+    let has = |a: usize, b: usize| cross[a * words + b / 64] >> (b % 64) & 1 != 0;
+    for (a, &live) in diagonal.iter().enumerate() {
+        if live {
+            pi.add_bucket(a as u32, a as u32, 1);
+        }
+        for b in a + 1..m {
+            if has(a, b) || has(b, a) {
+                pi.add_bucket(a as u32, b as u32, 1);
+            }
+        }
+    }
+    Live { pi, paths }
+}
+
+/// One generated bucket: its rows and its share of the funnel counts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct BucketCandidates {
+    /// Canonical rows `(u, v, bits)`, `u < v`, sorted by `(u, v)`.
+    pub rows: Vec<TupleRow>,
+    /// Directed offers made (duplicates included).
+    pub offered: u64,
+    /// Directed offers the offer-time rule suppressed.
+    pub suppressed: u64,
+}
+
+/// The offers of one bucket as they are generated: canonical keys
+/// `u << 32 | v` of the forward and the backward ones.
+#[derive(Debug, Default)]
+struct Offers {
+    fwd: Vec<u64>,
+    bwd: Vec<u64>,
+    suppressed: u64,
+}
+
+impl Offers {
+    /// Records the directed offer `s → d`, or its suppression.
+    fn offer(&mut self, s: u32, d: u32, redundant: bool) {
+        let key = |u: u32, v: u32| u64::from(u) << 32 | u64::from(v);
+        if redundant {
+            self.suppressed += 1;
+        } else if s < d {
+            self.fwd.push(key(s, d));
+        } else {
+            self.bwd.push(key(d, s));
+        }
+    }
+
+    /// Sorts and deduplicates the offers into canonical rows, OR-ing
+    /// the bits of a pair offered both ways.
+    fn finish(mut self) -> BucketCandidates {
+        let offered = (self.fwd.len() + self.bwd.len()) as u64;
+        for keys in [&mut self.fwd, &mut self.bwd] {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        let (fwd, bwd) = (&self.fwd, &self.bwd);
+        let mut rows = Vec::with_capacity(fwd.len().max(bwd.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < fwd.len() || j < bwd.len() {
+            // u64::MAX is no key: a canonical pair has u < v.
+            let f = fwd.get(i).copied().unwrap_or(u64::MAX);
+            let g = bwd.get(j).copied().unwrap_or(u64::MAX);
+            let (key, bits) = match f.cmp(&g) {
+                std::cmp::Ordering::Less => (f, meta_bits::FWD),
+                std::cmp::Ordering::Greater => (g, meta_bits::BWD),
+                std::cmp::Ordering::Equal => (f, meta_bits::FWD | meta_bits::BWD),
+            };
+            i += usize::from(f <= g);
+            j += usize::from(g <= f);
+            rows.push(((key >> 32) as u32, key as u32, bits));
+        }
+        BucketCandidates {
+            rows,
+            offered,
+            suppressed: self.suppressed,
+        }
+    }
+}
+
+/// Generates the buckets of the pair `{a, b}`: `[(a, b), (b, a)]`, or
+/// `[(a, a)]` alone. Bucket `(a, b)` holds every canonical pair
+/// `(u, v)`, `u < v`, `u` in partition `a`, `v` in partition `b`, that
+/// some unsuppressed path offers, with [`meta_bits::FWD`] when `u → v`
+/// is offered and [`meta_bits::BWD`] when `v → u` is. Costs the legs of
+/// the two partitions plus the pair's paths, and one sort of each
+/// bucket's offers: no pass over all `n` users.
+///
+/// With `Suppression`, a directed candidate `s → d` is **not offered**
 /// when its generating path is all old (both legs of a two-hop path,
 /// the edge itself for a direct one), `seed_ok[s]`, `d`'s profile is
 /// clean, and — with reverse offers — `seed_ok[d]`. Such a pair lost
@@ -128,104 +403,37 @@ impl Suppression<'_> {
 /// every seed (fresh scores for updated members included) is at least
 /// as good as that entry, so scoring it again cannot change any
 /// accumulator: graphs stay identical, only the work shrinks. A pair
-/// that some other path still offers is scored as usual. `None`
-/// offers every candidate, which is right whenever the previous
-/// iteration's bookkeeping is unavailable (first iteration, resume,
-/// pruning disabled).
-///
-/// # Errors
-///
-/// Returns [`EngineError::Store`] on I/O failure or corrupt edge
-/// streams.
-pub(crate) fn generate_tuples(
+/// that some other path still offers is scored as usual.
+pub(crate) fn pair_candidates(
+    legs: &Legs,
     partitioning: &Partitioning,
-    backend: &dyn StorageBackend,
-    options: &Phase2Options,
-    suppression: Option<&Suppression<'_>>,
-) -> Result<Phase2Output, EngineError> {
-    backend.clear_tuples()?;
-    let scans = par::run_indexed(partitioning.num_partitions(), options.threads, |idx| {
-        let p = idx as u32;
-        let mut table =
-            TupleTable::with_namespace(backend, partitioning, options.spill_threshold, p)
-                .with_memory_budget(options.tuple_table_memory);
-        let suppressed = scan_partition(p, backend, &mut table, suppression)?;
-        Ok((table.into_parts(), suppressed))
-    })?;
-    let suppressed = scans.iter().map(|&(_, n)| n).sum();
-    let parts = scans.into_iter().map(|(parts, _)| parts).collect();
-    let (pi, stats) = merge_parts(backend, partitioning, parts, options.threads)?;
-    Ok(Phase2Output {
-        pi,
-        stats,
-        suppressed,
-    })
+    (a, b): (u32, u32),
+) -> Vec<BucketCandidates> {
+    if a == b {
+        let mut offers = Offers::default();
+        legs.paths_into(partitioning.users_of(a), a, |s, d, r| offers.offer(s, d, r));
+        return vec![offers.finish()];
+    }
+    // A path between a user of `a` and a user of `b` belongs to (a, b)
+    // when the user of `a` has the smaller id, to (b, a) otherwise.
+    let (mut ab, mut ba) = (Offers::default(), Offers::default());
+    legs.paths_into(partitioning.users_of(a), b, |s, d, r| {
+        if s < d { &mut ab } else { &mut ba }.offer(s, d, r)
+    });
+    legs.paths_into(partitioning.users_of(b), a, |s, d, r| {
+        if d < s { &mut ab } else { &mut ba }.offer(s, d, r)
+    });
+    vec![ab.finish(), ba.finish()]
 }
 
-/// Scans one partition's edge streams, offering every direct and
-/// two-hop candidate to `table` that `suppression` does not rule
-/// redundant, and returns how many directed offers it suppressed.
-fn scan_partition(
-    p: u32,
-    backend: &dyn StorageBackend,
-    table: &mut TupleTable<'_>,
-    suppression: Option<&Suppression<'_>>,
-) -> Result<u64, EngineError> {
-    // Rows are (bridge, other), sorted by bridge then other.
-    let in_rows = read_pairs(backend, StreamId::InEdges(p))?;
-    let out_rows = read_pairs(backend, StreamId::OutEdges(p))?;
-
-    // Per out-edge: may a redundant path end with it? Shared by the
-    // direct candidate and every two-hop candidate through the edge,
-    // so it is worked out once per edge.
-    let out_leg_redundant: Vec<bool> = match suppression {
-        Some(sup) => out_rows
-            .iter()
-            .map(|&(v, d)| sup.ends_redundant(v, d))
-            .collect(),
-        None => vec![false; out_rows.len()],
-    };
-    let mut suppressed = 0u64;
-
-    // Direct candidates: each out-edge (v, d) of G(t).
-    for (&(v, d), &redundant) in out_rows.iter().zip(&out_leg_redundant) {
-        if redundant && suppression.is_some_and(|sup| sup.state.seed_ok[v as usize]) {
-            suppressed += 1;
-        } else {
-            table.offer(v, d)?;
-        }
-    }
-
-    // Two-hop candidates: group both lists by bridge and cross.
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < in_rows.len() && j < out_rows.len() {
-        let bridge = in_rows[i].0;
-        match bridge.cmp(&out_rows[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let i_end = in_rows[i..].partition_point(|r| r.0 == bridge) + i;
-                let j_end = out_rows[j..].partition_point(|r| r.0 == bridge) + j;
-                let out_legs = out_rows[j..j_end].iter().zip(&out_leg_redundant[j..j_end]);
-                for &(_, s) in &in_rows[i..i_end] {
-                    // The in-leg s → bridge is shared by every tuple
-                    // of this group; check it once.
-                    let in_redundant =
-                        suppression.is_some_and(|sup| sup.starts_redundant(s, bridge));
-                    for (&(_, d), &out_redundant) in out_legs.clone() {
-                        if in_redundant && out_redundant && s != d {
-                            suppressed += 1;
-                        } else {
-                            table.offer(s, d)?;
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Ok(suppressed)
+/// Generates bucket `(a, b)` alone (see [`pair_candidates`]).
+#[cfg(test)]
+pub(crate) fn bucket_candidates(
+    legs: &Legs,
+    partitioning: &Partitioning,
+    key: (u32, u32),
+) -> BucketCandidates {
+    pair_candidates(legs, partitioning, key).swap_remove(0)
 }
 
 /// Reference tuple set for a KNN graph: all direct edges plus all
@@ -257,47 +465,49 @@ pub fn reference_tuple_set(graph: &knn_graph::KnnGraph) -> std::collections::Has
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase1::{reshard_profiles, write_partition_edges};
+    use crate::phase1::reshard_profiles;
     use crate::phase4::{run_phase4, Phase4Options, Phase4Output, CHUNK};
     use crate::traversal::Heuristic;
     use knn_graph::{KnnGraph, Neighbor, UserId};
     use knn_sim::{Measure, ProfileStore};
     use knn_store::MemBackend;
-    use std::collections::HashSet;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashSet};
 
-    impl Phase2Options {
-        /// Options with the given spill threshold and worker budget,
-        /// no byte budget.
-        pub(crate) fn new(spill_threshold: usize, threads: usize) -> Self {
-            Phase2Options {
-                spill_threshold,
-                tuple_table_memory: None,
-                threads,
-            }
-        }
-    }
-
-    fn setup(n: usize, m: usize) -> (MemBackend, Partitioning) {
+    fn partitioning(n: usize, m: usize) -> Partitioning {
         let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
-        let p = Partitioning::from_assignment(assignment, m).unwrap();
-        (MemBackend::new(), p)
+        Partitioning::from_assignment(assignment, m).unwrap()
     }
 
-    fn run_phase2(g: &KnnGraph, b: &dyn StorageBackend, p: &Partitioning) -> Phase2Output {
-        write_partition_edges(g, p, b, 1).unwrap();
-        generate_tuples(p, b, &Phase2Options::new(1 << 16, 1), None).unwrap()
+    /// Every bucket `(a, b)` of the partitioning, generated, keyed by
+    /// bucket, with the live pass beside it.
+    fn generate(
+        g: &KnnGraph,
+        p: &Partitioning,
+        sup: Option<&Suppression<'_>>,
+    ) -> (Live, BTreeMap<(u32, u32), BucketCandidates>) {
+        let legs = Legs::new(g, p, sup);
+        let m = p.num_partitions() as u32;
+        let buckets = (0..m)
+            .flat_map(|a| (0..m).map(move |b| (a, b)))
+            .map(|key| (key, bucket_candidates(&legs, p, key)))
+            .collect();
+        (live_buckets(&legs, p), buckets)
     }
 
-    /// Expands the canonical buckets back to the directed tuples (what
-    /// the reference engine scores) via the direction bits the bucket
-    /// rows carry.
-    fn directed_tuples(out: &Phase2Output, b: &dyn StorageBackend) -> Vec<(u32, u32)> {
-        use crate::tuple_table::meta_bits;
+    /// Sums the buckets' counts: `(offered, unique, suppressed)`.
+    fn totals(buckets: &BTreeMap<(u32, u32), BucketCandidates>) -> (u64, u64, u64) {
+        buckets.values().fold((0, 0, 0), |(o, u, s), c| {
+            (o + c.offered, u + c.rows.len() as u64, s + c.suppressed)
+        })
+    }
+
+    /// Expands the canonical rows back to the directed tuples (what the
+    /// reference engine scores) via their direction bits.
+    fn directed_tuples(buckets: &BTreeMap<(u32, u32), BucketCandidates>) -> Vec<(u32, u32)> {
         let mut tuples = Vec::new();
-        for ((i, j), _) in out.pi.iter_buckets() {
-            for (u, v, bits) in
-                knn_store::backend::read_tuples(b, StreamId::TupleBucket(i, j)).unwrap()
-            {
+        for c in buckets.values() {
+            for &(u, v, bits) in &c.rows {
                 if bits & meta_bits::FWD != 0 {
                     tuples.push((u, v));
                 }
@@ -309,21 +519,8 @@ mod tests {
         tuples
     }
 
-    fn all_tuples(out: &Phase2Output, b: &dyn StorageBackend) -> HashSet<(u32, u32)> {
-        directed_tuples(out, b).into_iter().collect()
-    }
-
-    /// The tuple-bucket streams of `b`, bytes included, in stream order.
-    fn bucket_streams(b: &dyn StorageBackend) -> Vec<(StreamId, Vec<u8>)> {
-        let mut streams: Vec<(StreamId, Vec<u8>)> = b
-            .list()
-            .unwrap()
-            .into_iter()
-            .filter(|s| matches!(s, StreamId::TupleBucket(..)))
-            .map(|s| (s, b.read(s).unwrap()))
-            .collect();
-        streams.sort_by_key(|&(s, _)| s);
-        streams
+    fn all_tuples(buckets: &BTreeMap<(u32, u32), BucketCandidates>) -> HashSet<(u32, u32)> {
+        directed_tuples(buckets).into_iter().collect()
     }
 
     /// A deterministic pseudo-random flag per user.
@@ -333,31 +530,47 @@ mod tests {
             .collect()
     }
 
+    /// A graph whose every edge is mutual: `u ↔ u ± 1 … u ± k/2` on a
+    /// ring, so every pivot sees `s → v → s` paths.
+    fn mutual_ring(n: usize, k: usize) -> KnnGraph {
+        let mut g = KnnGraph::new(n, k);
+        for u in 0..n {
+            for step in 1..=k / 2 {
+                for d in [(u + step) % n, (u + n - step) % n] {
+                    g.insert(
+                        UserId::new(u as u32),
+                        Neighbor::new(UserId::new(d as u32), 0.5),
+                    );
+                }
+            }
+        }
+        g
+    }
+
     #[test]
     fn path_graph_generates_direct_and_two_hop() {
         // 0→1→2: direct (0,1),(1,2); two-hop (0,2).
-        let (b, p) = setup(3, 2);
+        let p = partitioning(3, 2);
         let mut g = KnnGraph::new(3, 2);
         g.insert(UserId::new(0), Neighbor::new(UserId::new(1), 0.5));
         g.insert(UserId::new(1), Neighbor::new(UserId::new(2), 0.5));
-        let out = run_phase2(&g, &b, &p);
-        let got = all_tuples(&out, &b);
+        let (_, buckets) = generate(&g, &p, None);
         let expected: HashSet<(u32, u32)> = [(0, 1), (1, 2), (0, 2)].into_iter().collect();
-        assert_eq!(got, expected);
-        assert_eq!(out.stats.unique, 3);
+        assert_eq!(all_tuples(&buckets), expected);
+        assert_eq!(totals(&buckets).1, 3);
     }
 
     #[test]
     fn cycle_deduplicates_and_skips_self() {
         // Triangle 0→1→2→0: two-hop pairs include (0,2),(1,0),(2,1);
         // (0,0) etc. are skipped as self-tuples.
-        let (b, p) = setup(3, 3);
+        let p = partitioning(3, 3);
         let mut g = KnnGraph::new(3, 1);
         g.insert(UserId::new(0), Neighbor::new(UserId::new(1), 0.5));
         g.insert(UserId::new(1), Neighbor::new(UserId::new(2), 0.5));
         g.insert(UserId::new(2), Neighbor::new(UserId::new(0), 0.5));
-        let out = run_phase2(&g, &b, &p);
-        let got = all_tuples(&out, &b);
+        let (_, buckets) = generate(&g, &p, None);
+        let got = all_tuples(&buckets);
         assert_eq!(got, reference_tuple_set(&g));
         assert!(got.iter().all(|&(s, d)| s != d));
     }
@@ -365,67 +578,62 @@ mod tests {
     #[test]
     fn diamond_counts_duplicate_once() {
         // a→b→d and a→c→d: tuple (a,d) generated via two bridges.
-        let (b, p) = setup(4, 2);
+        let p = partitioning(4, 2);
         let mut g = KnnGraph::new(4, 2);
         let nb = |id: u32| Neighbor::new(UserId::new(id), 0.5);
         g.insert(UserId::new(0), nb(1));
         g.insert(UserId::new(0), nb(2));
         g.insert(UserId::new(1), nb(3));
         g.insert(UserId::new(2), nb(3));
-        let out = run_phase2(&g, &b, &p);
-        assert!(
-            out.stats.duplicates >= 1,
-            "diamond tuple must be deduplicated"
-        );
-        let got = all_tuples(&out, &b);
-        assert_eq!(got, reference_tuple_set(&g));
+        let (_, buckets) = generate(&g, &p, None);
+        let (offered, unique, _) = totals(&buckets);
+        assert!(offered - unique >= 1, "diamond tuple must be deduplicated");
+        assert_eq!(all_tuples(&buckets), reference_tuple_set(&g));
     }
 
+    /// Random graphs, plus a world of mutual edges whose user count is
+    /// no multiple of the partition count: the directed expansion is
+    /// the reference set, each directed tuple once.
     #[test]
     fn matches_reference_on_random_graphs() {
-        for seed in 0..5u64 {
-            let n = 40;
-            let g = KnnGraph::random_init(n, 4, seed);
-            let (b, p) = setup(n, 5);
-            let out = run_phase2(&g, &b, &p);
-            let directed = directed_tuples(&out, &b);
+        let worlds = (0..5u64)
+            .map(|seed| (KnnGraph::random_init(40, 4, seed), 5))
+            .chain([(mutual_ring(43, 6), 5)]);
+        for (case, (g, m)) in worlds.enumerate() {
+            let p = partitioning(g.num_vertices(), m);
+            let (_, buckets) = generate(&g, &p, None);
+            let directed = directed_tuples(&buckets);
             let got: HashSet<(u32, u32)> = directed.iter().copied().collect();
-            assert_eq!(got, reference_tuple_set(&g), "seed {seed}");
+            assert_eq!(got, reference_tuple_set(&g), "case {case}");
             assert_eq!(directed.len(), got.len());
-            assert!(out.stats.unique as usize <= got.len());
-        }
-    }
-
-    #[test]
-    fn pi_graph_weights_match_bucket_contents() {
-        let (b, p) = setup(30, 4);
-        let g = KnnGraph::random_init(30, 3, 9);
-        let out = run_phase2(&g, &b, &p);
-        for ((i, j), w) in out.pi.iter_buckets() {
-            let rows = knn_store::backend::read_tuples(&b, StreamId::TupleBucket(i, j)).unwrap();
-            assert_eq!(rows.len() as u64, w);
-            for (s, d, _) in rows {
-                assert_eq!(p.partition_of(UserId::new(s)), i);
-                assert_eq!(p.partition_of(UserId::new(d)), j);
-            }
+            assert!(totals(&buckets).1 as usize <= got.len());
         }
     }
 
     /// The offer-time rule against a brute-force oracle over random
     /// `G(t-1)` / `G(t)`, random `seed_ok` and `profile_dirty`, with
-    /// reverse offers off and on: the direction bits read back from
-    /// the bucket streams are exactly the directed candidates with a
-    /// path the rule keeps, and the suppressed count is exactly the
-    /// number of generating paths it drops.
+    /// reverse offers off and on, and over a mutual-edge world whose
+    /// size is no multiple of the partition count: the direction bits
+    /// are exactly the directed candidates with a path the rule keeps,
+    /// and the suppressed count is exactly the number of generating
+    /// paths it drops.
     #[test]
     fn offer_time_rule_matches_brute_force_oracle() {
-        for seed in [3u64, 8] {
+        let worlds = [3u64, 8]
+            .map(|seed| {
+                (
+                    seed,
+                    KnnGraph::random_init(40, 4, seed),
+                    // A different seed gives a realistic mix of shared
+                    // and new edges.
+                    KnnGraph::random_init(40, 4, seed + 100),
+                )
+            })
+            .into_iter()
+            .chain([(5, KnnGraph::random_init(43, 6, 5), mutual_ring(43, 6))]);
+        for (seed, old_g, new_g) in worlds {
             for include_reverse in [false, true] {
-                let n = 40;
-                let old_g = KnnGraph::random_init(n, 4, seed);
-                // A different seed gives a realistic mix of shared and
-                // new edges.
-                let new_g = KnnGraph::random_init(n, 4, seed + 100);
+                let n = new_g.num_vertices();
                 let state = PruneState {
                     profile_dirty: flags(n, seed, 8),
                     additions: new_g.additions_since(&old_g),
@@ -437,10 +645,7 @@ mod tests {
                     state: &state,
                     include_reverse,
                 };
-                let (b, p) = setup(n, 4);
-                write_partition_edges(&new_g, &p, &b, 1).unwrap();
-                let out =
-                    generate_tuples(&p, &b, &Phase2Options::new(1 << 16, 1), Some(&sup)).unwrap();
+                let (live, buckets) = generate(&new_g, &partitioning(n, 4), Some(&sup));
 
                 // Brute force: every generating path of G(t), and
                 // whether the rule drops it.
@@ -470,28 +675,30 @@ mod tests {
                 let suppressed = paths.iter().filter(|path| dropped(path)).count() as u64;
 
                 let label = format!("seed {seed}, include_reverse {include_reverse}");
-                let directed = directed_tuples(&out, &b);
+                let directed = directed_tuples(&buckets);
                 assert_eq!(directed.len(), kept.len(), "{label}");
                 assert_eq!(
                     directed.into_iter().collect::<HashSet<_>>(),
                     kept,
                     "{label}"
                 );
-                assert_eq!(out.suppressed, suppressed, "{label}");
+                let (offered, _, generated_suppressed) = totals(&buckets);
+                assert_eq!(generated_suppressed, suppressed, "{label}");
                 assert_eq!(
-                    out.stats.offered + out.suppressed,
+                    offered + suppressed,
                     paths.len() as u64,
                     "{label}: every path is either offered or suppressed"
                 );
+                assert_eq!(live.paths, paths.len() as u64, "{label}");
                 assert!(suppressed > 0, "{label}: some offers must be suppressed");
                 assert!(!kept.is_empty(), "{label}: some offers must survive");
             }
         }
     }
 
-    /// With every user dirty nothing is redundant: the oracle
-    /// suppresses no offer, and buckets (bytes included), PI graph and
-    /// stats are those of the oracle-free run.
+    /// With every user dirty nothing is redundant: the rule suppresses
+    /// no offer, and the rows, live set and counts are those of the
+    /// rule-free run.
     #[test]
     fn oracle_does_not_change_buckets_or_stats() {
         let n = 30;
@@ -507,107 +714,146 @@ mod tests {
             state: &state,
             include_reverse: false,
         };
-        let mut outputs = Vec::new();
-        for oracle in [None, Some(&sup)] {
-            let (b, p) = setup(n, 3);
-            write_partition_edges(&g, &p, &b, 1).unwrap();
-            let out = generate_tuples(&p, &b, &Phase2Options::new(1 << 16, 1), oracle).unwrap();
-            let mut streams: Vec<(StreamId, Vec<u8>)> = b
-                .list()
-                .unwrap()
-                .into_iter()
-                .map(|s| (s, b.read(s).unwrap()))
-                .collect();
-            streams.sort_by_key(|&(s, _)| s);
-            outputs.push((out, streams));
-        }
-        assert_eq!(outputs[1].0.suppressed, 0);
-        assert_eq!(outputs[0], outputs[1]);
+        let p = partitioning(n, 3);
+        let (plain_live, plain) = generate(&g, &p, None);
+        let (live, ruled) = generate(&g, &p, Some(&sup));
+        assert_eq!(totals(&ruled).2, 0);
+        assert_eq!(ruled, plain);
+        assert_eq!((live.pi, live.paths), (plain_live.pi, plain_live.paths));
     }
 
-    /// The spill threshold is output-invariant for real scans, oracle
-    /// included: identical buckets, PI graph, dedup stats and
-    /// suppressed count whether every offer spills or none does (spill
-    /// counts legitimately differ).
     #[test]
-    fn spill_threshold_is_output_invariant_under_the_oracle() {
-        let n = 50;
-        let old_g = KnnGraph::random_init(n, 4, 5);
-        let g = KnnGraph::random_init(n, 4, 55);
+    fn empty_graph_produces_no_tuples() {
+        let p = partitioning(4, 2);
+        let g = KnnGraph::new(4, 2);
+        let (live, buckets) = generate(&g, &p, None);
+        assert_eq!(live.pi, PiGraph::new(2));
+        assert_eq!(live.paths, 0);
+        assert_eq!(totals(&buckets), (0, 0, 0));
+    }
+
+    /// The live set of a generated world, as the schedule reads it:
+    /// unordered pairs with a row in either bucket, and diagonal
+    /// buckets with a row.
+    fn non_empty(buckets: &BTreeMap<(u32, u32), BucketCandidates>, m: usize) -> PiGraph {
+        let mut pi = PiGraph::new(m);
+        for (&(a, b), c) in buckets {
+            let key = (a.min(b), a.max(b));
+            if !c.rows.is_empty() && pi.bucket_weight(key.0, key.1) == 0 {
+                pi.add_bucket(key.0, key.1, 1);
+            }
+        }
+        pi
+    }
+
+    /// The schedule's input is exact on hand-built worlds: canonical
+    /// pairs and their direction bits, the bucket a canonical pair keys
+    /// into, a diagonal bucket whose only paths are `s → v → s` (not
+    /// live), and the counts.
+    #[test]
+    fn live_set_is_exactly_the_non_empty_buckets() {
+        let nb = |id: u32| Neighbor::new(UserId::new(id), 0.5);
+        // Users u → partition u % 2. 0 ↔ 2 is mutual inside partition
+        // 0: its only two-hop paths are 0→2→0 and 2→0→2.
+        let mut g = KnnGraph::new(4, 2);
+        g.insert(UserId::new(0), nb(2));
+        g.insert(UserId::new(2), nb(0));
+        let p = partitioning(4, 2);
+        let (live, buckets) = generate(&g, &p, None);
+        // Direct edges make (0, 0) live with one canonical row,
+        // carrying both directions.
+        assert_eq!(
+            buckets[&(0, 0)].rows,
+            vec![(0, 2, meta_bits::FWD | meta_bits::BWD)]
+        );
+        assert_eq!(live.pi, non_empty(&buckets, 2));
+        assert_eq!(live.paths, 2, "0→2 and 2→0; the two s→v→s paths are none");
+
+        // Suppressing both direct edges leaves only s → v → s paths in
+        // the diagonal: not live.
         let state = PruneState {
-            profile_dirty: flags(n, 5, 4),
-            additions: g.additions_since(&old_g),
-            seed_ok: vec![true; n],
+            profile_dirty: vec![false; 4],
+            additions: g.additions_since(&g),
+            seed_ok: vec![true; 4],
             fresh: Vec::new(),
         };
         let sup = Suppression {
             state: &state,
             include_reverse: false,
         };
-        let mut outputs = Vec::new();
-        for spill_threshold in [2usize, 1 << 16] {
-            let (b, p) = setup(n, 4);
-            write_partition_edges(&g, &p, &b, 1).unwrap();
-            let opts = Phase2Options::new(spill_threshold, 2);
-            let out = generate_tuples(&p, &b, &opts, Some(&sup)).unwrap();
-            outputs.push((
-                out.pi,
-                (out.stats.offered, out.stats.unique, out.stats.duplicates),
-                out.suppressed,
-                bucket_streams(&b),
-            ));
-        }
-        assert!(outputs[0].2 > 0, "the oracle must suppress something");
-        assert_eq!(outputs[0], outputs[1]);
-    }
+        let (live, buckets) = generate(&g, &p, Some(&sup));
+        assert!(buckets.values().all(|c| c.rows.is_empty()));
+        assert_eq!(live.pi, PiGraph::new(2));
+        assert_eq!(totals(&buckets), (0, 0, 2));
 
-    #[test]
-    fn empty_graph_produces_no_tuples() {
-        let (b, p) = setup(4, 2);
-        let g = KnnGraph::new(4, 2);
-        let out = run_phase2(&g, &b, &p);
-        assert_eq!(out.pi.total_tuples(), 0);
-        assert_eq!(out.stats.offered, 0);
-    }
-
-    #[test]
-    fn stale_buckets_from_previous_iteration_are_cleared() {
-        let (b, p) = setup(3, 2);
-        knn_store::backend::write_pairs(&b, StreamId::TupleBucket(1, 1), &[(9, 9)]).unwrap();
-        let g = KnnGraph::new(3, 2);
-        let _ = run_phase2(&g, &b, &p);
-        assert!(
-            !b.exists(StreamId::TupleBucket(1, 1)),
-            "stale bucket must be removed"
+        // Canonical keys: a pair keys into (part(min), part(max)), so
+        // 3 → 0, 3 → 2 and 1 → 2 → 0 are backward rows of bucket
+        // (0, 1), 1 → 2 a forward row of bucket (1, 0); 3 → 2 → 0
+        // offers (0, 3) a second time.
+        let mut g = KnnGraph::new(4, 2);
+        g.insert(UserId::new(3), nb(0));
+        g.insert(UserId::new(1), nb(2));
+        g.insert(UserId::new(3), nb(2));
+        g.insert(UserId::new(2), nb(0));
+        let (live, buckets) = generate(&g, &p, None);
+        let bwd = meta_bits::BWD;
+        assert_eq!(
+            buckets[&(0, 1)].rows,
+            vec![(0, 1, bwd), (0, 3, bwd), (2, 3, bwd)]
         );
+        assert_eq!(buckets[&(0, 1)].offered, 4);
+        assert_eq!(buckets[&(1, 0)].rows, vec![(1, 2, meta_bits::FWD)]);
+        assert_eq!(buckets[&(0, 0)].rows, vec![(0, 2, bwd)]);
+        assert!(buckets[&(1, 1)].rows.is_empty());
+        assert_eq!(totals(&buckets), (6, 5, 0));
+        assert_eq!(live.paths, 6);
+        assert_eq!(live.pi, non_empty(&buckets, 2));
+        assert_eq!(live.pi.self_pairs(), vec![0]);
     }
 
-    /// The determinism guarantee at the phase boundary: identical
-    /// buckets (bytes included), PI graph, and stats at every thread
-    /// count, on spill-heavy configurations too.
-    #[test]
-    fn thread_count_does_not_change_phase2_output() {
-        for spill_threshold in [1usize, 4, 1 << 16] {
-            let n = 60;
-            let g = KnnGraph::random_init(n, 4, 21);
-            type Reference = (Phase2Output, Vec<(StreamId, Vec<u8>)>);
-            let mut reference: Option<Reference> = None;
-            for threads in [1usize, 2, 4] {
-                let (b, p) = setup(n, 5);
-                write_partition_edges(&g, &p, &b, threads).unwrap();
-                let out =
-                    generate_tuples(&p, &b, &Phase2Options::new(spill_threshold, threads), None)
-                        .unwrap();
-                let streams = bucket_streams(&b);
-                match &reference {
-                    None => reference = Some((out, streams)),
-                    Some((ref_out, ref_streams)) => {
-                        assert_eq!(ref_out, &out, "threads={threads} spill={spill_threshold}");
-                        assert_eq!(
-                            ref_streams, &streams,
-                            "bucket bytes diverged at threads={threads} spill={spill_threshold}"
-                        );
-                    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The live set equals the set of non-empty generated buckets,
+        /// and the path count is what phase 4 offers plus what it
+        /// suppresses, over random `G(t-1)` / `G(t)` (mutual edges
+        /// included), dirty bits, `seed_ok`, reverse offers off and
+        /// on, and user counts that are no multiple of `m`.
+        #[test]
+        fn live_set_matches_the_generated_buckets(
+            n in 4usize..40,
+            k in 1usize..6,
+            m in 1usize..6,
+            seed in 0u64..1000,
+            include_reverse in 0u8..2,
+            suppress in 0u8..2,
+        ) {
+            let m = m.min(n);
+            let old_g = KnnGraph::random_init(n, k.min(n - 1), seed);
+            let g = if seed % 3 == 0 {
+                mutual_ring(n, 2 * k)
+            } else {
+                KnnGraph::random_init(n, k.min(n - 1), seed + 1)
+            };
+            let state = PruneState {
+                profile_dirty: flags(n, seed, 4),
+                additions: g.additions_since(&old_g),
+                seed_ok: flags(n, seed + 7, 2).iter().map(|&f| !f).collect(),
+                fresh: Vec::new(),
+            };
+            let sup = Suppression { state: &state, include_reverse: include_reverse == 1 };
+            let p = partitioning(n, m);
+            let (live, buckets) = generate(&g, &p, (suppress == 1).then_some(&sup));
+            prop_assert_eq!(&live.pi, &non_empty(&buckets, m));
+            let (offered, _, suppressed) = totals(&buckets);
+            prop_assert_eq!(live.paths, offered + suppressed);
+            for (&(a, b), c) in &buckets {
+                for w in c.rows.windows(2) {
+                    prop_assert!((w[0].0, w[0].1) < (w[1].0, w[1].1), "rows sorted, unique");
+                }
+                for &(u, v, bits) in &c.rows {
+                    prop_assert!(u < v && bits != 0 && bits & !(meta_bits::FWD | meta_bits::BWD) == 0);
+                    prop_assert_eq!((p.partition_of(UserId::new(u)), p.partition_of(UserId::new(v))), (a, b));
                 }
             }
         }
@@ -624,19 +870,19 @@ mod tests {
         store
     }
 
-    /// One iteration (phases 1, 2 and 4) from `current` on a fresh
-    /// world with clean profiles. With `previous`, phase 4 seeds the
-    /// accumulators and phase 2 suppresses against the `previous` →
-    /// `current` additions, as the engine does.
+    /// One iteration (phases 2 and 4) from `current` on a fresh world
+    /// with clean profiles. With `previous`, phase 4 seeds the
+    /// accumulators and the generator suppresses against the
+    /// `previous` → `current` additions, as the engine does.
     fn iterate(
         current: &KnnGraph,
         previous: Option<&KnnGraph>,
         profiles: &ProfileStore,
         k: usize,
         m: usize,
-    ) -> (Phase2Output, Phase4Output) {
+    ) -> (Live, Phase4Output) {
         let n = current.num_vertices();
-        let (b, p) = setup(n, m);
+        let (b, p) = (MemBackend::new(), partitioning(n, m));
         let state = previous.map(|previous| PruneState {
             profile_dirty: vec![false; n],
             additions: current.additions_since(previous),
@@ -650,8 +896,8 @@ mod tests {
             include_reverse: false,
         });
         reshard_profiles(&b, None, &p, Some(profiles), 1).unwrap();
-        write_partition_edges(current, &p, &b, 1).unwrap();
-        let p2 = generate_tuples(&p, &b, &Phase2Options::new(1 << 16, 1), sup.as_ref()).unwrap();
+        let legs = Legs::new(current, &p, sup.as_ref());
+        let live = live_buckets(&legs, &p);
         let options = Phase4Options {
             k,
             measure: Measure::Cosine,
@@ -661,9 +907,9 @@ mod tests {
             bound_filter: false,
             chunk: CHUNK,
         };
-        let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let p4 = run_phase4(&schedule, &p2.pi, &p, &b, current, state.as_ref(), &options).unwrap();
-        (p2, p4)
+        let schedule = Heuristic::Sequential.schedule(&live.pi);
+        let p4 = run_phase4(&schedule, &legs, &p, &b, current, state.as_ref(), &options).unwrap();
+        (live, p4)
     }
 
     /// Offer-time suppression is exact: iteration 2 with the honest
@@ -676,15 +922,15 @@ mod tests {
         let profiles = line_profiles(n);
         let g1 = iterate(&g0, None, &profiles, k, m).1.graph;
         let reference = iterate(&g1, None, &profiles, k, m).1.graph;
-        let (p2, p4) = iterate(&g1, Some(&g0), &profiles, k, m);
+        let (live, p4) = iterate(&g1, Some(&g0), &profiles, k, m);
         assert_eq!(p4.graph, reference, "suppression changed G(2)");
-        assert!(p2.suppressed > 0, "no offer was suppressed");
+        assert!(live.paths > p4.tuples.offered, "no offer was suppressed");
         assert!(p4.sims_computed > 0, "iteration 2 still has fresh pairs");
     }
 
     /// At a fixed point (G(t+1) == G(t), static profiles) every offer
-    /// is suppressed: no tuple, no kernel evaluation, no partition
-    /// load, identical graph.
+    /// is suppressed: no live bucket, no tuple, no kernel evaluation,
+    /// no partition load, identical graph.
     #[test]
     fn suppression_skips_everything_at_a_fixed_point() {
         let (n, k, m) = (40, 4, 4);
@@ -699,10 +945,15 @@ mod tests {
             assert!(rounds < 20, "line-profile world failed to converge");
         }
         // current == prev: the oracle between them is empty.
-        let (p2, p4) = iterate(&current, Some(&prev), &profiles, k, m);
+        let (live, p4) = iterate(&current, Some(&prev), &profiles, k, m);
         assert_eq!(p4.graph, current, "fixed point not reproduced");
-        assert_eq!(p2.stats.offered, 0, "a fully static world offers nothing");
-        assert!(p2.suppressed > 0);
+        assert_eq!(
+            live.pi,
+            PiGraph::new(m),
+            "a fully static world has no live bucket"
+        );
+        assert_eq!(p4.tuples.offered, 0, "a fully static world offers nothing");
+        assert!(live.paths > 0);
         assert_eq!(
             p4.sims_computed, 0,
             "a fully static world needs zero kernel evaluations"

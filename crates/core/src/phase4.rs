@@ -16,17 +16,17 @@
 //! deterministic bucket order — so the counters and the resulting
 //! graph are identical at every thread count:
 //!
-//! 0. **Symmetric pair dedup** — phase 2 stores each unordered pair
-//!    once, its bucket row carrying the [`meta_bits`] direction bits of
-//!    the directed candidates that exist, so the symmetric kernel runs
-//!    once per pair and its score is offered along every recorded
-//!    direction.
+//! 0. **Symmetric pair dedup** — the generator
+//!    ([`pair_candidates`]) emits each unordered pair once, its row
+//!    carrying the [`meta_bits`] direction bits of the directed
+//!    candidates that exist, so the symmetric kernel runs once per pair
+//!    and its score is offered along every recorded direction.
 //! 1. **Prepared profiles** — a partition load materializes its
 //!    profiles as one [`ProfileArena`] (split id / weight columns),
 //!    hoisting the per-profile aggregates (L2 norm, weight sum,
 //!    extrema, block sketches) out of the kernels.
-//! 2. **Offer-time suppression** (`sims_skipped`) — decided in phase 2,
-//!    not here: a directed candidate whose verdict is already known
+//! 2. **Offer-time suppression** (`sims_skipped`) — decided by the
+//!    generator, per path: a directed candidate whose verdict is already known
 //!    (all-old generating path between users whose standing is
 //!    provably unchanged) is never offered; instead the user's
 //!    accumulator starts from its `G(t)` row, which carries the prior
@@ -34,7 +34,7 @@
 //!    fresh score phase 5's stale-seed sweep computed, and the row is
 //!    seeded at all only if no fresh score fell behind its old k-th
 //!    entry (see [`seed_accumulators`]). Phase 4 scores what the
-//!    buckets hold.
+//!    generated rows hold.
 //! 3. **Bound-based filtering** (`sims_pruned`) — a tuple is scored
 //!    only if its O(1) score ceiling ([`Measure::upper_bound_ref`])
 //!    could still beat the current k-th entry of the target
@@ -72,9 +72,11 @@
 //!
 //! 1. dispatch bucket `j` to the pool;
 //! 2. apply bucket `j−1`'s offers to the accumulators, in chunk order;
-//! 3. prepare bucket `j+1`: decode its tuple stream and copy the
-//!    thresholds of its two partitions' users (no score lands between
-//!    this copy and `j+1`'s dispatch, so it is the dispatch-time state);
+//! 3. prepare bucket `j+1`: generate its rows from the resident `G(t)`
+//!    ([`pair_candidates`] generates both buckets of a pair in one walk;
+//!    a bucket that generates no row is skipped) and copy the thresholds
+//!    of its two partitions' users (no score lands between this copy and
+//!    `j+1`'s dispatch, so it is the dispatch-time state);
 //! 4. collect bucket `j`: claim and run its unclaimed chunks, then wait
 //!    for the workers' results.
 //!
@@ -85,25 +87,41 @@
 //! With one thread the same order runs inline (score `j`, then apply
 //! `j−1`), so every counter is identical at every thread count. The
 //! partition loads stay on the driving thread, between steps. In
-//! flight at once: the decoded tuples and threshold copies of buckets
-//! `j` and `j+1`, and the offers of buckets `j−1` and `j`; the cache
-//! still holds two arenas.
+//! flight at once: the generated rows and threshold copies of buckets
+//! `j` and `j+1`, plus the rows of `j+1`'s sibling when it heads a pair
+//! (no bucket is ever written out or read back), and the offers of
+//! buckets `j−1` and `j`; the cache still holds two arenas.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use knn_graph::{KnnGraph, Neighbor, UserId};
 use knn_sim::{Measure, PreparedRef, ProfileArena, RowKernel};
-use knn_store::backend::{read_tuples, read_user_lists};
-use knn_store::tuple_stream::TupleRow;
+use knn_store::backend::read_user_lists;
 use knn_store::{CacheCounters, SlotCache, StorageBackend, StoreError, StreamId};
 
+use crate::metrics::TupleStats;
 use crate::partition::Partitioning;
-use crate::phase2::PruneState;
+use crate::phase2::{pair_candidates, Legs, PruneState};
 use crate::topk::TopKAccumulator;
 use crate::traversal::Schedule;
-use crate::tuple_table::meta_bits;
-use crate::{EngineError, PiGraph};
+use crate::EngineError;
+
+/// One canonical candidate row `(u, v, bits)`: the unordered pair
+/// `u < v` and its [`meta_bits`].
+pub(crate) type TupleRow = (u32, u32, u8);
+
+/// The direction bits of one **canonical** (undirected) tuple `(u, v)`
+/// with `u < v`: which of the two directed candidate tuples exist. They
+/// are what lets phase 4 evaluate each unordered pair's symmetric
+/// kernel once and still make exactly the offers the directed tuple
+/// set implies.
+pub(crate) mod meta_bits {
+    /// The directed tuple `(u, v)` exists (`v` is a candidate for `u`).
+    pub(crate) const FWD: u8 = 1;
+    /// The directed tuple `(v, u)` exists (`u` is a candidate for `v`).
+    pub(crate) const BWD: u8 = 2;
+}
 
 /// Bucket rows per scoring task. It does not depend on the thread
 /// count, so neither do the chunk boundaries, the per-chunk filter
@@ -147,6 +165,10 @@ pub(crate) struct Phase4Output {
     /// Tuples dropped by the upper-bound filter (ceiling could not
     /// beat the current k-th accumulator entry).
     pub sims_pruned: u64,
+    /// Candidate counts summed over the generated buckets.
+    pub tuples: TupleStats,
+    /// Rows of the diagonal buckets (both endpoints in one partition).
+    pub intra_partition_tuples: u64,
 }
 
 /// A canonical tuple queued for scoring: endpoints, their rows in the
@@ -271,9 +293,10 @@ fn seed_accumulators(
 }
 
 /// Runs phase 4 over the given schedule: seeds the accumulators from
-/// `graph` = `G(t)` and `prune` (see [`seed_accumulators`]), scores
-/// every tuple of the phase-2 buckets that the bound filter does not
-/// prune, and harvests `G(t+1)`.
+/// `graph` = `G(t)` and `prune` (see [`seed_accumulators`]), generates
+/// the buckets of every scheduled pair from `legs` (`G(t)`'s index),
+/// scores every row the bound filter does not prune, and harvests
+/// `G(t+1)`.
 ///
 /// # Errors
 ///
@@ -282,7 +305,7 @@ fn seed_accumulators(
 /// user missing from its partition's profile stream.
 pub(crate) fn run_phase4(
     schedule: &Schedule,
-    pi: &PiGraph,
+    legs: &Legs,
     partitioning: &Partitioning,
     backend: &dyn StorageBackend,
     graph: &KnnGraph,
@@ -293,7 +316,7 @@ pub(crate) fn run_phase4(
     let mut run = |pool| {
         drive(
             schedule,
-            pi,
+            legs,
             partitioning,
             backend,
             options,
@@ -301,7 +324,7 @@ pub(crate) fn run_phase4(
             pool,
         )
     };
-    let (cache, sims_computed, sims_pruned) = if options.threads <= 1 {
+    let (cache, sims_computed, sims_pruned, counts) = if options.threads <= 1 {
         run(None)?
     } else {
         // One pool for the whole run; the driving thread is the last
@@ -334,11 +357,25 @@ pub(crate) fn run_phase4(
         cache,
         sims_computed,
         sims_pruned,
+        tuples: TupleStats {
+            offered: counts.offered,
+            unique: counts.unique,
+            duplicates: counts.offered - counts.unique,
+        },
+        intra_partition_tuples: counts.intra,
     })
 }
 
+/// Row counts of the buckets generated so far.
+#[derive(Debug, Default)]
+struct Counts {
+    offered: u64,
+    unique: u64,
+    intra: u64,
+}
+
 /// A bucket's inputs, prepared by the driving thread ahead of its
-/// dispatch: the decoded rows, and the k-th accumulator entry of every
+/// dispatch: the generated rows, and the k-th accumulator entry of every
 /// user of its source and destination partition, indexed by row within
 /// the partition.
 struct Prepared {
@@ -346,15 +383,14 @@ struct Prepared {
     thresholds: [Vec<Option<Neighbor>>; 2],
 }
 
-/// Decodes bucket `(src, dst)` and copies its partitions' thresholds
-/// from `accums` as they stand now: O(users of the two partitions),
-/// not O(rows).
+/// Copies bucket `(src, dst)`'s partitions' thresholds from `accums`
+/// as they stand now: O(users of the two partitions), not O(rows).
 fn prepare(
-    backend: &dyn StorageBackend,
+    rows: Vec<TupleRow>,
     partitioning: &Partitioning,
     accums: &[TopKAccumulator],
     (src, dst): (u32, u32),
-) -> Result<Prepared, StoreError> {
+) -> Prepared {
     let copy = |p: u32| -> Vec<Option<Neighbor>> {
         partitioning
             .users_of(p)
@@ -362,10 +398,10 @@ fn prepare(
             .map(|u| accums.get(u.index()).and_then(TopKAccumulator::threshold))
             .collect()
     };
-    Ok(Prepared {
-        rows: read_tuples(backend, StreamId::TupleBucket(src, dst))?,
+    Prepared {
+        rows,
         thresholds: [copy(src), copy(dst)],
-    })
+    }
 }
 
 /// One bucket's scoring work, shared read-only by its chunk tasks: its
@@ -587,57 +623,61 @@ fn work(
 /// Walks the schedule, folding every surviving score into `accums`
 /// (indexed by user id) through the depth-one pipeline of the module
 /// docs. Returns the cache counters, the similarity evaluations
-/// performed and the tuples the bound filter pruned.
+/// performed, the tuples the bound filter pruned and the generated
+/// buckets' row counts.
 fn drive<'a>(
     schedule: &Schedule,
-    pi: &PiGraph,
+    legs: &Legs,
     partitioning: &'a Partitioning,
     backend: &dyn StorageBackend,
     options: &'a Phase4Options,
     accums: &mut [TopKAccumulator],
     pool: Option<WorkerPool<'a>>,
-) -> Result<(CacheCounters, u64, u64), EngineError> {
+) -> Result<(CacheCounters, u64, u64, Counts), EngineError> {
     let mut cache: SlotCache<Arc<ProfileArena>> =
         SlotCache::new(options.cache_slots).with_io_stats(Arc::clone(backend.stats()));
     let mut sims_computed = 0u64;
     let mut sims_pruned = 0u64;
+    let mut counts = Counts::default();
 
-    // Every non-empty bucket in schedule order, tagged with its step:
-    // both directed buckets of a pair (one for a self-pair).
-    let buckets: Vec<(usize, u32, u32)> = schedule
-        .iter()
-        .enumerate()
-        .flat_map(|(i, step)| {
-            let pairs = if step.is_self() {
-                vec![(step.a, step.a)]
-            } else {
-                vec![(step.a, step.b), (step.b, step.a)]
-            };
-            pairs
-                .into_iter()
-                .filter(|&(src, dst)| pi.bucket_weight(src, dst) > 0)
-                .map(move |(src, dst)| (i, src, dst))
-        })
-        .collect();
-    let prepare_bucket = |j: usize, accums: &[TopKAccumulator]| {
-        let (_, src, dst) = buckets[j];
-        prepare(backend, partitioning, accums, (src, dst))
+    // The schedule's steps, generated a pair at a time: both directed
+    // buckets of a pair (one for a self-pair), tagged with the step.
+    let mut steps = schedule.iter().enumerate();
+    let mut generated: std::collections::VecDeque<(usize, u32, u32, Vec<TupleRow>)> =
+        std::collections::VecDeque::new();
+    // The next bucket that has rows, with its thresholds copied as
+    // they stand now.
+    let mut generate_next = |accums: &[TopKAccumulator]| loop {
+        if let Some((i, src, dst, rows)) = generated.pop_front() {
+            if !rows.is_empty() {
+                return Some((i, src, dst, prepare(rows, partitioning, accums, (src, dst))));
+            }
+            continue;
+        }
+        let (i, step) = steps.next()?;
+        let keys = [(step.a, step.b), (step.b, step.a)];
+        for (bucket, (src, dst)) in pair_candidates(legs, partitioning, keys[0])
+            .into_iter()
+            .zip(keys)
+        {
+            counts.offered += bucket.offered;
+            counts.unique += bucket.rows.len() as u64;
+            if src == dst {
+                counts.intra += bucket.rows.len() as u64;
+            }
+            generated.push_back((i, src, dst, bucket.rows));
+        }
     };
-    let mut ahead: Option<Prepared> = None; // bucket j+1
+    let mut ahead = generate_next(accums); // bucket j
     let mut unapplied: Vec<Scored> = Vec::new(); // bucket j−1
-    let mut j = 0usize;
 
     for (i, step) in schedule.iter().enumerate() {
         cache.ensure(step.a, None, |p| load_arena(backend, p))?;
         if !step.is_self() {
             cache.ensure(step.b, Some(step.a), |p| load_arena(backend, p))?;
         }
-        while j < buckets.len() && buckets[j].0 == i {
-            let (_, src, dst) = buckets[j];
-            let input = match ahead.take() {
-                Some(input) => input,
-                None => prepare_bucket(j, accums)?,
-            };
+        while ahead.as_ref().is_some_and(|&(step, ..)| step == i) {
+            let (_, src, dst, input) = ahead.take().expect("checked above");
             let job = Arc::new(BucketJob {
                 input,
                 src: Arc::clone(cache.get(src).expect("src resident")),
@@ -658,9 +698,7 @@ fn drive<'a>(
             apply_scores(accums, &std::mem::take(&mut unapplied));
             // 3. Prepare bucket j+1. No score lands before its dispatch,
             //    so these are the thresholds it would see then.
-            if j + 1 < buckets.len() {
-                ahead = Some(prepare_bucket(j + 1, accums)?);
-            }
+            ahead = generate_next(accums);
             // 4. Collect bucket j.
             unapplied = inline
                 .unwrap_or_else(|| pool.as_ref().expect("dispatched to the pool").collect(&job))?;
@@ -668,13 +706,12 @@ fn drive<'a>(
                 sims_computed += scored.computed;
                 sims_pruned += scored.pruned;
             }
-            j += 1;
         }
     }
     apply_scores(accums, &unapplied);
 
     cache.flush();
-    Ok((cache.counters(), sims_computed, sims_pruned))
+    Ok((cache.counters(), sims_computed, sims_pruned, counts))
 }
 
 /// After this many bound evaluations in one chunk with a hit rate
@@ -706,11 +743,12 @@ fn apply_scores(accums: &mut [TopKAccumulator], scored: &[Scored]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase1::{reshard_profiles, write_partition_edges};
-    use crate::phase2::generate_tuples;
+    use crate::phase1::reshard_profiles;
+    use crate::phase2::{bucket_candidates, live_buckets};
     use crate::traversal::Heuristic;
+    use crate::PiGraph;
     use knn_sim::ProfileStore;
-    use knn_store::backend::{write_tuples, write_user_lists};
+    use knn_store::backend::write_user_lists;
 
     fn options(k: usize, threads: usize) -> Phase4Options {
         Phase4Options {
@@ -724,26 +762,27 @@ mod tests {
         }
     }
 
+    /// A world's candidate side: `G(t)`'s legs and the live pairs.
+    struct Candidates {
+        legs: Legs,
+        pi: PiGraph,
+    }
+
     /// Builds a tiny world: n users in m partitions with simple
-    /// profiles, a given KNN graph, everything written to the backend.
+    /// profiles written to the backend, and a given KNN graph indexed.
     fn setup_world(
         g: &KnnGraph,
         profiles: &ProfileStore,
         m: usize,
-    ) -> (
-        knn_store::MemBackend,
-        Partitioning,
-        crate::phase2::Phase2Output,
-    ) {
+    ) -> (knn_store::MemBackend, Partitioning, Candidates) {
         let n = g.num_vertices();
         let b = knn_store::MemBackend::new();
         let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
         let p = Partitioning::from_assignment(assignment, m).unwrap();
         reshard_profiles(&b, None, &p, Some(profiles), 1).unwrap();
-        write_partition_edges(g, &p, &b, 1).unwrap();
-        let out =
-            generate_tuples(&p, &b, &crate::phase2::Phase2Options::new(1 << 16, 1), None).unwrap();
-        (b, p, out)
+        let legs = Legs::new(g, &p, None);
+        let pi = live_buckets(&legs, &p).pi;
+        (b, p, Candidates { legs, pi })
     }
 
     fn line_profiles(n: usize) -> ProfileStore {
@@ -765,7 +804,7 @@ mod tests {
         let profiles = line_profiles(2);
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(1, 1)).unwrap();
+        let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(1, 1)).unwrap();
         let nbrs = out.graph.neighbors(UserId::new(0));
         assert_eq!(nbrs.len(), 1);
         assert_eq!(nbrs[0].id, UserId::new(1));
@@ -783,7 +822,7 @@ mod tests {
         for h in Heuristic::ALL {
             let (b, p, p2) = setup_world(&g, &profiles, 4);
             let schedule = h.schedule(&p2.pi);
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(4, 1)).unwrap();
+            let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(4, 1)).unwrap();
             results.push((h, out.graph));
         }
         for (h, g2) in &results[1..] {
@@ -801,7 +840,7 @@ mod tests {
             let (b, p, p2) = setup_world(&g, &profiles, 3);
             let schedule = Heuristic::DegreeLowHigh.schedule(&p2.pi);
             let out =
-                run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(5, threads)).unwrap();
+                run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(5, threads)).unwrap();
             results.push(out.graph);
         }
         assert_eq!(results[0], results[1]);
@@ -819,7 +858,9 @@ mod tests {
         let profiles = varied_profiles(n);
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         assert!(
-            p2.pi.iter_buckets().all(|(_, w)| w > 4 * 64),
+            bucket_order(&Heuristic::Sequential.schedule(&p2.pi), &p2.legs, &p)
+                .iter()
+                .all(|&(src, dst)| bucket_candidates(&p2.legs, &p, (src, dst)).rows.len() > 4 * 64),
             "test needs buckets of several chunks"
         );
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
@@ -831,7 +872,7 @@ mod tests {
                 opts.include_reverse = include_reverse;
                 opts.bound_filter = true;
                 opts.chunk = chunk;
-                let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
+                let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &opts).unwrap();
                 results.push((out.graph, out.sims_computed, out.sims_pruned, out.cache));
             }
             let case = format!("chunk={chunk} include_reverse={include_reverse}");
@@ -859,7 +900,7 @@ mod tests {
             opts.include_reverse = include_reverse;
             opts.bound_filter = true;
             opts.chunk = 8;
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
+            let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &opts).unwrap();
             let want = crate::reference::reference_iteration(
                 &g,
                 &profiles,
@@ -885,7 +926,7 @@ mod tests {
             let mut opts = options(4, 4);
             opts.bound_filter = true;
             opts.chunk = chunk;
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
+            let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &opts).unwrap();
             results.push((out.graph, out.sims_computed + out.sims_pruned));
         }
         assert_eq!(results[0], results[1]);
@@ -901,7 +942,7 @@ mod tests {
         for m in [2, 3, 5] {
             let (b, p, p2) = setup_world(&g, &profiles, m);
             let schedule = Heuristic::Sequential.schedule(&p2.pi);
-            let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(3, 1)).unwrap();
+            let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(3, 1)).unwrap();
             results.push(out.graph);
         }
         assert_eq!(results[0], results[1]);
@@ -916,7 +957,7 @@ mod tests {
         let (b, p, p2) = setup_world(&g, &profiles, 6);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let predicted = crate::traversal::simulate_schedule_ops(&schedule, 2);
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(3, 1)).unwrap();
+        let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(3, 1)).unwrap();
         assert_eq!(
             out.cache.loads, predicted.loads,
             "dry run must match execution"
@@ -935,7 +976,7 @@ mod tests {
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let mut opts = options(1, 1);
         opts.include_reverse = true;
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
+        let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &opts).unwrap();
         assert_eq!(out.graph.neighbors(UserId::new(1)).len(), 1);
         assert_eq!(out.graph.neighbors(UserId::new(1))[0].id, UserId::new(0));
     }
@@ -947,7 +988,7 @@ mod tests {
         let (b, p, p2) = setup_world(&g, &profiles, 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         assert!(schedule.is_empty());
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(2, 1)).unwrap();
+        let out = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(2, 1)).unwrap();
         assert_eq!(out.graph.num_edges(), 0);
         assert_eq!(out.sims_computed, 0);
     }
@@ -988,7 +1029,16 @@ mod tests {
         let (b, p, p2) = setup_world(&KnnGraph::new(4, 2), &line_profiles(4), 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         assert!(schedule.is_empty());
-        let out = run_phase4(&schedule, &p2.pi, &p, &b, &g, Some(&prune), &options(2, 1)).unwrap();
+        let out = run_phase4(
+            &schedule,
+            &p2.legs,
+            &p,
+            &b,
+            &g,
+            Some(&prune),
+            &options(2, 1),
+        )
+        .unwrap();
         assert_eq!(out.accums_seeded, 2);
         assert_eq!(
             out.graph.neighbors(UserId::new(0)),
@@ -996,7 +1046,7 @@ mod tests {
             "seeded rows carry the seeds best-first"
         );
         assert!(out.graph.neighbors(UserId::new(2)).is_empty());
-        let unseeded = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(2, 1)).unwrap();
+        let unseeded = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(2, 1)).unwrap();
         assert_eq!((unseeded.accums_seeded, unseeded.graph.num_edges()), (0, 0));
     }
 
@@ -1054,7 +1104,7 @@ mod tests {
         rows.pop();
         write_user_lists(&b, StreamId::Profiles(0), &rows).unwrap();
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        let err = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &options(3, 1)).unwrap_err();
+        let err = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &options(3, 1)).unwrap_err();
         assert!(
             matches!(&err, EngineError::InputMismatch { .. }),
             "got {err:?}"
@@ -1088,14 +1138,14 @@ mod tests {
             let schedule = Heuristic::DegreeLowHigh.schedule(&p2.pi);
             let mut plain_opts = options(2, 1);
             plain_opts.measure = measure;
-            let plain = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &plain_opts).unwrap();
+            let plain = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &plain_opts).unwrap();
             let mut counters = Vec::new();
             for threads in [1usize, 2, 4] {
                 let mut opts = options(2, threads);
                 opts.measure = measure;
                 opts.bound_filter = true;
                 opts.chunk = 8; // several chunks per bucket
-                let filtered = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap();
+                let filtered = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &opts).unwrap();
                 assert_eq!(
                     plain.graph, filtered.graph,
                     "{measure}: bound filter changed the graph"
@@ -1121,7 +1171,7 @@ mod tests {
 
     /// The non-empty buckets of `schedule`, in the order phase 4 reads
     /// them.
-    fn bucket_order(schedule: &Schedule, pi: &PiGraph) -> Vec<(u32, u32)> {
+    fn bucket_order(schedule: &Schedule, legs: &Legs, p: &Partitioning) -> Vec<(u32, u32)> {
         schedule
             .iter()
             .flat_map(|step| {
@@ -1131,7 +1181,7 @@ mod tests {
                     vec![(step.a, step.b), (step.b, step.a)]
                 }
             })
-            .filter(|&(src, dst)| pi.bucket_weight(src, dst) > 0)
+            .filter(|&key| !bucket_candidates(legs, p, key).rows.is_empty())
             .collect()
     }
 
@@ -1144,18 +1194,23 @@ mod tests {
         let g = KnnGraph::random_init(n, 4, 5);
         let (b, p, p2) = setup_world(&g, &line_profiles(n), 2);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
-        // Append a row naming an unknown user to the second bucket
-        // read; sorted by (u, v), it lands in the bucket's last chunk.
-        let (src, dst) = bucket_order(&schedule, &p2.pi)[1];
-        let mut rows = read_tuples(&b, StreamId::TupleBucket(src, dst)).unwrap();
-        assert!(rows.len() > 8, "the bucket must span several chunks");
-        rows.push((n as u32 + 7, n as u32 + 8, meta_bits::FWD));
-        write_tuples(&b, StreamId::TupleBucket(src, dst), &rows).unwrap();
+        // Drop partition 0's last user from its profile stream. The
+        // first bucket read names it only past its first chunk.
+        let mut rows = read_user_lists(&b, StreamId::Profiles(0)).unwrap();
+        let (missing, _) = rows.pop().unwrap();
+        write_user_lists(&b, StreamId::Profiles(0), &rows).unwrap();
+        let first = bucket_order(&schedule, &p2.legs, &p)[0];
+        let first_rows = bucket_candidates(&p2.legs, &p, first).rows;
+        let at = first_rows
+            .iter()
+            .position(|&(u, v, _)| u == missing || v == missing)
+            .expect("the first bucket names the dropped user");
+        assert!(at >= 4, "the dropped user must first appear past chunk 0");
         let mut errors = Vec::new();
         for threads in [1, 2] {
             let mut opts = options(4, threads);
             opts.chunk = 4;
-            let err = run_phase4(&schedule, &p2.pi, &p, &b, &g, None, &opts).unwrap_err();
+            let err = run_phase4(&schedule, &p2.legs, &p, &b, &g, None, &opts).unwrap_err();
             assert!(
                 matches!(&err, EngineError::InputMismatch { .. }),
                 "threads={threads}: got {err:?}"
@@ -1163,18 +1218,23 @@ mod tests {
             errors.push(err.to_string());
         }
         assert_eq!(errors[0], errors[1]);
-        assert!(errors[0].contains(&format!("tuple ({}, {})", n + 7, n + 8)));
+        let (u, v, _) = first_rows[at];
+        assert!(
+            errors[0].contains(&format!("tuple ({u}, {v})")),
+            "{}",
+            errors[0]
+        );
     }
 
-    /// A storage fault at every operation of a pooled run — among them
-    /// the read of bucket `j+1` while bucket `j` is on the pool — returns
-    /// `Err`: no hang, no panic.
+    /// A storage fault at every operation of a pooled run — partition
+    /// loads between buckets, while the last bucket's scores wait to be
+    /// applied — returns `Err`: no hang, no panic.
     #[test]
-    fn a_failed_read_ahead_returns_while_a_bucket_is_in_flight() {
+    fn a_storage_fault_in_a_pooled_run_returns_an_error() {
         use knn_store::{FaultBackend, FaultKind, FaultPlan};
         let n = 40;
         let g = KnnGraph::random_init(n, 4, 5);
-        let (mem, p, p2) = setup_world(&g, &line_profiles(n), 2);
+        let (mem, p, p2) = setup_world(&g, &line_profiles(n), 3);
         let schedule = Heuristic::Sequential.schedule(&p2.pi);
         let fault = FaultBackend::new(Arc::new(mem));
         let mut opts = options(4, 2);
@@ -1186,21 +1246,17 @@ mod tests {
         };
         fault.set_plan(plan(u64::MAX));
         fault.arm();
-        let clean = run_phase4(&schedule, &p2.pi, &p, &fault, &g, None, &opts).unwrap();
+        let clean = run_phase4(&schedule, &p2.legs, &p, &fault, &g, None, &opts).unwrap();
         let ops = fault.ops_observed();
-        let (src, dst) = bucket_order(&schedule, &p2.pi)[1];
-        let read_ahead = fault.describe(StreamId::TupleBucket(src, dst));
-        let mut read_ahead_failed = false;
+        assert!(ops > 2, "the run must load partitions between buckets");
         for fail_at in 0..ops {
             fault.set_plan(plan(fail_at));
-            let err = run_phase4(&schedule, &p2.pi, &p, &fault, &g, None, &opts).unwrap_err();
+            let err = run_phase4(&schedule, &p2.legs, &p, &fault, &g, None, &opts).unwrap_err();
             assert!(
                 matches!(&err, EngineError::Store(_)),
                 "op {fail_at}: got {err:?}"
             );
-            read_ahead_failed |= err.to_string().contains(&read_ahead.display().to_string());
         }
-        assert!(read_ahead_failed, "no kill point hit the read-ahead");
         assert!(clean.sims_computed > 0);
     }
 }

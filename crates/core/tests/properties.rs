@@ -4,76 +4,9 @@ use knn_cluster::ClusterAssignment;
 use knn_core::partition::{objective, ClusterPartitioner, GreedyPartitioner, Partitioning};
 use knn_core::topk::TopKAccumulator;
 use knn_core::traversal::{simulate_schedule_ops, Heuristic};
-use knn_core::tuple_table::{merge_parts, meta_bits, TupleTable};
 use knn_core::PiGraph;
 use knn_graph::{DiGraph, KnnGraph, Neighbor, UserId};
-use knn_store::backend::read_tuples;
-use knn_store::{MemBackend, StorageBackend, StreamId};
 use proptest::prelude::*;
-
-/// Offers with duplicates planted, so dedup is always exercised: each
-/// generated pair is offered 1–3 times, with repeats interleaved far
-/// apart (straddling whatever spill boundaries the threshold creates).
-/// One generated offer: the pair and how many times to offer it.
-type Offer = ((u32, u32), u8);
-/// Final bucket contents keyed by partition pair.
-type Buckets = std::collections::BTreeMap<(u32, u32), Vec<(u32, u32)>>;
-/// Directed tuples.
-type Directed = std::collections::BTreeSet<(u32, u32)>;
-
-fn arb_offers() -> impl Strategy<Value = (usize, Vec<Offer>)> {
-    (6usize..40).prop_flat_map(|n| {
-        let pair = (0..n as u32, 0..n as u32);
-        (Just(n), proptest::collection::vec((pair, 1u8..4), 0..120))
-    })
-}
-
-/// Replays `offers` into tables (one per `namespaces`) and merges,
-/// returning bucket contents (canonical tuples), the directed-tuple
-/// expansion via the direction bits, and stats. Repeat-offers are interleaved round-robin so duplicates
-/// straddle spill runs rather than sitting adjacent.
-fn run_tables(
-    backend: &MemBackend,
-    partitioning: &Partitioning,
-    offers: &[Offer],
-    spill_threshold: usize,
-    namespaces: u32,
-) -> (knn_core::tuple_table::TupleTableStats, Buckets, Directed) {
-    let mut tables: Vec<TupleTable> = (0..namespaces)
-        .map(|ns| TupleTable::with_namespace(backend, partitioning, spill_threshold, ns))
-        .collect();
-    let max_repeat = offers.iter().map(|&(_, r)| r).max().unwrap_or(1);
-    for round in 0..max_repeat {
-        for (i, &((s, d), repeats)) in offers.iter().enumerate() {
-            if round < repeats {
-                tables[i % namespaces as usize].offer(s, d).unwrap();
-            }
-        }
-    }
-    let parts = tables.into_iter().map(TupleTable::into_parts).collect();
-    let (pi, stats) = merge_parts(backend, partitioning, parts, 2).unwrap();
-    let mut buckets = Buckets::new();
-    let mut directed = Directed::new();
-    for ((i, j), w) in pi.iter_buckets() {
-        let rows = read_tuples(backend, StreamId::TupleBucket(i, j)).unwrap();
-        assert_eq!(rows.len() as u64, w, "PI weight disagrees with bucket");
-        for &(u, v, bits) in &rows {
-            assert_eq!(
-                bits & !(meta_bits::FWD | meta_bits::BWD),
-                0,
-                "bucket rows carry direction bits only"
-            );
-            if bits & meta_bits::FWD != 0 {
-                directed.insert((u, v));
-            }
-            if bits & meta_bits::BWD != 0 {
-                directed.insert((v, u));
-            }
-        }
-        buckets.insert((i, j), rows.into_iter().map(|(u, v, _)| (u, v)).collect());
-    }
-    (stats, buckets, directed)
-}
 
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (4usize..30).prop_flat_map(|n| {
@@ -265,90 +198,6 @@ proptest! {
             let changed = acc.offer(cand);
             prop_assert_eq!(changed, offer_scan_first(&mut reference, k, cand));
             prop_assert_eq!(acc.entries(), reference.as_slice());
-        }
-    }
-
-    /// The spill/dedup boundary property the parallel phase 2 leans
-    /// on: for ANY spill threshold — 1 (every tuple spills its own
-    /// run), exactly-at-threshold, and far above — and any mix of
-    /// duplicates straddling spill runs, the merged buckets hold
-    /// exactly the unique non-self tuple set, sorted, and the stats
-    /// balance (offered = unique + duplicates).
-    #[test]
-    fn tuple_table_spill_dedup_boundaries(
-        (n, offers) in arb_offers(),
-        m in 1usize..5,
-        spill_threshold in 1usize..6,
-        namespaces in 1u32..4,
-    ) {
-        let m = m.min(n);
-        let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
-        let partitioning = Partitioning::from_assignment(assignment, m).unwrap();
-        let backend = MemBackend::new();
-        let (stats, buckets, directed) =
-            run_tables(&backend, &partitioning, &offers, spill_threshold, namespaces);
-
-        // Reference: canonical (undirected) unique pairs, bucketed by
-        // the canonical endpoints' partitions, plus the directed view.
-        let mut expected: Buckets = Buckets::new();
-        let mut canonical = std::collections::HashSet::new();
-        let mut expected_directed = Directed::new();
-        let mut offered = 0u64;
-        for &((s, d), repeats) in &offers {
-            if s == d {
-                continue;
-            }
-            offered += repeats as u64;
-            expected_directed.insert((s, d));
-            let (u, v) = (s.min(d), s.max(d));
-            if canonical.insert((u, v)) {
-                let key = (
-                    partitioning.partition_of(UserId::new(u)),
-                    partitioning.partition_of(UserId::new(v)),
-                );
-                expected.entry(key).or_default().push((u, v));
-            }
-        }
-        for rows in expected.values_mut() {
-            rows.sort_unstable();
-        }
-
-        prop_assert_eq!(&buckets, &expected);
-        prop_assert_eq!(&directed, &expected_directed);
-        prop_assert_eq!(stats.offered, offered);
-        prop_assert_eq!(stats.unique, canonical.len() as u64);
-        prop_assert_eq!(stats.duplicates, offered - canonical.len() as u64);
-        // Every spill run was consumed and deleted by the merge.
-        prop_assert!(backend
-            .list()
-            .unwrap()
-            .iter()
-            .all(|s| matches!(s, StreamId::TupleBucket(..))));
-    }
-
-    /// The threshold knob itself never changes the output — only how
-    /// much staging hits storage early. Thresholds 1,
-    /// exactly-at-count, and effectively-infinite all merge to the
-    /// same buckets and dedup stats (spill counts legitimately differ).
-    #[test]
-    fn spill_threshold_is_output_invariant(
-        (n, offers) in arb_offers(),
-        m in 1usize..5,
-    ) {
-        let m = m.min(n);
-        let assignment: Vec<u32> = (0..n).map(|u| (u % m) as u32).collect();
-        let partitioning = Partitioning::from_assignment(assignment, m).unwrap();
-        let count = offers.len().max(1);
-        let mut reference = None;
-        for threshold in [1usize, count, 1 << 16] {
-            let backend = MemBackend::new();
-            let (stats, buckets, directed) =
-                run_tables(&backend, &partitioning, &offers, threshold, 2);
-            let projected = (stats.offered, stats.unique, stats.duplicates, buckets, directed);
-            match &reference {
-                None => reference = Some(projected),
-                Some(r) => prop_assert_eq!(r, &projected, "threshold {} diverged", threshold),
-            }
         }
     }
 

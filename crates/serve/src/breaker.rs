@@ -40,7 +40,7 @@ impl Default for BreakerConfig {
 impl BreakerConfig {
     /// The open interval after `consecutive` failed passes (≥ 1),
     /// before jitter.
-    fn backoff(&self, consecutive: u32) -> Duration {
+    pub(crate) fn backoff(&self, consecutive: u32) -> Duration {
         let exp = consecutive.saturating_sub(1).min(32);
         self.base
             .saturating_mul(1u32.checked_shl(exp).unwrap_or(u32::MAX))

@@ -1,6 +1,8 @@
-//! Generation-keyed query cache.
+//! Generation-keyed cache of ad-hoc profile queries.
 //!
-//! Answers are pure functions of (snapshot generation, query), so a
+//! It caches `query_profile`'s exact scan, the one read path that
+//! costs more than the cache: `neighbors` is a slice read of the
+//! snapshot and never goes through here. Answers are pure functions of (snapshot generation, query), so a
 //! cache entry is valid exactly as long as the generation it was
 //! computed against stays published. The cache therefore keys every
 //! entry on a generation and **drops everything** the first time it is
@@ -19,26 +21,24 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use knn_graph::{Neighbor, UserId};
+use knn_graph::Neighbor;
 use knn_sim::Profile;
 
 /// What a cached answer is keyed on (besides the generation): the
-/// query itself, exactly.
+/// `query_profile(query, k)` call exactly — the profile's entries with
+/// their weights' exact bit patterns, so two queries share an entry
+/// only if they are bit-identical (no false hits from `-0.0`/`0.0` or
+/// NaN payload differences; NaNs never get here — queries are
+/// validated finite first).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum CacheKey {
-    /// `neighbors(user)` — the user's top-K row.
-    Neighbors(UserId),
-    /// `query_profile(query, k)` — the profile's entries with their
-    /// weights' exact bit patterns, so two queries share an entry only
-    /// if they are bit-identical (no false hits from `-0.0`/`0.0` or
-    /// NaN payload differences; NaNs never get here — queries are
-    /// validated finite first).
-    Profile { entries: Vec<(u32, u32)>, k: usize },
+pub(crate) struct CacheKey {
+    entries: Vec<(u32, u32)>,
+    k: usize,
 }
 
 impl CacheKey {
     pub(crate) fn profile(query: &Profile, k: usize) -> Self {
-        CacheKey::Profile {
+        CacheKey {
             entries: query
                 .iter()
                 .map(|(item, w)| (item.raw(), w.to_bits()))
@@ -140,6 +140,14 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knn_graph::UserId;
+
+    /// The key of a one-item query on item `item`.
+    fn key(item: u32) -> CacheKey {
+        let mut query = Profile::new();
+        query.set(knn_sim::ItemId::new(item), 1.0);
+        CacheKey::profile(&query, 3)
+    }
 
     fn row(id: u32, sim: f32) -> Vec<Neighbor> {
         vec![Neighbor::new(UserId::new(id), sim)]
@@ -148,7 +156,7 @@ mod tests {
     #[test]
     fn miss_then_hit_same_generation() {
         let cache = QueryCache::new(4);
-        let key = CacheKey::Neighbors(UserId::new(7));
+        let key = key(7);
         assert_eq!(cache.get(3, &key), None);
         cache.insert(3, key.clone(), &row(1, 0.5));
         assert_eq!(cache.get(3, &key), Some(row(1, 0.5)));
@@ -158,7 +166,7 @@ mod tests {
     #[test]
     fn generation_change_invalidates_everything() {
         let cache = QueryCache::new(4);
-        let key = CacheKey::Neighbors(UserId::new(7));
+        let key = key(7);
         cache.get(3, &key);
         cache.insert(3, key.clone(), &row(1, 0.5));
         // New generation: the old entry must not surface.
@@ -174,20 +182,20 @@ mod tests {
     fn capacity_bounds_residency_fifo() {
         let cache = QueryCache::new(2);
         for u in 0..3u32 {
-            let key = CacheKey::Neighbors(UserId::new(u));
+            let key = key(u);
             cache.get(0, &key);
             cache.insert(0, key, &row(u, 0.1));
         }
         // Oldest (user 0) was evicted; the two newest survive.
-        assert_eq!(cache.get(0, &CacheKey::Neighbors(UserId::new(0))), None);
-        assert!(cache.get(0, &CacheKey::Neighbors(UserId::new(1))).is_some());
-        assert!(cache.get(0, &CacheKey::Neighbors(UserId::new(2))).is_some());
+        assert_eq!(cache.get(0, &key(0)), None);
+        assert!(cache.get(0, &key(1)).is_some());
+        assert!(cache.get(0, &key(2)).is_some());
     }
 
     #[test]
     fn zero_capacity_disables_without_counting() {
         let cache = QueryCache::new(0);
-        let key = CacheKey::Neighbors(UserId::new(0));
+        let key = key(0);
         assert_eq!(cache.get(0, &key), None);
         cache.insert(0, key.clone(), &row(0, 1.0));
         assert_eq!(cache.get(0, &key), None);

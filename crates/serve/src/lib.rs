@@ -146,7 +146,7 @@ pub use admission::{AdmissionConfig, OverloadPolicy};
 pub use breaker::BreakerConfig;
 pub use error::ServeError;
 pub use ingest::UpdateIngest;
-pub use refine::{RefineHandle, RefineOptions};
+pub use refine::{RefineHandle, RefineOptions, ITERATION_ATTEMPTS};
 pub use service::{
     spawn, spawn_sharded, BatchNeighbors, KnnService, ServiceStats, ShardedKnnService,
     ShardedRefineHandle,

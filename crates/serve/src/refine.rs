@@ -51,6 +51,14 @@ use crate::ServeError;
 /// Deterministic seed of the breaker's backoff jitter (per loop).
 const BREAKER_JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Consecutive attempts at one iteration before the refine worker
+/// gives up and ends with the last storage error. A failed iteration is
+/// rolled back in memory and in storage, so every retry starts from the
+/// same committed state; the attempts back off on the breaker's
+/// schedule ([`RefineOptions::breaker`]), 10 ms doubling to the 1 s cap
+/// by default, so the worker rides out about 3 s of failing storage.
+pub const ITERATION_ATTEMPTS: u32 = 8;
+
 /// Tuning of the refinement loop.
 #[derive(Debug, Clone)]
 pub struct RefineOptions {
@@ -84,7 +92,7 @@ pub struct RefineOptions {
     /// instead of unbounded queue growth.
     pub admission: AdmissionConfig,
     /// Capacity (entries) of the generation-keyed query cache serving
-    /// repeat `neighbors`/`query_profile` lookups; invalidated on every
+    /// repeat `query_profile` scans; invalidated on every
     /// snapshot swap. `0` disables it. Hits are bit-identical to
     /// uncached answers (the cached value is a prior answer for the
     /// same immutable generation).
@@ -93,7 +101,8 @@ pub struct RefineOptions {
     /// queueing pass with failures, drain/queue is skipped for a
     /// capped, exponentially growing interval so a flapping
     /// [`StorageBackend`](knn_store::StorageBackend) is probed, not
-    /// hammered.
+    /// hammered. A failed iteration is retried after the same
+    /// schedule's interval (see [`ITERATION_ATTEMPTS`]).
     pub breaker: BreakerConfig,
 }
 
@@ -222,6 +231,8 @@ pub(crate) struct Shared {
     /// Failed `queue_update` attempts (each is retried; see
     /// [`crate::repair::queue_all`]).
     pub(crate) queue_failures: AtomicU64,
+    /// Iterations the refine worker retried after a storage error.
+    pub(crate) iteration_retries: AtomicU64,
     /// Generation-keyed read cache shared by every service clone.
     pub(crate) cache: QueryCache,
     /// Whether the durable-path circuit breaker is currently open
@@ -290,6 +301,7 @@ pub(crate) fn start<E: RefineEngine>(
         view: Mutex::new(view),
         repaired_epochs: AtomicU64::new(0),
         queue_failures: AtomicU64::new(0),
+        iteration_retries: AtomicU64::new(0),
         cache: QueryCache::new(options.query_cache),
         breaker_open: AtomicBool::new(false),
         breaker_open_ms: AtomicU64::new(0),
@@ -431,6 +443,8 @@ fn refine_loop_inner<E: RefineEngine>(
     // iteration.
     let mut unapplied: Vec<ProfileDelta> = Vec::new();
     let mut breaker = Breaker::new(options.breaker, BREAKER_JITTER_SEED);
+    // Consecutive failed attempts at the current iteration.
+    let mut failed_attempts = 0u32;
 
     while !shared.stop.load(Ordering::Acquire) {
         // While the circuit breaker is open the drain/queue step is
@@ -497,7 +511,21 @@ fn refine_loop_inner<E: RefineEngine>(
             continue;
         }
 
-        let report = engine.run_iteration()?;
+        let report = match engine.run_iteration() {
+            Ok(report) => report,
+            // A storage error rolled the iteration back: retry it after
+            // a back-off. Any other error — among them a generation
+            // the engine refuses to go past, which only a resume can
+            // continue from — ends the worker with it.
+            Err(EngineError::Store(_)) if failed_attempts + 1 < ITERATION_ATTEMPTS => {
+                failed_attempts += 1;
+                shared.iteration_retries.fetch_add(1, Ordering::Relaxed);
+                std::thread::park_timeout(options.breaker.backoff(failed_attempts));
+                continue;
+            }
+            Err(e) => return Err(e.into()),
+        };
+        failed_attempts = 0;
         iterations_run += 1;
         if let Some(threshold) = options.convergence_threshold {
             if report.changed_fraction < threshold {

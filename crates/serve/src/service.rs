@@ -55,6 +55,10 @@ pub struct ServiceStats {
     /// (each is retried until shutdown; see
     /// [`ServeError::UnpersistedUpdates`]).
     pub queue_failures: u64,
+    /// Iterations the refinement loop retried after a storage error
+    /// (each was rolled back first; see
+    /// [`ITERATION_ATTEMPTS`](crate::ITERATION_ATTEMPTS)).
+    pub iteration_retries: u64,
     /// Submits turned away by admission control with
     /// [`ServeError::Overloaded`] (see
     /// [`RefineOptions::admission`](crate::RefineOptions)).
@@ -92,6 +96,7 @@ impl Shared {
             snapshot_epoch: *self.published.lock().expect("publish lock poisoned"),
             repaired_epochs: self.repaired_epochs.load(Ordering::Relaxed),
             queue_failures: self.queue_failures.load(Ordering::Relaxed),
+            iteration_retries: self.iteration_retries.load(Ordering::Relaxed),
             rejected: self.ingest.rejected(),
             shed: self.ingest.shed(),
             coalesced: self.ingest.coalesced(),
@@ -201,7 +206,9 @@ impl KnnService {
         self.shared.cell.load()
     }
 
-    /// The top-K list of `user` in the current snapshot.
+    /// The top-K list of `user` in the current snapshot: a copy of the
+    /// snapshot's row, with no cache in the way (a cache lookup costs
+    /// more than the read).
     ///
     /// # Errors
     ///
@@ -217,14 +224,7 @@ impl KnnService {
                 num_users: snapshot.num_users(),
             });
         }
-        let generation = snapshot.generation();
-        let key = CacheKey::Neighbors(user);
-        if let Some(hit) = self.shared.cache.get(generation, &key) {
-            return Ok(hit);
-        }
-        let answer = snapshot.neighbors(user)?.to_vec();
-        self.shared.cache.insert(generation, key, &answer);
-        Ok(answer)
+        Ok(snapshot.neighbors(user)?.to_vec())
     }
 
     /// The top-K lists of several users, all answered from a single

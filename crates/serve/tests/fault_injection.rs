@@ -285,3 +285,82 @@ fn interleaved_failures_under_load_lose_nothing() {
         assert_eq!(exported.get(*user), fresh, "engine lost user {user}");
     }
 }
+
+/// A transient storage storm inside a live `spawn`, longer than the
+/// engine's per-operation retries: the iteration it hits fails, is
+/// rolled back and is retried after a back-off, and the refine worker
+/// keeps going. Once the storm has passed, the served
+/// graph equals a never-failed twin's at the same iteration.
+#[test]
+fn refine_worker_retries_an_iteration_through_a_transient_storm() {
+    use knn_core::KnnEngine;
+    use knn_store::{FaultBackend, FaultKind, FaultPlan, MemBackend};
+
+    const ITERATIONS: u64 = 3;
+    let (config, profiles) = common::world();
+    let mut twin = KnnEngine::in_memory(config.clone(), profiles.clone()).expect("twin");
+    for _ in 0..ITERATIONS {
+        twin.run_iteration().expect("twin iteration");
+    }
+
+    let options = RefineOptions {
+        convergence_threshold: None,
+        max_iterations: Some(ITERATIONS),
+        idle_park: Duration::from_millis(1),
+        repair: false,
+        ..RefineOptions::default()
+    };
+    // Storage operations of `spawn` and `stop` alone, so the storm can
+    // be aimed past them, into the first iteration.
+    let setup_ops = {
+        let fault = Arc::new(FaultBackend::new(Arc::new(MemBackend::new())));
+        let engine =
+            KnnEngine::new_on(config.clone(), profiles.clone(), fault.clone()).expect("engine");
+        fault.set_plan(FaultPlan {
+            fail_at: u64::MAX,
+            kind: FaultKind::Crash,
+            seed: 0,
+        });
+        fault.arm();
+        let (_, refine) = spawn(
+            engine,
+            RefineOptions {
+                max_iterations: Some(0),
+                ..options.clone()
+            },
+        )
+        .expect("spawn");
+        refine.stop().expect("stop");
+        fault.ops_observed()
+    };
+
+    let fault = Arc::new(FaultBackend::new(Arc::new(MemBackend::new())));
+    let engine = KnnEngine::new_on(config, profiles, fault.clone()).expect("engine");
+    // Twelve failing operations in a row: more than the engine's own
+    // per-operation retries absorb (four attempts), so the iteration,
+    // its rollback and the next attempt's rollback fail in turn.
+    fault.set_plan(FaultPlan {
+        fail_at: setup_ops + 3,
+        kind: FaultKind::Transient { times: 12 },
+        seed: 0,
+    });
+    fault.arm();
+    let (service, refine) = spawn(engine, options).expect("spawn");
+    assert!(
+        refine.wait_for_epoch(ITERATIONS, Duration::from_secs(60)),
+        "the refine worker stopped refining after the storm"
+    );
+    let snapshot = service.snapshot();
+    assert_eq!(snapshot.iteration(), ITERATIONS);
+    assert_eq!(
+        snapshot.graph(),
+        twin.graph(),
+        "the served graph left the twin's"
+    );
+    assert!(
+        service.stats().iteration_retries >= 1,
+        "no iteration was retried"
+    );
+    let engine = refine.stop().expect("clean stop");
+    assert_eq!(engine.graph(), twin.graph());
+}

@@ -42,8 +42,8 @@ pub struct ExchangeStats {
 
 /// The sharded engine: the unmodified five-phase [`KnnEngine`] over a
 /// [`ShardRouter`], which stores every stream on its owning shard.
-/// Sharding is placement only — phase 2 writes its spill runs and
-/// merged buckets through the router like every other phase.
+/// Sharding is placement only — every phase writes its streams
+/// through the router.
 ///
 /// The determinism contract extends to shard count: graphs, persisted
 /// stream bytes (each on its owning shard), [`IterationReport`]s, and

@@ -6,17 +6,15 @@
 //! ## Sharding is placement
 //!
 //! A [`HashRing`] consistent-hashes the world: each **partition** (and
-//! with it every per-partition stream and every phase-2 tuple stream
-//! of bucket `(i, j)` keyed by `i`) has one owning shard, and each
+//! with it every per-partition stream) has one owning shard, and each
 //! **user**'s durable update-log entries have one owning shard — user
 //! routing is independent of the partitioning so it survives
 //! repartitions. Each shard owns a private
 //! [`StorageBackend`](knn_store::StorageBackend) with its own I/O
 //! meter. The unmodified five-phase driver runs against a
 //! [`ShardRouter`] that delegates every storage operation to the
-//! owner. Nothing else changes: phase 2 writes its spill runs and
-//! merged buckets through the router, and each stream lands on its
-//! owner exactly as it would land on one backend.
+//! owner. Nothing else changes: each stream the engine writes lands on
+//! its owner exactly as it would land on one backend.
 //!
 //! ## The determinism contract, extended
 //!

@@ -2,14 +2,14 @@
 //!
 //! The sharded engine runs the unmodified five-phase driver against
 //! this router. Every stream has exactly one home: per-partition
-//! streams (edges, profiles, KNN slices, and legacy accumulator
-//! streams) live with the partition's ring owner, tuple streams of bucket `(i, j)` — spill
-//! runs and the merged bucket — live with partition `i`'s owner, and
-//! the singleton metadata streams live on shard 0. Because each
+//! streams (profiles, KNN slices, and the legacy edge and accumulator
+//! names) live with the partition's ring owner, the legacy tuple
+//! streams of bucket `(i, j)` with partition `i`'s owner, and the
+//! singleton metadata streams on shard 0. Because each
 //! storage operation is delegated to exactly one shard — and metered
 //! there — the **sum** of the shard meters and this router's own
 //! (which absorbs direct `stats()` events such as phase-4 partition
-//! loads and merge passes) equals the single-backend meter of the
+//! loads) equals the single-backend meter of the
 //! same run; [`StorageBackend::io_snapshot`] returns that sum. This is
 //! the I/O half of the shard-count-invariance contract.
 //!
@@ -35,7 +35,7 @@ pub struct ShardRouter {
     shards: Vec<Arc<dyn StorageBackend>>,
     ring: HashRing,
     /// Receives events recorded through `stats()` directly (partition
-    /// loads/unloads, merge passes of code running against the
+    /// loads/unloads of code running against the
     /// router); delegated reads/writes are metered by the shard that
     /// serves them.
     stats: Arc<IoStats>,

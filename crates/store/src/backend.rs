@@ -1,10 +1,10 @@
 //! The pluggable storage boundary of the engine.
 //!
 //! Everything the five-phase engine persists is one of a small set of
-//! **named record streams** — partition profiles, partition edge lists,
-//! tuple buckets and their spill runs, per-partition KNN slices, the
-//! assignment table, the metadata map, and the durable phase-5 update
-//! log. [`StreamId`] names them; [`StorageBackend`] is the complete
+//! **named record streams** — partition profiles, per-partition KNN
+//! slices, the assignment table, the metadata map, and the durable
+//! phase-5 update log, plus legacy names (edge lists, tuple buckets,
+//! spill runs) that nothing writes but recovery still cleans up. [`StreamId`] names them; [`StorageBackend`] is the complete
 //! contract over them (read / write / append / list / delete), with
 //! [`IoStats`] accounting *inside* the boundary so every backend is
 //! metered uniformly.
@@ -71,9 +71,13 @@ pub enum StreamId {
     /// The user → cluster-label table written by the locality
     /// pre-pass (`knn-cluster`); present only when a run clusters.
     Clusters,
-    /// In-edges of one partition, sorted by bridge vertex.
+    /// A legacy per-partition in-edge stream (`p{p}.in_edges`) that
+    /// phase 1 wrote before candidates were generated from the
+    /// resident `G(t)`. Nothing writes it any more; the name stays
+    /// because the benchmark's stream-kind table still names it.
     InEdges(u32),
-    /// Out-edges of one partition, sorted by bridge vertex.
+    /// A legacy per-partition out-edge stream, like
+    /// [`InEdges`](StreamId::InEdges).
     OutEdges(u32),
     /// Profiles of one partition's users.
     Profiles(u32),
@@ -86,9 +90,15 @@ pub enum StreamId {
     Accumulators(u32),
     /// One partition's persisted KNN-graph slice (scored out-edges).
     KnnSlice(u32),
-    /// The deduplicated tuple bucket of one PI-graph edge `(i, j)`.
+    /// A legacy tuple bucket stream (`t{i}_{j}.tuples`) that phase 2
+    /// wrote before phase 4 generated each bucket in RAM. Nothing
+    /// writes it any more; it stays so that tuple clearing and
+    /// recovery GC still delete such files left in older working
+    /// directories, and because the benchmark's stream-kind table
+    /// still names it.
     TupleBucket(u32, u32),
-    /// One sorted spill run of a tuple bucket (phase-2 scratch).
+    /// A legacy spill run of a tuple bucket (`t{i}_{j}.run{r}`), kept
+    /// for the same reasons as [`TupleBucket`](StreamId::TupleBucket).
     TupleRun(u32, u32, u32),
     /// A legacy tuple scratch stream (`t{i}_{j}.x{r}`) that the
     /// removed cross-shard exchange wrote. Nothing writes it any more;
@@ -158,9 +168,9 @@ impl StreamId {
         }
     }
 
-    /// Whether this stream is per-iteration scratch, i.e. cleared at
-    /// the start of every iteration: phase-2 tuple scratch (bucket,
-    /// spill run, legacy exchange run) or a legacy accumulator stream.
+    /// Whether this stream is legacy per-iteration scratch, which
+    /// [`StorageBackend::clear_tuples`] and recovery delete: a tuple
+    /// bucket, spill run or exchange run, or an accumulator stream.
     pub fn is_tuple_scratch(self) -> bool {
         matches!(
             self,
@@ -277,13 +287,11 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// returned byte count is metered, so every backend counts chunked
     /// reads identically.
     ///
-    /// This is the bounded-buffer leg of the contract: phase 2's
-    /// k-way merge streams each spill run through a fixed-size refill
-    /// window instead of materializing whole runs. Chunked reads
-    /// bypass whole-frame checksum verification by construction (the
-    /// frame's CRC trails the payload) — appropriate for
-    /// iteration-scratch streams written moments earlier; decoders
-    /// still validate structure row by row.
+    /// The engine no longer calls it: it served the spill-run merge
+    /// that in-RAM candidate generation replaced. It stays in the
+    /// trait because backend decorators outside this crate implement
+    /// it. Chunked reads bypass whole-frame checksum verification by
+    /// construction (the frame's CRC trails the payload).
     ///
     /// # Errors
     ///
@@ -356,9 +364,9 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// [`StoreError::Io`] on storage failure.
     fn list(&self) -> Result<Vec<StreamId>, StoreError>;
 
-    /// Removes every per-iteration scratch stream
-    /// ([`StreamId::is_tuple_scratch`]; phase 2 of each iteration
-    /// starts clean).
+    /// Removes every legacy scratch stream
+    /// ([`StreamId::is_tuple_scratch`]) — recovery's GC of what older
+    /// builds left behind.
     ///
     /// # Errors
     ///
@@ -466,35 +474,6 @@ pub fn write_pairs(
 /// on malformed content and [`StoreError::Io`] on storage failure.
 pub fn read_pairs(b: &dyn StorageBackend, stream: StreamId) -> Result<Vec<(u32, u32)>, StoreError> {
     record_file::decode_pairs(&b.read(stream)?, stream.kind(), &b.describe(stream))
-}
-
-/// Writes a tuple stream (canonical `(u, v, meta)` rows, sorted) in
-/// the varint-delta v2 format of [`crate::tuple_stream`]. Used for
-/// phase-2 spill runs and final buckets.
-///
-/// # Errors
-///
-/// Returns [`StoreError::Io`] on storage failure.
-pub fn write_tuples(
-    b: &dyn StorageBackend,
-    stream: StreamId,
-    rows: &[crate::tuple_stream::TupleRow],
-) -> Result<(), StoreError> {
-    b.write(stream, &crate::tuple_stream::encode_tuples(rows))
-}
-
-/// Reads a tuple stream written by [`write_tuples`] (see
-/// [`crate::tuple_stream`] for the versioning story).
-///
-/// # Errors
-///
-/// Same as [`read_pairs`]; a stream of any other record kind is
-/// [`StoreError::Corrupt`].
-pub fn read_tuples(
-    b: &dyn StorageBackend,
-    stream: StreamId,
-) -> Result<Vec<crate::tuple_stream::TupleRow>, StoreError> {
-    crate::tuple_stream::decode_tuples(b.read(stream)?, &b.describe(stream))
 }
 
 /// Writes a scored-pair stream (`(u32, u32, f32)` rows — KNN slices).
@@ -669,14 +648,7 @@ impl StorageBackend for DiskBackend {
     }
 
     fn write(&self, stream: StreamId, payload: &[u8]) -> Result<(), StoreError> {
-        record_file::write_file(&stream.path_in(&self.workdir), payload, &self.stats)?;
-        if matches!(stream, StreamId::TupleRun(..)) {
-            // Spill traffic is metered separately (framed size, same
-            // as bytes_written sees) so phase-2 overflow is observable
-            // on its own axis — identically on every backend.
-            self.stats.record_spill(payload.len() as u64 + 4);
-        }
-        Ok(())
+        record_file::write_file(&stream.path_in(&self.workdir), payload, &self.stats)
     }
 
     fn write_raw(&self, stream: StreamId, framed: &[u8]) -> Result<(), StoreError> {
@@ -687,12 +659,6 @@ impl StorageBackend for DiskBackend {
     }
 
     fn copy_stream(&self, from: StreamId, to: StreamId) -> Result<(), StoreError> {
-        // Spill runs meter on a dedicated axis in `write`; route them
-        // through the decode path so the accounting stays uniform.
-        if matches!(to, StreamId::TupleRun(..)) {
-            let payload = self.read(from)?;
-            return self.write(to, &payload);
-        }
         let src = from.path_in(&self.workdir);
         let dst = to.path_in(&self.workdir);
         let len = std::fs::copy(&src, &dst).map_err(|e| StoreError::io(&src, e))?;
@@ -942,11 +908,6 @@ impl StorageBackend for MemBackend {
     fn write(&self, stream: StreamId, payload: &[u8]) -> Result<(), StoreError> {
         let framed = record_file::frame(payload);
         self.stats.record_write(framed.len() as u64);
-        if matches!(stream, StreamId::TupleRun(..)) {
-            // Same spill meter as DiskBackend (framed size), so the
-            // backends stay byte-for-byte comparable.
-            self.stats.record_spill(framed.len() as u64);
-        }
         self.lock_streams().insert(stream, framed);
         Ok(())
     }
@@ -958,12 +919,6 @@ impl StorageBackend for MemBackend {
     }
 
     fn copy_stream(&self, from: StreamId, to: StreamId) -> Result<(), StoreError> {
-        // Spill runs meter on a dedicated axis in `write`; keep them
-        // on the decode path, same as DiskBackend.
-        if matches!(to, StreamId::TupleRun(..)) {
-            let payload = self.read(from)?;
-            return self.write(to, &payload);
-        }
         let mut streams = self.lock_streams();
         let bytes = streams.get(&from).cloned().ok_or_else(|| {
             StoreError::io(

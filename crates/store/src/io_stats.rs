@@ -30,9 +30,6 @@ pub struct IoStats {
     write_ops: AtomicU64,
     partition_loads: AtomicU64,
     partition_unloads: AtomicU64,
-    spill_bytes: AtomicU64,
-    spill_runs: AtomicU64,
-    merge_passes: AtomicU64,
     log_drain_bytes: AtomicU64,
     retries: AtomicU64,
     rollbacks: AtomicU64,
@@ -64,19 +61,6 @@ impl IoStats {
     /// Records one partition unload (the Table-1 "unload" op).
     pub fn record_partition_unload(&self) {
         self.partition_unloads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one tuple spill run of `bytes` bytes hitting storage
-    /// (phase-2 overflow traffic; the bytes are *also* counted in
-    /// `bytes_written` — this meter isolates the spill share).
-    pub fn record_spill(&self, bytes: u64) {
-        self.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.spill_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one k-way merge pass over a bucket's spill runs.
-    pub fn record_merge_pass(&self) {
-        self.merge_passes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `bytes` drained from the durable update log. Metered as
@@ -118,12 +102,6 @@ impl IoStats {
             .fetch_add(snap.partition_loads, Ordering::Relaxed);
         self.partition_unloads
             .fetch_add(snap.partition_unloads, Ordering::Relaxed);
-        self.spill_bytes
-            .fetch_add(snap.spill_bytes, Ordering::Relaxed);
-        self.spill_runs
-            .fetch_add(snap.spill_runs, Ordering::Relaxed);
-        self.merge_passes
-            .fetch_add(snap.merge_passes, Ordering::Relaxed);
         self.log_drain_bytes
             .fetch_add(snap.log_drain_bytes, Ordering::Relaxed);
         self.retries.fetch_add(snap.retries, Ordering::Relaxed);
@@ -141,9 +119,9 @@ impl IoStats {
             write_ops: self.write_ops.load(Ordering::Relaxed),
             partition_loads: self.partition_loads.load(Ordering::Relaxed),
             partition_unloads: self.partition_unloads.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            spill_runs: self.spill_runs.load(Ordering::Relaxed),
-            merge_passes: self.merge_passes.load(Ordering::Relaxed),
+            spill_bytes: 0,
+            spill_runs: 0,
+            merge_passes: 0,
             log_drain_bytes: self.log_drain_bytes.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             rollbacks: self.rollbacks.load(Ordering::Relaxed),
@@ -158,9 +136,6 @@ impl IoStats {
         self.write_ops.store(0, Ordering::Relaxed);
         self.partition_loads.store(0, Ordering::Relaxed);
         self.partition_unloads.store(0, Ordering::Relaxed);
-        self.spill_bytes.store(0, Ordering::Relaxed);
-        self.spill_runs.store(0, Ordering::Relaxed);
-        self.merge_passes.store(0, Ordering::Relaxed);
         self.log_drain_bytes.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
         self.rollbacks.store(0, Ordering::Relaxed);
@@ -195,12 +170,15 @@ pub struct IoSnapshot {
     pub partition_loads: u64,
     /// Number of partition unload operations.
     pub partition_unloads: u64,
-    /// Bytes written into tuple spill runs (a subset of
-    /// `bytes_written`: phase 2's memory-overflow traffic).
+    /// Bytes written into tuple spill runs. Always 0 from a meter:
+    /// candidate tuples are generated in RAM and never spilled. The
+    /// field stays for the benchmark's ledger, which still reads it.
     pub spill_bytes: u64,
-    /// Number of tuple spill runs written.
+    /// Number of tuple spill runs written: always 0, like
+    /// `spill_bytes`.
     pub spill_runs: u64,
-    /// Number of k-way merge passes over bucket spill runs.
+    /// Number of k-way merge passes over spill runs: always 0, like
+    /// `spill_bytes`.
     pub merge_passes: u64,
     /// Bytes drained from the durable update log (bytes only; log
     /// drains carry no operation count — see
@@ -394,21 +372,29 @@ mod tests {
         assert_eq!(snap.partition_unloads, 800);
     }
 
+    /// The legacy spill and merge fields read 0 from a meter, and
+    /// snapshot arithmetic still carries them.
     #[test]
     fn spill_and_merge_counters_accumulate_and_subtract() {
         let s = IoStats::new();
-        s.record_spill(100);
-        s.record_spill(50);
-        s.record_merge_pass();
-        let before = s.snapshot();
-        assert_eq!(before.spill_bytes, 150);
-        assert_eq!(before.spill_runs, 2);
-        assert_eq!(before.merge_passes, 1);
-        s.record_spill(10);
-        let delta = s.snapshot() - before;
-        assert_eq!(delta.spill_bytes, 10);
-        assert_eq!(delta.spill_runs, 1);
-        assert_eq!(delta.merge_passes, 0);
+        s.record_write(100);
+        let snap = s.snapshot();
+        assert_eq!(
+            (snap.spill_bytes, snap.spill_runs, snap.merge_passes),
+            (0, 0, 0)
+        );
+        let legacy = IoSnapshot {
+            spill_bytes: 150,
+            spill_runs: 2,
+            merge_passes: 1,
+            ..IoSnapshot::default()
+        };
+        let sum = snap + legacy;
+        assert_eq!(
+            (sum.spill_bytes, sum.spill_runs, sum.merge_passes),
+            (150, 2, 1)
+        );
+        assert_eq!(sum - legacy, snap);
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
     }
@@ -429,12 +415,10 @@ mod tests {
         let total = IoStats::new();
         let a = IoStats::new();
         a.record_read(10);
-        a.record_spill(3);
         a.record_log_drain(7);
         let b = IoStats::new();
         b.record_write(20);
         b.record_partition_load();
-        b.record_merge_pass();
         total.merge(&a);
         total.merge(&b);
         assert_eq!(total.snapshot(), a.snapshot() + b.snapshot());

@@ -11,19 +11,20 @@ use crate::StoreError;
 /// <root>/
 ///   meta.bin                  engine metadata (n, k, m, iteration)
 ///   parts/
-///     p0042.in_edges          in-edges of partition 42, sorted by bridge
-///     p0042.out_edges         out-edges of partition 42, sorted by bridge
 ///     p0042.profiles          profiles of partition 42's users
 ///     p0042.knn               KNN-graph slice of partition 42's users
-///   tuples/
-///     t0001_0007.tuples       deduplicated (s,d) tuples with s∈R1, d∈R7
+///   tuples/                   empty: legacy tuple scratch only
 ///   updates.log               phase-5 lazy profile-update queue
 /// ```
 ///
-/// Older working directories may also hold `parts/p0042.accum`, the
-/// per-partition top-K state phase 4 kept on disk before its
-/// accumulators moved into RAM; [`WorkingDir::clear_tuples`] deletes
-/// them.
+/// Older working directories may also hold files that nothing writes
+/// any more: `parts/p0042.accum`, the per-partition top-K state phase 4
+/// kept on disk before its accumulators moved into RAM;
+/// `parts/p0042.{in,out}_edges`, the edge streams phase 1 wrote; and
+/// `tuples/t0001_0007.tuples` with its `.run*` spill runs, the tuple
+/// buckets phase 2 wrote before phase 4 generated candidates in RAM.
+/// [`WorkingDir::clear_tuples`] deletes the accumulator and tuple
+/// files; the edge files are left in place, unread.
 ///
 /// `WorkingDir` only computes paths and creates directories; record
 /// parsing lives in [`crate::record_file`].
@@ -134,9 +135,8 @@ impl WorkingDir {
         self.root.join("commit.bin")
     }
 
-    /// Removes every per-iteration scratch file: everything under
-    /// `tuples/` (phase 2 of each iteration starts clean) and any
-    /// legacy `parts/*.accum` file.
+    /// Removes every legacy scratch file: everything under `tuples/`
+    /// and any `parts/*.accum` file.
     ///
     /// # Errors
     ///

@@ -13,17 +13,12 @@
 //!   implementations: [`DiskBackend`] (the paper's out-of-core
 //!   setting) and [`MemBackend`] (same codec, RAM-resident — the fast
 //!   path when the data fits);
-//! * [`WorkingDir`] — the on-disk layout `DiskBackend` wraps (edge,
-//!   profile and KNN-slice files per partition, one tuple bucket per
-//!   partition pair);
+//! * [`WorkingDir`] — the on-disk layout `DiskBackend` wraps (profile
+//!   and KNN-slice files per partition, plus the legacy edge and tuple
+//!   file names that recovery still cleans up);
 //! * [`codec`] / [`record_file`] — explicit, versioned binary encodings
 //!   shared by every backend (no serde formats are available offline;
 //!   the codec is ~100 lines and round-trip tested);
-//! * [`tuple_stream`] — the varint-delta tuple codec (format v2):
-//!   sorted canonical pairs delta-encoded with packed meta nibbles,
-//!   with streaming reader/writer cursors for phase 2's spill runs
-//!   and bucket streams (see the module docs for the versioning
-//!   story);
 //! * [`IoStats`] — atomic counters living *inside* the backend
 //!   boundary, so different backends are metered uniformly;
 //! * [`SlotCache`] — the ≤`c`-resident partition cache whose
@@ -81,7 +76,6 @@ pub mod io_stats;
 pub mod layout;
 pub mod record_file;
 pub mod retry;
-pub mod tuple_stream;
 
 mod error;
 
@@ -94,4 +88,3 @@ pub use io_stats::{IoSnapshot, IoStats};
 pub use layout::WorkingDir;
 pub use record_file::RecordKind;
 pub use retry::{RetryBackend, RetryPolicy};
-pub use tuple_stream::{DecodeStep, TupleDecoder, TupleRow, TupleStreamReader, TupleStreamWriter};

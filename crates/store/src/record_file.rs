@@ -28,12 +28,14 @@ use crate::{IoStats, StoreError};
 #[repr(u16)]
 #[non_exhaustive]
 pub enum RecordKind {
-    /// Directed in-edges of a partition, sorted by bridge vertex.
+    /// Directed in-edges of a partition, sorted by bridge vertex
+    /// (legacy: nothing writes edge streams any more).
     InEdges = 1,
-    /// Directed out-edges of a partition, sorted by bridge vertex.
+    /// Directed out-edges of a partition, sorted by bridge vertex
+    /// (legacy, like [`RecordKind::InEdges`]).
     OutEdges = 2,
-    /// Fixed-width `(s, d)` pairs. The tuple-stream readers reject
-    /// this kind; phase 2 writes [`RecordKind::TuplesV2`].
+    /// Fixed-width `(s, d)` pairs, the header kind of the legacy tuple
+    /// stream names. Number reserved.
     Tuples = 3,
     /// Scored KNN edges `(s, d, sim)`.
     ScoredEdges = 4,
@@ -48,9 +50,9 @@ pub enum RecordKind {
     Updates = 8,
     /// User → partition assignment rows.
     Assignment = 9,
-    /// Canonical similarity tuples with packed meta nibbles, in the
-    /// varint-delta format of [`crate::tuple_stream`] (format v2), the
-    /// only tuple stream kind its readers accept.
+    /// Canonical similarity tuples in the retired varint-delta tuple
+    /// codec. Nothing writes or reads this kind any more; the number
+    /// stays reserved so that no other kind reuses it.
     TuplesV2 = 10,
     /// User → cluster-label rows (the locality pre-pass artifact).
     Clusters = 11,

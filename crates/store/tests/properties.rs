@@ -115,106 +115,3 @@ proptest! {
         wd.destroy().unwrap();
     }
 }
-
-/// Canonicalizes arbitrary generated rows into what the tuple table
-/// feeds the codec: strictly ascending canonical pairs (`u < v`) with
-/// meta nibbles OR-combined across duplicates.
-fn canonical_rows(raw: Vec<(u32, u32, u8)>) -> Vec<(u32, u32, u8)> {
-    let mut map = std::collections::BTreeMap::new();
-    for (a, b, meta) in raw {
-        if a == b {
-            continue;
-        }
-        *map.entry((a.min(b), a.max(b))).or_insert(0u8) |= meta & 0x0F;
-    }
-    map.into_iter().map(|((u, v), m)| (u, v, m)).collect()
-}
-
-proptest! {
-    /// The varint-delta tuple codec round-trips every sorted canonical
-    /// row set — empty and single-row runs included, ids across the
-    /// full u32 range (0 and u32::MAX reachable), every meta nibble.
-    #[test]
-    fn tuple_streams_round_trip(
-        mut raw in proptest::collection::vec(
-            (0u32..u32::MAX, 0u32..u32::MAX, 0u8..16),
-            0..120,
-        ),
-        extremes in proptest::bool::ANY,
-    ) {
-        use knn_store::tuple_stream::{decode_tuples, encode_tuples};
-        if extremes {
-            // Pin the id-space corners (0 and u32::MAX) and the full
-            // meta nibble into the generated set.
-            raw.push((0, u32::MAX, 15));
-            raw.push((u32::MAX - 1, u32::MAX, 15));
-            raw.push((0, 1, 0));
-        }
-        let rows = canonical_rows(raw);
-        let encoded = encode_tuples(&rows);
-        let path = std::path::PathBuf::from("/prop/tuples");
-        prop_assert_eq!(decode_tuples(encoded.to_vec(), &path).unwrap(), rows);
-    }
-
-    /// Incremental reads see exactly the same rows as the whole-buffer
-    /// decode, from any split point.
-    #[test]
-    fn tuple_stream_reader_is_cursor_equivalent(
-        raw in proptest::collection::vec((0u32..5000, 0u32..5000, 0u8..16), 0..80),
-    ) {
-        use knn_store::tuple_stream::encode_tuples;
-        use knn_store::TupleStreamReader;
-        let rows = canonical_rows(raw);
-        let encoded = encode_tuples(&rows).to_vec();
-        let path = std::path::PathBuf::from("/prop/reader");
-        let mut reader = TupleStreamReader::new(encoded, &path).unwrap();
-        prop_assert_eq!(reader.remaining(), rows.len() as u64);
-        let mut streamed = Vec::new();
-        while let Some(row) = reader.next().unwrap() {
-            streamed.push(row);
-        }
-        prop_assert_eq!(streamed, rows);
-    }
-
-    /// Both backends round-trip tuple streams through the typed
-    /// helpers, and spill-run writes feed the spill meter identically.
-    #[test]
-    fn tuple_streams_round_trip_through_backends(
-        raw in proptest::collection::vec((0u32..10_000, 0u32..10_000, 0u8..16), 0..60),
-    ) {
-        use knn_store::backend::{read_tuples, write_tuples};
-        use knn_store::{DiskBackend, MemBackend, StorageBackend, StreamId};
-        let rows = canonical_rows(raw);
-        let disk = DiskBackend::temp("store_prop_tuple_backend").unwrap();
-        let wd = disk.working_dir().unwrap().clone();
-        let mem = MemBackend::new();
-        for b in [&disk as &dyn StorageBackend, &mem] {
-            write_tuples(b, StreamId::TupleBucket(0, 1), &rows).unwrap();
-            write_tuples(b, StreamId::TupleRun(0, 1, 7), &rows).unwrap();
-            prop_assert_eq!(read_tuples(b, StreamId::TupleBucket(0, 1)).unwrap(), rows.clone());
-            prop_assert_eq!(read_tuples(b, StreamId::TupleRun(0, 1, 7)).unwrap(), rows.clone());
-            let snap = b.stats().snapshot();
-            prop_assert_eq!(snap.spill_runs, 1, "only the TupleRun write is a spill");
-            prop_assert!(snap.spill_bytes > 0);
-            prop_assert!(snap.spill_bytes < snap.bytes_written);
-        }
-        prop_assert_eq!(disk.stats().snapshot(), mem.stats().snapshot());
-        wd.destroy().unwrap();
-    }
-
-    /// A fixed-width pair stream is not a tuple stream: whatever pairs
-    /// it holds, reading it back as tuples is a typed corruption error.
-    #[test]
-    fn legacy_pair_streams_are_rejected(
-        raw in proptest::collection::vec((0u32..50_000, 0u32..50_000, 0u8..1), 0..80),
-    ) {
-        use knn_store::backend::{read_tuples, write_pairs as backend_write_pairs};
-        use knn_store::{MemBackend, StreamId};
-        let rows = canonical_rows(raw);
-        let pairs: Vec<(u32, u32)> = rows.iter().map(|&(u, v, _)| (u, v)).collect();
-        let b = MemBackend::new();
-        backend_write_pairs(&b, StreamId::TupleRun(2, 3, 0), &pairs).unwrap();
-        let decoded = read_tuples(&b, StreamId::TupleRun(2, 3, 0));
-        prop_assert!(matches!(decoded, Err(StoreError::Corrupt { .. })), "{:?}", decoded);
-    }
-}

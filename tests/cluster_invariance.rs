@@ -27,10 +27,6 @@ fn cluster_config(n: usize, k: usize, m: usize, seed: u64, threads: usize) -> En
         .clustering(true)
         .threads(threads)
         .seed(seed)
-        // Force real spill traffic so the locality path is exercised
-        // out-of-core, not just in staging memory.
-        .spill_threshold(64)
-        .tuple_table_memory(Some(1024))
         .build()
         .expect("config")
 }
@@ -223,8 +219,6 @@ fn resume_round_trips_the_cluster_assignment() {
         .num_partitions(5)
         .threads(2)
         .seed(31)
-        .spill_threshold(64)
-        .tuple_table_memory(Some(1024))
         .build()
         .expect("config");
     let plain_resume = KnnEngine::resume_on(plain, Arc::clone(&backend)).expect("plain resume");

@@ -85,14 +85,6 @@ fn result_is_invariant_across_threads_and_slots() {
 }
 
 #[test]
-fn spill_threshold_does_not_change_the_result() {
-    let baseline = run_engine(70, 4, 9, 2, |b| b.num_partitions(7));
-    // A tiny threshold forces tuple-table spills on every bucket.
-    let spilled = run_engine(70, 4, 9, 2, |b| b.num_partitions(7).spill_threshold(4));
-    assert_eq!(spilled, baseline);
-}
-
-#[test]
 fn reverse_join_matches_reference_reverse_join() {
     let n = 100;
     let profiles = workload(n, 13);

