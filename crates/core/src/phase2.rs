@@ -746,31 +746,22 @@ mod tests {
         pi
     }
 
-    /// The schedule's input is exact on hand-built worlds: canonical
-    /// pairs and their direction bits, the bucket a canonical pair keys
-    /// into, a diagonal bucket whose only paths are `s → v → s` (not
-    /// live), and the counts.
+    fn nb(id: u32) -> Neighbor {
+        Neighbor::new(UserId::new(id), 0.5)
+    }
+
+    /// `s → v → s` paths make no row and are no path: 0 ↔ 2 is mutual
+    /// inside partition 0 (users u → partition u % 2), so with both
+    /// direct edges suppressed the diagonal bucket is not live.
     #[test]
-    fn live_set_is_exactly_the_non_empty_buckets() {
-        let nb = |id: u32| Neighbor::new(UserId::new(id), 0.5);
-        // Users u → partition u % 2. 0 ↔ 2 is mutual inside partition
-        // 0: its only two-hop paths are 0→2→0 and 2→0→2.
+    fn self_tuples_ignored() {
         let mut g = KnnGraph::new(4, 2);
         g.insert(UserId::new(0), nb(2));
         g.insert(UserId::new(2), nb(0));
         let p = partitioning(4, 2);
-        let (live, buckets) = generate(&g, &p, None);
-        // Direct edges make (0, 0) live with one canonical row,
-        // carrying both directions.
-        assert_eq!(
-            buckets[&(0, 0)].rows,
-            vec![(0, 2, meta_bits::FWD | meta_bits::BWD)]
-        );
-        assert_eq!(live.pi, non_empty(&buckets, 2));
+        let (live, _) = generate(&g, &p, None);
         assert_eq!(live.paths, 2, "0→2 and 2→0; the two s→v→s paths are none");
 
-        // Suppressing both direct edges leaves only s → v → s paths in
-        // the diagonal: not live.
         let state = PruneState {
             profile_dirty: vec![false; 4],
             additions: g.additions_since(&g),
@@ -785,16 +776,66 @@ mod tests {
         assert!(buckets.values().all(|c| c.rows.is_empty()));
         assert_eq!(live.pi, PiGraph::new(2));
         assert_eq!(totals(&buckets), (0, 0, 2));
+    }
 
-        // Canonical keys: a pair keys into (part(min), part(max)), so
-        // 3 → 0, 3 → 2 and 1 → 2 → 0 are backward rows of bucket
-        // (0, 1), 1 → 2 a forward row of bucket (1, 0); 3 → 2 → 0
-        // offers (0, 3) a second time.
+    /// A pair offered through several paths makes one row: 0 → 1
+    /// directly and via pivots 2 and 4, 0 → 3 directly, all into
+    /// bucket (0, 1) (users u → partition u % 2).
+    #[test]
+    fn dedups_within_bucket() {
+        let mut g = KnnGraph::new(6, 4);
+        for d in [1, 2, 4, 3] {
+            g.insert(UserId::new(0), nb(d));
+        }
+        g.insert(UserId::new(2), nb(1));
+        g.insert(UserId::new(4), nb(1));
+        let p = partitioning(6, 2);
+        let (live, buckets) = generate(&g, &p, None);
+        let fwd = meta_bits::FWD;
+        assert_eq!(buckets[&(0, 1)].offered, 4);
+        assert_eq!(buckets[&(0, 1)].rows, vec![(0, 1, fwd), (0, 3, fwd)]);
+        assert_eq!(live.pi, non_empty(&buckets, 2));
+    }
+
+    /// The symmetric-dedup contract: (s, d) and (d, s) collapse to one
+    /// canonical row carrying both direction bits, in the canonical
+    /// pair's bucket.
+    #[test]
+    fn opposite_directions_collapse_to_one_canonical_tuple() {
+        let mut g = KnnGraph::new(4, 2);
+        g.insert(UserId::new(0), nb(1)); // forward
+        g.insert(UserId::new(1), nb(0)); // backward: same canonical row
+        g.insert(UserId::new(3), nb(2)); // backward only
+        let p = partitioning(4, 2);
+        let (live, buckets) = generate(&g, &p, None);
+        assert_eq!(buckets[&(0, 1)].offered, 3);
+        assert_eq!(
+            buckets[&(0, 1)].rows,
+            vec![
+                (0, 1, meta_bits::FWD | meta_bits::BWD),
+                (2, 3, meta_bits::BWD)
+            ]
+        );
+        assert_eq!(totals(&buckets), (3, 2, 0));
+        assert_eq!(
+            all_tuples(&buckets),
+            [(0, 1), (1, 0), (3, 2)].into_iter().collect()
+        );
+        assert_eq!(live.paths, 3);
+        assert_eq!(live.pi, non_empty(&buckets, 2));
+    }
+
+    /// A pair keys into (part(min), part(max)): 3 → 0, 3 → 2 and
+    /// 1 → 2 → 0 are backward rows of bucket (0, 1), 1 → 2 a forward
+    /// row of bucket (1, 0); 3 → 2 → 0 offers (0, 3) a second time.
+    #[test]
+    fn buckets_key_by_canonical_partition_pair() {
         let mut g = KnnGraph::new(4, 2);
         g.insert(UserId::new(3), nb(0));
         g.insert(UserId::new(1), nb(2));
         g.insert(UserId::new(3), nb(2));
         g.insert(UserId::new(2), nb(0));
+        let p = partitioning(4, 2);
         let (live, buckets) = generate(&g, &p, None);
         let bwd = meta_bits::BWD;
         assert_eq!(
@@ -808,6 +849,7 @@ mod tests {
         assert_eq!(totals(&buckets), (6, 5, 0));
         assert_eq!(live.paths, 6);
         assert_eq!(live.pi, non_empty(&buckets, 2));
+        assert_eq!(live.pi.num_pairs(), 1);
         assert_eq!(live.pi.self_pairs(), vec![0]);
     }
 
